@@ -38,17 +38,10 @@ Subcommands:
   ``'{"riders": 1990, "dwell": 2.0}'`` for ``--mobility timetable``);
   ``--kernels compiled|numpy|auto`` selects the compiled kernel tier for
   the hot loops (bit-exact by contract — tier changes speed, never
-  results; ``sweep`` takes the same flag);
-* ``bench [--smoke] [--suite core|protocols|experiments|mobility|network|kernels|all]
-  [--out PATH] [--repeats N] [--label TAG]`` — the perf-trajectory harness
-  (:mod:`repro.bench`): kernel and end-to-end timings, the per-protocol
-  batch-vs-scalar suite, the sweep-scheduler experiments suite
-  (quick-scale batch-vs-scalar per migrated experiment, table-parity
-  gated), the compiled-kernel-tier suite (per-kernel compiled vs numpy
-  micro-benchmarks plus the canonical end-to-end run, fingerprint-parity
-  gated, warm-path-only measurement asserted), and cross-strategy parity
-  checks, written as machine-readable JSON so future PRs can regress
-  against it.  Exit status reflects **parity only**, never timing.
+  results; ``sweep`` takes the same flag).
+
+Performance is measured by the standalone ``perfbench/run.py`` harness,
+not by this CLI.
 """
 
 from __future__ import annotations
@@ -151,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("auto", "compiled", "numpy"),
             default="auto",
             help="compiled kernel tier for hot loops: 'numpy' (reference "
-            "vectorized paths), 'compiled' (numba/cext provider, bit-exact "
+            "vectorized paths), 'compiled' (bundled C provider, bit-exact "
             "by contract, error if no provider is available), or 'auto' "
             "(compiled when a provider exists, else numpy; the default)",
         )
@@ -304,52 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trials per batch with --engine batch (0 = all in one batch)",
     )
     add_kernels(flood_p)
-
-    bench_p = sub.add_parser(
-        "bench", help="run the perf-trajectory benchmark suite (repro.bench)"
-    )
-    bench_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small scales for CI smoke runs (machinery + parity, not timing)",
-    )
-    bench_p.add_argument(
-        "--suite",
-        choices=("core", "protocols", "experiments", "mobility", "network", "kernels", "all"),
-        default="all",
-        help="benchmark suite: 'core' (kernels + flooding end-to-end), "
-        "'protocols' (every registered protocol, batch vs scalar, "
-        "parity-gated), 'experiments' (the sweep-scheduler experiment "
-        "suite at quick scale, batch vs scalar, table-parity gated), "
-        "'mobility' (per-mobility-model batch vs scalar, parity-gated), "
-        "'network' (temporal-graph analytics: incremental connectivity "
-        "profiles, exact MST thresholds, batched journeys and contact "
-        "recording vs their scalar baselines, parity-gated), 'kernels' "
-        "(compiled tier vs numpy: per-kernel micro-benchmarks plus the "
-        "canonical end-to-end run, fingerprint-parity gated), or 'all'",
-    )
-    bench_p.add_argument(
-        "--out",
-        default="BENCH_RUN.json",
-        help="output JSON path (default BENCH_RUN.json; the committed "
-        "trajectory anchors BENCH_PR2.json / BENCH_PR3.json are only "
-        "written when asked for explicitly)",
-    )
-    bench_p.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=None,
-        help="best-of-N timing repeats (default 3, smoke 2)",
-    )
-    bench_p.add_argument("--label", default="PR10", help="free-form tag stored in the report")
-    bench_p.add_argument(
-        "--baseline",
-        action="append",
-        default=[],
-        metavar="NAME=SECONDS",
-        help="recorded external baseline (e.g. pr1_batch=0.357, timed from "
-        "that PR's checkout on this host); repeatable",
-    )
 
     report_p = sub.add_parser(
         "report", help="run experiments and write a markdown reproduction report"
@@ -571,29 +518,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import render_table, run_benchmarks, write_report
-
-    baselines = {}
-    for spec in args.baseline:
-        name, _, seconds = spec.partition("=")
-        try:
-            baselines[name] = float(seconds)
-        except ValueError:
-            raise SystemExit(f"--baseline expects NAME=SECONDS, got {spec!r}")
-    report = run_benchmarks(
-        smoke=args.smoke,
-        repeats=args.repeats,
-        label=args.label,
-        baselines=baselines,
-        suite=args.suite,
-    )
-    write_report(args.out, report)
-    print(render_table(report))
-    print(f"[report written to {args.out}]")
-    return 0 if report["parity"]["ok"] else 1
-
-
 def _cmd_report(args) -> int:
     from repro.viz.report import write_report
 
@@ -617,8 +541,6 @@ def main(argv=None) -> int:
         return _cmd_flood(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "report":
         return _cmd_report(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

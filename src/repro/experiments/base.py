@@ -6,11 +6,11 @@ is one module under :mod:`repro.experiments` exposing an
 :class:`ExperimentResult`: a table (headers + rows), free-form notes, ASCII
 artifacts (heatmaps), and a pass/fail verdict for the artifact's
 shape-validation criterion.  The registry (:mod:`repro.experiments.registry`)
-indexes the specs for the CLI and the benchmark suite.
+indexes the specs for the CLI and the test suite.
 
 Scales:
 
-* ``"quick"`` — seconds; used by benchmarks and CI;
+* ``"quick"`` — seconds; used by the tests and CI;
 * ``"full"`` — the EXPERIMENTS.md numbers (minutes for the largest sweeps).
 """
 
@@ -45,9 +45,8 @@ def scale_params(scale: str, quick: dict, full: dict) -> dict:
 def adaptive_note(points, plan) -> str:
     """The standard adaptive-savings note for sweep experiments.
 
-    Reports executed vs fixed-budget trial totals in a fixed format —
-    ``repro.bench`` parses it to record adaptive savings, so the wording
-    is load-bearing.
+    Reports executed vs fixed-budget trial totals in the same format as
+    the ``sweep`` CLI's adaptive-savings line.
     """
     executed = sum(p.n_trials for p in points)
     fixed = sum(p.n_trials for p in plan)

@@ -10,8 +10,7 @@ ref [3]), probabilistic flooding (duty cycling), and SIR epidemic
 Since PR 3 every variant runs through the **batch engine** at both scales
 (all trials of a variant in lock-step); the scalar path produces identical
 results (seed-for-seed parity, ``tests/test_protocol_batch_parity.py``)
-and remains selectable via ``run(..., engine="scalar")`` for the
-benchmark's speedup measurement.
+and remains selectable via ``run(..., engine="scalar")``.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ _VARIANTS = [
 
 def variant_configs(scale: str = "quick", seed: int = 0, engine: str = "batch") -> list:
     """The experiment's ``(label, config, trials)`` workload, one entry per
-    variant — shared with ``repro bench --suite protocols`` so the speedup
-    measurement times exactly the experiment's configurations."""
+    variant."""
     params = scale_params(
         scale,
         quick={"n": 2_000, "radius_factor": 1.4, "trials": 3},

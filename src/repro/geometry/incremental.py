@@ -17,8 +17,8 @@ The two classes here exploit that:
 
 Both fall back to a full rebuild automatically when too many points moved
 (``rebuild_fraction``) — an incremental splice only pays while the delta is
-sparse — and both count their update/rebuild decisions so the perf harness
-(``repro bench``) can report how often each path ran.
+sparse — and both count their update/rebuild decisions so callers can
+see how often each path ran.
 
 Incremental updates are *exact*: queries against an updated index return
 the same results as against a freshly built one (asserted by the parity
@@ -161,7 +161,7 @@ class IncrementalBatchOccupancy:
         cell_size: occupancy bucket side.
         track_counts: maintain the per-cell count tensor (the flooding
             kernel needs only ``cid``; counts serve density/diagnostic
-            consumers and the bench).
+            consumers).
         rebuild_fraction: moved-agents fraction above which the count
             repair falls back to a full bincount.
     """

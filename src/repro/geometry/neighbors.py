@@ -302,7 +302,7 @@ class GridNeighborEngine(NeighborEngine):
             persistent :class:`IncrementalGridIndex` across rounds and
             splices per-step displacements; when False every ``bind``
             builds a fresh index (the pre-incremental behaviour, kept for
-            the parity sweeps and the bench baseline).
+            the parity sweeps).
     """
 
     name = "grid"
@@ -952,7 +952,7 @@ class BatchNeighborQuery:
             otherwise).
         incremental: reuse per-agent cell assignments across rounds
             (False re-derives them per call — the pre-incremental
-            behaviour, kept for parity sweeps and the bench baseline).
+            behaviour, kept for the parity sweeps).
         prune: frontier source pruning in the cell-cover kernel (False
             keeps every informed source, as before this subsystem).
     """
@@ -996,7 +996,7 @@ class BatchNeighborQuery:
     #: 2*sqrt(2) makes the full 3x3 box a *certain* hit (farthest pair
     #: exactly ``2 sqrt2`` buckets == radius) — measurably better than the
     #: seed's sqrt(5) cross neighborhood now that the grid passes run as
-    #: cheap boolean dilations (see ``repro bench``).
+    #: cheap boolean dilations.
     _COVER_DIVISOR = 2.0 * math.sqrt(2.0)
 
     def _occupancy_for(self, cell: float, m: int) -> IncrementalBatchOccupancy:
@@ -1090,10 +1090,9 @@ def available_backends(kind: str = "neighbors") -> list:
     Args:
         kind: ``"neighbors"`` (default) lists the neighbor-engine
             backends; ``"kernels"`` lists the kernel tiers backing the
-            ``kernels`` config knob — compiled providers first (``numba``
-            and/or ``cext``, probed once per process with the
-            ``REPRO_NO_NUMBA=1`` / ``REPRO_NO_CEXT=1`` escape hatches),
-            then the always-available ``numpy``.
+            ``kernels`` config knob — the compiled ``cext`` provider
+            first (probed once per process, with the ``REPRO_NO_CEXT=1``
+            escape hatch), then the always-available ``numpy``.
 
     Every probe runs once per process and is cached — constructing
     engines and batch queries in a hot loop must not re-attempt imports

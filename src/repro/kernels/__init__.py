@@ -7,9 +7,8 @@ sites in geometry, mobility, and network):
 ``"numpy"``
     The vectorized reference paths — always available, bit-exact default.
 ``"compiled"``
-    Loop kernels from the first available *provider*: ``numba`` (``@njit``
-    of :mod:`repro.kernels._cores`, preferred when importable) or ``cext``
-    (the bundled C mirror built on demand with the system compiler).
+    Loop kernels from the ``cext`` *provider*: the bundled C mirror of
+    :mod:`repro.kernels._cores`, built on demand with the system compiler.
     Requesting this tier with no provider available raises.
 ``"auto"``
     ``"compiled"`` when a provider exists, else ``"numpy"``.
@@ -21,9 +20,9 @@ is process-global but scoped: the default is ``"numpy"`` so direct library
 calls keep exercising the reference paths, and the runners activate the
 configured tier around a simulation via :func:`use_kernel_tier`.
 
-Probes are cached per process, with escape hatches for tests and CI:
-``REPRO_NO_NUMBA=1`` blocks the numba provider, ``REPRO_NO_CEXT=1`` the C
-provider (together they force the numpy tier everywhere).
+The provider probe is cached per process, with an escape hatch for tests
+and CI: ``REPRO_NO_CEXT=1`` blocks the C provider, forcing the numpy tier
+everywhere.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from ._glue import KERNEL_NAMES, make_kernels
 __all__ = [
     "KERNEL_NAMES",
     "KERNEL_TIERS",
-    "numba_available",
     "cext_available",
     "kernel_backend",
     "available_kernel_backends",
@@ -56,36 +54,12 @@ __all__ = [
 #: Valid values of the ``kernels`` config knob.
 KERNEL_TIERS = ("auto", "compiled", "numpy")
 
-_NUMBA_OK: bool | None = None
 _CEXT_CORES = None
 _CEXT_OK: bool | None = None
 _TABLES: dict = {}
 
 _ACTIVE_TIER = "numpy"
 _ACTIVE_KERNELS: dict | None = None
-
-
-def numba_available() -> bool:
-    """Cached probe for the numba provider (``REPRO_NO_NUMBA=1`` blocks it)."""
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        if os.environ.get("REPRO_NO_NUMBA") == "1":
-            _NUMBA_OK = False
-        else:
-            try:
-                from . import _numba
-
-                # Force one real compile so a broken numba install is
-                # detected here (jit decoration alone defers all errors).
-                cores = _numba.load_cores()
-                counts = np.zeros(1, dtype=np.int64)
-                cell = np.zeros(1, dtype=np.int64)
-                cores.occupancy_delta_core(counts, cell, cell)
-            except Exception:
-                _NUMBA_OK = False
-            else:
-                _NUMBA_OK = True
-    return _NUMBA_OK
 
 
 def cext_available() -> bool:
@@ -113,22 +87,12 @@ def cext_available() -> bool:
 
 def kernel_backend() -> str | None:
     """The compiled provider the ``"compiled"`` tier would use, or ``None``."""
-    if numba_available():
-        return "numba"
-    if cext_available():
-        return "cext"
-    return None
+    return "cext" if cext_available() else None
 
 
 def available_kernel_backends() -> list:
     """All usable kernel backends, best first; ``"numpy"`` is always last."""
-    names = []
-    if numba_available():
-        names.append("numba")
-    if cext_available():
-        names.append("cext")
-    names.append("numpy")
-    return names
+    return ["cext", "numpy"] if cext_available() else ["numpy"]
 
 
 def resolve_kernel_tier(tier: str) -> str:
@@ -146,37 +110,25 @@ def resolve_kernel_tier(tier: str) -> str:
         if tier == "compiled":
             raise RuntimeError(
                 "kernels='compiled' requested but no compiled provider is available "
-                "(numba not importable and the C extension did not build)"
+                "(the C extension did not build)"
             )
         return "numpy"
     return "compiled"
 
 
 def kernel_tier_label(tier: str = "auto") -> str:
-    """Human/JSON label of the resolved tier: ``numpy``, ``numba-<ver>``, ``cext``."""
-    if resolve_kernel_tier(tier) == "numpy":
-        return "numpy"
-    backend = kernel_backend()
-    if backend == "numba":
-        from . import _numba
-
-        return f"numba-{_numba.numba_version()}"
-    return "cext"
+    """Human/JSON label of the resolved tier: ``numpy`` or ``cext``."""
+    return "numpy" if resolve_kernel_tier(tier) == "numpy" else "cext"
 
 
 def _provider_table(backend: str) -> dict:
     if backend not in _TABLES:
-        if backend == "numba":
-            from . import _numba
-
-            _TABLES[backend] = make_kernels(_numba.load_cores())
-        elif backend == "cext":
-            cext_available()
-            if _CEXT_CORES is None:
-                raise RuntimeError("cext kernel provider unavailable")
-            _TABLES[backend] = make_kernels(_CEXT_CORES)
-        else:
+        if backend != "cext":
             raise ValueError(f"unknown kernel backend {backend!r}")
+        cext_available()
+        if _CEXT_CORES is None:
+            raise RuntimeError("cext kernel provider unavailable")
+        _TABLES[backend] = make_kernels(_CEXT_CORES)
     return _TABLES[backend]
 
 
@@ -233,9 +185,8 @@ def warm_kernels(backend: str | None = None) -> str:
     """Exercise every compiled kernel once on tiny inputs.
 
     Covers each kernel's single runtime type signature (all speed modes and
-    metrics of the leg kernels), so with numba no compilation can happen
-    after this returns.  Returns the tier label that was warmed (``"numpy"``
-    when no provider is available — nothing to warm).
+    metrics of the leg kernels).  Returns the tier label that was warmed
+    (``"numpy"`` when no provider is available — nothing to warm).
     """
     if backend is None and kernel_backend() is None:
         return "numpy"
@@ -272,39 +223,26 @@ def warm_kernels(backend: str | None = None) -> str:
     table["zone_counts"](
         pos3, src_mask, 0.5, 2, np.array([[True, False], [False, True]])
     )
-    warmed = backend if backend is not None else kernel_backend()
-    if warmed == "numba":
-        from . import _numba
-
-        return f"numba-{_numba.numba_version()}"
-    return warmed or "numpy"
+    return backend or kernel_backend()
 
 
 def compile_events() -> int:
     """Monotone counter of compilation work done by this process.
 
-    Counts C builds plus, when the numba provider is loaded, the total
-    number of jitted signatures — so a delta of zero across a timed region
-    proves warm-path-only measurement.
+    Counts C builds, so a delta of zero across a timed region proves
+    warm-path-only measurement.
     """
-    total = 0
     try:
         from . import _cext
 
-        total += _cext.build_count()
+        return _cext.build_count()
     except Exception:
-        pass
-    if _NUMBA_OK:
-        from . import _numba
-
-        total += sum(len(d.signatures) for d in _numba.dispatchers().values())
-    return total
+        return 0
 
 
 def _reset_probe_cache_for_tests() -> None:
-    """Forget cached probe results (tests toggle the env escape hatches)."""
-    global _NUMBA_OK, _CEXT_OK, _CEXT_CORES
-    _NUMBA_OK = None
+    """Forget cached probe results (tests toggle the env escape hatch)."""
+    global _CEXT_OK, _CEXT_CORES
     _CEXT_OK = None
     _CEXT_CORES = None
     _TABLES.clear()

@@ -1,18 +1,13 @@
 """Loop-level kernel cores: the executable spec of the compiled tier.
 
-Each function here is written in the restricted style that both compiled
-providers consume directly:
-
-* the **numba provider** (:mod:`repro.kernels._numba`) applies ``@njit``
-  to these exact functions — nopython mode, no fastmath, so the float
-  arithmetic is the same IEEE operation sequence as the interpreted body;
-* the **C provider** (:mod:`repro.kernels._cext`) mirrors them statement
-  for statement in C (same operation order, correctly-rounded ``sqrt`` /
-  truncating casts), exposed through adapters with these signatures.
+Each function here is written in a restricted loop style that the C
+provider (:mod:`repro.kernels._cext`) mirrors statement for statement
+(same operation order, correctly-rounded ``sqrt`` / truncating casts),
+exposed through adapters with these signatures.
 
 They are also runnable as plain Python, which is how the parity tests pin
-the semantics against the numpy reference paths without requiring either
-provider to be installed.
+the semantics against the numpy reference paths without requiring the
+provider to be built.
 
 Exactness contracts (enforced by ``tests/test_kernels.py``):
 

@@ -1,8 +1,8 @@
-"""Numpy-side glue shared by every compiled-kernel provider.
+"""Numpy-side glue shared by the compiled provider and the reference cores.
 
-:func:`make_kernels` turns a namespace of loop cores (pure-Python,
-numba-jitted, or C adapters — all with the :mod:`repro.kernels._cores`
-signatures) into the public kernel table consumed by the dispatch sites.
+:func:`make_kernels` turns a namespace of loop cores (pure-Python or C
+adapters, both with the :mod:`repro.kernels._cores` signatures) into the
+public kernel table consumed by the dispatch sites.
 
 Every public kernel is *total over a guarded domain*: it validates dtypes,
 contiguity, and size caps up front and returns ``None`` (or a ``None``

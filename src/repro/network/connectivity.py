@@ -253,8 +253,7 @@ def estimate_connectivity_threshold(
     ``side * sqrt2`` would enumerate O(n^2) edges), then one MST pass over
     those edges yields the bottleneck.  ``method="bisect"`` retains the
     pre-existing bisection, which converges to the same value within
-    ``tol``; the two are cross-checked in the parity tests and the
-    ``network`` benchmark suite.
+    ``tol``; the two are cross-checked in the parity tests.
 
     Args:
         positions: ``(n, 2)`` snapshot.

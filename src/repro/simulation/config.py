@@ -76,8 +76,7 @@ class FloodingConfig:
             per-step displacements), ``prune`` (frontier source pruning),
             ``cell_size`` (grid-engine bucket override).  All strategies
             are exact, so these knobs never change results — only speed
-            (asserted by the parity tests; toggled by ``repro bench`` to
-            measure the PR 1 baseline).
+            (asserted by the parity tests).
         seed: root seed for all randomness of the run.
         threshold_factor: Definition 4's Central-Zone constant (3/8 paper).
         multi_hop: flooding semantics (see
@@ -98,8 +97,8 @@ class FloodingConfig:
             (0 — the default — runs all of a call's or worker's trials in
             one batch).  Has no effect on results, only on peak memory.
         kernels: hot-loop kernel tier — ``"numpy"`` (the vectorized
-            reference paths), ``"compiled"`` (loop kernels via numba or
-            the bundled C extension; an explicit demand that raises at
+            reference paths), ``"compiled"`` (loop kernels via the
+            bundled C extension; an explicit demand that raises at
             run time when no provider is available), or ``"auto"`` (the
             default: compiled when a provider exists, numpy otherwise).
             Every compiled kernel is bit-exact against its numpy path
@@ -131,12 +130,12 @@ class FloodingConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.side <= 0:
-            raise ValueError(f"side must be positive, got {self.side}")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.speed < 0:
-            raise ValueError(f"speed must be non-negative, got {self.speed}")
+        if not (math.isfinite(self.side) and self.side > 0):
+            raise ValueError(f"side must be positive and finite, got {self.side}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if not (math.isfinite(self.speed) and self.speed >= 0):
+            raise ValueError(f"speed must be non-negative and finite, got {self.speed}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
         if isinstance(self.source, str) and self.source not in _SOURCE_MODES:
@@ -276,8 +275,8 @@ class FloodingConfig:
     def resolved_kernels(self) -> str:
         """The kernel tier that will actually run (``"numpy"``/``"compiled"``).
 
-        ``"auto"`` resolves against the cached provider probes (numba,
-        then the bundled C extension); an explicit ``"compiled"`` with no
+        ``"auto"`` resolves against the cached probe of the bundled C
+        extension; an explicit ``"compiled"`` with no
         provider available raises here rather than deep inside a run.
         """
         return resolve_kernel_tier(self.kernels)

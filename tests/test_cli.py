@@ -43,10 +43,6 @@ class TestParser:
         args = build_parser().parse_args(["report", "--engine", "auto"])
         assert args.engine == "auto"
 
-    def test_bench_experiments_suite_parses(self):
-        args = build_parser().parse_args(["bench", "--suite", "experiments"])
-        assert args.suite == "experiments"
-
     def test_flood_parses(self):
         args = build_parser().parse_args(["flood", "--n", "500", "--seed", "3"])
         assert args.n == 500
@@ -97,40 +93,3 @@ class TestCommands:
         code = main(["flood", "--n", "400", "--source", "7", "--max-steps", "2000"])
         capsys.readouterr()
         assert code == 0
-
-
-class TestBenchCommand:
-    def test_bench_smoke_writes_stable_schema(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench", "--smoke", "--repeats", "1",
-                "--out", str(out), "--label", "unit",
-                "--baseline", "pr1_batch=1.0",
-            ]
-        )
-        text = capsys.readouterr().out
-        assert code == 0
-        assert "parity" in text
-        report = json.loads(out.read_text())
-        assert report["schema_version"] == 1
-        assert report["label"] == "unit"
-        assert report["smoke"] is True
-        assert report["parity"]["ok"] is True
-        assert report["baselines"] == {"pr1_batch": 1.0}
-        assert "batch_vs_pr1_batch" in report["speedups"]
-        assert "batch_vs_legacy" in report["speedups"]
-        kernel_names = {k["name"] for k in report["kernels"]}
-        assert any(name.startswith("grid_index_") for name in kernel_names)
-        assert any(name.startswith("batch_any_within_") for name in kernel_names)
-        strategies = {row["name"] for row in report["end_to_end"]}
-        assert strategies == {"batch", "batch_legacy", "scalar"}
-        for kernel in report["kernels"]:
-            assert kernel["seconds"] > 0
-            assert kernel["per_call"] > 0
-
-    def test_bench_rejects_malformed_baseline(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "--smoke", "--baseline", "nonsense"])

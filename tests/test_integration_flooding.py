@@ -145,6 +145,14 @@ class TestSourcePlacementCases:
         result = run_flooding(config)
         assert result.completed
 
+    @pytest.mark.parametrize("options", [{"init": "uniform"}, {"multi_hop": True}])
+    def test_completes_from_cold_start_and_multi_hop(self, options):
+        config = standard_config(
+            800, radius_factor=1.4, speed_fraction=0.25, max_steps=5000, seed=10,
+            **options,
+        )
+        assert run_flooding(config).completed
+
     def test_suburb_source_slower_or_equal_on_average(self):
         central = standard_config(
             800, radius_factor=1.3, source="central", max_steps=5000, seed=11

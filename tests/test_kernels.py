@@ -5,7 +5,7 @@ enforces: ``kernels`` is a *performance* knob.  Every compiled kernel is
 bit-exact against its numpy path, so compiled and numpy runs of the same
 seeds must be indistinguishable down to the informed-at step of every
 agent — and every test here must stay green whether or not a compiled
-provider (numba or the bundled C extension) is actually available.
+provider (the bundled C extension) is actually available.
 """
 
 import numpy as np
@@ -66,7 +66,6 @@ class TestRegistry:
         assert "grid" in available_backends()
 
     def test_escape_hatches_force_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMBA", "1")
         monkeypatch.setenv("REPRO_NO_CEXT", "1")
         _reset_probe_cache_for_tests()
         try:
@@ -82,7 +81,6 @@ class TestRegistry:
             with pytest.raises(RuntimeError, match="compiled"):
                 run_trials(config, 1)
         finally:
-            monkeypatch.delenv("REPRO_NO_NUMBA")
             monkeypatch.delenv("REPRO_NO_CEXT")
             _reset_probe_cache_for_tests()
 
@@ -99,8 +97,6 @@ class TestRegistry:
         backend = kernel_backend()
         if backend is None:
             assert label == "numpy"
-        elif backend == "numba":
-            assert label.startswith("numba-")
         else:
             assert label == "cext"
         assert kernel_tier_label("numpy") == "numpy"

@@ -55,6 +55,7 @@ class TestKinematicState:
 class TestSamplerValidity:
     def test_state_in_square(self, sampler, rng):
         state = sampler.sample(5000, rng)
+        assert state.n == 5000
         assert in_square(state.positions, SIDE, tol=1e-9).all()
         assert in_square(state.destinations, SIDE, tol=1e-9).all()
         assert in_square(state.targets, SIDE, tol=1e-9).all()

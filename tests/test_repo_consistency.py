@@ -1,4 +1,4 @@
-"""Repository consistency guards: docs, registry, and benches stay in sync."""
+"""Repository consistency guards: docs and registry stay in sync."""
 
 import os
 
@@ -10,12 +10,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestRegistryConsistency:
-    def test_every_experiment_has_a_benchmark(self):
-        bench_dir = os.path.join(REPO_ROOT, "benchmarks")
-        for experiment_id in all_ids():
-            path = os.path.join(bench_dir, f"test_bench_{experiment_id}.py")
-            assert os.path.exists(path), f"missing benchmark for {experiment_id}"
-
     def test_design_md_lists_every_experiment(self):
         with open(os.path.join(REPO_ROOT, "DESIGN.md")) as fh:
             design = fh.read()

@@ -22,6 +22,12 @@ class TestFloodingConfig:
             {"side": 0.0},
             {"radius": 0.0},
             {"speed": -1.0},
+            {"side": math.nan},
+            {"side": math.inf},
+            {"radius": math.nan},
+            {"radius": math.inf},
+            {"speed": math.nan},
+            {"speed": math.inf},
             {"max_steps": 0},
             {"source": "middle"},
             {"source": 100},

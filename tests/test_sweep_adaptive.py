@@ -350,7 +350,7 @@ class TestMaskedMeanUnderAdaptive:
 
 
 class TestExperimentAdaptiveArm:
-    """The bench acceptance path: unchanged verdict, fewer trials."""
+    """The adaptive acceptance path: unchanged verdict, fewer trials."""
 
     def test_thm3_radius_adaptive_verdict_and_note(self):
         from repro.experiments.registry import run_experiment
