@@ -17,6 +17,15 @@ Two interchangeable backends implement them:
 Use :func:`make_engine` to construct one by name; ``"auto"`` picks the
 KD-tree when scipy is importable and falls back to the grid otherwise.
 
+On the compiled kernel tier, a snapshot bound by an ``"auto"`` engine
+answers ``any_within`` with the ``batch_any_within`` grid scan at B=1,
+the kernel the batch engine calls.  That scan applies the exact
+``d² <= R²`` test where the KD query accepts distances up to
+``R * (1 + 1e-12)``: the two can differ only for pairs within
+floating-point rounding of ``R``, the same ulp-level slack the batch
+engine documents among its strategies (see :class:`BatchNeighborQuery`).
+Explicitly named backends never dispatch.
+
 Two layers sit on top of the raw engines (DESIGN.md, "Incremental and
 frontier-pruned neighbor subsystem"):
 
@@ -90,6 +99,27 @@ class BoundSnapshot:
             self.points[source_idx], self.points[query_idx], self.radius
         )
 
+    def _kernel_any_within(self, source_idx, query_idx):
+        """``any_within`` from the compiled tier, or ``None`` to run numpy.
+
+        Only engines built by ``make_engine("auto")`` dispatch: the
+        snapshot becomes a one-replica batch for the ``batch_any_within``
+        grid scan.  Explicit backends always run their own code, so the
+        parity sweeps keep comparing independent implementations.
+        """
+        if not self.engine.kernel_dispatch:
+            return None
+        kernel = get_kernel("batch_any_within")
+        if kernel is None:
+            return None
+        n = self.points.shape[0]
+        source_mask = np.zeros((1, n), dtype=bool)
+        source_mask[0, source_idx] = True
+        query_mask = np.zeros((1, n), dtype=bool)
+        query_mask[0, query_idx] = True
+        hits = kernel(self.points[None], source_mask, query_mask, self.radius, self.engine.side)
+        return None if hits is None else hits[0, query_idx]
+
     def count_within(self, source_idx, query_idx) -> np.ndarray:
         """Per-query count of ``source_idx`` points within the bound radius."""
         return self.engine.count_within(
@@ -141,6 +171,9 @@ class NeighborEngine:
     """Interface for radius-based neighbor queries on a square region."""
 
     name = "abstract"
+    #: Set by ``make_engine("auto")``: bound snapshots may answer
+    #: ``any_within`` from the compiled tier.
+    kernel_dispatch = False
 
     def __init__(self, side: float):
         if side <= 0:
@@ -241,6 +274,9 @@ class _GridSnapshot(BoundSnapshot):
         query_idx = np.asarray(query_idx, dtype=np.intp)
         if source_idx.size == 0 or query_idx.size == 0:
             return np.zeros(query_idx.size, dtype=bool)
+        hits = self._kernel_any_within(source_idx, query_idx)
+        if hits is not None:
+            return hits
         if not self._use_full(source_idx, query_idx):
             return self._source_index(source_idx).any_within(
                 self.points[query_idx], self.radius
@@ -401,6 +437,9 @@ class _KDTreeSnapshot(BoundSnapshot):
         query_idx = np.asarray(query_idx, dtype=np.intp)
         if source_idx.size == 0 or query_idx.size == 0:
             return np.zeros(query_idx.size, dtype=bool)
+        hits = self._kernel_any_within(source_idx, query_idx)
+        if hits is not None:
+            return hits
         dist, _ = self._tree(source_idx).query(
             self.points[query_idx], k=1, distance_upper_bound=self.radius * (1 + 1e-12)
         )
@@ -1122,7 +1161,9 @@ def make_engine(backend: str, side: float, **options) -> NeighborEngine:
 
     Args:
         backend: ``"grid"``, ``"kdtree"``, ``"brute"``, or ``"auto"``
-            (kdtree if scipy is available, else grid).
+            (kdtree if scipy is available, else grid; its bound snapshots
+            also answer ``any_within`` from the compiled tier when a run
+            activated it).
         side: side length of the square region.
         options: engine tuning knobs; currently ``incremental`` and
             ``cell_size`` (grid engine only — silently ignored by
@@ -1132,14 +1173,18 @@ def make_engine(backend: str, side: float, **options) -> NeighborEngine:
     unknown = set(options) - {"incremental", "cell_size"}
     if unknown:
         raise ValueError(f"unknown engine options: {sorted(unknown)}")
-    if backend == "auto":
+    auto = backend == "auto"
+    if auto:
         backend = "kdtree" if "kdtree" in available_backends() else "grid"
     if backend not in _BACKENDS:
         raise ValueError(f"unknown neighbor backend {backend!r}; expected one of {sorted(_BACKENDS)} or 'auto'")
     if backend == "grid":
-        return GridNeighborEngine(
+        engine = GridNeighborEngine(
             side,
             cell_size=options.get("cell_size"),
             incremental=options.get("incremental", True),
         )
-    return _BACKENDS[backend](side)
+    else:
+        engine = _BACKENDS[backend](side)
+    engine.kernel_dispatch = auto
+    return engine

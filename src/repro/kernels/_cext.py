@@ -321,56 +321,51 @@ def _build_library() -> str:
     return lib_path
 
 
-_f64_p = ctypes.POINTER(ctypes.c_double)
-_i64_p = ctypes.POINTER(ctypes.c_int64)
-_u8_p = ctypes.POINTER(ctypes.c_uint8)
+# Array arguments cross as raw addresses (a ``c_void_p`` argtype fed the
+# plain int ``arr.ctypes.data``) and scalars as Python numbers, which the
+# argtypes convert: building a typed ``data_as(POINTER(...))`` pointer or
+# a ``c_int64`` per argument was a third of a small kernel call's cost.
+# The glue has already checked every dtype and contiguity.
+_ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
 _f64 = ctypes.c_double
 _int = ctypes.c_int
 
 
-def _fp(arr):
-    return arr.ctypes.data_as(_f64_p)
-
-
-def _ip(arr):
-    return arr.ctypes.data_as(_i64_p)
-
-
-def _bp(arr):
-    return arr.ctypes.data_as(_u8_p)
+def _addr(arr) -> int:
+    return arr.ctypes.data
 
 
 def _declare(lib):
     lib.repro_any_within.restype = None
     lib.repro_any_within.argtypes = [
-        _f64_p, _i64, _i64, _f64, _f64, _i64_p, _i64, _i64_p, _i64,
-        _i64_p, _i64_p, _i64, _i64_p, _u8_p,
+        _ptr, _i64, _i64, _f64, _f64, _ptr, _i64, _ptr, _i64,
+        _ptr, _ptr, _i64, _ptr, _ptr,
     ]
     lib.repro_contacts.restype = _i64
     lib.repro_contacts.argtypes = [
-        _f64_p, _i64, _i64, _f64, _f64, _i64_p, _i64, _i64_p, _i64,
-        _i64_p, _i64_p, _i64, _i64_p, _i64_p, _i64_p, _i64,
+        _ptr, _i64, _i64, _f64, _f64, _ptr, _i64, _ptr, _i64,
+        _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _i64,
     ]
     lib.repro_advance_legs.restype = _i64
     lib.repro_advance_legs.argtypes = [
-        _f64_p, _f64_p, _f64_p, _i64_p, _i64, _f64, _f64_p, _f64, _int, _int, _i64_p,
+        _ptr, _ptr, _ptr, _ptr, _i64, _f64, _ptr, _f64, _int, _int, _ptr,
     ]
     lib.repro_advance_legs_dense.restype = _i64
     lib.repro_advance_legs_dense.argtypes = [
-        _f64_p, _f64_p, _f64_p, _u8_p, _i64, _int, _f64, _f64_p, _f64, _int, _i64_p,
+        _ptr, _ptr, _ptr, _ptr, _i64, _int, _f64, _ptr, _f64, _int, _ptr,
     ]
     lib.repro_splice.restype = None
     lib.repro_splice.argtypes = [
-        _i64_p, _i64_p, _u8_p, _i64, _i64_p, _i64_p, _i64, _i64_p, _i64_p,
+        _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr,
     ]
     lib.repro_union.restype = None
-    lib.repro_union.argtypes = [_i64_p, _i64, _i64_p, _i64_p, _i64]
+    lib.repro_union.argtypes = [_ptr, _i64, _ptr, _ptr, _i64]
     lib.repro_occupancy_delta.restype = None
-    lib.repro_occupancy_delta.argtypes = [_i64_p, _i64_p, _i64_p, _i64]
+    lib.repro_occupancy_delta.argtypes = [_ptr, _ptr, _ptr, _i64]
     lib.repro_zone_counts.restype = None
     lib.repro_zone_counts.argtypes = [
-        _f64_p, _i64, _i64, _f64, _i64, _u8_p, _u8_p, _i64_p, _i64_p,
+        _ptr, _i64, _i64, _f64, _i64, _ptr, _ptr, _ptr, _ptr,
     ]
 
 
@@ -390,50 +385,51 @@ def load_cores():
 
     def any_within_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out):
         lib.repro_any_within(
-            _fp(pos), _i64(n), _i64(m), _f64(inv_cell), _f64(r2),
-            _ip(src), _i64(src.shape[0]), _ip(qry), _i64(qry.shape[0]),
-            _ip(cellk), _ip(starts), _i64(starts.shape[0]), _ip(srcsort), _bp(out),
+            _addr(pos), n, m, inv_cell, r2,
+            _addr(src), src.shape[0], _addr(qry), qry.shape[0],
+            _addr(cellk), _addr(starts), starts.shape[0], _addr(srcsort), _addr(out),
         )
 
     def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out_s, out_q, cap):
         return lib.repro_contacts(
-            _fp(pos), _i64(n), _i64(m), _f64(inv_cell), _f64(r2),
-            _ip(src), _i64(src.shape[0]), _ip(qry), _i64(qry.shape[0]),
-            _ip(cellk), _ip(starts), _i64(starts.shape[0]), _ip(srcsort),
-            _ip(out_s), _ip(out_q), _i64(cap),
+            _addr(pos), n, m, inv_cell, r2,
+            _addr(src), src.shape[0], _addr(qry), qry.shape[0],
+            _addr(cellk), _addr(starts), starts.shape[0], _addr(srcsort),
+            _addr(out_s), _addr(out_q), cap,
         )
 
     def advance_legs_core(pos, target, budget, idx, eps, speed_arr, speed_scalar, speed_mode, metric, done):
         return lib.repro_advance_legs(
-            _fp(pos), _fp(target), _fp(budget), _ip(idx), _i64(idx.shape[0]),
-            _f64(eps), _fp(speed_arr), _f64(speed_scalar), _int(speed_mode),
-            _int(metric), _ip(done),
+            _addr(pos), _addr(target), _addr(budget), _addr(idx), idx.shape[0],
+            eps, _addr(speed_arr), speed_scalar, speed_mode, metric, _addr(done),
         )
 
     def advance_legs_dense_core(pos, target, budget, moving, all_moving, eps, speed_arr, speed_scalar, speed_mode, done):
         return lib.repro_advance_legs_dense(
-            _fp(pos), _fp(target), _fp(budget), _bp(moving),
-            _i64(budget.shape[0]), _int(1 if all_moving else 0), _f64(eps),
-            _fp(speed_arr), _f64(speed_scalar), _int(speed_mode), _ip(done),
+            _addr(pos), _addr(target), _addr(budget), _addr(moving),
+            budget.shape[0], 1 if all_moving else 0, eps,
+            _addr(speed_arr), speed_scalar, speed_mode, _addr(done),
         )
 
     def splice_core(order, sorted_ids, removed, new_ids, new_pts, out_order, out_ids):
         lib.repro_splice(
-            _ip(order), _ip(sorted_ids), _bp(removed), _i64(order.shape[0]),
-            _ip(new_ids), _ip(new_pts), _i64(new_ids.shape[0]),
-            _ip(out_order), _ip(out_ids),
+            _addr(order), _addr(sorted_ids), _addr(removed), order.shape[0],
+            _addr(new_ids), _addr(new_pts), new_ids.shape[0],
+            _addr(out_order), _addr(out_ids),
         )
 
     def union_core(parent, u, v):
-        lib.repro_union(_ip(parent), _i64(parent.shape[0]), _ip(u), _ip(v), _i64(u.shape[0]))
+        lib.repro_union(_addr(parent), parent.shape[0], _addr(u), _addr(v), u.shape[0])
 
     def occupancy_delta_core(counts, old_cells, new_cells):
-        lib.repro_occupancy_delta(_ip(counts), _ip(old_cells), _ip(new_cells), _i64(old_cells.shape[0]))
+        lib.repro_occupancy_delta(
+            _addr(counts), _addr(old_cells), _addr(new_cells), old_cells.shape[0]
+        )
 
     def zone_counts_core(pos, n, ell, m, cz_mask, informed, cz_total, cz_informed):
         lib.repro_zone_counts(
-            _fp(pos), _i64(pos.shape[0]), _i64(n), _f64(ell), _i64(m),
-            _bp(cz_mask), _bp(informed), _ip(cz_total), _ip(cz_informed),
+            _addr(pos), pos.shape[0], n, ell, m,
+            _addr(cz_mask), _addr(informed), _addr(cz_total), _addr(cz_informed),
         )
 
     _BUILD_ERROR = None

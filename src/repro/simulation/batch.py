@@ -47,6 +47,7 @@ from repro.protocols import BATCH_PROTOCOL_REGISTRY
 from repro.protocols.base import BatchBroadcastState
 from repro.simulation.config import FloodingConfig
 from repro.simulation.results import FloodingResult
+from repro.simulation.rng import child_seeds
 
 __all__ = [
     "BatchSimulation",
@@ -294,8 +295,10 @@ def run_protocol_batch(config: FloodingConfig, seed_seqs) -> list:
 
     The batched equivalent of calling
     :func:`~repro.simulation.runner.run_flooding` once per element of
-    ``seed_seqs`` — same per-trial seed derivation (``spawn(3)`` into
-    mobility / protocol / source streams), same results, returned in order.
+    ``seed_seqs`` — same per-trial seed derivation (the first three
+    children of each sequence, via :func:`~repro.simulation.rng.child_seeds`,
+    into mobility / protocol / source streams), same results, returned in
+    order.
     Works for every protocol in
     :data:`~repro.protocols.BATCH_PROTOCOL_REGISTRY`.
 
@@ -313,7 +316,7 @@ def run_protocol_batch(config: FloodingConfig, seed_seqs) -> list:
     protocol_rngs = []
     source_rngs = []
     for seed_seq in seed_seqs:
-        mobility_ss, protocol_ss, source_ss = seed_seq.spawn(3)
+        mobility_ss, protocol_ss, source_ss = child_seeds(seed_seq, 3)
         mobility_rngs.append(np.random.default_rng(mobility_ss))
         protocol_rngs.append(np.random.default_rng(protocol_ss))
         source_rngs.append(np.random.default_rng(source_ss))

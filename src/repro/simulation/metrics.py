@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from repro.core.zones import ZonePartition
+from repro.kernels import get_kernel
 
 __all__ = ["InformedRecorder", "ZoneRecorder"]
 
@@ -58,12 +59,32 @@ class ZoneRecorder:
         self.cz_fraction_history = []
         self.suburb_fraction_history = []
 
+    def _kernel_counts(self, positions: np.ndarray, informed: np.ndarray):
+        """``(cz_total, cz_informed)`` from the compiled ``zone_counts``
+        kernel at B=1, or ``None`` to classify with numpy — the same cell
+        classification and integer sums as
+        ``BatchSimulation._zone_fractions``."""
+        kernel = get_kernel("zone_counts")
+        if kernel is None:
+            return None
+        grid = self.zones.grid
+        result = kernel(positions[None], informed[None], grid.ell, grid.m, self.zones.cz_mask)
+        if result is None:
+            return None
+        cz_total, cz_informed = result
+        return int(cz_total[0]), int(cz_informed[0])
+
     def _fractions(self, positions: np.ndarray, informed: np.ndarray) -> tuple:
-        in_cz = self.zones.in_central_zone(positions)
-        cz_total = int(np.count_nonzero(in_cz))
+        counts = self._kernel_counts(positions, informed)
+        if counts is not None:
+            cz_total, cz_informed = counts
+            suburb_informed = int(np.count_nonzero(informed)) - cz_informed
+        else:
+            in_cz = self.zones.in_central_zone(positions)
+            cz_total = int(np.count_nonzero(in_cz))
+            cz_informed = int(np.count_nonzero(informed & in_cz))
+            suburb_informed = int(np.count_nonzero(informed & ~in_cz))
         suburb_total = positions.shape[0] - cz_total
-        cz_informed = int(np.count_nonzero(informed & in_cz))
-        suburb_informed = int(np.count_nonzero(informed & ~in_cz))
         cz_frac = cz_informed / cz_total if cz_total else 1.0
         suburb_frac = suburb_informed / suburb_total if suburb_total else 1.0
         return cz_frac, suburb_frac

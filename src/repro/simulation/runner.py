@@ -24,6 +24,7 @@ from repro.simulation.config import FloodingConfig
 from repro.simulation.engine import Simulation
 from repro.simulation.metrics import InformedRecorder, ZoneRecorder
 from repro.simulation.results import FloodingResult
+from repro.simulation.rng import child_seeds
 
 __all__ = [
     "run_flooding",
@@ -124,7 +125,7 @@ def run_flooding(
             per-trial instrumentation hook.
     """
     root = seed_seq if seed_seq is not None else np.random.SeedSequence(config.seed)
-    mobility_ss, protocol_ss, source_ss = root.spawn(3)
+    mobility_ss, protocol_ss, source_ss = child_seeds(root, 3)
     model = build_model(config, np.random.default_rng(mobility_ss))
     positions = model.positions
     source = select_source(positions, config.side, config.source, np.random.default_rng(source_ss))

@@ -10,6 +10,7 @@ from repro.geometry.neighbors import (
     available_backends,
     make_engine,
 )
+from repro.kernels import kernel_backend, provider_kernels, use_kernel_tier
 
 BACKENDS = available_backends()
 
@@ -133,6 +134,88 @@ class TestBoundSnapshot:
             got = engine.bind(points, 1.1).any_within(source_idx, query_idx)
             expected = fresh.bind(points, 1.1).any_within(source_idx, query_idx)
             assert np.array_equal(got, expected)
+
+
+@pytest.mark.skipif(
+    kernel_backend() is None, reason="no compiled kernel provider builds on this host"
+)
+class TestCompiledAutoSnapshot:
+    """On the compiled tier, snapshots of ``make_engine("auto")`` answer
+    ``any_within`` with ``batch_any_within`` at B=1; explicit backends
+    keep their own code."""
+
+    SIDE = 10.0
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        table = provider_kernels()
+        kernel = table["batch_any_within"]
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setitem(table, "batch_any_within", counted)
+        return calls
+
+    def _check(self, points, radius, source_idx, query_idx):
+        """The compiled answer equals the numpy-tier answer of the same
+        ``auto`` engine."""
+        engine = make_engine("auto", self.SIDE)
+        expected = engine.bind(points, radius).any_within(source_idx, query_idx)
+        with use_kernel_tier("compiled"):
+            got = engine.bind(points, radius).any_within(source_idx, query_idx)
+        assert np.array_equal(got, expected)
+        return got
+
+    @pytest.mark.parametrize("n", [2, 500, 5000])
+    def test_matches_numpy_tier_on_random_snapshots(self, n, rng, kernel_calls):
+        points = rng.uniform(0, self.SIDE, (n, 2))
+        radius = 8.0 if n == 2 else 0.4
+        for informed_frac in (0.02, 0.5, 0.98):
+            informed = rng.uniform(size=n) < informed_frac
+            informed[0], informed[-1] = True, False
+            self._check(points, radius, np.nonzero(informed)[0], np.nonzero(~informed)[0])
+        assert kernel_calls and all(shape == (1, n, 2) for shape in kernel_calls)
+
+    def test_empty_source_or_query_sets(self, rng):
+        points = rng.uniform(0, self.SIDE, (40, 2))
+        empty = np.empty(0, dtype=np.intp)
+        some = np.arange(10)
+        assert self._check(points, 1.0, empty, some).tolist() == [False] * 10
+        assert self._check(points, 1.0, some, empty).size == 0
+
+    def test_points_on_the_edges_and_exactly_r_apart(self, kernel_calls):
+        s, r = self.SIDE, 0.5
+        points = np.array([
+            [0.0, 0.0], [s, s], [0.0, s], [s, 0.0],  # corners
+            [s - r, s], [s / 2, 0.0], [s / 2 + r, 0.0],  # edge pairs exactly R apart
+            [2.0, 5.0], [2.5, 5.0],  # interior pair exactly R apart
+            [7.0, 7.0], [7.0 + r * (1 + 1e-9), 7.0],  # just beyond R
+        ])
+        sources = np.array([1, 5, 7, 9])
+        queries = np.array([0, 2, 3, 4, 6, 8, 10])
+        got = self._check(points, r, sources, queries)
+        assert got.tolist() == [False, False, False, True, True, True, False]
+        assert kernel_calls
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_explicit_backends_never_dispatch(self, backend, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"explicit {backend!r} engine called the kernel")
+
+        monkeypatch.setitem(provider_kernels(), "batch_any_within", refuse)
+        points = rng.uniform(0, self.SIDE, (300, 2))
+        informed = rng.uniform(size=300) < 0.3
+        source_idx, query_idx = np.nonzero(informed)[0], np.nonzero(~informed)[0]
+        engine = make_engine(backend, self.SIDE)
+        with use_kernel_tier("compiled"):
+            got = engine.bind(points, 0.8).any_within(source_idx, query_idx)
+        expected = BruteForceNeighborEngine(self.SIDE).any_within(
+            points[source_idx], points[query_idx], 0.8
+        )
+        assert np.array_equal(got, expected)
 
 
 class TestCachesAndProbes:

@@ -15,7 +15,9 @@ from repro.mobility import (
 )
 from repro.protocols.flooding import BatchFloodingState
 from repro.simulation import (
+    run_flooding,
     run_flooding_batch,
+    run_protocol_batch,
     run_trials,
     run_trials_parallel,
     standard_config,
@@ -40,10 +42,19 @@ def assert_results_match(scalar_results, batch_results):
 
 
 class TestSeedForSeedParity:
-    """The batch engine must reproduce the scalar engine trial-for-trial."""
+    """The batch engine must reproduce the scalar engine trial-for-trial.
 
-    def test_flooding_times_match_scalar(self):
-        config = standard_config(120, seed=7)
+    On the compiled tier both engines answer the infection test and the
+    zone counts with the same kernels, so the ``"numpy"`` arm keeps
+    comparing the scalar KD-tree path against the batch cell-cover path.
+    """
+
+    @pytest.fixture(params=["numpy", "auto"])
+    def kernels(self, request):
+        return request.param
+
+    def test_flooding_times_match_scalar(self, kernels):
+        config = standard_config(120, seed=7, kernels=kernels)
         scalar = run_trials(config, 8)
         batch = run_trials(config.with_options(engine="batch"), 8)
         assert_results_match(scalar, batch)
@@ -64,20 +75,20 @@ class TestSeedForSeedParity:
             {"track_zones": False},
         ],
     )
-    def test_parity_across_options(self, overrides):
-        config = standard_config(80, seed=11, **overrides)
+    def test_parity_across_options(self, overrides, kernels):
+        config = standard_config(80, seed=11, kernels=kernels, **overrides)
         scalar = run_trials(config, 5)
         batch = run_trials(config.with_options(engine="batch"), 5)
         assert_results_match(scalar, batch)
 
-    def test_parity_is_independent_of_batch_size(self):
-        config = standard_config(80, seed=3, engine="batch")
+    def test_parity_is_independent_of_batch_size(self, kernels):
+        config = standard_config(80, seed=3, engine="batch", kernels=kernels)
         whole = run_trials(config, 7)
         sliced = run_trials(config.with_options(batch_size=3), 7)
         assert_results_match(whole, sliced)
 
-    def test_sweep_with_batch_engine_matches_scalar(self):
-        config = standard_config(80, seed=5)
+    def test_sweep_with_batch_engine_matches_scalar(self, kernels):
+        config = standard_config(80, seed=5, kernels=kernels)
         scalar = sweep(config, "radius", [3.0, 4.0], n_trials=3)
         batch = sweep(config.with_options(engine="batch"), "radius", [3.0, 4.0], n_trials=3)
         for (va, sa, ra), (vb, sb, rb) in zip(scalar, batch):
@@ -101,8 +112,8 @@ class TestSeedForSeedParity:
         assert config.resolved_engine == "batch"
         assert standard_config(80, engine="scalar").resolved_engine == "scalar"
 
-    def test_auto_engine_matches_batch_results(self):
-        config = standard_config(80, seed=29)
+    def test_auto_engine_matches_batch_results(self, kernels):
+        config = standard_config(80, seed=29, kernels=kernels)
         batch = run_trials(config.with_options(engine="batch"), 4)
         auto = run_trials(config.with_options(engine="auto"), 4)
         assert_results_match(batch, auto)
@@ -323,6 +334,17 @@ class TestShardingDeterminism:
         first = run_trials(config, 4)
         second = run_trials(config, 4)
         assert_results_match(first, second)
+
+    def test_reusing_one_seed_sequence_repeats_the_trial(self):
+        """Neither engine advances the caller's seed sequence, and a fresh
+        sequence still yields the trial ``run_trials`` derives from it."""
+        config = standard_config(80, seed=23)
+        seed_seq = np.random.SeedSequence(config.seed).spawn(1)[0]
+        scalar = [run_flooding(config, seed_seq=seed_seq) for _ in range(2)]
+        batch = [run_protocol_batch(config, [seed_seq])[0] for _ in range(2)]
+        assert_results_match(scalar, batch)
+        assert_results_match(scalar[:1], scalar[1:])
+        assert_results_match(scalar[:1], run_trials(config, 1))
 
 
 class TestConfigKnobs:
