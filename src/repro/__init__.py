@@ -60,7 +60,6 @@ from repro.simulation import (
     SweepPoint,
     SweepPointResult,
     run_flooding,
-    run_flooding_batch,
     run_protocol_batch,
     run_sweep,
     run_trials,
@@ -95,7 +94,6 @@ __all__ = [
     "BatchSimulation",
     "standard_config",
     "run_flooding",
-    "run_flooding_batch",
     "run_protocol_batch",
     "PROTOCOL_REGISTRY",
     "BATCH_PROTOCOL_REGISTRY",

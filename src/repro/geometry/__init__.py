@@ -8,7 +8,6 @@ callers can probe and scope the compiled tier from one import.
 """
 
 from repro.geometry.grid import GridIndex
-from repro.geometry.incremental import IncrementalBatchOccupancy, IncrementalGridIndex
 from repro.geometry.neighbors import (
     BatchNeighborQuery,
     BoundSnapshot,
@@ -55,8 +54,6 @@ from repro.kernels import (
 
 __all__ = [
     "GridIndex",
-    "IncrementalGridIndex",
-    "IncrementalBatchOccupancy",
     "NeighborEngine",
     "BoundSnapshot",
     "GridNeighborEngine",

@@ -26,17 +26,14 @@ floating-point rounding of ``R``, the same ulp-level slack the batch
 engine documents among its strategies (see :class:`BatchNeighborQuery`).
 Explicitly named backends never dispatch.
 
-Two layers sit on top of the raw engines (DESIGN.md, "Incremental and
-frontier-pruned neighbor subsystem"):
+Two layers sit on top of the raw engines (DESIGN.md, "Neighbor
+subsystem: one exact path per backend"):
 
 * **Bound snapshots** — within one communication round the positions are
   frozen, so :meth:`NeighborEngine.bind` freezes them into a
   :class:`BoundSnapshot` whose spatial index is built once and shared by
   every query on the snapshot (the multi-hop exchange loop, paired
-  ``any_within``/``count_within`` calls).  The grid backend additionally
-  keeps a persistent :class:`~repro.geometry.incremental.IncrementalGridIndex`
-  across ``bind`` calls, splicing per-step displacements instead of
-  re-sorting every round.
+  ``any_within``/``count_within`` calls).
 
 * **Batched queries** — the batch simulation engine answers the
   per-replica queries of **B independent trials with one engine call**
@@ -55,7 +52,6 @@ import math
 import numpy as np
 
 from repro.geometry.grid import GridIndex
-from repro.geometry.incremental import IncrementalBatchOccupancy, IncrementalGridIndex
 from repro.geometry.points import as_points
 from repro.kernels import get_kernel
 
@@ -154,12 +150,10 @@ class BoundSnapshot:
 
         The snapshot counterpart of :meth:`NeighborEngine.pairs_within`
         for per-step edge extraction over a recorded series (disk-graph
-        snapshots, contact traces): binding each frame lets persistent
-        backends splice per-step displacements instead of re-sorting every
-        frame.  This base implementation delegates to the engine's
-        coordinate API; the grid snapshot overrides it with the persistent
-        incremental full index, the KD-tree snapshot with a fast-build
-        throwaway tree.
+        snapshots, contact traces).  This base implementation delegates
+        to the engine's coordinate API; the grid snapshot overrides it
+        with its full-snapshot index, the KD-tree snapshot with a
+        fast-build throwaway tree.
 
         Returns:
             ``(k, 2)`` intp pairs with ``i < j``, in backend order.
@@ -193,11 +187,7 @@ class NeighborEngine:
         raise NotImplementedError
 
     def bind(self, points, radius: float) -> BoundSnapshot:
-        """Freeze ``points`` into a :class:`BoundSnapshot` for masked queries.
-
-        The snapshot is valid until the next ``bind`` call on the same
-        engine (persistent backends recycle their index between rounds).
-        """
+        """Freeze ``points`` into a :class:`BoundSnapshot` for masked queries."""
         return BoundSnapshot(self, as_points(points), radius)
 
 
@@ -209,11 +199,10 @@ class _GridSnapshot(BoundSnapshot):
     ``count_within`` calls share it) — exactly the pre-snapshot behaviour.
     When the sources are dense *and* the queries few (late flooding
     rounds: informed ~ n, a handful of stragglers), re-sorting ~n sources
-    every round is the dominant waste, so the snapshot switches to the
-    engine's persistent full-snapshot index (splice-updated between
-    rounds when the engine is incremental) with a source-membership
-    filter on the candidate pairs.  Both paths run the same inclusive
-    distance test, so results are identical.
+    every round is the dominant waste, so the snapshot switches to one
+    full-snapshot index (built once per snapshot) with a
+    source-membership filter on the candidate pairs.  Both paths run the
+    same inclusive distance test, so results are identical.
     """
 
     #: Full-index path: sources above this fraction of n ...
@@ -223,26 +212,25 @@ class _GridSnapshot(BoundSnapshot):
 
     def __init__(self, engine, points, radius):
         super().__init__(engine, points, radius)
-        self._full = None  # lazily built/updated persistent index
+        self._full = None  # lazily built full-snapshot index
         self._memo = None  # (source_idx, index) for the sparse path
 
     def _full_index(self) -> GridIndex:
         if self._full is None:
-            self._full = self.engine._bound_index(self.points, self.radius)
+            self._full = self.engine._index(self.points, self.radius)
         return self._full
 
     def _source_index(self, source_idx) -> GridIndex:
         memo = self._memo
         if memo is not None and memo[0] is source_idx:
             return memo[1]
-        index = GridIndex(self.engine.side, self.engine._cell_for(self.radius))
-        index.build(self.points[source_idx])
+        index = self.engine._index(self.points[source_idx], self.radius)
         self._memo = (source_idx, index)
         return index
 
     def _masked_candidates(self, source_idx, queries) -> tuple:
         """Exact ``(query position, source agent)`` matches against the
-        persistent full index, membership-filtered to ``source_idx`` —
+        full-snapshot index, membership-filtered to ``source_idx`` —
         shared by the dense-source paths of ``any_within`` /
         ``count_within`` / ``contacts_within``."""
         source_mask = np.zeros(self.points.shape[0], dtype=bool)
@@ -308,8 +296,8 @@ class _GridSnapshot(BoundSnapshot):
             return empty, empty
         queries = self.points[query_idx]
         if self._use_full(source_idx, query_idx):
-            # Dense sources, few queries: reuse the persistent full-snapshot
-            # index (candidates carry agent ids directly).
+            # Dense sources, few queries: use the full-snapshot index
+            # (candidates carry agent ids directly).
             qidx, sources = self._masked_candidates(source_idx, queries)
             return sources, query_idx[qidx]
         index = self._source_index(source_idx)
@@ -322,8 +310,6 @@ class _GridSnapshot(BoundSnapshot):
         return sources[hit], query_idx[qidx[hit]]
 
     def pairs_within(self) -> np.ndarray:
-        # The persistent full index splices per-step displacements across
-        # binds, so frame-by-frame edge extraction never re-sorts n points.
         return self._full_index().pairs_within(self.radius)
 
 
@@ -334,20 +320,13 @@ class GridNeighborEngine(NeighborEngine):
         side: side length of the square region.
         cell_size: bucket side override (default ``max(radius, side/512)``
             per query).
-        incremental: when True (default), :meth:`bind` maintains a
-            persistent :class:`IncrementalGridIndex` across rounds and
-            splices per-step displacements; when False every ``bind``
-            builds a fresh index (the pre-incremental behaviour, kept for
-            the parity sweeps).
     """
 
     name = "grid"
 
-    def __init__(self, side: float, cell_size: float = None, incremental: bool = True):
+    def __init__(self, side: float, cell_size: float = None):
         super().__init__(side)
         self._cell_size = cell_size
-        self.incremental = bool(incremental)
-        self._bound_indexes: dict = {}
 
     def _cell_for(self, radius: float) -> float:
         return self._cell_size if self._cell_size is not None else max(radius, self.side / 512.0)
@@ -362,24 +341,7 @@ class GridNeighborEngine(NeighborEngine):
         query one snapshot repeatedly share an index through
         :meth:`bind`, where array identity is stable.
         """
-        index = GridIndex(self.side, self._cell_for(radius))
-        index.build(points)
-        return index
-
-    def _bound_index(self, points, radius: float) -> GridIndex:
-        """Full-snapshot index for dense masked queries — persistent and
-        splice-updated between rounds when the engine is incremental."""
-        cell = self._cell_for(radius)
-        if not self.incremental:
-            return GridIndex(self.side, cell).build(points)
-        index = self._bound_indexes.get(cell)
-        if index is None:
-            if len(self._bound_indexes) >= 4:  # defensive: unbounded radii churn
-                self._bound_indexes.clear()
-            index = IncrementalGridIndex(self.side, cell)
-            self._bound_indexes[cell] = index
-        index.update(points)
-        return index
+        return GridIndex(self.side, self._cell_for(radius)).build(points)
 
     def bind(self, points, radius: float) -> BoundSnapshot:
         if radius <= 0:
@@ -619,19 +581,10 @@ class BatchBoundQuery:
         if cached is not None:
             return cached
         m = max(1, int(math.ceil(self.query.side / cell)))
-        batch, n, _ = self.positions.shape
-        if batch * m * m > self.query._MAX_COVER_CELLS:
+        if self.positions.shape[0] * m * m > self.query._MAX_COVER_CELLS:
             self._cells[key] = None
             return None
-        if self.query.incremental:
-            occupancy = self.query._occupancy_for(cell, m)
-            occupancy.update(self.positions, rows=self.rows)
-            gid = occupancy.gid
-        else:
-            ij = (self.positions * (1.0 / cell)).astype(np.int64)
-            np.clip(ij, 0, m - 1, out=ij)
-            cid = ij[..., 0] * m + ij[..., 1]
-            gid = cid + np.arange(batch, dtype=np.int64)[:, None] * (m * m)
+        gid = self.query._cover_cells(self.positions, cell, m, self.rows)
         self._cells[key] = (gid, m)
         return self._cells[key]
 
@@ -728,7 +681,7 @@ class BatchBoundQuery:
         # unresolved-shell restriction below bounds the exact-check work
         # just as tightly without the extra dilation.
         pruned = False
-        if self.query.prune and source_flat.size > query_flat.size:
+        if source_flat.size > query_flat.size:
             q_occ = np.zeros(cells, dtype=bool)
             q_occ[q_gid] = True
             near_queries = _dilate(q_occ.reshape(batch, m, m), reach_possible).reshape(-1)
@@ -968,14 +921,12 @@ class BatchNeighborQuery:
       Chebyshev distance 3 *certainly* means no hit (the gap is at least
       3 buckets ``> radius``).  Only queries in the thin shell between
       the two certainties fall through to an exact tiled query against
-      the nearby sources.  With ``prune`` (default), informed sources outside the
-      ``reach``-dilated shell of the query-occupied cells are dropped
-      before any binning — exact, because such sources can neither hit a
-      query nor change a certainty read at a query cell.  With
-      ``incremental`` (default), the per-agent cell assignment persists
-      across rounds in an
-      :class:`~repro.geometry.incremental.IncrementalBatchOccupancy`
-      refreshed from displacement deltas.
+      the nearby sources.  When sources outnumber queries, informed
+      sources outside the ``reach``-dilated shell of the query-occupied
+      cells are dropped before any binning — exact, because such sources
+      can neither hit a query nor change a certainty read at a query
+      cell.  The per-agent cell assignment persists across binds and is
+      recomputed only for the replicas passed as ``rows``.
 
     Strategies agree except possibly at distances within floating-point
     rounding of ``radius`` itself — the same ulp-level boundary slack the
@@ -989,21 +940,9 @@ class BatchNeighborQuery:
         backend: ``"grid"``, ``"kdtree"``, ``"brute"``, ``"cells"``, or
             ``"auto"`` (cell cover for ``any_within``, best tiled engine
             otherwise).
-        incremental: reuse per-agent cell assignments across rounds
-            (False re-derives them per call — the pre-incremental
-            behaviour, kept for the parity sweeps).
-        prune: frontier source pruning in the cell-cover kernel (False
-            keeps every informed source, as before this subsystem).
     """
 
-    def __init__(
-        self,
-        side: float,
-        batch_size: int,
-        backend: str = "auto",
-        incremental: bool = True,
-        prune: bool = True,
-    ):
+    def __init__(self, side: float, batch_size: int, backend: str = "auto"):
         if side <= 0:
             raise ValueError(f"side must be positive, got {side}")
         if batch_size < 1:
@@ -1016,14 +955,12 @@ class BatchNeighborQuery:
                 f"{sorted(_BACKENDS) + ['cells']} or 'auto'"
             )
         self.backend = backend
-        self.incremental = bool(incremental)
-        self.prune = bool(prune)
         self._tiled_backend = backend
         if backend in ("auto", "cells"):
             self._tiled_backend = "kdtree" if "kdtree" in available_backends() else "grid"
         self._cols = int(math.ceil(math.sqrt(self.batch_size)))
         self._rows = int(math.ceil(self.batch_size / self._cols))
-        self._occupancies: dict = {}
+        self._cell_cache = None  # (cell size, (B, n) global cell ids)
 
     #: Above this many occupancy-grid cells the cell cover falls back to
     #: tiling (tiny radii would make the per-replica grids enormous).
@@ -1038,14 +975,30 @@ class BatchNeighborQuery:
     #: cheap boolean dilations.
     _COVER_DIVISOR = 2.0 * math.sqrt(2.0)
 
-    def _occupancy_for(self, cell: float, m: int) -> IncrementalBatchOccupancy:
-        occupancy = self._occupancies.get(cell)
-        if occupancy is None:
-            if len(self._occupancies) >= 4:  # defensive: unbounded radii churn
-                self._occupancies.clear()
-            occupancy = IncrementalBatchOccupancy(self.side, self.batch_size, cell)
-            self._occupancies[cell] = occupancy
-        return occupancy
+    def _cover_cells(self, positions: np.ndarray, cell: float, m: int, rows) -> np.ndarray:
+        """``(B, n)`` batch-global cover-cell id of every agent.
+
+        The ids persist across binds for one cell size; given ``rows``,
+        only those replicas are recomputed (the others cannot have moved),
+        so retired replicas cost nothing.
+        """
+        cached = self._cell_cache
+        fresh = (
+            rows is None
+            or cached is None
+            or cached[0] != cell
+            or cached[1].shape != positions.shape[:2]
+        )
+        if fresh:
+            rows = np.arange(self.batch_size)
+        ij = ((positions if fresh else positions[rows]) * (1.0 / cell)).astype(np.int64)
+        np.clip(ij, 0, m - 1, out=ij)
+        gid = ij[..., 0] * m + ij[..., 1] + rows.astype(np.int64)[:, None] * (m * m)
+        if fresh:
+            self._cell_cache = (cell, gid)
+            return gid
+        cached[1][rows] = gid
+        return cached[1]
 
     def _tile_geometry(self, radius: float) -> tuple:
         """``(stride, big_side)`` of the virtual tile sheet for ``radius``.
@@ -1087,8 +1040,8 @@ class BatchNeighborQuery:
         Args:
             positions: the snapshot tensor.
             rows: optional replica indices that may have moved since the
-                previous ``bind`` (e.g. the active replicas); passed to the
-                incremental occupancy so frozen replicas cost nothing.
+                previous ``bind`` (e.g. the active replicas); the cell
+                cover recomputes cell ids for these replicas only.
         """
         return BatchBoundQuery(self, positions, rows=rows)
 
@@ -1156,7 +1109,7 @@ def available_backends(kind: str = "neighbors") -> list:
     return list(_AVAILABLE_BACKENDS)
 
 
-def make_engine(backend: str, side: float, **options) -> NeighborEngine:
+def make_engine(backend: str, side: float) -> NeighborEngine:
     """Construct a neighbor engine by name.
 
     Args:
@@ -1165,26 +1118,12 @@ def make_engine(backend: str, side: float, **options) -> NeighborEngine:
             also answer ``any_within`` from the compiled tier when a run
             activated it).
         side: side length of the square region.
-        options: engine tuning knobs; currently ``incremental`` and
-            ``cell_size`` (grid engine only — silently ignored by
-            backends they do not apply to, so one options dict can be
-            threaded through backend-agnostic code).
     """
-    unknown = set(options) - {"incremental", "cell_size"}
-    if unknown:
-        raise ValueError(f"unknown engine options: {sorted(unknown)}")
     auto = backend == "auto"
     if auto:
         backend = "kdtree" if "kdtree" in available_backends() else "grid"
     if backend not in _BACKENDS:
         raise ValueError(f"unknown neighbor backend {backend!r}; expected one of {sorted(_BACKENDS)} or 'auto'")
-    if backend == "grid":
-        engine = GridNeighborEngine(
-            side,
-            cell_size=options.get("cell_size"),
-            incremental=options.get("incremental", True),
-        )
-    else:
-        engine = _BACKENDS[backend](side)
+    engine = _BACKENDS[backend](side)
     engine.kernel_dispatch = auto
     return engine

@@ -19,7 +19,9 @@ import numpy as np
 
 __all__ = ["make_kernels", "KERNEL_NAMES", "MAX_KERNEL_CELLS"]
 
-#: Public kernel names, in bench/report order.
+#: Public kernel names, in bench/report order.  ``grid_splice`` and
+#: ``occupancy_delta`` have no caller in the library; they stay registered
+#: while the benchmark's per-layer metric list still names them.
 KERNEL_NAMES = (
     "batch_any_within",
     "batch_contacts",

@@ -103,10 +103,6 @@ class BroadcastProtocol(abc.ABC):
         source: index of the initially informed agent.
         rng: generator for randomized protocols.
         backend: neighbor-engine backend name (``"auto"`` by default).
-        engine_options: extra keyword arguments for
-            :func:`~repro.geometry.neighbors.make_engine` (e.g.
-            ``{"incremental": False}`` to disable the persistent grid
-            index).
     """
 
     name = "abstract"
@@ -119,7 +115,6 @@ class BroadcastProtocol(abc.ABC):
         source: int,
         rng: np.random.Generator = None,
         backend: str = "auto",
-        engine_options: dict = None,
     ):
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
@@ -132,7 +127,7 @@ class BroadcastProtocol(abc.ABC):
         self.radius = float(radius)
         self.source = int(source)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.engine: NeighborEngine = make_engine(backend, self.side, **(engine_options or {}))
+        self.engine: NeighborEngine = make_engine(backend, self.side)
         self.informed = np.zeros(self.n, dtype=bool)
         self.informed[self.source] = True
         self.informed_at = np.full(self.n, np.inf)
@@ -235,10 +230,6 @@ class BatchBroadcastState(abc.ABC):
         rngs: per-replica generators for the protocol's stochastic draws
             (None for deterministic protocols such as flooding).
         backend: neighbor-engine backend name.
-        neighbor_options: tuning knobs for the neighbor subsystem —
-            ``incremental`` (persistent cell assignments across rounds)
-            and ``prune`` (frontier source pruning).  Both default True;
-            both are exact, so results never depend on them.
     """
 
     name = "abstract"
@@ -254,7 +245,6 @@ class BatchBroadcastState(abc.ABC):
         sources,
         rngs=None,
         backend: str = "auto",
-        neighbor_options: dict = None,
     ):
         sources = np.asarray(sources, dtype=np.intp)
         if sources.ndim != 1 or sources.size < 1:
@@ -265,18 +255,11 @@ class BatchBroadcastState(abc.ABC):
             raise ValueError(f"radius must be positive, got {radius}")
         if np.any((sources < 0) | (sources >= n)):
             raise ValueError(f"sources must be in [0, {n})")
-        options = dict(neighbor_options or {})
-        options.pop("cell_size", None)  # scalar grid-engine knob
-        incremental = bool(options.pop("incremental", True))
-        prune = bool(options.pop("prune", True))
-        if options:
-            raise ValueError(f"unknown neighbor options: {sorted(options)}")
         self.n = int(n)
         self.side = float(side)
         self.radius = float(radius)
         self.sources = sources
         self.batch_size = int(sources.size)
-        self.prune = prune
         if self.uses_rng:
             if rngs is None or len(rngs) != self.batch_size:
                 raise ValueError(
@@ -287,9 +270,7 @@ class BatchBroadcastState(abc.ABC):
             self.rngs = list(rngs)
         else:
             self.rngs = None
-        self.query = BatchNeighborQuery(
-            self.side, self.batch_size, backend, incremental=incremental, prune=prune
-        )
+        self.query = BatchNeighborQuery(self.side, self.batch_size, backend)
         self.informed = np.zeros((self.batch_size, self.n), dtype=bool)
         self.informed[np.arange(self.batch_size), sources] = True
         self.informed_at = np.full((self.batch_size, self.n), np.inf)

@@ -10,7 +10,6 @@ from repro.simulation.batch import (
     BatchSimulation,
     build_batch_model,
     build_batch_state,
-    run_flooding_batch,
     run_protocol_batch,
 )
 from repro.simulation.config import FloodingConfig, standard_config
@@ -52,7 +51,6 @@ __all__ = [
     "BatchSimulation",
     "build_batch_model",
     "build_batch_state",
-    "run_flooding_batch",
     "run_protocol_batch",
     "InformedRecorder",
     "ZoneRecorder",

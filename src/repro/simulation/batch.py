@@ -54,7 +54,6 @@ __all__ = [
     "build_batch_model",
     "build_batch_state",
     "run_protocol_batch",
-    "run_flooding_batch",
 ]
 
 
@@ -109,7 +108,6 @@ def build_batch_state(config: FloodingConfig, sources, rngs) -> BatchBroadcastSt
         sources,
         rngs=rngs,
         backend=config.backend,
-        neighbor_options=config.neighbor_options,
         **options,
     )
 
@@ -161,11 +159,6 @@ class BatchSimulation:
         self.cz_completion_time = np.full(batch, np.inf)
         self.suburb_completion_time = np.full(batch, np.inf)
         self.source_in_central_zone = None
-
-    @property
-    def flooding(self) -> BatchBroadcastState:
-        """Back-compat alias for :attr:`protocol` (pre-PR 3 name)."""
-        return self.protocol
 
     def _zone_fractions(
         self, positions: np.ndarray, rows: np.ndarray, counts=None, need_mask=True
@@ -387,9 +380,3 @@ def run_protocol_batch(config: FloodingConfig, seed_seqs) -> list:
             result.source_in_central_zone = bool(simulation.source_in_central_zone[b])
         results.append(result)
     return results
-
-
-def run_flooding_batch(config: FloodingConfig, seed_seqs) -> list:
-    """Back-compat alias for :func:`run_protocol_batch` (pre-PR 3 name,
-    when flooding was the only batched protocol)."""
-    return run_protocol_batch(config, seed_seqs)

@@ -13,6 +13,7 @@ The helper :func:`standard_config` builds the paper's canonical scaling
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from repro.core import theory
@@ -44,6 +45,11 @@ _MOBILITY_OPTION_KEYS = {
 }
 
 
+def _is_integer(value) -> bool:
+    """An integral number (numpy integers included) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FloodingConfig:
     """Parameters of one flooding experiment.
@@ -71,12 +77,6 @@ class FloodingConfig:
             with a narrower vocabulary raise their own error at
             construction instead of silently substituting a default.
         backend: neighbor-engine backend.
-        neighbor_options: tuning knobs for the neighbor subsystem —
-            ``incremental`` (persistent spatial indexes refreshed from
-            per-step displacements), ``prune`` (frontier source pruning),
-            ``cell_size`` (grid-engine bucket override).  All strategies
-            are exact, so these knobs never change results — only speed
-            (asserted by the parity tests).
         seed: root seed for all randomness of the run.
         threshold_factor: Definition 4's Central-Zone constant (3/8 paper).
         multi_hop: flooding semantics (see
@@ -118,7 +118,6 @@ class FloodingConfig:
     protocol_options: dict = field(default_factory=dict)
     init: str = "stationary"
     backend: str = "auto"
-    neighbor_options: dict = field(default_factory=dict)
     seed: int = 0
     threshold_factor: float = 3.0 / 8.0
     multi_hop: bool = False
@@ -128,6 +127,10 @@ class FloodingConfig:
     kernels: str = "auto"
 
     def __post_init__(self):
+        for name in ("n", "max_steps", "batch_size"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if not (math.isfinite(self.side) and self.side > 0):
@@ -138,12 +141,19 @@ class FloodingConfig:
             raise ValueError(f"speed must be non-negative and finite, got {self.speed}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
-        if isinstance(self.source, str) and self.source not in _SOURCE_MODES:
+        source_is_index = _is_integer(self.source)
+        if not source_is_index and not (
+            isinstance(self.source, str) and self.source in _SOURCE_MODES
+        ):
             raise ValueError(
                 f"source must be an index or one of {_SOURCE_MODES}, got {self.source!r}"
             )
-        if isinstance(self.source, int) and not 0 <= self.source < self.n:
+        if source_is_index and not 0 <= self.source < self.n:
             raise ValueError(f"source index must be in [0, {self.n}), got {self.source}")
+        if not (math.isfinite(self.threshold_factor) and self.threshold_factor > 0):
+            raise ValueError(
+                f"threshold_factor must be positive and finite, got {self.threshold_factor}"
+            )
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
         if self.init not in _INITS:
@@ -176,9 +186,6 @@ class FloodingConfig:
                 f"(batchable: {sorted(BATCH_PROTOCOL_REGISTRY)}); use "
                 f"engine='scalar', or engine='auto' to fall back automatically"
             )
-        unknown = set(self.neighbor_options) - {"incremental", "prune", "cell_size"}
-        if unknown:
-            raise ValueError(f"unknown neighbor options: {sorted(unknown)}")
         if self.batch_size < 0:
             raise ValueError(f"batch_size must be non-negative, got {self.batch_size}")
         if self.kernels not in KERNEL_TIERS:

@@ -90,11 +90,8 @@ def build_protocol(config: FloodingConfig, source: int, rng: np.random.Generator
         raise ValueError(f"unknown protocol {config.protocol!r}")
     cls = PROTOCOL_REGISTRY[config.protocol]
     options = dict(config.protocol_options)
-    engine_options = dict(config.neighbor_options)
-    prune = engine_options.pop("prune", True)
     if cls is FloodingProtocol:
         options.setdefault("multi_hop", config.multi_hop)
-        options.setdefault("prune", prune)
     return cls(
         config.n,
         config.side,
@@ -102,7 +99,6 @@ def build_protocol(config: FloodingConfig, source: int, rng: np.random.Generator
         source,
         rng=rng,
         backend=config.backend,
-        engine_options=engine_options,
         **options,
     )
 

@@ -21,7 +21,7 @@ walked its grid point-by-point through :func:`~repro.simulation.runner
   the canonical fingerprint of
   :func:`~repro.simulation.checkpoint.config_fingerprint`, which
   serializes dict-valued fields with sorted keys — two configs differing
-  only in ``neighbor_options`` insertion order share trials;
+  only in ``mobility_options`` insertion order share trials;
 * each point dispatches through the configured **execution engine**
   (``engine="auto"`` resolves to the vectorized batch engine whenever both
   the protocol and the mobility model have native batched implementations)

@@ -1,25 +1,28 @@
-"""Seed-for-seed parity across every neighbor-subsystem strategy.
+"""Seed-for-seed parity across neighbor backends, engines and kernel tiers.
 
-The repo's core invariant: spatial-index strategy choices (incremental vs
-rebuild, frontier-pruned vs unpruned, grid vs KD-tree vs cell cover,
-scalar vs batch engine) are *performance* knobs — with fixed seeds every
-combination must produce identical trial results, down to the informed-at
-step of every agent.
+The repo's core invariant: grid vs KD-tree vs cell cover, scalar vs batch
+engine, and numpy vs compiled kernels are *performance* choices — with
+fixed seeds every combination must produce identical trial results, down
+to the informed-at step of every agent.  On the compiled tier the batch
+engine answers the infection test with one C kernel, so the ``"numpy"``
+arm is what runs the cell cover (frontier source pruning included) and
+the multi-hop frontier end to end.
 """
 
 import numpy as np
 import pytest
 
-from repro.geometry.neighbors import BatchNeighborQuery, available_backends
+from repro.geometry.neighbors import (
+    BatchNeighborQuery,
+    BruteForceNeighborEngine,
+    available_backends,
+)
+from repro.kernels import use_kernel_tier
+from repro.network.union_find import components_from_edges
 from repro.protocols.flooding import BatchFloodingState, FloodingProtocol
 from repro.simulation import run_trials, standard_config
 
-OPTION_GRID = [
-    {},
-    {"incremental": False},
-    {"prune": False},
-    {"incremental": False, "prune": False},
-]
+KERNELS = ["numpy", "auto"]
 
 
 def fingerprints(config, trials=4):
@@ -38,7 +41,7 @@ def fingerprints(config, trials=4):
 
 
 class TestStrategyParity:
-    """{incremental, rebuild} x {pruned, unpruned} x engines x mobility."""
+    """Kernel tiers x engines x backends x mobility."""
 
     @pytest.mark.parametrize(
         "mobility,mobility_options",
@@ -52,55 +55,53 @@ class TestStrategyParity:
         ],
     )
     @pytest.mark.parametrize("engine", ["scalar", "batch"])
-    def test_option_grid_is_invisible_in_results(self, mobility, mobility_options, engine):
+    def test_kernel_tier_is_invisible_in_results(self, mobility, mobility_options, engine):
         base = standard_config(
             90, seed=23, mobility=mobility,
             mobility_options=dict(mobility_options), engine=engine,
         )
-        reference = fingerprints(base)
-        for options in OPTION_GRID[1:]:
-            variant = base.with_options(neighbor_options=dict(options))
-            assert fingerprints(variant) == reference, (mobility, engine, options)
+        reference = fingerprints(base.with_options(kernels="numpy"))
+        assert fingerprints(base.with_options(kernels="auto")) == reference, (mobility, engine)
 
     @pytest.mark.parametrize("backend", available_backends())
-    def test_backends_agree_across_option_grid(self, backend):
+    def test_backends_agree_across_kernel_tiers(self, backend):
         reference = None
         for engine in ("scalar", "batch"):
-            for options in OPTION_GRID:
+            for kernels in KERNELS:
                 config = standard_config(
-                    70, seed=31, backend=backend, engine=engine,
-                    neighbor_options=dict(options),
+                    70, seed=31, backend=backend, engine=engine, kernels=kernels
                 )
                 got = fingerprints(config, trials=3)
                 if reference is None:
                     reference = got
-                assert got == reference, (backend, engine, options)
+                assert got == reference, (backend, engine, kernels)
 
     @pytest.mark.parametrize("engine", ["scalar", "batch"])
     def test_multi_hop_frontier_parity(self, engine):
+        """Multi-hop rounds send from the fresh frontier only: both tiers
+        of each engine must match the scalar numpy run."""
         base = standard_config(80, seed=17, multi_hop=True, engine=engine)
-        reference = fingerprints(base)
-        for options in OPTION_GRID[1:]:
-            variant = base.with_options(neighbor_options=dict(options))
-            assert fingerprints(variant) == reference, options
+        reference = fingerprints(base.with_options(engine="scalar", kernels="numpy"))
+        for kernels in KERNELS:
+            assert fingerprints(base.with_options(kernels=kernels)) == reference, kernels
 
     def test_randomized_sweep_across_seeds(self):
-        """Randomized workloads: every strategy grid cell, many seeds."""
+        """Randomized workloads: every engine and kernel tier, many seeds."""
         for seed in (1, 7, 101):
             reference = None
             for engine in ("scalar", "batch"):
-                for options in OPTION_GRID:
+                for kernels in KERNELS:
                     config = standard_config(
                         60,
                         seed=seed,
                         radius_factor=1.2,
                         engine=engine,
-                        neighbor_options=dict(options),
+                        kernels=kernels,
                     )
                     got = fingerprints(config, trials=3)
                     if reference is None:
                         reference = got
-                    assert got == reference, (seed, engine, options)
+                    assert got == reference, (seed, engine, kernels)
 
 
 class TestAdversarialStates:
@@ -113,17 +114,13 @@ class TestAdversarialStates:
 
     def test_near_complete_informed_set(self, rng):
         """informed ~ n: the frontier-pruned source set is tiny, results
-        must still match the unpruned kernel and brute force."""
+        must still match brute force."""
         batch, n, side, radius = 3, 200, 14.0, 1.5
         positions = rng.uniform(0, side, size=(batch, n, 2))
         informed = np.ones((batch, n), dtype=bool)
         informed[:, :3] = False  # three stragglers per replica
         got = self.batch_hits(positions, informed, radius, side)
-        unpruned = self.batch_hits(
-            positions, informed, radius, side, incremental=False, prune=False
-        )
         brute = self.batch_hits(positions, informed, radius, side, backend="brute")
-        assert np.array_equal(got, unpruned)
         assert np.array_equal(got, brute)
 
     def test_agents_on_cover_cell_boundaries(self):
@@ -150,10 +147,9 @@ class TestAdversarialStates:
         positions = rng.uniform(0, side, size=(2, 120, 2))
         informed = rng.uniform(size=(2, 120)) < 0.4
         for radius in (0.11, 0.5, 3.0):
-            for options in OPTION_GRID:
-                got = self.batch_hits(positions, informed, radius, side, **options)
-                brute = self.batch_hits(positions, informed, radius, side, backend="brute")
-                assert np.array_equal(got, brute), (radius, options)
+            got = self.batch_hits(positions, informed, radius, side)
+            brute = self.batch_hits(positions, informed, radius, side, backend="brute")
+            assert np.array_equal(got, brute), radius
 
     def test_scalar_protocol_with_external_informed_surgery(self, rng):
         """The incremental index lists must resync when the informed mask
@@ -184,6 +180,27 @@ class TestAdversarialStates:
         reference.informed[n - count:] = True
         expected = reference.step(positions)
         assert np.array_equal(np.sort(newly), np.sort(expected))
+
+    @pytest.mark.parametrize("kernels", KERNELS)
+    def test_multi_hop_round_saturates_components(self, rng, kernels):
+        """One multi-hop round informs exactly the snapshot's disk-graph
+        components that hold an informed agent, though every hop after the
+        first sends from the fresh frontier only."""
+        n, side, radius, batch = 160, 12.0, 1.1, 3
+        positions = rng.uniform(0, side, size=(batch, n, 2))
+        sources = np.array([0, 40, 159])
+        state = BatchFloodingState(n, side, radius, sources, multi_hop=True)
+        with use_kernel_tier(kernels):
+            state.step(positions)
+        brute = BruteForceNeighborEngine(side)
+        for b in range(batch):
+            labels = components_from_edges(n, brute.pairs_within(positions[b], radius))
+            assert np.array_equal(state.informed[b], labels == labels[sources[b]]), b
+            protocol = FloodingProtocol(
+                n, side, radius, source=int(sources[b]), multi_hop=True, backend="grid"
+            )
+            protocol.step(positions[b])
+            assert np.array_equal(protocol.informed, state.informed[b]), b
 
     def test_batch_state_round_equals_scalar_round(self, rng):
         """One communication round, same positions: batch rows == scalar."""

@@ -5,6 +5,7 @@ import pytest
 
 import repro.geometry.neighbors as neighbors_module
 from repro.geometry.neighbors import (
+    BatchNeighborQuery,
     BruteForceNeighborEngine,
     GridNeighborEngine,
     available_backends,
@@ -121,19 +122,39 @@ class TestBoundSnapshot:
         assert snapshot.count_within(empty, some).tolist() == [0] * 5
         assert snapshot.any_within(some, empty).size == 0
 
-    def test_incremental_rounds_match_rebuild(self, backend, rng):
-        """Successive binds with drifting points: persistent-index engines
-        must agree with a fresh engine every round."""
+    def test_successive_binds_match_brute(self, backend, rng):
+        """Successive binds of one engine with drifting points, on both
+        sides of the grid snapshot's dense-source switch."""
         engine = make_engine(backend, 10.0)
-        fresh = make_engine(backend, 10.0, incremental=False) if backend == "grid" else engine
+        brute = BruteForceNeighborEngine(10.0)
         points = rng.uniform(0, 10, (150, 2))
-        for _ in range(6):
+        for fraction in (0.4, 0.4, 0.95, 0.4, 0.95, 0.95):
             points = np.clip(points + rng.uniform(-0.3, 0.3, points.shape), 0, 10)
-            source_idx = np.nonzero(rng.uniform(size=150) < 0.4)[0]
-            query_idx = np.nonzero(rng.uniform(size=150) < 0.4)[0]
-            got = engine.bind(points, 1.1).any_within(source_idx, query_idx)
-            expected = fresh.bind(points, 1.1).any_within(source_idx, query_idx)
-            assert np.array_equal(got, expected)
+            informed = rng.uniform(size=150) < fraction
+            source_idx = np.nonzero(informed)[0]
+            query_idx = np.nonzero(~informed)[0]
+            snapshot = engine.bind(points, 1.1)
+            sources, queries = points[source_idx], points[query_idx]
+            assert np.array_equal(
+                snapshot.any_within(source_idx, query_idx),
+                brute.any_within(sources, queries, 1.1),
+            )
+            assert np.array_equal(
+                snapshot.count_within(source_idx, query_idx),
+                brute.count_within(sources, queries, 1.1),
+            )
+
+    def test_snapshot_pairs_over_a_drifting_series(self, backend, rng):
+        """Frame-by-frame edge extraction, as ``record_contacts`` binds it."""
+        engine = make_engine(backend, 10.0)
+        brute = BruteForceNeighborEngine(10.0)
+        points = rng.uniform(0, 10, (120, 2))
+        for _ in range(5):
+            points = np.clip(points + rng.uniform(-0.4, 0.4, points.shape), 0, 10)
+            got = engine.bind(points, 1.3).pairs_within()
+            assert {tuple(p) for p in got.tolist()} == {
+                tuple(p) for p in brute.pairs_within(points, 1.3).tolist()
+            }
 
 
 @pytest.mark.skipif(
@@ -258,10 +279,6 @@ class TestCachesAndProbes:
         other_idx = np.arange(10)
         snapshot.any_within(other_idx, query_idx)
         assert snapshot._memo[1] is not index_first
-
-    def test_make_engine_rejects_unknown_options(self):
-        with pytest.raises(ValueError, match="unknown engine options"):
-            make_engine("grid", 10.0, warp=True)
 
     def test_grid_memo_detects_in_place_mutation(self, rng):
         """Advancing a positions array *in place* between calls must not
@@ -417,3 +434,46 @@ class TestBatchContactsAndPairs:
             expected = set(zip(full_i[full_rep == b].tolist(), full_j[full_rep == b].tolist()))
             got = set(zip(i[rep == b].tolist(), j[rep == b].tolist()))
             assert got == expected
+
+
+class TestBatchQueryAcrossBinds:
+    """The cell cover keeps per-agent cell ids across binds of one query and
+    recomputes them only for the replicas passed as ``rows``."""
+
+    SIDE = 9.0
+    BATCH = 5
+
+    def brute_hits(self, positions, informed, radius):
+        brute = BatchNeighborQuery(self.SIDE, self.BATCH, backend="brute")
+        return brute.any_within(positions, informed, ~informed, radius)
+
+    @pytest.mark.parametrize("radius", [0.6, 1.5, 4.0])
+    def test_any_within_matches_brute_every_round(self, rng, radius):
+        query = BatchNeighborQuery(self.SIDE, self.BATCH, backend="cells")
+        positions = rng.uniform(0, self.SIDE, size=(self.BATCH, 70, 2))
+        active = np.ones(self.BATCH, dtype=bool)
+        for step in range(9):
+            if step == 3:
+                active[1] = False  # retired: frozen from here on
+            if step == 5:
+                active[[0, 4]] = False
+            if step == 7:
+                # A new population: every cached cell id is stale.
+                positions = rng.uniform(0, self.SIDE, size=(self.BATCH, 90, 2))
+            else:
+                moved = positions[active] + rng.uniform(-0.5, 0.5, positions[active].shape)
+                positions = positions.copy()
+                positions[active] = np.clip(moved, 0.0, self.SIDE)
+            rows = None if active.all() else np.nonzero(active)[0]
+            # Masks span the frozen replicas too: their cached ids must
+            # still describe where they stopped.
+            informed = rng.uniform(size=positions.shape[:2]) < 0.4
+            got = query.bind(positions, rows=rows).any_within(informed, ~informed, radius)
+            assert np.array_equal(got, self.brute_hits(positions, informed, radius)), step
+
+    def test_bind_validates_shapes(self, rng):
+        query = BatchNeighborQuery(self.SIDE, self.BATCH)
+        with pytest.raises(ValueError, match="shape"):
+            query.bind(rng.uniform(0, 1, size=(70, 2)))
+        with pytest.raises(ValueError, match="replicas"):
+            query.bind(rng.uniform(0, 1, size=(self.BATCH + 1, 70, 2)))

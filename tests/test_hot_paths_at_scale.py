@@ -3,9 +3,9 @@
 The other test files check each engine, kernel and mobility model on a few
 hundred points, where every branch is cheap to cross-check.  Here the same
 primitives run on thousands of points per call (the occupancy-grid cover,
-frontier pruning, the incremental splice and the multi-leg carry-over all
-pick different paths at this scale) and are checked against plain numpy
-references or against each other.
+frontier pruning, multi-hop frontier rounds and the multi-leg carry-over
+all pick different paths at this scale) and are checked against plain
+numpy references or against each other.
 """
 
 import math
@@ -13,13 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry.grid import GridIndex
-from repro.geometry.incremental import IncrementalBatchOccupancy, IncrementalGridIndex
 from repro.geometry.neighbors import BatchNeighborQuery, available_backends, make_engine
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.mobility.random_direction import RandomDirection
 from repro.mobility.random_walk import RandomWalk
 from repro.mobility.rwp import RandomWaypoint
+from repro.protocols.flooding import BatchFloodingState
 from repro.simulation import run_trials
 from repro.simulation.config import standard_config
 from repro.simulation.runner import run_flooding
@@ -51,19 +50,6 @@ def reference_pairs(points, radius, chunk=500):
         keep = rows < cols
         pairs.update(zip(rows[keep].tolist(), cols[keep].tolist()))
     return pairs
-
-
-def drifting_points(n, side, step, steps, seed):
-    """Snapshots of ``n`` points moving at most ``step`` per axis per
-    snapshot, reflected at the walls (the indexing load of a run)."""
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(0.0, side, size=(n, 2))
-    out = [points.copy()]
-    for _ in range(steps):
-        points = np.abs(points + rng.uniform(-step, step, size=(n, 2)))
-        points = np.where(points > side, 2.0 * side - points, points)
-        out.append(points.copy())
-    return out
 
 
 class TestSnapshotQueriesAtScale:
@@ -129,56 +115,30 @@ class TestBatchInfectionAtScale:
         hits = query.any_within(positions, informed, ~informed, radius)
         assert np.array_equal(hits, self.expected_hits(positions, informed, radius))
 
-    @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "rebuild"])
-    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
-    def test_mid_flood_strategies_match_reference(self, incremental, prune):
-        """A dense informed disk whose rim is the frontier: pruning drops
-        the disk's interior sources, which must not change any answer."""
+    @pytest.mark.parametrize("multi_hop", [False, True], ids=["one-hop", "multi-hop"])
+    def test_mid_flood_round_matches_reference(self, multi_hop):
+        """A dense informed disk whose rim is the frontier: the cell cover
+        drops the disk's interior sources, and multi-hop rounds send from
+        the fresh frontier only; neither may change any answer."""
         rng = np.random.default_rng(1)
         batch, n = 8, 2_000
         side, radius = math.sqrt(n), 2.4
         positions = rng.uniform(0, side, size=(batch, n, 2))
-        informed = np.linalg.norm(positions - side / 2.0, axis=2) < side * 0.3
-        query = BatchNeighborQuery(side, batch, incremental=incremental, prune=prune)
-        hits = query.any_within(positions, informed, ~informed, radius)
-        assert np.array_equal(hits, self.expected_hits(positions, informed, radius))
-
-
-class TestIncrementalIndexesAtScale:
-    """Incremental splices vs from-scratch builds on a drifting swarm."""
-
-    @pytest.mark.parametrize("step", [0.05, 0.15, 0.6])
-    def test_grid_index_update_equals_rebuild(self, step):
-        n, cell = 5_000, 2.0
-        side = math.sqrt(n)
-        index = IncrementalGridIndex(side, cell)
-        queries = np.random.default_rng(4).uniform(0, side, size=(500, 2))
-        for points in drifting_points(n, side, step=step, steps=8, seed=3):
-            index.update(points)
-            fresh = GridIndex(side, cell).build(points)
-            assert index.size == n
-            for radius in (1.0, 2.4):
-                assert np.array_equal(
-                    index.count_within(queries, radius), fresh.count_within(queries, radius)
-                )
-        assert index.n_updates == 9
-
-    @pytest.mark.parametrize("step", [0.1, 0.5])
-    def test_batch_occupancy_counts_equal_bincount(self, step):
-        batch, n = 8, 1_000
-        side = math.sqrt(n)
-        occupancy = IncrementalBatchOccupancy(side, batch, 0.9, track_counts=True)
-        cells = occupancy.m * occupancy.m
-        offsets = np.arange(batch, dtype=np.int64)[:, None] * cells
-        replicas = [
-            drifting_points(n, side, step=step, steps=8, seed=5 + b) for b in range(batch)
-        ]
-        for snapshot in zip(*replicas):
-            positions = np.stack(snapshot)
-            occupancy.update(positions)
-            gid = occupancy._cells_of(positions) + offsets
-            expected = np.bincount(gid.reshape(-1), minlength=batch * cells)
-            assert np.array_equal(occupancy.counts.reshape(-1), expected)
+        # Radius 0.45 side: informed outnumber the uninformed, the regime
+        # where the cell cover prunes.
+        informed = np.linalg.norm(positions - side / 2.0, axis=2) < side * 0.45
+        state = BatchFloodingState(
+            n, side, radius, np.zeros(batch, dtype=np.intp), backend="cells", multi_hop=multi_hop
+        )
+        state.informed = informed.copy()
+        state.step(positions)
+        expected = informed.copy()
+        while True:
+            hits = self.expected_hits(positions, expected, radius)
+            expected |= hits
+            if not multi_hop or not hits.any():
+                break
+        assert np.array_equal(state.informed, expected)
 
 
 class TestMobilityStepsAtScale:

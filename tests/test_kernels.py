@@ -425,11 +425,9 @@ class TestEndToEndParity:
         assert compiled == reference
 
     @needs_provider
-    @pytest.mark.parametrize("neighbor_options", [{}, {"incremental": False}, {"prune": False}])
-    def test_tier_is_invisible_across_neighbor_strategies(self, neighbor_options):
-        base = standard_config(
-            70, seed=7, engine="batch", neighbor_options=dict(neighbor_options)
-        )
+    @pytest.mark.parametrize("multi_hop", [False, True], ids=["one-hop", "multi-hop"])
+    def test_tier_is_invisible_across_hop_modes(self, multi_hop):
+        base = standard_config(70, seed=7, engine="batch", multi_hop=multi_hop)
         assert fingerprints(base.with_options(kernels="compiled")) == fingerprints(
             base.with_options(kernels="numpy")
         )

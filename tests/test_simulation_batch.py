@@ -16,7 +16,6 @@ from repro.mobility import (
 from repro.protocols.flooding import BatchFloodingState
 from repro.simulation import (
     run_flooding,
-    run_flooding_batch,
     run_protocol_batch,
     run_trials,
     run_trials_parallel,
@@ -361,7 +360,7 @@ class TestConfigKnobs:
         assert config.engine == "scalar"
         assert config.batch_size == 0
 
-    def test_run_flooding_batch_requires_seed_seqs(self):
+    def test_run_protocol_batch_requires_seed_seqs(self):
         config = standard_config(50)
         with pytest.raises(ValueError, match="seed_seqs"):
-            run_flooding_batch(config, [])
+            run_protocol_batch(config, [])

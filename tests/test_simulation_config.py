@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.simulation import run_trials
 from repro.simulation.config import FloodingConfig, standard_config
 from repro.simulation.rng import make_rng, spawn_rngs, spawn_seeds
 
@@ -32,6 +33,20 @@ class TestFloodingConfig:
             {"source": "middle"},
             {"source": 100},
             {"source": -1},
+            {"n": 2.5},
+            {"n": True},
+            {"max_steps": 2.5},
+            {"max_steps": True},
+            {"batch_size": 1.5},
+            {"batch_size": True},
+            {"source": True},
+            {"source": False},
+            {"source": 2.0},
+            {"source": np.int64(100)},
+            {"threshold_factor": math.nan},
+            {"threshold_factor": math.inf},
+            {"threshold_factor": 0.0},
+            {"threshold_factor": -0.375},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -39,6 +54,16 @@ class TestFloodingConfig:
         base.update(overrides)
         with pytest.raises(ValueError):
             FloodingConfig(**base)
+
+    def test_numpy_integers_accepted(self):
+        config = FloodingConfig(
+            n=np.int64(100), side=10.0, radius=1.0, speed=0.1,
+            max_steps=np.int32(20), batch_size=np.int64(4), source=np.int64(5),
+        )
+        scalar = run_trials(config, 1)[0]
+        batch = run_trials(config.with_options(engine="batch"), 1)[0]
+        assert scalar.source == batch.source == 5
+        assert scalar.n_steps == batch.n_steps <= 20
 
     def test_with_options(self):
         config = FloodingConfig(n=100, side=10.0, radius=1.0, speed=0.1)

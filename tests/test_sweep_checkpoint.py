@@ -295,9 +295,11 @@ class TestSigkillLeg:
 class TestFingerprint:
     """Satellite: dedup hashing canonicalizes dict-valued config fields."""
 
-    def test_neighbor_options_key_order_is_canonical(self):
-        a = BASE.with_options(neighbor_options={"incremental": False, "prune": False})
-        b = BASE.with_options(neighbor_options={"prune": False, "incremental": False})
+    def test_protocol_options_key_order_is_canonical(self):
+        # The fingerprint never builds the protocol, so any two keys
+        # exercise the sorted serialization.
+        a = BASE.with_options(protocol="gossip", protocol_options={"fanout": 2, "tag": "x"})
+        b = BASE.with_options(protocol="gossip", protocol_options={"tag": "x", "fanout": 2})
         assert a == b  # dataclass equality was always order-insensitive
         assert config_fingerprint(a) == config_fingerprint(b)
 
@@ -315,7 +317,7 @@ class TestFingerprint:
             BASE.with_options(seed=BASE.seed + 1)
         )
         assert config_fingerprint(BASE) != config_fingerprint(
-            BASE.with_options(neighbor_options={"prune": False})
+            BASE.with_options(protocol_options={"multi_hop": True})
         )
 
     def test_reordered_dict_points_share_trials(self, monkeypatch):
@@ -331,11 +333,15 @@ class TestFingerprint:
         monkeypatch.setattr(sweep_mod, "_run_sweep_job", counting)
         plan = SweepPlan()
         plan.add(
-            BASE.with_options(neighbor_options={"incremental": True, "prune": True}),
+            BASE.with_options(
+                mobility="mrwp-speed", mobility_options={"v_min": 0.2, "v_max": 0.6}
+            ),
             3, key="a",
         )
         plan.add(
-            BASE.with_options(neighbor_options={"prune": True, "incremental": True}),
+            BASE.with_options(
+                mobility="mrwp-speed", mobility_options={"v_max": 0.6, "v_min": 0.2}
+            ),
             2, key="b",
         )
         points = run_sweep(plan, engine="batch")
