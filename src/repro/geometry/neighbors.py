@@ -15,7 +15,8 @@ Two interchangeable backends implement them:
   large ``n``.
 
 Use :func:`make_engine` to construct one by name; ``"auto"`` picks the
-KD-tree when scipy is importable and falls back to the grid otherwise.
+KD-tree when scipy is installed and falls back to the grid otherwise.
+``scipy.spatial`` itself is imported only when a KD-tree is first built.
 
 On the compiled kernel tier, a snapshot bound by an ``"auto"`` engine
 answers ``any_within`` with the ``batch_any_within`` grid scan at B=1,
@@ -47,6 +48,7 @@ subsystem: one exact path per backend"):
 
 from __future__ import annotations
 
+import importlib.util
 import math
 
 import numpy as np
@@ -441,6 +443,10 @@ class _KDTreeSnapshot(BoundSnapshot):
 class KDTreeNeighborEngine(NeighborEngine):
     """scipy cKDTree backend.
 
+    ``scipy.spatial`` is imported by the first tree build, not at
+    construction: the import dwarfs the set-up of a compiled-tier
+    flooding run, which never builds a tree.
+
     Raises:
         ImportError: when scipy is not installed; use ``make_engine("auto")``
             to fall back gracefully.
@@ -450,9 +456,17 @@ class KDTreeNeighborEngine(NeighborEngine):
 
     def __init__(self, side: float):
         super().__init__(side)
-        from scipy.spatial import cKDTree  # noqa: F401 - import check
+        if "kdtree" not in available_backends():
+            raise ImportError(
+                "the kdtree backend needs scipy, which is not installed; "
+                "use make_engine('auto') to fall back to the grid"
+            )
 
-        self._cKDTree = cKDTree
+    @staticmethod
+    def _cKDTree(points, **kwargs):
+        from scipy.spatial import cKDTree
+
+        return cKDTree(points, **kwargs)
 
     def bind(self, points, radius: float) -> BoundSnapshot:
         return _KDTreeSnapshot(self, as_points(points), radius)
@@ -1077,14 +1091,16 @@ _AVAILABLE_BACKENDS = None
 
 
 def available_backends(kind: str = "neighbors") -> list:
-    """Names of backends importable in this environment.
+    """Names of backends available in this environment.
 
     Args:
         kind: ``"neighbors"`` (default) lists the neighbor-engine
-            backends; ``"kernels"`` lists the kernel tiers backing the
-            ``kernels`` config knob — the compiled ``cext`` provider
-            first (probed once per process, with the ``REPRO_NO_CEXT=1``
-            escape hatch), then the always-available ``numpy``.
+            backends, with ``kdtree`` first when ``scipy.spatial`` is
+            installed (located, not imported); ``"kernels"`` lists the
+            kernel tiers backing the ``kernels`` config knob — the
+            compiled ``cext`` provider first (probed once per process,
+            with the ``REPRO_NO_CEXT=1`` escape hatch), then the
+            always-available ``numpy``.
 
     Every probe runs once per process and is cached — constructing
     engines and batch queries in a hot loop must not re-attempt imports
@@ -1099,11 +1115,13 @@ def available_backends(kind: str = "neighbors") -> list:
     global _AVAILABLE_BACKENDS
     if _AVAILABLE_BACKENDS is None:
         names = ["grid", "brute"]
+        # Locate scipy.spatial without importing it (see
+        # KDTreeNeighborEngine); find_spec imports the ``scipy`` package
+        # itself and raises ImportError when that is missing.
         try:
-            import scipy.spatial  # noqa: F401
-
-            names.insert(0, "kdtree")
-        except ImportError:  # pragma: no cover - depends on environment
+            if importlib.util.find_spec("scipy.spatial") is not None:
+                names.insert(0, "kdtree")
+        except ImportError:
             pass
         _AVAILABLE_BACKENDS = names
     return list(_AVAILABLE_BACKENDS)

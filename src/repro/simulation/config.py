@@ -25,6 +25,9 @@ __all__ = ["FloodingConfig", "standard_config"]
 
 _SOURCE_MODES = ("uniform", "central", "suburb")
 _ENGINES = ("scalar", "batch", "auto")
+#: Neighbor backends: the engines of :func:`~repro.geometry.neighbors.make_engine`
+#: plus the batch engine's cell cover (``"cells"``).
+_BACKENDS = ("auto", "grid", "kdtree", "brute", "cells")
 _INITS = ("stationary", "closed-form", "uniform")
 
 #: Option vocabulary per mobility model, enforced at construction so a
@@ -76,7 +79,10 @@ class FloodingConfig:
             only), or ``"uniform"`` (cold start).  Validated here; models
             with a narrower vocabulary raise their own error at
             construction instead of silently substituting a default.
-        backend: neighbor-engine backend.
+        backend: neighbor-engine backend — ``"auto"``, ``"grid"``,
+            ``"kdtree"``, ``"brute"``, or ``"cells"`` (the batch engine's
+            cell cover; rejected when the run resolves to the scalar
+            engine).
         seed: root seed for all randomness of the run.
         threshold_factor: Definition 4's Central-Zone constant (3/8 paper).
         multi_hop: flooding semantics (see
@@ -185,6 +191,13 @@ class FloodingConfig:
                 f"protocol {self.protocol!r} has no batched implementation "
                 f"(batchable: {sorted(BATCH_PROTOCOL_REGISTRY)}); use "
                 f"engine='scalar', or engine='auto' to fall back automatically"
+            )
+        if self.backend not in _BACKENDS:
+            raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
+        if self.backend == "cells" and self.resolved_engine == "scalar":
+            raise ValueError(
+                "backend 'cells' is the batch engine's cell cover and this config "
+                "runs on the scalar engine; use 'auto', 'grid', 'kdtree' or 'brute'"
             )
         if self.batch_size < 0:
             raise ValueError(f"batch_size must be non-negative, got {self.batch_size}")

@@ -85,12 +85,35 @@ class TrialSummary:
         return f"{self.mean:.1f} ± {half:.1f}{suffix} (median {self.median:.1f})"
 
 
+#: Two-sided standard-normal quantiles of the confidence levels that
+#: :func:`summarize` supports.  A normal-approximation CI is exact enough
+#: for reporting and keeps scipy out of the core path.
+_Z_SCORES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
+
+
+def z_score(confidence: float) -> float:
+    """Normal quantile of a supported confidence level (0.90, 0.95, 0.99).
+
+    Raises:
+        ValueError: for any other level, rather than silently reporting
+            an interval other than the one requested.
+    """
+    z = _Z_SCORES.get(confidence)
+    if z is None:
+        raise ValueError(
+            f"confidence must be one of {sorted(_Z_SCORES)}, got {confidence!r}"
+        )
+    return z
+
+
 def summarize(values, confidence: float = 0.95) -> TrialSummary:
     """Mean / spread / normal-approximation CI of scalar outcomes.
 
     Infinite values (incomplete trials) are excluded from the moments but
-    reported through ``n_finite`` vs ``n_trials``.
+    reported through ``n_finite`` vs ``n_trials``.  ``confidence`` must be
+    one of the levels :func:`z_score` supports.
     """
+    z = z_score(confidence)
     values = np.asarray(list(values), dtype=np.float64)
     finite = values[np.isfinite(values)]
     n = values.size
@@ -100,9 +123,6 @@ def summarize(values, confidence: float = 0.95) -> TrialSummary:
         return TrialSummary(n, 0, nan, nan, nan, nan, nan, nan, nan)
     mean = float(finite.mean())
     std = float(finite.std(ddof=1)) if k > 1 else 0.0
-    # Normal-approximation CI; exact enough for reporting purposes and
-    # avoids a scipy dependency in the core path.
-    z = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}.get(round(confidence, 2), 1.9600)
     half = z * std / math.sqrt(k) if k > 1 else 0.0
     return TrialSummary(
         n_trials=n,

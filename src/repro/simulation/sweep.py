@@ -102,7 +102,7 @@ from repro.simulation.parallel import (
     _dispatch,
     _rebuild_seed_seq,
 )
-from repro.simulation.results import TrialSummary, summarize
+from repro.simulation.results import TrialSummary, summarize, z_score
 
 __all__ = [
     "StoppingRule",
@@ -140,8 +140,9 @@ class StoppingRule:
             ``min(2, n_trials)``).  The rule never stops below this floor.
         max_trials: hard trial cap (``None``: the point's ``n_trials``).
         batch: trials appended per sequential round after the minimum.
-        confidence: confidence level of the interval (0.90 / 0.95 / 0.99
-            supported by :func:`~repro.simulation.results.summarize`).
+        confidence: confidence level of the interval: 0.90, 0.95 or 0.99,
+            the levels :func:`~repro.simulation.results.summarize`
+            supports (any other raises ``ValueError``).
     """
 
     ci_width: float = 0.1
@@ -168,8 +169,7 @@ class StoppingRule:
                 f"min_trials ({self.min_trials}) must not exceed max_trials "
                 f"({self.max_trials})"
             )
-        if not 0 < self.confidence < 1:
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
+        z_score(self.confidence)
 
     def bounds(self, n_trials: int) -> tuple:
         """``(minimum, cap)`` resolved against a point's fixed budget."""

@@ -1,5 +1,9 @@
 """Cross-validation of the neighbor-engine backends."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from repro.geometry.neighbors import (
     BatchNeighborQuery,
     BruteForceNeighborEngine,
     GridNeighborEngine,
+    KDTreeNeighborEngine,
     available_backends,
     make_engine,
 )
@@ -293,6 +298,56 @@ class TestCachesAndProbes:
             engine.any_within(sources, queries, 1.0),
             brute.any_within(sources, queries, 1.0),
         )
+
+
+_IMPORT_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.simulation import run_flooding, run_trials, standard_config
+config = standard_config(300, seed=3, max_steps=40)
+{run}
+print("scipy.spatial" in sys.modules)
+"""
+
+
+class TestScipyImport:
+    """``scipy.spatial`` is located at start-up and imported only by the
+    first KD-tree build."""
+
+    @pytest.mark.skipif(
+        kernel_backend() is None or "kdtree" not in BACKENDS,
+        reason="needs the compiled kernel provider and scipy",
+    )
+    @pytest.mark.parametrize(
+        "run, imported",
+        [
+            # Compiled-tier flooding answers every infection test and zone
+            # count in C: no tree.
+            ('run_trials(config.with_options(engine="batch"), 4)', False),
+            ("run_flooding(config)", False),
+            # Gossip counts sender degrees with a KD-tree count_within.
+            ('run_trials(config.with_options(engine="batch", protocol="gossip"), 2)', True),
+            ('run_flooding(config.with_options(backend="kdtree"))', True),
+        ],
+        ids=["batch-flooding", "scalar-flooding", "batch-gossip", "explicit-kdtree"],
+    )
+    def test_only_tree_building_runs_import_scipy_spatial(self, run, imported):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        script = _IMPORT_PROBE.format(src=os.path.abspath(src), run=run)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == str(imported)
+
+    def test_missing_scipy_falls_back_to_grid(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.delitem(sys.modules, "scipy.spatial", raising=False)
+        monkeypatch.setattr(neighbors_module, "_AVAILABLE_BACKENDS", None)
+        assert available_backends() == ["grid", "brute"]
+        assert isinstance(make_engine("auto", 1.0), GridNeighborEngine)
+        with pytest.raises(ImportError):
+            KDTreeNeighborEngine(1.0)
 
 
 class TestDilate:

@@ -47,6 +47,8 @@ class TestFloodingConfig:
             {"threshold_factor": math.inf},
             {"threshold_factor": 0.0},
             {"threshold_factor": -0.375},
+            {"backend": "kdtee"},
+            {"backend": "cells", "engine": "scalar"},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -64,6 +66,18 @@ class TestFloodingConfig:
         batch = run_trials(config.with_options(engine="batch"), 1)[0]
         assert scalar.source == batch.source == 5
         assert scalar.n_steps == batch.n_steps <= 20
+
+    @pytest.mark.parametrize("engine", ["batch", "auto"])
+    def test_cells_backend_accepted_on_batch_engine(self, engine):
+        config = FloodingConfig(
+            n=100, side=10.0, radius=1.0, speed=0.1, max_steps=20, engine=engine, backend="cells"
+        )
+        assert config.resolved_engine == "batch"
+        cells = run_trials(config, 2)
+        grid = run_trials(config.with_options(backend="grid"), 2)
+        assert [r.informed_history.tolist() for r in cells] == [
+            r.informed_history.tolist() for r in grid
+        ]
 
     def test_with_options(self):
         config = FloodingConfig(n=100, side=10.0, radius=1.0, speed=0.1)

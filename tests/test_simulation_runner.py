@@ -190,3 +190,17 @@ class TestSummarize:
         summary = summarize([5.0])
         assert summary.std == 0.0
         assert summary.ci_low == summary.ci_high == 5.0
+
+    @pytest.mark.parametrize("confidence, z", [(0.90, 1.6449), (0.95, 1.9600), (0.99, 2.5758)])
+    def test_tabled_levels_set_the_interval(self, confidence, z):
+        values = [1.0, 2.0, 3.0, 4.0]
+        summary = summarize(values, confidence=confidence)
+        half = z * np.std(values, ddof=1) / math.sqrt(len(values))
+        assert summary.ci_high - summary.mean == pytest.approx(half, rel=1e-12)
+
+    @pytest.mark.parametrize("confidence", [0.80, 0.951, 0.5, 1.0, 95])
+    def test_untabled_level_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence must be one of"):
+            summarize([1.0, 2.0, 3.0, 4.0], confidence=confidence)
+        with pytest.raises(ValueError, match="confidence must be one of"):
+            summarize([], confidence=confidence)

@@ -59,6 +59,14 @@ class TestRuleValidation:
             StoppingRule(min_trials=5, max_trials=3)
         with pytest.raises(ValueError):
             StoppingRule(confidence=1.0)
+        # summarize() tables only 0.90, 0.95 and 0.99; any other level
+        # would stop on an interval other than the one requested.
+        with pytest.raises(ValueError, match="confidence must be one of"):
+            StoppingRule(confidence=0.8)
+
+    def test_accepts_tabled_confidence(self):
+        for confidence in (0.90, 0.95, 0.99):
+            assert StoppingRule(confidence=confidence).confidence == confidence
 
     def test_point_rejects_non_rule(self):
         with pytest.raises(TypeError):
