@@ -3,7 +3,7 @@
 
 The pattern for building your own studies on top of the library: define a
 base configuration, fan trials out over processes with
-``sweep_parallel`` (bit-identical to the serial runner), and export the
+``run_sweep(..., jobs=N)`` (bit-identical to ``jobs=1``), and export the
 aggregated table for plotting.
 
 Run:  python examples/parameter_study.py [output.csv]
@@ -14,7 +14,7 @@ import sys
 
 from repro.core import theory
 from repro.simulation.config import FloodingConfig
-from repro.simulation.parallel import sweep_parallel
+from repro.simulation.sweep import SweepPlan, run_sweep
 from repro.viz.csvout import write_csv
 from repro.viz.tables import format_table
 
@@ -35,12 +35,13 @@ def main() -> int:
     )
     radii = [round(f * base, 3) for f in (1.0, 1.4, 2.0, 2.8, 4.0)]
 
-    results = sweep_parallel(config, "radius", radii, n_trials=6, max_workers=6)
+    points = run_sweep(SweepPlan.over_parameter(config, "radius", radii, n_trials=6), jobs=6)
 
     headers = ["R", "mean T_flood", "ci_low", "ci_high", "min", "max",
                "18 L/R", "L/(R+2v)"]
     rows = []
-    for radius, summary, _trials in results:
+    for point in points:
+        radius, summary = point.key, point.summary
         rows.append(
             [
                 radius,

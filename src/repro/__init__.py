@@ -65,7 +65,6 @@ from repro.simulation import (
     run_trials,
     standard_config,
     summarize,
-    sweep,
 )
 
 __version__ = "1.0.0"
@@ -100,7 +99,6 @@ __all__ = [
     "MODEL_REGISTRY",
     "BATCH_MOBILITY_REGISTRY",
     "run_trials",
-    "sweep",
     "SweepPlan",
     "SweepPoint",
     "SweepPointResult",

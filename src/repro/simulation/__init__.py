@@ -20,28 +20,16 @@ from repro.simulation.checkpoint import (
     SweepCheckpoint,
     config_fingerprint,
 )
-from repro.simulation.parallel import WorkerPool, run_trials_parallel, sweep_parallel
+from repro.simulation.parallel import WorkerPool
 from repro.simulation.results import FloodingResult, TrialSummary, summarize
 from repro.simulation.rng import make_rng, spawn_rngs, spawn_seeds
-# NOTE: the sweep *module* import must precede the runner import — both
-# bind the package attribute ``sweep`` (the submodule implicitly, the
-# legacy aggregation function explicitly), and the function is the public
-# API here.  Reach the module as ``repro.simulation.sweep`` via a direct
-# ``from repro.simulation.sweep import ...`` (or sys.modules), never via
-# the package attribute.
+from repro.simulation.runner import build_model, build_protocol, run_flooding, run_trials
 from repro.simulation.sweep import (
     StoppingRule,
     SweepPlan,
     SweepPoint,
     SweepPointResult,
     run_sweep,
-)
-from repro.simulation.runner import (
-    build_model,
-    build_protocol,
-    run_flooding,
-    run_trials,
-    sweep,
 )
 
 __all__ = [
@@ -62,9 +50,6 @@ __all__ = [
     "spawn_seeds",
     "run_flooding",
     "run_trials",
-    "run_trials_parallel",
-    "sweep",
-    "sweep_parallel",
     "StoppingRule",
     "SweepPlan",
     "SweepPoint",

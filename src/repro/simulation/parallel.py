@@ -1,20 +1,11 @@
-"""Parallel trial execution with crash-surviving worker pools.
+"""Crash-surviving worker pools for the sweep scheduler.
 
 The full-scale sweeps (EXPERIMENTS.md ``--scale full``) run dozens of
-independent trials; this module fans them out over processes.  Trials stay
-bit-reproducible: the seed schedule is identical to
-:func:`repro.simulation.runner.run_trials`, so serial and parallel
-execution produce the same results (asserted in the tests).
-
-Sharding follows each configuration's **resolved** engine.  With
-``engine="scalar"`` each process runs one trial per job (the original
-layout).  With ``engine="batch"`` each process runs one **batch** per job —
-a contiguous slice of the trial sequence advanced in lock-step by
-:func:`repro.simulation.batch.run_protocol_batch` — so the vectorization
-win multiplies with the process fan-out instead of being sliced away.
-``sweep_parallel`` resolves the engine *per variant*: sweeping a parameter
-that flips an ``engine="auto"`` resolution (e.g. mobility native → ferry)
-dispatches each variant through its own engine, never the base config's.
+independent trials; :func:`repro.simulation.sweep.run_sweep` fans them out
+over processes with ``jobs=N`` through the :class:`WorkerPool` defined
+here.  Trials stay bit-reproducible: every job carries the seed states of
+its trials (``_child_states`` / ``_rebuild_seed_seq``), so results never
+depend on how many processes ran them.
 
 **Fault tolerance.**  A single OOM-killed or segfaulted child used to
 raise :class:`~concurrent.futures.process.BrokenProcessPool` out of the
@@ -29,17 +20,10 @@ job that keeps killing fresh pools solo is quarantined: the round raises
 :class:`PoisonJobError` naming the job and carrying every completed
 result, so callers (the sweep scheduler persists them to its checkpoint)
 never lose finished work to one poisonous input.
-
-The seed-state plumbing (``_child_states`` / ``_rebuild_seed_seq``) and the
-pool dispatcher (``_dispatch``) are shared with the sweep scheduler
-(:mod:`repro.simulation.sweep`), which schedules whole experiment grids —
-many configs at once — over the same worker machinery.
 """
 
 from __future__ import annotations
 
-import math
-import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -48,16 +32,12 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from repro.simulation.config import FloodingConfig
-from repro.simulation.results import summarize
-from repro.simulation.runner import run_flooding
 
 __all__ = [
     "DEFAULT_MAX_RETRIES",
     "PoisonJobError",
     "WorkerPool",
     "backoff_delays",
-    "run_trials_parallel",
-    "sweep_parallel",
 ]
 
 #: Crash retries per job (after the first solo re-run) before quarantine.
@@ -112,22 +92,6 @@ def _rebuild_seed_seq(state) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=state["entropy"], spawn_key=state["spawn_key"])
 
 
-def _run_job(args):
-    """Worker: run one ``(config, seed-states)`` slice through its engine.
-
-    Top-level so the process pool can pickle it.  The branch is on the
-    *job's own* config — mixed-engine job lists (a sweep crossing an
-    ``engine="auto"`` resolution boundary) dispatch each slice correctly.
-    """
-    config, states = args
-    seqs = [_rebuild_seed_seq(state) for state in states]
-    if config.resolved_engine == "batch":
-        from repro.simulation.batch import run_protocol_batch
-
-        return run_protocol_batch(config, seqs)
-    return [run_flooding(config, seed_seq=seq) for seq in seqs]
-
-
 def _child_states(config: FloodingConfig, n_trials: int) -> list:
     root = np.random.SeedSequence(config.seed)
     return [
@@ -145,29 +109,6 @@ def _child_states_range(config: FloodingConfig, start: int, stop: int) -> list:
     bit-identical to a single uninterrupted pass.
     """
     return _child_states(config, stop)[start:]
-
-
-def _batch_jobs(config: FloodingConfig, states: list, max_workers) -> list:
-    """Slice per-trial seed states into contiguous batch-per-worker jobs."""
-    workers = max_workers if max_workers else (os.cpu_count() or 1)
-    size = config.batch_size if config.batch_size > 0 else math.ceil(len(states) / workers)
-    size = max(1, size)
-    return [
-        (config, states[start:start + size]) for start in range(0, len(states), size)
-    ]
-
-
-def _dispatch(
-    runner,
-    jobs: list,
-    max_workers,
-    labels: list | None = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    job_timeout: float | None = None,
-) -> list:
-    """Run one round of jobs through a throwaway fault-tolerant pool."""
-    with WorkerPool(max_workers, max_retries=max_retries, job_timeout=job_timeout) as pool:
-        return pool.map(runner, jobs, labels=labels)
 
 
 class WorkerPool:
@@ -378,75 +319,3 @@ class WorkerPool:
             raise _JobCrash(
                 f"job exceeded its {self.job_timeout}s timeout"
             ) from error
-
-
-def run_trials_parallel(
-    config: FloodingConfig,
-    n_trials: int,
-    max_workers: int = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    job_timeout: float | None = None,
-) -> list:
-    """Parallel version of :func:`repro.simulation.runner.run_trials`.
-
-    Results are returned in trial order and match the serial runner exactly
-    (same seed schedule), for both engines.  Worker crashes are retried per
-    job (see :class:`WorkerPool`); results never depend on the fault
-    history.
-
-    Args:
-        max_workers: process count (default: executor's choice).
-        max_retries: solo crash retries per job before quarantine.
-        job_timeout: optional per-job wall-clock ceiling in seconds.
-    """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be positive, got {n_trials}")
-    states = _child_states(config, n_trials)
-    if config.resolved_engine == "batch":
-        jobs = _batch_jobs(config, states, max_workers)
-    else:
-        jobs = [(config, [state]) for state in states]
-    groups = _dispatch(
-        _run_job, jobs, max_workers, max_retries=max_retries, job_timeout=job_timeout
-    )
-    return [result for group in groups for result in group]
-
-
-def sweep_parallel(
-    config: FloodingConfig,
-    parameter: str,
-    values,
-    n_trials: int = 5,
-    max_workers: int = None,
-) -> list:
-    """Parallel version of :func:`repro.simulation.runner.sweep`.
-
-    All (value, trial) jobs share one process pool.  Each variant's jobs
-    follow the **variant's** resolved engine — batch-per-worker slices for
-    batch variants, one trial per job for scalar ones — so a sweep that
-    crosses an ``engine="auto"`` resolution boundary (e.g. a mobility
-    sweep from a native model to ferry) dispatches every variant through
-    the engine its own configuration resolves to.
-
-    Returns:
-        list of ``(value, TrialSummary, results)`` tuples, in input order.
-    """
-    values = list(values)
-    jobs = []
-    bounds = []
-    for value in values:
-        variant = config.with_options(**{parameter: value})
-        states = _child_states(variant, n_trials)
-        if variant.resolved_engine == "batch":
-            variant_jobs = _batch_jobs(variant, states, max_workers)
-        else:
-            variant_jobs = [(variant, [state]) for state in states]
-        start = len(jobs)
-        jobs.extend(variant_jobs)
-        bounds.append((value, start, start + len(variant_jobs)))
-    groups = _dispatch(_run_job, jobs, max_workers)
-    out = []
-    for value, start, end in bounds:
-        chunk = [result for group in groups[start:end] for result in group]
-        out.append((value, summarize(r.flooding_time for r in chunk), chunk))
-    return out

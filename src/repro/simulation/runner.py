@@ -3,11 +3,9 @@
 :func:`run_flooding` executes one fully-specified
 :class:`~repro.simulation.config.FloodingConfig` and returns a
 :class:`~repro.simulation.results.FloodingResult`.  :func:`run_trials`
-repeats it over independent seeds; :func:`sweep` varies one parameter and
-aggregates (delegating to the sweep scheduler,
-:mod:`repro.simulation.sweep`, which schedules whole experiment grids as
-batched, parallel work units) — the workhorses behind every flooding
-experiment and benchmark.
+repeats it over independent seeds as a one-point sweep of the sweep
+scheduler (:func:`repro.simulation.sweep.run_sweep`), the one multi-trial
+executor behind every flooding experiment and benchmark.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from repro.simulation.rng import child_seeds
 __all__ = [
     "run_flooding",
     "run_trials",
-    "sweep",
     "build_model",
     "build_protocol",
     "mobility_arguments",
@@ -195,46 +192,18 @@ def run_trials(config: FloodingConfig, n_trials: int, stopping=None) -> list:
     same results, one vectorized pass instead of a Python loop, for every
     protocol in :data:`~repro.protocols.BATCH_PROTOCOL_REGISTRY`.
 
+    A one-point :func:`~repro.simulation.sweep.run_sweep`; use it directly
+    for several configurations, process fan-out (``jobs=``) or
+    checkpoints.
+
     Args:
+        n_trials: a positive integer.
         stopping: optional
             :class:`~repro.simulation.sweep.StoppingRule` — run trials
             sequentially and stop once the rule fires, treating
             ``n_trials`` as the fixed budget the rule's bounds resolve
             against.  The result is a bit-exact prefix of the fixed run.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be positive, got {n_trials}")
-    if stopping is not None:
-        from repro.simulation.sweep import SweepPoint, run_sweep
+    from repro.simulation.sweep import SweepPoint, run_sweep
 
-        (point,) = run_sweep([SweepPoint(config, n_trials, stopping=stopping)])
-        return point.results
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(n_trials)
-    if config.resolved_engine == "batch":
-        from repro.simulation.batch import run_protocol_batch
-
-        size = config.batch_size if config.batch_size > 0 else n_trials
-        out = []
-        for start in range(0, n_trials, size):
-            out.extend(run_protocol_batch(config, children[start:start + size]))
-        return out
-    return [run_flooding(config, seed_seq=child) for child in children]
-
-
-def sweep(config: FloodingConfig, parameter: str, values, n_trials: int = 5) -> list:
-    """Vary one configuration field, running ``n_trials`` repetitions per value.
-
-    Since PR 4 this delegates to the sweep scheduler
-    (:func:`repro.simulation.sweep.run_sweep`) with the legacy call's
-    semantics (config's own engine, in-process execution) — same seed
-    schedule, bit-identical results, plus config deduplication for free.
-
-    Returns:
-        list of ``(value, TrialSummary, results)`` tuples, in input order,
-        where the summary aggregates flooding times.
-    """
-    from repro.simulation.sweep import SweepPlan, run_sweep
-
-    plan = SweepPlan.over_parameter(config, parameter, values, n_trials)
-    return [(point.key, point.summary, point.results) for point in run_sweep(plan)]
+    return run_sweep([SweepPoint(config, n_trials, stopping=stopping)])[0].results

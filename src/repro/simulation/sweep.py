@@ -1,18 +1,20 @@
-"""Sweep scheduler: whole parameter sweeps as batched, parallel work units.
+"""Sweep scheduler: the one multi-trial executor.
 
 Every quantitative claim of the paper is a parameter *sweep* — flooding
 times across ``n`` (Theorem 3 scaling), across ``R`` and ``v``, across
-mobility models and source placements.  Before this module each experiment
-walked its grid point-by-point through :func:`~repro.simulation.runner
-.run_trials`; the scheduler turns a grid into a first-class work plan:
+mobility models and source placements.  :func:`run_sweep` runs every
+multi-trial workload of the library: a whole experiment grid, a
+one-parameter sweep (:meth:`SweepPlan.over_parameter`), and a single
+configuration's repetitions (:func:`~repro.simulation.runner.run_trials`
+is a one-point sweep).
 
 * a :class:`SweepPlan` collects :class:`SweepPoint` entries — one
   ``(config, n_trials)`` pair per grid point, with an opaque ``key`` the
   caller uses to find the point again in the output;
-* the **seed schedule is deterministic per point** and identical to
-  :func:`~repro.simulation.runner.run_trials`:
-  ``SeedSequence(config.seed).spawn(n_trials)`` — so scheduling a sweep is
-  bit-for-bit equivalent to hand-looping ``run_trials`` over its points
+* the **seed schedule is deterministic per point**: trial ``i`` draws
+  child ``i`` of ``SeedSequence(config.seed).spawn(n_trials)`` — so a
+  sweep is bit-for-bit equivalent to hand-looping
+  :func:`~repro.simulation.runner.run_flooding` over those children
   (enforced by ``tests/test_simulation_sweep.py``);
 * **identical configurations are deduplicated**: duplicate points execute
   once, and a point asking for fewer trials of a config another point also
@@ -25,11 +27,11 @@ walked its grid point-by-point through :func:`~repro.simulation.runner
 * each point dispatches through the configured **execution engine**
   (``engine="auto"`` resolves to the vectorized batch engine whenever both
   the protocol and the mobility model have native batched implementations)
-  in batch slices, exactly like ``run_trials``;
-* ``jobs=`` fans the work units out over processes via the worker
-  machinery of :mod:`repro.simulation.parallel` — batch points ship one
-  batch slice per job, scalar points one trial per job, all sharing one
-  pool;
+  in batch slices of ``config.batch_size`` trials (all at once when 0);
+* ``jobs=`` fans the work units out over processes through the
+  crash-surviving :class:`~repro.simulation.parallel.WorkerPool` — batch
+  points ship one batch slice per job, scalar points one trial per job,
+  all sharing one pool;
 * points may attach **per-trial observers** (``observer_factory``), which
   forces the scalar engine for that point only (observers need the
   step-by-step :class:`~repro.simulation.engine.Simulation`); the observers
@@ -45,8 +47,8 @@ regime-map boundary, threshold radii — keep sampling.  With
 budget each round toward the neediest unfinished points, ranked by a
 GreenPod-style TOPSIS score over CI width, completion deficit, and
 per-trial cost.  Adaptive results are always a **bit-exact prefix** of the
-fixed-budget run (same seed schedule); fixed-budget mode — the default —
-is byte-identical to the pre-adaptive scheduler.
+fixed-budget run (same seed schedule).  Every plan runs in rounds; a
+fixed-budget plan — the default — is a single round.
 
 **Checkpoint / resume.**  ``checkpoint=DIR`` persists every point's
 partial results atomically after each trial batch
@@ -91,15 +93,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.simulation.checkpoint import SweepCheckpoint, config_fingerprint
-from repro.simulation.config import FloodingConfig
+from repro.simulation.config import FloodingConfig, _is_integer
 from repro.simulation.lease import DEFAULT_LEASE_TTL, LeaseError, LeaseManager
 from repro.simulation.parallel import (
     DEFAULT_MAX_RETRIES,
     PoisonJobError,
     WorkerPool,
-    _child_states,
     _child_states_range,
-    _dispatch,
     _rebuild_seed_seq,
 )
 from repro.simulation.results import TrialSummary, summarize, z_score
@@ -111,6 +111,15 @@ __all__ = [
     "SweepPlan",
     "run_sweep",
 ]
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a bool, a non-integer, or a count below ``minimum``.
+
+    numpy integers pass, as in :class:`FloodingConfig`.
+    """
+    if not _is_integer(value) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -154,12 +163,10 @@ class StoppingRule:
     def __post_init__(self):
         if not self.ci_width > 0:
             raise ValueError(f"ci_width must be positive, got {self.ci_width}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be a positive trial count, got {self.batch}")
-        if self.min_trials is not None and self.min_trials < 1:
-            raise ValueError(f"min_trials must be positive, got {self.min_trials}")
-        if self.max_trials is not None and self.max_trials < 1:
-            raise ValueError(f"max_trials must be positive, got {self.max_trials}")
+        _check_count("batch", self.batch, 1)
+        for name in ("min_trials", "max_trials"):
+            if getattr(self, name) is not None:
+                _check_count(name, getattr(self, name), 1)
         if (
             self.min_trials is not None
             and self.max_trials is not None
@@ -233,10 +240,10 @@ class SweepPoint:
 
     Attributes:
         config: the fully-specified experiment parameters.
-        n_trials: independent repetitions (seed schedule:
-            ``SeedSequence(config.seed).spawn(n_trials)``, as in
-            ``run_trials``).  Under a stopping rule this is the *fixed
-            budget* the rule's default bounds resolve against.
+        n_trials: independent repetitions, a positive integer (seed
+            schedule: ``SeedSequence(config.seed).spawn(n_trials)``).
+            Under a stopping rule this is the *fixed budget* the rule's
+            default bounds resolve against.
         key: opaque caller label (the swept value, a tuple, ...) echoed on
             the matching :class:`SweepPointResult`.
         observer_factory: optional picklable callable
@@ -257,8 +264,7 @@ class SweepPoint:
     def __post_init__(self):
         if not isinstance(self.config, FloodingConfig):
             raise TypeError(f"config must be a FloodingConfig, got {type(self.config).__name__}")
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be positive, got {self.n_trials}")
+        _check_count("n_trials", self.n_trials, 1)
         if self.observer_factory is not None and not callable(self.observer_factory):
             raise TypeError("observer_factory must be callable")
         if self.stopping is not None and not isinstance(self.stopping, StoppingRule):
@@ -478,10 +484,9 @@ def _build_groups(points, engine, stopping) -> tuple:
 def _batch_slices(config, states, want, batch_size, workers) -> list:
     """Slice a batch-engine group's seed states into job tuples.
 
-    Deliberately NOT parallel._batch_jobs: that helper always divides by
-    the worker count, while a serial sweep must keep one slice per point
-    to mirror run_trials' single-batch layout (slicing is result-invariant
-    either way; this is about memory and per-batch fixed costs).
+    A size of 0 keeps one slice per group in-process and one slice per
+    worker under fan-out (slicing is result-invariant either way; this is
+    about memory and per-batch fixed costs).
     """
     size = batch_size if batch_size is not None else config.batch_size
     if size <= 0:
@@ -511,43 +516,6 @@ def _assemble(points, point_group, groups) -> list:
             )
         )
     return out
-
-
-def _run_single_pass(
-    points, point_group, groups, jobs, batch_size, retries, job_timeout
-) -> list:
-    """The fixed-budget fast path: one job list, one dispatch, no rounds."""
-    workers = jobs if jobs is not None else (os.cpu_count() or 1)
-    group_keys = _group_keys(points, point_group, len(groups))
-    job_list = []
-    labels = []
-    bounds = []  # per group: (start, end) into job_list
-    for gid, group in enumerate(groups):
-        config = group["config"]
-        states = _child_states(config, group["n_trials"])
-        start = len(job_list)
-        if group["factory"] is None and config.resolved_engine == "batch":
-            job_list.extend(
-                _batch_slices(config, states, len(states), batch_size, workers)
-            )
-        else:
-            job_list.extend((config, [state], group["factory"]) for state in states)
-        offset = 0
-        for job in job_list[start:]:
-            labels.append(
-                _job_label(gid, group_keys[gid], config, offset, offset + len(job[1]))
-            )
-            offset += len(job[1])
-        bounds.append((start, len(job_list)))
-
-    job_results = _dispatch(
-        _run_sweep_job, job_list, jobs,
-        labels=labels, max_retries=retries, job_timeout=job_timeout,
-    )
-
-    for group, (start, end) in zip(groups, bounds):
-        group["results"] = [result for job in job_results[start:end] for result in job]
-    return _assemble(points, point_group, groups)
 
 
 def _group_finished(group) -> bool:
@@ -827,7 +795,8 @@ def _run_sequential(
 ) -> list:
     """Round-based scheduler: adaptive stopping, checkpoint/resume, leases.
 
-    Each round allocates new trials per group (:func:`_allocate_round`),
+    Every plan runs here, and a fixed-budget plan is a single round.  Each
+    round allocates new trials per group (:func:`_allocate_round`),
     dispatches them over one shared worker pool, appends the results in
     seed order, atomically persists every touched group, and re-evaluates
     the stopping rules.  Trial ``i`` of a group always draws seed child
@@ -1021,8 +990,7 @@ def run_sweep(
             serial runs and ``ceil(n_trials / jobs)`` slices under fan-out).
         stopping: optional sweep-wide :class:`StoppingRule` (points may
             override with their own).  ``None`` keeps every point on its
-            fixed trial budget — byte-identical to the pre-adaptive
-            scheduler.
+            fixed trial budget, run as a single round.
         checkpoint: optional checkpoint directory.  Partial results are
             persisted atomically after every trial batch; a killed or
             crashed run continues bit-exactly via ``resume=True``.
@@ -1069,16 +1037,19 @@ def run_sweep(
     points = list(plan.points if isinstance(plan, SweepPlan) else SweepPlan(plan).points)
     if not points:
         return []
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be a positive worker count or None, got {jobs}")
-    if workers < 1:
-        raise ValueError(f"workers must be a positive worker count, got {workers}")
+    if jobs is not None:
+        _check_count("jobs", jobs, 1)
+    _check_count("workers", workers, 1)
+    if batch_size is not None:
+        _check_count("batch_size", batch_size, 0)
+    if max_retries is not None:
+        _check_count("max_retries", max_retries, 0)
     if stopping is not None and not isinstance(stopping, StoppingRule):
         raise TypeError(f"stopping must be a StoppingRule, got {type(stopping).__name__}")
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint directory")
-    if trial_budget is not None and trial_budget < 1:
-        raise ValueError(f"trial_budget must be positive, got {trial_budget}")
+    if trial_budget is not None:
+        _check_count("trial_budget", trial_budget, 1)
     cooperative = workers > 1 or lease_ttl is not None
     if cooperative and checkpoint is None:
         raise ValueError(
@@ -1110,13 +1081,6 @@ def run_sweep(
             workers, lease_ttl, max_retries, job_timeout,
         )
 
-    sequential = cooperative or checkpoint is not None or trial_budget is not None or any(
-        group["rule"] is not None for group in groups
-    )
-    if not sequential:
-        return _run_single_pass(
-            points, point_group, groups, jobs, batch_size, retries, job_timeout
-        )
     return _run_sequential(
         points, point_group, groups, jobs, batch_size, checkpoint, resume,
         trial_budget, lease_ttl, worker_id, retries, job_timeout,

@@ -306,13 +306,14 @@ sys.path.insert(0, {src!r})
 from repro.simulation import run_flooding, run_trials, standard_config
 config = standard_config(300, seed=3, max_steps=40)
 {run}
-print("scipy.spatial" in sys.modules)
+print("scipy.spatial" in sys.modules, "numpy.ma" in sys.modules)
 """
 
 
 class TestScipyImport:
     """``scipy.spatial`` is located at start-up and imported only by the
-    first KD-tree build."""
+    first KD-tree build.  Plain flooding runs never import ``numpy.ma``
+    either (``np.median`` would, from ``summarize``)."""
 
     @pytest.mark.skipif(
         kernel_backend() is None or "kdtree" not in BACKENDS,
@@ -338,7 +339,11 @@ class TestScipyImport:
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split()[-1] == str(imported)
+        spatial, masked = proc.stdout.split()[-2:]
+        assert spatial == str(imported)
+        if not imported:
+            # scipy.spatial imports numpy.ma itself; a run without it must not.
+            assert masked == "False"
 
     def test_missing_scipy_falls_back_to_grid(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy", None)

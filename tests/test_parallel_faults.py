@@ -7,25 +7,24 @@ SIGKILL-inject through fork-inherited job payloads and assert the new
 contract: completed jobs keep their results, crashed jobs are retried solo
 on the deterministic backoff schedule, transient crashers recover
 bit-exactly, and persistent crashers are quarantined as poison jobs with
-an actionable error naming the job — plus the ``sweep_parallel`` engine
-dispatch regression (each variant must run through *its own* resolved
-engine, not the base config's).
+an actionable error naming the job — plus the sweep engine dispatch
+regression (each variant must run through *its own* resolved engine, not
+the base config's).
 """
 
 import os
 
 import pytest
 
+import repro.simulation.sweep as sweep_mod
 from repro.simulation.config import standard_config
 from repro.simulation.parallel import (
     DEFAULT_MAX_RETRIES,
     PoisonJobError,
     WorkerPool,
     backoff_delays,
-    run_trials_parallel,
-    sweep_parallel,
 )
-from repro.simulation.runner import run_trials
+from repro.simulation.sweep import SweepPlan, SweepPoint, run_sweep
 
 
 # ----------------------------------------------------------------------
@@ -172,27 +171,36 @@ class TestPoisonQuarantine:
         assert error.completed[2] == 4
         assert [index for index, _, _ in error.jobs] == [1]
 
-    def test_run_trials_parallel_threads_retry_knobs(self, tmp_path):
+    def test_run_sweep_threads_retry_knobs(self, monkeypatch, hand_loop):
+        pools = []
+
+        class RecordingPool(WorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append((self.max_workers, self.max_retries, self.job_timeout))
+
+        monkeypatch.setattr(sweep_mod, "WorkerPool", RecordingPool)
         config = standard_config(60, radius_factor=1.2, max_steps=50, seed=3)
-        results = run_trials_parallel(
-            config, 3, max_workers=2, max_retries=1, job_timeout=600.0
+        (point,) = run_sweep(
+            [SweepPoint(config, 3)], jobs=2, max_retries=1, job_timeout=600.0
         )
-        assert [r.flooding_time for r in results] == [
-            r.flooding_time for r in run_trials(config, 3)
+        assert pools == [(2, 1, 600.0)]
+        assert [r.flooding_time for r in point.results] == [
+            r.flooding_time for r in hand_loop(config, 3)
         ]
 
 
-class TestSweepParallelEngineDispatch:
+class TestSweepEngineDispatch:
     """Regression: each variant runs through its OWN resolved engine.
 
-    The bug: ``sweep_parallel`` branched once on the *base* config's
+    The bug: the parallel sweep branched once on the *base* config's
     ``resolved_engine``, so a sweep crossing an ``engine="auto"``
     resolution boundary shipped every variant through the base config's
     engine.  Every *built-in* mobility is batch-native since PR 9, so the
     boundary is recreated the way a user-supplied scalar-only model would:
     by removing ``ferry`` from ``BATCH_MOBILITY_REGISTRY`` for the test
-    (``max_workers=1`` keeps dispatch in-process, so both the registry
-    patch and the counting monkeypatches are visible to every call).
+    (``jobs=1`` keeps dispatch in-process, so both the registry patch and
+    the counting monkeypatches are visible to every call).
     """
 
     @staticmethod
@@ -204,11 +212,11 @@ class TestSweepParallelEngineDispatch:
     @staticmethod
     def _counting(monkeypatch):
         import repro.simulation.batch as batch_mod
-        import repro.simulation.parallel as parallel_mod
+        import repro.simulation.runner as runner_mod
 
         batch_calls, scalar_calls = [], []
         real_batch = batch_mod.run_protocol_batch
-        real_scalar = parallel_mod.run_flooding
+        real_scalar = runner_mod.run_flooding
 
         def counting_batch(config, seqs, **kwargs):
             batch_calls.append(config.mobility)
@@ -219,23 +227,29 @@ class TestSweepParallelEngineDispatch:
             return real_scalar(config, **kwargs)
 
         monkeypatch.setattr(batch_mod, "run_protocol_batch", counting_batch)
-        monkeypatch.setattr(parallel_mod, "run_flooding", counting_scalar)
+        monkeypatch.setattr(runner_mod, "run_flooding", counting_scalar)
         return batch_calls, scalar_calls
 
-    def test_mobility_sweep_crossing_auto_boundary(self, monkeypatch):
+    @staticmethod
+    def _mobility_sweep(base, mobilities):
+        return run_sweep(
+            SweepPlan.over_parameter(base, "mobility", mobilities, n_trials=2), jobs=1
+        )
+
+    def test_mobility_sweep_crossing_auto_boundary(self, monkeypatch, hand_loop):
         self._scalar_only_ferry(monkeypatch)
         batch_calls, scalar_calls = self._counting(monkeypatch)
         base = standard_config(
             60, radius_factor=1.2, max_steps=40, seed=7, engine="auto", mobility="mrwp"
         )
-        out = sweep_parallel(base, "mobility", ["mrwp", "ferry"], n_trials=2, max_workers=1)
+        points = self._mobility_sweep(base, ["mrwp", "ferry"])
         assert set(batch_calls) == {"mrwp"}  # the native-batch variant only
         assert set(scalar_calls) == {"ferry"}  # ferry resolves to scalar
-        # And the results are the per-variant serial truth.
-        for value, _, results in out:
-            variant = base.with_options(mobility=value)
-            expected = run_trials(variant, 2)
-            assert [r.flooding_time for r in results] == [
+        assert [(p.key, p.engine) for p in points] == [("mrwp", "batch"), ("ferry", "scalar")]
+        # And the results are the per-variant hand-looped truth.
+        for point in points:
+            expected = hand_loop(base.with_options(mobility=point.key), 2)
+            assert [r.flooding_time for r in point.results] == [
                 r.flooding_time for r in expected
             ]
 
@@ -245,6 +259,6 @@ class TestSweepParallelEngineDispatch:
         base = standard_config(
             60, radius_factor=1.2, max_steps=40, seed=7, engine="auto", mobility="ferry"
         )
-        sweep_parallel(base, "mobility", ["ferry", "rwp"], n_trials=2, max_workers=1)
+        self._mobility_sweep(base, ["ferry", "rwp"])
         assert set(scalar_calls) == {"ferry"}
         assert set(batch_calls) == {"rwp"}  # pre-fix: everything ran scalar

@@ -15,13 +15,13 @@ from repro.mobility import (
 )
 from repro.protocols.flooding import BatchFloodingState
 from repro.simulation import (
+    SweepPlan,
+    SweepPoint,
     run_flooding,
     run_protocol_batch,
+    run_sweep,
     run_trials,
-    run_trials_parallel,
     standard_config,
-    sweep,
-    sweep_parallel,
 )
 
 
@@ -88,12 +88,17 @@ class TestSeedForSeedParity:
 
     def test_sweep_with_batch_engine_matches_scalar(self, kernels):
         config = standard_config(80, seed=5, kernels=kernels)
-        scalar = sweep(config, "radius", [3.0, 4.0], n_trials=3)
-        batch = sweep(config.with_options(engine="batch"), "radius", [3.0, 4.0], n_trials=3)
-        for (va, sa, ra), (vb, sb, rb) in zip(scalar, batch):
-            assert va == vb
-            assert sa == sb
-            assert_results_match(ra, rb)
+        scalar = run_sweep(SweepPlan.over_parameter(config, "radius", [3.0, 4.0], n_trials=3))
+        batch = run_sweep(
+            SweepPlan.over_parameter(
+                config.with_options(engine="batch"), "radius", [3.0, 4.0], n_trials=3
+            )
+        )
+        for a, b in zip(scalar, batch):
+            assert (a.engine, b.engine) == ("scalar", "batch")
+            assert a.key == b.key
+            assert a.summary == b.summary
+            assert_results_match(a.results, b.results)
 
     def test_batch_supports_every_registered_protocol(self):
         """PR 3: the batch engine is protocol-agnostic (the old behaviour
@@ -306,27 +311,28 @@ class TestBatchNeighborQuery:
 
 
 class TestShardingDeterminism:
-    """run_trials must be reproducible under batch slicing and processes."""
+    """Trials must be reproducible under batch slicing and process fan-out."""
 
     def test_parallel_batch_matches_serial_and_scalar(self):
         config = standard_config(80, seed=13)
         scalar = run_trials(config, 6)
         batched = config.with_options(engine="batch", batch_size=2)
         serial = run_trials(batched, 6)
-        parallel = run_trials_parallel(batched, 6, max_workers=2)
-        sharded = run_trials_parallel(batched.with_options(batch_size=0), 6, max_workers=3)
+        (parallel,) = run_sweep([SweepPoint(batched, 6)], jobs=2)
+        (sharded,) = run_sweep([SweepPoint(batched.with_options(batch_size=0), 6)], jobs=3)
         assert_results_match(scalar, serial)
-        assert_results_match(scalar, parallel)
-        assert_results_match(scalar, sharded)
+        assert_results_match(scalar, parallel.results)
+        assert_results_match(scalar, sharded.results)
 
-    def test_sweep_parallel_batch_matches_serial(self):
+    def test_parallel_sweep_batch_matches_serial(self, hand_loop):
         config = standard_config(80, seed=17, engine="batch")
-        serial = sweep(config, "radius", [3.0, 3.5], n_trials=4)
-        parallel = sweep_parallel(config, "radius", [3.0, 3.5], n_trials=4, max_workers=2)
-        for (va, sa, ra), (vb, sb, rb) in zip(serial, parallel):
-            assert va == vb
-            assert sa == sb
-            assert_results_match(ra, rb)
+        plan = SweepPlan.over_parameter(config, "radius", [3.0, 3.5], n_trials=4)
+        serial = run_sweep(plan)
+        parallel = run_sweep(plan, jobs=2)
+        for a, b in zip(serial, parallel):
+            assert a.key == b.key
+            assert a.summary == b.summary
+            assert_results_match(hand_loop(config.with_options(radius=a.key), 4), b.results)
 
     def test_repeated_calls_are_identical(self):
         config = standard_config(80, seed=19, engine="batch")

@@ -8,7 +8,8 @@ import pytest
 from repro.core.flooding import select_source
 from repro.simulation.config import FloodingConfig, standard_config
 from repro.simulation.results import FloodingResult, summarize
-from repro.simulation.runner import build_model, build_protocol, run_flooding, run_trials, sweep
+from repro.simulation.runner import build_model, build_protocol, run_flooding, run_trials
+from repro.simulation.sweep import SweepPlan, run_sweep
 
 QUICK = dict(n=300, side=15.0, radius=2.5, speed=0.5, max_steps=500, seed=1)
 
@@ -145,19 +146,25 @@ class TestTrialsAndSweep:
         with pytest.raises(ValueError):
             run_trials(FloodingConfig(**QUICK), 0)
 
+    @pytest.mark.parametrize("n_trials", [True, 2.5])
+    def test_run_trials_rejects_non_integer_counts(self, n_trials):
+        with pytest.raises(ValueError, match="n_trials"):
+            run_trials(FloodingConfig(**QUICK), n_trials)
+
     def test_sweep_structure(self):
         config = FloodingConfig(**QUICK)
-        results = sweep(config, "radius", [2.0, 3.0], n_trials=2)
-        assert len(results) == 2
-        for value, summary, trials in results:
-            assert value in (2.0, 3.0)
-            assert summary.n_trials == 2
-            assert len(trials) == 2
+        points = run_sweep(SweepPlan.over_parameter(config, "radius", [2.0, 3.0], n_trials=2))
+        assert [point.key for point in points] == [2.0, 3.0]
+        for point in points:
+            assert point.summary.n_trials == 2
+            assert len(point.results) == 2
 
     def test_sweep_radius_monotone_tendency(self):
         config = FloodingConfig(**QUICK)
-        results = sweep(config, "radius", [2.0, 4.0], n_trials=3)
-        assert results[1][1].mean <= results[0][1].mean * 1.3
+        narrow, wide = run_sweep(
+            SweepPlan.over_parameter(config, "radius", [2.0, 4.0], n_trials=3)
+        )
+        assert wide.summary.mean <= narrow.summary.mean * 1.3
 
 
 class TestSummarize:
@@ -190,6 +197,26 @@ class TestSummarize:
         summary = summarize([5.0])
         assert summary.std == 0.0
         assert summary.ci_low == summary.ci_high == 5.0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [7.0],
+            [3.0, 1.0, 2.0],
+            [4.0, 1.0, 3.0, 2.0],
+            [2.0, 2.0, 5.0, 5.0],
+            [9.0, 9.0, 9.0],
+            [0.1, 0.2],
+            [3.0, math.inf, 1.0, 2.0, math.inf],
+            list(np.random.default_rng(3).normal(size=101)),
+            list(np.random.default_rng(4).exponential(size=64)),
+        ],
+        ids=["single", "odd", "even", "ties", "constant", "rounding", "with-inf",
+             "random-odd", "random-even"],
+    )
+    def test_median_matches_numpy_bit_for_bit(self, values):
+        finite = np.asarray(values)[np.isfinite(values)]
+        assert summarize(values).median == float(np.median(finite))
 
     @pytest.mark.parametrize("confidence, z", [(0.90, 1.6449), (0.95, 1.9600), (0.99, 2.5758)])
     def test_tabled_levels_set_the_interval(self, confidence, z):

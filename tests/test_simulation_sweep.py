@@ -1,11 +1,14 @@
 """Sweep scheduler: seed-for-seed parity, dedup, observers, fan-out."""
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
+import repro.simulation.sweep as sweep_mod
 from repro.simulation.config import FloodingConfig, standard_config
 from repro.simulation.metrics import InformedRecorder
-from repro.simulation.runner import run_trials, sweep
 from repro.simulation.sweep import SweepPlan, SweepPoint, run_sweep
 
 BASE = standard_config(140, radius_factor=1.1, max_steps=600, seed=5)
@@ -53,9 +56,13 @@ class TestPlan:
         plan = SweepPlan([(BASE, 2), (BASE, 1, "labelled")])
         assert [p.key for p in plan] == [None, "labelled"]
 
-    def test_rejects_bad_trials(self):
-        with pytest.raises(ValueError):
-            SweepPoint(BASE, 0)
+    @pytest.mark.parametrize("n_trials", [0, -1, True, False, 2.5, 2.0, "2", None])
+    def test_rejects_bad_trials(self, n_trials):
+        with pytest.raises(ValueError, match="n_trials"):
+            SweepPoint(BASE, n_trials)
+
+    def test_accepts_numpy_integer_trials(self):
+        assert SweepPoint(BASE, np.int64(2)).n_trials == 2
 
     def test_rejects_non_config(self):
         with pytest.raises(TypeError):
@@ -67,24 +74,24 @@ class TestPlan:
 
 
 class TestParityAgainstHandLoop:
-    """The acceptance gate: scheduling == hand-looping run_trials."""
+    """The acceptance gate: scheduling == hand-looping run_flooding."""
 
     @pytest.mark.parametrize("engine", ["scalar", "batch", "auto"])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_bit_identical_per_point(self, engine, jobs):
+    def test_bit_identical_per_point(self, engine, jobs, hand_loop):
         points = run_sweep(small_plan(), engine=engine, jobs=jobs)
         assert [p.key for p in points] == ["base", "wide", "reseeded"]
         for point, source in zip(points, small_plan().points):
-            expected = run_trials(source.config.with_options(engine=engine), source.n_trials)
+            expected = hand_loop(source.config.with_options(engine=engine), source.n_trials)
             assert fingerprint(point.results) == fingerprint(expected), (engine, jobs, point.key)
             assert point.n_trials == source.n_trials == len(point.results)
             assert point.engine in ("scalar", "batch")
 
-    def test_engine_none_keeps_config_engine(self):
+    def test_engine_none_keeps_config_engine(self, hand_loop):
         config = BASE.with_options(engine="batch")
         (point,) = run_sweep([SweepPoint(config, 2)])
         assert point.engine == "batch"
-        assert fingerprint(point.results) == fingerprint(run_trials(config, 2))
+        assert fingerprint(point.results) == fingerprint(hand_loop(config, 2))
 
     def test_batch_size_slicing_is_invisible(self):
         reference = run_sweep(small_plan(), engine="batch")
@@ -92,23 +99,27 @@ class TestParityAgainstHandLoop:
         for a, b in zip(reference, sliced):
             assert fingerprint(a.results) == fingerprint(b.results)
 
-    def test_legacy_sweep_wrapper_unchanged(self):
-        out = sweep(BASE, "radius", [2.5, 3.5], n_trials=2)
-        assert [value for value, _, _ in out] == [2.5, 3.5]
-        for value, summary, results in out:
-            expected = run_trials(BASE.with_options(radius=value), 2)
-            assert fingerprint(results) == fingerprint(expected)
-            assert summary.n_trials == 2
+    def test_over_parameter_plan_matches_hand_loop(self, hand_loop):
+        points = run_sweep(SweepPlan.over_parameter(BASE, "radius", [2.5, 3.5], n_trials=2))
+        assert [point.key for point in points] == [2.5, 3.5]
+        for point in points:
+            expected = hand_loop(BASE.with_options(radius=point.key), 2)
+            assert fingerprint(point.results) == fingerprint(expected)
+            assert point.summary.n_trials == 2
+
+
+class TestModuleBinding:
+    def test_import_as_binds_the_module(self):
+        # `import a.b.c as m` reads the package attribute, so a public name
+        # `sweep` in repro.simulation would shadow the submodule.
+        import repro.simulation.sweep as bound
+
+        assert isinstance(bound, types.ModuleType)
+        assert bound is sys.modules["repro.simulation.sweep"]
 
 
 class TestDedup:
     def test_duplicate_configs_execute_once(self, monkeypatch):
-        import sys
-
-        # The package attribute `repro.simulation.sweep` is the legacy
-        # aggregation *function*; the module lives in sys.modules.
-        sweep_mod = sys.modules["repro.simulation.sweep"]
-
         calls = []
         original = sweep_mod._run_sweep_job
 
@@ -125,13 +136,13 @@ class TestDedup:
         assert len(calls) == 1
         assert fingerprint(points[1].results) == fingerprint(points[0].results)[:2]
 
-    def test_prefix_matches_standalone_run(self):
+    def test_prefix_matches_standalone_run(self, hand_loop):
         plan = SweepPlan()
         plan.add(BASE, 2, key="short")
         plan.add(BASE, 4, key="long")
         short, long = run_sweep(plan, engine="scalar")
-        assert fingerprint(short.results) == fingerprint(run_trials(BASE, 2))
-        assert fingerprint(long.results) == fingerprint(run_trials(BASE, 4))
+        assert fingerprint(short.results) == fingerprint(hand_loop(BASE, 2))
+        assert fingerprint(long.results) == fingerprint(hand_loop(BASE, 4))
 
 
 class TestPointResult:
@@ -153,9 +164,39 @@ class TestPointResult:
     def test_empty_plan(self):
         assert run_sweep(SweepPlan()) == []
 
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            run_sweep(small_plan(), jobs=0)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"jobs": 0},
+            {"jobs": True},
+            {"jobs": 2.0},
+            {"workers": 0},
+            {"workers": True},
+            {"workers": 1.5},
+            {"batch_size": -3},
+            {"batch_size": False},
+            {"batch_size": 2.5},
+            {"max_retries": -1},
+            {"max_retries": 1.5},
+            {"max_retries": True},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v!r}" for k, v in kwargs.items()),
+    )
+    def test_rejects_bad_jobs(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            run_sweep(small_plan(), **kwargs)
+
+    def test_accepts_numpy_integer_knobs(self):
+        (point,) = run_sweep(
+            [SweepPoint(BASE, 2)],
+            jobs=np.int64(1),
+            workers=np.int32(1),
+            batch_size=np.int64(0),
+            trial_budget=np.int64(4),
+            max_retries=np.int64(0),
+        )
+        assert point.n_trials == 2
 
 
 def _recorder_factory(config):
@@ -175,11 +216,11 @@ class TestObservers:
         for recorder, result in zip(recorders, point.results):
             assert recorder.informed_history().tolist() == result.informed_history.tolist()
 
-    def test_observer_results_match_plain_runs(self):
+    def test_observer_results_match_plain_runs(self, hand_loop):
         plan = SweepPlan()
         plan.add(BASE, 2, observer_factory=_recorder_factory)
         (point,) = run_sweep(plan, engine="auto")
-        expected = run_trials(BASE.with_options(engine="scalar"), 2)
+        expected = hand_loop(BASE.with_options(engine="scalar"), 2)
         assert fingerprint(point.results) == fingerprint(expected)
 
     def test_explicit_batch_engine_rejected(self):

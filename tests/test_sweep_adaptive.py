@@ -4,8 +4,8 @@ Property-tests the :class:`StoppingRule` (deterministic stop trial at a
 fixed seed, never below the minimum, monotone in the CI target) and the
 scheduler's core adaptive guarantees: adaptive results are **bit-exact
 prefixes** of the fixed-budget run, identical across engines and ``jobs``,
-and the fixed-budget path stays byte-identical to the pre-adaptive
-scheduler.  The trial-budget reallocation (TOPSIS) and the masked-mean
+and a fixed-budget plan reproduces the hand-looped trials exactly.  The
+trial-budget reallocation (TOPSIS) and the masked-mean
 behaviour under adaptive stopping round out the suite.
 """
 
@@ -44,6 +44,26 @@ def fingerprint(results):
 
 
 class TestRuleValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch", True),
+            ("batch", 1.5),
+            ("batch", 2.0),
+            ("min_trials", True),
+            ("min_trials", 2.5),
+            ("max_trials", False),
+            ("max_trials", 4.0),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StoppingRule(**{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        rule = StoppingRule(batch=np.int64(3), min_trials=np.int32(2), max_trials=np.int64(6))
+        assert rule.bounds(10) == (2, 6)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             StoppingRule(ci_width=0.0)
@@ -172,12 +192,12 @@ class TestAdaptiveIsAPrefix:
 
     @pytest.mark.parametrize("engine", ["scalar", "batch", "auto"])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_prefix_across_engines_and_jobs(self, engine, jobs):
+    def test_prefix_across_engines_and_jobs(self, engine, jobs, hand_loop):
         rule = StoppingRule(ci_width=0.5, batch=1)
         (point,) = run_sweep(
             [SweepPoint(BASE, 6)], engine=engine, jobs=jobs, stopping=rule
         )
-        fixed = run_trials(BASE.with_options(engine=engine), 6)
+        fixed = hand_loop(BASE.with_options(engine=engine), 6)
         assert point.n_trials <= 6
         assert fingerprint(point.results) == fingerprint(fixed)[: point.n_trials]
         assert point.summary.n_trials == point.n_trials
@@ -202,21 +222,22 @@ class TestAdaptiveIsAPrefix:
         assert tight_point.n_trials == 5
         assert loose_point.n_trials == 2
 
-    def test_run_trials_stopping_delegates(self):
+    def test_run_trials_stopping_delegates(self, hand_loop):
         rule = StoppingRule(ci_width=0.5, batch=1)
         adaptive = run_trials(BASE, 6, stopping=rule)
-        fixed = run_trials(BASE, 6)
+        fixed = hand_loop(BASE, 6)
+        assert len(adaptive) < 6
         assert fingerprint(adaptive) == fingerprint(fixed)[: len(adaptive)]
 
-    def test_fixed_budget_mode_is_unchanged(self):
-        """No rule anywhere: the scheduler takes the single-pass path and
-        reproduces the exact pre-adaptive tables (the PR 5 parity gate)."""
+    def test_fixed_budget_mode_is_unchanged(self, hand_loop):
+        """No rule anywhere: the scheduler runs one round and reproduces
+        the hand-looped trials exactly."""
         plan = SweepPlan()
         plan.add(BASE, 3, key="a")
         plan.add(BASE.with_options(seed=11), 4, key="b")
         for point, source in zip(run_sweep(plan), plan):
             assert fingerprint(point.results) == fingerprint(
-                run_trials(source.config, source.n_trials)
+                hand_loop(source.config, source.n_trials)
             )
             assert point.n_trials == source.n_trials
 
@@ -257,18 +278,19 @@ class TestTrialBudget:
         assert [p.n_trials for p in a] == [p.n_trials for p in b]
         assert [fingerprint(p.results) for p in a] == [fingerprint(p.results) for p in b]
 
-    def test_budget_points_are_prefixes(self):
+    def test_budget_points_are_prefixes(self, hand_loop):
         rule = StoppingRule(ci_width=1e-12, batch=1, min_trials=2)
         plan = SweepPlan()
         plan.add(BASE, 8, key="a")
         plan.add(BASE.with_options(seed=11), 8, key="b")
         for point, source in zip(run_sweep(plan, stopping=rule, trial_budget=9), plan):
-            fixed = run_trials(source.config, 8)
+            fixed = hand_loop(source.config, 8)
             assert fingerprint(point.results) == fingerprint(fixed)[: point.n_trials]
 
-    def test_rejects_bad_budget(self):
-        with pytest.raises(ValueError):
-            run_sweep([SweepPoint(BASE, 2)], trial_budget=0)
+    @pytest.mark.parametrize("budget", [0, True, 2.5, 4.0])
+    def test_rejects_bad_budget(self, budget):
+        with pytest.raises(ValueError, match="trial_budget"):
+            run_sweep([SweepPoint(BASE, 2)], trial_budget=budget)
 
 
 class TestTopsis:

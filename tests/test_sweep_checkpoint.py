@@ -19,6 +19,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import repro.simulation.sweep as sweep_mod
 from repro.simulation.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointError,
@@ -161,7 +162,7 @@ class TestKillAndResume:
         second = run_sweep(small_plan(), stopping=rule, checkpoint=ck, resume=True)
         assert table(second) == table(first)
 
-    def test_budget_capped_run_resumes_to_completion(self, tmp_path):
+    def test_budget_capped_run_resumes_to_completion(self, tmp_path, hand_loop):
         ck = str(tmp_path / "ck")
         plan = SweepPlan()
         plan.add(BASE, 5, key="x", stopping=StoppingRule(ci_width=1e-12, batch=1, min_trials=3))
@@ -169,7 +170,7 @@ class TestKillAndResume:
         assert partial[0].n_trials == 4  # 3 funded minimum + 1 budgeted batch
         (full,) = run_sweep(plan, checkpoint=ck, resume=True)
         assert full.n_trials == 5
-        assert fingerprint(full.results) == fingerprint(run_trials(BASE, 5))
+        assert fingerprint(full.results) == fingerprint(hand_loop(BASE, 5))
 
 
 def _raising_factory(config):
@@ -322,7 +323,6 @@ class TestFingerprint:
 
     def test_reordered_dict_points_share_trials(self, monkeypatch):
         """The regression: logically identical configs execute once."""
-        sweep_mod = sys.modules["repro.simulation.sweep"]
         calls = []
         original = sweep_mod._run_sweep_job
 

@@ -10,7 +10,6 @@ quarantine surfacing point keys, trial ranges, seeds, and a sticky marker
 that blocks silent retries until deleted.
 """
 
-import importlib
 import json
 import os
 import signal
@@ -21,6 +20,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import repro.simulation.sweep as sweep_mod
 from repro.simulation.config import standard_config
 from repro.simulation.lease import (
     DEFAULT_LEASE_TTL,
@@ -315,7 +315,6 @@ from repro.simulation.sweep import _run_sweep_job as _REAL_RUN_SWEEP_JOB  # noqa
 
 class TestPoisonQuarantineEndToEnd:
     def test_quarantine_names_the_point_and_sticks(self, tmp_path, monkeypatch):
-        sweep_mod = importlib.import_module("repro.simulation.sweep")
         ck = str(tmp_path / "ck")
         monkeypatch.setattr(sweep_mod, "_run_sweep_job", _poisoned_run_sweep_job)
         with pytest.raises(PoisonJobError) as excinfo:
@@ -356,7 +355,6 @@ class TestPoisonQuarantineEndToEnd:
         assert table(recovered) == table(run_sweep(small_plan(), engine="scalar"))
 
     def test_no_checkpoint_still_raises_with_labels(self, monkeypatch):
-        sweep_mod = importlib.import_module("repro.simulation.sweep")
         monkeypatch.setattr(sweep_mod, "_run_sweep_job", _poisoned_run_sweep_job)
         rule = StoppingRule(ci_width=1e-12, batch=1, min_trials=1)
         with pytest.raises(PoisonJobError) as excinfo:

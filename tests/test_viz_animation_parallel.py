@@ -1,4 +1,4 @@
-"""Tests of the ASCII flooding animation and the parallel trial runner."""
+"""Tests of the ASCII flooding animation and parallel sweep execution."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.protocols.flooding import FloodingProtocol
 from repro.simulation.config import FloodingConfig
-from repro.simulation.parallel import run_trials_parallel, sweep_parallel
-from repro.simulation.runner import run_trials, sweep
+from repro.simulation.sweep import SweepPlan, SweepPoint, run_sweep
 from repro.viz.animation import record_flooding_frames, render_agents_frame
 
 SIDE = 15.0
@@ -70,27 +69,25 @@ class TestRecordFloodingFrames:
 
 
 class TestParallelRunner:
-    def test_matches_serial_exactly(self):
+    def test_matches_serial_exactly(self, hand_loop):
         config = FloodingConfig(**QUICK)
-        serial = run_trials(config, 3)
-        parallel = run_trials_parallel(config, 3, max_workers=2)
-        assert [r.flooding_time for r in serial] == [r.flooding_time for r in parallel]
-        assert [r.source for r in serial] == [r.source for r in parallel]
+        serial = hand_loop(config, 3)
+        (point,) = run_sweep([SweepPoint(config, 3)], jobs=2)
+        assert [r.flooding_time for r in serial] == [r.flooding_time for r in point.results]
+        assert [r.source for r in serial] == [r.source for r in point.results]
 
     def test_single_worker_path(self):
         config = FloodingConfig(**QUICK)
-        results = run_trials_parallel(config, 2, max_workers=1)
-        assert len(results) == 2
+        (point,) = run_sweep([SweepPoint(config, 2)], jobs=1)
+        assert len(point.results) == 2
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_trials_parallel(FloodingConfig(**QUICK), 0)
-
-    def test_sweep_matches_serial(self):
+    def test_sweep_matches_serial(self, hand_loop):
         config = FloodingConfig(**QUICK)
-        serial = sweep(config, "radius", [2.0, 3.0], n_trials=2)
-        parallel = sweep_parallel(config, "radius", [2.0, 3.0], n_trials=2, max_workers=2)
-        for (v1, s1, r1), (v2, s2, r2) in zip(serial, parallel):
-            assert v1 == v2
-            assert s1.mean == s2.mean
-            assert [a.flooding_time for a in r1] == [a.flooding_time for a in r2]
+        plan = SweepPlan.over_parameter(config, "radius", [2.0, 3.0], n_trials=2)
+        serial = run_sweep(plan)
+        parallel = run_sweep(plan, jobs=2)
+        for a, b in zip(serial, parallel):
+            assert a.key == b.key
+            assert a.summary == b.summary
+            expected = hand_loop(config.with_options(radius=a.key), 2)
+            assert [r.flooding_time for r in b.results] == [r.flooding_time for r in expected]
