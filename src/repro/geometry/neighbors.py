@@ -70,6 +70,22 @@ __all__ = [
 ]
 
 
+def _check_radius(radius, positive: bool = False) -> float:
+    """``radius`` as a float; ``ValueError`` if NaN, infinite or negative.
+
+    Such a radius bounds no distance, and each backend would answer it
+    differently (a KD-tree reads ``-1`` as ``+1``; the grid cannot size
+    its cells from a NaN).  Zero is valid for the engine coordinate API
+    (a disk graph with ``R = 0``); snapshots pass ``positive=True`` and
+    reject it too.
+    """
+    radius = float(radius)
+    if not math.isfinite(radius) or radius < 0 or (positive and radius == 0):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"radius must be {kind} and finite, got {radius}")
+    return radius
+
+
 class BoundSnapshot:
     """Radius queries bound to one frozen ``(n, 2)`` position snapshot.
 
@@ -85,11 +101,9 @@ class BoundSnapshot:
     """
 
     def __init__(self, engine: "NeighborEngine", points: np.ndarray, radius: float):
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        self.radius = _check_radius(radius, positive=True)
         self.engine = engine
         self.points = points
-        self.radius = float(radius)
 
     def any_within(self, source_idx, query_idx) -> np.ndarray:
         """Mask over ``query_idx``: has a point of ``source_idx`` within radius."""
@@ -346,11 +360,10 @@ class GridNeighborEngine(NeighborEngine):
         return GridIndex(self.side, self._cell_for(radius)).build(points)
 
     def bind(self, points, radius: float) -> BoundSnapshot:
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
         return _GridSnapshot(self, as_points(points), radius)
 
     def any_within(self, sources, queries, radius: float) -> np.ndarray:
+        radius = _check_radius(radius)
         sources = as_points(sources)
         queries = as_points(queries)
         if sources.shape[0] == 0:
@@ -358,6 +371,7 @@ class GridNeighborEngine(NeighborEngine):
         return self._index(sources, radius).any_within(queries, radius)
 
     def count_within(self, sources, queries, radius: float) -> np.ndarray:
+        radius = _check_radius(radius)
         sources = as_points(sources)
         queries = as_points(queries)
         if sources.shape[0] == 0:
@@ -365,6 +379,7 @@ class GridNeighborEngine(NeighborEngine):
         return self._index(sources, radius).count_within(queries, radius)
 
     def pairs_within(self, points, radius: float) -> np.ndarray:
+        radius = _check_radius(radius)
         points = as_points(points)
         if points.shape[0] == 0:
             return np.empty((0, 2), dtype=np.intp)
@@ -472,6 +487,7 @@ class KDTreeNeighborEngine(NeighborEngine):
         return _KDTreeSnapshot(self, as_points(points), radius)
 
     def any_within(self, sources, queries, radius: float) -> np.ndarray:
+        radius = _check_radius(radius)
         sources = as_points(sources)
         queries = as_points(queries)
         if sources.shape[0] == 0 or queries.shape[0] == 0:
@@ -481,6 +497,7 @@ class KDTreeNeighborEngine(NeighborEngine):
         return np.isfinite(dist)
 
     def count_within(self, sources, queries, radius: float) -> np.ndarray:
+        radius = _check_radius(radius)
         sources = as_points(sources)
         queries = as_points(queries)
         if sources.shape[0] == 0 or queries.shape[0] == 0:
@@ -490,6 +507,7 @@ class KDTreeNeighborEngine(NeighborEngine):
         return np.asarray(counts, dtype=np.intp)
 
     def pairs_within(self, points, radius: float) -> np.ndarray:
+        radius = _check_radius(radius)
         points = as_points(points)
         if points.shape[0] == 0:
             return np.empty((0, 2), dtype=np.intp)
@@ -504,6 +522,7 @@ class BruteForceNeighborEngine(NeighborEngine):
     name = "brute"
 
     def any_within(self, sources, queries, radius: float) -> np.ndarray:
+        radius = _check_radius(radius)
         sources = as_points(sources)
         queries = as_points(queries)
         if sources.shape[0] == 0:
@@ -513,6 +532,7 @@ class BruteForceNeighborEngine(NeighborEngine):
         return np.any(dist2 <= radius * radius, axis=1)
 
     def count_within(self, sources, queries, radius: float) -> np.ndarray:
+        radius = _check_radius(radius)
         sources = as_points(sources)
         queries = as_points(queries)
         if sources.shape[0] == 0:
@@ -522,6 +542,7 @@ class BruteForceNeighborEngine(NeighborEngine):
         return np.sum(dist2 <= radius * radius, axis=1).astype(np.intp)
 
     def pairs_within(self, points, radius: float) -> np.ndarray:
+        radius = _check_radius(radius)
         points = as_points(points)
         n = points.shape[0]
         if n == 0:
@@ -743,22 +764,31 @@ class BatchBoundQuery:
                 hits[unresolved_flat[hit]] = True
         return hits.reshape(batch, n)
 
+    def _kernel(self, name, source_mask, query_mask, radius):
+        """The compiled ``name`` kernel's answer, or ``None`` to run numpy.
+
+        Only ``"auto"`` queries dispatch, and only on the compiled tier
+        (when a run activated it); explicit backends always run their own
+        code, so the parity sweeps keep comparing independent
+        implementations.
+        """
+        if self.query.backend != "auto":
+            return None
+        kernel = get_kernel(name)
+        if kernel is None:
+            return None
+        return kernel(self.positions, source_mask, query_mask, radius, self.query.side)
+
     def any_within(self, source_mask, query_mask, radius: float) -> np.ndarray:
         """Per-replica infection test; see :meth:`BatchNeighborQuery.any_within`."""
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        radius = _check_radius(radius, positive=True)
         source_mask, query_mask = self._check_masks(source_mask, query_mask)
-        if self.query.backend == "auto":
-            # Compiled tier (when a run activated it): one fused
-            # grid-build + 3x3-scan pass over the exact predicate —
-            # bit-identical to the strategies below for any scan order.
-            kernel = get_kernel("batch_any_within")
-            if kernel is not None:
-                result = kernel(
-                    self.positions, source_mask, query_mask, radius, self.query.side
-                )
-                if result is not None:
-                    return result
+        # Compiled tier: one fused grid-build + 3x3-scan pass over the
+        # exact predicate — bit-identical to the strategies below for any
+        # scan order.
+        result = self._kernel("batch_any_within", source_mask, query_mask, radius)
+        if result is not None:
+            return result
         if self.query.backend in ("auto", "cells"):
             result = self._cells_any_within(source_mask, query_mask, radius)
             if result is not None:
@@ -767,14 +797,20 @@ class BatchBoundQuery:
 
     def count_within(self, source_mask, query_mask, radius: float) -> np.ndarray:
         """Per-replica occupancy counts; see :meth:`BatchNeighborQuery.count_within`."""
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        radius = _check_radius(radius, positive=True)
         source_mask, query_mask = self._check_masks(source_mask, query_mask)
+        batch, n = source_mask.shape
+        # Compiled tier: count the contacts ``batch_contacts`` enumerates
+        # (exact inclusive ``d² <= R²`` test), so no KD-tree is built.
+        contacts = self._kernel("batch_contacts", source_mask, query_mask, radius)
+        if contacts is not None:
+            rep, _source, query = contacts
+            counts = np.bincount(rep * n + query, minlength=batch * n)
+            return counts.reshape(batch, n)
         if self.query._tiled_backend == "kdtree":
             # Throwaway per-round tree: the fast-build flags beat the
             # balanced build the generic tiled path would pay (the tree
             # serves exactly one counting pass).
-            batch, n = source_mask.shape
             source_flat = np.nonzero(source_mask.reshape(-1))[0]
             query_flat = np.nonzero(query_mask.reshape(-1))[0]
             counts = np.zeros(batch * n, dtype=np.intp)
@@ -807,20 +843,14 @@ class BatchBoundQuery:
             ``(replica, source, query)`` intp agent-index arrays of equal
             length, in unspecified order.
         """
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        radius = _check_radius(radius, positive=True)
         source_mask, query_mask = self._check_masks(source_mask, query_mask)
-        if self.query.backend == "auto":
-            # Compiled tier: enumerate the exact cut contacts directly
-            # (order unspecified, like every backend below — the sampling
-            # protocols canonicalize by sorting on unique keys).
-            kernel = get_kernel("batch_contacts")
-            if kernel is not None:
-                result = kernel(
-                    self.positions, source_mask, query_mask, radius, self.query.side
-                )
-                if result is not None:
-                    return result
+        # Compiled tier: enumerate the exact cut contacts directly (order
+        # unspecified, like every backend below — the sampling protocols
+        # canonicalize by sorting on unique keys).
+        result = self._kernel("batch_contacts", source_mask, query_mask, radius)
+        if result is not None:
+            return result
         n = self.positions.shape[1]
         empty = (np.empty(0, dtype=np.intp),) * 3
         source_flat = np.nonzero(source_mask.reshape(-1))[0]
@@ -878,8 +908,7 @@ class BatchBoundQuery:
             ``(replica, i, j)`` intp arrays of equal length, ``i < j``,
             in unspecified order.
         """
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        radius = _check_radius(radius, positive=True)
         batch, n, _ = self.positions.shape
         if rows is None:
             subset = self.positions
@@ -953,7 +982,9 @@ class BatchNeighborQuery:
         batch_size: number of replicas ``B``.
         backend: ``"grid"``, ``"kdtree"``, ``"brute"``, ``"cells"``, or
             ``"auto"`` (cell cover for ``any_within``, best tiled engine
-            otherwise).
+            otherwise; on the compiled tier ``any_within``,
+            ``count_within`` and ``contacts_within`` run the C pair
+            kernels instead).
     """
 
     def __init__(self, side: float, batch_size: int, backend: str = "auto"):

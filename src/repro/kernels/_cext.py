@@ -73,19 +73,19 @@ void repro_any_within(const double *restrict pos, int64_t n, int64_t m, double i
         if (ci < 0) ci = 0; else if (ci >= m) ci = m - 1;
         int64_t cj = (int64_t)(qy * inv_cell);
         if (cj < 0) cj = 0; else if (cj >= m) cj = m - 1;
+        int64_t i0 = ci > 0 ? ci - 1 : 0;
+        int64_t i1 = ci < m - 1 ? ci + 1 : m - 1;
+        int64_t j0 = cj > 0 ? cj - 1 : 0;
+        int64_t j1 = cj < m - 1 ? cj + 1 : m - 1;
         int hit = 0;
         int64_t base = b * mm;
-        for (int64_t ii = ci - 1; ii <= ci + 1 && !hit; ii++) {
-            if (ii < 0 || ii >= m) continue;
-            for (int64_t jj = cj - 1; jj <= cj + 1 && !hit; jj++) {
-                if (jj < 0 || jj >= m) continue;
-                int64_t c = base + ii * m + jj;
-                for (int64_t t = starts[c]; t < starts[c + 1]; t++) {
-                    int64_t j = srcsort[t];
-                    double dx = qx - pos[2 * j];
-                    double dy = qy - pos[2 * j + 1];
-                    if (dx * dx + dy * dy <= r2) { hit = 1; break; }
-                }
+        for (int64_t ii = i0; ii <= i1 && !hit; ii++) {
+            int64_t row = base + ii * m;
+            for (int64_t t = starts[row + j0]; t < starts[row + j1 + 1]; t++) {
+                int64_t j = srcsort[t];
+                double dx = qx - pos[2 * j];
+                double dy = qy - pos[2 * j + 1];
+                if (dx * dx + dy * dy <= r2) { hit = 1; break; }
             }
         }
         if (hit) out[i] = 1;
@@ -96,8 +96,8 @@ int64_t repro_contacts(const double *restrict pos, int64_t n, int64_t m, double 
                        double r2, const int64_t *restrict src, int64_t S,
                        const int64_t *restrict qry, int64_t Q,
                        int64_t *restrict cellk, int64_t *restrict starts, int64_t n_starts,
-                       int64_t *restrict srcsort, int64_t *restrict out_s, int64_t *restrict out_q,
-                       int64_t cap)
+                       int64_t *restrict srcsort, int64_t *restrict out_b,
+                       int64_t *restrict out_s, int64_t *restrict out_q, int64_t cap)
 {
     grid_build(pos, n, m, inv_cell, src, S, cellk, starts, n_starts, srcsort);
     int64_t mm = m * m;
@@ -105,27 +105,30 @@ int64_t repro_contacts(const double *restrict pos, int64_t n, int64_t m, double 
     for (int64_t k = 0; k < Q; k++) {
         int64_t i = qry[k];
         int64_t b = i / n;
+        int64_t off = b * n;
         double qx = pos[2 * i];
         double qy = pos[2 * i + 1];
         int64_t ci = (int64_t)(qx * inv_cell);
         if (ci < 0) ci = 0; else if (ci >= m) ci = m - 1;
         int64_t cj = (int64_t)(qy * inv_cell);
         if (cj < 0) cj = 0; else if (cj >= m) cj = m - 1;
+        int64_t i0 = ci > 0 ? ci - 1 : 0;
+        int64_t i1 = ci < m - 1 ? ci + 1 : m - 1;
+        int64_t j0 = cj > 0 ? cj - 1 : 0;
+        int64_t j1 = cj < m - 1 ? cj + 1 : m - 1;
         int64_t base = b * mm;
-        for (int64_t ii = ci - 1; ii <= ci + 1; ii++) {
-            if (ii < 0 || ii >= m) continue;
-            for (int64_t jj = cj - 1; jj <= cj + 1; jj++) {
-                if (jj < 0 || jj >= m) continue;
-                int64_t c = base + ii * m + jj;
-                for (int64_t t = starts[c]; t < starts[c + 1]; t++) {
-                    int64_t j = srcsort[t];
-                    double dx = qx - pos[2 * j];
-                    double dy = qy - pos[2 * j + 1];
-                    if (dx * dx + dy * dy <= r2) {
-                        if (total < cap) { out_s[total] = j; out_q[total] = i; }
-                        total++;
-                    }
+        for (int64_t ii = i0; ii <= i1; ii++) {
+            int64_t row = base + ii * m;
+            for (int64_t t = starts[row + j0]; t < starts[row + j1 + 1]; t++) {
+                int64_t j = srcsort[t];
+                double dx = qx - pos[2 * j];
+                double dy = qy - pos[2 * j + 1];
+                if (total < cap) {
+                    out_b[total] = b;
+                    out_s[total] = j - off;
+                    out_q[total] = i - off;
                 }
+                total += (dx * dx + dy * dy <= r2);
             }
         }
     }
@@ -345,7 +348,7 @@ def _declare(lib):
     lib.repro_contacts.restype = _i64
     lib.repro_contacts.argtypes = [
         _ptr, _i64, _i64, _f64, _f64, _ptr, _i64, _ptr, _i64,
-        _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _i64,
+        _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _i64,
     ]
     lib.repro_advance_legs.restype = _i64
     lib.repro_advance_legs.argtypes = [
@@ -390,12 +393,12 @@ def load_cores():
             _addr(cellk), _addr(starts), starts.shape[0], _addr(srcsort), _addr(out),
         )
 
-    def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out_s, out_q, cap):
+    def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out_b, out_s, out_q, cap):
         return lib.repro_contacts(
             _addr(pos), n, m, inv_cell, r2,
             _addr(src), src.shape[0], _addr(qry), qry.shape[0],
             _addr(cellk), _addr(starts), starts.shape[0], _addr(srcsort),
-            _addr(out_s), _addr(out_q), cap,
+            _addr(out_b), _addr(out_s), _addr(out_q), cap,
         )
 
     def advance_legs_core(pos, target, budget, idx, eps, speed_arr, speed_scalar, speed_mode, metric, done):

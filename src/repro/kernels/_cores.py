@@ -49,17 +49,14 @@ __all__ = [
 ]
 
 
-def any_within_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out):
-    """Exact per-replica ``any_within`` over a fused source grid.
+def _grid_build(pos, n, m, inv_cell, src, cellk, starts, srcsort):
+    """Counting sort of ``src`` (flat ``B*n`` indices) into per-replica cells.
 
-    The grid build is a counting sort of ``src`` (flat ``B*n`` indices)
-    into per-replica cells: ``starts`` has length ``cells + 2`` (zeroed by
-    the caller) and after the build cell ``c``'s slice of ``srcsort`` is
-    ``starts[c] : starts[c+1]``.  The build is inlined (here and in
-    ``contacts_core``) so each core is a self-contained jit unit.
-
-    ``out`` is the flat ``(B*n,)`` bool result (zeroed by the caller);
-    entries outside ``qry`` are never written.
+    ``starts`` has length ``cells + 2`` (zeroed by the caller); afterwards
+    cell ``c``'s slice of ``srcsort`` is ``starts[c] : starts[c+1]``, so
+    the cells ``c..c2`` of one grid row are the single slice
+    ``starts[c] : starts[c2+1]``.  Shared by both pair cores, like the C
+    provider's ``grid_build``.
     """
     mm = m * m
     for k in range(src.shape[0]):
@@ -84,6 +81,20 @@ def any_within_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, o
         c = cellk[k]
         srcsort[starts[c + 1]] = src[k]
         starts[c + 1] += 1
+
+
+def any_within_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out):
+    """Exact per-replica ``any_within`` over a fused source grid.
+
+    Each query scans its 3x3 cell block, clipped to the grid, as up to
+    three *row runs*: block row ``ii`` holds the consecutive cell ids
+    ``(ii, j0..j1)``, whose sources are one ``srcsort`` slice.
+
+    ``out`` is the flat ``(B*n,)`` bool result (zeroed by the caller);
+    entries outside ``qry`` are never written.
+    """
+    _grid_build(pos, n, m, inv_cell, src, cellk, starts, srcsort)
+    mm = m * m
     for k in range(qry.shape[0]):
         i = qry[k]
         b = i // n
@@ -99,23 +110,20 @@ def any_within_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, o
             cj = 0
         elif cj >= m:
             cj = m - 1
+        i0 = ci - 1 if ci > 0 else 0
+        i1 = ci + 1 if ci < m - 1 else m - 1
+        j0 = cj - 1 if cj > 0 else 0
+        j1 = cj + 1 if cj < m - 1 else m - 1
         hit = False
         base = b * mm
-        for ii in range(ci - 1, ci + 2):
-            if ii < 0 or ii >= m:
-                continue
-            for jj in range(cj - 1, cj + 2):
-                if jj < 0 or jj >= m:
-                    continue
-                c = base + ii * m + jj
-                for t in range(starts[c], starts[c + 1]):
-                    j = srcsort[t]
-                    dx = qx - pos[j, 0]
-                    dy = qy - pos[j, 1]
-                    if dx * dx + dy * dy <= r2:
-                        hit = True
-                        break
-                if hit:
+        for ii in range(i0, i1 + 1):
+            row = base + ii * m
+            for t in range(starts[row + j0], starts[row + j1 + 1]):
+                j = srcsort[t]
+                dx = qx - pos[j, 0]
+                dy = qy - pos[j, 1]
+                if dx * dx + dy * dy <= r2:
+                    hit = True
                     break
             if hit:
                 break
@@ -123,42 +131,26 @@ def any_within_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, o
             out[i] = True
 
 
-def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out_s, out_q, cap):
+def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out_b, out_s, out_q, cap):
     """Enumerate exact (source, query) contacts; returns the total count.
 
-    Fills ``out_s`` / ``out_q`` (flat ``B*n`` indices) up to ``cap`` and
-    keeps counting past it, so a too-small capacity is detected by the
-    caller (``total > cap``) and the pass re-run with an exact allocation.
-    Emission order is query-major then grid-scan order — callers treat the
-    order as unspecified, like every other contacts backend.
+    Fills ``out_b`` / ``out_s`` / ``out_q`` with each contact's replica
+    and replica-local source and query index, up to ``cap``, and keeps
+    counting past it, so a too-small capacity is detected by the caller
+    (``total > cap``) and the pass re-run with an exact allocation.  Every
+    candidate is stored at slot ``total`` and ``total`` then advances by
+    the distance test, so a miss is overwritten by the next candidate
+    instead of branched around.  Emission order is query-major then
+    grid-scan order — callers treat the order as unspecified, like every
+    other contacts backend.
     """
+    _grid_build(pos, n, m, inv_cell, src, cellk, starts, srcsort)
     mm = m * m
-    for k in range(src.shape[0]):
-        i = src[k]
-        b = i // n
-        ci = int(pos[i, 0] * inv_cell)
-        if ci < 0:
-            ci = 0
-        elif ci >= m:
-            ci = m - 1
-        cj = int(pos[i, 1] * inv_cell)
-        if cj < 0:
-            cj = 0
-        elif cj >= m:
-            cj = m - 1
-        c = b * mm + ci * m + cj
-        cellk[k] = c
-        starts[c + 2] += 1
-    for c in range(1, starts.shape[0]):
-        starts[c] += starts[c - 1]
-    for k in range(src.shape[0]):
-        c = cellk[k]
-        srcsort[starts[c + 1]] = src[k]
-        starts[c + 1] += 1
     total = 0
     for k in range(qry.shape[0]):
         i = qry[k]
         b = i // n
+        off = b * n
         qx = pos[i, 0]
         qy = pos[i, 1]
         ci = int(qx * inv_cell)
@@ -171,23 +163,22 @@ def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out
             cj = 0
         elif cj >= m:
             cj = m - 1
+        i0 = ci - 1 if ci > 0 else 0
+        i1 = ci + 1 if ci < m - 1 else m - 1
+        j0 = cj - 1 if cj > 0 else 0
+        j1 = cj + 1 if cj < m - 1 else m - 1
         base = b * mm
-        for ii in range(ci - 1, ci + 2):
-            if ii < 0 or ii >= m:
-                continue
-            for jj in range(cj - 1, cj + 2):
-                if jj < 0 or jj >= m:
-                    continue
-                c = base + ii * m + jj
-                for t in range(starts[c], starts[c + 1]):
-                    j = srcsort[t]
-                    dx = qx - pos[j, 0]
-                    dy = qy - pos[j, 1]
-                    if dx * dx + dy * dy <= r2:
-                        if total < cap:
-                            out_s[total] = j
-                            out_q[total] = i
-                        total += 1
+        for ii in range(i0, i1 + 1):
+            row = base + ii * m
+            for t in range(starts[row + j0], starts[row + j1 + 1]):
+                j = srcsort[t]
+                dx = qx - pos[j, 0]
+                dy = qy - pos[j, 1]
+                if total < cap:
+                    out_b[total] = b
+                    out_s[total] = j - off
+                    out_q[total] = i - off
+                total += dx * dx + dy * dy <= r2
     return total
 
 

@@ -70,6 +70,21 @@ def _grid_geometry(positions, side, radius):
     return positions.reshape(-1, 2), n, m, 1.0 / cell, cells
 
 
+def _contacts_capacity(n_src, n_qry, batch, radius, side):
+    """First output capacity of ``batch_contacts``.
+
+    Twice the contact count of uniformly spread points (each query sees
+    its replica's share of the sources over a disk of area ``pi R^2``),
+    and at least ``4 * max(S, Q)``.  Sender-degree counts pair every
+    sender with all of its neighbors and routinely overflow the plain
+    ``4 * max(S, Q)``; an overflowing pass still counts the exact total,
+    and the glue re-runs once with that.
+    """
+    area = min(1.0, math.pi * radius * radius / (side * side))
+    expected = n_qry * (n_src / batch) * area
+    return max(64, 4 * max(n_src, n_qry), int(2.0 * expected))
+
+
 def _flat_indices(mask):
     return np.nonzero(mask.reshape(-1))[0].astype(np.int64, copy=False)
 
@@ -121,23 +136,19 @@ def make_kernels(cores):
         starts = np.zeros(cells + 2, dtype=np.int64)
         srcsort = np.empty(src.size, dtype=np.int64)
         r2 = float(radius) * float(radius)
-        cap = max(64, 4 * max(src.size, qry.size))
-        out_s = np.empty(cap, dtype=np.int64)
-        out_q = np.empty(cap, dtype=np.int64)
+        cap = _contacts_capacity(src.size, qry.size, positions.shape[0], radius, side)
+        out = [np.empty(cap, dtype=np.int64) for _ in range(3)]
         total = cores.contacts_core(
-            pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out_s, out_q, cap,
+            pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, *out, cap,
         )
         if total > cap:
-            out_s = np.empty(total, dtype=np.int64)
-            out_q = np.empty(total, dtype=np.int64)
+            out = [np.empty(total, dtype=np.int64) for _ in range(3)]
             starts[:] = 0
             total = cores.contacts_core(
-                pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort,
-                out_s, out_q, total,
+                pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, *out, total,
             )
-        s_flat = out_s[:total].astype(np.intp, copy=False)
-        q_flat = out_q[:total].astype(np.intp, copy=False)
-        return s_flat // n, s_flat % n, q_flat % n
+        # The core already wrote (replica, local source, local query).
+        return tuple(buf[:total] for buf in out)
 
     def advance_legs(pos, target, budget, idx, eps, speed=None, metric="manhattan"):
         total = budget.shape[0]

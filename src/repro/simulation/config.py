@@ -17,6 +17,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 from repro.core import theory
+from repro.core.cells import cell_side_bounds
 from repro.kernels import KERNEL_TIERS, resolve_kernel_tier
 from repro.mobility import BATCH_MOBILITY_REGISTRY, MODEL_REGISTRY, NO_INIT_MODELS
 from repro.protocols import BATCH_PROTOCOL_REGISTRY, PROTOCOL_REGISTRY
@@ -29,6 +30,9 @@ _ENGINES = ("scalar", "batch", "auto")
 #: plus the batch engine's cell cover (``"cells"``).
 _BACKENDS = ("auto", "grid", "kdtree", "brute", "cells")
 _INITS = ("stationary", "closed-form", "uniform")
+#: Largest Inequality-6 zone grid a run may build: ``m`` cells per side,
+#: i.e. 2^24 cells and a 128 MiB float64 mass grid.
+_MAX_ZONE_GRID_SIDE = 4096
 
 #: Option vocabulary per mobility model, enforced at construction so a
 #: typo'd option fails here with the model name in the message — not as a
@@ -89,7 +93,8 @@ class FloodingConfig:
             :class:`~repro.protocols.flooding.FloodingProtocol`).
         track_zones: record per-zone completion metrics (requires a cell
             grid satisfying Ineq. 6 — disabled automatically when the radius
-            admits no grid).
+            admits no grid; a grid wider than 4096 cells per side, from a
+            radius far below the side, is rejected at construction).
         engine: multi-trial execution engine — ``"scalar"`` (the reference
             :class:`~repro.simulation.engine.Simulation`, one trial at a
             time), ``"batch"`` (lock-step
@@ -143,6 +148,16 @@ class FloodingConfig:
             raise ValueError(f"side must be positive and finite, got {self.side}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if self.track_zones:
+            # The zone grid CellGrid.for_radius would build; a radius far
+            # below the side must fail here, not as a MemoryError mid-run.
+            m = math.ceil(self.side / cell_side_bounds(self.radius)[1])
+            if m > _MAX_ZONE_GRID_SIDE:
+                raise ValueError(
+                    f"side={self.side} and radius={self.radius} need an Inequality-6 "
+                    f"zone grid of m={m} cells per side (at most {_MAX_ZONE_GRID_SIDE}); "
+                    "raise the radius or pass track_zones=False"
+                )
         if not (math.isfinite(self.speed) and self.speed >= 0):
             raise ValueError(f"speed must be non-negative and finite, got {self.speed}")
         if self.max_steps < 1:

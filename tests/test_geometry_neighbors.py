@@ -244,6 +244,165 @@ class TestCompiledAutoSnapshot:
         assert np.array_equal(got, expected)
 
 
+@pytest.mark.skipif(
+    kernel_backend() is None, reason="no compiled kernel provider builds on this host"
+)
+class TestCompiledBatchCount:
+    """On the compiled tier an ``auto`` batch query counts by tallying the
+    contacts of the ``batch_contacts`` kernel; the counts equal an exact
+    brute-force count and the numpy tier's."""
+
+    SIDE = 10.0
+
+    @pytest.fixture
+    def contact_calls(self, monkeypatch):
+        calls = []
+        table = provider_kernels()
+        kernel = table["batch_contacts"]
+
+        def counted(*args, **kwargs):
+            result = kernel(*args, **kwargs)
+            calls.append(result is not None)
+            return result
+
+        monkeypatch.setitem(table, "batch_contacts", counted)
+        return calls
+
+    @staticmethod
+    def brute_counts(positions, source_mask, query_mask, radius):
+        """Inclusive ``dx*dx + dy*dy <= r*r`` test on the unshifted points."""
+        batch, n, _ = positions.shape
+        counts = np.zeros((batch, n), dtype=np.intp)
+        for b in range(batch):
+            dx = positions[b, :, None, 0] - positions[b, None, :, 0]
+            dy = positions[b, :, None, 1] - positions[b, None, :, 1]
+            close = (dx * dx + dy * dy <= radius * radius) & source_mask[b][None, :]
+            counts[b] = np.where(query_mask[b], close.sum(axis=1), 0)
+        return counts
+
+    def _check(self, positions, source_mask, query_mask, radius, contact_calls):
+        query = BatchNeighborQuery(self.SIDE, positions.shape[0])
+        numpy_tier = query.bind(positions).count_within(source_mask, query_mask, radius)
+        assert not contact_calls
+        with use_kernel_tier("compiled"):
+            got = query.bind(positions).count_within(source_mask, query_mask, radius)
+        assert contact_calls == [True]
+        contact_calls.clear()
+        assert got.dtype == np.intp and got.shape == positions.shape[:2]
+        np.testing.assert_array_equal(
+            got, self.brute_counts(positions, source_mask, query_mask, radius)
+        )
+        np.testing.assert_array_equal(got, numpy_tier)
+        return got
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_random_snapshots(self, batch, rng, contact_calls):
+        positions = rng.uniform(0, self.SIDE, (batch, 150, 2))
+        for source_frac, query_frac in ((1.0, 0.1), (0.5, 0.5), (0.05, 0.9)):
+            source_mask = rng.uniform(size=(batch, 150)) < source_frac
+            query_mask = rng.uniform(size=(batch, 150)) < query_frac
+            self._check(positions, source_mask, query_mask, 1.2, contact_calls)
+
+    def test_empty_source_or_query_masks(self, rng, contact_calls):
+        positions = rng.uniform(0, self.SIDE, (3, 60, 2))
+        full = np.ones((3, 60), dtype=bool)
+        none = np.zeros((3, 60), dtype=bool)
+        assert not self._check(positions, none, full, 1.0, contact_calls).any()
+        assert not self._check(positions, full, none, 1.0, contact_calls).any()
+
+    def test_frozen_replicas(self, rng, contact_calls):
+        positions = rng.uniform(0, self.SIDE, (4, 80, 2))
+        active = np.array([True, False, True, False])
+        source_mask = (rng.uniform(size=(4, 80)) < 0.6) & active[:, None]
+        query_mask = (rng.uniform(size=(4, 80)) < 0.6) & active[:, None]
+        got = self._check(positions, source_mask, query_mask, 1.5, contact_calls)
+        assert not got[~active].any()
+
+    def test_broadcast_source_mask_of_gossip(self, rng, contact_calls):
+        # Gossip counts sender degrees against every agent of the active
+        # replicas: a read-only, non-contiguous broadcast mask.
+        positions = rng.uniform(0, self.SIDE, (5, 100, 2))
+        active = np.array([True, True, False, True, False])
+        sender_mask = (rng.uniform(size=(5, 100)) < 0.2) & active[:, None]
+        source_mask = np.broadcast_to(active[:, None], sender_mask.shape)
+        assert not source_mask.flags.c_contiguous
+        got = self._check(positions, source_mask, sender_mask, 1.3, contact_calls)
+        assert (got[sender_mask] >= 1).all()  # every sender counts itself
+
+    def test_integer_lattice_exactly_r_apart(self, rng, contact_calls):
+        # Lattice neighbors sit exactly R = 1 apart: the inclusive test
+        # counts them, diagonal neighbors (sqrt 2) are out.
+        grid = np.stack(np.meshgrid(np.arange(11.0), np.arange(11.0)), -1).reshape(-1, 2)
+        positions = np.stack([grid, grid[rng.permutation(len(grid))]])
+        everyone = np.ones(positions.shape[:2], dtype=bool)
+        got = self._check(positions, everyone, everyone, 1.0, contact_calls)
+        x, y = positions[..., 0], positions[..., 1]
+        inner = lambda v: (v > 0) & (v < 10)  # noqa: E731
+        expected = 1 + (1 + inner(x)) + (1 + inner(y))
+        np.testing.assert_array_equal(got, expected)
+
+
+RADIUS_TIERS = ["numpy"] + (["compiled"] if kernel_backend() is not None else [])
+BAD_RADII = [float("nan"), float("inf"), float("-inf"), -1.0]
+BAD_RADIUS_IDS = ["nan", "inf", "-inf", "negative"]
+
+
+class TestRadiusValidation:
+    """NaN, infinite and negative radii raise ``ValueError`` on every
+    backend, query and kernel tier, where each backend would otherwise
+    answer them differently.  Zero stays valid for the coordinate API
+    only."""
+
+    SIDE = 10.0
+
+    @pytest.mark.parametrize("radius", BAD_RADII, ids=BAD_RADIUS_IDS)
+    @pytest.mark.parametrize("tier", RADIUS_TIERS)
+    @pytest.mark.parametrize("method", ["any_within", "count_within", "pairs_within", "bind"])
+    @pytest.mark.parametrize("backend", ["auto"] + BACKENDS)
+    def test_engines_reject(self, backend, method, tier, radius, rng):
+        points = rng.uniform(0, self.SIDE, (40, 2))
+        engine = make_engine(backend, self.SIDE)
+        calls = {
+            "any_within": lambda: engine.any_within(points, points, radius),
+            "count_within": lambda: engine.count_within(points, points, radius),
+            "pairs_within": lambda: engine.pairs_within(points, radius),
+            "bind": lambda: engine.bind(points, radius),
+        }
+        with use_kernel_tier(tier), pytest.raises(ValueError, match="radius"):
+            calls[method]()
+
+    @pytest.mark.parametrize("radius", BAD_RADII, ids=BAD_RADIUS_IDS)
+    @pytest.mark.parametrize("tier", RADIUS_TIERS)
+    @pytest.mark.parametrize(
+        "method", ["any_within", "count_within", "contacts_within", "pairs_within"]
+    )
+    @pytest.mark.parametrize("backend", ["auto", "cells"] + BACKENDS)
+    def test_batch_queries_reject(self, backend, method, tier, radius, rng):
+        positions = rng.uniform(0, self.SIDE, (3, 40, 2))
+        mask = rng.uniform(size=(3, 40)) < 0.5
+        bound = BatchNeighborQuery(self.SIDE, 3, backend).bind(positions)
+        calls = {
+            "any_within": lambda: bound.any_within(mask, ~mask, radius),
+            "count_within": lambda: bound.count_within(mask, ~mask, radius),
+            "contacts_within": lambda: bound.contacts_within(mask, ~mask, radius),
+            "pairs_within": lambda: bound.pairs_within(radius),
+        }
+        with use_kernel_tier(tier), pytest.raises(ValueError, match="radius"):
+            calls[method]()
+
+    @pytest.mark.parametrize("backend", ["auto"] + BACKENDS)
+    def test_zero_radius_is_coordinate_api_only(self, backend, rng):
+        points = rng.uniform(0, self.SIDE, (40, 2))
+        engine = make_engine(backend, self.SIDE)
+        assert engine.count_within(points, points, 0.0).tolist() == [1] * 40
+        assert engine.pairs_within(points, 0.0).shape == (0, 2)
+        with pytest.raises(ValueError, match="positive"):
+            engine.bind(points, 0.0)
+        bound = BatchNeighborQuery(self.SIDE, 1, backend).bind(points[None])
+        with pytest.raises(ValueError, match="positive"):
+            bound.count_within(np.ones((1, 40), bool), np.ones((1, 40), bool), 0.0)
+
+
 class TestCachesAndProbes:
     def test_available_backends_probe_is_cached(self, monkeypatch):
         """The scipy probe must not re-run the import machinery per call."""
@@ -326,11 +485,22 @@ class TestScipyImport:
             # count in C: no tree.
             ('run_trials(config.with_options(engine="batch"), 4)', False),
             ("run_flooding(config)", False),
-            # Gossip counts sender degrees with a KD-tree count_within.
-            ('run_trials(config.with_options(engine="batch", protocol="gossip"), 2)', True),
+            # Compiled-tier gossip and push-pull count sender degrees from
+            # the batch_contacts kernel: no tree either.
+            ('run_trials(config.with_options(engine="batch", protocol="gossip"), 2)', False),
+            ('run_trials(config.with_options(engine="batch", protocol="push-pull"), 2)', False),
+            # On the numpy tier the degree count still builds a KD-tree.
+            (
+                'run_trials(config.with_options(engine="batch", protocol="gossip",'
+                ' kernels="numpy"), 2)',
+                True,
+            ),
             ('run_flooding(config.with_options(backend="kdtree"))', True),
         ],
-        ids=["batch-flooding", "scalar-flooding", "batch-gossip", "explicit-kdtree"],
+        ids=[
+            "batch-flooding", "scalar-flooding", "batch-gossip", "batch-push-pull",
+            "numpy-batch-gossip", "explicit-kdtree",
+        ],
     )
     def test_only_tree_building_runs_import_scipy_spatial(self, run, imported):
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")

@@ -28,6 +28,7 @@ from repro.kernels import (
     use_kernel_tier,
     warm_kernels,
 )
+from repro.kernels._glue import _contacts_capacity
 from repro.simulation import run_trials, standard_config
 
 HAVE_PROVIDER = kernel_backend() is not None
@@ -229,6 +230,46 @@ class TestPairKernelParity:
         ) is None
 
 
+@needs_provider
+class TestProviderContactsFollowSpec:
+    """The C contacts core emits exactly what the reference core emits, in
+    the same order: row-run scan, three outputs, exact-capacity re-run."""
+
+    @staticmethod
+    def _assert_same(*args):
+        got = provider_kernels()["batch_contacts"](*args)
+        spec = reference_kernels()["batch_contacts"](*args)
+        assert len(got) == len(spec) == 3
+        for got_col, spec_col in zip(got, spec):
+            assert got_col.dtype == np.intp
+            np.testing.assert_array_equal(got_col, spec_col)
+        return got
+
+    def test_randomized_snapshots_match_in_order(self, rng):
+        for _ in range(12):
+            batch = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 60))
+            side = float(rng.uniform(1.0, 8.0))
+            radius = float(rng.uniform(0.1, side))
+            pos = rng.uniform(0, side, size=(batch, n, 2))
+            src = rng.random((batch, n)) < rng.uniform(0, 1)
+            qry = rng.random((batch, n)) < rng.uniform(0, 1)
+            self._assert_same(pos, src, qry, radius, side)
+
+    def test_dense_cluster_reruns_with_exact_capacity(self, rng):
+        # Every agent of each replica within radius of every other: the
+        # pair count far exceeds the first capacity guess, so the kernel
+        # re-runs with the exact total.
+        batch, n = 2, 60
+        pos = rng.uniform(4.0, 4.3, size=(batch, n, 2))
+        everyone = np.ones((batch, n), dtype=bool)
+        rep, source, query = self._assert_same(pos, everyone, everyone, 0.5, 10.0)
+        first_guess = _contacts_capacity(batch * n, batch * n, batch, 0.5, 10.0)
+        assert rep.size == batch * n * n > first_guess >= 4 * batch * n
+        assert np.array_equal(np.bincount(rep * n + query), np.full(batch * n, n))
+        assert np.array_equal(np.bincount(rep * n + source), np.full(batch * n, n))
+
+
 @pytest.mark.parametrize("table", [t for _, t in TABLES], ids=TABLE_IDS)
 class TestLegKernelParity:
     def _numpy_advance(self, pos, target, budget, idx, eps, speed, metric):
@@ -423,6 +464,29 @@ class TestEndToEndParity:
         reference = fingerprints(base.with_options(kernels="numpy"))
         compiled = fingerprints(base.with_options(kernels="compiled"))
         assert compiled == reference
+
+    @needs_provider
+    @pytest.mark.parametrize(
+        "mobility,mobility_options",
+        [("mrwp", {}), ("rwp", {}), ("mrwp-pause", {"pause_time": 2.0})],
+    )
+    @pytest.mark.parametrize(
+        "protocol,protocol_options",
+        [("gossip", {"fanout": 1}), ("gossip", {"fanout": 3}), ("push-pull", {})],
+        ids=["gossip-1", "gossip-3", "push-pull"],
+    )
+    def test_sampling_protocols_match_across_tiers(
+        self, protocol, protocol_options, mobility, mobility_options
+    ):
+        # On the compiled tier the batch engine counts sender degrees with
+        # the batch_contacts kernel; on the numpy tier with a KD-tree.
+        base = standard_config(
+            300, seed=41, engine="batch", protocol=protocol,
+            protocol_options=dict(protocol_options), mobility=mobility,
+            mobility_options=dict(mobility_options),
+        )
+        reference = fingerprints(base.with_options(kernels="numpy"))
+        assert fingerprints(base.with_options(kernels="compiled")) == reference
 
     @needs_provider
     @pytest.mark.parametrize("multi_hop", [False, True], ids=["one-hop", "multi-hop"])

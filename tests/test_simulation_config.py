@@ -57,6 +57,19 @@ class TestFloodingConfig:
         with pytest.raises(ValueError):
             FloodingConfig(**base)
 
+    @pytest.mark.parametrize("radius", [1e-9, 1e-3])
+    def test_radius_far_below_side_rejected(self, radius):
+        # The Inequality-6 zone grid would need m = ceil(sqrt5 * side / R)
+        # cells per side: 1.1e10 (a MemoryError mid-run) or 11181.
+        with pytest.raises(ValueError, match=r"side=5\.0.*radius=.*m=\d+"):
+            FloodingConfig(n=50, side=5.0, radius=radius, speed=0.5)
+
+    def test_radius_far_below_side_runs_without_zone_tracking(self):
+        config = FloodingConfig(
+            n=50, side=5.0, radius=1e-3, speed=0.5, max_steps=3, track_zones=False
+        )
+        assert run_trials(config, 1)[0].n_steps == 3
+
     def test_numpy_integers_accepted(self):
         config = FloodingConfig(
             n=np.int64(100), side=10.0, radius=1.0, speed=0.1,
@@ -116,6 +129,10 @@ class TestStandardConfig:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             standard_config(1)
+
+    def test_sparse_large_n_still_constructs(self):
+        # m = 335 zone cells per side, far inside the 4096 limit.
+        assert standard_config(20000, radius_factor=0.3).track_zones
 
 
 class TestRngStreams:
