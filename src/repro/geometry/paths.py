@@ -23,6 +23,7 @@ from repro.geometry.points import as_points, manhattan_distance
 __all__ = [
     "ManhattanPath",
     "choose_corners",
+    "path_coins",
     "path_corner",
     "leg_lengths",
     "position_along_path",
@@ -95,7 +96,9 @@ def path_corner(start, end, path_choice) -> np.ndarray:
         start: ``(n, 2)`` origins.
         end: ``(n, 2)`` destinations.
         path_choice: ``(n,)`` integer array of :data:`VERTICAL_FIRST` /
-            :data:`HORIZONTAL_FIRST` selectors.
+            :data:`HORIZONTAL_FIRST` selectors, or the equivalent bool
+            array (True for :data:`HORIZONTAL_FIRST`, as a
+            :func:`path_coins` threshold gives).
 
     Returns:
         ``(n, 2)`` corner positions.
@@ -110,6 +113,37 @@ def path_corner(start, end, path_choice) -> np.ndarray:
     return corner
 
 
+def path_coins(rng: np.random.Generator, size=None, out=None) -> np.ndarray:
+    """Draw float32 path coins: ``coins >= 0.5`` selects :data:`HORIZONTAL_FIRST`.
+
+    The fair path coin of every Manhattan trip.  The selectors
+    ``coins >= 0.5`` equal ``rng.integers(0, 2, size=size)`` bit for bit,
+    and both calls leave ``rng`` in the same state, at a fraction of the
+    per-call cost.  Both read exactly one ``next_uint32`` word per value:
+
+    * ``integers(0, 2)`` runs Lemire's method on that word and returns its
+      top bit, ``(word * 2) >> 32``; with a range of 2 the rejection
+      threshold is ``(2**32 - 2) % 2 == 0``, so no word is ever rejected;
+    * ``random(dtype=np.float32)`` returns ``(word >> 8) * 2**-24``, which
+      is ``>= 0.5`` exactly when that same top bit is set.
+
+    Every numpy bit generator serves both through its one ``next_uint32``,
+    so the buffered half-word of a 64-bit generator is consumed the same
+    way too.
+
+    Args:
+        rng: the generator to draw from.
+        size: number (or shape) of coins; ignored when ``out`` is given.
+        out: optional C-contiguous float32 buffer to fill in place, so a
+            batch can fill one buffer per replica slice and threshold it
+            once.
+
+    Returns:
+        the float32 coins (``out`` itself when given).
+    """
+    return rng.random(size, dtype=np.float32, out=out)
+
+
 def choose_corners(start, end, rng: np.random.Generator) -> tuple:
     """Choose uniformly between the two Manhattan paths for each point pair.
 
@@ -118,7 +152,7 @@ def choose_corners(start, end, rng: np.random.Generator) -> tuple:
         array of turn points and ``path_choice`` the ``(n,)`` selector array.
     """
     start = as_points(start)
-    path_choice = rng.integers(0, 2, size=start.shape[0])
+    path_choice = (path_coins(rng, start.shape[0]) >= 0.5).astype(np.int64)
     return path_corner(start, end, path_choice), path_choice
 
 

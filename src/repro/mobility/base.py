@@ -26,6 +26,7 @@ adapted through :class:`ReplicatedBatchMobility`.
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -34,7 +35,19 @@ __all__ = [
     "BatchMobilityModel",
     "ReplicatedBatchMobility",
     "record_trajectory",
+    "check_dt",
 ]
+
+
+def check_dt(dt) -> None:
+    """Raise ``ValueError`` unless the step length ``dt`` is positive and finite.
+
+    Every model's ``step`` calls it before touching any state: a NaN ``dt``
+    would move no agent yet poison ``time``, and an infinite one would spin
+    a carry-over loop to its iteration cap.
+    """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
 class MobilityModel(abc.ABC):
@@ -218,8 +231,7 @@ class ReplicatedBatchMobility(BatchMobilityModel):
         return self.positions
 
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         active = self._active_mask(active)
         for b in np.nonzero(active)[0]:
             self.models[b].step(dt)

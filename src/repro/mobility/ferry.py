@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mobility.base import BatchMobilityModel, MobilityModel
+from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.timetable import (
     BatchTimetableMobility,
     Timetable,
@@ -141,6 +141,7 @@ class CompositeMobility(MobilityModel):
         return np.concatenate([model.positions for model in self.models], axis=0)
 
     def step(self, dt: float = 1.0) -> np.ndarray:
+        check_dt(dt)
         for model in self.models:
             model.step(dt)
         self.time += dt
@@ -200,6 +201,7 @@ class BatchCompositeMobility(BatchMobilityModel):
             buf[:, block, :] = model.positions_view
 
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
+        check_dt(dt)
         active = self._active_mask(active)
         for model in self.models:
             model.step(dt, active=active, copy=False)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.paths import path_corner
+from repro.geometry.paths import path_coins, path_corner
 from repro.kernels import get_kernel
 
 __all__ = [
@@ -254,36 +254,49 @@ def replica_slices(flat_idx, n, batch_size):
             yield 0, 0, flat_idx.size
         return
     replicas = flat_idx // n
-    starts = np.searchsorted(replicas, np.arange(batch_size + 1))
+    starts = np.searchsorted(replicas, np.arange(batch_size + 1)).tolist()
     for b in range(batch_size):
         lo, hi = starts[b], starts[b + 1]
         if lo < hi:
-            yield b, int(lo), int(hi)
+            yield b, lo, hi
 
 
 def redraw_manhattan_trips(pos, dest, target, on_second_leg, idx, side, rngs, n):
     """Draw fresh Manhattan trips for agents ``idx``, replica by replica.
 
     Per replica (ascending, via :func:`replica_slices`): destination
-    uniforms first, then the path coin flips — exactly the scalar models'
-    ``rng.uniform`` + ``choose_corners`` sequence.  The corner arithmetic
-    itself is batched across replicas afterwards.
+    uniforms first, then the path coins — the historical
+    ``rng.uniform(0.0, side, size=(k, 2))`` + ``rng.integers(0, 2, size=k)``
+    sequence.  Each replica makes the cheapest generator calls with the same
+    output bits and end state: ``rng.random`` fills (``0.0 + side * u`` is
+    ``side * u`` for ``u >= 0``) and :func:`~repro.geometry.paths.path_coins`.
+    Scaling, thresholding and the corner arithmetic run once, batched
+    across replicas, afterwards.
     """
     dests = np.empty((idx.size, 2), dtype=np.float64)
-    choices = np.empty(idx.size, dtype=np.int64)
+    coins = np.empty(idx.size, dtype=np.float32)
     for b, lo, hi in replica_slices(idx, n, len(rngs)):
         rng = rngs[b]
-        dests[lo:hi] = rng.uniform(0.0, side, size=(hi - lo, 2))
-        choices[lo:hi] = rng.integers(0, 2, size=hi - lo)
+        rng.random(out=dests[lo:hi])
+        path_coins(rng, out=coins[lo:hi])
+    dests *= side
     dest[idx] = dests
-    target[idx] = path_corner(pos[idx], dests, choices)
+    target[idx] = path_corner(pos[idx], dests, coins >= 0.5)
     on_second_leg[idx] = False
 
 
 def redraw_destinations(dest, idx, side, rngs, n):
-    """Draw fresh straight-line destinations (classic RWP), per replica."""
+    """Draw fresh straight-line destinations (classic RWP), per replica.
+
+    The historical per-replica ``rng.uniform(0.0, side, size=(k, 2))``
+    draws, as ``rng.random`` fills scaled by ``side`` once (bit-identical,
+    see :func:`redraw_manhattan_trips`).
+    """
+    dests = np.empty((idx.size, 2), dtype=np.float64)
     for b, lo, hi in replica_slices(idx, n, len(rngs)):
-        dest[idx[lo:hi]] = rngs[b].uniform(0.0, side, size=(hi - lo, 2))
+        rngs[b].random(out=dests[lo:hi])
+    dests *= side
+    dest[idx] = dests
 
 
 def reflect_into_square(pos, heading, side, max_folds=64):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.paths import choose_corners
-from repro.mobility.base import BatchMobilityModel, MobilityModel
+from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.kinematics import (
     DenseLegScratch,
     advance_legs,
@@ -132,8 +132,7 @@ class ManhattanRandomWaypoint(MobilityModel):
         reaches its corner (or destination) mid-step, the residual travel
         budget is spent on the next leg (or a freshly sampled trip).
         """
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         budget = np.full(self.n, self.speed * dt, dtype=np.float64)
         eps = self._eps
         for _ in range(_MAX_LEGS_PER_STEP):
@@ -210,8 +209,7 @@ class BatchManhattanRandomWaypoint(BatchMobilityModel):
         self._scratch = DenseLegScratch(total)
 
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         active = self._active_mask(active)
         total = self.batch_size * self.n
         budget = self._budget

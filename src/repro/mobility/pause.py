@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.paths import choose_corners
-from repro.mobility.base import BatchMobilityModel, MobilityModel
+from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.distributions import mean_trip_length, spatial_pdf
 from repro.mobility.kinematics import (
     DenseLegScratch,
@@ -124,8 +124,7 @@ class ManhattanRandomWaypointWithPause(MobilityModel):
     # Dynamics
     # ------------------------------------------------------------------
     def step(self, dt: float = 1.0) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         time_budget = np.full(self.n, float(dt))
         _advance_pause_mrwp(
             self._pos, self._dest, self._target, self._on_second_leg,
@@ -193,8 +192,7 @@ class BatchManhattanRandomWaypointWithPause(BatchMobilityModel):
         return 1.0 - self.paused_mask.mean(axis=1)
 
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         active = self._active_mask(active)
         time_budget = np.where(np.repeat(active, self.n), float(dt), 0.0)
         _advance_pause_mrwp(

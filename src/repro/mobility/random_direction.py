@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mobility.base import BatchMobilityModel, MobilityModel
+from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.kinematics import reflect_into_square, replica_slices
 
 __all__ = ["RandomDirection", "BatchRandomDirection"]
@@ -76,8 +76,7 @@ class RandomDirection(MobilityModel):
         return self._pos.copy()
 
     def step(self, dt: float = 1.0) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         travel = self.speed * dt
         self._pos = self._pos + self._heading * travel
         reflect_into_square(self._pos, self._heading, self.side)
@@ -120,8 +119,7 @@ class BatchRandomDirection(BatchMobilityModel):
         self._leg_left = np.concatenate([s[2] for s in states], axis=0)
 
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         active = self._active_mask(active)
         travel = self.speed * dt
         if active.all():

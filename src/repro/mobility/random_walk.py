@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.sampling import sample_uniform_disk
-from repro.mobility.base import BatchMobilityModel, MobilityModel
+from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 
 __all__ = ["RandomWalk", "BatchRandomWalk"]
 
@@ -66,8 +66,7 @@ class RandomWalk(MobilityModel):
         return pos
 
     def step(self, dt: float = 1.0) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         jump = sample_uniform_disk(self.n, self.move_radius, self.rng)
         new_pos = self._pos + jump
         if self.boundary == "reflect":
@@ -107,8 +106,7 @@ class BatchRandomWalk(BatchMobilityModel):
         )
 
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         active = self._active_mask(active)
         jump = np.zeros_like(self._pos)
         for b in np.nonzero(active)[0]:

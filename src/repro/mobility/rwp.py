@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mobility.base import BatchMobilityModel, MobilityModel
+from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.kinematics import advance_legs, countdown_pauses, redraw_destinations
 
 __all__ = ["RandomWaypoint", "BatchRandomWaypoint"]
@@ -93,8 +93,7 @@ class RandomWaypoint(MobilityModel):
         return self._dest.copy()
 
     def step(self, dt: float = 1.0) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         time_budget = np.full(self.n, float(dt))
         _advance_rwp(
             self._pos, self._dest, self._pause_left, self.arrival_counts, time_budget,
@@ -151,8 +150,7 @@ class BatchRandomWaypoint(BatchMobilityModel):
         self._eps = 1e-9 * max(self.side, 1.0)
 
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         active = self._active_mask(active)
         time_budget = np.where(np.repeat(active, self.n), float(dt), 0.0)
         _advance_rwp(

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from repro.geometry.paths import choose_corners
-from repro.mobility.base import BatchMobilityModel, MobilityModel
+from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.kinematics import (
     DenseLegScratch,
     advance_legs,
@@ -136,8 +136,7 @@ class RandomSpeedManhattanWaypoint(MobilityModel):
         return float(self._trip_speed.mean())
 
     def step(self, dt: float = 1.0) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         time_budget = np.full(self.n, float(dt))
         _advance_random_speed(
             self._pos, self._dest, self._target, self._on_second_leg,
@@ -192,8 +191,7 @@ class BatchRandomSpeedManhattanWaypoint(BatchMobilityModel):
         return self._trip_speed.reshape(self.batch_size, self.n).mean(axis=1)
 
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         active = self._active_mask(active)
         time_budget = np.where(np.repeat(active, self.n), float(dt), 0.0)
         _advance_random_speed(

@@ -41,6 +41,7 @@ from repro.geometry.paths import (
     HORIZONTAL_FIRST,
     VERTICAL_FIRST,
     leg_lengths,
+    path_coins,
     path_corner,
     position_along_path,
 )
@@ -149,7 +150,7 @@ class PalmStationarySampler:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         starts, dests = self.sample_trips(n, rng)
-        path_choice = rng.integers(0, 2, size=n)
+        path_choice = path_coins(rng, n) >= 0.5
         length = np.sum(np.abs(dests - starts), axis=1)
         travelled = rng.uniform(0.0, 1.0, size=n) * length
         positions = position_along_path(starts, dests, path_choice, travelled)

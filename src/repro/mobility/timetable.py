@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mobility.base import BatchMobilityModel, MobilityModel
+from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.kinematics import (
     DenseLegScratch,
     advance_legs,
@@ -429,8 +429,7 @@ class _TimetableEngine:
     # Dynamics
     # ------------------------------------------------------------------
     def advance(self, dt: float, active=None) -> None:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_dt(dt)
         if active is None:
             active = np.ones(self.batch_size, dtype=bool)
         if self.R:

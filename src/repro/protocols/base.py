@@ -31,12 +31,18 @@ the whole batch layer (DESIGN.md, "Batched protocol framework").
 from __future__ import annotations
 
 import abc
+import numbers
 
 import numpy as np
 
 from repro.geometry.neighbors import BatchNeighborQuery, NeighborEngine, make_engine
 
 __all__ = ["BroadcastProtocol", "BatchBroadcastState", "group_segments", "sample_indices"]
+
+
+def _is_integer(value) -> bool:
+    """An integral number (numpy integers included) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def group_segments(sorted_ids: np.ndarray) -> tuple:
@@ -319,13 +325,15 @@ class BatchBroadcastState(abc.ABC):
         """``(k, S)`` uniforms drawn per replica (``group_rep`` must be
         nondecreasing), matching the scalar per-replica draw shapes — the
         seed-for-seed draw-order core shared by the neighbor-sampling
-        protocols."""
+        protocols.  ``rng.random`` returns the bits of the scalar
+        protocols' ``rng.uniform`` (which computes ``0.0 + 1.0 * u``) at a
+        lower per-call cost."""
         out = np.empty((k, group_rep.size))
         counts = np.bincount(group_rep, minlength=self.batch_size)
         pos = 0
         for b in np.nonzero(counts)[0]:
             count = int(counts[b])
-            out[:, pos:pos + count] = self.rngs[b].uniform(size=(k, count))
+            out[:, pos:pos + count] = self.rngs[b].random((k, count))
             pos += count
         return out
 

@@ -28,6 +28,7 @@ import numpy as np
 from repro.protocols.base import (
     BatchBroadcastState,
     BroadcastProtocol,
+    _is_integer,
     group_segments,
     sample_indices,
 )
@@ -47,8 +48,8 @@ class GossipProtocol(BroadcastProtocol):
 
     def __init__(self, *args, fanout: int = 1, **kwargs):
         super().__init__(*args, **kwargs)
-        if fanout < 1:
-            raise ValueError(f"fanout must be at least 1, got {fanout}")
+        if not _is_integer(fanout) or fanout < 1:
+            raise ValueError(f"fanout must be an integer of at least 1, got {fanout!r}")
         self.fanout = int(fanout)
 
     def _exchange(self, positions: np.ndarray) -> np.ndarray:
@@ -96,8 +97,8 @@ class BatchGossipState(BatchBroadcastState):
 
     def __init__(self, *args, fanout: int = 1, **kwargs):
         super().__init__(*args, **kwargs)
-        if fanout < 1:
-            raise ValueError(f"fanout must be at least 1, got {fanout}")
+        if not _is_integer(fanout) or fanout < 1:
+            raise ValueError(f"fanout must be an integer of at least 1, got {fanout!r}")
         self.fanout = int(fanout)
 
     def _exchange(self, snapshot, active: np.ndarray) -> np.ndarray:

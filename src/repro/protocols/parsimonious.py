@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.protocols.base import BatchBroadcastState, BroadcastProtocol
+from repro.protocols.base import BatchBroadcastState, BroadcastProtocol, _is_integer
 
 __all__ = ["ParsimoniousFlooding", "BatchParsimoniousState"]
 
@@ -23,8 +23,10 @@ class ParsimoniousFlooding(BroadcastProtocol):
 
     def __init__(self, *args, active_window: int = 1, **kwargs):
         super().__init__(*args, **kwargs)
-        if active_window < 1:
-            raise ValueError(f"active_window must be at least 1, got {active_window}")
+        if not _is_integer(active_window) or active_window < 1:
+            raise ValueError(
+                f"active_window must be an integer of at least 1, got {active_window!r}"
+            )
         self.active_window = int(active_window)
 
     def _active_mask(self) -> np.ndarray:
@@ -67,8 +69,10 @@ class BatchParsimoniousState(BatchBroadcastState):
 
     def __init__(self, *args, active_window: int = 1, **kwargs):
         super().__init__(*args, **kwargs)
-        if active_window < 1:
-            raise ValueError(f"active_window must be at least 1, got {active_window}")
+        if not _is_integer(active_window) or active_window < 1:
+            raise ValueError(
+                f"active_window must be an integer of at least 1, got {active_window!r}"
+            )
         self.active_window = int(active_window)
 
     def can_progress_mask(self) -> np.ndarray:

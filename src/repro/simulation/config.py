@@ -13,7 +13,6 @@ The helper :func:`standard_config` builds the paper's canonical scaling
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 from repro.core import theory
@@ -21,6 +20,7 @@ from repro.core.cells import cell_side_bounds
 from repro.kernels import KERNEL_TIERS, resolve_kernel_tier
 from repro.mobility import BATCH_MOBILITY_REGISTRY, MODEL_REGISTRY, NO_INIT_MODELS
 from repro.protocols import BATCH_PROTOCOL_REGISTRY, PROTOCOL_REGISTRY
+from repro.protocols.base import _is_integer
 
 __all__ = ["FloodingConfig", "standard_config"]
 
@@ -50,11 +50,6 @@ _MOBILITY_OPTION_KEYS = {
         {"routes", "dwell", "headway", "capacity", "riders", "board_radius", "jitter"}
     ),
 }
-
-
-def _is_integer(value) -> bool:
-    """An integral number (numpy integers included) that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

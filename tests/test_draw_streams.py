@@ -1,0 +1,238 @@
+"""Random draws pinned to the historical generator calls.
+
+The engine and tier parity tests compare two engines, or two kernel tiers,
+with each other; a draw change that moves the scalar and the batch models
+the same way passes all of them.  This module pins the draws themselves:
+each oracle below is the historical ``rng.uniform`` / ``rng.integers``
+code, and every case requires bit-equal outputs *and* equal generator
+states for every replica, over several numpy bit generators.
+"""
+
+import types
+
+import numpy as np
+import pytest
+
+from repro.geometry.paths import choose_corners, leg_lengths, path_corner, position_along_path
+from repro.mobility.kinematics import (
+    redraw_destinations,
+    redraw_manhattan_trips,
+    replica_slices,
+)
+from repro.mobility.stationary import KinematicState, PalmStationarySampler
+from repro.protocols.base import BatchBroadcastState
+
+BIT_GENERATORS = [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64,
+]
+SIDE = 7.5
+
+
+# ----------------------------------------------------------------------
+# Oracles: the historical draw code, kept verbatim as the reference.
+# ----------------------------------------------------------------------
+def oracle_redraw_manhattan_trips(pos, dest, target, on_second_leg, idx, side, rngs, n):
+    dests = np.empty((idx.size, 2), dtype=np.float64)
+    choices = np.empty(idx.size, dtype=np.int64)
+    for b, lo, hi in replica_slices(idx, n, len(rngs)):
+        rng = rngs[b]
+        dests[lo:hi] = rng.uniform(0.0, side, size=(hi - lo, 2))
+        choices[lo:hi] = rng.integers(0, 2, size=hi - lo)
+    dest[idx] = dests
+    target[idx] = path_corner(pos[idx], dests, choices)
+    on_second_leg[idx] = False
+
+
+def oracle_redraw_destinations(dest, idx, side, rngs, n):
+    for b, lo, hi in replica_slices(idx, n, len(rngs)):
+        dest[idx[lo:hi]] = rngs[b].uniform(0.0, side, size=(hi - lo, 2))
+
+
+def oracle_draw_uniform_blocks(rngs, group_rep, k):
+    out = np.empty((k, group_rep.size))
+    counts = np.bincount(group_rep, minlength=len(rngs))
+    pos = 0
+    for b in np.nonzero(counts)[0]:
+        count = int(counts[b])
+        out[:, pos:pos + count] = rngs[b].uniform(size=(k, count))
+        pos += count
+    return out
+
+
+def oracle_choose_corners(start, end, rng):
+    path_choice = rng.integers(0, 2, size=start.shape[0])
+    return path_corner(start, end, path_choice), path_choice
+
+
+def oracle_palm_sample(sampler, n, rng):
+    starts, dests = sampler.sample_trips(n, rng)
+    path_choice = rng.integers(0, 2, size=n)
+    length = np.sum(np.abs(dests - starts), axis=1)
+    travelled = rng.uniform(0.0, 1.0, size=n) * length
+    positions = position_along_path(starts, dests, path_choice, travelled)
+    first, _second = leg_lengths(starts, dests, path_choice)
+    on_second_leg = travelled > first
+    corners = path_corner(starts, dests, path_choice)
+    targets = np.where(on_second_leg[:, None], dests, corners)
+    return KinematicState(positions, dests.copy(), targets, on_second_leg)
+
+
+# ----------------------------------------------------------------------
+# Comparison helpers
+# ----------------------------------------------------------------------
+def twin_rngs(bit_generator, batch_size, seed=2024):
+    """Two independent lists of identically seeded generators."""
+    children = np.random.SeedSequence(seed).spawn(batch_size)
+    return tuple([np.random.Generator(bit_generator(c)) for c in children] for _ in range(2))
+
+
+def assert_bits_equal(actual, expected):
+    actual = np.asarray(actual)
+    expected = np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def same_state(a, b) -> bool:
+    """Recursive equality of ``bit_generator.state`` dicts (arrays inside)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def assert_same_states(rngs_a, rngs_b):
+    for b, (ra, rb) in enumerate(zip(rngs_a, rngs_b)):
+        assert same_state(ra.bit_generator.state, rb.bit_generator.state), f"replica {b}"
+
+
+def flat_indices(counts, n):
+    """Ascending flat ``B * n`` indices with ``counts[b]`` agents in replica ``b``."""
+    rng = np.random.default_rng(sum(counts) + len(counts))
+    parts = [b * n + np.sort(rng.choice(n, size=c, replace=False)) for b, c in enumerate(counts)]
+    return np.concatenate(parts).astype(np.intp) if parts else np.empty(0, dtype=np.intp)
+
+
+# Per-replica agent counts: B in {1, 3, 8}, with empty replicas, an empty
+# index set, a single agent and odd counts.
+COUNT_CASES = [
+    [0],
+    [1],
+    [7],
+    [10],
+    [0, 0, 0],
+    [3, 0, 5],
+    [1, 1, 1],
+    [0, 9, 0, 0, 1, 4, 0, 11],
+    [2, 5, 0, 3, 7, 1, 0, 6],
+]
+N = 12
+
+
+@pytest.fixture(params=BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def bit_generator(request):
+    return request.param
+
+
+def _trip_state(batch_size, seed=5):
+    rng = np.random.default_rng(seed)
+    total = batch_size * N
+    return (
+        rng.uniform(0.0, SIDE, size=(total, 2)),
+        rng.uniform(0.0, SIDE, size=(total, 2)),
+        rng.uniform(0.0, SIDE, size=(total, 2)),
+        rng.random(total) < 0.5,
+    )
+
+
+def _copy_all(arrays):
+    return [a.copy() for a in arrays]
+
+
+class TestRedrawManhattanTrips:
+    @pytest.mark.parametrize("counts", COUNT_CASES, ids=str)
+    def test_matches_uniform_and_integers(self, bit_generator, counts):
+        rngs, ref_rngs = twin_rngs(bit_generator, len(counts))
+        state = _trip_state(len(counts))
+        got, want = _copy_all(state), _copy_all(state)
+        idx = flat_indices(counts, N)
+        redraw_manhattan_trips(*got, idx, SIDE, rngs, N)
+        oracle_redraw_manhattan_trips(*want, idx, SIDE, ref_rngs, N)
+        for actual, expected in zip(got, want):
+            assert_bits_equal(actual, expected)
+        assert_same_states(rngs, ref_rngs)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_alternating_single_draws(self, bit_generator, batch_size):
+        """k=1 calls leave half a 64-bit word buffered between calls."""
+        rngs, ref_rngs = twin_rngs(bit_generator, batch_size)
+        state = _trip_state(batch_size)
+        got, want = _copy_all(state), _copy_all(state)
+        picker = np.random.default_rng(11)
+        for step in range(9):
+            counts = [int(c) for c in picker.integers(0, 2, size=batch_size)]
+            if step % 3 == 2:
+                counts = [3 * c for c in counts]  # odd multi-agent draws in between
+            idx = flat_indices(counts, N)
+            redraw_manhattan_trips(*got, idx, SIDE, rngs, N)
+            oracle_redraw_manhattan_trips(*want, idx, SIDE, ref_rngs, N)
+            for actual, expected in zip(got, want):
+                assert_bits_equal(actual, expected)
+            assert_same_states(rngs, ref_rngs)
+
+
+class TestRedrawDestinations:
+    @pytest.mark.parametrize("counts", COUNT_CASES, ids=str)
+    def test_matches_uniform(self, bit_generator, counts):
+        rngs, ref_rngs = twin_rngs(bit_generator, len(counts))
+        dest = _trip_state(len(counts))[1]
+        got, want = dest.copy(), dest.copy()
+        idx = flat_indices(counts, N)
+        for _ in range(3):
+            redraw_destinations(got, idx, SIDE, rngs, N)
+            oracle_redraw_destinations(want, idx, SIDE, ref_rngs, N)
+            assert_bits_equal(got, want)
+            assert_same_states(rngs, ref_rngs)
+
+
+class TestDrawUniformBlocks:
+    @pytest.mark.parametrize("counts", COUNT_CASES, ids=str)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_uniform(self, bit_generator, counts, k):
+        rngs, ref_rngs = twin_rngs(bit_generator, len(counts))
+        group_rep = np.repeat(np.arange(len(counts)), counts)
+        stub = types.SimpleNamespace(batch_size=len(counts), rngs=rngs)
+        for _ in range(2):
+            got = BatchBroadcastState._draw_uniform_blocks(stub, group_rep, k)
+            want = oracle_draw_uniform_blocks(ref_rngs, group_rep, k)
+            assert_bits_equal(got, want)
+            assert_same_states(rngs, ref_rngs)
+
+
+class TestChooseCorners:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+    def test_matches_integers(self, bit_generator, n):
+        (rng,), (ref_rng,) = twin_rngs(bit_generator, 1)
+        start, end = _trip_state(1)[:2]
+        start, end = start[:n], end[:n]
+        for _ in range(3):  # odd n leaves a buffered half-word for the next call
+            corner, choice = choose_corners(start, end, rng)
+            ref_corner, ref_choice = oracle_choose_corners(start, end, ref_rng)
+            assert_bits_equal(corner, ref_corner)
+            assert_bits_equal(choice, ref_choice)
+            assert_same_states([rng], [ref_rng])
+
+
+class TestPalmSampler:
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_matches_integers(self, bit_generator, n):
+        (rng,), (ref_rng,) = twin_rngs(bit_generator, 1)
+        sampler = PalmStationarySampler(SIDE)
+        for _ in range(3):
+            got = sampler.sample(n, rng)
+            want = oracle_palm_sample(sampler, n, ref_rng)
+            for name in ("positions", "destinations", "targets", "on_second_leg"):
+                assert_bits_equal(getattr(got, name), getattr(want, name))
+            assert_same_states([rng], [ref_rng])

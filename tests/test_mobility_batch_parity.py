@@ -230,6 +230,26 @@ class TestTransitFamilyNative:
         assert all("mobility_execution" not in r.extras for r in results)
 
 
+class TestStepRejectsBadDt:
+    """A NaN, infinite, zero or negative ``dt`` raises before any state moves."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    @pytest.mark.parametrize("kind", ["scalar", "batch"])
+    @pytest.mark.parametrize(
+        "dt", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0], ids=str
+    )
+    def test_raises_and_leaves_state(self, name, kind, dt):
+        options = next(options for grid_name, options, _ in MODEL_GRID if grid_name == name)
+        scalars, batch = model_pair(name, options, "stationary")
+        model = scalars[0] if kind == "scalar" else batch
+        model.step(0.5)
+        before = model.positions
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            model.step(dt)
+        assert model.time == 0.5
+        assert np.array_equal(model.positions, before)
+
+
 class TestReplicatedEscapeHatch:
     """User-supplied scalar models without a batch twin still run correctly
     through ReplicatedBatchMobility — and say so in every replica."""

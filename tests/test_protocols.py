@@ -5,6 +5,8 @@ import pytest
 
 from repro.protocols import (
     PROTOCOL_REGISTRY,
+    BatchGossipState,
+    BatchParsimoniousState,
     FloodingProtocol,
     GossipProtocol,
     ParsimoniousFlooding,
@@ -165,6 +167,40 @@ class TestParsimonious:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             ParsimoniousFlooding(5, SIDE, 1.0, 0, active_window=0)
+
+
+def _scalar(cls):
+    return lambda **option: cls(5, SIDE, 1.0, 0, rng=np.random.default_rng(0), **option)
+
+
+def _batch(cls):
+    rngs = [np.random.default_rng(b) for b in range(2)]
+    return lambda **option: cls(5, SIDE, 1.0, [0, 1], rngs=rngs, **option)
+
+
+COUNT_OPTIONS = [
+    ("fanout", _scalar(GossipProtocol)),
+    ("fanout", _batch(BatchGossipState)),
+    ("active_window", _scalar(ParsimoniousFlooding)),
+    ("active_window", _batch(BatchParsimoniousState)),
+]
+COUNT_OPTION_IDS = ["gossip", "batch-gossip", "parsimonious", "batch-parsimonious"]
+
+
+class TestCountOptions:
+    """``fanout`` and ``active_window`` are counts: no silent truncation."""
+
+    @pytest.mark.parametrize("option,build", COUNT_OPTIONS, ids=COUNT_OPTION_IDS)
+    @pytest.mark.parametrize("value", [2.7, True, float("nan"), 0], ids=str)
+    def test_rejects_non_counts(self, option, build, value):
+        with pytest.raises(ValueError, match=option):
+            build(**{option: value})
+
+    @pytest.mark.parametrize("option,build", COUNT_OPTIONS, ids=COUNT_OPTION_IDS)
+    def test_accepts_numpy_integers(self, option, build):
+        protocol = build(**{option: np.int64(2)})
+        assert getattr(protocol, option) == 2
+        assert type(getattr(protocol, option)) is int
 
 
 class TestProbabilistic:
