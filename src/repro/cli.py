@@ -81,6 +81,24 @@ def _json_object(value: str) -> dict:
     return parsed
 
 
+def _source(value: str):
+    """``--source``: an agent index, else a placement name; the config
+    rejects anything that is neither."""
+    try:
+        return int(value)
+    except ValueError:
+        return value
+
+
+def _standard_config(n, **options):
+    """:func:`standard_config`, reporting a rejected option as a CLI error
+    instead of a traceback."""
+    try:
+        return standard_config(n, **options)
+    except ValueError as error:
+        raise SystemExit(str(error))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-manhattan",
@@ -247,7 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     flood_p.add_argument("--n", type=int, required=True)
     flood_p.add_argument("--radius-factor", type=float, default=2.0)
     flood_p.add_argument("--speed-fraction", type=float, default=0.25)
-    flood_p.add_argument("--source", default="uniform")
+    flood_p.add_argument(
+        "--source",
+        type=_source,
+        default="uniform",
+        help="source agent: 'uniform', 'central', 'suburb' or an agent index",
+    )
     flood_p.add_argument("--seed", type=int, default=0)
     flood_p.add_argument("--max-steps", type=int, default=20_000)
     flood_p.add_argument(
@@ -409,14 +432,11 @@ def _cmd_all(args) -> int:
 
 
 def _cmd_flood(args) -> int:
-    source = args.source
-    if source not in ("uniform", "central", "suburb"):
-        source = int(source)
-    config = standard_config(
+    config = _standard_config(
         args.n,
         radius_factor=args.radius_factor,
         speed_fraction=args.speed_fraction,
-        source=source,
+        source=args.source,
         seed=args.seed,
         max_steps=args.max_steps,
         protocol=args.protocol,
@@ -457,7 +477,7 @@ def _parse_sweep_value(text: str):
 
 def _cmd_sweep(args) -> int:
     checkpoint, resume = _checkpoint_from_args(args)
-    config = standard_config(
+    config = _standard_config(
         args.n,
         radius_factor=args.radius_factor,
         speed_fraction=args.speed_fraction,

@@ -764,20 +764,22 @@ class BatchBoundQuery:
                 hits[unresolved_flat[hit]] = True
         return hits.reshape(batch, n)
 
-    def _kernel(self, name, source_mask, query_mask, radius):
+    def _kernel(self, name, source_mask, query_mask, radius, **options):
         """The compiled ``name`` kernel's answer, or ``None`` to run numpy.
 
         Only ``"auto"`` queries dispatch, and only on the compiled tier
         (when a run activated it); explicit backends always run their own
         code, so the parity sweeps keep comparing independent
-        implementations.
+        implementations.  ``options`` pass through to the kernel.
         """
         if self.query.backend != "auto":
             return None
         kernel = get_kernel(name)
         if kernel is None:
             return None
-        return kernel(self.positions, source_mask, query_mask, radius, self.query.side)
+        return kernel(
+            self.positions, source_mask, query_mask, radius, self.query.side, **options
+        )
 
     def any_within(self, source_mask, query_mask, radius: float) -> np.ndarray:
         """Per-replica infection test; see :meth:`BatchNeighborQuery.any_within`."""
@@ -799,15 +801,15 @@ class BatchBoundQuery:
         """Per-replica occupancy counts; see :meth:`BatchNeighborQuery.count_within`."""
         radius = _check_radius(radius, positive=True)
         source_mask, query_mask = self._check_masks(source_mask, query_mask)
-        batch, n = source_mask.shape
-        # Compiled tier: count the contacts ``batch_contacts`` enumerates
-        # (exact inclusive ``d² <= R²`` test), so no KD-tree is built.
-        contacts = self._kernel("batch_contacts", source_mask, query_mask, radius)
-        if contacts is not None:
-            rep, _source, query = contacts
-            counts = np.bincount(rep * n + query, minlength=batch * n)
-            return counts.reshape(batch, n)
+        # Compiled tier: ``batch_contacts`` tallies the exact inclusive
+        # ``d² <= R²`` test per query and writes no pairs; no KD-tree is built.
+        counts = self._kernel(
+            "batch_contacts", source_mask, query_mask, radius, counts=True
+        )
+        if counts is not None:
+            return counts
         if self.query._tiled_backend == "kdtree":
+            batch, n = source_mask.shape
             # Throwaway per-round tree: the fast-build flags beat the
             # balanced build the generic tiled path would pay (the tree
             # serves exactly one counting pass).

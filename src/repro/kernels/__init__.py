@@ -196,6 +196,7 @@ def warm_kernels(backend: str | None = None) -> str:
     qry_mask = np.array([[False, True], [True, False]])
     table["batch_any_within"](pos3, src_mask, qry_mask, 0.5, 1.0)
     table["batch_contacts"](pos3, src_mask, qry_mask, 0.5, 1.0)
+    table["batch_contacts"](pos3, src_mask, qry_mask, 0.5, 1.0, counts=True)
     target = np.array([[1.0, 1.0], [0.0, 0.5], [0.3, 0.3]], dtype=np.float64)
     idx = np.arange(3, dtype=np.intp)
     moving = np.array([True, False, True])

@@ -135,6 +135,42 @@ int64_t repro_contacts(const double *restrict pos, int64_t n, int64_t m, double 
     return total;
 }
 
+void repro_count(const double *restrict pos, int64_t n, int64_t m, double inv_cell,
+                 double r2, const int64_t *restrict src, int64_t S,
+                 const int64_t *restrict qry, int64_t Q,
+                 int64_t *restrict cellk, int64_t *restrict starts, int64_t n_starts,
+                 int64_t *restrict srcsort, int64_t *restrict out)
+{
+    grid_build(pos, n, m, inv_cell, src, S, cellk, starts, n_starts, srcsort);
+    int64_t mm = m * m;
+    for (int64_t k = 0; k < Q; k++) {
+        int64_t i = qry[k];
+        int64_t b = i / n;
+        double qx = pos[2 * i];
+        double qy = pos[2 * i + 1];
+        int64_t ci = (int64_t)(qx * inv_cell);
+        if (ci < 0) ci = 0; else if (ci >= m) ci = m - 1;
+        int64_t cj = (int64_t)(qy * inv_cell);
+        if (cj < 0) cj = 0; else if (cj >= m) cj = m - 1;
+        int64_t i0 = ci > 0 ? ci - 1 : 0;
+        int64_t i1 = ci < m - 1 ? ci + 1 : m - 1;
+        int64_t j0 = cj > 0 ? cj - 1 : 0;
+        int64_t j1 = cj < m - 1 ? cj + 1 : m - 1;
+        int64_t base = b * mm;
+        int64_t hits = 0;
+        for (int64_t ii = i0; ii <= i1; ii++) {
+            int64_t row = base + ii * m;
+            for (int64_t t = starts[row + j0]; t < starts[row + j1 + 1]; t++) {
+                int64_t j = srcsort[t];
+                double dx = qx - pos[2 * j];
+                double dy = qy - pos[2 * j + 1];
+                hits += (dx * dx + dy * dy <= r2);
+            }
+        }
+        out[i] = hits;
+    }
+}
+
 int64_t repro_advance_legs(double *restrict pos, const double *restrict target, double *restrict budget,
                            const int64_t *restrict idx, int64_t K, double eps,
                            const double *restrict speed_arr, double speed_scalar,
@@ -350,6 +386,11 @@ def _declare(lib):
         _ptr, _i64, _i64, _f64, _f64, _ptr, _i64, _ptr, _i64,
         _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _i64,
     ]
+    lib.repro_count.restype = None
+    lib.repro_count.argtypes = [
+        _ptr, _i64, _i64, _f64, _f64, _ptr, _i64, _ptr, _i64,
+        _ptr, _ptr, _i64, _ptr, _ptr,
+    ]
     lib.repro_advance_legs.restype = _i64
     lib.repro_advance_legs.argtypes = [
         _ptr, _ptr, _ptr, _ptr, _i64, _f64, _ptr, _f64, _int, _int, _ptr,
@@ -401,6 +442,13 @@ def load_cores():
             _addr(out_b), _addr(out_s), _addr(out_q), cap,
         )
 
+    def count_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out):
+        lib.repro_count(
+            _addr(pos), n, m, inv_cell, r2,
+            _addr(src), src.shape[0], _addr(qry), qry.shape[0],
+            _addr(cellk), _addr(starts), starts.shape[0], _addr(srcsort), _addr(out),
+        )
+
     def advance_legs_core(pos, target, budget, idx, eps, speed_arr, speed_scalar, speed_mode, metric, done):
         return lib.repro_advance_legs(
             _addr(pos), _addr(target), _addr(budget), _addr(idx), idx.shape[0],
@@ -439,6 +487,7 @@ def load_cores():
     return SimpleNamespace(
         any_within_core=any_within_core,
         contacts_core=contacts_core,
+        count_core=count_core,
         advance_legs_core=advance_legs_core,
         advance_legs_dense_core=advance_legs_dense_core,
         splice_core=splice_core,

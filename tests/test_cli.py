@@ -48,6 +48,13 @@ class TestParser:
         assert args.n == 500
         assert args.seed == 3
 
+    def test_flood_source_is_an_index_or_a_name(self):
+        def source(value):
+            return build_parser().parse_args(["flood", "--n", "50", "--source", value]).source
+
+        assert source("7") == 7
+        assert source("central") == "central"
+
 
 class TestCommands:
     def test_list_output(self, capsys):
@@ -93,3 +100,21 @@ class TestCommands:
         code = main(["flood", "--n", "400", "--source", "7", "--max-steps", "2000"])
         capsys.readouterr()
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["flood", "--n", "1"], "n must be at least 2, got 1"),
+            (["flood", "--n", "50", "--source", "5000"], r"source index must be in \[0, 50\)"),
+            (["flood", "--n", "50", "--source", "abc"], "source must be an index or one of"),
+            (
+                ["sweep", "--n", "1", "--parameter", "radius_factor", "--values", "1"],
+                "n must be at least 2, got 1",
+            ),
+        ],
+        ids=["flood-n", "flood-source-index", "flood-source-name", "sweep-n"],
+    )
+    def test_config_errors_exit_with_the_config_message(self, argv, message):
+        # A rejected option is a CLI error, not a traceback.
+        with pytest.raises(SystemExit, match=message):
+            main(argv)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,9 +249,10 @@ class TestCompiledAutoSnapshot:
     kernel_backend() is None, reason="no compiled kernel provider builds on this host"
 )
 class TestCompiledBatchCount:
-    """On the compiled tier an ``auto`` batch query counts by tallying the
-    contacts of the ``batch_contacts`` kernel; the counts equal an exact
-    brute-force count and the numpy tier's."""
+    """On the compiled tier an ``auto`` batch query counts with the count
+    mode of the ``batch_contacts`` kernel, which tallies each query's
+    contacts and stores none; the counts equal an exact brute-force count
+    and the numpy tier's."""
 
     SIDE = 10.0
 
@@ -340,6 +342,24 @@ class TestCompiledBatchCount:
         inner = lambda v: (v > 0) & (v < 10)  # noqa: E731
         expected = 1 + (1 + inner(x)) + (1 + inner(y))
         np.testing.assert_array_equal(got, expected)
+
+    def test_dense_cluster_counts_in_batch_by_n_memory(self, rng, contact_calls):
+        # Every agent of each replica is within R of every other: 4.5M
+        # contacts, 108 MB as a pair list.  Counting stores none of them.
+        batch, n = 2, 1500
+        positions = rng.uniform(4.0, 4.3, (batch, n, 2))
+        everyone = np.ones((batch, n), dtype=bool)
+        bound = BatchNeighborQuery(self.SIDE, batch).bind(positions)
+        with use_kernel_tier("compiled"):
+            tracemalloc.start()
+            try:
+                got = bound.count_within(everyone, everyone, 0.5)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert contact_calls == [True]
+        assert (got == n).all()
+        assert peak < 1 << 20
 
 
 RADIUS_TIERS = ["numpy"] + (["compiled"] if kernel_backend() is not None else [])

@@ -203,6 +203,39 @@ class TestPairKernelParity:
             assert pairs == expect
             assert len(rep) == len(expect)
 
+    @staticmethod
+    def _oracle_counts(pos, src_mask, qry_mask, radius):
+        """Inclusive brute-force count of each query's sources; 0 off-query."""
+        batch, n, _ = pos.shape
+        out = np.zeros((batch, n), dtype=np.intp)
+        for b in range(batch):
+            d = pos[b, :, None, :] - pos[b, None, :, :]
+            close = ((d ** 2).sum(-1) <= radius * radius) & src_mask[b][None, :]
+            out[b] = np.where(qry_mask[b], close.sum(axis=1), 0)
+        return out
+
+    def test_counts_randomized(self, table, rng):
+        for _ in range(25):
+            batch = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 40))
+            side = float(rng.uniform(0.5, 8.0))
+            radius = float(rng.uniform(0.05, side))
+            pos = rng.uniform(0, side, size=(batch, n, 2))
+            src = rng.random((batch, n)) < rng.uniform(0, 1)
+            qry = rng.random((batch, n)) < rng.uniform(0, 1)
+            got = table["batch_contacts"](pos, src, qry, radius, side, counts=True)
+            assert got.dtype == np.intp and got.shape == (batch, n)
+            np.testing.assert_array_equal(got, self._oracle_counts(pos, src, qry, radius))
+
+    def test_counts_include_points_exactly_r_apart(self, table):
+        # Lattice neighbors sit exactly R = 1 apart and count; diagonal
+        # neighbors (sqrt 2) do not.
+        grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), -1).reshape(1, -1, 2)
+        everyone = np.ones(grid.shape[:2], dtype=bool)
+        got = table["batch_contacts"](grid, everyone, everyone, 1.0, 5.0, counts=True)
+        np.testing.assert_array_equal(got, self._oracle_counts(grid, everyone, everyone, 1.0))
+        assert got.max() == 5
+
     def test_adversarial_masks(self, table, rng):
         pos = rng.uniform(0, 5.0, size=(2, 6, 2))
         full = np.ones((2, 6), dtype=bool)
@@ -213,6 +246,10 @@ class TestPairKernelParity:
         assert not table["batch_any_within"](pos, full, none, 1.0, 5.0).any()
         rep, s_idx, q_idx = table["batch_contacts"](pos, none, full, 1.0, 5.0)
         assert rep.size == 0 and s_idx.size == 0 and q_idx.size == 0
+        for src, qry in ((none, full), (full, none)):
+            counts = table["batch_contacts"](pos, src, qry, 1.0, 5.0, counts=True)
+            assert counts.dtype == np.intp and counts.shape == (2, 6)
+            assert not counts.any()
 
     def test_single_agent(self, table, rng):
         pos = rng.uniform(0, 3.0, size=(1, 1, 2))
@@ -220,6 +257,8 @@ class TestPairKernelParity:
         got = table["batch_any_within"](pos, mask, mask, 0.5, 3.0)
         # The lone agent is within radius zero of itself.
         assert got[0, 0]
+        counts = table["batch_contacts"](pos, mask, mask, 0.5, 3.0, counts=True)
+        assert counts.tolist() == [[1]]
 
     def test_out_of_domain_returns_none(self, table, rng):
         pos32 = rng.uniform(0, 3.0, size=(1, 4, 2)).astype(np.float32)
@@ -228,12 +267,15 @@ class TestPairKernelParity:
         assert table["batch_any_within"](
             rng.uniform(0, 3.0, size=(1, 4, 2)), mask, mask, -1.0, 3.0
         ) is None
+        for counts in (False, True):
+            assert table["batch_contacts"](pos32, mask, mask, 0.5, 3.0, counts=counts) is None
 
 
 @needs_provider
 class TestProviderContactsFollowSpec:
     """The C contacts core emits exactly what the reference core emits, in
-    the same order: row-run scan, three outputs, exact-capacity re-run."""
+    the same order: row-run scan, three outputs, exact-capacity re-run;
+    the C count core writes the reference count core's tallies."""
 
     @staticmethod
     def _assert_same(*args):
@@ -243,6 +285,10 @@ class TestProviderContactsFollowSpec:
         for got_col, spec_col in zip(got, spec):
             assert got_col.dtype == np.intp
             np.testing.assert_array_equal(got_col, spec_col)
+        got_counts = provider_kernels()["batch_contacts"](*args, counts=True)
+        spec_counts = reference_kernels()["batch_contacts"](*args, counts=True)
+        assert got_counts.dtype == spec_counts.dtype == np.intp
+        np.testing.assert_array_equal(got_counts, spec_counts)
         return got
 
     def test_randomized_snapshots_match_in_order(self, rng):
@@ -268,6 +314,10 @@ class TestProviderContactsFollowSpec:
         assert rep.size == batch * n * n > first_guess >= 4 * batch * n
         assert np.array_equal(np.bincount(rep * n + query), np.full(batch * n, n))
         assert np.array_equal(np.bincount(rep * n + source), np.full(batch * n, n))
+        counts = provider_kernels()["batch_contacts"](
+            pos, everyone, everyone, 0.5, 10.0, counts=True
+        )
+        assert np.array_equal(counts, np.full((batch, n), n))
 
 
 @pytest.mark.parametrize("table", [t for _, t in TABLES], ids=TABLE_IDS)
