@@ -17,7 +17,6 @@ from repro.core.flooding import build_zone_partition
 from repro.mobility.stationary import PalmStationarySampler
 from repro.network.connectivity import estimate_connectivity_threshold, uniform_connectivity_threshold
 from repro.network.disk_graph import DiskGraph
-from repro.network.graph_stats import component_summary, degree_summary, zone_degree_split
 from repro.viz.ascii import render_heatmap
 from repro.viz.tables import format_table
 
@@ -29,24 +28,24 @@ def main() -> int:
     positions = PalmStationarySampler(side).sample(n, rng).positions
     base = math.sqrt(math.log(n))
     zones = build_zone_partition(n, side, 1.3 * base)
+    in_cz = zones.in_central_zone(positions)
 
     rows = []
     isolated_map = None
     for factor in (0.5, 0.8, 1.2, 2.0):
         radius = factor * base
         graph = DiskGraph(positions, radius, side=side)
-        deg = degree_summary(graph)
-        comp = component_summary(graph)
-        split = zone_degree_split(graph, zones.in_central_zone(positions))
+        deg = graph.degrees()
         rows.append(
             [
                 round(radius, 2),
-                round(deg["mean_degree"], 1),
-                round(split["zone_mean_degree"], 1),
-                round(split["outside_mean_degree"], 1),
-                comp["n_components"],
-                round(comp["giant_fraction"], 4),
-                round(deg["isolated_fraction"], 4),
+                # float(): Python's round, not numpy's half-to-even.
+                round(float(deg.mean()), 1),
+                round(float(deg[in_cz].mean()), 1),
+                round(float(deg[~in_cz].mean()), 1),
+                graph.n_components(),
+                round(graph.giant_component_fraction(), 4),
+                round(float(np.mean(deg == 0)), 4),
             ]
         )
         if factor == 0.8:
@@ -79,9 +78,7 @@ def main() -> int:
         print(isolated_map)
 
     full_thr = estimate_connectivity_threshold(positions, side)
-    cz_thr = estimate_connectivity_threshold(
-        positions, side, mask=zones.in_central_zone(positions)
-    )
+    cz_thr = estimate_connectivity_threshold(positions, side, mask=in_cz)
     print(f"\nconnectivity thresholds: full graph {full_thr:.2f}, "
           f"Central Zone only {cz_thr:.2f}, "
           f"uniform benchmark {uniform_connectivity_threshold(n, side):.2f}")

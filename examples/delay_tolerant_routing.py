@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from repro.core.flooding import build_zone_partition
+from repro.core.meetings import MEETING_RADIUS_FACTOR
 from repro.mobility import CompositeMobility, FerryPatrol, ManhattanRandomWaypoint, rectangle_route
-from repro.network.contacts import MEETING_RADIUS_FACTOR
 from repro.protocols.flooding import FloodingProtocol
 from repro.viz.tables import format_table
 

@@ -42,7 +42,7 @@ from repro.mobility import (
     RandomWalk,
     RandomWaypoint,
 )
-from repro.network import DiskGraph, SnapshotSeries, temporal_bfs
+from repro.network import DiskGraph
 from repro.protocols import (
     BATCH_PROTOCOL_REGISTRY,
     PROTOCOL_REGISTRY,
@@ -67,7 +67,7 @@ from repro.simulation import (
     summarize,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "__version__",
@@ -81,8 +81,6 @@ __all__ = [
     "RandomWalk",
     "RandomDirection",
     "DiskGraph",
-    "SnapshotSeries",
-    "temporal_bfs",
     "FloodingProtocol",
     "GossipProtocol",
     "ParsimoniousFlooding",

@@ -19,9 +19,11 @@ import numpy as np
 from repro.core.zones import ZonePartition
 from repro.geometry.neighbors import make_engine
 from repro.mobility.base import MobilityModel
-from repro.network.contacts import MEETING_RADIUS_FACTOR
 
-__all__ = ["meeting_radius", "first_meeting_times_from_zone"]
+__all__ = ["MEETING_RADIUS_FACTOR", "meeting_radius", "first_meeting_times_from_zone"]
+
+#: The paper's meeting radius is 3/4 of the transmission radius (Section 4).
+MEETING_RADIUS_FACTOR = 0.75
 
 
 def meeting_radius(radius: float) -> float:

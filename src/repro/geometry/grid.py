@@ -184,7 +184,7 @@ class GridIndex:
     def pairs_within(self, radius: float) -> np.ndarray:
         """All unordered index pairs ``(i, j), i < j`` at distance ``<= radius``.
 
-        Used to build disk-graph snapshots ``G_t`` and contact traces.
+        Used to build disk-graph snapshots ``G_t``.
 
         Returns:
             integer array of shape ``(k, 2)``.

@@ -161,21 +161,6 @@ class BoundSnapshot:
         qpos, spos = np.nonzero(dist2 <= self.radius * self.radius)
         return source_idx[spos], query_idx[qpos]
 
-    def pairs_within(self) -> np.ndarray:
-        """All unordered pairs of the snapshot within the bound radius.
-
-        The snapshot counterpart of :meth:`NeighborEngine.pairs_within`
-        for per-step edge extraction over a recorded series (disk-graph
-        snapshots, contact traces).  This base implementation delegates
-        to the engine's coordinate API; the grid snapshot overrides it
-        with its full-snapshot index, the KD-tree snapshot with a
-        fast-build throwaway tree.
-
-        Returns:
-            ``(k, 2)`` intp pairs with ``i < j``, in backend order.
-        """
-        return self.engine.pairs_within(self.points, self.radius)
-
 
 class NeighborEngine:
     """Interface for radius-based neighbor queries on a square region."""
@@ -325,9 +310,6 @@ class _GridSnapshot(BoundSnapshot):
         hit = np.sum(diff * diff, axis=1) <= self.radius * self.radius
         return sources[hit], query_idx[qidx[hit]]
 
-    def pairs_within(self) -> np.ndarray:
-        return self._full_index().pairs_within(self.radius)
-
 
 class GridNeighborEngine(NeighborEngine):
     """Bucket-grid backend (pure numpy).
@@ -446,13 +428,6 @@ class _KDTreeSnapshot(BoundSnapshot):
             query_tree, max_distance=self.radius, output_type="ndarray"
         )
         return source_idx[hits["i"]], query_idx[hits["j"]]
-
-    def pairs_within(self) -> np.ndarray:
-        # Throwaway per-frame tree: skip the balancing passes, which
-        # dominate construction at snapshot sizes.
-        tree = self.engine._cKDTree(self.points, balanced_tree=False, compact_nodes=False)
-        pairs = tree.query_pairs(r=self.radius, output_type="ndarray")
-        return pairs.astype(np.intp, copy=False)
 
 
 class KDTreeNeighborEngine(NeighborEngine):
@@ -893,7 +868,7 @@ class BatchBoundQuery:
 
         The batched counterpart of
         :meth:`NeighborEngine.pairs_within`, for callers that need every
-        replica's full edge list (disk-graph statistics, contact traces)
+        replica's full edge list (connectivity profiles and thresholds)
         in one tiled engine call — tiles are separated by ``2 * radius``,
         so cross-replica pairs are geometrically impossible.  The
         neighbor-sampling protocols do **not** use it (they materialize

@@ -1,4 +1,4 @@
-"""Network substrate: disk graphs, connectivity, evolving-graph reachability."""
+"""Network substrate: disk graphs and their connectivity."""
 
 from repro.network.batch_union_find import (
     BatchUnionFind,
@@ -14,32 +14,7 @@ from repro.network.connectivity import (
     uniform_connectivity_threshold,
     zone_connectivity,
 )
-from repro.network.contacts import (
-    MEETING_RADIUS_FACTOR,
-    ContactTrace,
-    batch_record_contacts,
-    record_contacts,
-)
 from repro.network.disk_graph import DiskGraph
-from repro.network.evolving import (
-    batch_temporal_bfs,
-    journey_times,
-    reachability_fraction,
-    temporal_bfs,
-)
-from repro.network.journeys import (
-    delay_statistics,
-    delivery_delay_matrix,
-    temporal_diameter,
-    temporal_eccentricities,
-)
-from repro.network.graph_stats import (
-    component_summary,
-    degree_histogram,
-    degree_summary,
-    zone_degree_split,
-)
-from repro.network.snapshots import SnapshotSeries, take_snapshots
 from repro.network.union_find import UnionFind, components_from_edges
 
 __all__ = [
@@ -50,28 +25,10 @@ __all__ = [
     "batch_components_from_edges",
     "mst_bottleneck",
     "batch_mst_bottleneck",
-    "SnapshotSeries",
-    "take_snapshots",
-    "temporal_bfs",
-    "batch_temporal_bfs",
-    "journey_times",
-    "reachability_fraction",
-    "delivery_delay_matrix",
-    "temporal_eccentricities",
-    "temporal_diameter",
-    "delay_statistics",
-    "ContactTrace",
-    "record_contacts",
-    "batch_record_contacts",
-    "MEETING_RADIUS_FACTOR",
     "uniform_connectivity_threshold",
     "estimate_connectivity_threshold",
     "batch_connectivity_threshold",
     "connectivity_profile",
     "batch_connectivity_profile",
     "zone_connectivity",
-    "degree_summary",
-    "degree_histogram",
-    "component_summary",
-    "zone_degree_split",
 ]

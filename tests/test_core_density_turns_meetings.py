@@ -1,6 +1,7 @@
 """Tests of the density condition, turn statistics, and meeting machinery."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.core.turns import (
     max_turns_in_window,
 )
 from repro.core.zones import ZonePartition
+from repro.geometry.neighbors import available_backends
 from repro.mobility.base import record_trajectory
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 
@@ -174,3 +176,46 @@ class TestMeetings:
             first_meeting_times_from_zone(
                 model, zones, radius=6.0, targets=np.arange(3), window=-1
             )
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_meeting_times_match_brute_force(self, backend):
+        """First meetings against a full distance scan of the same trajectory:
+        emissaries frozen at step 0, ``d <= (3/4) R``, nobody meets itself.
+        The radius and window leave some targets met at each of several
+        steps and some never met."""
+        grid, zones = make_zone_setup(radius=3.0, threshold_factor=0.3)
+        window = 8
+        model = ManhattanRandomWaypoint(N, SIDE, 1.0, rng=np.random.default_rng(9))
+        frames = record_trajectory(
+            ManhattanRandomWaypoint(N, SIDE, 1.0, rng=np.random.default_rng(9)), window
+        )
+        in_cz = zones.in_central_zone(frames[0])
+        # Suburb targets, plus Central-Zone targets that are emissaries themselves.
+        targets = np.concatenate([np.nonzero(~in_cz)[0][:40], np.nonzero(in_cz)[0][:10]])
+        emissaries = np.nonzero(in_cz)[0]
+        expected = np.full(targets.size, np.inf)
+        for t, positions in enumerate(frames):
+            diff = positions[targets][:, None, :] - positions[emissaries][None, :, :]
+            near = np.sum(diff * diff, axis=-1) <= meeting_radius(3.0) ** 2
+            met = (near & (targets[:, None] != emissaries[None, :])).any(axis=1)
+            expected[met & np.isinf(expected)] = t
+
+        times = first_meeting_times_from_zone(
+            model, zones, radius=3.0, targets=targets, window=window, backend=backend
+        )
+        assert np.array_equal(times, expected)
+        assert np.isfinite(expected).any() and np.isinf(expected).any()
+
+    def test_emissary_target_does_not_meet_itself(self):
+        """A Central-Zone target is met only by a *second* emissary within (3/4) R."""
+        grid, zones = make_zone_setup()
+        centre = SIDE / 2
+        for offset, expected in ((5.0, np.inf), (4.0, 0.0)):
+            # A frozen snapshot: with window=0 the model is never stepped.
+            positions = np.array([[centre, centre], [centre + offset, centre], [0.5, 0.5]])
+            snapshot = SimpleNamespace(n=3, side=SIDE, positions=positions)
+            assert zones.in_central_zone(positions).tolist() == [True, True, False]
+            times = first_meeting_times_from_zone(
+                snapshot, zones, radius=6.0, targets=np.array([0]), window=0
+            )
+            assert times.tolist() == [expected]

@@ -150,18 +150,6 @@ class TestBoundSnapshot:
                 brute.count_within(sources, queries, 1.1),
             )
 
-    def test_snapshot_pairs_over_a_drifting_series(self, backend, rng):
-        """Frame-by-frame edge extraction, as ``record_contacts`` binds it."""
-        engine = make_engine(backend, 10.0)
-        brute = BruteForceNeighborEngine(10.0)
-        points = rng.uniform(0, 10, (120, 2))
-        for _ in range(5):
-            points = np.clip(points + rng.uniform(-0.4, 0.4, points.shape), 0, 10)
-            got = engine.bind(points, 1.3).pairs_within()
-            assert {tuple(p) for p in got.tolist()} == {
-                tuple(p) for p in brute.pairs_within(points, 1.3).tolist()
-            }
-
 
 @pytest.mark.skipif(
     kernel_backend() is None, reason="no compiled kernel provider builds on this host"

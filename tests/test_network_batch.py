@@ -1,10 +1,9 @@
-"""Parity suite for the batched temporal-graph analytics layer.
+"""Parity suite for the batched connectivity layer.
 
 Every batched kernel must reproduce its scalar reference exactly:
 canonical union-find labels (up to dense relabeling), byte-identical
-incremental radius sweeps vs per-radius disk-graph rebuilds, exact MST
-thresholds cross-validated against the retained bisection, per-source
-temporal BFS / journey matrices, and contact-trace round-trips.
+incremental radius sweeps vs per-radius disk-graph rebuilds, and exact
+MST thresholds cross-validated against the retained bisection.
 """
 
 import math
@@ -15,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.network.batch_union_find as buf
-from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.network.batch_union_find import (
     BatchUnionFind,
     batch_components_from_edges,
@@ -28,10 +26,7 @@ from repro.network.connectivity import (
     connectivity_profile,
     estimate_connectivity_threshold,
 )
-from repro.network.contacts import batch_record_contacts, record_contacts
 from repro.network.disk_graph import DiskGraph
-from repro.network.evolving import batch_temporal_bfs, journey_times, temporal_bfs
-from repro.network.snapshots import SnapshotSeries, take_snapshots
 from repro.network.union_find import UnionFind, components_from_edges
 
 
@@ -283,92 +278,3 @@ class TestConnectivityThreshold:
         with pytest.raises(ValueError):
             estimate_connectivity_threshold(positions, side, method="newton")
 
-
-def _series(n=60, steps=8, seed=12):
-    side = math.sqrt(n)
-    radius = 1.1 * math.sqrt(math.log(n))
-    model = ManhattanRandomWaypoint(n, side, 0.3 * radius, rng=np.random.default_rng(seed))
-    return SnapshotSeries(take_snapshots(model, steps), radius, side)
-
-
-class TestBatchTemporalBFS:
-    @pytest.mark.parametrize("multi_hop", [False, True])
-    def test_rows_equal_scalar(self, multi_hop):
-        series = _series()
-        sources = [0, 7, 33, 59]
-        batched = batch_temporal_bfs(series, sources, multi_hop=multi_hop)
-        for row, source in zip(batched, sources):
-            assert np.array_equal(row, temporal_bfs(series, source, multi_hop=multi_hop))
-
-    def test_journey_times_engines_identical(self):
-        series = _series(seed=13)
-        sources = [3, 3, 20]
-        batch = journey_times(series, sources, engine="batch")
-        scalar = journey_times(series, sources, engine="scalar")
-        auto = journey_times(series, sources)
-        assert np.array_equal(batch, scalar)
-        assert np.array_equal(batch, auto)
-
-    def test_empty_and_invalid_sources(self):
-        series = _series(n=20, steps=2)
-        assert journey_times(series, [], engine="batch").shape == (0, 20)
-        assert journey_times(series, [], engine="scalar").shape == (0, 20)
-        with pytest.raises(ValueError):
-            batch_temporal_bfs(series, [20])
-        with pytest.raises(ValueError):
-            journey_times(series, [0], engine="warp")
-
-
-class TestBatchContacts:
-    def _frames(self, replicas=3, n=50, steps=6, seed=21):
-        side = math.sqrt(n)
-        radius = 1.0 * math.sqrt(math.log(n))
-        frames = np.stack(
-            [
-                take_snapshots(
-                    ManhattanRandomWaypoint(
-                        n, side, 0.4 * radius, rng=np.random.default_rng([seed, b])
-                    ),
-                    steps,
-                )
-                for b in range(replicas)
-            ],
-            axis=0,
-        )
-        return frames, radius, side
-
-    def test_round_trip_byte_identical(self):
-        frames, radius, side = self._frames()
-        batched = batch_record_contacts(frames, radius, side)
-        for b in range(frames.shape[0]):
-            series = SnapshotSeries(frames[b], radius, side)
-            scalar = record_contacts(series, radius=radius)
-            assert batched[b].n == scalar.n
-            assert batched[b].n_steps == scalar.n_steps
-            for t in range(frames.shape[1]):
-                assert np.array_equal(batched[b].contacts_at(t), scalar.contacts_at(t))
-
-    def test_pairs_are_canonically_ordered(self):
-        frames, radius, side = self._frames(replicas=2)
-        for trace in batch_record_contacts(frames, radius, side):
-            for pairs in trace.step_pairs:
-                assert np.all(pairs[:, 0] < pairs[:, 1])
-                if pairs.shape[0] > 1:
-                    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-                    assert np.array_equal(order, np.arange(pairs.shape[0]))
-
-    def test_derived_statistics_agree(self):
-        frames, radius, side = self._frames(replicas=2, seed=22)
-        batched = batch_record_contacts(frames, radius, side)
-        for b in range(2):
-            scalar = record_contacts(SnapshotSeries(frames[b], radius, side), radius=radius)
-            assert np.array_equal(batched[b].contact_counts(), scalar.contact_counts())
-            agents = list(range(10))
-            assert batched[b].first_meeting_times(agents) == scalar.first_meeting_times(agents)
-            assert np.array_equal(
-                batched[b].inter_contact_times(), scalar.inter_contact_times()
-            )
-
-    def test_frame_validation(self):
-        with pytest.raises(ValueError):
-            batch_record_contacts(np.zeros((2, 3, 4)), 1.0, 5.0)

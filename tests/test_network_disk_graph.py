@@ -4,6 +4,11 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.geometry.neighbors import (
+    BruteForceNeighborEngine,
+    available_backends,
+    make_engine,
+)
 from repro.network.disk_graph import DiskGraph
 
 SIDE = 10.0
@@ -84,3 +89,25 @@ class TestComponents:
         single = DiskGraph(np.array([[1.0, 1.0]]), 1.0, side=SIDE)
         assert single.is_connected()
         assert single.giant_component_fraction() == 1.0
+
+
+class TestAcrossEngines:
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_drifting_snapshots_match_brute_force(self, backend, rng):
+        """Frame-by-frame graphs of a drifting point set, each built by one
+        reused engine: edges, degrees and components against a brute-force
+        edge list and networkx."""
+        engine = make_engine(backend, SIDE)
+        brute = BruteForceNeighborEngine(SIDE)
+        points = rng.uniform(0, SIDE, (120, 2))
+        for _ in range(5):
+            points = np.clip(points + rng.uniform(-0.4, 0.4, points.shape), 0, SIDE)
+            graph = DiskGraph(points, 1.3, side=SIDE, engine=engine)
+            edges = brute.pairs_within(points, 1.3)
+            assert {tuple(e) for e in graph.edges.tolist()} == {tuple(e) for e in edges.tolist()}
+            assert np.array_equal(graph.degrees(), np.bincount(edges.ravel(), minlength=graph.n))
+            nxg = nx.Graph(edges.tolist())
+            nxg.add_nodes_from(range(graph.n))
+            components = list(nx.connected_components(nxg))
+            assert graph.n_components() == len(components)
+            assert graph.giant_component_fraction() == max(map(len, components)) / graph.n

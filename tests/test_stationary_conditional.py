@@ -1,14 +1,12 @@
-"""Tests of conditional perfect simulation (sample_at) and mixing profiles."""
+"""Tests of conditional perfect simulation (sample_at)."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.convergence import estimate_mixing_time, noise_floor, tv_profile
 from repro.analysis.validation import (
     destination_cross_errors,
     destination_quadrant_errors,
 )
-from repro.mobility.distributions import spatial_pdf
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.mobility.stationary import ClosedFormStationarySampler
 
@@ -59,46 +57,3 @@ class TestSampleAt:
         with pytest.raises(ValueError):
             sampler.sample_at(np.zeros((5, 3)), rng)
 
-
-class TestConvergenceProfile:
-    def pdf(self, x, y):
-        return spatial_pdf(x, y, SIDE)
-
-    def test_stationary_start_at_floor(self):
-        model = ManhattanRandomWaypoint(15_000, SIDE, 0.3, rng=np.random.default_rng(0))
-        profile = tv_profile(model, self.pdf, steps=6, bins=8, every=2)
-        assert profile["tv"].max() <= 2.5 * profile["floor"]
-        assert estimate_mixing_time(profile, slack=2.5) == 0.0
-
-    def test_uniform_start_decays(self):
-        model = ManhattanRandomWaypoint(
-            15_000, SIDE, 0.5, rng=np.random.default_rng(1), init="uniform"
-        )
-        profile = tv_profile(model, self.pdf, steps=60, bins=8, every=10)
-        assert profile["tv"][0] > 2.0 * profile["floor"]
-        assert profile["tv"][-1] < profile["tv"][0]
-
-    def test_profile_shapes(self):
-        model = ManhattanRandomWaypoint(1000, SIDE, 0.3, rng=np.random.default_rng(2))
-        profile = tv_profile(model, self.pdf, steps=10, bins=6, every=3)
-        assert profile["steps"][0] == 0
-        assert profile["steps"][-1] == 10
-        assert profile["tv"].shape == profile["steps"].shape
-
-    def test_mixing_time_inf_when_never_settles(self):
-        profile = {"steps": np.array([0, 1, 2]), "tv": np.array([0.5, 0.5, 0.5]), "floor": 0.01}
-        assert estimate_mixing_time(profile) == float("inf")
-
-    def test_validation(self):
-        model = ManhattanRandomWaypoint(100, SIDE, 0.3, rng=np.random.default_rng(3))
-        with pytest.raises(ValueError):
-            tv_profile(model, self.pdf, steps=-1)
-        with pytest.raises(ValueError):
-            tv_profile(model, self.pdf, steps=1, every=0)
-        with pytest.raises(ValueError):
-            estimate_mixing_time({"steps": np.array([0]), "tv": np.array([0.0]), "floor": 0.1}, slack=1.0)
-
-    def test_noise_floor_scales(self):
-        floor_small = noise_floor(self.pdf, SIDE, 8, 1_000)
-        floor_large = noise_floor(self.pdf, SIDE, 8, 100_000)
-        assert floor_large == pytest.approx(floor_small / 10.0, rel=1e-6)
