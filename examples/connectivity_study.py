@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.flooding import build_zone_partition
 from repro.mobility.stationary import PalmStationarySampler
-from repro.network.connectivity import estimate_connectivity_threshold, uniform_connectivity_threshold
+from repro.network.connectivity import batch_connectivity_threshold, uniform_connectivity_threshold
 from repro.network.disk_graph import DiskGraph
 from repro.viz.ascii import render_heatmap
 from repro.viz.tables import format_table
@@ -77,8 +77,8 @@ def main() -> int:
         print("\nwhere the isolated agents sit (R = 0.8 sqrt(log n)) — the corners:")
         print(isolated_map)
 
-    full_thr = estimate_connectivity_threshold(positions, side)
-    cz_thr = estimate_connectivity_threshold(positions, side, mask=in_cz)
+    full_thr = batch_connectivity_threshold(positions[None], side)[0]
+    cz_thr = batch_connectivity_threshold(positions[in_cz][None], side)[0]
     print(f"\nconnectivity thresholds: full graph {full_thr:.2f}, "
           f"Central Zone only {cz_thr:.2f}, "
           f"uniform benchmark {uniform_connectivity_threshold(n, side):.2f}")

@@ -13,16 +13,15 @@ sub-network connects at small radii.  Two measurements:
    ratio grows like ``n^(1/6) / sqrt(log n)`` — the finite-``n`` footprint
    of ref [13]'s "some root of n".
 
-Execution runs through the batched network-analytics layer and the sweep
-scheduler's worker machinery: ``engine="batch"`` (the ``"auto"`` default)
-stacks each panel's snapshots into one tensor and answers them with a
-single tiled enumeration + incremental union-find replay
+Both panels run through the batched network-analytics layer: each
+panel's snapshots are stacked into one tensor and answered by a single
+tiled enumeration + incremental union-find replay
 (:func:`~repro.network.connectivity.batch_connectivity_profile`,
-:func:`~repro.network.connectivity.batch_connectivity_threshold`);
+:func:`~repro.network.connectivity.batch_connectivity_threshold`).
 ``jobs > 1`` fans the per-``n`` threshold estimations over a
 crash-surviving :class:`~repro.simulation.parallel.WorkerPool`.  Snapshots
 are sampled before any analysis, so the tables are identical for every
-engine/jobs combination.
+job count.
 """
 
 from __future__ import annotations
@@ -37,70 +36,46 @@ from repro.mobility.stationary import PalmStationarySampler
 from repro.network.connectivity import (
     batch_connectivity_profile,
     batch_connectivity_threshold,
-    connectivity_profile,
-    estimate_connectivity_threshold,
     uniform_connectivity_threshold,
 )
 from repro.simulation.parallel import WorkerPool
 
 EXPERIMENT_ID = "connectivity"
 
-_ENGINES = ("auto", "batch", "scalar")
 
-
-def _resolve_engine(engine: str | None) -> str:
-    engine = engine or "auto"
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    return "batch" if engine == "auto" else engine
-
-
-def _mean_thresholds(n: int, snapshots: int, rng, engine: str = "batch") -> tuple:
+def _mean_thresholds(n: int, snapshots: int, rng) -> tuple:
     """Mean empirical thresholds (full, CZ-only) over stationary snapshots.
 
-    Snapshots are sampled up front (estimation draws nothing from ``rng``,
-    so the sample stream is engine-independent); the full-graph thresholds
-    then run through one batched Borůvka pass, while the CZ-only
-    thresholds stay scalar (the masked sub-populations are ragged).
+    Snapshots are sampled up front (estimation draws nothing from
+    ``rng``); the full-graph thresholds then run through one batched MST
+    pass, while the CZ-only thresholds run one snapshot at a time (the
+    masked sub-populations are ragged).
     """
     side = math.sqrt(n)
     sampler = PalmStationarySampler(side)
     zones = build_zone_partition(n, side, 1.3 * math.sqrt(math.log(n)))
     snapshot_positions = [sampler.sample(n, rng).positions for _ in range(snapshots)]
-    if engine == "batch":
-        stack = np.stack(snapshot_positions, axis=0)
-        full = batch_connectivity_threshold(stack, side).tolist()
-    else:
-        full = [
-            estimate_connectivity_threshold(positions, side)
-            for positions in snapshot_positions
-        ]
+    full = batch_connectivity_threshold(np.stack(snapshot_positions, axis=0), side)
     cz = []
     if zones is not None:
         for positions in snapshot_positions:
             mask = zones.in_central_zone(positions)
-            cz.append(estimate_connectivity_threshold(positions, side, mask=mask))
+            cz.append(batch_connectivity_threshold(positions[mask][None], side)[0])
     return (float(np.mean(full)), float(np.mean(cz)) if cz else float("nan"))
 
 
 def _threshold_job(args) -> tuple:
     """Picklable per-``n`` threshold job for the worker pool."""
-    n, snapshots, job_seed, engine = args
-    return _mean_thresholds(n, snapshots, np.random.default_rng(job_seed), engine=engine)
+    n, snapshots, job_seed = args
+    return _mean_thresholds(n, snapshots, np.random.default_rng(job_seed))
 
 
-def run(
-    scale: str = "quick",
-    seed: int = 0,
-    engine: str | None = None,
-    jobs: int = 1,
-) -> ExperimentResult:
+def run(scale: str = "quick", seed: int = 0, jobs: int = 1) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"profile_n": 2_000, "snapshots": 2, "threshold_ns": [500, 2_000, 8_000]},
         full={"profile_n": 16_000, "snapshots": 4, "threshold_ns": [500, 2_000, 8_000, 32_000]},
     )
-    engine = _resolve_engine(engine)
     rng = np.random.default_rng(seed)
 
     # Panel 1: transition profile at one n.
@@ -112,33 +87,23 @@ def run(
     snapshot_positions = [
         sampler.sample(n, rng).positions for _ in range(params["snapshots"])
     ]
-    if engine == "batch":
-        stacked = batch_connectivity_profile(np.stack(snapshot_positions, axis=0), side, radii)
-        profiles = [
-            {key: val[b] if np.ndim(val) > 1 else val for key, val in stacked.items()}
-            for b in range(params["snapshots"])
-        ]
-    else:
-        profiles = [
-            connectivity_profile(positions, side, radii)
-            for positions in snapshot_positions
-        ]
+    profile = batch_connectivity_profile(np.stack(snapshot_positions, axis=0), side, radii)
     rows = [["-- profile --", f"n={n}", "", "", ""]]
     for k, radius in enumerate(radii):
         rows.append(
             [
                 round(radius / base, 2),
                 round(radius, 2),
-                round(float(np.mean([p["giant_fraction"][k] for p in profiles])), 4),
-                round(float(np.mean([p["isolated_fraction"][k] for p in profiles])), 4),
-                round(float(np.mean([float(p["connected"][k]) for p in profiles])), 2),
+                round(float(np.mean(profile["giant_fraction"][:, k])), 4),
+                round(float(np.mean(profile["isolated_fraction"][:, k])), 4),
+                round(float(np.mean(profile["connected"][:, k])), 2),
             ]
         )
 
     # Panel 2: threshold scaling across n, fanned over the worker pool.
     rows.append(["-- thresholds --", "full", "CZ-only", "uniform benchmark", "full/uniform"])
     threshold_jobs = [
-        (tn, params["snapshots"], seed + 10 + k, engine)
+        (tn, params["snapshots"], seed + 10 + k)
         for k, tn in enumerate(params["threshold_ns"])
     ]
     with WorkerPool(max_workers=jobs or 1) as pool:

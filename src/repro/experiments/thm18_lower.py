@@ -13,16 +13,13 @@ Two measurements:
    the trapped agent is informed, against the bound — a deterministic
    geometric fact the simulator must respect, and its ``1/v`` scaling.
 
-The conditioned trial loop runs through the batch simulation engine and
-the sweep scheduler's worker machinery: with ``engine="batch"`` (the
-``"auto"`` default) each speed fraction's trials advance in lock-step as
+The conditioned trials of each speed fraction advance in lock-step as
 replicas of one :class:`~repro.mobility.mrwp.BatchManhattanRandomWaypoint`
 + :class:`~repro.protocols.flooding.BatchFloodingState` pair, retiring a
 replica the round its trapped agent is informed; ``jobs > 1`` fans the
 fractions over a crash-surviving
 :class:`~repro.simulation.parallel.WorkerPool`.  Per-trial seeding
-(``default_rng([seed, trial, fraction])``) and the batch engine's
-per-replica draw-order parity make every engine/jobs combination produce
+(``default_rng([seed, trial, fraction])``) makes every job count produce
 the identical table.
 """
 
@@ -34,21 +31,12 @@ import numpy as np
 
 from repro.core import theory
 from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
-from repro.mobility.mrwp import BatchManhattanRandomWaypoint, ManhattanRandomWaypoint
+from repro.mobility.mrwp import BatchManhattanRandomWaypoint
 from repro.mobility.stationary import PalmStationarySampler
-from repro.protocols.flooding import BatchFloodingState, FloodingProtocol
+from repro.protocols.flooding import BatchFloodingState
 from repro.simulation.parallel import WorkerPool
 
 EXPERIMENT_ID = "thm18_lower"
-
-_ENGINES = ("auto", "batch", "scalar")
-
-
-def _resolve_engine(engine: str | None) -> str:
-    engine = engine or "auto"
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    return "batch" if engine == "auto" else engine
 
 
 def _event_probability(n: int, side: float, d: float, sampler, rng, trials: int) -> float:
@@ -104,13 +92,14 @@ def _fraction_trials(args) -> list:
     """Picklable per-fraction job: informed steps of all conditioned trials.
 
     RNG discipline: each trial's generator is seeded
-    ``[seed, trial, int(1e6 * fraction)]`` and consumed in the scalar
+    ``[seed, trial, int(1e6 * fraction)]`` and consumed in one-trial
     order — conditioned-state construction first, then per-step mobility
-    redraws.  Flooding draws nothing, and the batch mobility engine
-    replays each replica's scalar draw sequence (retired replicas frozen),
-    so the batch path returns bit-identical steps to the scalar loop.
+    redraws.  Flooding draws nothing, and the batch mobility model replays
+    each replica's one-trial draw sequence (retired replicas frozen), so
+    each trial's step equals that of a one-trial loop over
+    ``ManhattanRandomWaypoint`` and ``FloodingProtocol`` on its generator.
     """
-    n, side, d, radius, fraction, speed, bound, trials, seed, engine = args
+    n, side, d, radius, fraction, speed, bound, trials, seed = args
     sampler = PalmStationarySampler(side)
     max_steps = int(8 * bound) + 200
     trial_rngs = [
@@ -119,23 +108,6 @@ def _fraction_trials(args) -> list:
     states = [_conditioned_state(n, side, d, sampler, rng) for rng in trial_rngs]
     # Source: the agent farthest (Chebyshev) from the corner.
     sources = [int(np.argmax(np.max(state.positions, axis=1))) for state in states]
-
-    if engine == "scalar":
-        informed_steps = []
-        for trial in range(trials):
-            model = ManhattanRandomWaypoint(
-                n, side, speed, rng=trial_rngs[trial], init=states[trial]
-            )
-            protocol = FloodingProtocol(n, side, radius, sources[trial], rng=trial_rngs[trial])
-            trapped_informed_at = math.inf
-            for step in range(1, max_steps + 1):
-                positions = model.step()
-                protocol.step(positions)
-                if protocol.informed[0]:
-                    trapped_informed_at = step
-                    break
-            informed_steps.append(trapped_informed_at)
-        return informed_steps
 
     model = BatchManhattanRandomWaypoint(n, side, speed, rngs=trial_rngs, init=states)
     protocol = BatchFloodingState(n, side, radius, sources)
@@ -152,18 +124,12 @@ def _fraction_trials(args) -> list:
     return informed_step.tolist()
 
 
-def run(
-    scale: str = "quick",
-    seed: int = 0,
-    engine: str | None = None,
-    jobs: int = 1,
-) -> ExperimentResult:
+def run(scale: str = "quick", seed: int = 0, jobs: int = 1) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 1_000, "fractions": [0.1, 0.05], "prob_trials": 800, "trials": 3},
         full={"n": 8_000, "fractions": [0.2, 0.1, 0.05, 0.025], "prob_trials": 4_000, "trials": 6},
     )
-    engine = _resolve_engine(engine)
     n = params["n"]
     side = math.sqrt(n)
     d = side / n ** (1.0 / 3.0)
@@ -183,7 +149,7 @@ def run(
         speed = fraction * radius
         bound = theory.flooding_lower_bound(n, side, radius, speed, d_constant=1.0)
         fraction_jobs.append(
-            (n, side, d, radius, fraction, speed, bound, params["trials"], seed, engine)
+            (n, side, d, radius, fraction, speed, bound, params["trials"], seed)
         )
     with WorkerPool(max_workers=jobs or 1) as pool:
         per_fraction_steps = pool.map(

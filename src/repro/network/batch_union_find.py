@@ -1,10 +1,9 @@
 """Vectorized union-find over batched per-replica edge sets.
 
-The connectivity analyses (giant-component profiles, threshold estimation,
-zone comparisons) reduce to connected components of disk-graph snapshots —
-computed thousands of times across radius grids and replica batches.  The
-scalar :class:`~repro.network.union_find.UnionFind` unions edge-by-edge in
-Python; this module replaces that inner loop with the component-hooking +
+The connectivity analyses (giant-component profiles, threshold estimation)
+reduce to connected components of disk-graph snapshots — computed
+thousands of times across radius grids and replica batches.  Instead of
+unioning edge by edge in Python, this module runs the component-hooking +
 pointer-doubling scheme of the congested-clique MSF/connectivity literature
 (PAPERS.md), vectorized over a ``(B, n)`` label tensor:
 
@@ -39,12 +38,7 @@ import numpy as np
 
 from repro.kernels import get_kernel
 
-__all__ = [
-    "BatchUnionFind",
-    "batch_components_from_edges",
-    "mst_bottleneck",
-    "batch_mst_bottleneck",
-]
+__all__ = ["BatchUnionFind", "batch_mst_bottleneck"]
 
 
 class BatchUnionFind:
@@ -200,17 +194,6 @@ class BatchUnionFind:
         return self.component_sizes_at_root().max(axis=1) / self.n
 
 
-def batch_components_from_edges(batch_size: int, n: int, replica, u, v) -> np.ndarray:
-    """``(B, n)`` dense component labels of per-replica edge lists.
-
-    The batched counterpart of
-    :func:`repro.network.union_find.components_from_edges`.
-    """
-    uf = BatchUnionFind(batch_size, n)
-    uf.add_edges(u, v, replica=replica)
-    return uf.dense_labels()
-
-
 # ----------------------------------------------------------------------
 # MST bottleneck (exact connectivity threshold)
 # ----------------------------------------------------------------------
@@ -271,8 +254,9 @@ def batch_mst_bottleneck(batch_size: int, n: int, replica, u, v, w) -> np.ndarra
     if mst is not None:
         coo_matrix, minimum_spanning_tree = mst
         total = batch_size * n
-        # Same +1 shift as mst_bottleneck: zero-weight edges (coincident
-        # points) cannot be stored as explicit sparse zeros.
+        # Shift weights by +1 so zero-weight edges (coincident points)
+        # survive the sparse representation, which cannot hold explicit
+        # zeros; the MST is invariant under the monotone shift.
         matrix = coo_matrix((w + 1.0, (fu, fv)), shape=(total, total)).tocsr()
         tree = minimum_spanning_tree(matrix).tocoo()
         tree_replica = tree.row // n
@@ -307,34 +291,3 @@ def batch_mst_bottleneck(batch_size: int, n: int, replica, u, v, w) -> np.ndarra
         uf._union_flat(fu[chosen], fv[chosen])
     best[uf.n_components() > 1] = np.inf
     return best
-
-
-def mst_bottleneck(n: int, u, v, w) -> float:
-    """Largest MST edge weight of one edge-list graph (``inf`` if disconnected).
-
-    Uses :func:`scipy.sparse.csgraph.minimum_spanning_tree` when scipy is
-    importable, the vectorized Borůvka of :func:`batch_mst_bottleneck`
-    otherwise — both exact (the MST bottleneck value is unique even when
-    the MST itself is not).
-    """
-    u = np.asarray(u, dtype=np.intp).ravel()
-    v = np.asarray(v, dtype=np.intp).ravel()
-    w = np.asarray(w, dtype=np.float64).ravel()
-    if n <= 1:
-        return 0.0
-    if u.size == 0:
-        return float("inf")
-    mst = _scipy_mst()
-    if mst is not None:
-        coo_matrix, minimum_spanning_tree = mst
-        # Shift weights by +1 so zero-weight edges (coincident points)
-        # survive the sparse representation, which cannot hold explicit
-        # zeros; the MST is invariant under the monotone shift.
-        matrix = coo_matrix((w + 1.0, (u, v)), shape=(n, n)).tocsr()
-        tree = minimum_spanning_tree(matrix)
-        if tree.nnz < n - 1:
-            return float("inf")
-        return max(0.0, float(tree.data.max()) - 1.0)
-    return float(
-        batch_mst_bottleneck(1, n, np.zeros(u.size, dtype=np.intp), u, v, w)[0]
-    )

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.geometry.neighbors import NeighborEngine, make_engine
 from repro.geometry.points import as_points
-from repro.network.union_find import components_from_edges
+from repro.network.batch_union_find import BatchUnionFind
 
 __all__ = ["DiskGraph"]
 
@@ -67,9 +67,15 @@ class DiskGraph:
         return deg
 
     def component_labels(self) -> np.ndarray:
-        """Connected-component label per vertex (cached)."""
+        """Connected-component label per vertex (cached).
+
+        Labels are dense ``0..k-1`` in first-occurrence order along the
+        vertex scan (vertex 0 is in component 0), independent of edge order.
+        """
         if self._labels is None:
-            self._labels = components_from_edges(self.n, self.edges)
+            uf = BatchUnionFind(1, self.n)
+            uf.add_edges(self.edges[:, 0], self.edges[:, 1])
+            self._labels = uf.dense_labels()[0]
         return self._labels
 
     def n_components(self) -> int:
@@ -96,22 +102,6 @@ class DiskGraph:
     def isolated_mask(self) -> np.ndarray:
         """Mask of degree-0 vertices."""
         return self.degrees() == 0
-
-    def subgraph_is_connected(self, mask: np.ndarray) -> bool:
-        """Whether the sub-disk-graph induced by ``mask`` is connected.
-
-        Used to check the paper's claim that the *Central Zone* sub-network
-        is w.h.p. connected even when the full graph is not.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.n,):
-            raise ValueError(f"mask must have shape ({self.n},), got {mask.shape}")
-        count = int(np.count_nonzero(mask))
-        if count <= 1:
-            return True
-        sub_positions = self.positions[mask]
-        sub = DiskGraph(sub_positions, self.radius, side=self.side, engine=self._engine)
-        return sub.is_connected()
 
     def to_networkx(self):
         """Export as a ``networkx.Graph`` (requires networkx; used in tests)."""

@@ -45,6 +45,15 @@ class TestEngineParity:
         fanned = spec.run(scale="quick", seed=0, engine="auto", jobs=2)
         assert serial.to_text() == fanned.to_text()
 
+    @pytest.mark.parametrize("experiment_id", ["connectivity", "thm18_lower"])
+    def test_jobs_invariant_without_engine(self, experiment_id):
+        # These fan their per-n / per-speed jobs over the worker pool but
+        # have one execution path, so jobs is their only option.
+        spec = get_spec(experiment_id)
+        serial = spec.run(scale="quick", seed=0, jobs=1)
+        fanned = spec.run(scale="quick", seed=0, jobs=2)
+        assert serial.to_text() == fanned.to_text()
+
 
 class TestFrameworkThreading:
     def test_sweep_experiments_advertise_support(self):
@@ -52,13 +61,15 @@ class TestFrameworkThreading:
             spec = get_spec(experiment_id)
             assert spec.accepts_engine and spec.accepts_jobs, experiment_id
 
-    def test_non_scheduler_experiment_rejects_engine(self):
-        spec = get_spec("fig1_spatial")
+    @pytest.mark.parametrize("experiment_id", ["fig1_spatial", "connectivity", "thm18_lower"])
+    def test_non_scheduler_experiment_rejects_engine(self, experiment_id):
+        spec = get_spec(experiment_id)
         assert not spec.accepts_engine
-        with pytest.raises(ValueError, match="engine"):
+        with pytest.raises(ValueError, match="no engine selection"):
             spec.run(scale="quick", seed=0, engine="auto")
-        with pytest.raises(ValueError, match="fan-out"):
-            spec.run(scale="quick", seed=0, jobs=2)
+        if experiment_id == "fig1_spatial":
+            with pytest.raises(ValueError, match="fan-out"):
+                spec.run(scale="quick", seed=0, jobs=2)
 
     def test_support_flags_resolve_for_every_experiment(self):
         # The signature inspection must not blow up on any registered

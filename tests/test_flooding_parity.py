@@ -18,7 +18,7 @@ from repro.geometry.neighbors import (
     available_backends,
 )
 from repro.kernels import use_kernel_tier
-from repro.network.union_find import components_from_edges
+from repro.network.disk_graph import DiskGraph
 from repro.protocols.flooding import BatchFloodingState, FloodingProtocol
 from repro.simulation import run_trials, standard_config
 
@@ -194,7 +194,7 @@ class TestAdversarialStates:
             state.step(positions)
         brute = BruteForceNeighborEngine(side)
         for b in range(batch):
-            labels = components_from_edges(n, brute.pairs_within(positions[b], radius))
+            labels = DiskGraph(positions[b], radius, side=side, engine=brute).component_labels()
             assert np.array_equal(state.informed[b], labels == labels[sources[b]]), b
             protocol = FloodingProtocol(
                 n, side, radius, source=int(sources[b]), multi_hop=True, backend="grid"

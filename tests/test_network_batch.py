@@ -1,33 +1,27 @@
-"""Parity suite for the batched connectivity layer.
+"""Tests of the batched connectivity layer against independent oracles.
 
-Every batched kernel must reproduce its scalar reference exactly:
-canonical union-find labels (up to dense relabeling), byte-identical
-incremental radius sweeps vs per-radius disk-graph rebuilds, and exact
-MST thresholds cross-validated against the retained bisection.
+Union-find labels and component statistics are checked per replica
+against networkx, MST bottlenecks against networkx's MST on each replica,
+incremental radius sweeps against per-radius disk-graph rebuilds, and
+exact thresholds against networkx's MST over the complete graph and
+against disk-graph connectivity just at and just below the threshold.
 """
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.network.batch_union_find as buf
-from repro.network.batch_union_find import (
-    BatchUnionFind,
-    batch_components_from_edges,
-    batch_mst_bottleneck,
-    mst_bottleneck,
-)
+from repro.network.batch_union_find import BatchUnionFind, batch_mst_bottleneck
 from repro.network.connectivity import (
     batch_connectivity_profile,
     batch_connectivity_threshold,
-    connectivity_profile,
-    estimate_connectivity_threshold,
 )
 from repro.network.disk_graph import DiskGraph
-from repro.network.union_find import UnionFind, components_from_edges
 
 
 def _random_replica_edges(rng, batch_size, n, m):
@@ -36,6 +30,30 @@ def _random_replica_edges(rng, batch_size, n, m):
     u = rng.integers(0, n, size=m)
     v = rng.integers(0, n, size=m)
     return replica.astype(np.intp), u.astype(np.intp), v.astype(np.intp)
+
+
+def _replica_graph(n, replica, u, v, b, w=None):
+    """networkx graph of replica ``b``'s edges (weighted when ``w`` is given)."""
+    mask = replica == b
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    if w is None:
+        graph.add_edges_from(zip(u[mask].tolist(), v[mask].tolist()))
+    else:
+        graph.add_weighted_edges_from(zip(u[mask].tolist(), v[mask].tolist(), w[mask].tolist()))
+    return graph
+
+
+def _nx_bottleneck(graph):
+    """Largest edge weight of networkx's MST (``inf`` if disconnected)."""
+    if not nx.is_connected(graph):
+        return math.inf
+    return max(d["weight"] for _, _, d in nx.minimum_spanning_edges(graph, data=True))
+
+
+def _mst_bottleneck(n, u, v, w):
+    """``batch_mst_bottleneck`` of one edge-list graph."""
+    return float(batch_mst_bottleneck(1, n, np.zeros(len(u), dtype=np.intp), u, v, w)[0])
 
 
 class TestBatchUnionFind:
@@ -48,11 +66,15 @@ class TestBatchUnionFind:
     def test_dense_labels_match_scalar(self, n, batch_size, seed):
         rng = np.random.default_rng(seed)
         replica, u, v = _random_replica_edges(rng, batch_size, n, rng.integers(0, 3 * n))
-        dense = batch_components_from_edges(batch_size, n, replica, u, v)
+        uf = BatchUnionFind(batch_size, n)
+        uf.add_edges(u, v, replica=replica)
+        dense = uf.dense_labels()
         for b in range(batch_size):
-            mask = replica == b
-            edges = np.stack([u[mask], v[mask]], axis=1)
-            assert np.array_equal(dense[b], components_from_edges(n, edges))
+            graph = _replica_graph(n, replica, u, v, b)
+            # Dense labels number components by their smallest vertex.
+            minima = sorted(min(c) for c in nx.connected_components(graph))
+            expected = [minima.index(min(nx.node_connected_component(graph, x))) for x in range(n)]
+            assert dense[b].tolist() == expected
 
     def test_labels_are_min_vertex_canonical(self):
         uf = BatchUnionFind(2, 6)
@@ -83,16 +105,12 @@ class TestBatchUnionFind:
         uf = BatchUnionFind(4, 15)
         uf.add_edges(u, v, replica=replica)
         for b in range(4):
-            mask = replica == b
-            scalar = UnionFind(15)
-            scalar.add_edges(np.stack([u[mask], v[mask]], axis=1))
-            assert uf.n_components()[b] == scalar.n_components
+            components = list(nx.connected_components(_replica_graph(15, replica, u, v, b)))
+            assert uf.n_components()[b] == len(components)
             sizes = uf.component_sizes_at_root()[b]
-            assert sizes.sum() == 15
-            assert uf.giant_fraction()[b] == max(
-                scalar.component_size(i) for i in range(15)
-            ) / 15
-            assert uf.connected_mask()[b] == (scalar.n_components == 1)
+            assert sorted(sizes[sizes > 0].tolist()) == sorted(map(len, components))
+            assert uf.giant_fraction()[b] == max(map(len, components)) / 15
+            assert uf.connected_mask()[b] == (len(components) == 1)
 
     def test_validation(self):
         uf = BatchUnionFind(2, 5)
@@ -104,14 +122,6 @@ class TestBatchUnionFind:
             uf.add_edges([0, 1], [1])
         with pytest.raises(ValueError):
             BatchUnionFind(0, 5)
-
-    def test_scalar_labels_vectorized_path(self):
-        uf = UnionFind(8)
-        uf.add_edges(np.array([[0, 7], [7, 3], [2, 4]]))
-        labels = uf.labels()
-        assert labels[0] == labels[7] == labels[3]
-        assert labels[2] == labels[4]
-        assert len(set(labels.tolist())) == 8 - 3
 
 
 class TestMSTBottleneck:
@@ -129,7 +139,7 @@ class TestMSTBottleneck:
         rng = np.random.default_rng(5)
         for _ in range(10):
             graph, edges, d2 = self._geometric(rng, 40, 1.6)
-            got = mst_bottleneck(40, edges[:, 0], edges[:, 1], d2)
+            got = _mst_bottleneck(40, edges[:, 0], edges[:, 1], d2)
             if graph.is_connected():
                 # The bottleneck is the smallest radius^2 keeping the graph
                 # connected: connected at sqrt(got), disconnected just below.
@@ -152,7 +162,8 @@ class TestMSTBottleneck:
             u_parts.append(edges[:, 0])
             v_parts.append(edges[:, 1])
             w_parts.append(d2)
-            expected.append(mst_bottleneck(n, edges[:, 0], edges[:, 1], d2))
+            graph = _replica_graph(n, rep_parts[-1], edges[:, 0], edges[:, 1], b, w=d2)
+            expected.append(_nx_bottleneck(graph))
         got = batch_mst_bottleneck(
             batch_size,
             n,
@@ -171,13 +182,12 @@ class TestMSTBottleneck:
         u = np.array([0, 1])
         v = np.array([1, 2])
         w = np.array([0.0, 4.0])
-        assert mst_bottleneck(3, u, v, w) == 4.0
         assert batch_mst_bottleneck(1, 3, np.zeros(2, dtype=np.intp), u, v, w)[0] == 4.0
 
     def test_trivial_sizes(self):
-        assert mst_bottleneck(0, [], [], []) == 0.0
-        assert mst_bottleneck(1, [], [], []) == 0.0
-        assert math.isinf(mst_bottleneck(2, [], [], []))
+        assert _mst_bottleneck(0, [], [], []) == 0.0
+        assert _mst_bottleneck(1, [], [], []) == 0.0
+        assert math.isinf(_mst_bottleneck(2, [], [], []))
         assert np.array_equal(batch_mst_bottleneck(3, 1, [], [], [], []), np.zeros(3))
 
 
@@ -202,12 +212,19 @@ class TestIncrementalProfile:
     def test_byte_identical_to_rebuild(self):
         rng = np.random.default_rng(2)
         side = 12.0
-        positions = rng.uniform(0, side, size=(150, 2))
-        radii = [0.8, 2.5, 0.3, 1.4, 1.4, 6.0]
-        profile = connectivity_profile(positions, side, radii)
-        rebuilt = self._rebuild(positions, side, radii)
-        for key, val in rebuilt.items():
-            assert np.array_equal(profile[key], val), key
+        # A unit lattice puts edges exactly at r = 1 and r = 2, where the
+        # inclusive d2 <= r*r test decides connectivity.
+        lattice = np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0)), axis=-1).reshape(-1, 2)
+        cases = [
+            (rng.uniform(0, side, size=(150, 2)), [0.8, 2.5, 0.3, 1.4, 1.4, 6.0]),
+            (lattice, [0.5, 1.0, 2.0]),
+        ]
+        for positions, radii in cases:
+            profile = batch_connectivity_profile(positions[None], side, radii)
+            assert np.array_equal(profile["radius"], radii)
+            rebuilt = self._rebuild(positions, side, radii)
+            for key, val in rebuilt.items():
+                assert np.array_equal(profile[key][0], val), key
 
     def test_batch_rows_equal_scalar(self):
         rng = np.random.default_rng(4)
@@ -216,20 +233,29 @@ class TestIncrementalProfile:
         radii = [0.5, 1.5, 3.0]
         batched = batch_connectivity_profile(stack, side, radii)
         for b in range(5):
-            scalar = connectivity_profile(stack[b], side, radii)
-            for key in ("giant_fraction", "n_components", "isolated_fraction", "connected"):
-                assert np.array_equal(batched[key][b], scalar[key]), (key, b)
+            rebuilt = self._rebuild(stack[b], side, radii)
+            for key, val in rebuilt.items():
+                assert np.array_equal(batched[key][b], val), (key, b)
 
     def test_degenerate_inputs(self):
-        empty = connectivity_profile(np.empty((0, 2)), 5.0, [1.0, 2.0])
-        assert empty["connected"].tolist() == [True, True]
-        assert empty["giant_fraction"].tolist() == [0.0, 0.0]
-        no_radii = connectivity_profile(np.zeros((3, 2)), 5.0, [])
+        empty = batch_connectivity_profile(np.empty((1, 0, 2)), 5.0, [1.0, 2.0])
+        assert empty["connected"].tolist() == [[True, True]]
+        assert empty["giant_fraction"].tolist() == [[0.0, 0.0]]
+        no_radii = batch_connectivity_profile(np.zeros((1, 3, 2)), 5.0, [])
         assert no_radii["radius"].size == 0
+        assert no_radii["connected"].shape == (1, 0)
         # Negative radii admit no edges at all, while radius 0 is inclusive
-        # (d2 <= r*r), so coincident points connect only at r >= 0.
-        negative = connectivity_profile(np.zeros((2, 2)), 5.0, [-1.0, 0.0])
-        assert negative["connected"].tolist() == [False, True]
+        # (d2 <= r*r), so coincident points connect only at r >= 0 — also
+        # when no probe radius is positive.
+        for radii in ([-1.0, 0.0], [0.0, -1.0], [-1.0, 0.0, 1.0]):
+            profile = batch_connectivity_profile(np.zeros((2, 2, 2)), 5.0, radii)
+            expected = [r >= 0 for r in radii]
+            assert profile["connected"].tolist() == [expected, expected], radii
+            assert profile["isolated_fraction"].tolist() == [
+                [0.0 if r >= 0 else 1.0 for r in radii]
+            ] * 2, radii
+        with pytest.raises(ValueError):
+            batch_connectivity_profile(np.zeros((3, 2)), 5.0, [1.0])
 
 
 class TestConnectivityThreshold:
@@ -243,38 +269,33 @@ class TestConnectivityThreshold:
             [sampler.sample(n, rng).positions for _ in range(batch_size)], axis=0
         ), side
 
-    def test_mst_agrees_with_bisection(self):
+    def test_mst_agrees_with_networkx(self):
+        """Each threshold is the largest edge of networkx's Euclidean MST."""
         stack, side = self._stationary_stack(3, 200, 1)
-        tol = side * 1e-3
-        for positions in stack:
-            exact = estimate_connectivity_threshold(positions, side)
-            bisect = estimate_connectivity_threshold(positions, side, method="bisect")
-            # Bisection returns its upper endpoint: >= exact, within tol.
-            assert -1e-9 <= bisect - exact <= tol + 1e-9
+        thresholds = batch_connectivity_threshold(stack, side)
+        for positions, threshold in zip(stack, thresholds):
+            diff = positions[:, None, :] - positions[None, :, :]
+            complete = nx.from_numpy_array(np.sqrt(np.sum(diff * diff, axis=-1)))
+            assert threshold == pytest.approx(_nx_bottleneck(complete), rel=1e-12)
 
     def test_threshold_is_exact_bottleneck(self):
         stack, side = self._stationary_stack(2, 150, 3)
-        for positions in stack:
-            threshold = estimate_connectivity_threshold(positions, side)
+        for positions, threshold in zip(stack, batch_connectivity_threshold(stack, side)):
             assert DiskGraph(positions, threshold, side=side).is_connected()
             below = math.nextafter(threshold, 0.0) * (1 - 1e-12)
             assert not DiskGraph(positions, below, side=side).is_connected()
 
     def test_batch_matches_scalar(self):
+        # Replicas retire from the bracket as they connect; that must not
+        # change any replica's value.
         stack, side = self._stationary_stack(4, 120, 6)
         batched = batch_connectivity_threshold(stack, side)
-        scalar = [estimate_connectivity_threshold(p, side) for p in stack]
-        assert np.allclose(batched, scalar, atol=1e-12)
+        for b, positions in enumerate(stack):
+            assert batched[b] == batch_connectivity_threshold(positions[None], side)[0]
 
-    def test_mask_and_trivial_cases(self):
-        stack, side = self._stationary_stack(1, 100, 8)
-        positions = stack[0]
-        mask = positions[:, 0] < side / 2
-        masked = estimate_connectivity_threshold(positions, side, mask=mask)
-        direct = estimate_connectivity_threshold(positions[mask], side)
-        assert masked == direct
-        assert estimate_connectivity_threshold(positions[:1], side) == 0.0
-        assert estimate_connectivity_threshold(positions[:0], side) == 0.0
+    def test_trivial_cases(self):
+        stack, side = self._stationary_stack(3, 100, 8)
+        assert np.array_equal(batch_connectivity_threshold(stack[:, :1], side), np.zeros(3))
+        assert np.array_equal(batch_connectivity_threshold(stack[:, :0], side), np.zeros(3))
         with pytest.raises(ValueError):
-            estimate_connectivity_threshold(positions, side, method="newton")
-
+            batch_connectivity_threshold(stack[0], side)

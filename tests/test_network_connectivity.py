@@ -1,4 +1,4 @@
-"""Tests of connectivity analysis (thresholds, profiles, zone splits)."""
+"""Tests of connectivity analysis (thresholds and radius profiles)."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.network.connectivity import (
-    connectivity_profile,
-    estimate_connectivity_threshold,
+    batch_connectivity_profile,
+    batch_connectivity_threshold,
     uniform_connectivity_threshold,
-    zone_connectivity,
 )
 from repro.network.disk_graph import DiskGraph
 
@@ -29,13 +28,18 @@ class TestUniformThreshold:
             uniform_connectivity_threshold(100, -1.0)
 
 
+def _threshold(positions):
+    """Connectivity threshold of one snapshot."""
+    return batch_connectivity_threshold(positions[None], SIDE)[0]
+
+
 class TestThresholdEstimation:
     def test_threshold_is_mst_bottleneck(self, rng):
         """The estimated threshold equals the largest MST edge (networkx)."""
         import networkx as nx
 
         positions = rng.uniform(0, SIDE, (40, 2))
-        threshold = estimate_connectivity_threshold(positions, SIDE, tol=1e-6)
+        threshold = _threshold(positions)
         complete = nx.Graph()
         for i in range(40):
             for j in range(i + 1, 40):
@@ -46,7 +50,7 @@ class TestThresholdEstimation:
 
     def test_graph_connected_at_threshold(self, rng):
         positions = rng.uniform(0, SIDE, (60, 2))
-        threshold = estimate_connectivity_threshold(positions, SIDE)
+        threshold = _threshold(positions)
         assert DiskGraph(positions, threshold, side=SIDE).is_connected()
 
     def test_masked_threshold_smaller_for_cluster(self, rng):
@@ -56,46 +60,25 @@ class TestThresholdEstimation:
         positions = np.vstack([cluster, outliers])
         mask = np.zeros(32, dtype=bool)
         mask[:30] = True
-        full = estimate_connectivity_threshold(positions, SIDE)
-        masked = estimate_connectivity_threshold(positions, SIDE, mask=mask)
-        assert masked < full
+        assert _threshold(positions[mask]) < _threshold(positions)
 
     def test_trivial_cases(self):
-        assert estimate_connectivity_threshold(np.empty((0, 2)), SIDE) == 0.0
-        assert estimate_connectivity_threshold(np.array([[1.0, 1.0]]), SIDE) == 0.0
+        assert _threshold(np.empty((0, 2))) == 0.0
+        assert _threshold(np.array([[1.0, 1.0]])) == 0.0
 
 
 class TestProfile:
     def test_profile_monotonicity(self, rng):
-        positions = rng.uniform(0, SIDE, (150, 2))
-        profile = connectivity_profile(positions, SIDE, [0.3, 0.8, 1.5, 3.0])
-        assert np.all(np.diff(profile["giant_fraction"]) >= -1e-12)
-        assert np.all(np.diff(profile["n_components"]) <= 0)
-        assert np.all(np.diff(profile["isolated_fraction"]) <= 1e-12)
+        stack = rng.uniform(0, SIDE, (5, 150, 2))
+        profile = batch_connectivity_profile(stack, SIDE, [0.3, 0.8, 1.5, 3.0])
+        assert np.all(np.diff(profile["giant_fraction"], axis=1) >= -1e-12)
+        assert np.all(np.diff(profile["n_components"], axis=1) <= 0)
+        assert np.all(np.diff(profile["isolated_fraction"], axis=1) <= 1e-12)
 
     def test_profile_keys_and_shapes(self, rng):
-        positions = rng.uniform(0, SIDE, (20, 2))
-        profile = connectivity_profile(positions, SIDE, [1.0, 2.0])
-        for key in ("radius", "giant_fraction", "n_components", "isolated_fraction", "connected"):
-            assert len(profile[key]) == 2
-
-
-class TestZoneConnectivity:
-    def test_dense_zone_connected_sparse_outside(self):
-        rng = np.random.default_rng(5)
-        zone_points = rng.uniform(4, 6, (50, 2))
-        corner_points = np.array([[0.2, 0.2], [9.8, 9.8], [0.3, 9.7]])
-        positions = np.vstack([zone_points, corner_points])
-        zone_mask = np.zeros(53, dtype=bool)
-        zone_mask[:50] = True
-        result = zone_connectivity(positions, SIDE, radius=0.9, zone_mask=zone_mask)
-        assert result["zone_connected"]
-        assert not result["full_connected"]
-        assert result["outside_isolated_fraction"] == pytest.approx(1.0)
-
-    def test_empty_zone_handled(self, rng):
-        positions = rng.uniform(0, SIDE, (10, 2))
-        result = zone_connectivity(
-            positions, SIDE, radius=1.0, zone_mask=np.zeros(10, dtype=bool)
-        )
-        assert result["zone_connected"]
+        for batch_size in (1, 5):
+            stack = rng.uniform(0, SIDE, (batch_size, 20, 2))
+            profile = batch_connectivity_profile(stack, SIDE, [1.0, 2.0])
+            assert profile["radius"].shape == (2,)
+            for key in ("giant_fraction", "n_components", "isolated_fraction", "connected"):
+                assert profile[key].shape == (batch_size, 2)

@@ -70,19 +70,6 @@ class TestComponents:
         graph = DiskGraph(positions, 1.0, side=SIDE)
         assert graph.isolated_mask().tolist() == [False, False, True]
 
-    def test_subgraph_connectivity(self):
-        positions = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
-        graph = DiskGraph(positions, 1.2, side=SIDE)
-        assert not graph.is_connected()
-        assert graph.subgraph_is_connected(np.array([True, True, False, False]))
-        assert graph.subgraph_is_connected(np.array([False, False, True, True]))
-        assert not graph.subgraph_is_connected(np.array([True, False, True, False]))
-
-    def test_subgraph_mask_validation(self, rng):
-        graph, _ = random_graph(rng, n=10)
-        with pytest.raises(ValueError):
-            graph.subgraph_is_connected(np.ones(11, dtype=bool))
-
     def test_empty_and_singleton(self):
         empty = DiskGraph(np.empty((0, 2)), 1.0, side=SIDE)
         assert empty.n_components() == 0
