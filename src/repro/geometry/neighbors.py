@@ -818,13 +818,15 @@ class BatchBoundQuery:
 
         Returns:
             ``(replica, source, query)`` intp agent-index arrays of equal
-            length, in unspecified order.
+            length, sorted by replica, then source, then query on every
+            backend and kernel tier.  The sampling protocols consume their
+            draws in this order, so it is part of the result.
         """
         radius = _check_radius(radius, positive=True)
         source_mask, query_mask = self._check_masks(source_mask, query_mask)
-        # Compiled tier: enumerate the exact cut contacts directly (order
-        # unspecified, like every backend below — the sampling protocols
-        # canonicalize by sorting on unique keys).
+        # Compiled tier: the kernel's counting sort emits the exact cut
+        # contacts already in (replica, source, query) order; the numpy
+        # paths below sort their hits once.
         result = self._kernel("batch_contacts", source_mask, query_mask, radius)
         if result is not None:
             return result
@@ -861,7 +863,11 @@ class BatchBoundQuery:
             q_sel = query_flat[qidx[hit]]
         if s_sel.size == 0:
             return empty
-        return s_sel // n, s_sel % n, q_sel % n
+        # Source and query share a replica, so flat (source, query) order
+        # is (replica, source, query) order; the keys are unique.
+        order = np.argsort(s_sel * n + q_sel % n)
+        s_sel = s_sel[order]
+        return s_sel // n, s_sel % n, q_sel[order] % n
 
     def pairs_within(self, radius: float, rows=None) -> tuple:
         """Per-replica disk-graph edges of the snapshot.

@@ -96,8 +96,9 @@ int64_t repro_contacts(const double *restrict pos, int64_t n, int64_t m, double 
                        double r2, const int64_t *restrict src, int64_t S,
                        const int64_t *restrict qry, int64_t Q,
                        int64_t *restrict cellk, int64_t *restrict starts, int64_t n_starts,
-                       int64_t *restrict srcsort, int64_t *restrict out_b,
-                       int64_t *restrict out_s, int64_t *restrict out_q, int64_t cap)
+                       int64_t *restrict srcsort, int64_t *restrict tally,
+                       int64_t *restrict out_b, int64_t *restrict out_s,
+                       int64_t *restrict out_q, int64_t cap)
 {
     grid_build(pos, n, m, inv_cell, src, S, cellk, starts, n_starts, srcsort);
     int64_t mm = m * m;
@@ -105,7 +106,7 @@ int64_t repro_contacts(const double *restrict pos, int64_t n, int64_t m, double 
     for (int64_t k = 0; k < Q; k++) {
         int64_t i = qry[k];
         int64_t b = i / n;
-        int64_t off = b * n;
+        int64_t local = i - b * n;
         double qx = pos[2 * i];
         double qy = pos[2 * i + 1];
         int64_t ci = (int64_t)(qx * inv_cell);
@@ -124,13 +125,40 @@ int64_t repro_contacts(const double *restrict pos, int64_t n, int64_t m, double 
                 double dx = qx - pos[2 * j];
                 double dy = qy - pos[2 * j + 1];
                 if (total < cap) {
-                    out_b[total] = b;
-                    out_s[total] = j - off;
-                    out_q[total] = i - off;
+                    out_b[total] = local;
+                    out_s[total] = j;
                 }
                 total += (dx * dx + dy * dy <= r2);
             }
         }
+    }
+    if (total > cap) return total;
+    for (int64_t k = 0; k < S; k++)
+        tally[src[k]] = 0;
+    for (int64_t t = 0; t < total; t++)
+        tally[out_s[t]] += 1;
+    int64_t acc = 0;
+    for (int64_t k = 0; k < S; k++) {
+        int64_t j = src[k];
+        int64_t c = tally[j];
+        tally[j] = acc;
+        acc += c;
+    }
+    for (int64_t t = 0; t < total; t++) {
+        int64_t j = out_s[t];
+        out_q[tally[j]] = out_b[t];
+        tally[j] += 1;
+    }
+    int64_t start = 0;
+    for (int64_t k = 0; k < S; k++) {
+        int64_t j = src[k];
+        int64_t b = j / n;
+        int64_t end = tally[j];
+        for (int64_t t = start; t < end; t++) {
+            out_b[t] = b;
+            out_s[t] = j - b * n;
+        }
+        start = end;
     }
     return total;
 }
@@ -384,7 +412,7 @@ def _declare(lib):
     lib.repro_contacts.restype = _i64
     lib.repro_contacts.argtypes = [
         _ptr, _i64, _i64, _f64, _f64, _ptr, _i64, _ptr, _i64,
-        _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _i64,
+        _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _i64,
     ]
     lib.repro_count.restype = None
     lib.repro_count.argtypes = [
@@ -434,11 +462,11 @@ def load_cores():
             _addr(cellk), _addr(starts), starts.shape[0], _addr(srcsort), _addr(out),
         )
 
-    def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out_b, out_s, out_q, cap):
+    def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, tally, out_b, out_s, out_q, cap):
         return lib.repro_contacts(
             _addr(pos), n, m, inv_cell, r2,
             _addr(src), src.shape[0], _addr(qry), qry.shape[0],
-            _addr(cellk), _addr(starts), starts.shape[0], _addr(srcsort),
+            _addr(cellk), _addr(starts), starts.shape[0], _addr(srcsort), _addr(tally),
             _addr(out_b), _addr(out_s), _addr(out_q), cap,
         )
 

@@ -14,8 +14,10 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
 * ``any_within_core`` / ``contacts_core`` / ``count_core`` — boolean OR /
   enumeration / per-query count of the exact inclusive predicate
   ``(qx-sx)^2 + (qy-sy)^2 <= radius^2`` over a bucket grid with cell side
-  ``>= radius``; bit-identical to the grid/brute engines for any
-  enumeration order.
+  ``>= radius``; the OR and the counts are bit-identical to the grid/brute
+  engines for any scan order, and the enumeration comes out sorted by
+  (replica, source, query), the order in which the neighbor-sampling
+  protocols consume their draws.
 * ``advance_legs_core`` / ``advance_legs_dense_core`` — the identical
   IEEE operation sequence as :func:`repro.mobility.kinematics.advance_legs`
   (same gathers, same guarded division, same ``move >= dist - eps``
@@ -133,18 +135,28 @@ def any_within_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, o
             out[i] = True
 
 
-def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out_b, out_s, out_q, cap):
-    """Enumerate exact (source, query) contacts; returns the total count.
+def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, tally, out_b, out_s, out_q, cap):
+    """Exact (source, query) contacts sorted by (replica, source, query);
+    returns the total count.
 
     Fills ``out_b`` / ``out_s`` / ``out_q`` with each contact's replica
     and replica-local source and query index, up to ``cap``, and keeps
     counting past it, so a too-small capacity is detected by the caller
-    (``total > cap``) and the pass re-run with an exact allocation.  Every
-    candidate is stored at slot ``total`` and ``total`` then advances by
-    the distance test, so a miss is overwritten by the next candidate
-    instead of branched around.  Emission order is query-major then
-    grid-scan order — callers treat the order as unspecified, like every
-    other contacts backend.
+    (``total > cap``) and the pass re-run with an exact allocation; an
+    overflowing pass returns before the sort.
+
+    The query-major scan stores every candidate at slot ``total`` (its
+    local query in ``out_b``, its flat source in ``out_s``) and then
+    advances ``total`` by the distance test, so a miss is overwritten by
+    the next candidate instead of branched around.  A stable counting
+    sort by flat source then writes the pairs in canonical order: the
+    ``(B*n,)`` ``tally`` (zeroed here at the sources, never read
+    elsewhere) counts each source's contacts, prefix sums over ``src`` in
+    order turn the counts into run starts, one scatter puts the local
+    queries into ``out_q``, and each source's run of ``out_b`` /
+    ``out_s`` is filled with its replica and local index.  ``qry`` is
+    ascending, so the stable scatter leaves every source's queries
+    ascending: O(pairs + S) after the scan, whatever the degrees.
     """
     _grid_build(pos, n, m, inv_cell, src, cellk, starts, srcsort)
     mm = m * m
@@ -152,7 +164,7 @@ def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out
     for k in range(qry.shape[0]):
         i = qry[k]
         b = i // n
-        off = b * n
+        local = i - b * n
         qx = pos[i, 0]
         qy = pos[i, 1]
         ci = int(qx * inv_cell)
@@ -177,10 +189,34 @@ def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out
                 dx = qx - pos[j, 0]
                 dy = qy - pos[j, 1]
                 if total < cap:
-                    out_b[total] = b
-                    out_s[total] = j - off
-                    out_q[total] = i - off
+                    out_b[total] = local
+                    out_s[total] = j
                 total += dx * dx + dy * dy <= r2
+    if total > cap:
+        return total
+    for k in range(src.shape[0]):
+        tally[src[k]] = 0
+    for t in range(total):
+        tally[out_s[t]] += 1
+    acc = 0
+    for k in range(src.shape[0]):
+        j = src[k]
+        c = tally[j]
+        tally[j] = acc
+        acc += c
+    for t in range(total):
+        j = out_s[t]
+        out_q[tally[j]] = out_b[t]
+        tally[j] += 1
+    start = 0
+    for k in range(src.shape[0]):
+        j = src[k]
+        b = j // n
+        end = tally[j]
+        for t in range(start, end):
+            out_b[t] = b
+            out_s[t] = j - b * n
+        start = end
     return total
 
 

@@ -133,9 +133,10 @@ def make_kernels(cores):
         return out.reshape(batch, n)
 
     def batch_contacts(positions, source_mask, query_mask, radius, side, counts=False):
-        """Exact (replica, source, query) contacts, or with ``counts=True``
-        the ``(B, n)`` per-query contact counts (0 outside ``query_mask``),
-        which write no pairs and so need O(B*n) memory."""
+        """Exact (replica, source, query) contacts sorted in that order, or
+        with ``counts=True`` the ``(B, n)`` per-query contact counts (0
+        outside ``query_mask``), which write no pairs and so need O(B*n)
+        memory."""
         geo = _grid_geometry(positions, side, radius)
         if geo is None:
             return None
@@ -157,16 +158,18 @@ def make_kernels(cores):
             empty = np.empty(0, dtype=np.intp)
             return empty, empty.copy(), empty.copy()
         cellk, starts, srcsort = _grid_buffers(src.size, cells)
+        # The core zeroes the tally at the sources, the only entries it uses.
+        tally = np.empty(pos.shape[0], dtype=np.int64)
         cap = _contacts_capacity(src.size, qry.size, positions.shape[0], radius, side)
         out = [np.empty(cap, dtype=np.int64) for _ in range(3)]
         total = cores.contacts_core(
-            pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, *out, cap,
+            pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, tally, *out, cap,
         )
         if total > cap:
             out = [np.empty(total, dtype=np.int64) for _ in range(3)]
             starts[:] = 0
             total = cores.contacts_core(
-                pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, *out, total,
+                pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, tally, *out, total,
             )
         # The core already wrote (replica, local source, local query).
         return tuple(buf[:total] for buf in out)

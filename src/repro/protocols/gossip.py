@@ -18,7 +18,10 @@ draws per cut-incident sender are needed — ``O(cut)`` per step instead of
 uninformed) phases of a run.  Draw order is canonical — senders ascending,
 their cut-neighbors ascending — so trajectories are independent of the
 neighbor backend and the batched state replays the scalar draws
-seed-for-seed.
+seed-for-seed.  The scalar protocol sorts its cut into that order; the
+batched state takes it as returned, because
+:meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within` returns
+the cut sorted by (replica, sender, target) on every backend.
 """
 
 from __future__ import annotations
@@ -82,8 +85,10 @@ class BatchGossipState(BatchBroadcastState):
 
     One batched
     :meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within` call
-    materializes every replica's informed/uninformed cut, one batched
-    ``count_within`` the sender degrees, and a single
+    materializes every replica's informed/uninformed cut, already sorted
+    by (replica, sender, target), so each sender's cut neighbors are one
+    run with no per-round sort; one batched ``count_within`` counts the
+    sender degrees, and a single
     :func:`~repro.protocols.base.sample_indices` pass picks every sender's
     neighbors at once.  Only the uniform draws stay per replica — one
     ``uniform((fanout, S_b))`` call per replica per step, sized and
@@ -108,14 +113,11 @@ class BatchGossipState(BatchBroadcastState):
         rep, s_cut, t_cut = snapshot.contacts_within(source_mask, query_mask, self.radius)
         if rep.size == 0:
             return newly
-        sender_gid = rep * self.n + s_cut
-        order = np.argsort(sender_gid * self.n + t_cut)
-        rep = rep[order]
-        t_cut = t_cut[order]
-        sender_gid = sender_gid[order]
-        gids, cut_degree, offsets = group_segments(sender_gid)
-        sender_rep = gids // self.n
-        sender_agent = gids % self.n
+        # The cut comes sorted by (replica, sender, target): each sender's
+        # cut neighbors are one ascending run, in the scalar draw order.
+        _gids, cut_degree, offsets = group_segments(rep * self.n + s_cut)
+        sender_rep = rep[offsets]
+        sender_agent = s_cut[offsets]
         sender_mask = np.zeros((self.batch_size, self.n), dtype=bool)
         sender_mask[sender_rep, sender_agent] = True
         counts = snapshot.count_within(

@@ -15,6 +15,10 @@ cut-incident agents draw (one uniform each) and only the cut contacts are
 materialized — ``O(cut)`` per step.  Draw order is canonical (initiators
 ascending, cut-neighbors ascending), so scalar trajectories are
 backend-independent and the batched state replays them seed-for-seed.
+The scalar protocol sorts the cut and its mirror into that order; the
+batched state sorts nothing, because
+:meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within` returns
+the cut sorted by (replica, sender, target) on every backend.
 """
 
 from __future__ import annotations
@@ -69,10 +73,12 @@ class PushPullGossip(BroadcastProtocol):
 class BatchPushPullState(BatchBroadcastState):
     """``B`` independent push-pull runs in lock-step.
 
-    One batched cut materialization and one batched degree count serve
-    every replica; the uniform draws stay per replica — one
-    ``uniform(S_b)`` call per replica per step over its cut-incident
-    initiators, the scalar draw exactly.
+    One batched cut materialization, already sorted by (replica, sender,
+    target), and one batched degree count serve every replica.  The
+    initiators are the agents with a nonzero cut degree, in ascending
+    flat order; the uniform draws stay per replica — one ``uniform(S_b)``
+    call per replica per step over its cut-incident initiators, the
+    scalar draw exactly.
     """
 
     name = "push-pull"
@@ -85,33 +91,30 @@ class BatchPushPullState(BatchBroadcastState):
         rep, s_cut, t_cut = snapshot.contacts_within(source_mask, query_mask, self.radius)
         if rep.size == 0:
             return newly
-        rep2 = np.concatenate([rep, rep])
-        init = np.concatenate([s_cut, t_cut])
-        neighbor = np.concatenate([t_cut, s_cut])
-        init_gid = rep2 * self.n + init
-        order = np.argsort(init_gid * self.n + neighbor)
-        rep2 = rep2[order]
-        neighbor = neighbor[order]
-        init_gid = init_gid[order]
-        gids, cut_degree, offsets = group_segments(init_gid)
-        init_rep = gids // self.n
-        init_agent = gids % self.n
-        init_mask = np.zeros((self.batch_size, self.n), dtype=bool)
-        init_mask[init_rep, init_agent] = True
+        # The cut comes sorted by (replica, sender, target): each informed
+        # sender's uninformed neighbors are one ascending run.  A pulling
+        # initiator needs only its cut degree, since the pull informs it
+        # whichever informed neighbor it picks.
+        senders, sender_degree, sender_offsets = group_segments(rep * self.n + s_cut)
+        cut_degree = np.bincount(rep * self.n + t_cut, minlength=newly.size)
+        cut_degree[senders] = sender_degree
+        # Initiators in ascending flat order: the scalar draw order.
+        initiators = np.flatnonzero(cut_degree)
+        init_mask = (cut_degree > 0).reshape(newly.shape)
         counts = snapshot.count_within(
             np.broadcast_to(active[:, None], init_mask.shape), init_mask, self.radius
         )
-        degree = counts[init_rep, init_agent] - 1
+        init_rep = initiators // self.n
+        degree = counts.reshape(-1)[initiators] - 1
         r = self._draw_uniform_blocks(init_rep, 1)[0]
         pick = np.floor(r * degree).astype(np.intp)
         np.minimum(pick, np.maximum(degree - 1, 0), out=pick)
-        cross = pick < cut_degree
-        pos_sel = offsets[cross] + pick[cross]
-        partner_agent = neighbor[pos_sel]
-        partner_rep = rep2[pos_sel]
-        who_rep = init_rep[cross]
-        who_agent = init_agent[cross]
-        who_informed = self.informed[who_rep, who_agent]
-        newly[partner_rep[who_informed], partner_agent[who_informed]] = True
-        newly[who_rep[~who_informed], who_agent[~who_informed]] = True
+        cross = pick < cut_degree[initiators]
+        pushes = self.informed.reshape(-1)[initiators]
+        # The informed initiators, in order, are the senders: push along
+        # the picked entry of each crossing sender's run.
+        push_cross = cross[pushes]
+        pos_sel = sender_offsets[push_cross] + pick[pushes][push_cross]
+        newly[rep[pos_sel], t_cut[pos_sel]] = True
+        newly.reshape(-1)[initiators[cross & ~pushes]] = True
         return self._mark_informed(newly)

@@ -203,7 +203,9 @@ def _atomic_write_json(path: str, payload: dict) -> None:
     # tear it mid-write.
     tmp = f"{path}.tmp.{os.getpid()}.{next(_TMP_COUNTER)}"
     with open(tmp, "w") as handle:
-        json.dump(payload, handle, allow_nan=True)
+        # ``json.dumps`` runs the C encoder; ``json.dump`` always runs the
+        # pure-Python one.  Both write the same bytes.
+        handle.write(json.dumps(payload, allow_nan=True))
         handle.write("\n")
         handle.flush()
         os.fsync(handle.fileno())

@@ -18,6 +18,7 @@ from repro.geometry.neighbors import (
     make_engine,
 )
 from repro.kernels import kernel_backend, provider_kernels, use_kernel_tier
+from repro.kernels._glue import _contacts_capacity
 
 BACKENDS = available_backends()
 
@@ -623,8 +624,105 @@ class TestContactsWithin:
             assert s.size == 0 and q.size == 0
 
 
+#: (backend, kernel tier) of every batch contacts path: ``auto`` runs the
+#: compiled kernel on the compiled tier and a tiled engine on the numpy
+#: tier; explicit backends run their own code on either tier.
+CONTACT_PATHS = (
+    ([("auto", "compiled")] if kernel_backend() is not None else [])
+    + [("auto", "numpy"), ("cells", "numpy")]
+    + [(backend, "numpy") for backend in BACKENDS]
+)
+CONTACT_PATH_IDS = [f"{backend}-{tier}" for backend, tier in CONTACT_PATHS]
+
+
 class TestBatchContactsAndPairs:
     """Batched bipartite contacts and per-replica edge lists."""
+
+    SIDE = 10.0
+
+    @staticmethod
+    def brute_contacts(positions, source_mask, query_mask, radius):
+        """Every (replica, source, query) with ``dx*dx + dy*dy <= r*r``,
+        sorted by replica, then source, then query."""
+        columns = []
+        for b in range(positions.shape[0]):
+            dx = positions[b, :, None, 0] - positions[b, None, :, 0]
+            dy = positions[b, :, None, 1] - positions[b, None, :, 1]
+            close = dx * dx + dy * dy <= radius * radius
+            close &= source_mask[b][:, None] & query_mask[b][None, :]
+            source, query = np.nonzero(close)  # row-major: sorted pairs
+            columns.append((np.full(source.size, b, dtype=np.intp), source, query))
+        return tuple(np.concatenate(column) for column in zip(*columns))
+
+    def assert_canonical(self, path, positions, source_mask, query_mask, radius, rows=None):
+        """``contacts_within`` equals the sorted brute-force list, in order."""
+        backend, tier = path
+        query = BatchNeighborQuery(self.SIDE, positions.shape[0], backend=backend)
+        with use_kernel_tier(tier):
+            got = query.bind(positions, rows=rows).contacts_within(
+                source_mask, query_mask, radius
+            )
+        expected = self.brute_contacts(positions, source_mask, query_mask, radius)
+        assert len(got) == 3
+        for got_column, expected_column in zip(got, expected):
+            assert got_column.dtype == np.intp
+            assert np.array_equal(got_column, expected_column)
+        return got
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("path", CONTACT_PATHS, ids=CONTACT_PATH_IDS)
+    def test_contacts_in_canonical_order(self, path, batch, rng):
+        positions = rng.uniform(0, self.SIDE, (batch, 120, 2))
+        for informed_frac in (0.05, 0.5, 0.95):
+            informed = rng.uniform(size=(batch, 120)) < informed_frac
+            self.assert_canonical(path, positions, informed, ~informed, 1.3)
+        # Overlapping masks: every agent is its own contact.
+        source_mask = rng.uniform(size=(batch, 120)) < 0.6
+        query_mask = rng.uniform(size=(batch, 120)) < 0.6
+        self.assert_canonical(path, positions, source_mask, query_mask, 1.3)
+        # A bind that names the moved replicas, with the others retired.
+        rows = np.arange(0, batch, 2)
+        active = np.zeros(batch, dtype=bool)
+        active[rows] = True
+        informed = rng.uniform(size=(batch, 120)) < 0.4
+        rep, _s, _q = self.assert_canonical(
+            path, positions, informed & active[:, None], ~informed & active[:, None], 1.3,
+            rows=rows,
+        )
+        assert set(rep.tolist()) <= set(rows.tolist())
+        # Empty source or query masks.
+        full = np.ones((batch, 120), dtype=bool)
+        none = np.zeros((batch, 120), dtype=bool)
+        for source_mask, query_mask in ((none, full), (full, none)):
+            rep, _s, _q = self.assert_canonical(path, positions, source_mask, query_mask, 1.3)
+            assert rep.size == 0
+
+    @pytest.mark.parametrize("path", CONTACT_PATHS, ids=CONTACT_PATH_IDS)
+    def test_lattice_pairs_exactly_r_apart(self, path, rng):
+        # Lattice neighbors sit exactly R = 1 apart and are contacts;
+        # diagonal neighbors (sqrt 2) are not.
+        grid = np.stack(np.meshgrid(np.arange(11.0), np.arange(11.0)), -1).reshape(-1, 2)
+        positions = np.stack([grid, grid[rng.permutation(len(grid))]])
+        everyone = np.ones(positions.shape[:2], dtype=bool)
+        rep, source, _query = self.assert_canonical(path, positions, everyone, everyone, 1.0)
+        x, y = positions[..., 0], positions[..., 1]
+        inner = lambda v: (v > 0) & (v < 10)  # noqa: E731
+        degree = 1 + (1 + inner(x)) + (1 + inner(y))
+        assert np.array_equal(np.bincount(rep * 121 + source), degree.reshape(-1))
+        even = everyone.copy()
+        even[:, 1::2] = False
+        self.assert_canonical(path, positions, even, ~even, 1.0)
+
+    @pytest.mark.parametrize("path", CONTACT_PATHS, ids=CONTACT_PATH_IDS)
+    def test_dense_cluster_beyond_first_capacity(self, path, rng):
+        # Every agent of each replica is within R of every other, so the
+        # kernel's first capacity guess overflows and the pass re-runs.
+        batch, n = 2, 60
+        positions = rng.uniform(4.0, 4.3, (batch, n, 2))
+        everyone = np.ones((batch, n), dtype=bool)
+        rep, _s, _q = self.assert_canonical(path, positions, everyone, everyone, 0.5)
+        first_guess = _contacts_capacity(batch * n, batch * n, batch, 0.5, self.SIDE)
+        assert rep.size == batch * n * n > first_guess
 
     def test_batch_contacts_match_scalar(self, rng):
         from repro.geometry.neighbors import BatchNeighborQuery

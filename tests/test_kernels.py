@@ -154,6 +154,19 @@ class TestConfigKnob:
 # ----------------------------------------------------------------------
 # Per-kernel parity against independent numpy oracles
 # ----------------------------------------------------------------------
+def _sorted_contacts(pos, src_mask, qry_mask, radius):
+    """Brute-force (replica, source, query) contacts, sorted in that order."""
+    expect = []
+    for b in range(pos.shape[0]):
+        d = pos[b, :, None, :] - pos[b, None, :, :]
+        close = (d ** 2).sum(-1) <= radius * radius
+        for s in np.nonzero(src_mask[b])[0]:
+            for q in np.nonzero(qry_mask[b])[0]:
+                if close[s, q]:
+                    expect.append((b, s, q))
+    return np.array(expect, dtype=np.intp).reshape(-1, 3).T
+
+
 @pytest.mark.parametrize("table", [t for _, t in TABLES], ids=TABLE_IDS)
 class TestPairKernelParity:
     def _oracle_any_within(self, pos, src_mask, qry_mask, radius):
@@ -190,18 +203,8 @@ class TestPairKernelParity:
             qry = rng.random((batch, n)) < 0.6
             got = table["batch_contacts"](pos, src, qry, radius, side)
             assert got is not None
-            rep, s_idx, q_idx = got
-            pairs = set(zip(rep.tolist(), s_idx.tolist(), q_idx.tolist()))
-            expect = set()
-            for b in range(batch):
-                d = pos[b, :, None, :] - pos[b, None, :, :]
-                close = (d ** 2).sum(-1) <= radius * radius
-                for s in np.nonzero(src[b])[0]:
-                    for q in np.nonzero(qry[b])[0]:
-                        if close[s, q]:
-                            expect.add((b, int(s), int(q)))
-            assert pairs == expect
-            assert len(rep) == len(expect)
+            for got_col, expect_col in zip(got, _sorted_contacts(pos, src, qry, radius)):
+                np.testing.assert_array_equal(got_col, expect_col)
 
     @staticmethod
     def _oracle_counts(pos, src_mask, qry_mask, radius):
@@ -274,8 +277,8 @@ class TestPairKernelParity:
 @needs_provider
 class TestProviderContactsFollowSpec:
     """The C contacts core emits exactly what the reference core emits, in
-    the same order: row-run scan, three outputs, exact-capacity re-run;
-    the C count core writes the reference count core's tallies."""
+    the same order: row-run scan, counting sort by source, exact-capacity
+    re-run; the C count core writes the reference count core's tallies."""
 
     @staticmethod
     def _assert_same(*args):
@@ -301,6 +304,26 @@ class TestProviderContactsFollowSpec:
             src = rng.random((batch, n)) < rng.uniform(0, 1)
             qry = rng.random((batch, n)) < rng.uniform(0, 1)
             self._assert_same(pos, src, qry, radius, side)
+
+    def test_hub_source_and_sources_without_contacts(self, rng):
+        # Replica 0: source 0 is a hub with 130 queries within R, sources
+        # 1-3 share some of them, and sources 4-9 sit in a corner with no
+        # query in range.  Replica 1 is uniform.
+        n, radius = 150, 0.5
+        pos = rng.uniform(0, 10.0, size=(2, n, 2))
+        pos[0, 0] = (5.0, 5.0)
+        pos[0, 1:4] = 5.0 + rng.uniform(-0.3, 0.3, size=(3, 2))
+        pos[0, 4:10] = rng.uniform(0.0, 1.0, size=(6, 2))
+        pos[0, 10:140] = 5.0 + rng.uniform(-0.3, 0.3, size=(130, 2))
+        pos[0, 140:] = rng.uniform(9.0, 10.0, size=(10, 2))
+        src = np.zeros((2, n), dtype=bool)
+        src[:, :10] = True
+        got = self._assert_same(pos, src, ~src, radius, 10.0)
+        for got_col, expect_col in zip(got, _sorted_contacts(pos, src, ~src, radius)):
+            np.testing.assert_array_equal(got_col, expect_col)
+        rep, source, _query = got
+        assert np.count_nonzero((rep == 0) & (source == 0)) == 130
+        assert not np.isin(np.arange(4, 10), source[rep == 0]).any()
 
     def test_dense_cluster_reruns_with_exact_capacity(self, rng):
         # Every agent of each replica within radius of every other: the

@@ -15,7 +15,10 @@ import math
 import numpy as np
 import pytest
 
+from repro.kernels import kernel_backend, use_kernel_tier
 from repro.protocols import BATCH_PROTOCOL_REGISTRY, PROTOCOL_REGISTRY
+from repro.protocols.gossip import BatchGossipState, GossipProtocol
+from repro.protocols.pushpull import BatchPushPullState, PushPullGossip
 from repro.simulation import run_trials, standard_config
 
 #: One canonical option set per protocol (non-defaults so the knobs are
@@ -211,3 +214,92 @@ class TestRetirementSemantics:
         assert [fingerprint(r) for r in scalar] == [fingerprint(r) for r in batch]
         n_steps = {r.n_steps for r in batch}
         assert len(n_steps) > 1, "workload must mix retirement steps"
+
+
+TIERS = ["numpy"] + (["compiled"] if kernel_backend() is not None else [])
+
+#: (scalar class, batch class, options) of the cut-sampling protocols.
+CUT_PROTOCOLS = {
+    "gossip-1": (GossipProtocol, BatchGossipState, {"fanout": 1}),
+    "gossip-3": (GossipProtocol, BatchGossipState, {"fanout": 3}),
+    "push-pull": (PushPullGossip, BatchPushPullState, {}),
+}
+
+
+class TestCutSamplingFromHandBuiltStates:
+    """Batch gossip and push-pull equal their scalar protocols step for
+    step from hand-built informed sets, on both kernel tiers.
+
+    Each replica holds an uninformed agent with several informed
+    neighbours (it pulls, or is pushed to by one of many senders) and an
+    informed agent with several uninformed neighbours (it pushes along
+    its run of cut neighbours, or is pulled from); replica 1 retires after
+    the second round while the others keep stepping.
+    """
+
+    SIDE, N, RADIUS, BATCH = 6.0, 48, 1.0, 3
+
+    def build(self, rng):
+        positions = rng.uniform(0, self.SIDE, (self.BATCH, self.N, 2))
+        informed = rng.uniform(size=(self.BATCH, self.N)) < 0.25
+        ring = np.stack([np.cos(np.arange(5)), np.sin(np.arange(5))], axis=1)
+        for b in range(self.BATCH):
+            # Agent 0 (uninformed) among informed agents 1-5; agent 6
+            # (informed) among uninformed agents 7-11.
+            positions[b, 0] = (1.5, 1.5)
+            positions[b, 1:6] = (1.5, 1.5) + 0.8 * ring
+            positions[b, 6] = (4.5, 4.5)
+            positions[b, 7:12] = (4.5, 4.5) + 0.8 * ring
+            informed[b, :12] = False
+            informed[b, 1:7] = True
+        return positions, informed
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("protocol", sorted(CUT_PROTOCOLS))
+    def test_batch_equals_scalar(self, protocol, tier):
+        scalar_cls, batch_cls, options = CUT_PROTOCOLS[protocol]
+        rng = np.random.default_rng(71)
+        positions, informed = self.build(rng)
+        seeds = [101, 202, 303]
+        with use_kernel_tier(tier):
+            batch = batch_cls(
+                self.N, self.SIDE, self.RADIUS, np.full(self.BATCH, 1),
+                rngs=[np.random.default_rng(s) for s in seeds], **options,
+            )
+            batch.informed[:] = informed
+            batch.informed_at[informed] = 0.0
+            scalars = []
+            for b, seed in enumerate(seeds):
+                protocol_b = scalar_cls(
+                    self.N, self.SIDE, self.RADIUS, 1,
+                    rng=np.random.default_rng(seed), **options,
+                )
+                protocol_b.informed[:] = informed[b]
+                protocol_b.informed_at[informed[b]] = 0.0
+                scalars.append(protocol_b)
+            # Both hubs straddle the cut with five neighbours each.
+            rep, source, query = batch.query.bind(positions).contacts_within(
+                informed, ~informed, self.RADIUS
+            )
+            for b in range(self.BATCH):
+                mine = rep == b
+                assert np.count_nonzero(mine & (query == 0)) >= 5
+                assert np.count_nonzero(mine & (source == 6)) >= 5
+            active = np.ones(self.BATCH, dtype=bool)
+            for step in range(6):
+                if step == 2:
+                    active[1] = False
+                newly = batch.step(positions, active=active)
+                for b in np.nonzero(active)[0]:
+                    expected = np.zeros(self.N, dtype=bool)
+                    expected[scalars[b].step(positions[b])] = True
+                    assert np.array_equal(newly[b], expected), (step, b)
+                assert not newly[~active].any()
+                moved = positions + rng.uniform(-0.3, 0.3, positions.shape)
+                positions = np.where(
+                    active[:, None, None], np.clip(moved, 0.0, self.SIDE), positions
+                )
+        for b, protocol_b in enumerate(scalars):
+            assert np.array_equal(batch.informed[b], protocol_b.informed), b
+            assert np.array_equal(batch.informed_at[b], protocol_b.informed_at), b
+            assert batch.rngs[b].bit_generator.state == protocol_b.rng.bit_generator.state

@@ -491,6 +491,27 @@ class TestStoreRobustness:
         ck = self._populated(tmp_path)
         assert not [name for name in os.listdir(ck) if name.endswith(".tmp")]
 
+    def test_group_file_is_the_json_dumps_text(self, tmp_path):
+        """A group file holds ``json.dumps(payload, allow_nan=True)`` and a
+        newline, byte for byte, with infinite and NaN floats spelled
+        ``Infinity`` and ``NaN``."""
+        hopeless = BASE.with_options(max_steps=1)
+        (result,) = run_trials(hopeless, 1)
+        result.extras["spread"] = [float("nan"), float("-inf"), 0.1 + 0.2]
+        assert result.flooding_time == float("inf")
+        SweepCheckpoint(str(tmp_path)).write_group(3, "ab" * 8, [result])
+        payload = {
+            "schema_version": CHECKPOINT_SCHEMA_VERSION,
+            "config_hash": "ab" * 8,
+            "n_trials": 1,
+            "results": [encode_result(result)],
+        }
+        with open(tmp_path / "group_0003.json", "rb") as handle:
+            blob = handle.read()
+        assert blob == (json.dumps(payload, allow_nan=True) + "\n").encode()
+        assert b'"flooding_time": Infinity' in blob
+        assert b"[NaN, -Infinity, 0.30000000000000004]" in blob
+
 
 class TestExperimentResume:
     """The user-facing path: experiment --checkpoint / --resume."""
