@@ -32,11 +32,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ._glue import KERNEL_NAMES, make_kernels
+from ._glue import KERNEL_NAMES, ManhattanTrips, TripWork, make_kernels
 
 __all__ = [
     "KERNEL_NAMES",
     "KERNEL_TIERS",
+    "ManhattanTrips",
+    "TripWork",
     "cext_available",
     "kernel_backend",
     "available_kernel_backends",
@@ -185,8 +187,9 @@ def warm_kernels(backend: str | None = None) -> str:
     """Exercise every compiled kernel once on tiny inputs.
 
     Covers each kernel's single runtime type signature (all speed modes and
-    metrics of the leg kernels).  Returns the tier label that was warmed
-    (``"numpy"`` when no provider is available — nothing to warm).
+    metrics of the leg kernels, and the trip mode, drawing from a real
+    ``Generator``).  Returns the tier label that was warmed (``"numpy"``
+    when no provider is available — nothing to warm).
     """
     if backend is None and kernel_backend() is None:
         return "numpy"
@@ -210,6 +213,13 @@ def warm_kernels(backend: str | None = None) -> str:
             table["advance_legs_dense"](
                 np.zeros((3, 2)), target, np.full(3, 0.25), moving, n_moving, 1e-9, speed
             )
+    trips = ManhattanTrips(
+        target.copy(), np.array([False, True, False]), np.zeros(3, dtype=np.int64),
+        np.zeros(3, dtype=np.int64), 1.0, [np.random.default_rng(0)], 64, TripWork(3),
+    )
+    table["advance_legs_dense"](
+        np.zeros((3, 2)), target.copy(), 2.5, np.ones(1, dtype=bool), 1, 1e-9, trips=trips
+    )
     order = np.array([2, 0, 1], dtype=np.intp)
     sorted_ids = np.array([0, 1, 3], dtype=np.intp)
     removed = np.array([False, True, False])

@@ -2,11 +2,17 @@
 
 Mirrors :mod:`repro.kernels._cores` statement for statement in C99 and
 builds a shared object on first use with the system compiler (``cc``),
-cached under a source-hash directory so rebuilds only happen when the
-source changes.  Compiled **without** ``-ffast-math``: the float kernels
-must execute the same IEEE operation sequence as the numpy reference
-(libm ``sqrt`` is correctly rounded, ``(int64_t)`` casts truncate like
-``int()``), so results stay bit-identical.
+cached under a directory named by the hash of the source and the
+compiler flags, so rebuilds only happen when either changes.  Compiled
+**without** ``-ffast-math`` and with ``-ffp-contract=off`` (no fused
+multiply-adds on targets that have them): the float kernels must execute
+the same IEEE operation sequence as the numpy reference (libm ``sqrt`` is
+correctly rounded, ``(int64_t)`` casts truncate like ``int()``), so
+results stay bit-identical.
+
+The trip kernel draws from numpy bit generators through the ``bitgen_t``
+function pointers of numpy's public C interface; the source declares that
+documented struct itself, so the build needs no numpy headers.
 
 The adapters exported through :func:`load_cores` take the same array
 arguments as the Python cores, which lets :mod:`repro.kernels._glue`
@@ -271,6 +277,120 @@ int64_t repro_advance_legs_dense(double *restrict pos, const double *restrict ta
     return cnt;
 }
 
+/* The documented layout of numpy's bitgen_t (numpy/random/bitgen.h), so
+   the build needs no numpy headers. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+static inline void trip_leg(double *restrict pos, double *restrict target,
+                            const double *restrict dest, uint8_t *restrict second,
+                            int64_t *restrict turns, double eps, int64_t i, double b,
+                            int64_t *restrict movers, double *restrict rests,
+                            int64_t *restrict redraw, int64_t *k, int64_t *r, int64_t *arrived)
+{
+    double d0 = target[2 * i] - pos[2 * i];
+    double d1 = target[2 * i + 1] - pos[2 * i + 1];
+    double dist = fabs(d0) + fabs(d1);
+    double move = (b < dist) ? b : dist;
+    double frac = (dist > eps) ? (move / dist) : 1.0;
+    pos[2 * i] += d0 * frac;
+    pos[2 * i + 1] += d1 * frac;
+    b = b - move;
+    if (move >= dist - eps) {
+        *arrived += 1;
+        pos[2 * i] = target[2 * i];
+        pos[2 * i + 1] = target[2 * i + 1];
+        if (second[i]) {
+            redraw[*r] = i;
+            *r += 1;
+        } else {
+            second[i] = 1;
+            target[2 * i] = dest[2 * i];
+            target[2 * i + 1] = dest[2 * i + 1];
+            turns[i] += 1;
+        }
+    }
+    if (b > eps) {
+        movers[*k] = i;
+        rests[*k] = b;
+        *k += 1;
+    }
+}
+
+static void redraw_trips(const double *restrict pos, double *restrict target,
+                         double *restrict dest, uint8_t *restrict second,
+                         int64_t *restrict turns, int64_t *restrict arrivals, int64_t n,
+                         double side, bitgen_t *const *bitgens,
+                         const int64_t *restrict redraw, int64_t r)
+{
+    int64_t t = 0;
+    while (t < r) {
+        int64_t b = redraw[t] / n;
+        int64_t hi = t + 1;
+        while (hi < r && redraw[hi] / n == b) hi++;
+        bitgen_t *rng = bitgens[b];
+        for (int64_t u = t; u < hi; u++) {
+            int64_t i = redraw[u];
+            dest[2 * i] = rng->next_double(rng->state) * side;
+            dest[2 * i + 1] = rng->next_double(rng->state) * side;
+        }
+        for (int64_t u = t; u < hi; u++) {
+            int64_t i = redraw[u];
+            float coin = (float)(rng->next_uint32(rng->state) >> 8) * (1.0f / 16777216.0f);
+            if (coin >= 0.5f) {
+                target[2 * i] = dest[2 * i];
+                target[2 * i + 1] = pos[2 * i + 1];
+            } else {
+                target[2 * i] = pos[2 * i];
+                target[2 * i + 1] = dest[2 * i + 1];
+            }
+            second[i] = 0;
+            turns[i] += 1;
+            arrivals[i] += 1;
+        }
+        t = hi;
+    }
+}
+
+int64_t repro_advance_trips(double *restrict pos, double *restrict target, double *restrict dest,
+                            uint8_t *restrict second, int64_t *restrict turns,
+                            int64_t *restrict arrivals, const uint8_t *restrict active,
+                            int64_t batch, int64_t n, double distance, double eps, double side,
+                            bitgen_t *const *bitgens, int64_t max_passes,
+                            int64_t *restrict movers, double *restrict rests,
+                            int64_t *restrict redraw)
+{
+    int64_t count = 0;
+    if (distance > eps)
+        for (int64_t b = 0; b < batch; b++)
+            if (active[b]) count += n;
+    for (int64_t p = 0; p < max_passes; p++) {
+        if (count == 0) return p;
+        int64_t k = 0, r = 0, arrived = 0;
+        if (p == 0) {
+            for (int64_t b = 0; b < batch; b++) {
+                if (!active[b]) continue;
+                for (int64_t i = b * n; i < (b + 1) * n; i++)
+                    trip_leg(pos, target, dest, second, turns, eps,
+                             i, distance, movers, rests, redraw, &k, &r, &arrived);
+            }
+        } else {
+            for (int64_t t = 0; t < count; t++)
+                trip_leg(pos, target, dest, second, turns, eps,
+                         movers[t], rests[t], movers, rests, redraw, &k, &r, &arrived);
+        }
+        if (arrived == 0) return p + 1;
+        redraw_trips(pos, target, dest, second, turns, arrivals, n, side, bitgens, redraw, r);
+        count = k;
+    }
+    return -1;
+}
+
 void repro_splice(const int64_t *restrict order, const int64_t *restrict sorted_ids,
                   const uint8_t *restrict removed, int64_t N,
                   const int64_t *restrict new_ids, const int64_t *restrict new_pts, int64_t nn,
@@ -345,6 +465,8 @@ void repro_zone_counts(const double *restrict pos, int64_t total, int64_t n, dou
 }
 """
 
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
 _BUILD_ERROR: str | None = None
 _BUILD_COUNT = 0
 
@@ -369,7 +491,7 @@ def _cache_dir(digest: str) -> str:
 def _build_library() -> str:
     """Compile (or reuse) the shared object; returns its path."""
     global _BUILD_COUNT
-    digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(" ".join([C_SOURCE, *_CFLAGS]).encode()).hexdigest()[:16]
     directory = _cache_dir(digest)
     lib_path = os.path.join(directory, "libreprokernels.so")
     if os.path.exists(lib_path):
@@ -380,7 +502,7 @@ def _build_library() -> str:
     with open(src_path, "w") as fh:
         fh.write(C_SOURCE)
     tmp_path = lib_path + f".tmp{os.getpid()}"
-    cmd = ["cc", "-O3", "-fPIC", "-shared", "-o", tmp_path, src_path, "-lm"]
+    cmd = ["cc", *_CFLAGS, "-o", tmp_path, src_path, "-lm"]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     if proc.returncode != 0:
         raise RuntimeError(f"cc failed: {proc.stderr.strip()[:500]}")
@@ -427,6 +549,11 @@ def _declare(lib):
     lib.repro_advance_legs_dense.argtypes = [
         _ptr, _ptr, _ptr, _ptr, _i64, _int, _f64, _ptr, _f64, _int, _ptr,
     ]
+    lib.repro_advance_trips.restype = _i64
+    lib.repro_advance_trips.argtypes = [
+        _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64, _f64, _f64, _f64,
+        _ptr, _i64, _ptr, _ptr, _ptr,
+    ]
     lib.repro_splice.restype = None
     lib.repro_splice.argtypes = [
         _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr,
@@ -439,6 +566,17 @@ def _declare(lib):
     lib.repro_zone_counts.argtypes = [
         _ptr, _i64, _i64, _f64, _i64, _ptr, _ptr, _ptr, _ptr,
     ]
+
+
+def bitgen_handles(rngs):
+    """Each generator's ``bitgen_t *``, as a ``uintp`` array, through numpy's
+    public ctypes interface; ``None`` when a bit generator lacks it."""
+    try:
+        return np.array(
+            [rng.bit_generator.ctypes.bit_generator.value for rng in rngs], dtype=np.uintp
+        )
+    except (AttributeError, TypeError):
+        return None
 
 
 def load_cores():
@@ -490,6 +628,14 @@ def load_cores():
             _addr(speed_arr), speed_scalar, speed_mode, _addr(done),
         )
 
+    def advance_trips_core(pos, target, dest, on_second_leg, turns, arrivals, active, n, distance, eps, side, bitgens, max_passes, movers, rests, redraw):
+        return lib.repro_advance_trips(
+            _addr(pos), _addr(target), _addr(dest), _addr(on_second_leg),
+            _addr(turns), _addr(arrivals), _addr(active), active.shape[0], n,
+            distance, eps, side, _addr(bitgens), max_passes,
+            _addr(movers), _addr(rests), _addr(redraw),
+        )
+
     def splice_core(order, sorted_ids, removed, new_ids, new_pts, out_order, out_ids):
         lib.repro_splice(
             _addr(order), _addr(sorted_ids), _addr(removed), order.shape[0],
@@ -518,6 +664,8 @@ def load_cores():
         count_core=count_core,
         advance_legs_core=advance_legs_core,
         advance_legs_dense_core=advance_legs_dense_core,
+        bitgen_handles=bitgen_handles,
+        advance_trips_core=advance_trips_core,
         splice_core=splice_core,
         union_core=union_core,
         occupancy_delta_core=occupancy_delta_core,

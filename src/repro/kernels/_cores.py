@@ -23,6 +23,16 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
   (same gathers, same guarded division, same ``move >= dist - eps``
   threshold, masked rows of the dense pass included), so positions and
   budgets are bit-identical.
+* ``advance_trips_core`` — a whole step of the MRWP carry-over loop
+  (``mrwp._advance_trips``): pass by pass over the flat ``B*n`` layout,
+  the leg arithmetic of ``advance_legs_core``, the corner promotions of
+  ``split_completed_legs`` and the redraws of ``redraw_manhattan_trips``.
+  The one core that draws random numbers: each replica's new trips come
+  from its own generator by the same calls, in the same order, as the
+  numpy loop's ``rng.random`` fills (``next_double`` per destination
+  coordinate, then ``next_uint32`` per path coin), so positions, trips,
+  counters and generator states are bit-identical, shared generators
+  included.
 * ``splice_core`` — reproduces ``np.insert(..., searchsorted(...,
   side='left'))`` exactly: inserted points land *before* equal-bucket
   survivors, in stable sorted order.
@@ -40,12 +50,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "any_within_core",
     "contacts_core",
     "count_core",
     "advance_legs_core",
     "advance_legs_dense_core",
+    "bitgen_handles",
+    "advance_trips_core",
     "splice_core",
     "union_core",
     "occupancy_delta_core",
@@ -355,6 +369,133 @@ def advance_legs_dense_core(pos, target, budget, moving, all_moving, eps, speed_
         pos[i, 0] = target[i, 0]
         pos[i, 1] = target[i, 1]
     return cnt
+
+
+def bitgen_handles(rngs):
+    """What ``advance_trips_core`` draws from: the generators themselves.
+
+    The C provider's twin returns each generator's ``bitgen_t *`` instead.
+    """
+    return list(rngs)
+
+
+def _trip_leg(pos, target, dest, on_second_leg, turns, eps, i, b, movers, rests, redraw, k, r, arrived):
+    """One agent's leg in ``advance_trips_core``; returns ``(k, r, arrived)``.
+
+    The distance-budget Manhattan arithmetic of ``advance_legs_core``,
+    snapped onto the target on arrival.  A corner arrival turns onto its
+    second leg (target re-aimed at ``dest``, one more turn); a trip
+    arrival joins ``redraw``.  The agent stays a mover, with its budget in
+    ``rests``, while that budget is above ``eps``.
+    """
+    d0 = target[i, 0] - pos[i, 0]
+    d1 = target[i, 1] - pos[i, 1]
+    dist = abs(d0) + abs(d1)
+    move = b if b < dist else dist
+    if dist > eps:
+        frac = move / dist
+    else:
+        frac = 1.0
+    pos[i, 0] += d0 * frac
+    pos[i, 1] += d1 * frac
+    b = b - move
+    if move >= dist - eps:
+        arrived += 1
+        pos[i, 0] = target[i, 0]
+        pos[i, 1] = target[i, 1]
+        if on_second_leg[i]:
+            redraw[r] = i
+            r += 1
+        else:
+            on_second_leg[i] = True
+            target[i, 0] = dest[i, 0]
+            target[i, 1] = dest[i, 1]
+            turns[i] += 1
+    if b > eps:
+        movers[k] = i
+        rests[k] = b
+        k += 1
+    return k, r, arrived
+
+
+def _redraw_trips(pos, target, dest, on_second_leg, turns, arrivals, n, side, bitgens, redraw, r):
+    """Fresh trips for the ``r`` ascending agents in ``redraw``.
+
+    Replica by replica (ascending), the ``k`` trips of replica ``b`` draw
+    ``2k`` doubles from ``bitgens[b]`` (destination ``x, y`` per agent,
+    scaled by ``side``) and then ``k`` float32 path coins: the calls of
+    ``rng.random(out=dests)`` and ``path_coins``.  A coin ``>= 0.5`` (the
+    top bit of its ``next_uint32`` word) takes the horizontal leg first,
+    to the corner ``(dest.x, pos.y)``; otherwise the corner is
+    ``(pos.x, dest.y)``.
+    """
+    t = 0
+    while t < r:
+        b = redraw[t] // n
+        hi = t + 1
+        while hi < r and redraw[hi] // n == b:
+            hi += 1
+        rng = bitgens[b]
+        for u in range(t, hi):
+            i = redraw[u]
+            dest[i, 0] = rng.random() * side
+            dest[i, 1] = rng.random() * side
+        for u in range(t, hi):
+            i = redraw[u]
+            if rng.random(dtype=np.float32) >= 0.5:
+                target[i, 0] = dest[i, 0]
+                target[i, 1] = pos[i, 1]
+            else:
+                target[i, 0] = pos[i, 0]
+                target[i, 1] = dest[i, 1]
+            on_second_leg[i] = False
+            turns[i] += 1
+            arrivals[i] += 1
+        t = hi
+
+
+def advance_trips_core(pos, target, dest, on_second_leg, turns, arrivals, active, n, distance, eps, side, bitgens, max_passes, movers, rests, redraw):
+    """One MRWP step; returns the passes run, or -1 if ``max_passes`` passes
+    all had arrivals (the numpy loop raises there).
+
+    Pass 1 walks every agent of the ``active`` replicas ``distance``; each
+    later pass walks the ascending ``movers`` with their ``rests`` budgets
+    (rewritten in place for the next pass).  After each pass the finished
+    trips are redrawn (``_redraw_trips``).  The loop stops at a pass with
+    no movers or no arrivals.  Inactive replicas are never read, written
+    or drawn for.
+    """
+    count = 0
+    if distance > eps:
+        for b in range(active.shape[0]):
+            if active[b]:
+                count += n
+    for p in range(max_passes):
+        if count == 0:
+            return p
+        k = 0
+        r = 0
+        arrived = 0
+        if p == 0:
+            for b in range(active.shape[0]):
+                if not active[b]:
+                    continue
+                for i in range(b * n, (b + 1) * n):
+                    k, r, arrived = _trip_leg(
+                        pos, target, dest, on_second_leg, turns, eps,
+                        i, distance, movers, rests, redraw, k, r, arrived,
+                    )
+        else:
+            for t in range(count):
+                k, r, arrived = _trip_leg(
+                    pos, target, dest, on_second_leg, turns, eps,
+                    movers[t], rests[t], movers, rests, redraw, k, r, arrived,
+                )
+        if arrived == 0:
+            return p + 1
+        _redraw_trips(pos, target, dest, on_second_leg, turns, arrivals, n, side, bitgens, redraw, r)
+        count = k
+    return -1
 
 
 def splice_core(order, sorted_ids, removed, new_ids, new_pts, out_order, out_ids):

@@ -14,10 +14,12 @@ That keeps the compiled tier an optimization, never a semantics fork.
 from __future__ import annotations
 
 import math
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["make_kernels", "KERNEL_NAMES", "MAX_KERNEL_CELLS"]
+__all__ = ["make_kernels", "KERNEL_NAMES", "MAX_KERNEL_CELLS", "ManhattanTrips", "TripWork"]
 
 #: Public kernel names, in bench/report order.  ``grid_splice`` and
 #: ``occupancy_delta`` have no caller in the library; they stay registered
@@ -112,6 +114,72 @@ def _speed_mode(speed, total):
     return 1, _EMPTY_F, float(speed)
 
 
+class TripWork:
+    """Work buffers of ``advance_legs_dense``'s trip mode, one per model.
+
+    ``movers`` and ``rests`` hold the agents still walking after a pass
+    and their budgets, ``redraw`` a pass's finished trips; only the
+    prefixes a step writes are ever touched.  The generator handles and
+    locks are cached with the provider and the generators they came from,
+    and re-derived when a model's generators change (``reset(rng=...)``).
+    """
+
+    def __init__(self, total: int):
+        self.movers = np.empty(total, dtype=np.int64)
+        self.rests = np.empty(total, dtype=np.float64)
+        self.redraw = np.empty(total, dtype=np.int64)
+        self.cores = None
+        self.rngs = ()
+        self.handles = None
+        self.locks = ()
+
+    def generators(self, cores, rngs):
+        """``(handles, locks)`` for drawing from ``rngs`` with ``cores``;
+        ``handles`` is ``None`` when a generator is not a plain numpy
+        ``Generator`` or its bit generator has no C interface."""
+        if (
+            self.cores is not cores
+            or len(self.rngs) != len(rngs)
+            or not all(map(operator.is_, self.rngs, rngs))
+        ):
+            handles, locks = None, ()
+            if all(type(rng) is np.random.Generator for rng in rngs):
+                handles = cores.bitgen_handles(rngs)
+                # One lock per distinct bit generator, taken in a fixed order.
+                distinct = {id(rng.bit_generator): rng.bit_generator for rng in rngs}
+                locks = tuple(distinct[key].lock for key in sorted(distinct))
+            self.cores, self.rngs = cores, tuple(rngs)
+            self.handles, self.locks = handles, locks
+        return self.handles, self.locks
+
+
+class ManhattanTrips(NamedTuple):
+    """The trip state that ``advance_legs_dense``'s trip mode advances.
+
+    ``dest``, ``on_second_leg``, ``turn_counts`` and ``arrival_counts`` are
+    the model's flat ``(B*n, 2)`` / ``(B*n,)`` arrays (mutated); ``rngs``
+    holds one generator per replica, ``max_passes`` caps the carry-over
+    passes and ``work`` is the model's :class:`TripWork`.
+    """
+
+    dest: np.ndarray
+    on_second_leg: np.ndarray
+    turn_counts: np.ndarray
+    arrival_counts: np.ndarray
+    side: float
+    rngs: list
+    max_passes: int
+    work: TripWork
+
+
+def _is_c_bool(arr) -> bool:
+    return arr.dtype == np.bool_ and arr.flags.c_contiguous
+
+
+def _is_c_counts(arr, total) -> bool:
+    return arr.dtype == np.int64 and arr.flags.c_contiguous and arr.shape == (total,)
+
+
 def make_kernels(cores):
     """Build the public kernel table from a namespace of loop cores."""
 
@@ -195,7 +263,56 @@ def make_kernels(cores):
         )
         return done[: int(cnt)]
 
-    def advance_legs_dense(pos, target, budget, moving, n_moving, eps, speed=None):
+    def advance_trips(pos, target, distance, active, n_active, eps, trips):
+        dest, on_second_leg, turns, arrivals, side, rngs, max_passes, work = trips
+        total = pos.shape[0]
+        batch = len(rngs)
+        if not batch or total % batch or active.shape != (batch,) or not _is_c_bool(active):
+            return None
+        for arr in (pos, target, dest):
+            if arr.shape != (total, 2) or not _is_c_f64(arr):
+                return None
+        if on_second_leg.shape != (total,) or not _is_c_bool(on_second_leg):
+            return None
+        if not (_is_c_counts(turns, total) and _is_c_counts(arrivals, total)):
+            return None
+        if work.movers.shape[0] < total or not (eps > 0.0):
+            return None
+        handles, locks = work.generators(cores, rngs)
+        if handles is None:
+            return None
+        if not n_active:
+            return 0
+        # The C core draws with the GIL released: hold every generator's
+        # lock for the call, as numpy's own fills do.
+        held = 0
+        try:
+            for lock in locks:
+                lock.acquire()
+                held += 1
+            return cores.advance_trips_core(
+                pos, target, dest, on_second_leg, turns, arrivals, active,
+                total // batch, float(distance), float(eps), float(side), handles,
+                int(max_passes), work.movers, work.rests, work.redraw,
+            )
+        finally:
+            for lock in locks[:held]:
+                lock.release()
+
+    def advance_legs_dense(pos, target, budget, moving, n_moving, eps, speed=None, trips=None):
+        """The dense leg pass; with ``trips`` (a :class:`ManhattanTrips`),
+        the trip mode, which runs a whole MRWP step.
+
+        In trip mode the moving units are replicas: ``moving`` is the
+        ``(B,)`` mask of active replicas, ``n_moving`` their count and
+        ``budget`` the distance ``v * dt`` their agents walk.  It returns
+        the number of carry-over passes, or -1 when ``trips.max_passes``
+        passes did not finish the step.
+        """
+        if trips is not None:
+            if speed is not None:
+                return None
+            return advance_trips(pos, target, budget, moving, n_moving, eps, trips)
         total = budget.shape[0]
         if not (_is_c_f64(pos) and _is_c_f64(target) and _is_c_f64(budget)):
             return None

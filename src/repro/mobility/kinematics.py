@@ -21,7 +21,12 @@ Design constraints, in priority order:
    ``B * n`` for a batch model; the same helper serves both.  Randomness
    never lives here: models pass explicit index sets and draw from their
    own generators, replica by replica, via :func:`replica_slices` — the
-   mechanism that preserves the scalar draw order under batching.
+   mechanism that preserves the scalar draw order under batching.  The
+   one exception sits below this module, in the compiled trip mode of
+   the ``advance_legs_dense`` kernel, which runs a whole MRWP step and
+   draws from each replica's bit generator itself, pass by pass and
+   replica by replica, with the calls and order of
+   :func:`redraw_manhattan_trips` (``repro.kernels._cores``).
 3. **Budget conventions.**  :func:`advance_legs` supports the two
    historical conventions: a *distance* budget (``speed=None`` — MRWP's
    ``v * dt`` units) and a *time* budget with a scalar or per-agent speed

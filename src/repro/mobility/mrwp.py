@@ -9,8 +9,11 @@ about.
 
 The implementation is vectorized: a step advances all agents at once, with a
 carry-over loop so that an agent may finish a leg (or a whole trip) and
-continue on the next one within a single step.  Turn and arrival events are
-counted per agent, supporting the Lemma-13 turn-statistics experiments.
+continue on the next one within a single step.  Both models run the one
+loop of :func:`_advance_trips` (the scalar model is its ``B = 1`` case),
+which on the compiled tier is a single kernel call.  Turn and arrival
+events are counted per agent, supporting the Lemma-13 turn-statistics
+experiments.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.paths import choose_corners
+from repro.kernels import ManhattanTrips, TripWork, get_kernel
 from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.kinematics import (
     DenseLegScratch,
@@ -83,6 +87,13 @@ class ManhattanRandomWaypoint(MobilityModel):
         self.turn_counts = np.zeros(self.n, dtype=np.int64)
         self.arrival_counts = np.zeros(self.n, dtype=np.int64)
         self._eps = 1e-9 * max(self.side, 1.0)
+        self._active = np.ones(1, dtype=bool)
+        self._budget = np.empty(self.n, dtype=np.float64)
+        # No dense-pass scratch: the numpy loop runs the scalar model's
+        # historical sparse passes, since a dense pass also rewrites rows
+        # that do not move (``pos += delta * 0.0`` turns -0.0 into +0.0).
+        self._scratch = None
+        self._trip_work = TripWork(self.n)
 
     # ------------------------------------------------------------------
     # Initialization
@@ -133,30 +144,7 @@ class ManhattanRandomWaypoint(MobilityModel):
         budget is spent on the next leg (or a freshly sampled trip).
         """
         check_dt(dt)
-        budget = np.full(self.n, self.speed * dt, dtype=np.float64)
-        eps = self._eps
-        for _ in range(_MAX_LEGS_PER_STEP):
-            idx = np.nonzero(budget > eps)[0]
-            if idx.size == 0:
-                break
-            done = advance_legs(self._pos, self._target, budget, idx, eps)
-            if done.size == 0:
-                break
-            _corner_done, trip_done = split_completed_legs(
-                done, self._on_second_leg, self._target, self._dest, self.turn_counts
-            )
-            if trip_done.size:
-                redraw_manhattan_trips(
-                    self._pos, self._dest, self._target, self._on_second_leg,
-                    trip_done, self.side, [self.rng], self.n,
-                )
-                self.turn_counts[trip_done] += 1
-                self.arrival_counts[trip_done] += 1
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(
-                "carry-over loop did not converge; speed is implausibly large "
-                f"relative to the square (speed={self.speed}, side={self.side})"
-            )
+        _advance_trips(self, [self.rng], dt, self._active)
         self.time += dt
         return self.positions
 
@@ -207,50 +195,86 @@ class BatchManhattanRandomWaypoint(BatchMobilityModel):
         total = self.batch_size * self.n
         self._budget = np.empty(total, dtype=np.float64)
         self._scratch = DenseLegScratch(total)
+        self._trip_work = TripWork(total)
 
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
         check_dt(dt)
-        active = self._active_mask(active)
-        total = self.batch_size * self.n
-        budget = self._budget
-        if active.all():
-            budget.fill(self.speed * dt)
-        else:
-            np.multiply(np.repeat(active, self.n), self.speed * dt, out=budget)
-        eps = self._eps
-        for _ in range(_MAX_LEGS_PER_STEP):
-            moving = budget > eps
-            n_moving = int(np.count_nonzero(moving))
-            if n_moving == 0:
-                break
-            if 2 * n_moving >= total:
-                # Dense pass — typically the first carry-over iteration,
-                # where every unfrozen agent moves.
-                done = advance_legs_dense(
-                    self._pos, self._target, budget, moving, n_moving, eps, self._scratch
-                )
-            else:
-                idx = np.nonzero(moving)[0]
-                done = advance_legs(self._pos, self._target, budget, idx, eps)
-            if done.size == 0:
-                break
-            _corner_done, trip_done = split_completed_legs(
-                done, self._on_second_leg, self._target, self._dest, self.turn_counts
-            )
-            if trip_done.size:
-                redraw_manhattan_trips(
-                    self._pos, self._dest, self._target, self._on_second_leg,
-                    trip_done, self.side, self.rngs, self.n,
-                )
-                self.turn_counts[trip_done] += 1
-                self.arrival_counts[trip_done] += 1
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(
-                "carry-over loop did not converge; speed is implausibly large "
-                f"relative to the square (speed={self.speed}, side={self.side})"
-            )
+        _advance_trips(self, self.rngs, dt, self._active_mask(active))
         self.time += dt
         return self.positions if copy else self.positions_view
+
+
+def _advance_trips(model, rngs, dt, active) -> None:
+    """Walk every agent of the ``active`` replicas ``speed * dt`` along its trips.
+
+    The one carry-over loop of both MRWP models, over the flat ``B * n``
+    state of ``model`` (``rngs[b]`` draws replica ``b``'s trips).  Each
+    pass moves the agents with budget left; a corner arrival turns onto
+    its second leg and a finished trip is redrawn, replica by replica,
+    before the next pass spends the leftover budget.  On the compiled tier
+    the trip mode of the ``advance_legs_dense`` kernel runs the whole loop
+    in one call, drawing the same numbers in the same order; elsewhere, or
+    when the kernel declines the inputs, the numpy loop below runs, with
+    dense passes while half the agents move if ``model`` has dense-pass
+    scratch (the batch model) and sparse passes otherwise.
+    """
+    distance = model.speed * dt
+    eps = model._eps
+    kernel = get_kernel("advance_legs_dense")
+    if kernel is not None:
+        trips = ManhattanTrips(
+            model._dest, model._on_second_leg, model.turn_counts, model.arrival_counts,
+            model.side, rngs, _MAX_LEGS_PER_STEP, model._trip_work,
+        )
+        passes = kernel(
+            model._pos, model._target, distance, active, int(np.count_nonzero(active)),
+            eps, trips=trips,
+        )
+        if passes is not None:
+            if passes < 0:
+                raise _not_converged(model)
+            return
+    budget = model._budget
+    total = budget.shape[0]
+    if active.all():
+        budget.fill(distance)
+    else:
+        np.multiply(np.repeat(active, model.n), distance, out=budget)
+    for _ in range(_MAX_LEGS_PER_STEP):
+        moving = budget > eps
+        n_moving = int(np.count_nonzero(moving))
+        if n_moving == 0:
+            break
+        if model._scratch is not None and 2 * n_moving >= total:
+            # Dense pass — typically the first carry-over iteration,
+            # where every unfrozen agent moves.
+            done = advance_legs_dense(
+                model._pos, model._target, budget, moving, n_moving, eps, model._scratch
+            )
+        else:
+            idx = np.nonzero(moving)[0]
+            done = advance_legs(model._pos, model._target, budget, idx, eps)
+        if done.size == 0:
+            break
+        _corner_done, trip_done = split_completed_legs(
+            done, model._on_second_leg, model._target, model._dest, model.turn_counts
+        )
+        if trip_done.size:
+            redraw_manhattan_trips(
+                model._pos, model._dest, model._target, model._on_second_leg,
+                trip_done, model.side, rngs, model.n,
+            )
+            model.turn_counts[trip_done] += 1
+            model.arrival_counts[trip_done] += 1
+    else:
+        raise _not_converged(model)
+
+
+def _not_converged(model) -> RuntimeError:
+    return RuntimeError(
+        "carry-over loop did not converge; speed is implausibly large "
+        f"relative to the square (speed={model.speed}, side={model.side})"
+    )
 
 
 def _initial_state(n: int, side: float, init, rng: np.random.Generator) -> KinematicState:

@@ -14,11 +14,15 @@ import numpy as np
 import pytest
 
 from repro.geometry.paths import choose_corners, leg_lengths, path_corner, position_along_path
+from repro.kernels import kernel_backend, provider_kernels, use_kernel_tier
 from repro.mobility.kinematics import (
+    advance_legs,
     redraw_destinations,
     redraw_manhattan_trips,
     replica_slices,
+    split_completed_legs,
 )
+from repro.mobility.mrwp import BatchManhattanRandomWaypoint
 from repro.mobility.stationary import KinematicState, PalmStationarySampler
 from repro.protocols.base import BatchBroadcastState
 
@@ -41,6 +45,28 @@ def oracle_redraw_manhattan_trips(pos, dest, target, on_second_leg, idx, side, r
     dest[idx] = dests
     target[idx] = path_corner(pos[idx], dests, choices)
     on_second_leg[idx] = False
+
+
+def oracle_mrwp_step(model, rngs, dt, active):
+    """The historical MRWP carry-over loop, with the historical redraws."""
+    budget = np.repeat(active, model.n) * (model.speed * dt)
+    for _ in range(100_000):
+        idx = np.nonzero(budget > model._eps)[0]
+        if idx.size == 0:
+            break
+        done = advance_legs(model._pos, model._target, budget, idx, model._eps)
+        if done.size == 0:
+            break
+        _corner_done, trip_done = split_completed_legs(
+            done, model._on_second_leg, model._target, model._dest, model.turn_counts
+        )
+        if trip_done.size:
+            oracle_redraw_manhattan_trips(
+                model._pos, model._dest, model._target, model._on_second_leg,
+                trip_done, model.side, rngs, model.n,
+            )
+            model.turn_counts[trip_done] += 1
+            model.arrival_counts[trip_done] += 1
 
 
 def oracle_redraw_destinations(dest, idx, side, rngs, n):
@@ -236,3 +262,40 @@ class TestPalmSampler:
             for name in ("positions", "destinations", "targets", "on_second_leg"):
                 assert_bits_equal(getattr(got, name), getattr(want, name))
             assert_same_states([rng], [ref_rng])
+
+
+MRWP_STATE = ("_pos", "_dest", "_target", "_on_second_leg", "turn_counts", "arrival_counts")
+
+
+@pytest.mark.skipif(kernel_backend() is None, reason="no compiled kernel provider on this host")
+class TestCompiledMrwpStep:
+    """The compiled tier's one-call MRWP step draws from each replica's bit
+    generator directly; it must leave the historical loop's state."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_matches_uniform_and_integers(self, monkeypatch, bit_generator, batch_size):
+        table = provider_kernels()
+        original = table["advance_legs_dense"]
+        trip_results = []
+
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if kwargs.get("trips") is not None:
+                trip_results.append(out)
+            return out
+
+        monkeypatch.setitem(table, "advance_legs_dense", spy)
+        rngs, ref_rngs = twin_rngs(bit_generator, batch_size)
+        model = BatchManhattanRandomWaypoint(N, SIDE, 1.3 * SIDE, rngs, init="uniform")
+        ref = BatchManhattanRandomWaypoint(N, SIDE, 1.3 * SIDE, ref_rngs, init="uniform")
+        picker = np.random.default_rng(17)
+        for step in range(8):
+            active = picker.random(batch_size) < 0.7
+            dt = (1.0, 0.5, 0.25)[step % 3]
+            with use_kernel_tier("compiled"):
+                model.step(dt, active=active)
+            oracle_mrwp_step(ref, ref_rngs, dt, active)
+            for name in MRWP_STATE:
+                assert_bits_equal(getattr(model, name), getattr(ref, name))
+            assert_same_states(rngs, ref_rngs)
+        assert len(trip_results) == 8 and all(out is not None for out in trip_results)

@@ -15,6 +15,8 @@ from repro.geometry.neighbors import available_backends
 from repro.kernels import (
     KERNEL_NAMES,
     KERNEL_TIERS,
+    ManhattanTrips,
+    TripWork,
     _reset_probe_cache_for_tests,
     active_kernel_tier,
     available_kernel_backends,
@@ -29,6 +31,11 @@ from repro.kernels import (
     warm_kernels,
 )
 from repro.kernels._glue import _contacts_capacity
+from repro.mobility.kinematics import (
+    advance_legs,
+    redraw_manhattan_trips,
+    split_completed_legs,
+)
 from repro.simulation import run_trials, standard_config
 
 HAVE_PROVIDER = kernel_backend() is not None
@@ -343,6 +350,64 @@ class TestProviderContactsFollowSpec:
         assert np.array_equal(counts, np.full((batch, n), n))
 
 
+def _trip_case(rng, batch_size, n, side=3.0):
+    """A random MRWP state: positions, targets, destinations, leg flags and
+    counters of ``batch_size * n`` agents on axis-aligned legs."""
+    total = batch_size * n
+    pos = rng.uniform(0.0, side, size=(total, 2))
+    dest = rng.uniform(0.0, side, size=(total, 2))
+    second = rng.random(total) < 0.5
+    corner = np.where(rng.random((total, 1)) < 0.5, [[1.0, 0.0]], [[0.0, 1.0]])
+    corner = corner * pos + (1.0 - corner) * dest
+    target = np.where(second[:, None], dest, corner)
+    turns = rng.integers(0, 5, size=total)
+    arrivals = rng.integers(0, 5, size=total)
+    return [pos, target, dest, second, turns, arrivals]
+
+
+def _numpy_trip_loop(state, distance, active, eps, side, rngs, max_passes):
+    """The numpy MRWP carry-over loop over ``state``; returns the passes
+    run, or -1 when ``max_passes`` passes all had arrivals."""
+    pos, target, dest, second, turns, arrivals = state
+    n = pos.shape[0] // len(rngs)
+    budget = np.repeat(active, n) * distance
+    for p in range(max_passes):
+        idx = np.nonzero(budget > eps)[0]
+        if idx.size == 0:
+            return p
+        done = advance_legs(pos, target, budget, idx, eps)
+        if done.size == 0:
+            return p + 1
+        _corner, trip_done = split_completed_legs(done, second, target, dest, turns)
+        if trip_done.size:
+            redraw_manhattan_trips(pos, dest, target, second, trip_done, side, rngs, n)
+            turns[trip_done] += 1
+            arrivals[trip_done] += 1
+    return -1
+
+
+def _run_trip_mode(table, state, distance, active, eps, side, rngs, max_passes):
+    pos, target, dest, second, turns, arrivals = state
+    trips = ManhattanTrips(
+        dest, second, turns, arrivals, side, rngs, max_passes, TripWork(pos.shape[0])
+    )
+    return table["advance_legs_dense"](
+        pos, target, distance, active, int(active.sum()), eps, trips=trips
+    )
+
+
+def _twin_generators(seed, batch_size, shared):
+    """Two identically seeded generator lists; with ``shared``, replicas
+    0 and 2 draw from one generator."""
+    out = []
+    for _ in range(2):
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(batch_size)]
+        if shared and batch_size > 2:
+            rngs[2] = rngs[0]
+        out.append(rngs)
+    return out
+
+
 @pytest.mark.parametrize("table", [t for _, t in TABLES], ids=TABLE_IDS)
 class TestLegKernelParity:
     def _numpy_advance(self, pos, target, budget, idx, eps, speed, metric):
@@ -419,6 +484,104 @@ class TestLegKernelParity:
         )
         assert done is not None and done.size == 0
         np.testing.assert_array_equal(pos, np.zeros((3, 2)))
+
+    # Trip mode: a whole MRWP step must leave the numpy loop's state,
+    # counters, pass count and generator states.
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    def test_trip_mode_matches_numpy_loop(self, table, rng, shared):
+        for case in range(12):
+            batch_size = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 9))
+            state = _trip_case(rng, batch_size, n)
+            active = rng.random(batch_size) < 0.75
+            distance = [0.0, 1e-12, 0.4, 9.0][case % 4]
+            rngs, ref_rngs = _twin_generators(case, batch_size, shared)
+            got = [a.copy() for a in state]
+            want = [a.copy() for a in state]
+            passes = _run_trip_mode(table, got, distance, active, 1e-9, 3.0, rngs, 1000)
+            expected = _numpy_trip_loop(want, distance, active, 1e-9, 3.0, ref_rngs, 1000)
+            assert passes == expected
+            for actual, wanted in zip(got, want):
+                assert actual.tobytes() == wanted.tobytes()
+            assert [r.bit_generator.state for r in rngs] == [
+                r.bit_generator.state for r in ref_rngs
+            ]
+
+    def test_trip_mode_reports_the_pass_cap(self, table, rng):
+        state = _trip_case(rng, 2, 6)
+        active = np.ones(2, dtype=bool)
+        rngs, ref_rngs = _twin_generators(3, 2, False)
+        got = [a.copy() for a in state]
+        want = [a.copy() for a in state]
+        assert _run_trip_mode(table, got, 9.0, active, 1e-9, 3.0, rngs, 2) == -1
+        assert _numpy_trip_loop(want, 9.0, active, 1e-9, 3.0, ref_rngs, 2) == -1
+        for actual, wanted in zip(got, want):
+            assert actual.tobytes() == wanted.tobytes()
+
+    def test_trip_mode_out_of_domain_returns_none_untouched(self, table, rng):
+        def variants():
+            yield "float32 positions", 0, lambda a: a.astype(np.float32)
+            yield "strided destinations", 2, lambda a: np.hstack([a, a])[:, :2]
+            yield "int8 leg flags", 3, lambda a: a.astype(np.int8)
+            yield "int32 turn counts", 4, lambda a: a.astype(np.int32)
+            yield "wrong-shape targets", 1, lambda a: a[:-1]
+
+        for label, slot, change in variants():
+            state = _trip_case(rng, 2, 5)
+            state[slot] = change(state[slot])
+            before = [a.copy() for a in state]
+            rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+            states = [r.bit_generator.state for r in rngs]
+            active = np.ones(2, dtype=bool)
+            out = _run_trip_mode(table, state, 9.0, active, 1e-9, 3.0, rngs, 100)
+            assert out is None, label
+            for actual, wanted in zip(state, before):
+                assert actual.tobytes() == wanted.tobytes(), label
+            assert [r.bit_generator.state for r in rngs] == states, label
+
+    def test_trip_mode_declines_foreign_generators_and_bad_arguments(self, table, rng):
+        class Forwarding:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def random(self, *args, **kwargs):
+                return self.inner.random(*args, **kwargs)
+
+        state = _trip_case(rng, 2, 5)
+        real = [np.random.default_rng(1), np.random.default_rng(2)]
+        active = np.ones(2, dtype=bool)
+        foreign = [real[0], Forwarding(real[1])]
+        assert _run_trip_mode(table, state, 9.0, active, 1e-9, 3.0, foreign, 100) is None
+        assert _run_trip_mode(table, state, 9.0, active, 0.0, 3.0, real, 100) is None
+        assert _run_trip_mode(table, state, 9.0, active[:1], 1e-9, 3.0, real, 100) is None
+        trips = ManhattanTrips(*state[2:], 3.0, real, 100, TripWork(10))
+        assert table["advance_legs_dense"](
+            state[0], state[1], 9.0, active, 2, 1e-9, speed=1.5, trips=trips
+        ) is None
+
+
+@needs_provider
+class TestProviderTripsFollowSpec:
+    """The C trip mode against the spec core, state for state."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    def test_matches_reference_cores(self, rng, shared):
+        provider, reference = provider_kernels(), reference_kernels()
+        for case in range(6):
+            state = _trip_case(rng, 3, 7)
+            active = np.array([True, case % 2 == 0, True])
+            rngs, ref_rngs = _twin_generators(10 + case, 3, shared)
+            got = [a.copy() for a in state]
+            want = [a.copy() for a in state]
+            args = (active, 1e-9, 3.0)
+            passes = _run_trip_mode(provider, got, 2.0 + case, *args, rngs, 1000)
+            expected = _run_trip_mode(reference, want, 2.0 + case, *args, ref_rngs, 1000)
+            assert passes == expected > 1
+            for actual, wanted in zip(got, want):
+                assert actual.tobytes() == wanted.tobytes()
+            assert [r.bit_generator.state for r in rngs] == [
+                r.bit_generator.state for r in ref_rngs
+            ]
 
 
 @pytest.mark.parametrize("table", [t for _, t in TABLES], ids=TABLE_IDS)
@@ -574,6 +737,22 @@ class TestEndToEndParity:
         assert numpy_run[0].extras["kernel_tier"] == "numpy"
         auto_run = run_trials(standard_config(50, seed=5, engine="batch"), 1)
         assert auto_run[0].extras["kernel_tier"] == kernel_tier_label("auto")
+
+    @needs_provider
+    def test_warm_kernels_runs_the_trip_mode(self, monkeypatch):
+        table = provider_kernels()
+        original = table["advance_legs_dense"]
+        trip_results = []
+
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if kwargs.get("trips") is not None:
+                trip_results.append(out)
+            return out
+
+        monkeypatch.setitem(table, "advance_legs_dense", spy)
+        warm_kernels()
+        assert len(trip_results) == 1 and trip_results[0] > 1
 
     @needs_provider
     def test_warm_then_no_new_compiles(self):

@@ -12,16 +12,21 @@ escape hatch for user-supplied scalar models, announcing itself in every
 replica's results.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.geometry.neighbors import available_backends
+from repro.kernels import kernel_backend, provider_kernels, use_kernel_tier
 from repro.mobility import (
     BATCH_MOBILITY_REGISTRY,
     MODEL_REGISTRY,
+    BatchManhattanRandomWaypoint,
     ManhattanRandomWaypoint,
     ReplicatedBatchMobility,
 )
+from repro.mobility import mrwp as mrwp_module
 from repro.simulation.batch import build_batch_model, run_protocol_batch
 from repro.simulation.config import _MOBILITY_OPTION_KEYS, FloodingConfig, standard_config
 from repro.simulation.runner import build_model, run_trials
@@ -96,6 +101,65 @@ def model_pair(name, options, init, seed=21):
     return scalars, batch
 
 
+needs_provider = pytest.mark.skipif(
+    kernel_backend() is None, reason="no compiled kernel provider on this host"
+)
+
+#: MRWP speeds of the trip-mode cases: standing still, a step shorter than
+#: the arrival tolerance ``eps = 1e-9 * SIDE``, the benchmark's ``R / 4``,
+#: and three sides, where agents finish several trips within one step.
+TRIP_SPEEDS = {
+    "zero": 0.0,
+    "below_eps": 0.5e-9 * SIDE,
+    "quarter_radius": RADIUS / 4,
+    "three_sides": 3 * SIDE,
+}
+
+
+def mrwp_snapshot(model, rngs):
+    """Everything an MRWP step may change, generator states included."""
+    arrays = (
+        model._pos, model._dest, model._target, model._on_second_leg,
+        model.turn_counts, model.arrival_counts,
+    )
+    return [a.copy() for a in arrays], [rng.bit_generator.state for rng in rngs]
+
+
+def assert_same_snapshot(got, want):
+    for actual, expected in zip(got[0], want[0]):
+        assert actual.dtype == expected.dtype
+        assert actual.tobytes() == expected.tobytes()
+    assert got[1] == want[1]
+
+
+def spawn_rngs(batch_size, seed=21):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(batch_size)]
+
+
+def run_batch_mrwp(tier, batch_size, speed, dt, rngs=None, steps=8):
+    """Snapshots after every step of a batch MRWP model on ``tier``;
+    replica ``b`` retires after step ``2 + 2 * b``."""
+    rngs = spawn_rngs(batch_size) if rngs is None else rngs
+    model = BatchManhattanRandomWaypoint(N, SIDE, speed, rngs)
+    snapshots = []
+    with use_kernel_tier(tier):
+        for t in range(steps):
+            model.step(dt, active=np.arange(batch_size) * 2 + 2 >= t)
+            snapshots.append(mrwp_snapshot(model, rngs))
+    return snapshots
+
+
+def run_scalar_mrwp(tier, speed, dt, steps=8):
+    rng = np.random.default_rng(21)
+    model = ManhattanRandomWaypoint(N, SIDE, speed, rng=rng)
+    snapshots = []
+    with use_kernel_tier(tier):
+        for _ in range(steps):
+            model.step(dt)
+            snapshots.append(mrwp_snapshot(model, [rng]))
+    return snapshots
+
+
 def result_fingerprint(results):
     return [
         (
@@ -161,6 +225,131 @@ class TestModelLevelParity:
         for dt in (0.25, 1.75, 0.5, 3.0):
             expected = np.stack([m.step(dt) for m in scalars])
             assert np.array_equal(batch.step(dt), expected)
+
+    @needs_provider
+    @pytest.mark.parametrize("speed", list(TRIP_SPEEDS.values()), ids=list(TRIP_SPEEDS))
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_mrwp_trip_mode_matches_numpy_loop(self, batch_size, dt, speed):
+        """The compiled tier's one-call MRWP step leaves the numpy loop's
+        state, counters and generator states after every step, while
+        replicas retire."""
+        want = run_batch_mrwp("numpy", batch_size, speed, dt)
+        got = run_batch_mrwp("compiled", batch_size, speed, dt)
+        for g, w in zip(got, want):
+            assert_same_snapshot(g, w)
+
+    @needs_provider
+    @pytest.mark.parametrize("speed", list(TRIP_SPEEDS.values()), ids=list(TRIP_SPEEDS))
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_scalar_mrwp_trip_mode_matches_numpy_loop(self, dt, speed):
+        want = run_scalar_mrwp("numpy", speed, dt)
+        got = run_scalar_mrwp("compiled", speed, dt)
+        for g, w in zip(got, want):
+            assert_same_snapshot(g, w)
+
+
+class ForwardingGenerator:
+    """A generator object without numpy's C interface: it forwards the
+    ``random`` calls of the MRWP redraws to a real ``Generator``."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
+
+
+@needs_provider
+class TestCompiledTripModeGuards:
+    """Where the compiled MRWP step must agree with, or yield to, numpy."""
+
+    def test_replicas_sharing_a_generator(self):
+        def shared():
+            first, second = spawn_rngs(2)
+            return [first, second, first]
+
+        want = run_batch_mrwp("numpy", 3, TRIP_SPEEDS["three_sides"], 1.0, rngs=shared())
+        got = run_batch_mrwp("compiled", 3, TRIP_SPEEDS["three_sides"], 1.0, rngs=shared())
+        for g, w in zip(got, want):
+            assert_same_snapshot(g, w)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
+    def test_too_small_pass_cap_raises_on_both_tiers(self, monkeypatch, batch):
+        monkeypatch.setattr(mrwp_module, "_MAX_LEGS_PER_STEP", 1)
+        snapshots = []
+        for tier in ("numpy", "compiled"):
+            rngs = spawn_rngs(3 if batch else 1)
+            if batch:
+                model = BatchManhattanRandomWaypoint(N, SIDE, 3 * SIDE, rngs)
+            else:
+                model = ManhattanRandomWaypoint(N, SIDE, 3 * SIDE, rng=rngs[0])
+            with use_kernel_tier(tier), pytest.raises(RuntimeError, match="did not converge"):
+                model.step()
+            assert model.time == 0.0
+            snapshots.append(mrwp_snapshot(model, rngs))
+        assert_same_snapshot(snapshots[1], snapshots[0])
+
+    def test_step_waits_for_a_held_generator_lock(self):
+        want = run_batch_mrwp("numpy", 3, SIDE, 1.0, steps=1)
+        rngs = spawn_rngs(3)
+        model = BatchManhattanRandomWaypoint(N, SIDE, SIDE, rngs)
+        lock = rngs[1].bit_generator.lock
+        stepped = threading.Event()
+
+        def step():
+            model.step(1.0, active=np.ones(3, dtype=bool))
+            stepped.set()
+
+        with use_kernel_tier("compiled"):
+            lock.acquire()
+            try:
+                worker = threading.Thread(target=step)
+                worker.start()
+                assert not stepped.wait(0.3)
+            finally:
+                lock.release()
+            worker.join(30)
+        assert not worker.is_alive() and stepped.is_set()
+        assert_same_snapshot(mrwp_snapshot(model, rngs), want[0])
+
+    def test_generator_without_c_interface_falls_back(self, monkeypatch):
+        table = provider_kernels()
+        original = table["advance_legs_dense"]
+        trip_results = []
+
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if kwargs.get("trips") is not None:
+                trip_results.append(out)
+            return out
+
+        monkeypatch.setitem(table, "advance_legs_dense", spy)
+        snapshots = []
+        for tier in ("numpy", "compiled"):
+            rngs = spawn_rngs(3)
+            model = BatchManhattanRandomWaypoint(N, SIDE, SIDE, rngs)
+            model.rngs = [ForwardingGenerator(rng) for rng in rngs]
+            with use_kernel_tier(tier):
+                for _ in range(4):
+                    model.step()
+            snapshots.append(mrwp_snapshot(model, rngs))
+        assert len(trip_results) == 4 and all(out is None for out in trip_results)
+        assert_same_snapshot(snapshots[1], snapshots[0])
+
+    def test_cached_generator_follows_reset(self):
+        snapshots = []
+        for tier in ("numpy", "compiled"):
+            first, second = spawn_rngs(2)
+            model = ManhattanRandomWaypoint(N, SIDE, SIDE, rng=first)
+            with use_kernel_tier(tier):
+                for _ in range(3):
+                    model.step()
+                model.reset(rng=second)
+                for _ in range(3):
+                    model.step()
+            snapshots.append(mrwp_snapshot(model, [first, second]))
+        assert_same_snapshot(snapshots[1], snapshots[0])
 
 
 class TestEngineLevelParity:
