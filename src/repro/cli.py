@@ -5,8 +5,9 @@ Subcommands:
 * ``list`` — show all registered experiments;
 * ``experiment <id> [--scale quick|full] [--seed N] [--csv PATH]
   [--engine scalar|batch|auto] [--jobs N] [--adaptive] [--ci-width W]
-  [--min-trials N] [--max-trials N] [--checkpoint DIR] [--resume [DIR]]``
-  (alias: ``run``) — run one experiment and print its report;
+  [--min-trials N] [--max-trials N] [--checkpoint DIR] [--resume [DIR]]
+  [--max-retries N]`` (alias: ``run``) — run one experiment and print its
+  report;
   ``--engine``/``--jobs`` thread through to the sweep-scheduler
   experiments (engine choice never changes results, only speed);
   ``--adaptive`` switches those experiments to sequential stopping (stop
@@ -17,17 +18,13 @@ Subcommands:
   — run the whole suite (engine/jobs/adaptive apply to the experiments
   that support them);
 * ``sweep --n N --parameter NAME --values V1 V2 ... [--trials T]
-  [--adaptive ...] [--checkpoint DIR] [--resume [DIR]] [--workers N]
-  [--lease-ttl SECONDS] [--max-retries N] [--csv PATH]`` —
-  ad-hoc one-parameter sweeps over the canonical ``L = sqrt n``
-  configuration through the sweep scheduler, with the same adaptive and
-  checkpoint/resume controls; ``repro sweep --resume DIR`` continues a
-  killed or budget-capped sweep exactly where it stopped;
-  ``--workers N`` self-spawns a lease-coordinated cooperative fleet on
-  the shared checkpoint, and ``--lease-ttl`` joins independent
-  invocations (one per host or terminal) to the same plan — a SIGKILLed
-  worker costs one TTL, not the run, and the final tables stay identical
-  to a solo run (``experiment``/``run`` take the same three flags);
+  [--adaptive ...] [--checkpoint DIR] [--resume [DIR]] [--max-retries N]
+  [--csv PATH]`` — ad-hoc one-parameter sweeps over the canonical
+  ``L = sqrt n`` configuration through the sweep scheduler, with the same
+  adaptive and checkpoint/resume controls; ``repro sweep --resume DIR``
+  continues a killed or budget-capped sweep exactly where it stopped, and
+  ``--max-retries`` sets how often a crashed job is retried before it is
+  quarantined as a poison job;
 * ``flood --n N [--trials T] [--engine scalar|batch|auto] [--batch-size B]
   [--mobility NAME] [--mobility-options JSON] [--radius-factor C]
   [--speed-fraction F] ...`` — ad-hoc flooding runs with the canonical
@@ -183,25 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             help="continue the checkpoint in DIR (or in --checkpoint) "
             "bit-exactly from where the previous run stopped",
-        )
-        p.add_argument(
-            "--workers",
-            type=_positive_int,
-            default=1,
-            metavar="N",
-            help="cooperative worker processes to self-spawn against the "
-            "shared --checkpoint (lease-coordinated; a crashed worker costs "
-            "one lease TTL, not the run; tables identical to a solo run)",
-        )
-        p.add_argument(
-            "--lease-ttl",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="cooperative lease time-to-live: join the workers already "
-            "draining --checkpoint (independent invocations on one "
-            "directory share the plan; stale leases are reclaimed after "
-            "SECONDS without a heartbeat)",
         )
         p.add_argument(
             "--max-retries",
@@ -388,7 +366,6 @@ def _cmd_run(args) -> int:
             engine=args.engine, jobs=args.jobs,
             stopping=_stopping_from_args(args),
             checkpoint=checkpoint, resume=resume,
-            workers=args.workers, lease_ttl=args.lease_ttl,
             max_retries=args.max_retries,
         )
     except PoisonJobError as error:
@@ -503,8 +480,6 @@ def _cmd_sweep(args) -> int:
             checkpoint=checkpoint,
             resume=resume,
             trial_budget=args.trial_budget,
-            workers=args.workers,
-            lease_ttl=args.lease_ttl,
             max_retries=args.max_retries,
         )
     except PoisonJobError as error:

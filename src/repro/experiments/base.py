@@ -134,9 +134,9 @@ class ExperimentSpec:
         return self._runner_accepts("checkpoint")
 
     @property
-    def accepts_workers(self) -> bool:
-        """Whether the runner supports cooperative multi-worker execution."""
-        return self._runner_accepts("workers")
+    def accepts_max_retries(self) -> bool:
+        """Whether the runner supports the crash-retry budget ``max_retries``."""
+        return self._runner_accepts("max_retries")
 
     def run(
         self,
@@ -147,8 +147,6 @@ class ExperimentSpec:
         stopping=None,
         checkpoint: str | None = None,
         resume: bool = False,
-        workers: int = 1,
-        lease_ttl: float | None = None,
         max_retries: int | None = None,
     ) -> ExperimentResult:
         """Execute the experiment at the given scale.
@@ -167,12 +165,6 @@ class ExperimentSpec:
             checkpoint: optional checkpoint directory for sweep-scheduler
                 experiments (partial results persisted after each batch).
             resume: continue the checkpoint in ``checkpoint`` bit-exactly.
-            workers: cooperative worker processes to self-spawn against the
-                shared ``checkpoint`` (lease-coordinated; results identical
-                to a solo run).
-            lease_ttl: cooperative lease time-to-live in seconds — joins
-                this invocation to the workers already draining
-                ``checkpoint``.
             max_retries: per-job crash retries before poison-job quarantine.
         """
         kwargs = {"scale": scale, "seed": seed}
@@ -207,18 +199,13 @@ class ExperimentSpec:
                 )
             kwargs["checkpoint"] = checkpoint
             kwargs["resume"] = resume
-        if workers not in (None, 1) or lease_ttl is not None or max_retries is not None:
-            if not self.accepts_workers:
+        if max_retries is not None:
+            if not self.accepts_max_retries:
                 raise ValueError(
                     f"experiment {self.id!r} does not run through the sweep scheduler "
-                    "and has no fault-tolerant multi-worker execution"
+                    "and has no crash retries"
                 )
-            if workers not in (None, 1):
-                kwargs["workers"] = workers
-            if lease_ttl is not None:
-                kwargs["lease_ttl"] = lease_ttl
-            if max_retries is not None:
-                kwargs["max_retries"] = max_retries
+            kwargs["max_retries"] = max_retries
         result = self.runner(**kwargs)
         if result.experiment_id != self.id:  # defensive consistency check
             raise RuntimeError(f"runner for {self.id!r} returned id {result.experiment_id!r}")

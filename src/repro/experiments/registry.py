@@ -68,14 +68,12 @@ def run_experiment(
     stopping=None,
     checkpoint: str | None = None,
     resume: bool = False,
-    workers: int = 1,
-    lease_ttl: float | None = None,
     max_retries: int | None = None,
 ) -> ExperimentResult:
     """Run one experiment by id.
 
     ``engine`` / ``jobs`` / ``stopping`` / ``checkpoint`` / ``resume`` /
-    ``workers`` / ``lease_ttl`` / ``max_retries`` thread through to
+    ``max_retries`` thread through to
     sweep-scheduler experiments (see
     :meth:`~repro.experiments.base.ExperimentSpec.run`); requesting any of
     them on an experiment without scheduler support raises.
@@ -88,8 +86,6 @@ def run_experiment(
         stopping=stopping,
         checkpoint=checkpoint,
         resume=resume,
-        workers=workers,
-        lease_ttl=lease_ttl,
         max_retries=max_retries,
     )
 

@@ -35,8 +35,6 @@ def run(
     stopping=None,
     checkpoint: str | None = None,
     resume: bool = False,
-    workers: int = 1,
-    lease_ttl: float | None = None,
     max_retries: int | None = None,
 ) -> ExperimentResult:
     params = scale_params(
@@ -65,8 +63,6 @@ def run(
         stopping=stopping,
         checkpoint=checkpoint,
         resume=resume,
-        workers=workers,
-        lease_ttl=lease_ttl,
         max_retries=max_retries,
     )
 

@@ -248,6 +248,7 @@ int64_t repro_advance_legs_dense(double *restrict pos, const double *restrict ta
 {
     int64_t cnt = 0;
     for (int64_t i = 0; i < total; i++) {
+        if (!(all_moving || moving[i])) continue;
         double d0 = target[2 * i] - pos[2 * i];
         double d1 = target[2 * i + 1] - pos[2 * i + 1];
         double dist = fabs(d0) + fabs(d1);
@@ -262,12 +263,10 @@ int64_t repro_advance_legs_dense(double *restrict pos, const double *restrict ta
         }
         double frac = (dist > eps) ? (move / dist) : 1.0;
         double spent = (speed_mode == 0) ? move : (move / s);
-        int is_moving = all_moving || moving[i];
-        if (!is_moving) { frac = 0.0; spent = 0.0; }
         pos[2 * i] += d0 * frac;
         pos[2 * i + 1] += d1 * frac;
         budget[i] = b - spent;
-        if (is_moving && move >= dist - eps) { done[cnt] = i; cnt++; }
+        if (move >= dist - eps) { done[cnt] = i; cnt++; }
     }
     for (int64_t k = 0; k < cnt; k++) {
         int64_t i = done[k];

@@ -21,8 +21,8 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
 * ``advance_legs_core`` / ``advance_legs_dense_core`` — the identical
   IEEE operation sequence as :func:`repro.mobility.kinematics.advance_legs`
   (same gathers, same guarded division, same ``move >= dist - eps``
-  threshold, masked rows of the dense pass included), so positions and
-  budgets are bit-identical.
+  threshold; the dense pass skips the rows that do not move), so positions
+  and budgets are bit-identical.
 * ``advance_trips_core`` — a whole step of the MRWP carry-over loop
   (``mrwp._advance_trips``): pass by pass over the flat ``B*n`` layout,
   the leg arithmetic of ``advance_legs_core``, the corner promotions of
@@ -325,14 +325,13 @@ def advance_legs_core(pos, target, budget, idx, eps, speed_arr, speed_scalar, sp
 def advance_legs_dense_core(pos, target, budget, moving, all_moving, eps, speed_arr, speed_scalar, speed_mode, done):
     """Dense full-array pass; mirrors ``kinematics.advance_legs_dense``.
 
-    Masked rows run the same arithmetic with ``frac`` and the budget spend
-    forced to 0 — including the ``pos += delta * 0.0`` no-op, which the
-    numpy pass also performs (it can flip a ``-0.0`` position to ``+0.0``,
-    so skipping it would not be bit-exact).
+    Rows that do not move are skipped, so they keep their state bit for bit.
     """
     total = budget.shape[0]
     cnt = 0
     for i in range(total):
+        if not (all_moving or moving[i]):
+            continue
         d0 = target[i, 0] - pos[i, 0]
         d1 = target[i, 1] - pos[i, 1]
         dist = abs(d0) + abs(d1)
@@ -354,14 +353,10 @@ def advance_legs_dense_core(pos, target, budget, moving, all_moving, eps, speed_
             spent = move
         else:
             spent = move / s
-        is_moving = all_moving or moving[i]
-        if not is_moving:
-            frac = 0.0
-            spent = 0.0
         pos[i, 0] += d0 * frac
         pos[i, 1] += d1 * frac
         budget[i] = b - spent
-        if is_moving and move >= dist - eps:
+        if move >= dist - eps:
             done[cnt] = i
             cnt += 1
     for k in range(cnt):

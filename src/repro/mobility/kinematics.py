@@ -138,10 +138,10 @@ def advance_legs_dense(pos, target, budget, moving, n_moving, eps, scratch, spee
     Used when most agents are moving (typically the first carry-over
     iteration): full-array arithmetic into preallocated scratch avoids
     both the gather/scatter of the fancy-indexed pass and fresh
-    temporaries.  Masked rows see exact no-ops (``frac`` and ``move``
-    forced to 0), and every per-agent operation consumes the same operand
-    values as the sparse pass, so the two are bit-interchangeable —
-    models switch on density freely without touching results.
+    temporaries.  Rows that do not move are left untouched, and every
+    per-agent operation consumes the same operand values as the sparse
+    pass, so the two are bit-interchangeable — models switch on density
+    freely without touching results.
 
     Args:
         moving: ``(total,)`` bool mask of agents with budget left.
@@ -155,8 +155,7 @@ def advance_legs_dense(pos, target, budget, moving, n_moving, eps, scratch, spee
     """
     kernel = get_kernel("advance_legs_dense")
     if kernel is not None:
-        # Compiled tier: fused dense pass, masked rows included (their
-        # ``+= delta * 0.0`` no-op is part of the bit-exact contract).
+        # Compiled tier: fused dense pass over the moving rows (bit-exact).
         done = kernel(pos, target, budget, moving, n_moving, eps, speed)
         if done is not None:
             return done
@@ -187,10 +186,9 @@ def advance_legs_dense(pos, target, budget, moving, n_moving, eps, scratch, spee
         budget -= spent
         done = np.nonzero(move >= dist - eps)[0]
     else:
-        frac[~moving] = 0.0
         delta *= frac[:, None]
-        pos += delta
-        budget -= np.where(moving, spent, 0.0)
+        np.add(pos, delta, out=pos, where=moving[:, None])
+        np.subtract(budget, spent, out=budget, where=moving)
         done = np.nonzero(moving & (move >= dist - eps))[0]
     if done.size:
         pos[done] = target[done]

@@ -89,10 +89,7 @@ class ManhattanRandomWaypoint(MobilityModel):
         self._eps = 1e-9 * max(self.side, 1.0)
         self._active = np.ones(1, dtype=bool)
         self._budget = np.empty(self.n, dtype=np.float64)
-        # No dense-pass scratch: the numpy loop runs the scalar model's
-        # historical sparse passes, since a dense pass also rewrites rows
-        # that do not move (``pos += delta * 0.0`` turns -0.0 into +0.0).
-        self._scratch = None
+        self._scratch = DenseLegScratch(self.n)
         self._trip_work = TripWork(self.n)
 
     # ------------------------------------------------------------------
@@ -215,8 +212,8 @@ def _advance_trips(model, rngs, dt, active) -> None:
     the trip mode of the ``advance_legs_dense`` kernel runs the whole loop
     in one call, drawing the same numbers in the same order; elsewhere, or
     when the kernel declines the inputs, the numpy loop below runs, with
-    dense passes while half the agents move if ``model`` has dense-pass
-    scratch (the batch model) and sparse passes otherwise.
+    dense passes while at least half the agents move and sparse passes
+    otherwise.
     """
     distance = model.speed * dt
     eps = model._eps
@@ -245,7 +242,7 @@ def _advance_trips(model, rngs, dt, active) -> None:
         n_moving = int(np.count_nonzero(moving))
         if n_moving == 0:
             break
-        if model._scratch is not None and 2 * n_moving >= total:
+        if 2 * n_moving >= total:
             # Dense pass — typically the first carry-over iteration,
             # where every unfrozen agent moves.
             done = advance_legs_dense(

@@ -207,7 +207,7 @@ class BatchManhattanRandomWaypointWithPause(BatchMobilityModel):
 
 def _advance_pause_mrwp(
     pos, dest, target, on_second_leg, pause_left, time_budget,
-    side, speed, pause_time, eps, rngs, n, scratch=None,
+    side, speed, pause_time, eps, rngs, n, scratch,
 ):
     """Spend ``time_budget`` through the two-phase pause-MRWP carry-over loop.
 
@@ -228,7 +228,7 @@ def _advance_pause_mrwp(
         n_moving = int(np.count_nonzero(moving))
         if n_moving == 0:
             break
-        if scratch is not None and 2 * n_moving >= total:
+        if 2 * n_moving >= total:
             done = advance_legs_dense(
                 pos, target, time_budget, moving, n_moving, eps, scratch, speed=speed
             )

@@ -206,7 +206,7 @@ class BatchRandomSpeedManhattanWaypoint(BatchMobilityModel):
 
 def _advance_random_speed(
     pos, dest, target, on_second_leg, trip_speed, time_budget,
-    side, v_min, v_max, eps, rngs, n, scratch=None,
+    side, v_min, v_max, eps, rngs, n, scratch,
 ):
     """Spend ``time_budget`` through the random-speed carry-over loop.
 
@@ -220,7 +220,7 @@ def _advance_random_speed(
         n_moving = int(np.count_nonzero(moving))
         if n_moving == 0:
             break
-        if scratch is not None and 2 * n_moving >= total:
+        if 2 * n_moving >= total:
             done = advance_legs_dense(
                 pos, target, time_budget, moving, n_moving, eps, scratch, speed=trip_speed
             )

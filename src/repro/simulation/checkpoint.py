@@ -17,18 +17,18 @@ Layout of a checkpoint directory::
       manifest.json      # schema version + the plan's config fingerprints
       group_0000.json    # one file per deduplicated execution group:
       group_0001.json    #   {schema_version, config_hash, n_trials, results}
-      group_0001.lease   # cooperative-mode work lease (simulation/lease.py)
       poison_0002.json   # sticky poison-job quarantine marker, if any
 
 Every file is written **atomically and durably** (per-process temp file +
 ``os.replace`` + parent-directory fsync) after each trial batch, so a kill
 at any instant leaves either the previous or the next consistent state —
-never a torn file — and the temp names cannot collide across cooperating
-worker processes sharing the directory.  The loader is deliberately
-loud: truncated or corrupt JSON, an unknown schema version, a config hash
-that no longer matches the plan (the config was edited between runs), or a
-manifest/plan shape mismatch all raise :class:`CheckpointError` with an
-actionable message instead of silently resuming wrong state.
+never a torn file.  Files the store does not name, such as a stale
+``group_NNNN.lease`` left by the cooperative runs of older versions, are
+ignored.  The loader is deliberately loud: truncated or corrupt JSON, an
+unknown schema version, a config hash that no longer matches the plan
+(the config was edited between runs), or a manifest/plan shape mismatch
+all raise :class:`CheckpointError` with an actionable message instead of
+silently resuming wrong state.
 
 The JSON uses the Python ``json`` module's ``Infinity`` literal for
 incomplete trials' flooding times (non-strict JSON, round-trips with the
@@ -197,10 +197,10 @@ _TMP_COUNTER = itertools.count()
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
-    # The temp name is unique per process (pid + counter): two cooperating
-    # workers racing the same target — e.g. both creating the manifest of a
-    # fresh shared checkpoint — must never open each other's temp file and
-    # tear it mid-write.
+    # The temp name is unique per process (pid + counter).  A sweep is one
+    # invocation, so this is cheap insurance: should two invocations ever
+    # write one directory, neither opens the other's temp file and tears it
+    # mid-write.
     tmp = f"{path}.tmp.{os.getpid()}.{next(_TMP_COUNTER)}"
     with open(tmp, "w") as handle:
         # ``json.dumps`` runs the C encoder; ``json.dump`` always runs the
@@ -286,7 +286,7 @@ class SweepCheckpoint:
     def _group_path(self, index: int) -> str:
         return os.path.join(self.directory, f"group_{index:04d}.json")
 
-    def open(self, fingerprints: list, resume: bool, cooperative: bool = False) -> None:
+    def open(self, fingerprints: list, resume: bool) -> None:
         """Initialize a fresh checkpoint or validate an existing one.
 
         Args:
@@ -296,21 +296,9 @@ class SweepCheckpoint:
                 directory (which must exist and match the plan); ``False``
                 starts fresh (the directory must not already hold a
                 checkpoint — refusing to clobber is deliberate).
-            cooperative: create-or-join semantics for multi-worker runs —
-                an existing manifest is validated (like resume), a missing
-                one created (like a fresh run).  Two fresh workers racing
-                the creation both write the *identical* manifest through
-                per-process temp files and an atomic rename, so either
-                order is safe; ``resume`` is ignored.
         """
         manifest = self._manifest_path()
         exists = os.path.exists(manifest)
-        if cooperative:
-            if exists:
-                self._validate_manifest(fingerprints)
-            else:
-                self._create_manifest(fingerprints)
-            return
         if resume and not exists:
             raise CheckpointError(
                 f"nothing to resume: {self.directory!r} contains no "
@@ -323,13 +311,17 @@ class SweepCheckpoint:
                 "resume=True (CLI: --resume) to continue it, or point the "
                 "checkpoint at a fresh directory"
             )
-        if resume:
-            self._validate_manifest(fingerprints)
+        if not resume:
+            os.makedirs(self.directory, exist_ok=True)
+            _atomic_write_json(
+                manifest,
+                {
+                    "schema_version": CHECKPOINT_SCHEMA_VERSION,
+                    "kind": _KIND,
+                    "groups": list(fingerprints),
+                },
+            )
             return
-        self._create_manifest(fingerprints)
-
-    def _validate_manifest(self, fingerprints: list) -> None:
-        manifest = self._manifest_path()
         data = _load_json(manifest, "checkpoint manifest")
         _check_schema(data, manifest)
         if data.get("kind") != _KIND:
@@ -337,8 +329,7 @@ class SweepCheckpoint:
                 f"{manifest!r} is not a sweep-checkpoint manifest "
                 f"(kind={data.get('kind')!r}); wrong directory?"
             )
-        stored = data.get("groups")
-        if stored != list(fingerprints):
+        if data.get("groups") != list(fingerprints):
             raise CheckpointError(
                 "the sweep plan does not match the checkpoint in "
                 f"{self.directory!r}: the configurations (or their order) "
@@ -346,17 +337,6 @@ class SweepCheckpoint:
                 "plan; use a fresh checkpoint directory for the edited "
                 "sweep"
             )
-
-    def _create_manifest(self, fingerprints: list) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        _atomic_write_json(
-            self._manifest_path(),
-            {
-                "schema_version": CHECKPOINT_SCHEMA_VERSION,
-                "kind": _KIND,
-                "groups": list(fingerprints),
-            },
-        )
 
     # -- per-group payloads --------------------------------------------
     def load_group(self, index: int, fingerprint: str, config: FloodingConfig) -> list:
@@ -400,10 +380,9 @@ class SweepCheckpoint:
     def write_poison(self, index: int, payload: dict) -> str:
         """Persist a poison-job quarantine marker for a group.
 
-        The marker makes the quarantine *sticky* across workers and
-        resumes: every later worker touching this checkpoint fails fast
-        with the recorded diagnosis instead of re-crashing its own pool
-        on the same input.  Returns the marker path (for the error
+        The marker makes the quarantine *sticky* across resumes: every
+        later run on this checkpoint fails fast with the recorded
+        diagnosis instead of re-crashing its own pool on the same input.  Returns the marker path (for the error
         message's "delete this to retry" instruction).
         """
         path = self._poison_path(index)

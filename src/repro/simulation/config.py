@@ -235,6 +235,14 @@ class FloodingConfig:
         pause_time = options.get("pause_time")
         if pause_time is not None and pause_time < 0:
             raise ValueError(f"pause_time must be non-negative, got {pause_time}")
+        if self.mobility == "mrwp-pause" and not self.speed > 0:
+            raise ValueError(f"mrwp-pause needs a positive speed, got {self.speed}")
+        if self.mobility == "random-walk" and not 0 < self.speed <= self.side:
+            # The walk's move radius is the config speed.
+            raise ValueError(
+                f"random-walk needs a speed (its move radius) in (0, side={self.side}], "
+                f"got {self.speed}"
+            )
         if self.mobility == "mrwp-speed":
             v_min = options.get("v_min", self.speed)
             v_max = options.get("v_max", self.speed)
@@ -248,8 +256,8 @@ class FloodingConfig:
         inset = options.get("inset")
         if inset is not None and not 0 <= inset < self.side / 2:
             raise ValueError(f"inset must be in [0, side/2), got {inset}")
-        ferries = options.get("ferries")
-        if ferries is not None and not 1 <= int(ferries) <= self.n - 2:
+        ferries = options.get("ferries", 1)  # composite_with_ferries' default
+        if self.mobility == "composite" and not 1 <= int(ferries) <= self.n - 2:
             raise ValueError(
                 f"ferries must be in [1, n - 2] (need an MRWP background), got {ferries}"
             )

@@ -58,22 +58,15 @@ bit-exactly — trial ``i`` of a point always draws seed child ``i``, so the
 segmentation of a run is invisible in its results (enforced by the
 fault-injection tests in ``tests/test_sweep_checkpoint.py``).
 
-**Fault tolerance & distribution.**  Worker crashes inside a round lose
-only the affected jobs: the pool respawns, survivors' results are kept,
-and the crashed jobs are retried solo on a deterministic backoff schedule
+**Fault tolerance.**  Worker crashes inside a round lose only the
+affected jobs: the pool respawns, survivors' results are kept, and the
+crashed jobs are retried solo on a deterministic backoff schedule
 (:mod:`repro.simulation.parallel`).  A job that keeps killing fresh pools
 is quarantined as a *poison job* — every completed trial is persisted
 first, a sticky ``poison_NNNN.json`` marker blocks silent retries, and the
 raised :class:`~repro.simulation.parallel.PoisonJobError` names the sweep
-point, trial range, seed, and the marker to delete for a retry.  With
-``lease_ttl=`` (and a shared ``checkpoint=``), N independent invocations
-drain one plan **cooperatively** through the group-level lease protocol of
-:mod:`repro.simulation.lease`: each worker leases the groups it executes,
-re-syncs the others from the store every round, and reclaims groups whose
-owner stopped heartbeating past the TTL — a SIGKILLed worker costs one
-TTL, not the run.  ``workers=N`` self-spawns such a fleet in-process.  The
-final tables stay byte-identical to a solo run in every case (same seed
-schedule, same stopping-rule evaluation grid).
+point, trial range, seed, and the marker to delete for a retry.  A sweep
+is one invocation: to spread it over more cores, raise ``jobs``.
 
 The output is point-indexed: one :class:`SweepPointResult` per input point
 (in input order) carrying the raw results, the
@@ -85,16 +78,13 @@ mask under-completed points.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.simulation.checkpoint import SweepCheckpoint, config_fingerprint
 from repro.simulation.config import FloodingConfig, _is_integer
-from repro.simulation.lease import DEFAULT_LEASE_TTL, LeaseError, LeaseManager
 from repro.simulation.parallel import (
     DEFAULT_MAX_RETRIES,
     PoisonJobError,
@@ -620,77 +610,8 @@ def _allocate_round(groups, budget_left) -> list:
     return wants
 
 
-def _group_want(group) -> int:
-    """How many trials the allocator would schedule this group next.
-
-    Mirrors :func:`_allocate_round`'s per-group arithmetic — fund the
-    minimum first, then one rule batch at a time — so a cooperative worker
-    re-reading a group after a lease takeover schedules exactly the round
-    the solo scheduler would have, keeping the stopping-rule evaluation
-    grid (``lo``, ``lo + batch``, ...) identical across workers.
-    """
-    n = len(group["results"])
-    if n < group["lo"]:
-        return group["lo"] - n
-    if _group_finished(group):
-        return 0
-    batch = group["rule"].batch if group["rule"] is not None else group["hi"]
-    return min(batch, group["hi"] - n)
-
-
-def _sync_from_store(store, groups, lease) -> None:
-    """Pick up other workers' committed progress (cooperative mode).
-
-    Groups this worker leases are authoritative locally (it heartbeats
-    before every persist, so its view cannot be behind the store); every
-    other group re-reads the checkpoint, taking the longer prefix.  The
-    seed schedule keys trial ``i`` to seed child ``i`` regardless of who
-    computed it, so "longer prefix" is the only comparison needed —
-    concurrent views never diverge, they only differ in length.
-    """
-    for gid, group in enumerate(groups):
-        if group["factory"] is not None or lease.owns(gid):
-            continue
-        loaded = store.load_group(gid, group["fingerprint"], group["config"])
-        if len(loaded) > len(group["results"]):
-            group["results"] = loaded[: group["hi"]]
-
-
-def _lease_wants(wants, groups, store, lease) -> list:
-    """Filter a round's allocations to the groups this worker may run.
-
-    Owned leases pass through; at most **one** new lease is acquired per
-    round, so a worker joining a shared plan takes one group at a time
-    instead of claiming the whole frontier ahead of its peers.  A newly
-    acquired group is re-read from the store first — its previous owner
-    may have committed more trials between our sync and the takeover —
-    and its want recomputed (releasing the lease again if the group turns
-    out finished).
-    """
-    mine = []
-    acquired = False
-    for gid, want in wants:
-        if lease.owns(gid):
-            mine.append((gid, want))
-            continue
-        if acquired or not lease.acquire(gid):
-            continue
-        group = groups[gid]
-        loaded = store.load_group(gid, group["fingerprint"], group["config"])
-        if len(loaded) > len(group["results"]):
-            group["results"] = loaded[: group["hi"]]
-        want = _group_want(group)
-        if want <= 0:
-            group["done"] = _group_finished(group)
-            lease.release(gid)
-            continue
-        acquired = True
-        mine.append((gid, want))
-    return mine
-
-
 def _raise_if_quarantined(store, groups, group_keys) -> None:
-    """Fail fast on a sticky poison-quarantine marker from any worker/run."""
+    """Fail fast on a sticky poison-quarantine marker from a previous run."""
     for gid in range(len(groups)):
         marker = store.load_poison(gid)
         if marker is None:
@@ -712,7 +633,7 @@ def _raise_if_quarantined(store, groups, group_keys) -> None:
         )
 
 
-def _quarantine_poison(error, spans, job_meta, groups, group_keys, store, lease) -> None:
+def _quarantine_poison(error, spans, job_meta, groups, group_keys, store) -> None:
     """Salvage a poisoned round, mark the culprits, re-raise with context.
 
     Completed results are persisted as far as each group's **contiguous
@@ -732,14 +653,9 @@ def _quarantine_poison(error, spans, job_meta, groups, group_keys, store, lease)
                 break
             prefix.extend(error.completed[index])
         if prefix:
-            try:
-                if lease is not None:
-                    lease.heartbeat(gid)
-                group["results"].extend(prefix)
-                if store is not None and group["factory"] is None:
-                    store.write_group(gid, group["fingerprint"], group["results"])
-            except LeaseError:
-                pass  # lease reclaimed: the thief recomputes these trials
+            group["results"].extend(prefix)
+            if store is not None and group["factory"] is None:
+                store.write_group(gid, group["fingerprint"], group["results"])
         bad = [
             (index, *poisoned_by_index[index])
             for index in range(start, end)
@@ -775,8 +691,6 @@ def _quarantine_poison(error, spans, job_meta, groups, group_keys, store, lease)
                 "configuration, then delete the marker to retry"
             )
         lines.append(detail)
-    if lease is not None:
-        lease.release_all()
     suffix = (
         "; every completed trial of this round was persisted to the checkpoint"
         if store is not None
@@ -789,173 +703,6 @@ def _quarantine_poison(error, spans, job_meta, groups, group_keys, store, lease)
     ) from error
 
 
-def _run_sequential(
-    points, point_group, groups, jobs, batch_size, checkpoint, resume,
-    trial_budget, lease_ttl, worker_id, retries, job_timeout,
-) -> list:
-    """Round-based scheduler: adaptive stopping, checkpoint/resume, leases.
-
-    Every plan runs here, and a fixed-budget plan is a single round.  Each
-    round allocates new trials per group (:func:`_allocate_round`),
-    dispatches them over one shared worker pool, appends the results in
-    seed order, atomically persists every touched group, and re-evaluates
-    the stopping rules.  Trial ``i`` of a group always draws seed child
-    ``i`` (:func:`~repro.simulation.parallel._child_states_range`), so the
-    round structure — and any crash/resume boundary — is invisible in the
-    results.
-
-    With ``lease_ttl`` set the loop runs **cooperatively**: each round it
-    re-syncs non-owned groups from the shared checkpoint, filters its
-    allocations through the lease table (acquiring at most one new group
-    per round), heartbeats every owned lease before persisting, releases
-    finished groups, and — when every runnable group is leased elsewhere —
-    sleeps briefly instead of breaking, until the plan is drained.  Lease
-    loss (:class:`~repro.simulation.lease.LeaseError`) discards that
-    group's uncommitted round; the reclaiming worker recomputes the same
-    trials bit-exactly.
-    """
-    workers = jobs if jobs is not None else (os.cpu_count() or 1)
-    group_keys = _group_keys(points, point_group, len(groups))
-    store = None
-    lease = None
-    if checkpoint is not None:
-        store = SweepCheckpoint(checkpoint)
-        store.open(
-            [group["fingerprint"] for group in groups],
-            resume=resume,
-            cooperative=lease_ttl is not None,
-        )
-        if lease_ttl is not None:
-            lease = LeaseManager(checkpoint, ttl=lease_ttl, owner=worker_id)
-    poll = 0.05 if lease_ttl is None else max(0.05, min(0.5, lease_ttl / 5.0))
-
-    for gid, group in enumerate(groups):
-        rule = group["rule"]
-        if rule is None:
-            group["lo"] = group["hi"] = group["n_trials"]
-        else:
-            group["lo"], group["hi"] = rule.bounds(group["n_trials"])
-        group["results"] = []
-        if store is not None and group["factory"] is None:
-            loaded = store.load_group(gid, group["fingerprint"], group["config"])
-            group["results"] = loaded[: group["hi"]]
-        group["done"] = False
-
-    budget_left = None
-    if trial_budget is not None:
-        budget_left = max(0, trial_budget - sum(len(g["results"]) for g in groups))
-
-    try:
-        with WorkerPool(jobs, max_retries=retries, job_timeout=job_timeout) as pool:
-            while True:
-                if store is not None:
-                    _raise_if_quarantined(store, groups, group_keys)
-                if lease is not None:
-                    _sync_from_store(store, groups, lease)
-                for group in groups:
-                    group["done"] = _group_finished(group)
-                if lease is not None:
-                    for gid, group in enumerate(groups):
-                        if group["done"]:
-                            lease.release(gid)
-                wants = _allocate_round(groups, budget_left)
-                if not wants:
-                    break
-                if lease is not None:
-                    wants = _lease_wants(wants, groups, store, lease)
-                    if not wants:
-                        # Every runnable group is leased by a live peer:
-                        # wait for releases (or TTL expiries) and re-sync.
-                        time.sleep(poll)
-                        continue
-                job_list = []
-                labels = []
-                job_meta = []  # per job: (gid, trial_lo, trial_hi)
-                spans = []  # (gid, start, end) into job_list
-                for gid, want in wants:
-                    group = groups[gid]
-                    config = group["config"]
-                    done_trials = len(group["results"])
-                    states = _child_states_range(config, done_trials, done_trials + want)
-                    start = len(job_list)
-                    if group["factory"] is None and config.resolved_engine == "batch":
-                        job_list.extend(_batch_slices(config, states, want, batch_size, workers))
-                    else:
-                        job_list.extend((config, [state], group["factory"]) for state in states)
-                    offset = done_trials
-                    for job in job_list[start:]:
-                        hi = offset + len(job[1])
-                        job_meta.append((gid, offset, hi))
-                        labels.append(_job_label(gid, group_keys[gid], config, offset, hi))
-                        offset = hi
-                    spans.append((gid, start, len(job_list)))
-                try:
-                    job_results = pool.map(_run_sweep_job, job_list, labels=labels)
-                except PoisonJobError as poison:
-                    _quarantine_poison(
-                        poison, spans, job_meta, groups, group_keys, store, lease
-                    )
-                for gid, start, end in spans:
-                    group = groups[gid]
-                    fresh = [
-                        result for job in job_results[start:end] for result in job
-                    ]
-                    if lease is not None:
-                        try:
-                            lease.heartbeat(gid)
-                        except LeaseError:
-                            # The lease expired mid-round and was reclaimed:
-                            # drop this round's results for the group (the
-                            # thief recomputes them bit-exactly) and re-sync.
-                            continue
-                    group["results"].extend(fresh)
-                    if store is not None and group["factory"] is None:
-                        store.write_group(gid, group["fingerprint"], group["results"])
-                if budget_left is not None:
-                    budget_left = max(0, budget_left - sum(want for _, want in wants))
-    finally:
-        if lease is not None:
-            lease.release_all()
-    return _assemble(points, point_group, groups)
-
-
-def _cooperative_worker(points, kwargs) -> None:
-    """Child entry point of the ``workers=N`` self-spawn (top-level: picklable)."""
-    run_sweep(SweepPlan(points), **kwargs)
-
-
-def _run_multi_worker(
-    points, engine, jobs, batch_size, stopping, checkpoint,
-    workers, lease_ttl, max_retries, job_timeout,
-) -> list:
-    """Self-spawned cooperative fleet: N lease-coordinated worker processes.
-
-    Spawns ``workers`` child processes, each running the same plan
-    cooperatively against the shared checkpoint (each with its own worker
-    identity and ``jobs`` execution processes).  Child exit codes are
-    deliberately ignored — surviving partial or even total worker loss is
-    the point: the parent's own final cooperative pass drains whatever the
-    children left behind and assembles the output from the store.  Poison
-    quarantines are sticky markers, so a child that died on one re-raises
-    here with the full diagnosis.
-    """
-    ttl = lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL
-    kwargs = dict(
-        engine=engine, jobs=jobs, batch_size=batch_size, stopping=stopping,
-        checkpoint=checkpoint, lease_ttl=ttl,
-        max_retries=max_retries, job_timeout=job_timeout,
-    )
-    children = [
-        multiprocessing.Process(target=_cooperative_worker, args=(points, kwargs))
-        for _ in range(workers)
-    ]
-    for child in children:
-        child.start()
-    for child in children:
-        child.join()
-    return run_sweep(SweepPlan(points), **kwargs)
-
-
 def run_sweep(
     plan,
     engine: str | None = None,
@@ -965,9 +712,6 @@ def run_sweep(
     checkpoint: str | None = None,
     resume: bool = False,
     trial_budget: int | None = None,
-    workers: int = 1,
-    lease_ttl: float | None = None,
-    worker_id: str | None = None,
     max_retries: int | None = None,
     job_timeout: float | None = None,
 ) -> list:
@@ -1003,22 +747,6 @@ def run_sweep(
             flows to the neediest unfinished points (TOPSIS over CI width,
             completion deficit, per-trial cost) until the budget is spent.
             On resume, previously completed trials count against it.
-        workers: cooperative worker *processes* to self-spawn (each runs
-            the plan against the shared ``checkpoint`` with its own lease
-            identity and ``jobs`` execution processes).  ``workers > 1``
-            requires ``checkpoint=``; results are byte-identical to a
-            solo run.  Equivalent to launching N ``repro sweep
-            --checkpoint DIR --lease-ttl T`` invocations by hand.
-        lease_ttl: enable **cooperative leasing** with this time-to-live
-            in seconds: independent invocations sharing the checkpoint
-            directory drain the plan together, each leasing the groups it
-            executes.  A worker that stops heartbeating past the TTL
-            loses its leases and its groups are reclaimed.  Requires
-            ``checkpoint=``.
-        worker_id: lease owner identity (default: a fresh
-            ``host-pid-nonce`` from
-            :func:`~repro.simulation.lease.worker_identity`).  Only
-            meaningful with ``lease_ttl``.
         max_retries: per-job solo crash retries before poison-job
             quarantine (default
             :data:`~repro.simulation.parallel.DEFAULT_MAX_RETRIES`).
@@ -1039,7 +767,6 @@ def run_sweep(
         return []
     if jobs is not None:
         _check_count("jobs", jobs, 1)
-    _check_count("workers", workers, 1)
     if batch_size is not None:
         _check_count("batch_size", batch_size, 0)
     if max_retries is not None:
@@ -1050,38 +777,75 @@ def run_sweep(
         raise ValueError("resume=True requires a checkpoint directory")
     if trial_budget is not None:
         _check_count("trial_budget", trial_budget, 1)
-    cooperative = workers > 1 or lease_ttl is not None
-    if cooperative and checkpoint is None:
-        raise ValueError(
-            "cooperative execution (workers > 1 or lease_ttl=) requires a shared "
-            "checkpoint directory (checkpoint=): the checkpoint store is the "
-            "workers' only communication channel"
-        )
-    if worker_id is not None and lease_ttl is None:
-        raise ValueError("worker_id= has no effect without lease_ttl= (cooperative leasing)")
-    if cooperative and trial_budget is not None:
-        raise ValueError(
-            "trial_budget cannot be combined with cooperative execution: the "
-            "budget ledger is per-invocation and would be double-counted "
-            "across workers"
-        )
 
     groups, point_group = _build_groups(points, engine, stopping)
-    if cooperative and any(group["factory"] is not None for group in groups):
-        raise ValueError(
-            "observer points cannot run cooperatively: observer results are not "
-            "checkpointed, so workers cannot share them; drop observer_factory "
-            "or run with workers=1 and no lease_ttl"
-        )
     retries = DEFAULT_MAX_RETRIES if max_retries is None else max_retries
+    workers = jobs if jobs is not None else (os.cpu_count() or 1)
+    group_keys = _group_keys(points, point_group, len(groups))
+    store = None
+    if checkpoint is not None:
+        store = SweepCheckpoint(checkpoint)
+        store.open([group["fingerprint"] for group in groups], resume=resume)
+        _raise_if_quarantined(store, groups, group_keys)
 
-    if workers > 1:
-        return _run_multi_worker(
-            points, engine, jobs, batch_size, stopping, checkpoint,
-            workers, lease_ttl, max_retries, job_timeout,
-        )
+    for gid, group in enumerate(groups):
+        rule = group["rule"]
+        if rule is None:
+            group["lo"] = group["hi"] = group["n_trials"]
+        else:
+            group["lo"], group["hi"] = rule.bounds(group["n_trials"])
+        group["results"] = []
+        if store is not None and group["factory"] is None:
+            loaded = store.load_group(gid, group["fingerprint"], group["config"])
+            group["results"] = loaded[: group["hi"]]
 
-    return _run_sequential(
-        points, point_group, groups, jobs, batch_size, checkpoint, resume,
-        trial_budget, lease_ttl, worker_id, retries, job_timeout,
-    )
+    budget_left = None
+    if trial_budget is not None:
+        budget_left = max(0, trial_budget - sum(len(g["results"]) for g in groups))
+
+    # Each round allocates trials (:func:`_allocate_round`), runs them over
+    # the one pool, appends them in seed order and persists every group it
+    # touched.  Trial ``i`` of a group always draws seed child ``i``, so the
+    # rounds, and any crash/resume boundary, are invisible in the results.
+    with WorkerPool(jobs, max_retries=retries, job_timeout=job_timeout) as pool:
+        while True:
+            for group in groups:
+                group["done"] = _group_finished(group)
+            wants = _allocate_round(groups, budget_left)
+            if not wants:
+                break
+            job_list = []
+            labels = []
+            job_meta = []  # per job: (gid, trial_lo, trial_hi)
+            spans = []  # (gid, start, end) into job_list
+            for gid, want in wants:
+                group = groups[gid]
+                config = group["config"]
+                done_trials = len(group["results"])
+                states = _child_states_range(config, done_trials, done_trials + want)
+                start = len(job_list)
+                if group["factory"] is None and config.resolved_engine == "batch":
+                    job_list.extend(_batch_slices(config, states, want, batch_size, workers))
+                else:
+                    job_list.extend((config, [state], group["factory"]) for state in states)
+                offset = done_trials
+                for job in job_list[start:]:
+                    hi = offset + len(job[1])
+                    job_meta.append((gid, offset, hi))
+                    labels.append(_job_label(gid, group_keys[gid], config, offset, hi))
+                    offset = hi
+                spans.append((gid, start, len(job_list)))
+            try:
+                job_results = pool.map(_run_sweep_job, job_list, labels=labels)
+            except PoisonJobError as poison:
+                _quarantine_poison(poison, spans, job_meta, groups, group_keys, store)
+            for gid, start, end in spans:
+                group = groups[gid]
+                group["results"].extend(
+                    result for job in job_results[start:end] for result in job
+                )
+                if store is not None and group["factory"] is None:
+                    store.write_group(gid, group["fingerprint"], group["results"])
+            if budget_left is not None:
+                budget_left = max(0, budget_left - sum(want for _, want in wants))
+    return _assemble(points, point_group, groups)

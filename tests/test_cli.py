@@ -55,6 +55,26 @@ class TestParser:
         assert source("7") == 7
         assert source("central") == "central"
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["experiment", "thm3_radius"], "workers", "2"),
+            (
+                ["sweep", "--n", "100", "--parameter", "radius", "--values", "2",
+                 "--checkpoint", "ck"],
+                "lease-ttl",
+                "5",
+            ),
+        ],
+        ids=["experiment-workers", "sweep-lease-ttl"],
+    )
+    def test_leasing_flags_are_gone(self, argv, flag, value, capsys):
+        # A sweep is one invocation: --jobs N replaces cooperating workers.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, f"--{flag}", value])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_output(self, capsys):
@@ -111,8 +131,12 @@ class TestCommands:
                 ["sweep", "--n", "1", "--parameter", "radius_factor", "--values", "1"],
                 "n must be at least 2, got 1",
             ),
+            (
+                ["flood", "--n", "50", "--mobility", "random-walk", "--speed-fraction", "100"],
+                r"random-walk needs a speed \(its move radius\) in \(0, side=",
+            ),
         ],
-        ids=["flood-n", "flood-source-index", "flood-source-name", "sweep-n"],
+        ids=["flood-n", "flood-source-index", "flood-source-name", "sweep-n", "flood-random-walk"],
     )
     def test_config_errors_exit_with_the_config_message(self, argv, message):
         # A rejected option is a CLI error, not a traceback.

@@ -7,8 +7,12 @@ pre-migration point-by-point computation (identical seed schedule), so
 unmigrated one — checked here on the full rendered report.
 """
 
+import dataclasses
+import inspect
+
 import pytest
 
+from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import all_ids, get_spec
 
 #: Every experiment migrated onto the sweep scheduler in PR 4 (plus the
@@ -78,6 +82,32 @@ class TestFrameworkThreading:
             spec = get_spec(experiment_id)
             assert isinstance(spec.accepts_engine, bool)
             assert isinstance(spec.accepts_jobs, bool)
+
+    def test_max_retries_reaches_the_runner_or_is_refused(self):
+        # Every experiment either hands max_retries to its runner or refuses
+        # it with a ValueError naming the experiment; it is never dropped.
+        reached = []
+        for experiment_id in all_ids():
+            spec = get_spec(experiment_id)
+            calls = []
+
+            def recording_runner(**kwargs):
+                calls.append(kwargs)
+                return ExperimentResult(
+                    spec.id, spec.title, spec.paper_ref, headers=[], rows=[]
+                )
+
+            recording_runner.__signature__ = inspect.signature(spec.runner)
+            stub = dataclasses.replace(spec, runner=recording_runner)
+            try:
+                stub.run(max_retries=2)
+            except ValueError as error:
+                assert experiment_id in str(error)
+                assert calls == [], experiment_id
+                continue
+            assert [call["max_retries"] for call in calls] == [2], experiment_id
+            reached.append(experiment_id)
+        assert {"thm3_radius", "thm3_speed", "thm3_scaling", "regime_map"} <= set(reached)
 
     def test_report_survives_unsatisfiable_engine(self):
         # engine="batch" cannot run thm10_growth's observer point; the

@@ -32,7 +32,9 @@ from repro.kernels import (
 )
 from repro.kernels._glue import _contacts_capacity
 from repro.mobility.kinematics import (
+    DenseLegScratch,
     advance_legs,
+    advance_legs_dense,
     redraw_manhattan_trips,
     split_completed_legs,
 )
@@ -408,6 +410,37 @@ def _twin_generators(seed, batch_size, shared):
     return out
 
 
+def _still_row_case(speed_kind):
+    """Agent 0 has no budget and sits at x = -0.0; agents 1 and 2 move."""
+    pos = np.array([[-0.0, 1.0], [0.5, 0.5], [2.0, 1.0]])
+    target = np.array([[1.0, 1.0], [1.5, 0.5], [2.0, 3.0]])
+    budget = np.array([0.0, 0.25, 0.5])
+    speed = {"none": None, "scalar": 1.3, "array": np.array([0.7, 1.1, 0.9])}[speed_kind]
+    return pos, target, budget, budget > 0.0, speed
+
+
+def _assert_still_row_untouched(dense, sparse):
+    """The dense pass must leave agent 0 as the sparse pass does, which
+    never visits it: ``-0.0 + 0.0`` would be ``+0.0``."""
+    (done_d, pos_d, budget_d), (done_s, pos_s, budget_s) = dense, sparse
+    np.testing.assert_array_equal(done_d, done_s)
+    assert pos_d.tobytes() == pos_s.tobytes()
+    assert budget_d.tobytes() == budget_s.tobytes()
+    assert np.signbit(pos_d[0, 0])
+
+
+@pytest.mark.parametrize("speed_kind", ["none", "scalar", "array"])
+def test_numpy_dense_pass_leaves_still_rows_untouched(speed_kind):
+    pos, target, budget, moving, speed = _still_row_case(speed_kind)
+    pos_d, budget_d, pos_s, budget_s = pos.copy(), budget.copy(), pos.copy(), budget.copy()
+    with use_kernel_tier("numpy"):
+        done_d = advance_legs_dense(
+            pos_d, target, budget_d, moving, 2, 1e-9, DenseLegScratch(3), speed=speed
+        )
+        done_s = advance_legs(pos_s, target, budget_s, np.nonzero(moving)[0], 1e-9, speed=speed)
+    _assert_still_row_untouched((done_d, pos_d, budget_d), (done_s, pos_s, budget_s))
+
+
 @pytest.mark.parametrize("table", [t for _, t in TABLES], ids=TABLE_IDS)
 class TestLegKernelParity:
     def _numpy_advance(self, pos, target, budget, idx, eps, speed, metric):
@@ -474,6 +507,16 @@ class TestLegKernelParity:
             np.testing.assert_array_equal(np.sort(done_d), np.sort(done_s))
             np.testing.assert_array_equal(pos_d, pos_s)
             np.testing.assert_array_equal(budget_d, budget_s)
+
+    @pytest.mark.parametrize("speed_kind", ["none", "scalar", "array"])
+    def test_dense_pass_leaves_still_rows_untouched(self, table, speed_kind):
+        pos, target, budget, moving, speed = _still_row_case(speed_kind)
+        pos_d, budget_d, pos_s, budget_s = pos.copy(), budget.copy(), pos.copy(), budget.copy()
+        done_d = table["advance_legs_dense"](pos_d, target, budget_d, moving, 2, 1e-9, speed)
+        done_s = table["advance_legs"](
+            pos_s, target, budget_s, np.nonzero(moving)[0], 1e-9, speed, "manhattan"
+        )
+        _assert_still_row_untouched((done_d, pos_d, budget_d), (done_s, pos_s, budget_s))
 
     def test_empty_index_set(self, table):
         pos = np.zeros((3, 2))

@@ -27,6 +27,7 @@ from repro.mobility import (
     ReplicatedBatchMobility,
 )
 from repro.mobility import mrwp as mrwp_module
+from repro.mobility.stationary import KinematicState
 from repro.simulation.batch import build_batch_model, run_protocol_batch
 from repro.simulation.config import _MOBILITY_OPTION_KEYS, FloodingConfig, standard_config
 from repro.simulation.runner import build_model, run_trials
@@ -210,6 +211,27 @@ class TestModelLevelParity:
         for _ in range(4):
             expected = np.stack([m.step() for m in scalars])
             assert np.array_equal(batch.step(), expected)
+
+    def test_frozen_mrwp_replica_keeps_signed_zeros(self):
+        """On the numpy tier the first carry-over pass is dense; it must not
+        rewrite a frozen replica's rows, where ``-0.0 + 0.0`` is ``+0.0``."""
+        state = KinematicState(
+            np.array([[-0.0, 1.0], [2.0, -0.0], [-0.0, -0.0]]),
+            np.array([[3.0, 4.0], [5.0, 6.0], [7.0, 2.0]]),
+            np.array([[-0.0, 4.0], [5.0, -0.0], [7.0, -0.0]]),
+            np.zeros(3, dtype=bool),
+        )
+        rngs = [np.random.default_rng(s) for s in (1, 2)]
+        with use_kernel_tier("numpy"):
+            batch = BatchManhattanRandomWaypoint(
+                3, SIDE, SPEED, rngs, init=[state, state.copy()]
+            )
+            active = np.array([True, False])
+            for _ in range(5):
+                batch.step(active=active)
+        frozen = batch.positions[1]
+        assert frozen.tobytes() == state.positions.tobytes()
+        assert np.array_equal(np.signbit(frozen), np.signbit(state.positions))
 
     @pytest.mark.parametrize(
         "name,options",

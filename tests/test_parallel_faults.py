@@ -7,13 +7,16 @@ SIGKILL-inject through fork-inherited job payloads and assert the new
 contract: completed jobs keep their results, crashed jobs are retried solo
 on the deterministic backoff schedule, transient crashers recover
 bit-exactly, and persistent crashers are quarantined as poison jobs with
-an actionable error naming the job — plus the sweep engine dispatch
-regression (each variant must run through *its own* resolved engine, not
-the base config's).
+an actionable error naming the job — then the same quarantine end to end
+through the sweep scheduler (sticky markers, persisted innocents), plus
+the sweep engine dispatch regression (each variant must run through *its
+own* resolved engine, not the base config's).
 """
 
+import json
 import os
 
+import numpy as np
 import pytest
 
 import repro.simulation.sweep as sweep_mod
@@ -24,7 +27,39 @@ from repro.simulation.parallel import (
     WorkerPool,
     backoff_delays,
 )
-from repro.simulation.sweep import SweepPlan, SweepPoint, run_sweep
+from repro.simulation.sweep import SweepPlan, SweepPoint, StoppingRule, run_sweep
+from repro.simulation.sweep import _run_sweep_job as _REAL_RUN_SWEEP_JOB
+
+BASE = standard_config(140, radius_factor=1.1, max_steps=600, seed=5)
+
+
+def small_plan():
+    plan = SweepPlan()
+    plan.add(BASE, 3, key="base")
+    plan.add(BASE.with_options(radius=BASE.radius * 1.5), 2, key="wide")
+    plan.add(BASE.with_options(seed=11), 4, key="reseeded")
+    return plan
+
+
+def fingerprint(results):
+    return [
+        (
+            r.flooding_time,
+            r.completed,
+            r.stalled,
+            r.n_steps,
+            r.source,
+            tuple(np.asarray(r.informed_history).tolist()),
+        )
+        for r in results
+    ]
+
+
+def table(points):
+    return [
+        (p.key, p.n_trials, p.engine, fingerprint(p.results), p.summary)
+        for p in points
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -68,6 +103,14 @@ def _sleepy_job(job):
 
         time.sleep(300)
     return value * 2
+
+
+def _poisoned_run_sweep_job(args):
+    """Fork-inherited stand-in for sweep._run_sweep_job: seed 11 is lethal."""
+    config = args[0]
+    if config.seed == 11:
+        os._exit(1)
+    return _REAL_RUN_SWEEP_JOB(args)
 
 
 class TestBackoffSchedule:
@@ -188,6 +231,56 @@ class TestPoisonQuarantine:
         assert [r.flooding_time for r in point.results] == [
             r.flooding_time for r in hand_loop(config, 3)
         ]
+
+
+class TestPoisonQuarantineEndToEnd:
+    def test_quarantine_names_the_point_and_sticks(self, tmp_path, monkeypatch):
+        ck = str(tmp_path / "ck")
+        monkeypatch.setattr(sweep_mod, "_run_sweep_job", _poisoned_run_sweep_job)
+        with pytest.raises(PoisonJobError) as excinfo:
+            run_sweep(
+                small_plan(), engine="scalar", jobs=2, checkpoint=ck, max_retries=1
+            )
+        message = str(excinfo.value)
+        # The error names the sweep point, trial range, seed, and marker.
+        assert "'reseeded'" in message
+        assert "seed 11" in message
+        assert "trials 0" in message
+        assert "quarantine marker" in message
+        assert "delete the marker" in message
+
+        # The marker is on disk and the innocents' trials were persisted.
+        markers = [n for n in os.listdir(ck) if n.startswith("poison_")]
+        assert len(markers) == 1
+        marker = json.load(open(os.path.join(ck, markers[0])))
+        assert marker["kind"] == "repro-sweep-poison"
+        assert marker["seed"] == 11
+        assert "'reseeded'" in " ".join(marker["keys"])
+        groups = [n for n in os.listdir(ck) if n.startswith("group_")]
+        assert groups, "completed groups must be persisted before the raise"
+
+        # Sticky: a resume fails fast on the marker even with a fixed job.
+        monkeypatch.setattr(sweep_mod, "_run_sweep_job", _REAL_RUN_SWEEP_JOB)
+        with pytest.raises(PoisonJobError, match="previous \n?run|previous"):
+            run_sweep(
+                small_plan(), engine="scalar", jobs=2, checkpoint=ck, resume=True
+            )
+
+        # Deleting the marker (the error's instruction) unblocks the retry,
+        # and the final table is the uninterrupted-solo truth.
+        os.unlink(os.path.join(ck, markers[0]))
+        recovered = run_sweep(
+            small_plan(), engine="scalar", jobs=2, checkpoint=ck, resume=True
+        )
+        assert table(recovered) == table(run_sweep(small_plan(), engine="scalar"))
+
+    def test_no_checkpoint_still_raises_with_labels(self, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "_run_sweep_job", _poisoned_run_sweep_job)
+        rule = StoppingRule(ci_width=1e-12, batch=1, min_trials=1)
+        with pytest.raises(PoisonJobError) as excinfo:
+            run_sweep(small_plan(), engine="scalar", jobs=2, stopping=rule, max_retries=0)
+        assert "'reseeded'" in str(excinfo.value)
+        assert "seed 11" in str(excinfo.value)
 
 
 class TestSweepEngineDispatch:

@@ -3,11 +3,14 @@ layering stay in sync."""
 
 import ast
 import os
+import re
+import shlex
 import tomllib
 
 import pytest
 
 import repro
+from repro.cli import build_parser
 from repro.experiments.registry import EXPERIMENT_MODULES, all_ids, get_spec
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -104,3 +107,74 @@ class TestDocsExist:
         scripts = [f for f in os.listdir(examples) if f.endswith(".py")]
         assert "quickstart.py" in scripts
         assert len(scripts) >= 3
+
+
+_CLI = "python -m repro.cli"
+
+
+def _documented_commands():
+    """``(where, command)`` for every ``python -m repro.cli`` command in the
+    docs: continuation lines joined, inline commands cut at their closing
+    backtick, ``<id>`` filled in and ``[...]`` optional groups dropped."""
+    found = []
+    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        with open(os.path.join(REPO_ROOT, doc)) as fh:
+            lines = fh.read().splitlines()
+        k = 0
+        while k < len(lines):
+            start, line = k + 1, lines[k]
+            while line.rstrip().endswith("\\") and k + 1 < len(lines):
+                k += 1
+                line = line.rstrip()[:-1] + " " + lines[k]
+            k += 1
+            for match in re.finditer(re.escape(_CLI), line):
+                text = line[match.start():]
+                if line[: match.start()].endswith("`"):
+                    text = text[: text.index("`")]
+                text = re.sub(r"\[[^\]]*\]", "", text.replace("<id>", "thm3_radius"))
+                found.append((f"{doc}:{start}", text))
+    return found
+
+
+_COMMANDS = _documented_commands()
+
+
+#: The scheduler options a documented ``experiment``/``run`` command may
+#: pass, and the spec property that says the experiment takes them.
+_SCHEDULER_OPTIONS = {
+    "--engine": "accepts_engine",
+    "--jobs": "accepts_jobs",
+    "--adaptive": "accepts_stopping",
+    "--ci-width": "accepts_stopping",
+    "--min-trials": "accepts_stopping",
+    "--max-trials": "accepts_stopping",
+    "--checkpoint": "accepts_checkpoint",
+    "--resume": "accepts_checkpoint",
+    "--max-retries": "accepts_max_retries",
+}
+
+
+class TestDocumentedCommands:
+    @pytest.mark.parametrize(
+        "command", [pytest.param(text, id=where) for where, text in _COMMANDS]
+    )
+    def test_command_parses_and_its_options_apply(self, command):
+        tokens = shlex.split(command, comments=True)
+        assert tokens[:3] == _CLI.split()
+        argv = tokens[3:]
+        if argv and argv[-1] == "&":
+            argv = argv[:-1]
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the CLI rejects the documented command {command!r}")
+        if args.command not in ("experiment", "run"):
+            return
+        spec = get_spec(args.experiment)
+        for option, gate in _SCHEDULER_OPTIONS.items():
+            if option in argv:
+                assert getattr(spec, gate), f"{args.experiment} does not take {option}"
+
+    def test_the_docs_document_commands(self):
+        docs = {where.split(":")[0] for where, _ in _COMMANDS}
+        assert {"README.md", "EXPERIMENTS.md"} <= docs

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.mobility import MODEL_REGISTRY
 from repro.simulation import run_trials
 from repro.simulation.config import FloodingConfig, standard_config
 from repro.simulation.rng import make_rng, spawn_rngs, spawn_seeds
@@ -133,6 +134,46 @@ class TestStandardConfig:
     def test_sparse_large_n_still_constructs(self):
         # m = 335 zone cells per side, far inside the 4096 limit.
         assert standard_config(20000, radius_factor=0.3).track_zones
+
+
+_SIDE = 6.0
+_RADIUS = 1.5
+#: Corner cases every mobility model must either run or refuse up front.
+_DEGENERATE = {
+    "speed-0": dict(n=20, radius=_RADIUS, speed=0.0),
+    "speed-3side": dict(n=20, radius=_RADIUS, speed=3 * _SIDE),
+    "radius-diagonal": dict(
+        n=20, radius=_SIDE * math.sqrt(2), speed=_SIDE * math.sqrt(2) / 4
+    ),
+}
+_DEGENERATE_CASES = [
+    pytest.param(name, engine, case, id=f"{name}-{engine}-{case_id}")
+    for name in sorted(MODEL_REGISTRY)
+    for engine in ("scalar", "batch")
+    for case_id, case in _DEGENERATE.items()
+] + [
+    pytest.param(
+        "composite", engine, dict(n=2, radius=_RADIUS, speed=_RADIUS / 4),
+        id=f"composite-{engine}-n2",
+    )
+    for engine in ("scalar", "batch")
+]
+
+
+class TestDegenerateConfigs:
+    """A corner-case config is refused when it is built, or it runs: it
+    never passes construction only to fail once trials start."""
+
+    @pytest.mark.parametrize("mobility,engine,case", _DEGENERATE_CASES)
+    def test_rejected_at_construction_or_runs(self, mobility, engine, case):
+        try:
+            config = FloodingConfig(
+                side=_SIDE, mobility=mobility, engine=engine, max_steps=50, **case
+            )
+        except ValueError:
+            return
+        results = run_trials(config, 2)
+        assert len(results) == 2
 
 
 class TestRngStreams:

@@ -170,9 +170,6 @@ class TestPointResult:
             {"jobs": 0},
             {"jobs": True},
             {"jobs": 2.0},
-            {"workers": 0},
-            {"workers": True},
-            {"workers": 1.5},
             {"batch_size": -3},
             {"batch_size": False},
             {"batch_size": 2.5},
@@ -191,7 +188,6 @@ class TestPointResult:
         (point,) = run_sweep(
             [SweepPoint(BASE, 2)],
             jobs=np.int64(1),
-            workers=np.int32(1),
             batch_size=np.int64(0),
             trial_budget=np.int64(4),
             max_retries=np.int64(0),

@@ -162,6 +162,29 @@ class TestKillAndResume:
         second = run_sweep(small_plan(), stopping=rule, checkpoint=ck, resume=True)
         assert table(second) == table(first)
 
+    def test_stale_lease_file_is_ignored_on_resume(self, tmp_path, monkeypatch):
+        """A checkpoint that a killed cooperative worker of an older version
+        left behind still holds its ``group_NNNN.lease`` file; a resume
+        ignores it and finishes to the uninterrupted table."""
+        rule = StoppingRule(ci_width=1e-12, batch=1, min_trials=1)
+        expected = table(run_sweep(small_plan(), stopping=rule))
+        ck = tmp_path / "ck"
+        _arm_write_bomb(monkeypatch, detonate_after=2)
+        with pytest.raises(_WriteBomb):
+            run_sweep(small_plan(), stopping=rule, checkpoint=str(ck))
+        monkeypatch.undo()
+        lease = {
+            "schema_version": 1,
+            "kind": "repro-sweep-lease",
+            "owner": "host-4242-0000",
+            "created": 1000.0,
+            "heartbeat": 1000.0,
+            "ttl": 5.0,
+        }
+        (ck / "group_0000.lease").write_text(json.dumps(lease))
+        resumed = run_sweep(small_plan(), stopping=rule, checkpoint=str(ck), resume=True)
+        assert table(resumed) == expected
+
     def test_budget_capped_run_resumes_to_completion(self, tmp_path, hand_loop):
         ck = str(tmp_path / "ck")
         plan = SweepPlan()
