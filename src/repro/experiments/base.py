@@ -172,39 +172,24 @@ class ExperimentSpec:
         # defaults (e.g. protocol_baselines defaults to the batch engine).
         if engine is not None:
             if not self.accepts_engine:
-                raise ValueError(
-                    f"experiment {self.id!r} does not run through the sweep scheduler "
-                    "and has no engine selection"
-                )
+                raise ValueError(f"experiment {self.id!r} has no engine selection")
             kwargs["engine"] = engine
         if jobs not in (None, 1):
             if not self.accepts_jobs:
-                raise ValueError(
-                    f"experiment {self.id!r} does not run through the sweep scheduler "
-                    "and has no multi-process fan-out"
-                )
+                raise ValueError(f"experiment {self.id!r} has no multi-process fan-out")
             kwargs["jobs"] = jobs
         if stopping is not None:
             if not self.accepts_stopping:
-                raise ValueError(
-                    f"experiment {self.id!r} does not run through the sweep scheduler "
-                    "and has no adaptive stopping"
-                )
+                raise ValueError(f"experiment {self.id!r} has no adaptive stopping")
             kwargs["stopping"] = stopping
         if checkpoint is not None or resume:
             if not self.accepts_checkpoint:
-                raise ValueError(
-                    f"experiment {self.id!r} does not run through the sweep scheduler "
-                    "and cannot checkpoint or resume"
-                )
+                raise ValueError(f"experiment {self.id!r} cannot checkpoint or resume")
             kwargs["checkpoint"] = checkpoint
             kwargs["resume"] = resume
         if max_retries is not None:
             if not self.accepts_max_retries:
-                raise ValueError(
-                    f"experiment {self.id!r} does not run through the sweep scheduler "
-                    "and has no crash retries"
-                )
+                raise ValueError(f"experiment {self.id!r} has no crash retries")
             kwargs["max_retries"] = max_retries
         result = self.runner(**kwargs)
         if result.experiment_id != self.id:  # defensive consistency check

@@ -14,10 +14,13 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
 * ``any_within_core`` / ``contacts_core`` / ``count_core`` — boolean OR /
   enumeration / per-query count of the exact inclusive predicate
   ``(qx-sx)^2 + (qy-sy)^2 <= radius^2`` over a bucket grid with cell side
-  ``>= radius``; the OR and the counts are bit-identical to the grid/brute
-  engines for any scan order, and the enumeration comes out sorted by
-  (replica, source, query), the order in which the neighbor-sampling
-  protocols consume their draws.
+  ``>= radius``.  They read the ``(B, n)`` source and query masks
+  directly and work one replica at a time: local indices gathered from
+  the mask rows, one ``m*m + 2`` grid that every replica reuses, no
+  division by ``n``.  The OR and the counts are bit-identical to the
+  grid/brute engines for any scan order, and the enumeration comes out
+  sorted by (replica, source, query), the order in which the
+  neighbor-sampling protocols consume their draws.
 * ``advance_legs_core`` / ``advance_legs_dense_core`` — the identical
   IEEE operation sequence as :func:`repro.mobility.kinematics.advance_legs`
   (same gathers, same guarded division, same ``move >= dist - eps``
@@ -67,212 +70,258 @@ __all__ = [
 ]
 
 
-def _grid_build(pos, n, m, inv_cell, src, cellk, starts, srcsort):
-    """Counting sort of ``src`` (flat ``B*n`` indices) into per-replica cells.
+def _gather(mask, n, idx):
+    """Branch-free append of the set entries of one ``(n,)`` mask row into
+    ``idx``; returns how many there are.  Each entry's local index is
+    written at the current end and kept only when the mask is set (any
+    nonzero byte, so a bool view of other bytes cannot overrun ``idx``)."""
+    count = 0
+    for i in range(n):
+        idx[count] = i
+        count += mask[i] != 0
+    return count
 
-    ``starts`` has length ``cells + 2`` (zeroed by the caller); afterwards
-    cell ``c``'s slice of ``srcsort`` is ``starts[c] : starts[c+1]``, so
-    the cells ``c..c2`` of one grid row are the single slice
-    ``starts[c] : starts[c2+1]``.  Shared by the pair cores, like the C
-    provider's ``grid_build``.
+
+def _grid_build(pb, m, inv_cell, lsrc, S, cellk, starts, srcsort):
+    """Counting sort of one replica's ``S`` sources (local indices in
+    ``lsrc``) into its ``m*m`` cells.
+
+    ``starts`` (length ``m*m + 2``) is zeroed here; afterwards cell ``c``'s
+    slice of ``srcsort`` is ``starts[c] : starts[c+1]``, so the cells
+    ``c..c2`` of one grid row are the single slice
+    ``starts[c] : starts[c2+1]``.  Every replica reuses the same work
+    arrays.  Shared by the pair cores, like the C provider's
+    ``grid_build``.
     """
-    mm = m * m
-    for k in range(src.shape[0]):
-        i = src[k]
-        b = i // n
-        ci = int(pos[i, 0] * inv_cell)
+    cells = m * m
+    for c in range(cells + 2):
+        starts[c] = 0
+    for k in range(S):
+        i = lsrc[k]
+        ci = int(pb[i, 0] * inv_cell)
         if ci < 0:
             ci = 0
         elif ci >= m:
             ci = m - 1
-        cj = int(pos[i, 1] * inv_cell)
+        cj = int(pb[i, 1] * inv_cell)
         if cj < 0:
             cj = 0
         elif cj >= m:
             cj = m - 1
-        c = b * mm + ci * m + cj
+        c = ci * m + cj
         cellk[k] = c
         starts[c + 2] += 1
-    for c in range(1, starts.shape[0]):
+    for c in range(1, cells + 2):
         starts[c] += starts[c - 1]
-    for k in range(src.shape[0]):
+    for k in range(S):
         c = cellk[k]
-        srcsort[starts[c + 1]] = src[k]
+        srcsort[starts[c + 1]] = lsrc[k]
         starts[c + 1] += 1
 
 
-def any_within_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out):
-    """Exact per-replica ``any_within`` over a fused source grid.
+def any_within_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, out):
+    """Exact per-replica ``any_within``, one replica at a time.
 
-    Each query scans its 3x3 cell block, clipped to the grid, as up to
-    three *row runs*: block row ``ii`` holds the consecutive cell ids
-    ``(ii, j0..j1)``, whose sources are one ``srcsort`` slice.
+    ``pos`` is the ``(B, n, 2)`` position stack and ``smask`` / ``qmask``
+    the ``(B, n)`` source and query masks.  For each replica the sources
+    and queries are gathered as local indices (``_gather``); a replica
+    with no source or no query is skipped, and otherwise its sources are
+    binned into the one shared grid (``_grid_build``).  Each query scans
+    its 3x3 cell block, clipped to the grid, as up to three *row runs*:
+    block row ``ii`` holds the consecutive cell ids ``(ii, j0..j1)``,
+    whose sources are one ``srcsort`` slice.
 
-    ``out`` is the flat ``(B*n,)`` bool result (zeroed by the caller);
-    entries outside ``qry`` are never written.
+    ``out`` is the ``(B, n)`` bool result (zeroed by the caller); entries
+    outside ``qmask`` are never written.
     """
-    _grid_build(pos, n, m, inv_cell, src, cellk, starts, srcsort)
-    mm = m * m
-    for k in range(qry.shape[0]):
-        i = qry[k]
-        b = i // n
-        qx = pos[i, 0]
-        qy = pos[i, 1]
-        ci = int(qx * inv_cell)
-        if ci < 0:
-            ci = 0
-        elif ci >= m:
-            ci = m - 1
-        cj = int(qy * inv_cell)
-        if cj < 0:
-            cj = 0
-        elif cj >= m:
-            cj = m - 1
-        i0 = ci - 1 if ci > 0 else 0
-        i1 = ci + 1 if ci < m - 1 else m - 1
-        j0 = cj - 1 if cj > 0 else 0
-        j1 = cj + 1 if cj < m - 1 else m - 1
-        hit = False
-        base = b * mm
-        for ii in range(i0, i1 + 1):
-            row = base + ii * m
-            for t in range(starts[row + j0], starts[row + j1 + 1]):
-                j = srcsort[t]
-                dx = qx - pos[j, 0]
-                dy = qy - pos[j, 1]
-                if dx * dx + dy * dy <= r2:
-                    hit = True
+    batch = smask.shape[0]
+    n = smask.shape[1]
+    for b in range(batch):
+        S = _gather(smask[b], n, lsrc)
+        if S == 0:
+            continue
+        Q = _gather(qmask[b], n, lqry)
+        if Q == 0:
+            continue
+        pb = pos[b]
+        _grid_build(pb, m, inv_cell, lsrc, S, cellk, starts, srcsort)
+        ob = out[b]
+        for k in range(Q):
+            i = lqry[k]
+            qx = pb[i, 0]
+            qy = pb[i, 1]
+            ci = int(qx * inv_cell)
+            if ci < 0:
+                ci = 0
+            elif ci >= m:
+                ci = m - 1
+            cj = int(qy * inv_cell)
+            if cj < 0:
+                cj = 0
+            elif cj >= m:
+                cj = m - 1
+            i0 = ci - 1 if ci > 0 else 0
+            i1 = ci + 1 if ci < m - 1 else m - 1
+            j0 = cj - 1 if cj > 0 else 0
+            j1 = cj + 1 if cj < m - 1 else m - 1
+            hit = False
+            for ii in range(i0, i1 + 1):
+                row = ii * m
+                for t in range(starts[row + j0], starts[row + j1 + 1]):
+                    j = srcsort[t]
+                    dx = qx - pb[j, 0]
+                    dy = qy - pb[j, 1]
+                    if dx * dx + dy * dy <= r2:
+                        hit = True
+                        break
+                if hit:
                     break
             if hit:
-                break
-        if hit:
-            out[i] = True
+                ob[i] = True
 
 
-def contacts_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, tally, out_b, out_s, out_q, cap):
+def contacts_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, tally, out_b, out_s, out_q, cap):
     """Exact (source, query) contacts sorted by (replica, source, query);
     returns the total count.
 
     Fills ``out_b`` / ``out_s`` / ``out_q`` with each contact's replica
-    and replica-local source and query index, up to ``cap``, and keeps
-    counting past it, so a too-small capacity is detected by the caller
-    (``total > cap``) and the pass re-run with an exact allocation; an
-    overflowing pass returns before the sort.
+    and local source and query index, up to ``cap``, and keeps counting
+    past it, so a too-small capacity is detected by the caller
+    (``total > cap``) and the pass re-run with an exact allocation; once
+    the total passes ``cap`` the sorts are skipped.
 
-    The query-major scan stores every candidate at slot ``total`` (its
-    local query in ``out_b``, its flat source in ``out_s``) and then
-    advances ``total`` by the distance test, so a miss is overwritten by
-    the next candidate instead of branched around.  A stable counting
-    sort by flat source then writes the pairs in canonical order: the
-    ``(B*n,)`` ``tally`` (zeroed here at the sources, never read
-    elsewhere) counts each source's contacts, prefix sums over ``src`` in
-    order turn the counts into run starts, one scatter puts the local
-    queries into ``out_q``, and each source's run of ``out_b`` /
-    ``out_s`` is filled with its replica and local index.  ``qry`` is
-    ascending, so the stable scatter leaves every source's queries
-    ascending: O(pairs + S) after the scan, whatever the degrees.
+    Replica by replica, with the gather, grid and row-run scan of
+    ``any_within_core``: the query-major scan stores every candidate at
+    slot ``total`` (its local query in ``out_b``, its local source in
+    ``out_s``) and then advances ``total`` by the distance test, so a miss
+    is overwritten by the next candidate instead of branched around.  The
+    replica's candidates fill slots ``first : total``, and a stable
+    counting sort of that run by local source writes them in canonical
+    order: the ``(n,)`` ``tally`` (zeroed here at the replica's sources,
+    never read elsewhere) counts each source's contacts, prefix sums from
+    ``first`` over the sources in order turn the counts into run starts,
+    one scatter puts the local queries into ``out_q``, and each source's
+    run of ``out_b`` / ``out_s`` is filled with the replica and the
+    source.  The queries are scanned ascending, so the stable scatter
+    leaves every source's queries ascending: O(pairs + S) per replica
+    after the scan, whatever the degrees, and no global sort.
     """
-    _grid_build(pos, n, m, inv_cell, src, cellk, starts, srcsort)
-    mm = m * m
+    batch = smask.shape[0]
+    n = smask.shape[1]
     total = 0
-    for k in range(qry.shape[0]):
-        i = qry[k]
-        b = i // n
-        local = i - b * n
-        qx = pos[i, 0]
-        qy = pos[i, 1]
-        ci = int(qx * inv_cell)
-        if ci < 0:
-            ci = 0
-        elif ci >= m:
-            ci = m - 1
-        cj = int(qy * inv_cell)
-        if cj < 0:
-            cj = 0
-        elif cj >= m:
-            cj = m - 1
-        i0 = ci - 1 if ci > 0 else 0
-        i1 = ci + 1 if ci < m - 1 else m - 1
-        j0 = cj - 1 if cj > 0 else 0
-        j1 = cj + 1 if cj < m - 1 else m - 1
-        base = b * mm
-        for ii in range(i0, i1 + 1):
-            row = base + ii * m
-            for t in range(starts[row + j0], starts[row + j1 + 1]):
-                j = srcsort[t]
-                dx = qx - pos[j, 0]
-                dy = qy - pos[j, 1]
-                if total < cap:
-                    out_b[total] = local
-                    out_s[total] = j
-                total += dx * dx + dy * dy <= r2
-    if total > cap:
-        return total
-    for k in range(src.shape[0]):
-        tally[src[k]] = 0
-    for t in range(total):
-        tally[out_s[t]] += 1
-    acc = 0
-    for k in range(src.shape[0]):
-        j = src[k]
-        c = tally[j]
-        tally[j] = acc
-        acc += c
-    for t in range(total):
-        j = out_s[t]
-        out_q[tally[j]] = out_b[t]
-        tally[j] += 1
-    start = 0
-    for k in range(src.shape[0]):
-        j = src[k]
-        b = j // n
-        end = tally[j]
-        for t in range(start, end):
-            out_b[t] = b
-            out_s[t] = j - b * n
-        start = end
+    for b in range(batch):
+        S = _gather(smask[b], n, lsrc)
+        if S == 0:
+            continue
+        Q = _gather(qmask[b], n, lqry)
+        if Q == 0:
+            continue
+        pb = pos[b]
+        _grid_build(pb, m, inv_cell, lsrc, S, cellk, starts, srcsort)
+        first = total
+        for k in range(Q):
+            i = lqry[k]
+            qx = pb[i, 0]
+            qy = pb[i, 1]
+            ci = int(qx * inv_cell)
+            if ci < 0:
+                ci = 0
+            elif ci >= m:
+                ci = m - 1
+            cj = int(qy * inv_cell)
+            if cj < 0:
+                cj = 0
+            elif cj >= m:
+                cj = m - 1
+            i0 = ci - 1 if ci > 0 else 0
+            i1 = ci + 1 if ci < m - 1 else m - 1
+            j0 = cj - 1 if cj > 0 else 0
+            j1 = cj + 1 if cj < m - 1 else m - 1
+            for ii in range(i0, i1 + 1):
+                row = ii * m
+                for t in range(starts[row + j0], starts[row + j1 + 1]):
+                    j = srcsort[t]
+                    dx = qx - pb[j, 0]
+                    dy = qy - pb[j, 1]
+                    if total < cap:
+                        out_b[total] = i
+                        out_s[total] = j
+                    total += dx * dx + dy * dy <= r2
+        if total > cap:
+            continue
+        for k in range(S):
+            tally[lsrc[k]] = 0
+        for t in range(first, total):
+            tally[out_s[t]] += 1
+        acc = first
+        for k in range(S):
+            j = lsrc[k]
+            c = tally[j]
+            tally[j] = acc
+            acc += c
+        for t in range(first, total):
+            j = out_s[t]
+            out_q[tally[j]] = out_b[t]
+            tally[j] += 1
+        start = first
+        for k in range(S):
+            j = lsrc[k]
+            end = tally[j]
+            for t in range(start, end):
+                out_b[t] = b
+                out_s[t] = j
+            start = end
     return total
 
 
-def count_core(pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, out):
+def count_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, out):
     """Exact per-query contact counts; writes no pairs.
 
-    The grid build, row-run scan and distance test of ``contacts_core``,
-    with each hit added to the query's tally instead of stored.  ``out``
-    is the flat ``(B*n,)`` count result: ``out[i]`` is overwritten for
-    every query ``i`` in ``qry`` and never written for the others.
+    The gather, grid and row-run scan of ``any_within_core``, with each
+    hit added to the query's tally instead of stored.  ``out`` is the
+    ``(B, n)`` count result (zeroed by the caller): ``out[b, i]`` is
+    written for every query ``i`` of every replica ``b`` that has a
+    source, and never written for the others.
     """
-    _grid_build(pos, n, m, inv_cell, src, cellk, starts, srcsort)
-    mm = m * m
-    for k in range(qry.shape[0]):
-        i = qry[k]
-        b = i // n
-        qx = pos[i, 0]
-        qy = pos[i, 1]
-        ci = int(qx * inv_cell)
-        if ci < 0:
-            ci = 0
-        elif ci >= m:
-            ci = m - 1
-        cj = int(qy * inv_cell)
-        if cj < 0:
-            cj = 0
-        elif cj >= m:
-            cj = m - 1
-        i0 = ci - 1 if ci > 0 else 0
-        i1 = ci + 1 if ci < m - 1 else m - 1
-        j0 = cj - 1 if cj > 0 else 0
-        j1 = cj + 1 if cj < m - 1 else m - 1
-        base = b * mm
-        hits = 0
-        for ii in range(i0, i1 + 1):
-            row = base + ii * m
-            for t in range(starts[row + j0], starts[row + j1 + 1]):
-                j = srcsort[t]
-                dx = qx - pos[j, 0]
-                dy = qy - pos[j, 1]
-                hits += dx * dx + dy * dy <= r2
-        out[i] = hits
+    batch = smask.shape[0]
+    n = smask.shape[1]
+    for b in range(batch):
+        S = _gather(smask[b], n, lsrc)
+        if S == 0:
+            continue
+        Q = _gather(qmask[b], n, lqry)
+        if Q == 0:
+            continue
+        pb = pos[b]
+        _grid_build(pb, m, inv_cell, lsrc, S, cellk, starts, srcsort)
+        ob = out[b]
+        for k in range(Q):
+            i = lqry[k]
+            qx = pb[i, 0]
+            qy = pb[i, 1]
+            ci = int(qx * inv_cell)
+            if ci < 0:
+                ci = 0
+            elif ci >= m:
+                ci = m - 1
+            cj = int(qy * inv_cell)
+            if cj < 0:
+                cj = 0
+            elif cj >= m:
+                cj = m - 1
+            i0 = ci - 1 if ci > 0 else 0
+            i1 = ci + 1 if ci < m - 1 else m - 1
+            j0 = cj - 1 if cj > 0 else 0
+            j1 = cj + 1 if cj < m - 1 else m - 1
+            hits = 0
+            for ii in range(i0, i1 + 1):
+                row = ii * m
+                for t in range(starts[row + j0], starts[row + j1 + 1]):
+                    j = srcsort[t]
+                    dx = qx - pb[j, 0]
+                    dy = qy - pb[j, 1]
+                    hits += dx * dx + dy * dy <= r2
+            ob[i] = hits
 
 
 def advance_legs_core(pos, target, budget, idx, eps, speed_arr, speed_scalar, speed_mode, metric, done):

@@ -57,29 +57,31 @@ def _is_c_i64(arr) -> bool:
     return arr.dtype == np.intp and arr.itemsize == 8 and arr.flags.c_contiguous
 
 
-def _grid_geometry(positions, side, radius):
-    """Common setup for the pair kernels; ``None`` when out of domain."""
+def _grid_geometry(positions, source_mask, query_mask, radius, side):
+    """Common setup for the pair kernels: the grid side ``m``, the inverse
+    cell side and the C-contiguous bool ``(B, n)`` masks (a copy only for
+    another dtype or layout); ``None`` when out of domain."""
     if positions.ndim != 3 or positions.shape[2] != 2 or not _is_c_f64(positions):
         return None
     if not (radius > 0.0) or not (side > 0.0):
         return None
     cell = float(radius) * (1.0 + _CELL_MARGIN)
     m = max(1, int(math.ceil(float(side) / cell)))
-    batch, n = positions.shape[0], positions.shape[1]
-    cells = batch * m * m
-    if cells > MAX_KERNEL_CELLS:
+    # Caps the zeroing and prefix sums of the per-replica grid, m*m + 2
+    # entries per live replica.
+    if positions.shape[0] * m * m > MAX_KERNEL_CELLS:
         return None
-    return positions.reshape(-1, 2), n, m, 1.0 / cell, cells
+    smask = np.ascontiguousarray(source_mask, dtype=np.bool_)
+    qmask = np.ascontiguousarray(query_mask, dtype=np.bool_)
+    if smask.shape != positions.shape[:2] or qmask.shape != positions.shape[:2]:
+        return None
+    return m, 1.0 / cell, smask, qmask
 
 
-def _grid_buffers(n_src, cells):
-    """Work arrays of the pair cores' grid build: cell keys, zeroed cell
-    starts, sources in cell order."""
-    return (
-        np.empty(n_src, dtype=np.int64),
-        np.zeros(cells + 2, dtype=np.int64),
-        np.empty(n_src, dtype=np.int64),
-    )
+def _grid_buffers(n, m):
+    """Work arrays of the pair cores, reused by every replica: local source
+    and query indices, cell keys, cell starts, sources in cell order."""
+    return tuple(np.empty(size, dtype=np.int64) for size in (n, n, n, m * m + 2, n))
 
 
 def _contacts_capacity(n_src, n_qry, batch, radius, side):
@@ -97,10 +99,6 @@ def _contacts_capacity(n_src, n_qry, batch, radius, side):
     area = min(1.0, math.pi * radius * radius / (side * side))
     expected = n_qry * (n_src / batch) * area
     return max(64, 4 * max(n_src, n_qry), int(2.0 * expected))
-
-
-def _flat_indices(mask):
-    return np.nonzero(mask.reshape(-1))[0].astype(np.int64, copy=False)
 
 
 def _speed_mode(speed, total):
@@ -184,60 +182,53 @@ def make_kernels(cores):
     """Build the public kernel table from a namespace of loop cores."""
 
     def batch_any_within(positions, source_mask, query_mask, radius, side):
-        geo = _grid_geometry(positions, side, radius)
-        if geo is None:
+        setup = _grid_geometry(positions, source_mask, query_mask, radius, side)
+        if setup is None:
             return None
-        pos, n, m, inv_cell, cells = geo
-        batch = positions.shape[0]
-        out = np.zeros(batch * n, dtype=np.bool_)
-        src = _flat_indices(source_mask)
-        qry = _flat_indices(query_mask)
-        if src.size and qry.size:
-            cellk, starts, srcsort = _grid_buffers(src.size, cells)
-            cores.any_within_core(
-                pos, n, m, inv_cell, float(radius) * float(radius),
-                src, qry, cellk, starts, srcsort, out,
-            )
-        return out.reshape(batch, n)
+        m, inv_cell, smask, qmask = setup
+        out = np.zeros(smask.shape, dtype=np.bool_)
+        cores.any_within_core(
+            positions, m, inv_cell, float(radius) * float(radius), smask, qmask,
+            *_grid_buffers(smask.shape[1], m), out,
+        )
+        return out
 
     def batch_contacts(positions, source_mask, query_mask, radius, side, counts=False):
         """Exact (replica, source, query) contacts sorted in that order, or
         with ``counts=True`` the ``(B, n)`` per-query contact counts (0
         outside ``query_mask``), which write no pairs and so need O(B*n)
         memory."""
-        geo = _grid_geometry(positions, side, radius)
-        if geo is None:
+        setup = _grid_geometry(positions, source_mask, query_mask, radius, side)
+        if setup is None:
             return None
-        pos, n, m, inv_cell, cells = geo
-        src = _flat_indices(source_mask)
-        qry = _flat_indices(query_mask)
+        m, inv_cell, smask, qmask = setup
+        batch, n = smask.shape
         r2 = float(radius) * float(radius)
         if counts:
-            batch = positions.shape[0]
-            out = np.zeros(batch * n, dtype=np.intp)
-            if src.size and qry.size:
-                cellk, starts, srcsort = _grid_buffers(src.size, cells)
-                cores.count_core(
-                    pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort,
-                    out.view(np.int64),
-                )
-            return out.reshape(batch, n)
-        if not src.size or not qry.size:
+            out = np.zeros((batch, n), dtype=np.intp)
+            cores.count_core(
+                positions, m, inv_cell, r2, smask, qmask, *_grid_buffers(n, m),
+                out.view(np.int64),
+            )
+            return out
+        n_src = np.count_nonzero(smask)
+        n_qry = np.count_nonzero(qmask)
+        if not n_src or not n_qry:
             empty = np.empty(0, dtype=np.intp)
             return empty, empty.copy(), empty.copy()
-        cellk, starts, srcsort = _grid_buffers(src.size, cells)
-        # The core zeroes the tally at the sources, the only entries it uses.
-        tally = np.empty(pos.shape[0], dtype=np.int64)
-        cap = _contacts_capacity(src.size, qry.size, positions.shape[0], radius, side)
+        work = _grid_buffers(n, m)
+        # The core zeroes the tally at each replica's sources, the only
+        # entries it uses.
+        tally = np.empty(n, dtype=np.int64)
+        cap = _contacts_capacity(n_src, n_qry, batch, radius, side)
         out = [np.empty(cap, dtype=np.int64) for _ in range(3)]
         total = cores.contacts_core(
-            pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, tally, *out, cap,
+            positions, m, inv_cell, r2, smask, qmask, *work, tally, *out, cap,
         )
         if total > cap:
             out = [np.empty(total, dtype=np.int64) for _ in range(3)]
-            starts[:] = 0
             total = cores.contacts_core(
-                pos, n, m, inv_cell, r2, src, qry, cellk, starts, srcsort, tally, *out, total,
+                positions, m, inv_cell, r2, smask, qmask, *work, tally, *out, total,
             )
         # The core already wrote (replica, local source, local query).
         return tuple(buf[:total] for buf in out)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import all_ids, get_spec
+from repro.simulation.sweep import StoppingRule
 
 #: Every experiment migrated onto the sweep scheduler in PR 4 (plus the
 #: PR 3 batch-engine experiments keep their own engine knob).
@@ -28,6 +29,20 @@ SWEEP_EXPERIMENTS = [
     "init_bias",
     "meeting_suburb",
     "thm10_growth",
+]
+
+#: Experiments that run their trials through ``run_sweep`` but take no
+#: ``stopping``, ``checkpoint`` or ``max_retries``.
+SWEEP_WITHOUT_ADAPTIVE_OPTIONS = [
+    "suburb_vs_cz",
+    "meeting_suburb",
+    "protocol_baselines",
+    "mobility_ablation",
+    "transit_backbone",
+    "init_bias",
+    "thm10_growth",
+    "pause_extension",
+    "fault_tolerance",
 ]
 
 #: Cheap members re-run under process fan-out (jobs=2).
@@ -108,6 +123,23 @@ class TestFrameworkThreading:
             assert [call["max_retries"] for call in calls] == [2], experiment_id
             reached.append(experiment_id)
         assert {"thm3_radius", "thm3_speed", "thm3_scaling", "regime_map"} <= set(reached)
+
+    @pytest.mark.parametrize("experiment_id", SWEEP_WITHOUT_ADAPTIVE_OPTIONS)
+    def test_refusals_name_the_missing_capability(self, experiment_id):
+        # These runners do call the sweep scheduler, so a refusal names
+        # the capability the runner lacks and never claims otherwise.
+        spec = get_spec(experiment_id)
+        requests = [
+            ({"stopping": StoppingRule(ci_width=0.1)}, "no adaptive stopping"),
+            ({"checkpoint": "unused-checkpoint-dir"}, "cannot checkpoint or resume"),
+            ({"max_retries": 2}, "no crash retries"),
+        ]
+        for kwargs, capability in requests:
+            with pytest.raises(ValueError) as info:
+                spec.run(scale="quick", seed=0, **kwargs)
+            message = str(info.value)
+            assert repr(experiment_id) in message and capability in message, message
+            assert "sweep scheduler" not in message, message
 
     def test_report_survives_unsatisfiable_engine(self):
         # engine="batch" cannot run thm10_growth's observer point; the

@@ -8,6 +8,11 @@ agent — and every test here must stay green whether or not a compiled
 provider (the bundled C extension) is actually available.
 """
 
+import os
+import platform
+import shutil
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -30,7 +35,8 @@ from repro.kernels import (
     use_kernel_tier,
     warm_kernels,
 )
-from repro.kernels._glue import _contacts_capacity
+from repro.kernels import _cext
+from repro.kernels._glue import _CELL_MARGIN, _contacts_capacity, make_kernels
 from repro.mobility.kinematics import (
     DenseLegScratch,
     advance_legs,
@@ -93,6 +99,17 @@ class TestRegistry:
         finally:
             monkeypatch.delenv("REPRO_NO_CEXT")
             _reset_probe_cache_for_tests()
+
+    def test_provider_builds_where_a_compiler_exists(self):
+        # A C source that does not compile must fail here: otherwise every
+        # provider test skips and "auto" quietly runs the numpy tier.
+        if os.environ.get("REPRO_NO_CEXT") == "1":
+            pytest.skip("the compiled provider is blocked (REPRO_NO_CEXT=1)")
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler (cc) on the PATH")
+        # Probe afresh, whatever an earlier test left in the cache.
+        _reset_probe_cache_for_tests()
+        assert kernel_backend() == "cext", _cext.build_error()
 
     def test_probe_results_are_cached(self):
         first = kernel_backend()
@@ -158,6 +175,31 @@ class TestConfigKnob:
         if not HAVE_PROVIDER:
             with pytest.raises(RuntimeError):
                 standard_config(50, kernels="compiled").resolved_kernels
+
+
+class TestDataPointer:
+    """The C adapters pass each array's data pointer, read from the
+    ndarray struct on CPython and from ``arr.ctypes.data`` elsewhere."""
+
+    def test_address_matches_ctypes_data_on_every_probe_kind(self):
+        stack = np.zeros((3, 4, 2))
+        extra = (
+            stack, stack[1], stack[:, ::2], np.asfortranarray(np.ones((3, 4), dtype=bool)),
+            np.zeros(7, dtype=np.uint8)[3:], np.uintp([1, 2]),
+        )
+        for arr in (*_cext._probe_arrays(), *extra):
+            assert _cext._addr(arr) == arr.ctypes.data
+
+    def test_struct_read_is_used_on_cpython(self):
+        if platform.python_implementation() != "CPython":
+            assert _cext._addr is _cext._ctypes_addr
+            return
+        assert _cext._reads_data_pointer(_cext._DATA_OFFSET)
+        assert _cext._addr is _cext._struct_addr
+
+    def test_probe_rejects_a_wrong_offset(self):
+        for offset in (_cext._DATA_OFFSET - 8, _cext._DATA_OFFSET + 8):
+            assert not _cext._reads_data_pointer(offset)
 
 
 # ----------------------------------------------------------------------
@@ -281,6 +323,111 @@ class TestPairKernelParity:
         ) is None
         for counts in (False, True):
             assert table["batch_contacts"](pos32, mask, mask, 0.5, 3.0, counts=counts) is None
+        # Masks that are not (B, n) go to numpy.
+        pos = rng.uniform(0, 3.0, size=(1, 4, 2))
+        flat = mask.reshape(-1)
+        assert table["batch_any_within"](pos, flat, mask, 0.5, 3.0) is None
+        for counts in (False, True):
+            assert table["batch_contacts"](pos, mask, flat, 0.5, 3.0, counts=counts) is None
+
+    def _assert_matches_oracles(self, table, pos, src, qry, radius, side):
+        """All three pair queries against the brute-force oracles."""
+        got = table["batch_any_within"](pos, src, qry, radius, side)
+        np.testing.assert_array_equal(got, self._oracle_any_within(pos, src, qry, radius))
+        counts = table["batch_contacts"](pos, src, qry, radius, side, counts=True)
+        np.testing.assert_array_equal(counts, self._oracle_counts(pos, src, qry, radius))
+        pairs = table["batch_contacts"](pos, src, qry, radius, side)
+        for got_col, expect_col in zip(pairs, _sorted_contacts(pos, src, qry, radius)):
+            np.testing.assert_array_equal(got_col, expect_col)
+        return got, counts, pairs
+
+    def test_retired_replicas_between_live_ones(self, table, rng):
+        # Replicas 1 and 3 are retired: all-False masks, and NaN positions
+        # that the reference core could not bin (int(nan) raises).
+        batch, n, side, radius = 5, 40, 4.0, 0.6
+        pos = rng.uniform(0, side, size=(batch, n, 2))
+        src = rng.random((batch, n)) < 0.4
+        qry = ~src
+        for b in (1, 3):
+            src[b] = qry[b] = False
+            pos[b] = np.nan
+        _any, counts, (rep, _s, _q) = self._assert_matches_oracles(
+            table, pos, src, qry, radius, side
+        )
+        assert not counts[[1, 3]].any() and not np.isin(rep, [1, 3]).any()
+        assert np.array_equal(np.unique(rep), [0, 2, 4])
+
+    def test_source_only_replica_next_to_query_only_replica(self, table, rng):
+        # Replica 1 has sources and no queries, replica 2 queries and no
+        # sources at replica 1's positions: replica 1's grid must not
+        # answer replica 2's queries.
+        batch, n, side, radius = 4, 30, 3.0, 0.7
+        pos = rng.uniform(0, side, size=(batch, n, 2))
+        pos[2] = pos[1]
+        src = rng.random((batch, n)) < 0.5
+        qry = ~src
+        src[1], qry[1] = True, False
+        src[2], qry[2] = False, True
+        got, counts, (rep, _s, _q) = self._assert_matches_oracles(
+            table, pos, src, qry, radius, side
+        )
+        assert not got[1:3].any() and not counts[1:3].any()
+        assert not np.isin(rep, [1, 2]).any()
+
+    def test_agents_on_cell_boundaries_and_exactly_r_apart(self, table, rng):
+        # Multiples of R (exactly R apart, across a cell boundary) and
+        # multiples of the grid's cell side (on the boundaries), in two
+        # replicas with different orders and masks.
+        radius, side = 0.5, 4.0
+        cell = radius * (1.0 + _CELL_MARGIN)
+        lattice = np.arange(9) * radius
+        edges = np.arange(8) * cell
+        pts = np.concatenate([
+            np.stack(np.meshgrid(lattice, lattice), -1).reshape(-1, 2),
+            np.stack(np.meshgrid(edges, edges), -1).reshape(-1, 2),
+        ])
+        pos = np.stack([pts, pts[rng.permutation(len(pts))]])
+        everyone = np.ones(pos.shape[:2], dtype=bool)
+        self._assert_matches_oracles(table, pos, everyone, everyone, radius, side)
+        src = rng.random(everyone.shape) < 0.5
+        _any, _counts, pairs = self._assert_matches_oracles(
+            table, pos, src, ~src, radius, side
+        )
+        # (1.0, 1.0) and (1.5, 1.0) sit in cells 1 and 2 of their row.
+        a = int(np.flatnonzero((pts == (1.0, 1.0)).all(1))[0])
+        b = int(np.flatnonzero((pts == (1.5, 1.0)).all(1))[0])
+        assert int(pts[a, 0] / cell) + 1 == int(pts[b, 0] / cell)
+        full = table["batch_contacts"](pos[:1], everyone[:1], everyone[:1], radius, side)
+        assert {(0, a, b), (0, b, a)} <= set(zip(*(col.tolist() for col in full)))
+
+    def test_mask_dtype_and_layout_do_not_change_answers(self, table, rng):
+        batch, n, side, radius = 3, 25, 3.0, 0.8
+        pos = rng.uniform(0, side, size=(batch, n, 2))
+        src = rng.random((batch, n)) < 0.5
+        qry = rng.random((batch, n)) < 0.5
+        expect = self._assert_matches_oracles(table, pos, src, qry, radius, side)
+        converts = (
+            lambda mask: mask.astype(np.uint8) * 7,
+            np.asfortranarray,
+            lambda mask: np.repeat(mask, 2, axis=1)[:, ::2],
+        )
+        masks = []
+        for convert in converts:
+            s_mask, q_mask = convert(src), convert(qry)
+            assert not (s_mask.dtype == bool and s_mask.flags.c_contiguous)
+            masks.append((s_mask, q_mask))
+        # A bool view of bytes other than 0 and 1 reaches the cores as is.
+        masks.append(tuple((mask.astype(np.uint8) * 7).view(np.bool_) for mask in (src, qry)))
+        for s_mask, q_mask in masks:
+            got = (
+                table["batch_any_within"](pos, s_mask, q_mask, radius, side),
+                table["batch_contacts"](pos, s_mask, q_mask, radius, side, counts=True),
+                table["batch_contacts"](pos, s_mask, q_mask, radius, side),
+            )
+            np.testing.assert_array_equal(got[0], expect[0])
+            np.testing.assert_array_equal(got[1], expect[1])
+            for got_col, expect_col in zip(got[2], expect[2]):
+                np.testing.assert_array_equal(got_col, expect_col)
 
 
 @needs_provider
@@ -350,6 +497,34 @@ class TestProviderContactsFollowSpec:
             pos, everyone, everyone, 0.5, 10.0, counts=True
         )
         assert np.array_equal(counts, np.full((batch, n), n))
+
+    def test_first_overflow_in_a_later_replica(self, rng):
+        # Replicas 0 and 1 are sparse and fit the first capacity guess;
+        # replica 2 is a dense cluster that overflows it.  The glue re-runs
+        # once with the exact total, and the pairs come out in canonical
+        # order, as the spec writes them.
+        batch, n, radius, side = 3, 60, 0.5, 10.0
+        pos = rng.uniform(0, side, size=(batch, n, 2))
+        pos[2] = rng.uniform(4.0, 4.3, size=(n, 2))
+        everyone = np.ones((batch, n), dtype=bool)
+        cores = _cext.load_cores()
+        caps = []
+
+        def contacts_core(*args):
+            caps.append(args[-1])
+            return cores.contacts_core(*args)
+
+        table = make_kernels(SimpleNamespace(**{**vars(cores), "contacts_core": contacts_core}))
+        rep, source, query = table["batch_contacts"](pos, everyone, everyone, radius, side)
+        first_guess = _contacts_capacity(batch * n, batch * n, batch, radius, side)
+        assert caps == [first_guess, rep.size]
+        assert np.count_nonzero(rep < 2) <= first_guess < rep.size
+        assert np.count_nonzero(rep == 2) == n * n
+        spec = reference_kernels()["batch_contacts"](pos, everyone, everyone, radius, side)
+        expect = _sorted_contacts(pos, everyone, everyone, radius)
+        for got_col, spec_col, expect_col in zip((rep, source, query), spec, expect):
+            np.testing.assert_array_equal(got_col, spec_col)
+            np.testing.assert_array_equal(got_col, expect_col)
 
 
 def _trip_case(rng, batch_size, n, side=3.0):
