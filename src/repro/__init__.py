@@ -6,9 +6,10 @@ simulation, the paper's closed-form distributions and bounds, the flooding
 protocol and baselines, and the experiment harness regenerating the paper's
 figure and validating every lemma and theorem empirically.
 
-Two execution engines share one seed schedule: the scalar
-:class:`~repro.simulation.engine.Simulation` (the reference, one trial at a
-time) and the vectorized :class:`~repro.simulation.batch.BatchSimulation`
+Two execution engines share one seed schedule and one implementation of
+each protocol: the scalar :class:`~repro.simulation.engine.Simulation`
+(one trial at a time, its protocols one-replica views of the batch
+states) and the vectorized :class:`~repro.simulation.batch.BatchSimulation`
 (``engine="batch"``), which advances every trial of a multi-trial run in
 lock-step over a ``(B, n, 2)`` position tensor and reproduces the scalar
 results trial-for-trial at fixed seeds.

@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("scalar", "batch", "auto"),
         default="scalar",
-        help="trial execution engine: 'scalar' (reference, one trial at a time), "
+        help="trial execution engine: 'scalar' (one trial at a time), "
         "'batch' (vectorized lock-step over all trials; same results for every "
         "registered protocol and mobility model), or 'auto' (batch when both "
         "the protocol and the mobility model have native batch implementations)",

@@ -18,32 +18,26 @@ Use :func:`make_engine` to construct one by name; ``"auto"`` picks the
 KD-tree when scipy is installed and falls back to the grid otherwise.
 ``scipy.spatial`` itself is imported only when a KD-tree is first built.
 
-On the compiled kernel tier, a snapshot bound by an ``"auto"`` engine
-answers ``any_within`` with the ``batch_any_within`` grid scan at B=1,
-the kernel the batch engine calls.  That scan applies the exact
-``d² <= R²`` test where the KD query accepts distances up to
-``R * (1 + 1e-12)``: the two can differ only for pairs within
-floating-point rounding of ``R``, the same ulp-level slack the batch
-engine documents among its strategies (see :class:`BatchNeighborQuery`).
-Explicitly named backends never dispatch.
-
 Two layers sit on top of the raw engines (DESIGN.md, "Neighbor
 subsystem: one exact path per backend"):
 
-* **Bound snapshots** — within one communication round the positions are
-  frozen, so :meth:`NeighborEngine.bind` freezes them into a
-  :class:`BoundSnapshot` whose spatial index is built once and shared by
-  every query on the snapshot (the multi-hop exchange loop, paired
-  ``any_within``/``count_within`` calls).
+* **Batched queries** — the simulation engines answer the per-replica
+  queries of **B independent trials with one engine call** through
+  :class:`BatchNeighborQuery`: each replica's points are translated into
+  a disjoint tile of a larger virtual square, tiles separated by more
+  than the query radius, so a single spatial index over the union can
+  never report a cross-replica hit.  Its cell-cover strategy prunes
+  informed sources far from the uninformed frontier before any binning
+  (exact — see :meth:`BatchBoundQuery.any_within`), and on the compiled
+  kernel tier an ``"auto"`` query runs the C pair kernels instead.  The
+  scalar engine's protocols are one-replica batch states, so they query
+  it at B=1.
 
-* **Batched queries** — the batch simulation engine answers the
-  per-replica queries of **B independent trials with one engine call**
-  through :class:`BatchNeighborQuery`: each replica's points are
-  translated into a disjoint tile of a larger virtual square, tiles
-  separated by more than the query radius, so a single spatial index over
-  the union can never report a cross-replica hit.  Its cell-cover strategy
-  prunes informed sources far from the uninformed frontier before any
-  binning (exact — see :meth:`BatchBoundQuery.any_within`).
+* **Bound snapshots** — :meth:`NeighborEngine.bind` wraps one ``(n, 2)``
+  snapshot in a :class:`BoundSnapshot` that takes agent-index arrays and
+  forwards each call to the engine's coordinate API.  No protocol uses
+  it; the test oracles do, as a neighbor path independent of the batch
+  query.
 """
 
 from __future__ import annotations
@@ -90,14 +84,9 @@ class BoundSnapshot:
     """Radius queries bound to one frozen ``(n, 2)`` position snapshot.
 
     Obtained from :meth:`NeighborEngine.bind`.  All methods take *index
-    arrays into the bound snapshot* rather than coordinate arrays, so the
-    engine-specific spatial index can be built once and shared by every
-    query on the snapshot: the hops of a multi-hop exchange round, and
-    paired ``any_within``/``count_within`` calls.
-
-    This base implementation delegates to the engine's coordinate API per
-    call (correct for any engine, no sharing); the grid and KD-tree
-    engines override it with index-reusing variants.
+    arrays into the bound snapshot* rather than coordinate arrays, and
+    forward each call to the engine's coordinate API (no index is shared
+    between calls).
     """
 
     def __init__(self, engine: "NeighborEngine", points: np.ndarray, radius: float):
@@ -111,27 +100,6 @@ class BoundSnapshot:
             self.points[source_idx], self.points[query_idx], self.radius
         )
 
-    def _kernel_any_within(self, source_idx, query_idx):
-        """``any_within`` from the compiled tier, or ``None`` to run numpy.
-
-        Only engines built by ``make_engine("auto")`` dispatch: the
-        snapshot becomes a one-replica batch for the ``batch_any_within``
-        grid scan.  Explicit backends always run their own code, so the
-        parity sweeps keep comparing independent implementations.
-        """
-        if not self.engine.kernel_dispatch:
-            return None
-        kernel = get_kernel("batch_any_within")
-        if kernel is None:
-            return None
-        n = self.points.shape[0]
-        source_mask = np.zeros((1, n), dtype=bool)
-        source_mask[0, source_idx] = True
-        query_mask = np.zeros((1, n), dtype=bool)
-        query_mask[0, query_idx] = True
-        hits = kernel(self.points[None], source_mask, query_mask, self.radius, self.engine.side)
-        return None if hits is None else hits[0, query_idx]
-
     def count_within(self, source_idx, query_idx) -> np.ndarray:
         """Per-query count of ``source_idx`` points within the bound radius."""
         return self.engine.count_within(
@@ -144,9 +112,8 @@ class BoundSnapshot:
         The bipartite materialization behind the neighbor-sampling
         protocols: gossip and push-pull only ever need the edges crossing
         the informed/uninformed cut, which is far smaller than the full
-        disk graph at both ends of a run.  This base implementation is
-        O(S * Q) (fine for the brute engine); grid and KD-tree override it
-        with index-backed variants.
+        disk graph at both ends of a run.  Brute force, O(S * Q), on every
+        engine.
 
         Returns:
             ``(sources, queries)`` agent-index arrays of equal length, in
@@ -166,9 +133,6 @@ class NeighborEngine:
     """Interface for radius-based neighbor queries on a square region."""
 
     name = "abstract"
-    #: Set by ``make_engine("auto")``: bound snapshots may answer
-    #: ``any_within`` from the compiled tier.
-    kernel_dispatch = False
 
     def __init__(self, side: float):
         if side <= 0:
@@ -190,125 +154,6 @@ class NeighborEngine:
     def bind(self, points, radius: float) -> BoundSnapshot:
         """Freeze ``points`` into a :class:`BoundSnapshot` for masked queries."""
         return BoundSnapshot(self, as_points(points), radius)
-
-
-class _GridSnapshot(BoundSnapshot):
-    """Grid-backed snapshot with an adaptive index side.
-
-    Most queries get a small throwaway index over just the sources
-    (memoized on the index-array identity, so paired ``any_within`` /
-    ``count_within`` calls share it) — exactly the pre-snapshot behaviour.
-    When the sources are dense *and* the queries few (late flooding
-    rounds: informed ~ n, a handful of stragglers), re-sorting ~n sources
-    every round is the dominant waste, so the snapshot switches to one
-    full-snapshot index (built once per snapshot) with a
-    source-membership filter on the candidate pairs.  Both paths run the
-    same inclusive distance test, so results are identical.
-    """
-
-    #: Full-index path: sources above this fraction of n ...
-    _DENSE_SOURCE_FRACTION = 0.5
-    #: ... and queries below this fraction of n.
-    _FEW_QUERY_FRACTION = 0.125
-
-    def __init__(self, engine, points, radius):
-        super().__init__(engine, points, radius)
-        self._full = None  # lazily built full-snapshot index
-        self._memo = None  # (source_idx, index) for the sparse path
-
-    def _full_index(self) -> GridIndex:
-        if self._full is None:
-            self._full = self.engine._index(self.points, self.radius)
-        return self._full
-
-    def _source_index(self, source_idx) -> GridIndex:
-        memo = self._memo
-        if memo is not None and memo[0] is source_idx:
-            return memo[1]
-        index = self.engine._index(self.points[source_idx], self.radius)
-        self._memo = (source_idx, index)
-        return index
-
-    def _masked_candidates(self, source_idx, queries) -> tuple:
-        """Exact ``(query position, source agent)`` matches against the
-        full-snapshot index, membership-filtered to ``source_idx`` —
-        shared by the dense-source paths of ``any_within`` /
-        ``count_within`` / ``contacts_within``."""
-        source_mask = np.zeros(self.points.shape[0], dtype=bool)
-        source_mask[source_idx] = True
-        index = self._full_index()
-        qidx, pidx = index._candidate_arrays(queries, self.radius)
-        keep = source_mask[pidx]
-        qidx = qidx[keep]
-        pidx = pidx[keep]
-        if qidx.size:
-            diff = queries[qidx] - self.points[pidx]
-            hit = np.sum(diff * diff, axis=1) <= self.radius * self.radius
-            qidx = qidx[hit]
-            pidx = pidx[hit]
-        return qidx, pidx
-
-    def _masked_full(self, source_idx, queries):
-        return self._masked_candidates(source_idx, queries)[0]
-
-    def _use_full(self, source_idx, query_idx) -> bool:
-        n = self.points.shape[0]
-        return (
-            source_idx.size > self._DENSE_SOURCE_FRACTION * n
-            and query_idx.size < self._FEW_QUERY_FRACTION * n
-        )
-
-    def any_within(self, source_idx, query_idx) -> np.ndarray:
-        source_idx = np.asarray(source_idx, dtype=np.intp)
-        query_idx = np.asarray(query_idx, dtype=np.intp)
-        if source_idx.size == 0 or query_idx.size == 0:
-            return np.zeros(query_idx.size, dtype=bool)
-        hits = self._kernel_any_within(source_idx, query_idx)
-        if hits is not None:
-            return hits
-        if not self._use_full(source_idx, query_idx):
-            return self._source_index(source_idx).any_within(
-                self.points[query_idx], self.radius
-            )
-        queries = self.points[query_idx]
-        result = np.zeros(queries.shape[0], dtype=bool)
-        result[self._masked_full(source_idx, queries)] = True
-        return result
-
-    def count_within(self, source_idx, query_idx) -> np.ndarray:
-        source_idx = np.asarray(source_idx, dtype=np.intp)
-        query_idx = np.asarray(query_idx, dtype=np.intp)
-        if source_idx.size == 0 or query_idx.size == 0:
-            return np.zeros(query_idx.size, dtype=np.intp)
-        if not self._use_full(source_idx, query_idx):
-            return self._source_index(source_idx).count_within(
-                self.points[query_idx], self.radius
-            )
-        queries = self.points[query_idx]
-        counts = np.zeros(queries.shape[0], dtype=np.intp)
-        np.add.at(counts, self._masked_full(source_idx, queries), 1)
-        return counts
-
-    def contacts_within(self, source_idx, query_idx) -> tuple:
-        source_idx = np.asarray(source_idx, dtype=np.intp)
-        query_idx = np.asarray(query_idx, dtype=np.intp)
-        empty = np.empty(0, dtype=np.intp)
-        if source_idx.size == 0 or query_idx.size == 0:
-            return empty, empty
-        queries = self.points[query_idx]
-        if self._use_full(source_idx, query_idx):
-            # Dense sources, few queries: use the full-snapshot index
-            # (candidates carry agent ids directly).
-            qidx, sources = self._masked_candidates(source_idx, queries)
-            return sources, query_idx[qidx]
-        index = self._source_index(source_idx)
-        qidx, pidx = index._candidate_arrays(queries, self.radius)
-        if qidx.size == 0:
-            return empty, empty
-        sources = source_idx[pidx]
-        diff = queries[qidx] - self.points[sources]
-        hit = np.sum(diff * diff, axis=1) <= self.radius * self.radius
-        return sources[hit], query_idx[qidx[hit]]
 
 
 class GridNeighborEngine(NeighborEngine):
@@ -335,14 +180,9 @@ class GridNeighborEngine(NeighborEngine):
         Deliberately *not* memoized: coordinate-API callers pass freshly
         gathered arrays every call (``positions[mask]``), so an
         identity-keyed memo would never hit — and a content-keyed one
-        costs as much as the build it saves.  Callers that genuinely
-        query one snapshot repeatedly share an index through
-        :meth:`bind`, where array identity is stable.
+        costs as much as the build it saves.
         """
         return GridIndex(self.side, self._cell_for(radius)).build(points)
-
-    def bind(self, points, radius: float) -> BoundSnapshot:
-        return _GridSnapshot(self, as_points(points), radius)
 
     def any_within(self, sources, queries, radius: float) -> np.ndarray:
         radius = _check_radius(radius)
@@ -366,68 +206,6 @@ class GridNeighborEngine(NeighborEngine):
         if points.shape[0] == 0:
             return np.empty((0, 2), dtype=np.intp)
         return self._index(points, radius).pairs_within(radius)
-
-
-class _KDTreeSnapshot(BoundSnapshot):
-    """KD-tree snapshot: one tree per distinct source set, shared by calls.
-
-    Trees are memoized on the identity of the ``source_idx`` array, so the
-    ``any_within``/``count_within`` pair of a round builds one tree, and
-    the frontier hops of a multi-hop round each build one small tree over
-    the newly informed agents only.
-    """
-
-    def __init__(self, engine, points, radius):
-        super().__init__(engine, points, radius)
-        self._memo = None  # (source_idx, tree)
-
-    def _tree(self, source_idx):
-        memo = self._memo
-        if memo is not None and memo[0] is source_idx:
-            return memo[1]
-        # Snapshot trees live for one communication round: skip the
-        # balancing passes, which dominate construction at these sizes.
-        tree = self.engine._cKDTree(
-            self.points[source_idx], balanced_tree=False, compact_nodes=False
-        )
-        self._memo = (source_idx, tree)
-        return tree
-
-    def any_within(self, source_idx, query_idx) -> np.ndarray:
-        source_idx = np.asarray(source_idx, dtype=np.intp)
-        query_idx = np.asarray(query_idx, dtype=np.intp)
-        if source_idx.size == 0 or query_idx.size == 0:
-            return np.zeros(query_idx.size, dtype=bool)
-        hits = self._kernel_any_within(source_idx, query_idx)
-        if hits is not None:
-            return hits
-        dist, _ = self._tree(source_idx).query(
-            self.points[query_idx], k=1, distance_upper_bound=self.radius * (1 + 1e-12)
-        )
-        return np.isfinite(dist)
-
-    def count_within(self, source_idx, query_idx) -> np.ndarray:
-        source_idx = np.asarray(source_idx, dtype=np.intp)
-        query_idx = np.asarray(query_idx, dtype=np.intp)
-        if source_idx.size == 0 or query_idx.size == 0:
-            return np.zeros(query_idx.size, dtype=np.intp)
-        counts = self._tree(source_idx).query_ball_point(
-            self.points[query_idx], r=self.radius, return_length=True
-        )
-        return np.asarray(counts, dtype=np.intp)
-
-    def contacts_within(self, source_idx, query_idx) -> tuple:
-        source_idx = np.asarray(source_idx, dtype=np.intp)
-        query_idx = np.asarray(query_idx, dtype=np.intp)
-        if source_idx.size == 0 or query_idx.size == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        query_tree = self.engine._cKDTree(
-            self.points[query_idx], balanced_tree=False, compact_nodes=False
-        )
-        hits = self._tree(source_idx).sparse_distance_matrix(
-            query_tree, max_distance=self.radius, output_type="ndarray"
-        )
-        return source_idx[hits["i"]], query_idx[hits["j"]]
 
 
 class KDTreeNeighborEngine(NeighborEngine):
@@ -457,9 +235,6 @@ class KDTreeNeighborEngine(NeighborEngine):
         from scipy.spatial import cKDTree
 
         return cKDTree(points, **kwargs)
-
-    def bind(self, points, radius: float) -> BoundSnapshot:
-        return _KDTreeSnapshot(self, as_points(points), radius)
 
     def any_within(self, sources, queries, radius: float) -> np.ndarray:
         radius = _check_radius(radius)
@@ -1146,16 +921,11 @@ def make_engine(backend: str, side: float) -> NeighborEngine:
 
     Args:
         backend: ``"grid"``, ``"kdtree"``, ``"brute"``, or ``"auto"``
-            (kdtree if scipy is available, else grid; its bound snapshots
-            also answer ``any_within`` from the compiled tier when a run
-            activated it).
+            (kdtree if scipy is available, else grid).
         side: side length of the square region.
     """
-    auto = backend == "auto"
-    if auto:
+    if backend == "auto":
         backend = "kdtree" if "kdtree" in available_backends() else "grid"
     if backend not in _BACKENDS:
         raise ValueError(f"unknown neighbor backend {backend!r}; expected one of {sorted(_BACKENDS)} or 'auto'")
-    engine = _BACKENDS[backend](side)
-    engine.kernel_dispatch = auto
-    return engine
+    return _BACKENDS[backend](side)

@@ -1,12 +1,13 @@
 """Broadcast protocols: the paper's flooding plus baseline comparators.
 
-Every protocol ships in two forms sharing one semantics: the scalar
-:class:`BroadcastProtocol` (the reference, one run at a time) and a
-:class:`BatchBroadcastState` subclass advancing ``B`` independent replicas
-in lock-step with seed-for-seed parity (see
-:mod:`repro.simulation.batch`).  The two registries below map protocol
-names to the respective classes; they must stay key-identical so the batch
-engine covers every protocol (asserted by the tests).
+Every protocol has one implementation, a :class:`BatchBroadcastState`
+subclass advancing ``B`` independent replicas in lock-step (see
+:mod:`repro.simulation.batch`).  The scalar engine runs its
+:class:`BroadcastProtocol` class, a one-replica view of that state
+(``batch_state``), so both engines run the same exchange code.  The two
+registries below map protocol names to the respective classes; they stay
+key-identical, and ``PROTOCOL_REGISTRY[name].batch_state`` is
+``BATCH_PROTOCOL_REGISTRY[name]`` (asserted by the tests).
 """
 
 from repro.protocols.base import (
@@ -32,7 +33,7 @@ PROTOCOL_REGISTRY = {
     "sir": SIREpidemic,
     "crash-flooding": CrashFaultFlooding,
 }
-"""Name -> scalar class mapping used by the CLI and the baselines experiment."""
+"""Name -> scalar view used by the scalar engine (``run_flooding``)."""
 
 BATCH_PROTOCOL_REGISTRY = {
     "flooding": BatchFloodingState,

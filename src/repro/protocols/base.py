@@ -6,36 +6,42 @@ who becomes informed.  All protocols share the paper's synchronous semantics
 — an agent informed during step ``t`` transmits from step ``t + 1`` on —
 and the inclusive distance-``R`` reception rule.
 
-Implementations:
+Protocols (scalar view / batch state):
 
 * :class:`~repro.protocols.flooding.FloodingProtocol` — the paper's protocol;
 * :class:`~repro.protocols.gossip.GossipProtocol` — push gossip, fanout k;
+* :class:`~repro.protocols.pushpull.PushPullGossip` — every agent contacts
+  one neighbor, and the message crosses in either direction;
 * :class:`~repro.protocols.parsimonious.ParsimoniousFlooding` — informed
   agents transmit only for a bounded window (Baumann-Crescenzi-Fraigniaud);
 * :class:`~repro.protocols.probabilistic.ProbabilisticFlooding` — each
   informed agent transmits independently with probability p per step;
 * :class:`~repro.protocols.epidemic.SIREpidemic` — transmitters recover
-  (stop forever) at a geometric rate, so coverage can stall.
+  (stop forever) at a geometric rate, so coverage can stall;
+* :class:`~repro.protocols.faulty.CrashFaultFlooding` — agents crash-stop
+  at random; completion counts survivors only.
 
-Every protocol also has a **batched counterpart** deriving from
-:class:`BatchBroadcastState`: the informed state of ``B`` independent
-replicas in one ``(B, n)`` tensor, updated in lock-step with the
-neighbor work of all replicas answered by a single
+Each protocol has **one implementation**, a :class:`BatchBroadcastState`
+subclass: the informed state of ``B`` independent replicas in one
+``(B, n)`` tensor, updated in lock-step with the neighbor work of all
+replicas answered by a single
 :class:`~repro.geometry.neighbors.BatchNeighborQuery` call per round.
-Stochastic draws stay **per replica** (one generator per replica,
-replaying the scalar draw order exactly), so the batch engine is
-seed-for-seed identical to ``B`` scalar runs — the design constraint of
-the whole batch layer (DESIGN.md, "Batched protocol framework").
+Stochastic draws stay **per replica** (one generator per replica, drawn
+in a fixed per-step order), so a batch of ``B`` equals ``B`` one-replica
+runs seed for seed (DESIGN.md, "Batched protocol framework").  The
+scalar engine's :class:`BroadcastProtocol` classes are one-replica
+views of those states, with no exchange code of their own.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 import numbers
 
 import numpy as np
 
-from repro.geometry.neighbors import BatchNeighborQuery, NeighborEngine, make_engine
+from repro.geometry.neighbors import BatchNeighborQuery
 
 __all__ = ["BroadcastProtocol", "BatchBroadcastState", "group_segments", "sample_indices"]
 
@@ -99,19 +105,33 @@ def sample_indices(r: np.ndarray, d: np.ndarray) -> np.ndarray:
     return picks
 
 
-class BroadcastProtocol(abc.ABC):
-    """Abstract synchronous broadcast protocol.
+class BroadcastProtocol:
+    """One protocol run: the one-replica view of the protocol's batch state.
+
+    Each registered protocol names its :class:`BatchBroadcastState`
+    subclass as :attr:`batch_state` and holds one replica of it, so the
+    scalar and the batch engine run the same exchange code.  The view
+    keeps the replica's ``(n,)`` rows of the state's masks (``informed``,
+    ``informed_at``, and a subclass's extra state) as views cached at
+    construction: writing to them writes the state.  Argument and option
+    checks are the batch state's.
 
     Args:
         n: number of agents.
-        side: region side (for the neighbor engine).
+        side: region side (for the neighbor query tiling).
         radius: transmission radius ``R``.
         source: index of the initially informed agent.
-        rng: generator for randomized protocols.
+        rng: generator for randomized protocols (a fresh default one when
+            omitted).
         backend: neighbor-engine backend name (``"auto"`` by default).
+        **options: protocol options, passed to the batch state.
     """
 
     name = "abstract"
+    #: The :class:`BatchBroadcastState` subclass this view holds at B=1.
+    batch_state = None
+    #: Option attributes read back from the batch state.
+    options = ()
 
     def __init__(
         self,
@@ -121,25 +141,20 @@ class BroadcastProtocol(abc.ABC):
         source: int,
         rng: np.random.Generator = None,
         backend: str = "auto",
+        **options,
     ):
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        if not 0 <= source < n:
-            raise ValueError(f"source must be in [0, {n}), got {source}")
-        self.n = int(n)
-        self.side = float(side)
-        self.radius = float(radius)
-        self.source = int(source)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.engine: NeighborEngine = make_engine(backend, self.side)
-        self.informed = np.zeros(self.n, dtype=bool)
-        self.informed[self.source] = True
-        self.informed_at = np.full(self.n, np.inf)
-        self.informed_at[self.source] = 0.0
-        self.step_count = 0
-        self._all_idx = np.arange(self.n, dtype=np.intp)
+        self.state = self.batch_state(
+            n, side, radius, [source], rngs=[self.rng], backend=backend, **options
+        )
+        self.n = self.state.n
+        self.side = self.state.side
+        self.radius = self.state.radius
+        self.source = int(self.state.sources[0])
+        for option in self.options:
+            setattr(self, option, getattr(self.state, option))
+        self.informed = self.state.informed[0]
+        self.informed_at = self.state.informed_at[0]
 
     # ------------------------------------------------------------------
     # State
@@ -150,59 +165,37 @@ class BroadcastProtocol(abc.ABC):
         return int(np.count_nonzero(self.informed))
 
     def is_complete(self) -> bool:
-        """All agents informed?"""
-        return self.informed_count == self.n
+        """Whether the completion criterion holds (every agent informed;
+        fault models may restrict the requirement)."""
+        return bool(self.state.complete_mask()[0])
 
     def can_progress(self) -> bool:
         """Whether the protocol may still inform new agents in the future.
 
-        Always True for flooding-like protocols; SIR-style protocols return
-        False once no transmitter remains.
+        Always True for flooding-like protocols until complete; SIR-style
+        protocols return False once no transmitter remains.
         """
-        return not self.is_complete()
-
-    def _mark_informed(self, idx: np.ndarray) -> np.ndarray:
-        """Record agents ``idx`` as informed at the current step; returns ``idx``."""
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size:
-            self.informed[idx] = True
-            self.informed_at[idx] = self.step_count
-        return idx
+        return bool(self.state.can_progress_mask()[0])
 
     # ------------------------------------------------------------------
     # Dynamics
     # ------------------------------------------------------------------
     def step(self, positions: np.ndarray) -> np.ndarray:
-        """Run one communication round over the given snapshot.
+        """Run one communication round over the ``(n, 2)`` snapshot.
 
         Returns:
-            indices of newly informed agents.
+            indices of newly informed agents, ascending.
         """
-        self.step_count += 1
-        return self._exchange(positions)
-
-    @abc.abstractmethod
-    def _exchange(self, positions: np.ndarray) -> np.ndarray:
-        """Protocol-specific exchange; must call :meth:`_mark_informed`."""
+        positions = np.asarray(positions, dtype=np.float64)
+        return np.flatnonzero(self.state.step(positions[None])[0])
 
     # ------------------------------------------------------------------
     # End-of-run reporting
     # ------------------------------------------------------------------
     def final_metrics(self, positions: np.ndarray, zones=None) -> dict:
-        """Protocol-specific end-of-run metrics, merged into result extras.
-
-        The base implementation reports where the uninformed agents sit
-        (by their *final* position's zone) when a
-        :class:`~repro.core.zones.ZonePartition` is available; subclasses
-        extend with their own state (crashed counts, recovered counts, …).
-        """
-        out = {}
-        if zones is not None:
-            missing = ~self.informed
-            suburb = zones.in_suburb(positions)
-            out["uninformed_suburb"] = int(np.count_nonzero(missing & suburb))
-            out["uninformed_cz"] = int(np.count_nonzero(missing & ~suburb))
-        return out
+        """Protocol-specific end-of-run metrics, merged into result extras
+        (see :meth:`BatchBroadcastState.final_metrics`)."""
+        return self.state.final_metrics(positions, zones)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -214,19 +207,21 @@ class BroadcastProtocol(abc.ABC):
 class BatchBroadcastState(abc.ABC):
     """Informed state of ``B`` independent protocol runs, updated in lock-step.
 
-    The batch counterpart of :class:`BroadcastProtocol`: informed masks of
-    all replicas live in a ``(B, n)`` tensor, one
+    The one implementation of every protocol: informed masks of all
+    replicas live in a ``(B, n)`` tensor, one
     :class:`~repro.geometry.neighbors.BatchNeighborQuery` bind per round
     serves every replica's neighbor queries, and per-replica
     ``can_progress`` masks let stalled or died-out replicas retire early
-    while live ones keep lock-stepping.
+    while live ones keep lock-stepping.  A :class:`BroadcastProtocol` is
+    one replica of it (B=1).
 
-    **Seed-for-seed parity contract**: with per-replica generators spawned
-    exactly like the scalar runner's protocol streams, a subclass must
-    consume randomness in the scalar protocol's per-step draw order for
-    each replica — vectorized neighbor work (which dominates) is shared,
-    stochastic draws are not.  The parity is asserted protocol-by-protocol
-    in ``tests/test_protocol_batch_parity.py``.
+    **Seed-for-seed contract**: replica ``b`` draws only from ``rngs[b]``,
+    in the same per-step order whatever the other replicas do, so a batch
+    of ``B`` equals ``B`` one-replica runs on the same generators —
+    vectorized neighbor work (which dominates) is shared, stochastic
+    draws are not.  ``tests/test_protocol_batch_parity.py`` checks both
+    engines against independent per-protocol oracles
+    (``tests/protocol_oracles.py``).
 
     Args:
         n: number of agents per replica.
@@ -252,19 +247,23 @@ class BatchBroadcastState(abc.ABC):
         rngs=None,
         backend: str = "auto",
     ):
-        sources = np.asarray(sources, dtype=np.intp)
+        if not _is_integer(n) or n < 1:
+            raise ValueError(f"n must be an integer of at least 1, got {n!r}")
+        radius = float(radius)
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {radius}")
+        sources = np.asarray(sources)
         if sources.ndim != 1 or sources.size < 1:
             raise ValueError(f"sources must be a non-empty 1-d array, got shape {sources.shape}")
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        # Bool and float indices would be cast to agents 0/1 and truncated.
+        if sources.dtype.kind not in "iu":
+            raise ValueError(f"sources must be integer agent indices, got {sources.tolist()}")
         if np.any((sources < 0) | (sources >= n)):
-            raise ValueError(f"sources must be in [0, {n})")
+            raise ValueError(f"sources must be in [0, {n}), got {sources.tolist()}")
         self.n = int(n)
         self.side = float(side)
-        self.radius = float(radius)
-        self.sources = sources
+        self.radius = radius
+        self.sources = sources.astype(np.intp)
         self.batch_size = int(sources.size)
         if self.uses_rng:
             if rngs is None or len(rngs) != self.batch_size:
@@ -278,9 +277,9 @@ class BatchBroadcastState(abc.ABC):
             self.rngs = None
         self.query = BatchNeighborQuery(self.side, self.batch_size, backend)
         self.informed = np.zeros((self.batch_size, self.n), dtype=bool)
-        self.informed[np.arange(self.batch_size), sources] = True
+        self.informed[np.arange(self.batch_size), self.sources] = True
         self.informed_at = np.full((self.batch_size, self.n), np.inf)
-        self.informed_at[np.arange(self.batch_size), sources] = 0.0
+        self.informed_at[np.arange(self.batch_size), self.sources] = 0.0
         self.step_count = 0
 
     # ------------------------------------------------------------------
@@ -294,17 +293,17 @@ class BatchBroadcastState(abc.ABC):
     def complete_mask(self) -> np.ndarray:
         """``(B,)`` bool — replicas that reached their completion criterion
         (every agent informed; fault models may restrict the requirement)."""
-        return self.informed_counts == self.n
+        return self.informed.all(axis=1)
 
     def can_progress_mask(self) -> np.ndarray:
         """``(B,)`` bool — replicas that may still inform new agents.
 
-        The batch counterpart of
-        :meth:`BroadcastProtocol.can_progress`; the default (flooding-like)
-        rule is "not yet complete".  Subclasses with die-out semantics
-        (SIR, parsimonious windows, crash faults) override it, and the
-        batch simulation retires replicas whose mask turns False — exactly
-        when the scalar loop would stop stepping them.  **Contract**:
+        :meth:`BroadcastProtocol.can_progress` reads its one row; the
+        default (flooding-like) rule is "not yet complete".  Subclasses
+        with die-out semantics (SIR, parsimonious windows, crash faults)
+        override it, and the batch simulation retires replicas whose mask
+        turns False — the step at which the scalar loop stops stepping its
+        one replica.  **Contract**:
         complete replicas must report False (every override starts from
         ``~self.complete_mask()``); the lock-step driver uses this mask
         directly as its active mask.
@@ -323,11 +322,11 @@ class BatchBroadcastState(abc.ABC):
 
     def _draw_uniform_blocks(self, group_rep: np.ndarray, k: int) -> np.ndarray:
         """``(k, S)`` uniforms drawn per replica (``group_rep`` must be
-        nondecreasing), matching the scalar per-replica draw shapes — the
+        nondecreasing), one ``(k, S_b)`` block per replica — the
         seed-for-seed draw-order core shared by the neighbor-sampling
-        protocols.  ``rng.random`` returns the bits of the scalar
-        protocols' ``rng.uniform`` (which computes ``0.0 + 1.0 * u``) at a
-        lower per-call cost."""
+        protocols.  ``rng.random`` returns the bits of the historical
+        ``rng.uniform`` draw (which computes ``0.0 + 1.0 * u``) at a lower
+        per-call cost."""
         out = np.empty((k, group_rep.size))
         counts = np.bincount(group_rep, minlength=self.batch_size)
         pos = 0
@@ -381,8 +380,12 @@ class BatchBroadcastState(abc.ABC):
     def final_metrics(self, positions: np.ndarray, zones=None) -> list:
         """Per-replica end-of-run metrics; one dict per replica.
 
-        Must mirror :meth:`BroadcastProtocol.final_metrics` of the scalar
-        protocol exactly (the parity tests compare them key-for-key).
+        The base implementation reports where the uninformed agents sit
+        (by their *final* position's zone) when a
+        :class:`~repro.core.zones.ZonePartition` is available; subclasses
+        extend it with their own state (crashed counts, recovered counts,
+        …).  The parity tests compare the dicts key-for-key with the
+        oracles'.
         """
         out = [{} for _ in range(self.batch_size)]
         if zones is not None:

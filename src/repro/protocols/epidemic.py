@@ -18,60 +18,13 @@ from repro.protocols.base import BatchBroadcastState, BroadcastProtocol
 __all__ = ["SIREpidemic", "BatchSIRState"]
 
 
-class SIREpidemic(BroadcastProtocol):
-    """SIR dynamics over the MANET snapshots."""
-
-    name = "sir"
-
-    def __init__(self, *args, recovery_prob: float = 0.1, **kwargs):
-        super().__init__(*args, **kwargs)
-        if not 0.0 <= recovery_prob <= 1.0:
-            raise ValueError(f"recovery_prob must be in [0, 1], got {recovery_prob}")
-        self.recovery_prob = float(recovery_prob)
-        self.recovered = np.zeros(self.n, dtype=bool)
-
-    @property
-    def infected(self) -> np.ndarray:
-        """Mask of currently transmitting agents."""
-        return self.informed & ~self.recovered
-
-    @property
-    def active_count(self) -> int:
-        return int(np.count_nonzero(self.infected))
-
-    def can_progress(self) -> bool:
-        return not self.is_complete() and self.active_count > 0
-
-    def _exchange(self, positions: np.ndarray) -> np.ndarray:
-        infected = self.infected
-        newly = np.empty(0, dtype=np.intp)
-        if np.any(infected):
-            uninformed = np.nonzero(~self.informed)[0]
-            if uninformed.size:
-                hits = self.engine.any_within(
-                    positions[infected], positions[uninformed], self.radius
-                )
-                newly = self._mark_informed(uninformed[hits])
-            # Recovery happens after this step's transmissions.
-            active_idx = np.nonzero(infected)[0]
-            recover = self.rng.uniform(size=active_idx.size) < self.recovery_prob
-            self.recovered[active_idx[recover]] = True
-        return newly
-
-    def final_metrics(self, positions: np.ndarray, zones=None) -> dict:
-        out = super().final_metrics(positions, zones)
-        out["recovered"] = int(np.count_nonzero(self.recovered))
-        return out
-
-
 class BatchSIRState(BatchBroadcastState):
     """``B`` independent SIR runs in lock-step.
 
     The infection test is one batched query over the infected masks; the
     recovery coin-flips stay per replica — one ``uniform(#infected)`` call
-    per active replica per step, after the transmissions, in the scalar
-    order.  A replica retires once its infected set empties (die-out),
-    exactly when the scalar loop would stop.
+    per active replica per step, after the transmissions.  A replica
+    retires once its infected set empties (die-out).
     """
 
     name = "sir"
@@ -115,3 +68,21 @@ class BatchSIRState(BatchBroadcastState):
         for b in range(self.batch_size):
             out[b]["recovered"] = int(np.count_nonzero(self.recovered[b]))
         return out
+
+
+class SIREpidemic(BroadcastProtocol):
+    """SIR dynamics over the MANET snapshots: one replica of
+    :class:`BatchSIRState`."""
+
+    name = "sir"
+    batch_state = BatchSIRState
+    options = ("recovery_prob",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.recovered = self.state.recovered[0]
+
+    @property
+    def active_count(self) -> int:
+        """Number of currently transmitting agents."""
+        return int(np.count_nonzero(self.informed & ~self.recovered))

@@ -19,68 +19,14 @@ from repro.protocols.base import BatchBroadcastState, BroadcastProtocol
 __all__ = ["CrashFaultFlooding", "BatchCrashFaultState"]
 
 
-class CrashFaultFlooding(BroadcastProtocol):
-    """Flooding where agents crash-stop independently each step."""
-
-    name = "crash-flooding"
-
-    def __init__(self, *args, crash_prob: float = 0.001, **kwargs):
-        super().__init__(*args, **kwargs)
-        if not 0.0 <= crash_prob <= 1.0:
-            raise ValueError(f"crash_prob must be in [0, 1], got {crash_prob}")
-        self.crash_prob = float(crash_prob)
-        self.crashed = np.zeros(self.n, dtype=bool)
-
-    @property
-    def alive(self) -> np.ndarray:
-        """Mask of non-crashed agents."""
-        return ~self.crashed
-
-    def is_complete(self) -> bool:
-        """Every surviving agent informed (crashed agents are out of scope)."""
-        return bool(np.all(self.informed[self.alive]))
-
-    def can_progress(self) -> bool:
-        if self.is_complete():
-            return False
-        # Progress requires at least one live transmitter.
-        return bool(np.any(self.informed & self.alive))
-
-    def _exchange(self, positions: np.ndarray) -> np.ndarray:
-        transmitters = self.informed & self.alive
-        newly = np.empty(0, dtype=np.intp)
-        if np.any(transmitters):
-            receivers = np.nonzero(~self.informed & self.alive)[0]
-            if receivers.size:
-                hits = self.engine.any_within(
-                    positions[transmitters], positions[receivers], self.radius
-                )
-                newly = self._mark_informed(receivers[hits])
-        # Crashes strike after the exchange.
-        strikes = self.rng.uniform(size=self.n) < self.crash_prob
-        self.crashed |= strikes
-        return newly
-
-    def final_metrics(self, positions: np.ndarray, zones=None) -> dict:
-        out = super().final_metrics(positions, zones)
-        out["crashed"] = int(np.count_nonzero(self.crashed))
-        missing = self.alive & ~self.informed
-        out["uninformed_survivors"] = int(np.count_nonzero(missing))
-        if zones is not None:
-            suburb = zones.in_suburb(positions)
-            out["uninformed_survivors_suburb"] = int(np.count_nonzero(missing & suburb))
-            out["uninformed_survivors_cz"] = int(np.count_nonzero(missing & ~suburb))
-        return out
-
-
 class BatchCrashFaultState(BatchBroadcastState):
     """``B`` independent crash-fault flooding runs in lock-step.
 
     The exchange restricts both sides of the batched infection test to
     live agents; the crash strikes stay per replica — one ``uniform(n)``
-    call per active replica per step, after the exchange, matching the
-    scalar draw.  Completion means informing every *surviving* agent, so
-    :meth:`complete_mask` is overridden accordingly.
+    call per active replica per step, after the exchange.  Completion
+    means informing every *surviving* agent, so :meth:`complete_mask` is
+    overridden accordingly.
     """
 
     name = "crash-flooding"
@@ -139,3 +85,16 @@ class BatchCrashFaultState(BatchBroadcastState):
                     np.count_nonzero(missing[b] & ~suburb[b])
                 )
         return out
+
+
+class CrashFaultFlooding(BroadcastProtocol):
+    """Flooding where agents crash-stop independently each step: one
+    replica of :class:`BatchCrashFaultState`."""
+
+    name = "crash-flooding"
+    batch_state = BatchCrashFaultState
+    options = ("crash_prob",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.crashed = self.state.crashed[0]

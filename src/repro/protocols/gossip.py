@@ -6,22 +6,20 @@ step.  This is the classic bandwidth-limited baseline: coverage grows more
 slowly than flooding, bounded below by it, and the gap quantifies how much
 the paper's flooding-time bound depends on unlimited local bandwidth.
 
-Both implementations sample by **neighbor index** against the
-informed/uninformed cut instead of materializing the full contact list
-(DESIGN.md, "Batched protocol framework"): a sender picking ``fanout``
-uniform neighbors spreads the message iff a picked index falls below its
-cut-degree, so only the cut contacts
-(:meth:`~repro.geometry.neighbors.BoundSnapshot.contacts_within`), the
+The state samples by **neighbor index** against the informed/uninformed
+cut instead of materializing the full contact list (DESIGN.md, "Batched
+protocol framework"): a sender picking ``fanout`` uniform neighbors
+spreads the message iff a picked index falls below its cut-degree, so
+only the cut contacts
+(:meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within`), the
 senders' total degrees (one ``count_within``), and ``fanout`` uniform
 draws per cut-incident sender are needed — ``O(cut)`` per step instead of
 ``O(edges)``, which collapses the early (few informed) and late (few
 uninformed) phases of a run.  Draw order is canonical — senders ascending,
 their cut-neighbors ascending — so trajectories are independent of the
-neighbor backend and the batched state replays the scalar draws
-seed-for-seed.  The scalar protocol sorts its cut into that order; the
-batched state takes it as returned, because
-:meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within` returns
-the cut sorted by (replica, sender, target) on every backend.
+neighbor backend and of the batch size.  The state takes that order as
+returned, because ``contacts_within`` returns the cut sorted by (replica,
+sender, target) on every backend.
 """
 
 from __future__ import annotations
@@ -39,49 +37,13 @@ from repro.protocols.base import (
 __all__ = ["GossipProtocol", "BatchGossipState"]
 
 
-class GossipProtocol(BroadcastProtocol):
-    """Push gossip: ``fanout`` random in-range targets per informed agent per step.
-
-    Targets are drawn among *all* neighbors within ``R`` (informed or not),
-    modelling wasted transmissions as in standard gossip analyses; senders
-    whose picks all land on informed neighbors simply waste the step.
-    """
-
-    name = "gossip"
-
-    def __init__(self, *args, fanout: int = 1, **kwargs):
-        super().__init__(*args, **kwargs)
-        if not _is_integer(fanout) or fanout < 1:
-            raise ValueError(f"fanout must be an integer of at least 1, got {fanout!r}")
-        self.fanout = int(fanout)
-
-    def _exchange(self, positions: np.ndarray) -> np.ndarray:
-        uninformed_idx = np.nonzero(~self.informed)[0]
-        if uninformed_idx.size == 0:
-            return np.empty(0, dtype=np.intp)
-        informed_idx = np.nonzero(self.informed)[0]
-        snapshot = self.engine.bind(positions, self.radius)
-        s_cut, t_cut = snapshot.contacts_within(informed_idx, uninformed_idx)
-        if s_cut.size == 0:
-            return np.empty(0, dtype=np.intp)
-        # Canonical order: senders ascending, cut-neighbors ascending.
-        order = np.argsort(s_cut * self.n + t_cut)
-        s_cut = s_cut[order]
-        t_cut = t_cut[order]
-        senders, cut_degree, offsets = group_segments(s_cut)
-        # Total degree: every agent within R (minus the sender itself).
-        degree = snapshot.count_within(self._all_idx, senders) - 1
-        r = self.rng.uniform(size=(self.fanout, senders.size))
-        picks = sample_indices(r, degree)
-        # A sender's neighbors are canonically ordered cut-first, so a
-        # picked index below the cut-degree informs that cut-neighbor.
-        hit = (picks >= 0) & (picks < cut_degree[None, :])
-        targets = t_cut[(offsets[None, :] + picks)[hit]]
-        return self._mark_informed(np.unique(targets))
-
-
 class BatchGossipState(BatchBroadcastState):
     """``B`` independent push-gossip runs in lock-step.
+
+    Targets are drawn among *all* neighbors within ``R`` (informed or
+    not), modelling wasted transmissions as in standard gossip analyses;
+    senders whose picks all land on informed neighbors simply waste the
+    step.
 
     One batched
     :meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within` call
@@ -91,10 +53,8 @@ class BatchGossipState(BatchBroadcastState):
     sender degrees, and a single
     :func:`~repro.protocols.base.sample_indices` pass picks every sender's
     neighbors at once.  Only the uniform draws stay per replica — one
-    ``uniform((fanout, S_b))`` call per replica per step, sized and
-    ordered exactly like the scalar protocol's draw (replicas without
-    cut-incident senders draw nothing, as the scalar early-returns before
-    its draw).
+    ``uniform((fanout, S_b))`` block per replica per step over its
+    cut-incident senders (replicas without such senders draw nothing).
     """
 
     name = "gossip"
@@ -114,7 +74,7 @@ class BatchGossipState(BatchBroadcastState):
         if rep.size == 0:
             return newly
         # The cut comes sorted by (replica, sender, target): each sender's
-        # cut neighbors are one ascending run, in the scalar draw order.
+        # cut neighbors are one ascending run, in the canonical draw order.
         _gids, cut_degree, offsets = group_segments(rep * self.n + s_cut)
         sender_rep = rep[offsets]
         sender_agent = s_cut[offsets]
@@ -130,3 +90,12 @@ class BatchGossipState(BatchBroadcastState):
         pick_pos = (offsets[None, :] + picks)[hit]
         newly[rep[pick_pos], t_cut[pick_pos]] = True
         return self._mark_informed(newly)
+
+
+class GossipProtocol(BroadcastProtocol):
+    """Push gossip, ``fanout`` random in-range targets per informed agent
+    per step: one replica of :class:`BatchGossipState`."""
+
+    name = "gossip"
+    batch_state = BatchGossipState
+    options = ("fanout",)

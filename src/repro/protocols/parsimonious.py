@@ -16,53 +16,14 @@ from repro.protocols.base import BatchBroadcastState, BroadcastProtocol, _is_int
 __all__ = ["ParsimoniousFlooding", "BatchParsimoniousState"]
 
 
-class ParsimoniousFlooding(BroadcastProtocol):
-    """Flooding where transmitters stay active only ``active_window`` steps."""
-
-    name = "parsimonious"
-
-    def __init__(self, *args, active_window: int = 1, **kwargs):
-        super().__init__(*args, **kwargs)
-        if not _is_integer(active_window) or active_window < 1:
-            raise ValueError(
-                f"active_window must be an integer of at least 1, got {active_window!r}"
-            )
-        self.active_window = int(active_window)
-
-    def _active_mask(self) -> np.ndarray:
-        """Agents still within their transmission window at the current step."""
-        age = self.step_count - self.informed_at
-        return self.informed & (age >= 1) & (age <= self.active_window)
-
-    def can_progress(self) -> bool:
-        if self.is_complete():
-            return False
-        # Progress is impossible once every informed agent's window closes
-        # before the next step (an agent informed at s transmits during
-        # steps s+1 .. s+active_window).
-        informed_times = self.informed_at[self.informed]
-        return bool(np.any(informed_times + self.active_window >= self.step_count + 1))
-
-    def _exchange(self, positions: np.ndarray) -> np.ndarray:
-        active = self._active_mask()
-        if not np.any(active):
-            return np.empty(0, dtype=np.intp)
-        uninformed = np.nonzero(~self.informed)[0]
-        if uninformed.size == 0:
-            return np.empty(0, dtype=np.intp)
-        hits = self.engine.any_within(positions[active], positions[uninformed], self.radius)
-        return self._mark_informed(uninformed[hits])
-
-
 class BatchParsimoniousState(BatchBroadcastState):
     """``B`` independent parsimonious-flooding runs in lock-step.
 
-    Deterministic given the informed history (no randomness), so parity
-    with the scalar protocol reduces to the shared exact neighbor kernels.
-    Window bookkeeping is the ``informed_at`` tensor the base class
-    already maintains; a replica retires (stalls) once every informed
-    agent's transmission window has closed — the batch counterpart of
-    :meth:`ParsimoniousFlooding.can_progress`.
+    Each agent transmits during the ``active_window`` steps after the one
+    in which it was informed.  Deterministic given the informed history
+    (no randomness).  Window bookkeeping is the ``informed_at`` tensor the
+    base class already maintains; a replica retires (stalls) once every
+    informed agent's transmission window has closed.
     """
 
     name = "parsimonious"
@@ -91,3 +52,12 @@ class BatchParsimoniousState(BatchBroadcastState):
             return np.zeros((self.batch_size, self.n), dtype=bool)
         hits = snapshot.any_within(source_mask, query_mask, self.radius)
         return self._mark_informed(hits)
+
+
+class ParsimoniousFlooding(BroadcastProtocol):
+    """Flooding where transmitters stay active only ``active_window``
+    steps: one replica of :class:`BatchParsimoniousState`."""
+
+    name = "parsimonious"
+    batch_state = BatchParsimoniousState
+    options = ("active_window",)

@@ -16,34 +16,12 @@ from repro.protocols.base import BatchBroadcastState, BroadcastProtocol
 __all__ = ["ProbabilisticFlooding", "BatchProbabilisticState"]
 
 
-class ProbabilisticFlooding(BroadcastProtocol):
-    """Flooding with per-step transmission probability ``p``."""
-
-    name = "probabilistic"
-
-    def __init__(self, *args, p: float = 0.5, **kwargs):
-        super().__init__(*args, **kwargs)
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {p}")
-        self.p = float(p)
-
-    def _exchange(self, positions: np.ndarray) -> np.ndarray:
-        transmitting = self.informed & (self.rng.uniform(size=self.n) < self.p)
-        if not np.any(transmitting):
-            return np.empty(0, dtype=np.intp)
-        uninformed = np.nonzero(~self.informed)[0]
-        if uninformed.size == 0:
-            return np.empty(0, dtype=np.intp)
-        hits = self.engine.any_within(positions[transmitting], positions[uninformed], self.radius)
-        return self._mark_informed(uninformed[hits])
-
-
 class BatchProbabilisticState(BatchBroadcastState):
     """``B`` independent probabilistic-flooding runs in lock-step.
 
     Each active replica draws one ``uniform(n)`` duty-cycle vector per step
-    from its own generator — the scalar draw exactly — and the combined
-    transmit masks feed a single batched infection test.
+    from its own generator, and the combined transmit masks feed a single
+    batched infection test.
     """
 
     name = "probabilistic"
@@ -65,3 +43,12 @@ class BatchProbabilisticState(BatchBroadcastState):
             return np.zeros((self.batch_size, self.n), dtype=bool)
         hits = snapshot.any_within(source_mask, query_mask, self.radius)
         return self._mark_informed(hits)
+
+
+class ProbabilisticFlooding(BroadcastProtocol):
+    """Flooding with per-step transmission probability ``p``: one replica
+    of :class:`BatchProbabilisticState`."""
+
+    name = "probabilistic"
+    batch_state = BatchProbabilisticState
+    options = ("p",)

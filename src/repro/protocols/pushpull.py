@@ -8,17 +8,15 @@ well-mixed graphs; over the Manhattan Suburb both directions still have to
 wait for Lemma-16 meetings, so the gap narrows — one more lens on the
 paper's geometry in the baselines experiment.
 
-Like gossip, both implementations sample by neighbor index against the
+Like gossip, the state samples by neighbor index against the
 informed/uninformed cut: an agent's uniform contact crosses the cut iff
 its picked index falls below the agent's cut-degree, so only the
 cut-incident agents draw (one uniform each) and only the cut contacts are
 materialized — ``O(cut)`` per step.  Draw order is canonical (initiators
-ascending, cut-neighbors ascending), so scalar trajectories are
-backend-independent and the batched state replays them seed-for-seed.
-The scalar protocol sorts the cut and its mirror into that order; the
-batched state sorts nothing, because
-:meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within` returns
-the cut sorted by (replica, sender, target) on every backend.
+ascending, cut-neighbors ascending), so trajectories are independent of
+the neighbor backend and of the batch size.  The state sorts nothing,
+because :meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within`
+returns the cut sorted by (replica, sender, target) on every backend.
 """
 
 from __future__ import annotations
@@ -34,42 +32,6 @@ from repro.protocols.base import (
 __all__ = ["PushPullGossip", "BatchPushPullState"]
 
 
-class PushPullGossip(BroadcastProtocol):
-    """Push-pull gossip: every agent contacts one random in-range neighbor."""
-
-    name = "push-pull"
-
-    def _exchange(self, positions: np.ndarray) -> np.ndarray:
-        uninformed_idx = np.nonzero(~self.informed)[0]
-        if uninformed_idx.size == 0:
-            return np.empty(0, dtype=np.intp)
-        informed_idx = np.nonzero(self.informed)[0]
-        snapshot = self.engine.bind(positions, self.radius)
-        s_cut, t_cut = snapshot.contacts_within(informed_idx, uninformed_idx)
-        if s_cut.size == 0:
-            return np.empty(0, dtype=np.intp)
-        # Both endpoints of every cut contact initiate; agents without a
-        # cut-neighbor cannot move the message, so their picks are skipped.
-        init = np.concatenate([s_cut, t_cut])
-        neighbor = np.concatenate([t_cut, s_cut])
-        order = np.argsort(init * self.n + neighbor)
-        init = init[order]
-        neighbor = neighbor[order]
-        initiators, cut_degree, offsets = group_segments(init)
-        degree = snapshot.count_within(self._all_idx, initiators) - 1
-        r = self.rng.uniform(size=initiators.size)
-        pick = np.floor(r * degree).astype(np.intp)
-        np.minimum(pick, np.maximum(degree - 1, 0), out=pick)
-        cross = pick < cut_degree
-        partner = neighbor[offsets[cross] + pick[cross]]
-        who = initiators[cross]
-        who_informed = self.informed[who]
-        # Informed initiators push to their picked uninformed neighbor;
-        # uninformed initiators pull and inform themselves.
-        newly = np.unique(np.concatenate([partner[who_informed], who[~who_informed]]))
-        return self._mark_informed(newly)
-
-
 class BatchPushPullState(BatchBroadcastState):
     """``B`` independent push-pull runs in lock-step.
 
@@ -77,8 +39,7 @@ class BatchPushPullState(BatchBroadcastState):
     target), and one batched degree count serve every replica.  The
     initiators are the agents with a nonzero cut degree, in ascending
     flat order; the uniform draws stay per replica — one ``uniform(S_b)``
-    call per replica per step over its cut-incident initiators, the
-    scalar draw exactly.
+    block per replica per step over its cut-incident initiators.
     """
 
     name = "push-pull"
@@ -98,7 +59,7 @@ class BatchPushPullState(BatchBroadcastState):
         senders, sender_degree, sender_offsets = group_segments(rep * self.n + s_cut)
         cut_degree = np.bincount(rep * self.n + t_cut, minlength=newly.size)
         cut_degree[senders] = sender_degree
-        # Initiators in ascending flat order: the scalar draw order.
+        # Initiators in ascending flat order: the canonical draw order.
         initiators = np.flatnonzero(cut_degree)
         init_mask = (cut_degree > 0).reshape(newly.shape)
         counts = snapshot.count_within(
@@ -118,3 +79,11 @@ class BatchPushPullState(BatchBroadcastState):
         newly[rep[pos_sel], t_cut[pos_sel]] = True
         newly.reshape(-1)[initiators[cross & ~pushes]] = True
         return self._mark_informed(newly)
+
+
+class PushPullGossip(BroadcastProtocol):
+    """Push-pull gossip, every agent contacting one random in-range
+    neighbor: one replica of :class:`BatchPushPullState`."""
+
+    name = "push-pull"
+    batch_state = BatchPushPullState

@@ -1,9 +1,10 @@
 """Simulation engine: configs, seeded runs, multi-trial aggregation.
 
 Two execution engines share one seed schedule: the scalar
-:class:`Simulation` (the reference, one trial at a time) and the vectorized
+:class:`Simulation` (one trial at a time) and the vectorized
 :class:`BatchSimulation` (``engine="batch"`` — B trials in lock-step,
-identical results, much faster for multi-trial workloads).
+identical results, much faster for multi-trial workloads).  Both run the
+same protocol states, the scalar engine at B=1.
 """
 
 from repro.simulation.batch import (

@@ -12,8 +12,8 @@ position tensor, so every per-step cost is paid once per *batch*:
   answers every replica's neighbor queries with a single engine call
   via the tile-offset / cell-cover kernels of
   :class:`~repro.geometry.neighbors.BatchNeighborQuery` — **every**
-  protocol in :data:`~repro.protocols.PROTOCOL_REGISTRY` has a batched
-  state in :data:`~repro.protocols.BATCH_PROTOCOL_REGISTRY`;
+  protocol in :data:`~repro.protocols.PROTOCOL_REGISTRY` is a one-replica
+  view of its state in :data:`~repro.protocols.BATCH_PROTOCOL_REGISTRY`;
 * zone tracking: Central-Zone/Suburb classification runs over the flattened
   tensor in one call.
 
@@ -22,12 +22,11 @@ only from its own spawned streams, in the scalar call order, so
 :func:`run_protocol_batch` returns **exactly** the results of
 :func:`~repro.simulation.runner.run_flooding` over the same seed sequences
 (trial-for-trial, asserted by the parity tests — including the stochastic
-protocols, whose per-replica generators replay the scalar draws).  Replicas
+protocols, whose per-replica generators draw in a fixed per-step order).  Replicas
 retire individually — at completion *or* when the protocol reports it can
 no longer progress (parsimonious window close, SIR die-out, crash-fault
 starvation) — freezing their state and generators exactly where the scalar
-loop would have stopped.  The scalar engine remains the reference
-implementation.
+loop would have stopped.
 """
 
 from __future__ import annotations

@@ -79,20 +79,19 @@ class FloodingConfig:
             with a narrower vocabulary raise their own error at
             construction instead of silently substituting a default.
         backend: neighbor-engine backend — ``"auto"``, ``"grid"``,
-            ``"kdtree"``, ``"brute"``, or ``"cells"`` (the batch engine's
-            cell cover; rejected when the run resolves to the scalar
-            engine).
+            ``"kdtree"``, ``"brute"``, or ``"cells"`` (the batch neighbor
+            query's cell cover, which both engines run).
         seed: root seed for all randomness of the run.
         threshold_factor: Definition 4's Central-Zone constant (3/8 paper).
         multi_hop: flooding semantics (see
-            :class:`~repro.protocols.flooding.FloodingProtocol`).
+            :class:`~repro.protocols.flooding.BatchFloodingState`).
         track_zones: record per-zone completion metrics (requires a cell
             grid satisfying Ineq. 6 — disabled automatically when the radius
             admits no grid; a grid wider than 4096 cells per side, from a
             radius far below the side, is rejected at construction).
-        engine: multi-trial execution engine — ``"scalar"`` (the reference
-            :class:`~repro.simulation.engine.Simulation`, one trial at a
-            time), ``"batch"`` (lock-step
+        engine: multi-trial execution engine — ``"scalar"`` (the
+            :class:`~repro.simulation.engine.Simulation` loop, one trial at
+            a time), ``"batch"`` (lock-step
             :class:`~repro.simulation.batch.BatchSimulation`; every
             registered protocol, identical results, markedly faster for
             many trials), or ``"auto"`` (batch whenever both the protocol
@@ -204,11 +203,6 @@ class FloodingConfig:
             )
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
-        if self.backend == "cells" and self.resolved_engine == "scalar":
-            raise ValueError(
-                "backend 'cells' is the batch engine's cell cover and this config "
-                "runs on the scalar engine; use 'auto', 'grid', 'kdtree' or 'brute'"
-            )
         if self.batch_size < 0:
             raise ValueError(f"batch_size must be non-negative, got {self.batch_size}")
         if self.kernels not in KERNEL_TIERS:

@@ -4,7 +4,9 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+from protocol_oracles import OracleFlooding
 from repro.core import theory
 from repro.experiments.thm18_lower import _conditioned_state, _fraction_trials
 from repro.mobility.mrwp import ManhattanRandomWaypoint
@@ -49,9 +51,10 @@ def test_trapped_agent_placed_after_ten_thousand_misses():
     assert (state.positions[1:] > 3.0 * d).all()
 
 
-def _one_trial_at_a_time(n, side, d, radius, fraction, speed, bound, trials, seed):
+def _one_trial_at_a_time(protocol_cls, n, side, d, radius, fraction, speed, bound, trials, seed):
     """Reference for ``_fraction_trials``: each conditioned trial on its own
-    scalar mobility model and flooding protocol, sharing its generator."""
+    scalar mobility model and ``protocol_cls`` flooding, sharing its
+    generator."""
     sampler = PalmStationarySampler(side)
     steps = []
     for trial in range(trials):
@@ -59,7 +62,7 @@ def _one_trial_at_a_time(n, side, d, radius, fraction, speed, bound, trials, see
         state = _conditioned_state(n, side, d, sampler, rng)
         source = int(np.argmax(np.max(state.positions, axis=1)))
         model = ManhattanRandomWaypoint(n, side, speed, rng=rng, init=state)
-        protocol = FloodingProtocol(n, side, radius, source, rng=rng)
+        protocol = protocol_cls(n, side, radius, source, rng=rng)
         informed_at = math.inf
         for step in range(1, int(8 * bound) + 201):
             protocol.step(model.step())
@@ -70,9 +73,11 @@ def _one_trial_at_a_time(n, side, d, radius, fraction, speed, bound, trials, see
     return steps
 
 
-def test_fraction_trials_match_a_scalar_loop():
+@pytest.mark.parametrize("protocol_cls", [OracleFlooding, FloodingProtocol])
+def test_fraction_trials_match_a_scalar_loop(protocol_cls):
     # Lock-step replicas retire the round their trapped agent is informed;
-    # every trial must still report the step a one-trial loop reports.
+    # every trial must still report the step a one-trial loop reports,
+    # with the flooding oracle or the scalar protocol.
     n, trials, seed = 300, 4, 5
     side = math.sqrt(n)
     d = side / n ** (1.0 / 3.0)
@@ -81,7 +86,7 @@ def test_fraction_trials_match_a_scalar_loop():
         speed = fraction * radius
         bound = theory.flooding_lower_bound(n, side, radius, speed, d_constant=1.0)
         args = (n, side, d, radius, fraction, speed, bound, trials, seed)
-        expected = _one_trial_at_a_time(*args)
+        expected = _one_trial_at_a_time(protocol_cls, *args)
         assert all(math.isfinite(step) for step in expected), expected
         assert len(set(expected)) > 1, expected
         assert _fraction_trials(args) == expected, fraction

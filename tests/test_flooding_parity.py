@@ -3,15 +3,17 @@
 The repo's core invariant: grid vs KD-tree vs cell cover, scalar vs batch
 engine, and numpy vs compiled kernels are *performance* choices — with
 fixed seeds every combination must produce identical trial results, down
-to the informed-at step of every agent.  On the compiled tier the batch
-engine answers the infection test with one C kernel, so the ``"numpy"``
-arm is what runs the cell cover (frontier source pruning included) and
-the multi-hop frontier end to end.
+to the informed-at step of every agent, and must equal the independent
+flooding oracle of ``tests/protocol_oracles.py``.  On the compiled tier
+both engines answer the infection test with one C kernel, so the
+``"numpy"`` arm is what runs the cell cover (frontier source pruning
+included) and the multi-hop frontier end to end.
 """
 
 import numpy as np
 import pytest
 
+from protocol_oracles import OracleFlooding, oracle_trials
 from repro.geometry.neighbors import (
     BatchNeighborQuery,
     BruteForceNeighborEngine,
@@ -25,7 +27,7 @@ from repro.simulation import run_trials, standard_config
 KERNELS = ["numpy", "auto"]
 
 
-def fingerprints(config, trials=4):
+def fingerprints(config, trials=4, run=run_trials):
     return [
         (
             r.flooding_time,
@@ -36,7 +38,7 @@ def fingerprints(config, trials=4):
             r.cz_completion_time,
             r.suburb_completion_time,
         )
-        for r in run_trials(config, trials)
+        for r in run(config, trials)
     ]
 
 
@@ -60,47 +62,40 @@ class TestStrategyParity:
             90, seed=23, mobility=mobility,
             mobility_options=dict(mobility_options), engine=engine,
         )
-        reference = fingerprints(base.with_options(kernels="numpy"))
-        assert fingerprints(base.with_options(kernels="auto")) == reference, (mobility, engine)
+        reference = fingerprints(base, run=oracle_trials)
+        for kernels in KERNELS:
+            got = fingerprints(base.with_options(kernels=kernels))
+            assert got == reference, (mobility, engine, kernels)
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_backends_agree_across_kernel_tiers(self, backend):
-        reference = None
+        reference = fingerprints(standard_config(70, seed=31, backend=backend), 3, oracle_trials)
         for engine in ("scalar", "batch"):
             for kernels in KERNELS:
                 config = standard_config(
                     70, seed=31, backend=backend, engine=engine, kernels=kernels
                 )
                 got = fingerprints(config, trials=3)
-                if reference is None:
-                    reference = got
                 assert got == reference, (backend, engine, kernels)
 
     @pytest.mark.parametrize("engine", ["scalar", "batch"])
     def test_multi_hop_frontier_parity(self, engine):
         """Multi-hop rounds send from the fresh frontier only: both tiers
-        of each engine must match the scalar numpy run."""
+        of each engine must match the oracle."""
         base = standard_config(80, seed=17, multi_hop=True, engine=engine)
-        reference = fingerprints(base.with_options(engine="scalar", kernels="numpy"))
+        reference = fingerprints(base, run=oracle_trials)
         for kernels in KERNELS:
             assert fingerprints(base.with_options(kernels=kernels)) == reference, kernels
 
     def test_randomized_sweep_across_seeds(self):
         """Randomized workloads: every engine and kernel tier, many seeds."""
         for seed in (1, 7, 101):
-            reference = None
+            base = standard_config(60, seed=seed, radius_factor=1.2)
+            reference = fingerprints(base, 3, oracle_trials)
             for engine in ("scalar", "batch"):
                 for kernels in KERNELS:
-                    config = standard_config(
-                        60,
-                        seed=seed,
-                        radius_factor=1.2,
-                        engine=engine,
-                        kernels=kernels,
-                    )
+                    config = base.with_options(engine=engine, kernels=kernels)
                     got = fingerprints(config, trials=3)
-                    if reference is None:
-                        reference = got
                     assert got == reference, (seed, engine, kernels)
 
 
@@ -152,30 +147,30 @@ class TestAdversarialStates:
             assert np.array_equal(got, brute), radius
 
     def test_scalar_protocol_with_external_informed_surgery(self, rng):
-        """The incremental index lists must resync when the informed mask
-        is mutated behind the protocol's back (near-complete case)."""
+        """Writes to the view's informed row are the state's: after
+        surgery that informs all but 2 agents, only those 2 can be newly
+        informed."""
         n, side, radius = 120, 11.0, 1.4
         protocol = FloodingProtocol(n, side, radius, source=0)
         protocol.informed[:-2] = True  # external surgery: all but 2 informed
         positions = rng.uniform(0, side, size=(n, 2))
         newly = protocol.step(positions)
-        expected_uninformed = np.nonzero(~protocol.informed)[0]
         assert set(newly) <= {n - 2, n - 1}
-        assert protocol._uninformed_idx.size == expected_uninformed.size
+        assert np.array_equal(protocol.informed, protocol.state.informed[0])
 
     def test_scalar_protocol_with_count_preserving_surgery(self, rng):
-        """Surgery that keeps the informed *count* but moves the bits must
-        also resync the incremental index lists (membership scan)."""
+        """Surgery that keeps the informed *count* but moves the bits
+        steps like an oracle given the same informed set."""
         n, side, radius = 80, 9.0, 1.2
         positions = rng.uniform(0, side, size=(n, 2))
         protocol = FloodingProtocol(n, side, radius, source=0)
-        protocol.step(positions)  # populate the cached lists
+        protocol.step(positions)
         count = protocol.informed_count
         # Surgery: same count, entirely different agents.
         protocol.informed[:] = False
         protocol.informed[n - count:] = True
         newly = protocol.step(positions)
-        reference = FloodingProtocol(n, side, radius, source=n - 1)
+        reference = OracleFlooding(n, side, radius, source=n - 1)
         reference.informed[:] = False
         reference.informed[n - count:] = True
         expected = reference.step(positions)
@@ -196,14 +191,15 @@ class TestAdversarialStates:
         for b in range(batch):
             labels = DiskGraph(positions[b], radius, side=side, engine=brute).component_labels()
             assert np.array_equal(state.informed[b], labels == labels[sources[b]]), b
-            protocol = FloodingProtocol(
+            oracle = OracleFlooding(
                 n, side, radius, source=int(sources[b]), multi_hop=True, backend="grid"
             )
-            protocol.step(positions[b])
-            assert np.array_equal(protocol.informed, state.informed[b]), b
+            oracle.step(positions[b])
+            assert np.array_equal(oracle.informed, state.informed[b]), b
 
     def test_batch_state_round_equals_scalar_round(self, rng):
-        """One communication round, same positions: batch rows == scalar."""
+        """One communication round, same positions: batch rows == the
+        one-replica view == the oracle."""
         n, side, radius = 150, 12.0, 1.3
         batch = 4
         positions = rng.uniform(0, side, size=(batch, n, 2))
@@ -214,9 +210,11 @@ class TestAdversarialStates:
             )
             state.step(positions)
             for b in range(batch):
-                protocol = FloodingProtocol(
-                    n, side, radius, source=int(sources[b]), multi_hop=multi_hop
-                )
-                protocol.step(positions[b])
-                assert np.array_equal(state.informed[b], protocol.informed), (b, multi_hop)
-                assert np.array_equal(state.informed_at[b], protocol.informed_at), (b, multi_hop)
+                for cls in (FloodingProtocol, OracleFlooding):
+                    protocol = cls(
+                        n, side, radius, source=int(sources[b]), multi_hop=multi_hop
+                    )
+                    protocol.step(positions[b])
+                    label = (cls.__name__, b, multi_hop)
+                    assert np.array_equal(state.informed[b], protocol.informed), label
+                    assert np.array_equal(state.informed_at[b], protocol.informed_at), label

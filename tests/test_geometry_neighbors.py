@@ -19,6 +19,7 @@ from repro.geometry.neighbors import (
 )
 from repro.kernels import kernel_backend, provider_kernels, use_kernel_tier
 from repro.kernels._glue import _contacts_capacity
+from repro.protocols import FloodingProtocol
 
 BACKENDS = available_backends()
 
@@ -109,17 +110,6 @@ class TestBoundSnapshot:
             assert np.array_equal(snapshot.any_within(source_idx, query_idx), expected_any)
             assert np.array_equal(snapshot.count_within(source_idx, query_idx), expected_count)
 
-    def test_snapshot_dense_sources_few_queries(self, backend, rng):
-        """The grid snapshot's full-index path (dense sources, few queries)."""
-        points = rng.uniform(0, 10, (200, 2))
-        engine = make_engine(backend, 10.0)
-        brute = BruteForceNeighborEngine(10.0)
-        snapshot = engine.bind(points, 1.5)
-        source_idx = np.arange(190)
-        query_idx = np.arange(190, 200)
-        expected = brute.any_within(points[source_idx], points[query_idx], 1.5)
-        assert np.array_equal(snapshot.any_within(source_idx, query_idx), expected)
-
     def test_snapshot_empty_sides(self, backend, rng):
         points = rng.uniform(0, 10, (30, 2))
         snapshot = make_engine(backend, 10.0).bind(points, 1.0)
@@ -130,8 +120,8 @@ class TestBoundSnapshot:
         assert snapshot.any_within(some, empty).size == 0
 
     def test_successive_binds_match_brute(self, backend, rng):
-        """Successive binds of one engine with drifting points, on both
-        sides of the grid snapshot's dense-source switch."""
+        """Successive binds of one engine with drifting points, sparse and
+        dense informed sets."""
         engine = make_engine(backend, 10.0)
         brute = BruteForceNeighborEngine(10.0)
         points = rng.uniform(0, 10, (150, 2))
@@ -155,10 +145,11 @@ class TestBoundSnapshot:
 @pytest.mark.skipif(
     kernel_backend() is None, reason="no compiled kernel provider builds on this host"
 )
-class TestCompiledAutoSnapshot:
-    """On the compiled tier, snapshots of ``make_engine("auto")`` answer
-    ``any_within`` with ``batch_any_within`` at B=1; explicit backends
-    keep their own code."""
+class TestCompiledScalarRound:
+    """On the compiled tier a scalar protocol's round is a one-replica
+    batch query: an ``"auto"`` backend answers the infection test with
+    ``batch_any_within`` at B=1, and explicit backends keep their own
+    code."""
 
     SIDE = 10.0
 
@@ -175,15 +166,17 @@ class TestCompiledAutoSnapshot:
         monkeypatch.setitem(table, "batch_any_within", counted)
         return calls
 
-    def _check(self, points, radius, source_idx, query_idx):
-        """The compiled answer equals the numpy-tier answer of the same
-        ``auto`` engine."""
-        engine = make_engine("auto", self.SIDE)
-        expected = engine.bind(points, radius).any_within(source_idx, query_idx)
-        with use_kernel_tier("compiled"):
-            got = engine.bind(points, radius).any_within(source_idx, query_idx)
-        assert np.array_equal(got, expected)
-        return got
+    def _round(self, points, radius, informed, backend="auto"):
+        """Newly informed agents of one flooding round from ``informed``,
+        checked equal on the numpy and the compiled tier."""
+        newly = {}
+        for tier in ("numpy", "compiled"):
+            protocol = FloodingProtocol(points.shape[0], self.SIDE, radius, 0, backend=backend)
+            protocol.informed[:] = informed
+            with use_kernel_tier(tier):
+                newly[tier] = protocol.step(points)
+        assert np.array_equal(newly["compiled"], newly["numpy"])
+        return newly["compiled"]
 
     @pytest.mark.parametrize("n", [2, 500, 5000])
     def test_matches_numpy_tier_on_random_snapshots(self, n, rng, kernel_calls):
@@ -192,15 +185,8 @@ class TestCompiledAutoSnapshot:
         for informed_frac in (0.02, 0.5, 0.98):
             informed = rng.uniform(size=n) < informed_frac
             informed[0], informed[-1] = True, False
-            self._check(points, radius, np.nonzero(informed)[0], np.nonzero(~informed)[0])
+            self._round(points, radius, informed)
         assert kernel_calls and all(shape == (1, n, 2) for shape in kernel_calls)
-
-    def test_empty_source_or_query_sets(self, rng):
-        points = rng.uniform(0, self.SIDE, (40, 2))
-        empty = np.empty(0, dtype=np.intp)
-        some = np.arange(10)
-        assert self._check(points, 1.0, empty, some).tolist() == [False] * 10
-        assert self._check(points, 1.0, some, empty).size == 0
 
     def test_points_on_the_edges_and_exactly_r_apart(self, kernel_calls):
         s, r = self.SIDE, 0.5
@@ -210,28 +196,28 @@ class TestCompiledAutoSnapshot:
             [2.0, 5.0], [2.5, 5.0],  # interior pair exactly R apart
             [7.0, 7.0], [7.0 + r * (1 + 1e-9), 7.0],  # just beyond R
         ])
-        sources = np.array([1, 5, 7, 9])
-        queries = np.array([0, 2, 3, 4, 6, 8, 10])
-        got = self._check(points, r, sources, queries)
-        assert got.tolist() == [False, False, False, True, True, True, False]
+        informed = np.zeros(len(points), dtype=bool)
+        informed[[1, 5, 7, 9]] = True
+        assert self._round(points, r, informed).tolist() == [4, 6, 8]
         assert kernel_calls
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_explicit_backends_never_dispatch(self, backend, rng, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError(f"explicit {backend!r} engine called the kernel")
+            raise AssertionError(f"explicit {backend!r} backend called the kernel")
 
         monkeypatch.setitem(provider_kernels(), "batch_any_within", refuse)
         points = rng.uniform(0, self.SIDE, (300, 2))
         informed = rng.uniform(size=300) < 0.3
-        source_idx, query_idx = np.nonzero(informed)[0], np.nonzero(~informed)[0]
-        engine = make_engine(backend, self.SIDE)
+        informed[0] = True
+        protocol = FloodingProtocol(300, self.SIDE, 0.8, 0, backend=backend)
+        protocol.informed[:] = informed
         with use_kernel_tier("compiled"):
-            got = engine.bind(points, 0.8).any_within(source_idx, query_idx)
-        expected = BruteForceNeighborEngine(self.SIDE).any_within(
-            points[source_idx], points[query_idx], 0.8
+            newly = protocol.step(points)
+        hits = BruteForceNeighborEngine(self.SIDE).any_within(
+            points[informed], points[~informed], 0.8
         )
-        assert np.array_equal(got, expected)
+        assert np.array_equal(newly, np.flatnonzero(~informed)[hits])
 
 
 @pytest.mark.skipif(
@@ -435,24 +421,6 @@ class TestCachesAndProbes:
         first.append("bogus")
         assert "bogus" not in available_backends()
 
-    def test_grid_snapshot_shares_one_index_per_source_set(self, rng):
-        """any_within + count_within on one bound snapshot build one index
-        (array identity is stable inside a snapshot, unlike the
-        coordinate API where every call gathers fresh arrays)."""
-        engine = GridNeighborEngine(10.0)
-        points = rng.uniform(0, 10, (60, 2))
-        snapshot = engine.bind(points, 1.0)
-        source_idx = np.arange(20)
-        query_idx = np.arange(20, 60)
-        snapshot.any_within(source_idx, query_idx)
-        index_first = snapshot._memo[1]
-        snapshot.count_within(source_idx, query_idx)
-        assert snapshot._memo[1] is index_first
-        # A different source set must index afresh.
-        other_idx = np.arange(10)
-        snapshot.any_within(other_idx, query_idx)
-        assert snapshot._memo[1] is not index_first
-
     def test_grid_memo_detects_in_place_mutation(self, rng):
         """Advancing a positions array *in place* between calls must not
         serve a stale index (regression guard for the memo)."""
@@ -495,9 +463,10 @@ class TestScipyImport:
             ('run_trials(config.with_options(engine="batch"), 4)', False),
             ("run_flooding(config)", False),
             # Compiled-tier gossip and push-pull count sender degrees from
-            # the batch_contacts kernel: no tree either.
+            # the batch_contacts kernel, on either engine: no tree either.
             ('run_trials(config.with_options(engine="batch", protocol="gossip"), 2)', False),
             ('run_trials(config.with_options(engine="batch", protocol="push-pull"), 2)', False),
+            ('run_flooding(config.with_options(protocol="gossip"))', False),
             # On the numpy tier the degree count still builds a KD-tree.
             (
                 'run_trials(config.with_options(engine="batch", protocol="gossip",'
@@ -508,7 +477,7 @@ class TestScipyImport:
         ],
         ids=[
             "batch-flooding", "scalar-flooding", "batch-gossip", "batch-push-pull",
-            "numpy-batch-gossip", "explicit-kdtree",
+            "scalar-gossip", "numpy-batch-gossip", "explicit-kdtree",
         ],
     )
     def test_only_tree_building_runs_import_scipy_spatial(self, run, imported):
@@ -599,20 +568,6 @@ class TestContactsWithin:
         s, q = snapshot.contacts_within(source_idx, query_idx)
         assert set(zip(s.tolist(), q.tolist())) == self._reference(
             points, source_idx, query_idx, 1.3
-        )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dense_sources_few_queries(self, backend, rng):
-        """The late-round shape (sources ~ n, a handful of queries) — the
-        grid backend's persistent full-index path."""
-        points = rng.uniform(0, 12, (200, 2))
-        engine = make_engine(backend, 12.0)
-        snapshot = engine.bind(points, 1.5)
-        source_idx = np.arange(197)
-        query_idx = np.array([197, 198, 199])
-        s, q = snapshot.contacts_within(source_idx, query_idx)
-        assert set(zip(s.tolist(), q.tolist())) == self._reference(
-            points, source_idx, query_idx, 1.5
         )
 
     def test_empty_sides(self, rng):

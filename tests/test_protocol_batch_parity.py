@@ -1,13 +1,15 @@
-"""Batch-vs-scalar seed-for-seed parity for EVERY registered protocol.
+"""Seed-for-seed parity of both engines with the protocol oracles.
 
-PR 3's contract: any protocol in ``PROTOCOL_REGISTRY`` runs under
-``engine="batch"`` and reproduces the scalar reference trial-for-trial —
-flooding times, coverage curves, stall flags, per-agent informed steps,
-and the protocol-specific extras (crashed/recovered counts, zone-resolved
-misses).  The sweep covers every protocol x neighbor backend x mobility
-model, and the retirement semantics that only the non-flooding protocols
-exercise: parsimonious window-close, SIR die-out before coverage, and
-crash-fault completion over survivors only.
+Every protocol in ``PROTOCOL_REGISTRY`` runs on ``engine="scalar"`` (a
+one-replica view of its batch state) and ``engine="batch"``, and both
+must reproduce the independent historical implementation in
+``tests/protocol_oracles.py`` trial for trial — flooding times, coverage
+curves, stall flags, per-agent informed steps, and the protocol-specific
+extras (crashed/recovered counts, zone-resolved misses).  The sweep covers
+every protocol x neighbor backend x mobility model, and the retirement
+semantics that only the non-flooding protocols exercise: parsimonious
+window-close, SIR die-out before coverage, and crash-fault completion
+over survivors only.
 """
 
 import math
@@ -15,10 +17,11 @@ import math
 import numpy as np
 import pytest
 
+from protocol_oracles import OracleGossip, OraclePushPull, oracle_trials
 from repro.kernels import kernel_backend, use_kernel_tier
 from repro.protocols import BATCH_PROTOCOL_REGISTRY, PROTOCOL_REGISTRY
-from repro.protocols.gossip import BatchGossipState, GossipProtocol
-from repro.protocols.pushpull import BatchPushPullState, PushPullGossip
+from repro.protocols.gossip import BatchGossipState
+from repro.protocols.pushpull import BatchPushPullState
 from repro.simulation import run_trials, standard_config
 
 #: One canonical option set per protocol (non-defaults so the knobs are
@@ -61,9 +64,14 @@ def fingerprint(result):
 
 
 def assert_parity(config, trials=3):
+    """Both engines equal the oracle trial for trial; returns the batch
+    engine's results."""
+    oracle = [fingerprint(r) for r in oracle_trials(config, trials)]
     scalar = [fingerprint(r) for r in run_trials(config.with_options(engine="scalar"), trials)]
-    batch = [fingerprint(r) for r in run_trials(config.with_options(engine="batch"), trials)]
-    assert scalar == batch
+    batch = run_trials(config.with_options(engine="batch"), trials)
+    assert scalar == oracle
+    assert [fingerprint(r) for r in batch] == oracle
+    return batch
 
 
 class TestRegistryCoverage:
@@ -144,7 +152,7 @@ class TestProtocolParity:
 
 
 class TestRetirementSemantics:
-    """Stalled/died-out replicas retire exactly where the scalar loop stops."""
+    """Stalled/died-out replicas retire exactly where the oracle's loop stops."""
 
     def test_parsimonious_window_close_stalls_batch_like_scalar(self):
         # Sparse network + minimal window: most trials strand the message.
@@ -153,9 +161,7 @@ class TestRetirementSemantics:
             protocol="parsimonious", protocol_options={"active_window": 1},
             max_steps=400,
         )
-        scalar = run_trials(config, 6)
-        batch = run_trials(config.with_options(engine="batch"), 6)
-        assert [fingerprint(r) for r in scalar] == [fingerprint(r) for r in batch]
+        batch = assert_parity(config, 6)
         stalled = [r for r in batch if r.stalled]
         assert stalled, "workload must exercise the window-close stall"
         for r in stalled:
@@ -171,9 +177,7 @@ class TestRetirementSemantics:
             protocol="sir", protocol_options={"recovery_prob": 0.9},
             max_steps=400,
         )
-        scalar = run_trials(config, 6)
-        batch = run_trials(config.with_options(engine="batch"), 6)
-        assert [fingerprint(r) for r in scalar] == [fingerprint(r) for r in batch]
+        batch = assert_parity(config, 6)
         died_out = [r for r in batch if r.stalled]
         assert died_out, "workload must exercise SIR die-out"
         for r in died_out:
@@ -186,9 +190,7 @@ class TestRetirementSemantics:
             protocol="crash-flooding", protocol_options={"crash_prob": 0.02},
             max_steps=400,
         )
-        scalar = run_trials(config, 6)
-        batch = run_trials(config.with_options(engine="batch"), 6)
-        assert [fingerprint(r) for r in scalar] == [fingerprint(r) for r in batch]
+        batch = assert_parity(config, 6)
         survivors_only = [
             r for r in batch if r.completed and r.informed_history[-1] < 100
         ]
@@ -202,33 +204,31 @@ class TestRetirementSemantics:
 
     def test_retired_replicas_freeze_generators(self):
         """A batch mixing fast-stalling and long-running replicas must
-        reproduce the scalar streams — i.e. retired replicas stop drawing
-        while the rest keep lock-stepping."""
+        reproduce the one-trial streams — i.e. retired replicas stop
+        drawing while the rest keep lock-stepping."""
         config = standard_config(
             90, radius_factor=0.8, seed=61,
             protocol="sir", protocol_options={"recovery_prob": 0.5},
             max_steps=400,
         )
-        scalar = run_trials(config, 8)
-        batch = run_trials(config.with_options(engine="batch"), 8)
-        assert [fingerprint(r) for r in scalar] == [fingerprint(r) for r in batch]
+        batch = assert_parity(config, 8)
         n_steps = {r.n_steps for r in batch}
         assert len(n_steps) > 1, "workload must mix retirement steps"
 
 
 TIERS = ["numpy"] + (["compiled"] if kernel_backend() is not None else [])
 
-#: (scalar class, batch class, options) of the cut-sampling protocols.
+#: (oracle class, batch class, options) of the cut-sampling protocols.
 CUT_PROTOCOLS = {
-    "gossip-1": (GossipProtocol, BatchGossipState, {"fanout": 1}),
-    "gossip-3": (GossipProtocol, BatchGossipState, {"fanout": 3}),
-    "push-pull": (PushPullGossip, BatchPushPullState, {}),
+    "gossip-1": (OracleGossip, BatchGossipState, {"fanout": 1}),
+    "gossip-3": (OracleGossip, BatchGossipState, {"fanout": 3}),
+    "push-pull": (OraclePushPull, BatchPushPullState, {}),
 }
 
 
 class TestCutSamplingFromHandBuiltStates:
-    """Batch gossip and push-pull equal their scalar protocols step for
-    step from hand-built informed sets, on both kernel tiers.
+    """Batch gossip and push-pull equal their oracles step for step from
+    hand-built informed sets, on both kernel tiers.
 
     Each replica holds an uninformed agent with several informed
     neighbours (it pulls, or is pushed to by one of many senders) and an
@@ -256,8 +256,8 @@ class TestCutSamplingFromHandBuiltStates:
 
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("protocol", sorted(CUT_PROTOCOLS))
-    def test_batch_equals_scalar(self, protocol, tier):
-        scalar_cls, batch_cls, options = CUT_PROTOCOLS[protocol]
+    def test_batch_equals_oracle(self, protocol, tier):
+        oracle_cls, batch_cls, options = CUT_PROTOCOLS[protocol]
         rng = np.random.default_rng(71)
         positions, informed = self.build(rng)
         seeds = [101, 202, 303]
@@ -268,15 +268,15 @@ class TestCutSamplingFromHandBuiltStates:
             )
             batch.informed[:] = informed
             batch.informed_at[informed] = 0.0
-            scalars = []
+            oracles = []
             for b, seed in enumerate(seeds):
-                protocol_b = scalar_cls(
+                protocol_b = oracle_cls(
                     self.N, self.SIDE, self.RADIUS, 1,
                     rng=np.random.default_rng(seed), **options,
                 )
                 protocol_b.informed[:] = informed[b]
                 protocol_b.informed_at[informed[b]] = 0.0
-                scalars.append(protocol_b)
+                oracles.append(protocol_b)
             # Both hubs straddle the cut with five neighbours each.
             rep, source, query = batch.query.bind(positions).contacts_within(
                 informed, ~informed, self.RADIUS
@@ -292,14 +292,14 @@ class TestCutSamplingFromHandBuiltStates:
                 newly = batch.step(positions, active=active)
                 for b in np.nonzero(active)[0]:
                     expected = np.zeros(self.N, dtype=bool)
-                    expected[scalars[b].step(positions[b])] = True
+                    expected[oracles[b].step(positions[b])] = True
                     assert np.array_equal(newly[b], expected), (step, b)
                 assert not newly[~active].any()
                 moved = positions + rng.uniform(-0.3, 0.3, positions.shape)
                 positions = np.where(
                     active[:, None, None], np.clip(moved, 0.0, self.SIDE), positions
                 )
-        for b, protocol_b in enumerate(scalars):
+        for b, protocol_b in enumerate(oracles):
             assert np.array_equal(batch.informed[b], protocol_b.informed), b
             assert np.array_equal(batch.informed_at[b], protocol_b.informed_at), b
             assert batch.rngs[b].bit_generator.state == protocol_b.rng.bit_generator.state

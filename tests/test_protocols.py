@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.protocols import (
+    BATCH_PROTOCOL_REGISTRY,
     PROTOCOL_REGISTRY,
+    BatchFloodingState,
     BatchGossipState,
     BatchParsimoniousState,
     FloodingProtocol,
@@ -56,6 +58,97 @@ class TestBaseValidation:
             "sir",
             "crash-flooding",
         }
+
+
+def _build(registry, name, n=10, radius=1.0, source=2):
+    """One protocol of ``registry`` with ``source`` as its (only) source."""
+    rngs = [np.random.default_rng(0)]
+    if registry is PROTOCOL_REGISTRY:
+        return registry[name](n, 5.0, radius, source, rng=rngs[0])
+    return registry[name](n, 5.0, radius, [source], rngs=rngs)
+
+
+REGISTRIES = [PROTOCOL_REGISTRY, BATCH_PROTOCOL_REGISTRY]
+REGISTRY_IDS = ["scalar", "batch"]
+
+
+class TestConstructorArguments:
+    """Sources are integer agent indices, the radius is positive and
+    finite, and ``n`` is a positive integer; anything else raises at
+    construction instead of flooding from a truncated index or failing
+    at the first query.  The scalar views inherit the batch check."""
+
+    @pytest.mark.parametrize("registry", REGISTRIES, ids=REGISTRY_IDS)
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_REGISTRY))
+    @pytest.mark.parametrize("source", [2.7, 2.0, True, np.bool_(True), -1, 10], ids=repr)
+    def test_rejects_bad_sources(self, registry, name, source):
+        with pytest.raises(ValueError, match="sources"):
+            _build(registry, name, source=source)
+
+    @pytest.mark.parametrize("registry", REGISTRIES, ids=REGISTRY_IDS)
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_REGISTRY))
+    @pytest.mark.parametrize(
+        "radius", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0], ids=repr
+    )
+    def test_rejects_bad_radii(self, registry, name, radius):
+        with pytest.raises(ValueError, match="radius"):
+            _build(registry, name, radius=radius)
+
+    @pytest.mark.parametrize("registry", REGISTRIES, ids=REGISTRY_IDS)
+    @pytest.mark.parametrize("n", [0, -3, 10.0, True], ids=repr)
+    def test_rejects_bad_agent_counts(self, registry, n):
+        with pytest.raises(ValueError, match="n must be"):
+            _build(registry, "flooding", n=n, source=0)
+
+    @pytest.mark.parametrize("registry", REGISTRIES, ids=REGISTRY_IDS)
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_REGISTRY))
+    def test_accepts_numpy_integers(self, registry, name):
+        protocol = _build(registry, name, n=np.int64(10), source=np.int32(2))
+        assert protocol.n == 10 and type(protocol.n) is int
+        assert np.flatnonzero(protocol.informed).tolist() == [2]
+
+    def test_reported_cases(self):
+        with pytest.raises(ValueError, match="sources"):
+            BatchFloodingState(10, 5.0, 1.0, [2.7])
+        with pytest.raises(ValueError, match="sources"):
+            BatchFloodingState(10, 5.0, 1.0, [True])
+        with pytest.raises(ValueError, match="sources"):
+            FloodingProtocol(10, 5.0, 1.0, 2.7)
+        with pytest.raises(ValueError, match="radius"):
+            BatchFloodingState(10, 5.0, float("nan"), [1])
+        with pytest.raises(ValueError, match="radius"):
+            FloodingProtocol(10, 5.0, float("inf"), 1)
+
+
+class TestScalarView:
+    """A scalar protocol is one replica of its batch state."""
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_REGISTRY))
+    def test_rows_are_views_of_the_state(self, name):
+        protocol = _build(PROTOCOL_REGISTRY, name)
+        state = protocol.state
+        assert type(state) is BATCH_PROTOCOL_REGISTRY[name] and state.batch_size == 1
+        assert not hasattr(protocol, "batch_size")
+        rows = ["informed", "informed_at"] + {
+            "sir": ["recovered"], "crash-flooding": ["crashed"]
+        }.get(name, [])
+        for row in rows:
+            assert np.shares_memory(getattr(protocol, row), getattr(state, row)), row
+            assert getattr(protocol, row).shape == (10,)
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_REGISTRY))
+    def test_step_returns_the_newly_informed_row(self, name):
+        protocol = _build(PROTOCOL_REGISTRY, name)
+        before = protocol.informed.copy()
+        newly = protocol.step(cluster_positions(n=10))
+        assert newly.dtype == np.intp
+        assert newly.tolist() == np.flatnonzero(protocol.informed & ~before).tolist()
+
+    def test_multi_hop_newly_informed_are_ascending(self):
+        n = 8
+        positions = np.stack([np.arange(n, dtype=float)[::-1], np.zeros(n)], axis=1)
+        protocol = FloodingProtocol(n, SIDE, 1.0, 4, multi_hop=True)
+        assert protocol.step(positions).tolist() == [0, 1, 2, 3, 5, 6, 7]
 
 
 class TestFlooding:

@@ -2,7 +2,10 @@
 layering stay in sync."""
 
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import shlex
 import tomllib
@@ -10,8 +13,10 @@ import tomllib
 import pytest
 
 import repro
+import repro.protocols
 from repro.cli import build_parser
 from repro.experiments.registry import EXPERIMENT_MODULES, all_ids, get_spec
+from repro.protocols import BATCH_PROTOCOL_REGISTRY, PROTOCOL_REGISTRY, BatchBroadcastState
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -91,6 +96,29 @@ class TestRegistryConsistency:
             spec = get_spec(experiment_id)
             assert len(spec.paper_ref) > 3
             assert len(spec.description) > 10
+
+
+class TestOneImplementationPerProtocol:
+    """A scalar protocol is a one-replica view of its batch state, and the
+    exchange code lives on the batch states only."""
+
+    def test_scalar_protocols_view_their_batch_state(self):
+        assert set(PROTOCOL_REGISTRY) == set(BATCH_PROTOCOL_REGISTRY)
+        for name, cls in PROTOCOL_REGISTRY.items():
+            assert cls.batch_state is BATCH_PROTOCOL_REGISTRY[name], name
+
+    def test_only_batch_states_define_an_exchange(self):
+        defining = set()
+        for info in pkgutil.iter_modules(repro.protocols.__path__):
+            module = importlib.import_module(f"repro.protocols.{info.name}")
+            for _name, cls in inspect.getmembers(module, inspect.isclass):
+                if cls.__module__ == module.__name__ and "_exchange" in vars(cls):
+                    defining.add(cls)
+        assert all(issubclass(cls, BatchBroadcastState) for cls in defining), defining
+        concrete = {cls for cls in defining if cls is not BatchBroadcastState}
+        assert concrete == set(BATCH_PROTOCOL_REGISTRY.values())
+        for name, cls in PROTOCOL_REGISTRY.items():
+            assert not hasattr(cls, "_exchange"), name
 
 
 class TestDocsExist:

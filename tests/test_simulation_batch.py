@@ -43,9 +43,10 @@ def assert_results_match(scalar_results, batch_results):
 class TestSeedForSeedParity:
     """The batch engine must reproduce the scalar engine trial-for-trial.
 
-    On the compiled tier both engines answer the infection test and the
-    zone counts with the same kernels, so the ``"numpy"`` arm keeps
-    comparing the scalar KD-tree path against the batch cell-cover path.
+    Both engines run the same protocol states (the scalar one at B=1), so
+    these cases check the two simulation loops: mobility, sources,
+    retirement and result assembly.  ``tests/test_protocol_batch_parity.py`` checks the
+    protocols against independent oracles.
     """
 
     @pytest.fixture(params=["numpy", "auto"])

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mobility import MODEL_REGISTRY
+from repro.protocols import PROTOCOL_REGISTRY
 from repro.simulation import run_trials
 from repro.simulation.config import FloodingConfig, standard_config
 from repro.simulation.rng import make_rng, spawn_rngs, spawn_seeds
@@ -49,7 +52,6 @@ class TestFloodingConfig:
             {"threshold_factor": 0.0},
             {"threshold_factor": -0.375},
             {"backend": "kdtee"},
-            {"backend": "cells", "engine": "scalar"},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -91,6 +93,20 @@ class TestFloodingConfig:
         grid = run_trials(config.with_options(backend="grid"), 2)
         assert [r.informed_history.tolist() for r in cells] == [
             r.informed_history.tolist() for r in grid
+        ]
+
+    @pytest.mark.parametrize("protocol", ["flooding", "gossip"])
+    def test_cells_backend_gives_the_same_trials_on_both_engines(self, protocol):
+        """The scalar engine's protocols are one-replica batch states, so
+        the cell cover runs there too."""
+        config = FloodingConfig(
+            n=100, side=10.0, radius=1.0, speed=0.1, max_steps=40,
+            backend="cells", protocol=protocol, engine="scalar",
+        )
+        scalar = run_trials(config, 3)
+        batch = run_trials(config.with_options(engine="batch"), 3)
+        assert [(r.flooding_time, r.informed_history.tolist()) for r in scalar] == [
+            (r.flooding_time, r.informed_history.tolist()) for r in batch
         ]
 
     def test_with_options(self):
@@ -174,6 +190,43 @@ class TestDegenerateConfigs:
             return
         results = run_trials(config, 2)
         assert len(results) == 2
+
+    @given(
+        protocol=st.sampled_from(sorted(PROTOCOL_REGISTRY)),
+        speed=st.sampled_from(["zero", "quarter-radius", "three-sides"]),
+        n=st.integers(min_value=2, max_value=12),
+        radius_frac=st.floats(min_value=0.05, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=1_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_protocols_refuse_or_run_alike_on_both_engines(
+        self, protocol, speed, n, radius_frac, seed
+    ):
+        """Every registered protocol, at speed 0, R/4 or 3·side, down to
+        n = 2 and up to R = L√2: the config raises ``ValueError`` when it
+        is built, or both engines give the same trials."""
+        radius = radius_frac * _SIDE * math.sqrt(2)
+        speed = {"zero": 0.0, "quarter-radius": radius / 4, "three-sides": 3 * _SIDE}[speed]
+        try:
+            config = FloodingConfig(
+                n=n, side=_SIDE, radius=radius, speed=speed, protocol=protocol,
+                max_steps=30, seed=seed,
+            )
+        except ValueError:
+            return
+
+        def fingerprints(engine):
+            return [
+                (
+                    r.flooding_time, r.completed, r.stalled, r.n_steps, r.source,
+                    r.informed_history.tolist(), r.cz_completion_time,
+                    r.suburb_completion_time,
+                    sorted((k, v) for k, v in r.extras.items() if k != "config"),
+                )
+                for r in run_trials(config.with_options(engine=engine), 2)
+            ]
+
+        assert fingerprints("scalar") == fingerprints("batch")
 
 
 class TestRngStreams:
