@@ -186,8 +186,10 @@ def position_along_path(start, end, path_choice, travelled) -> np.ndarray:
     first, _second = leg_lengths(start, end, path_choice)
 
     on_first = travelled <= first
-    # Fraction along the active leg; guard zero-length legs.
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # Fraction along the active leg; guard zero-length legs.  A subnormal
+    # first leg overflows the quotient of a walker already past it; that
+    # fraction is clipped and never selected.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         frac_first = np.where(first > 0, travelled / np.where(first > 0, first, 1.0), 0.0)
         remaining = travelled - first
         second_len = total - first

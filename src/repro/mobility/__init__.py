@@ -1,9 +1,13 @@
-"""Mobility substrate: the MRWP model, baselines, and stationary samplers."""
+"""Mobility substrate: the MRWP model, baselines, and stationary samplers.
+
+Each model has one implementation, a :class:`BatchMobilityModel` in
+:data:`BATCH_MOBILITY_REGISTRY`; the scalar models of
+:data:`MODEL_REGISTRY` are its one-replica views.
+"""
 
 from repro.mobility.base import (
     BatchMobilityModel,
     MobilityModel,
-    ReplicatedBatchMobility,
     record_trajectory,
 )
 from repro.mobility.distributions import (
@@ -75,7 +79,9 @@ MODEL_REGISTRY = {
     "timetable": TimetableMobility,
 }
 """Name -> constructor mapping used by the config/CLI layer and the
-ablation experiments (``composite`` maps to a config-shaped factory)."""
+ablation experiments (``composite`` maps to a config-shaped factory).
+Every entry builds a one-replica view of its
+:data:`BATCH_MOBILITY_REGISTRY` twin."""
 
 BATCH_MOBILITY_REGISTRY = {
     "mrwp": BatchManhattanRandomWaypoint,
@@ -88,16 +94,14 @@ BATCH_MOBILITY_REGISTRY = {
     "composite": batch_composite_with_ferries,
     "timetable": BatchTimetableMobility,
 }
-"""Models with a *native* vectorized batch implementation, key-compatible
-with :data:`MODEL_REGISTRY` (the batch counterpart of
+"""The one implementation of each model, key-compatible with
+:data:`MODEL_REGISTRY` (the batch counterpart of
 ``repro.protocols.BATCH_PROTOCOL_REGISTRY``; ``composite`` maps to a
-config-shaped factory).  Every batch entry is seed-for-seed bit-identical
-to its scalar sibling, and since PR 9 **every** scalar registry name has a
-native batch entry, so ``engine="auto"`` resolves every registered
-mobility to the batch engine.
-:class:`~repro.mobility.base.ReplicatedBatchMobility` remains only as the
-escape hatch for user-supplied scalar models registered without a batch
-twin."""
+config-shaped factory).  A config builds an entry with the arguments it
+gives the :data:`MODEL_REGISTRY` entry
+(``repro.simulation.runner.mobility_arguments``), ``rngs=`` in place of
+``rng=``, and a config naming a model without an entry here is refused
+when it is built."""
 
 NO_INIT_MODELS = frozenset({"random-walk", "random-direction", "ferry"})
 """Registered models with no stationary-initialization vocabulary: their
@@ -108,7 +112,6 @@ config error rather than a silently dropped option."""
 __all__ = [
     "MobilityModel",
     "BatchMobilityModel",
-    "ReplicatedBatchMobility",
     "BatchManhattanRandomWaypoint",
     "BatchManhattanRandomWaypointWithPause",
     "BatchRandomSpeedManhattanWaypoint",

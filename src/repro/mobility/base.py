@@ -2,10 +2,18 @@
 
 A mobility model owns the kinematic state of ``n`` agents on the square
 ``[0, side]^2`` and advances all of them synchronously, one discrete time
-step at a time (the paper's time unit).  Implementations are vectorized:
-state lives in ``(n, 2)`` numpy arrays, never in per-agent objects.
+step at a time (the paper's time unit).  State lives in flat numpy
+arrays, never in per-agent objects.
 
-Concrete models:
+Each model has **one implementation**, a :class:`BatchMobilityModel`
+subclass that advances ``B`` independent replicas in lock-step over a
+``(B, n, 2)`` tensor.  Replica ``b`` draws randomness only from its own
+generator, in a fixed per-step order, so a batch of ``B`` equals ``B``
+one-replica runs seed for seed (DESIGN.md, "Batched execution").  The
+scalar engine's :class:`MobilityModel` classes are one-replica views of
+those batch models, with no kinematics of their own.
+
+Concrete models (scalar view / batch model), among others:
 
 * :class:`repro.mobility.mrwp.ManhattanRandomWaypoint` — the paper's model;
 * :class:`repro.mobility.rwp.RandomWaypoint` — the classic straight-line RWP;
@@ -13,14 +21,6 @@ Concrete models:
   the authors' earlier papers (refs [10, 11]);
 * :class:`repro.mobility.random_direction.RandomDirection` — a billiard-style
   model with a uniform stationary distribution (useful as a contrast).
-
-The batch engine (DESIGN.md, "Batched execution") additionally needs
-**multi-replica** stepping: :class:`BatchMobilityModel` advances ``B``
-independent trials in lock-step over a ``(B, n, 2)`` tensor.  Replica ``b``
-draws randomness only from its own generator, in exactly the order the
-scalar model would, so a batch run reproduces ``B`` scalar runs
-seed-for-seed.  Models without a native vectorized batch implementation are
-adapted through :class:`ReplicatedBatchMobility`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "MobilityModel",
     "BatchMobilityModel",
-    "ReplicatedBatchMobility",
     "record_trajectory",
     "check_dt",
 ]
@@ -50,40 +49,47 @@ def check_dt(dt) -> None:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
-class MobilityModel(abc.ABC):
-    """Abstract base for synchronous agent-mobility processes.
+class MobilityModel:
+    """One model run: the one-replica view of a :class:`BatchMobilityModel`.
+
+    Each registered model builds its batch twin with ``rngs=[rng]`` and
+    holds it at B=1 as :attr:`batch`, so the scalar and the batch engine
+    run the same kinematics code.  :attr:`positions`, :meth:`step`,
+    :attr:`time` and :meth:`advance` read or drive the twin; a subclass
+    adds only its constructor and read-outs of the twin's state.  Argument
+    checks are the twin's.
 
     Args:
-        n: number of agents (positive).
-        side: side length ``L`` of the square region (positive).
-        speed: distance travelled by an agent per unit time (``v`` in the
-            paper).  Models that are not constant-speed (e.g. the random
-            walk) document their own interpretation.
-        rng: numpy random generator; a fresh default generator is created
-            when omitted, but experiments should always pass a seeded one.
+        batch: the twin, a :class:`BatchMobilityModel` with one replica.
     """
 
-    def __init__(self, n: int, side: float, speed: float, rng: np.random.Generator = None):
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        if side <= 0:
-            raise ValueError(f"side must be positive, got {side}")
-        if speed < 0:
-            raise ValueError(f"speed must be non-negative, got {speed}")
-        self.n = int(n)
-        self.side = float(side)
-        self.speed = float(speed)
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self.time = 0.0
+    def __init__(self, batch: "BatchMobilityModel"):
+        if batch.batch_size != 1:
+            raise ValueError(f"a view holds one replica, got {batch.batch_size}")
+        self.batch = batch
+        self.rng = batch.rngs[0]
+        self.n = batch.n
+        self.side = batch.side
+        self.speed = batch.speed
+
+    @staticmethod
+    def _rngs(rng: np.random.Generator = None) -> list:
+        """The twin's generator list: ``rng``, or a fresh default one."""
+        return [rng if rng is not None else np.random.default_rng()]
 
     @property
-    @abc.abstractmethod
+    def time(self) -> float:
+        """Simulated time; a step that raises leaves it unchanged."""
+        return self.batch.time
+
+    @property
     def positions(self) -> np.ndarray:
         """Copy of the current agent positions, shape ``(n, 2)``."""
+        return self.batch.positions[0]
 
-    @abc.abstractmethod
     def step(self, dt: float = 1.0) -> np.ndarray:
         """Advance all agents by ``dt`` time units; returns the new positions."""
+        return self.batch.step(dt, copy=False)[0].copy()
 
     def advance(self, steps: int, dt: float = 1.0) -> np.ndarray:
         """Run ``steps`` consecutive steps; returns the final positions."""
@@ -104,16 +110,19 @@ class MobilityModel(abc.ABC):
 class BatchMobilityModel(abc.ABC):
     """Abstract base for lock-step mobility over ``B`` independent replicas.
 
-    The contract mirrors :class:`MobilityModel` with a leading batch axis,
-    plus one reproducibility guarantee: replica ``b`` consumes randomness
-    exclusively from ``rngs[b]`` and in the same call order as the scalar
-    model seeded identically, so per-trial streams stay bit-reproducible
-    under batching (asserted by the parity tests).
+    The one implementation of a model's kinematics (its
+    :class:`MobilityModel` is the view at B=1), with one reproducibility
+    guarantee: replica ``b`` consumes randomness exclusively from
+    ``rngs[b]``, in a fixed per-step order, so a replica's trajectory does
+    not depend on the batch it runs in (asserted against the historical
+    scalar models by the parity tests).
 
     Args:
         n: number of agents per replica.
         side: side length of each replica's square.
-        speed: agent speed (same interpretation as the scalar model).
+        speed: distance travelled by an agent per unit time (``v`` in the
+            paper).  Models that are not constant-speed (e.g. the random
+            walk) document their own interpretation.
         rngs: one seeded generator per replica; the sequence length defines
             the batch size ``B``.
     """
@@ -197,55 +206,14 @@ class BatchMobilityModel(abc.ABC):
         )
 
 
-class ReplicatedBatchMobility(BatchMobilityModel):
-    """Batch adapter over ``B`` independent scalar models.
-
-    The fallback path of the batch engine: stepping is a Python loop, so
-    there is no vectorization win, but behaviour is bit-identical to the
-    scalar models by construction — any :class:`MobilityModel` becomes
-    batchable without a native implementation.
-
-    Args:
-        models: scalar mobility models, one per replica, all with the same
-            ``(n, side)`` geometry (each owning its per-trial generator).
-    """
-
-    def __init__(self, models):
-        models = list(models)
-        if not models:
-            raise ValueError("models must contain at least one mobility model")
-        first = models[0]
-        for model in models[1:]:
-            if model.n != first.n or model.side != first.side:
-                raise ValueError("all replica models must share n and side")
-        super().__init__(first.n, first.side, first.speed, [m.rng for m in models])
-        self.models = models
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.stack([model.positions for model in self.models], axis=0)
-
-    @property
-    def positions_view(self) -> np.ndarray:
-        # The per-replica stack is a fresh array either way; nothing to view.
-        return self.positions
-
-    def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
-        check_dt(dt)
-        active = self._active_mask(active)
-        for b in np.nonzero(active)[0]:
-            self.models[b].step(dt)
-        self.time += dt
-        return self.positions  # already a fresh stack; `copy` adds nothing
-
-
 def record_trajectory(model: MobilityModel, steps: int, dt: float = 1.0) -> np.ndarray:
     """Record positions over ``steps`` steps, including the initial snapshot.
 
     Returns:
         array of shape ``(steps + 1, n, 2)``; row ``t`` is the position at
-        time ``model.time_at_start + t * dt``.  Used by the Lemma-13/14
-        trajectory analyses (:mod:`repro.core.turns`).
+        time ``t0 + t * dt``, where ``t0`` is ``model.time`` at the call.
+        Used by the Lemma-13/14 trajectory analyses
+        (:mod:`repro.core.turns`).
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")

@@ -8,14 +8,14 @@ and :class:`CompositeMobility` glues them onto a background MRWP population,
 so the delay-tolerant-routing example can compare "wait for Lemma-16
 meetings" against "add ferries".
 
-Since PR 9 the ferry is a thin specialization of the timetable family
-(:mod:`repro.mobility.timetable`): a zero-dwell single-route
-:class:`~repro.mobility.timetable.TimetableMobility` with no riders.  The
-zero-dwell engine path reproduces the historical arc-length arithmetic bit
-for bit (asserted by a pinned regression test), and both models now have
-native batch twins — :class:`BatchFerryPatrol` and
-:class:`BatchCompositeMobility` — so nothing in this module needs the
-``ReplicatedBatchMobility`` fallback any more.
+The ferry is a thin specialization of the timetable family
+(:mod:`repro.mobility.timetable`): a zero-dwell single-route timetable with
+no riders.  The zero-dwell engine path reproduces the historical
+arc-length arithmetic bit for bit (asserted by a pinned regression test).
+As everywhere in :mod:`repro.mobility`, the batch models
+(:class:`BatchFerryPatrol`, :class:`BatchCompositeMobility`) are the one
+implementation, and :class:`FerryPatrol` and :class:`CompositeMobility`
+are their one-replica views.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.mobility.timetable import (
     BatchTimetableMobility,
     Timetable,
     TimetableMobility,
-    _route_positions_at_arc,
     rectangle_route,
 )
 
@@ -45,9 +44,9 @@ __all__ = [
 class FerryPatrol(TimetableMobility):
     """Deterministic agents looping along a closed polyline at constant speed.
 
-    A zero-dwell, single-route, rider-free timetable: vehicles never stop,
-    so their trajectory is the historical constant-speed arc advance
-    (bit-exact with the pre-timetable implementation).
+    The one-replica view of :class:`BatchFerryPatrol`: a zero-dwell,
+    single-route, rider-free timetable, so vehicles never stop and their
+    trajectory is the historical constant-speed arc advance.
 
     Args:
         n: number of ferries, spaced evenly along the route.
@@ -68,35 +67,33 @@ class FerryPatrol(TimetableMobility):
         self, n: int, side: float, speed: float, route: np.ndarray = None,
         rng=None, inset: float = None, jitter: float = 0.0,
     ):
-        if route is None:
-            route = rectangle_route(side, side / 8.0 if inset is None else inset)
-        timetable = Timetable([np.asarray(route, dtype=np.float64)])
-        super().__init__(
-            n, side, speed, rng=rng, timetable=timetable, jitter=jitter,
+        # The twin is a BatchFerryPatrol, not the timetable view's twin.
+        MobilityModel.__init__(
+            self,
+            BatchFerryPatrol(
+                n, side, speed, self._rngs(rng), route=route, inset=inset, jitter=jitter
+            ),
         )
-        # Legacy surface, preserved for tests and downstream callers.
-        self.route = timetable.routes[0]
-        self._seg_lengths = timetable.seg_lengths[0]
-        self._cum = timetable.cum[0]
-        self.route_length = timetable.lengths[0]
+
+    @property
+    def route(self) -> np.ndarray:
+        return self.batch.route
+
+    @property
+    def route_length(self) -> float:
+        return self.batch.route_length
 
     @property
     def _arc(self) -> np.ndarray:
-        return self._engine.veh_arc
-
-    def _positions_at_arc(self, arc: np.ndarray) -> np.ndarray:
-        return _route_positions_at_arc(
-            self.route, self._seg_lengths, self._cum, self.route_length, arc
-        )
+        return self.batch._arc
 
 
 class BatchFerryPatrol(BatchTimetableMobility):
-    """Batch twin of :class:`FerryPatrol` — ``B`` replicas in lock-step.
+    """Ferry patrol for ``B`` replicas in lock-step.
 
-    Ferries are deterministic (``jitter=0``), so every replica carries the
-    identical patrol; the class exists so ``mobility="ferry"`` resolves to
-    a native batch model (and composes into
-    :class:`BatchCompositeMobility`) instead of the replicated fallback.
+    Without jitter every replica carries the identical patrol.
+
+    Args: as :class:`FerryPatrol`, with ``rngs`` in place of ``rng``.
     """
 
     def __init__(
@@ -121,50 +118,28 @@ class CompositeMobility(MobilityModel):
     """Concatenation of several mobility models into one agent population.
 
     Agent indices are assigned block-wise in the order the models are given
-    (e.g. MRWP agents ``0..n-1`` followed by ferries ``n..n+f-1``).
+    (e.g. MRWP agents ``0..n-1`` followed by ferries ``n..n+f-1``).  The
+    view of the :class:`BatchCompositeMobility` of the members' twins, so
+    stepping the composite steps each member.
     """
 
     def __init__(self, models):
         models = list(models)
-        if not models:
-            raise ValueError("at least one model is required")
-        side = models[0].side
-        for model in models[1:]:
-            if abs(model.side - side) > 1e-9:
-                raise ValueError("all composed models must share the same side length")
-        total = sum(model.n for model in models)
-        super().__init__(total, side, max(model.speed for model in models))
+        super().__init__(BatchCompositeMobility([model.batch for model in models]))
         self.models = models
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.concatenate([model.positions for model in self.models], axis=0)
-
-    def step(self, dt: float = 1.0) -> np.ndarray:
-        check_dt(dt)
-        for model in self.models:
-            model.step(dt)
-        self.time += dt
-        return self.positions
 
     def block_slices(self) -> list:
         """Index slice of each composed model's agents, in composition order."""
-        out = []
-        start = 0
-        for model in self.models:
-            out.append(slice(start, start + model.n))
-            start += model.n
-        return out
+        return self.batch.block_slices()
 
 
 class BatchCompositeMobility(BatchMobilityModel):
-    """Block-wise concatenation of native batch models, advanced in lock-step.
+    """Block-wise concatenation of batch models, advanced in lock-step.
 
-    The batch twin of :class:`CompositeMobility`: each member keeps its own
-    ``(B, n_i, 2)`` state and the composite maintains an assembled
-    ``(B, sum n_i, 2)`` buffer with the same block order as the scalar
-    composition, so per-replica agent indices line up exactly.  All members
-    must share the batch size and (within the scalar tolerance) the side.
+    Each member keeps its own ``(B, n_i, 2)`` state and the composite
+    maintains an assembled ``(B, sum n_i, 2)`` buffer, members in the
+    order given.  All members must share the batch size and, within
+    ``1e-9``, the side.
     """
 
     def __init__(self, models):
@@ -210,6 +185,13 @@ class BatchCompositeMobility(BatchMobilityModel):
         return self.positions if copy else self.positions_view
 
 
+def _check_ferries(n: int, ferries: int) -> None:
+    if not 1 <= ferries <= n - 2:
+        raise ValueError(
+            f"ferries must be in [1, n - 2] (need an MRWP background), got {ferries}"
+        )
+
+
 def composite_with_ferries(
     n: int,
     side: float,
@@ -224,13 +206,13 @@ def composite_with_ferries(
     The config-shaped constructor behind ``mobility="composite"``: the
     delay-tolerant-routing composition (MRWP agents ``0..n-ferries-1``,
     ferries after) as a single registered model, so experiments can select
-    it by name.  Ferries are deterministic, so all randomness (and hence
-    seed-for-seed reproducibility across engines) lives in the MRWP block.
+    it by name.  Ferries are deterministic, so all randomness lives in the
+    MRWP block.  The view of :func:`batch_composite_with_ferries` at B=1.
 
     Args:
         n: total agents, ferries included.
         side, speed, rng: as for :class:`~repro.mobility.base.MobilityModel`
-            (both blocks share the speed).
+            (both blocks share the speed and the generator).
         ferries: ferry count (at least 1, leaving at least 2 MRWP agents).
         inset: wall distance of the rectangular patrol route
             (default ``side / 8``).
@@ -239,12 +221,9 @@ def composite_with_ferries(
     from repro.mobility.mrwp import ManhattanRandomWaypoint
 
     ferries = int(ferries)
-    if not 1 <= ferries <= n - 2:
-        raise ValueError(
-            f"ferries must be in [1, n - 2] (need an MRWP background), got {ferries}"
-        )
+    _check_ferries(n, ferries)
     background = ManhattanRandomWaypoint(n - ferries, side, speed, rng=rng, init=init)
-    patrol = FerryPatrol(ferries, side, speed, inset=inset)
+    patrol = FerryPatrol(ferries, side, speed, rng=background.rng, inset=inset)
     return CompositeMobility([background, patrol])
 
 
@@ -257,19 +236,12 @@ def batch_composite_with_ferries(
     inset: float = None,
     init="stationary",
 ) -> BatchCompositeMobility:
-    """Batch twin of :func:`composite_with_ferries`, same block layout.
-
-    Member construction order matches the scalar factory (MRWP background
-    first, ferries after), so per-replica draw order — and therefore every
-    position — is seed-for-seed identical to the scalar model.
-    """
+    """:func:`composite_with_ferries` for ``B`` replicas, same block layout
+    (MRWP background first, ferries after)."""
     from repro.mobility.mrwp import BatchManhattanRandomWaypoint
 
     ferries = int(ferries)
-    if not 1 <= ferries <= n - 2:
-        raise ValueError(
-            f"ferries must be in [1, n - 2] (need an MRWP background), got {ferries}"
-        )
+    _check_ferries(n, ferries)
     background = BatchManhattanRandomWaypoint(n - ferries, side, speed, rngs, init=init)
     patrol = BatchFerryPatrol(ferries, side, speed, rngs)
     return BatchCompositeMobility([background, patrol])

@@ -9,11 +9,11 @@ about.
 
 The implementation is vectorized: a step advances all agents at once, with a
 carry-over loop so that an agent may finish a leg (or a whole trip) and
-continue on the next one within a single step.  Both models run the one
-loop of :func:`_advance_trips` (the scalar model is its ``B = 1`` case),
-which on the compiled tier is a single kernel call.  Turn and arrival
-events are counted per agent, supporting the Lemma-13 turn-statistics
-experiments.
+continue on the next one within a single step.  The loop is
+:func:`_advance_trips`, which on the compiled tier is a single kernel
+call; the scalar model is the one-replica view of the batch model.  Turn
+and arrival events are counted per agent, supporting the Lemma-13
+turn-statistics experiments.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ _MAX_LEGS_PER_STEP = 100_000
 class ManhattanRandomWaypoint(MobilityModel):
     """MRWP mobility over ``[0, side]^2`` (the paper's model).
 
+    The one-replica view of :class:`BatchManhattanRandomWaypoint`.
+
     Args:
         n: number of agents.
         side: square side length ``L``.
@@ -61,12 +63,6 @@ class ManhattanRandomWaypoint(MobilityModel):
               *biased* cold start, exposed to quantify warm-up effects;
             * a :class:`~repro.mobility.stationary.KinematicState` to resume
               from an explicit state.
-
-    Attributes:
-        turn_counts: cumulative number of direction-change events per agent
-            (Manhattan-corner turns plus trip arrivals), as counted by the
-            paper's ``H_{t,tau}`` statistic.
-        arrival_counts: cumulative number of completed trips per agent.
     """
 
     def __init__(
@@ -77,83 +73,57 @@ class ManhattanRandomWaypoint(MobilityModel):
         rng: np.random.Generator = None,
         init="stationary",
     ):
-        super().__init__(n, side, speed, rng)
+        super().__init__(BatchManhattanRandomWaypoint(n, side, speed, self._rngs(rng), init=init))
         self._init_spec = init
-        state = self._make_initial_state(init)
-        self._pos = state.positions
-        self._dest = state.destinations
-        self._target = state.targets
-        self._on_second_leg = state.on_second_leg
-        self.turn_counts = np.zeros(self.n, dtype=np.int64)
-        self.arrival_counts = np.zeros(self.n, dtype=np.int64)
-        self._eps = 1e-9 * max(self.side, 1.0)
-        self._active = np.ones(1, dtype=bool)
-        self._budget = np.empty(self.n, dtype=np.float64)
-        self._scratch = DenseLegScratch(self.n)
-        self._trip_work = TripWork(self.n)
 
-    # ------------------------------------------------------------------
-    # Initialization
-    # ------------------------------------------------------------------
-    def _make_initial_state(self, init) -> KinematicState:
-        return _initial_state(self.n, self.side, init, self.rng)
-
-    # ------------------------------------------------------------------
-    # State access
-    # ------------------------------------------------------------------
     @property
-    def positions(self) -> np.ndarray:
-        return self._pos.copy()
+    def turn_counts(self) -> np.ndarray:
+        """Cumulative direction-change events per agent (Manhattan-corner
+        turns plus trip arrivals), as counted by the paper's ``H_{t,tau}``
+        statistic — the twin's live ``(n,)`` counter."""
+        return self.batch.turn_counts
+
+    @property
+    def arrival_counts(self) -> np.ndarray:
+        """Cumulative completed trips per agent (the twin's live counter)."""
+        return self.batch.arrival_counts
 
     @property
     def destinations(self) -> np.ndarray:
         """Copy of the agents' current final destinations."""
-        return self._dest.copy()
+        return self.batch._dest.copy()
 
     @property
     def on_second_leg(self) -> np.ndarray:
         """Copy of the per-agent second-leg flags."""
-        return self._on_second_leg.copy()
+        return self.batch._on_second_leg.copy()
 
     def get_state(self) -> KinematicState:
         """Snapshot of the full kinematic state (deep copy)."""
+        batch = self.batch
         return KinematicState(
-            self._pos.copy(), self._dest.copy(), self._target.copy(), self._on_second_leg.copy()
+            batch._pos.copy(), batch._dest.copy(), batch._target.copy(),
+            batch._on_second_leg.copy(),
         )
 
     def set_state(self, state: KinematicState) -> None:
         """Restore a previously captured kinematic state (deep copy)."""
         if state.n != self.n:
             raise ValueError(f"state has {state.n} agents, model expects {self.n}")
-        self._pos = state.positions.copy()
-        self._dest = state.destinations.copy()
-        self._target = state.targets.copy()
-        self._on_second_leg = state.on_second_leg.copy()
-
-    # ------------------------------------------------------------------
-    # Dynamics
-    # ------------------------------------------------------------------
-    def step(self, dt: float = 1.0) -> np.ndarray:
-        """Advance every agent by ``dt`` time units along its Manhattan path.
-
-        Handles leg completion with distance carry-over: when an agent
-        reaches its corner (or destination) mid-step, the residual travel
-        budget is spent on the next leg (or a freshly sampled trip).
-        """
-        check_dt(dt)
-        _advance_trips(self, [self.rng], dt, self._active)
-        self.time += dt
-        return self.positions
+        batch = self.batch
+        batch._pos = state.positions.copy()
+        batch._dest = state.destinations.copy()
+        batch._target = state.targets.copy()
+        batch._on_second_leg = state.on_second_leg.copy()
 
     def reset(self, rng: np.random.Generator = None) -> None:
         """Re-draw the initial state (optionally with a new generator)."""
         if rng is not None:
-            self.rng = rng
-        state = self._make_initial_state(self._init_spec)
-        self.set_state(state)
+            self.rng = self.batch.rngs[0] = rng
+        self.set_state(_initial_state(self.n, self.side, self._init_spec, self.rng))
         self.turn_counts[:] = 0
         self.arrival_counts[:] = 0
-        self.time = 0.0
+        self.batch.time = 0.0
 
 
 class BatchManhattanRandomWaypoint(BatchMobilityModel):
@@ -164,16 +134,20 @@ class BatchManhattanRandomWaypoint(BatchMobilityModel):
     operations.  Randomness stays per-replica: initial states are sampled
     with each replica's own generator, and within a carry-over iteration the
     trip-completion redraws are grouped by replica (ascending replica order,
-    ascending agent order within a replica) — the exact draw sequence of the
-    scalar :class:`ManhattanRandomWaypoint`, because an agent completes a
-    trip in batch iteration ``k`` iff it does so in scalar iteration ``k``
-    (kinematics are deterministic given the state).
+    ascending agent order within a replica) — the draw sequence of one
+    replica run alone, because an agent completes a trip in batch iteration
+    ``k`` iff it does so in a one-replica iteration ``k`` (kinematics are
+    deterministic given the state).
 
     Args:
         n, side, speed, rngs: see :class:`~repro.mobility.base.BatchMobilityModel`.
-        init: scalar ``init`` spec (``"stationary"``, ``"closed-form"``,
-            ``"uniform"``) applied per replica, or a sequence of ``B``
+        init: ``init`` spec of :class:`ManhattanRandomWaypoint` applied per
+            replica, or a sequence of ``B``
             :class:`~repro.mobility.stationary.KinematicState` objects.
+
+    Attributes:
+        turn_counts / arrival_counts: flat ``(B * n,)`` cumulative turn and
+            trip-arrival counters.
     """
 
     def __init__(self, n: int, side: float, speed: float, rngs, init="stationary"):
@@ -204,7 +178,7 @@ class BatchManhattanRandomWaypoint(BatchMobilityModel):
 def _advance_trips(model, rngs, dt, active) -> None:
     """Walk every agent of the ``active`` replicas ``speed * dt`` along its trips.
 
-    The one carry-over loop of both MRWP models, over the flat ``B * n``
+    The one carry-over loop of the MRWP model, over the flat ``B * n``
     state of ``model`` (``rngs[b]`` draws replica ``b``'s trips).  Each
     pass moves the agents with budget left; a corner arrival turns onto
     its second leg and a finished trip is redrawn, replica by replica,
@@ -275,7 +249,7 @@ def _not_converged(model) -> RuntimeError:
 
 
 def _initial_state(n: int, side: float, init, rng: np.random.Generator) -> KinematicState:
-    """One replica's initial kinematic state — the scalar model's recipe."""
+    """One replica's initial kinematic state."""
     if isinstance(init, KinematicState):
         if init.n != n:
             raise ValueError(f"state has {init.n} agents, model expects {n}")

@@ -70,6 +70,8 @@ def spatial_pdf_with_pause(x, y, side: float, speed: float, pause_time: float):
 class ManhattanRandomWaypointWithPause(MobilityModel):
     """MRWP where agents rest ``pause_time`` time units at every way-point.
 
+    The one-replica view of :class:`BatchManhattanRandomWaypointWithPause`.
+
     Args:
         n, side, speed, rng: see :class:`~repro.mobility.base.MobilityModel`.
         pause_time: deterministic rest duration at each destination.
@@ -86,54 +88,23 @@ class ManhattanRandomWaypointWithPause(MobilityModel):
         rng: np.random.Generator = None,
         init: str = "stationary",
     ):
-        super().__init__(n, side, speed, rng)
-        if pause_time < 0:
-            raise ValueError(f"pause_time must be non-negative, got {pause_time}")
-        if speed <= 0:
-            raise ValueError("pause-MRWP requires positive speed")
-        self.pause_time = float(pause_time)
-        self._eps = 1e-9 * max(self.side, 1.0)
-        (
-            self._pos,
-            self._dest,
-            self._target,
-            self._on_second_leg,
-            self._pause_left,
-        ) = _initial_pause_state(self.n, self.side, self.speed, self.pause_time, init, self.rng)
-        self._scratch = DenseLegScratch(self.n)
-
-    # ------------------------------------------------------------------
-    # State access
-    # ------------------------------------------------------------------
-    @property
-    def positions(self) -> np.ndarray:
-        return self._pos.copy()
+        super().__init__(
+            BatchManhattanRandomWaypointWithPause(
+                n, side, speed, self._rngs(rng), pause_time=pause_time, init=init
+            )
+        )
+        self.pause_time = self.batch.pause_time
 
     @property
     def paused_mask(self) -> np.ndarray:
         """Agents currently resting at a way-point."""
-        return self._pause_left > 0
+        return self.batch.paused_mask[0]
 
     @property
     def moving_fraction(self) -> float:
         """Fraction of agents mid-trip (stationary expectation:
         :func:`moving_probability`)."""
         return 1.0 - float(np.count_nonzero(self.paused_mask)) / self.n
-
-    # ------------------------------------------------------------------
-    # Dynamics
-    # ------------------------------------------------------------------
-    def step(self, dt: float = 1.0) -> np.ndarray:
-        check_dt(dt)
-        time_budget = np.full(self.n, float(dt))
-        _advance_pause_mrwp(
-            self._pos, self._dest, self._target, self._on_second_leg,
-            self._pause_left, time_budget,
-            self.side, self.speed, self.pause_time, self._eps, [self.rng], self.n,
-            scratch=self._scratch,
-        )
-        self.time += dt
-        return self.positions
 
 
 class BatchManhattanRandomWaypointWithPause(BatchMobilityModel):
@@ -143,14 +114,13 @@ class BatchManhattanRandomWaypointWithPause(BatchMobilityModel):
     :class:`~repro.mobility.mrwp.BatchManhattanRandomWaypoint`: flat
     ``(B * n, 2)`` state, the shared kinematics helpers for the two-phase
     (pause burn, then Manhattan legs) carry-over iteration, and all trip
-    redraws grouped by replica in the scalar model's draw order — both the
-    phase-1 draws (pauses that just ended) and the phase-2 draws
-    (``pause_time == 0`` arrivals), in that per-iteration order, exactly
-    as the scalar model interleaves them.
+    redraws grouped by replica — both the phase-1 draws (pauses that just
+    ended) and the phase-2 draws (``pause_time == 0`` arrivals), in that
+    per-iteration order, so each replica draws what it would alone.
 
     Args:
         n, side, speed, rngs: see :class:`~repro.mobility.base.BatchMobilityModel`.
-        pause_time: deterministic rest duration (scalar semantics, per replica).
+        pause_time: deterministic rest duration at each destination.
         init: ``"stationary"`` or ``"uniform"``, applied per replica.
     """
 
@@ -211,8 +181,8 @@ def _advance_pause_mrwp(
 ):
     """Spend ``time_budget`` through the two-phase pause-MRWP carry-over loop.
 
-    The single driver behind the scalar and batch models (``len(rngs)``
-    replicas over flat arrays).  Frozen replicas enter with zero budget:
+    The loop of the batch model (``len(rngs)`` replicas over flat
+    arrays).  Frozen replicas enter with zero budget:
     they neither pause-burn nor move, and their generators see no draws.
     """
     eps_t = eps / max(speed, 1.0)
@@ -254,7 +224,7 @@ def _advance_pause_mrwp(
 def _initial_pause_state(
     n: int, side: float, speed: float, pause_time: float, init, rng: np.random.Generator
 ) -> tuple:
-    """One replica's initial pause-MRWP state — the scalar model's recipe.
+    """One replica's initial pause-MRWP state.
 
     Returns:
         ``(positions, destinations, targets, on_second_leg, pause_left)``.

@@ -19,7 +19,7 @@ __all__ = ["RandomDirection", "BatchRandomDirection"]
 
 
 def _initial_direction_state(n: int, side: float, mean_leg: float, rng) -> tuple:
-    """One replica's initial billiard state — the scalar model's draw order.
+    """One replica's initial billiard state.
 
     Returns:
         ``(positions, headings, leg_left)``.
@@ -35,7 +35,7 @@ def _redraw_headings(heading, leg_left, idx, mean_leg, rngs, n) -> None:
     """Fresh headings + leg lengths for expired agents, per replica.
 
     Per replica (ascending): the heading uniforms first, then the
-    exponential leg draws — the scalar model's ``_redraw_headings`` order.
+    exponential leg draws.
     """
     for b, lo, hi in replica_slices(idx, n, len(rngs)):
         rng = rngs[b]
@@ -48,6 +48,8 @@ def _redraw_headings(heading, leg_left, idx, mean_leg, rngs, n) -> None:
 
 class RandomDirection(MobilityModel):
     """Constant-speed billiard motion with exponential leg lengths.
+
+    The one-replica view of :class:`BatchRandomDirection`.
 
     Args:
         n, side, speed, rng: see :class:`~repro.mobility.base.MobilityModel`.
@@ -63,46 +65,23 @@ class RandomDirection(MobilityModel):
         rng: np.random.Generator = None,
         mean_leg: float = None,
     ):
-        super().__init__(n, side, speed, rng)
-        self.mean_leg = float(mean_leg) if mean_leg is not None else self.side / 2.0
-        if self.mean_leg <= 0:
-            raise ValueError(f"mean_leg must be positive, got {self.mean_leg}")
-        self._pos, self._heading, self._leg_left = _initial_direction_state(
-            self.n, self.side, self.mean_leg, self.rng
-        )
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._pos.copy()
-
-    def step(self, dt: float = 1.0) -> np.ndarray:
-        check_dt(dt)
-        travel = self.speed * dt
-        self._pos = self._pos + self._heading * travel
-        reflect_into_square(self._pos, self._heading, self.side)
-        self._leg_left -= travel
-        expired = np.nonzero(self._leg_left <= 0)[0]
-        if expired.size:
-            _redraw_headings(
-                self._heading, self._leg_left, expired, self.mean_leg, [self.rng], self.n
-            )
-        self.time += dt
-        return self.positions
+        super().__init__(BatchRandomDirection(n, side, speed, self._rngs(rng), mean_leg=mean_leg))
+        self.mean_leg = self.batch.mean_leg
 
 
 class BatchRandomDirection(BatchMobilityModel):
     """Billiard motion for ``B`` independent replicas, in lock-step.
 
     Flat ``(B * n, 2)`` state with one vectorized move + reflection per
-    step; heading redraws are grouped by replica in the scalar draw order
-    (heading uniforms, then exponential leg lengths, per replica).  The
+    step; heading redraws are grouped by replica (heading uniforms, then
+    exponential leg lengths, per replica).  The
     reflection fold is a no-op for rows already inside the square, so
     frozen replicas pass through it untouched.
 
     Args:
         n, side, speed, rngs: see :class:`~repro.mobility.base.BatchMobilityModel`.
-        mean_leg: expected distance between heading redraws (scalar
-            semantics, per replica); defaults to ``side / 2``.
+        mean_leg: expected distance between heading redraws; defaults to
+            ``side / 2``.
     """
 
     def __init__(self, n: int, side: float, speed: float, rngs, mean_leg: float = None):

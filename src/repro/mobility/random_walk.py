@@ -24,6 +24,8 @@ __all__ = ["RandomWalk", "BatchRandomWalk"]
 class RandomWalk(MobilityModel):
     """Disk-jump random walk over ``[0, side]^2``.
 
+    The one-replica view of :class:`BatchRandomWalk`.
+
     Args:
         n, side: as usual.
         move_radius: the per-step jump radius ``rho`` (plays the role of the
@@ -42,53 +44,24 @@ class RandomWalk(MobilityModel):
         rng: np.random.Generator = None,
         boundary: str = "reflect",
     ):
-        super().__init__(n, side, speed=move_radius, rng=rng)
-        if move_radius <= 0:
-            raise ValueError(f"move_radius must be positive, got {move_radius}")
-        if move_radius > side:
-            raise ValueError(f"move_radius must not exceed side ({side}), got {move_radius}")
-        if boundary not in ("reflect", "clip"):
-            raise ValueError(f"boundary must be 'reflect' or 'clip', got {boundary!r}")
-        self.move_radius = float(move_radius)
-        self.boundary = boundary
-        # Uniform is the stationary law for the reflected walk.
-        self._pos = self.rng.uniform(0.0, self.side, size=(self.n, 2))
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._pos.copy()
-
-    def _fold(self, pos: np.ndarray) -> np.ndarray:
-        """Reflect positions into ``[0, side]`` (single reflection suffices
-        because ``move_radius <= side``)."""
-        pos = np.where(pos < 0.0, -pos, pos)
-        pos = np.where(pos > self.side, 2.0 * self.side - pos, pos)
-        return pos
-
-    def step(self, dt: float = 1.0) -> np.ndarray:
-        check_dt(dt)
-        jump = sample_uniform_disk(self.n, self.move_radius, self.rng)
-        new_pos = self._pos + jump
-        if self.boundary == "reflect":
-            new_pos = self._fold(new_pos)
-        else:
-            np.clip(new_pos, 0.0, self.side, out=new_pos)
-        self._pos = new_pos
-        self.time += dt
-        return self.positions
+        super().__init__(
+            BatchRandomWalk(n, side, move_radius, self._rngs(rng), boundary=boundary)
+        )
+        self.move_radius = self.batch.move_radius
+        self.boundary = self.batch.boundary
 
 
 class BatchRandomWalk(BatchMobilityModel):
     """Disk-jump random walk for ``B`` replicas in lock-step.
 
-    Jumps are drawn per replica (each replica's generator must see the same
-    stream as its scalar counterpart) and applied with one vectorized
-    boundary fold over the flat ``(B * n, 2)`` state.
+    Jumps are drawn per replica (each replica's generator sees the stream
+    it would alone) and applied with one vectorized boundary fold over the
+    flat ``(B * n, 2)`` state.
 
     Args:
         n, side, rngs: see :class:`~repro.mobility.base.BatchMobilityModel`.
-        move_radius: per-step jump radius (scalar semantics).
-        boundary: ``"reflect"`` or ``"clip"`` (scalar semantics).
+        move_radius: per-step jump radius.
+        boundary: ``"reflect"`` or ``"clip"`` (see :class:`RandomWalk`).
     """
 
     def __init__(self, n: int, side: float, move_radius: float, rngs, boundary: str = "reflect"):
@@ -108,7 +81,10 @@ class BatchRandomWalk(BatchMobilityModel):
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
         check_dt(dt)
         active = self._active_mask(active)
-        jump = np.zeros_like(self._pos)
+        # With every replica active, every row gets a jump and no frozen
+        # row needs restoring afterwards.
+        every = bool(active.all())
+        jump = np.empty_like(self._pos) if every else np.zeros_like(self._pos)
         for b in np.nonzero(active)[0]:
             lo = b * self.n
             jump[lo:lo + self.n] = sample_uniform_disk(self.n, self.move_radius, self.rngs[b])
@@ -118,7 +94,8 @@ class BatchRandomWalk(BatchMobilityModel):
             new_pos = np.where(new_pos > self.side, 2.0 * self.side - new_pos, new_pos)
         else:
             np.clip(new_pos, 0.0, self.side, out=new_pos)
-        row_active = np.repeat(active, self.n)[:, None]
-        self._pos = np.where(row_active, new_pos, self._pos)
+        if not every:
+            new_pos = np.where(np.repeat(active, self.n)[:, None], new_pos, self._pos)
+        self._pos = new_pos
         self.time += dt
         return self.positions if copy else self.positions_view

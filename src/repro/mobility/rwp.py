@@ -48,6 +48,8 @@ def _sample_length_biased_segments(n: int, side: float, rng: np.random.Generator
 class RandomWaypoint(MobilityModel):
     """Straight-line RWP over ``[0, side]^2``.
 
+    The one-replica view of :class:`BatchRandomWaypoint`.
+
     Args:
         n, side, speed, rng: see :class:`~repro.mobility.base.MobilityModel`.
         pause_time: time units an agent rests at each way-point before
@@ -65,42 +67,22 @@ class RandomWaypoint(MobilityModel):
         pause_time: float = 0.0,
         init: str = "stationary",
     ):
-        super().__init__(n, side, speed, rng)
-        if pause_time < 0:
-            raise ValueError(f"pause_time must be non-negative, got {pause_time}")
-        self.pause_time = float(pause_time)
-        if init == "stationary":
-            starts, dests = _sample_length_biased_segments(self.n, self.side, self.rng)
-            frac = self.rng.uniform(size=self.n)
-            self._pos = starts + frac[:, None] * (dests - starts)
-            self._dest = dests
-        elif init == "uniform":
-            self._pos = self.rng.uniform(0.0, self.side, size=(self.n, 2))
-            self._dest = self.rng.uniform(0.0, self.side, size=(self.n, 2))
-        else:
-            raise ValueError(f"init must be 'stationary' or 'uniform', got {init!r}")
-        self._pause_left = np.zeros(self.n, dtype=np.float64)
-        self.arrival_counts = np.zeros(self.n, dtype=np.int64)
-        self._eps = 1e-9 * max(self.side, 1.0)
+        super().__init__(
+            BatchRandomWaypoint(
+                n, side, speed, self._rngs(rng), pause_time=pause_time, init=init
+            )
+        )
+        self.pause_time = self.batch.pause_time
 
     @property
-    def positions(self) -> np.ndarray:
-        return self._pos.copy()
+    def arrival_counts(self) -> np.ndarray:
+        """Cumulative completed trips per agent (the twin's live counter)."""
+        return self.batch.arrival_counts
 
     @property
     def destinations(self) -> np.ndarray:
         """Copy of the agents' current destinations."""
-        return self._dest.copy()
-
-    def step(self, dt: float = 1.0) -> np.ndarray:
-        check_dt(dt)
-        time_budget = np.full(self.n, float(dt))
-        _advance_rwp(
-            self._pos, self._dest, self._pause_left, self.arrival_counts, time_budget,
-            self.side, self.speed, self.pause_time, self._eps, [self.rng], self.n,
-        )
-        self.time += dt
-        return self.positions
+        return self.batch._dest.copy()
 
 
 class BatchRandomWaypoint(BatchMobilityModel):
@@ -109,11 +91,11 @@ class BatchRandomWaypoint(BatchMobilityModel):
     Same layout and RNG discipline as
     :class:`~repro.mobility.mrwp.BatchManhattanRandomWaypoint`: flat
     ``(B * n, 2)`` state, vectorized carry-over arithmetic, and arrival
-    redraws grouped by replica in the scalar model's draw order.
+    redraws grouped by replica.
 
     Args:
         n, side, speed, rngs: see :class:`~repro.mobility.base.BatchMobilityModel`.
-        pause_time: per-way-point rest time (scalar semantics, per replica).
+        pause_time: per-way-point rest time.
         init: ``"stationary"`` or ``"uniform"``, applied per replica.
     """
 
@@ -167,8 +149,8 @@ def _advance_rwp(
 ):
     """Spend ``time_budget`` through the straight-line RWP carry-over loop.
 
-    The single driver behind the scalar and batch models: pause burn, one
-    Euclidean leg per trip, arrival redraws grouped by replica.  Frozen
+    The loop of the batch model: pause burn, one Euclidean leg per trip,
+    arrival redraws grouped by replica.  Frozen
     replicas enter with zero budget and their generators see no draws.
     """
     for _ in range(_MAX_LEGS_PER_STEP):

@@ -87,6 +87,8 @@ def sample_stationary_speeds(n: int, v_min: float, v_max: float, rng) -> np.ndar
 class RandomSpeedManhattanWaypoint(MobilityModel):
     """MRWP where each trip draws a fresh speed from ``Uniform[v_min, v_max]``.
 
+    The one-replica view of :class:`BatchRandomSpeedManhattanWaypoint`.
+
     Args:
         n, side, rng: as usual.
         v_min, v_max: per-trip speed range (``v_min > 0`` required — see
@@ -107,45 +109,21 @@ class RandomSpeedManhattanWaypoint(MobilityModel):
         rng: np.random.Generator = None,
         init: str = "stationary",
     ):
-        _validate_range(v_min, v_max)
-        super().__init__(n, side, stationary_mean_speed(v_min, v_max), rng)
-        self.v_min = float(v_min)
-        self.v_max = float(v_max)
-        self._eps = 1e-9 * max(self.side, 1.0)
-        (
-            self._pos,
-            self._dest,
-            self._target,
-            self._on_second_leg,
-            self._trip_speed,
-        ) = _initial_speed_state(self.n, self.side, self.v_min, self.v_max, init, self.rng)
-        self._scratch = DenseLegScratch(self.n)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._pos.copy()
+        super().__init__(
+            BatchRandomSpeedManhattanWaypoint(n, side, v_min, v_max, self._rngs(rng), init=init)
+        )
+        self.v_min = self.batch.v_min
+        self.v_max = self.batch.v_max
 
     @property
     def trip_speeds(self) -> np.ndarray:
         """Copy of the per-agent current-trip speeds."""
-        return self._trip_speed.copy()
+        return self.batch._trip_speed.copy()
 
     @property
     def mean_current_speed(self) -> float:
         """Population-average current speed (the speed-decay observable)."""
-        return float(self._trip_speed.mean())
-
-    def step(self, dt: float = 1.0) -> np.ndarray:
-        check_dt(dt)
-        time_budget = np.full(self.n, float(dt))
-        _advance_random_speed(
-            self._pos, self._dest, self._target, self._on_second_leg,
-            self._trip_speed, time_budget,
-            self.side, self.v_min, self.v_max, self._eps, [self.rng], self.n,
-            scratch=self._scratch,
-        )
-        self.time += dt
-        return self.positions
+        return float(self.batch._trip_speed.mean())
 
 
 class BatchRandomSpeedManhattanWaypoint(BatchMobilityModel):
@@ -153,13 +131,13 @@ class BatchRandomSpeedManhattanWaypoint(BatchMobilityModel):
 
     Same layout and RNG discipline as the other batch way-point models:
     flat ``(B * n, 2)`` state, shared kinematics helpers (here with a
-    per-agent speed array), and arrival redraws grouped by replica in the
-    scalar draw order — destination uniforms, path coin flips, then the
-    fresh *uniform* trip speeds, per replica per iteration.
+    per-agent speed array), and arrival redraws grouped by replica —
+    destination uniforms, path coin flips, then the fresh *uniform* trip
+    speeds, per replica per iteration.
 
     Args:
         n, side, rngs: see :class:`~repro.mobility.base.BatchMobilityModel`.
-        v_min, v_max: per-trip speed range (scalar semantics, per replica).
+        v_min, v_max: per-trip speed range.
         init: ``"stationary"`` or ``"uniform"``, applied per replica.
     """
 
@@ -210,8 +188,8 @@ def _advance_random_speed(
 ):
     """Spend ``time_budget`` through the random-speed carry-over loop.
 
-    The single driver behind the scalar and batch models.  Frozen replicas
-    enter with zero budget and their generators see no draws.
+    The loop of the batch model.  Frozen replicas enter with zero budget
+    and their generators see no draws.
     """
     eps_t = eps / v_max
     total = time_budget.shape[0]
@@ -243,7 +221,7 @@ def _advance_random_speed(
 def _initial_speed_state(
     n: int, side: float, v_min: float, v_max: float, init, rng: np.random.Generator
 ) -> tuple:
-    """One replica's initial random-speed state — the scalar model's recipe.
+    """One replica's initial random-speed state.
 
     Returns:
         ``(positions, destinations, targets, on_second_leg, trip_speed)``.

@@ -13,9 +13,9 @@ family — the GTFS-style "timetable networks" item of ROADMAP.md:
   and an optional per-vehicle capacity.  Builders:
   :func:`loop_timetable` (subsumes the ferry's :func:`rectangle_route`)
   and :func:`grid_shuttle_timetable`.
-* :class:`TimetableMobility` / :class:`BatchTimetableMobility` — scalar and
-  batch models over one shared flat-array engine (the ``pause.py``
-  pattern), so the two are seed-for-seed bit-identical by construction.
+* :class:`BatchTimetableMobility` — the batch model over one flat-array
+  engine (the ``pause.py`` pattern); :class:`TimetableMobility` is its
+  one-replica view.
   Vehicles run stop→dwell→leg cycles: dwell burning reuses
   :func:`~repro.mobility.kinematics.countdown_pauses` and leg advance is a
   1-D carry-over loop in arc-length space, with positions synthesized by
@@ -274,13 +274,12 @@ def _resolve_timetable(side, timetable, routes, dwell, headway, capacity) -> Tim
 class _TimetableEngine:
     """Flat-array transit dynamics for ``len(rngs)`` replicas.
 
-    The single driver behind :class:`TimetableMobility` (``B == 1``) and
-    :class:`BatchTimetableMobility` — the mechanism that makes the two
-    bit-identical seed for seed.  All state is flat: vehicle arrays are
-    ``(B * V,)`` and rider arrays ``(B * R,)`` / ``(B * R, 2)``, grouped by
-    replica in ascending order; every RNG draw goes through
-    :func:`~repro.mobility.kinematics.replica_slices` so replica ``b``
-    consumes randomness only from ``rngs[b]`` in scalar call order.
+    The engine of :class:`BatchTimetableMobility`.  All state is flat:
+    vehicle arrays are ``(B * V,)`` and rider arrays ``(B * R,)`` /
+    ``(B * R, 2)``, grouped by replica in ascending order; every RNG draw
+    goes through :func:`~repro.mobility.kinematics.replica_slices` so
+    replica ``b`` consumes randomness only from ``rngs[b]``, in the order
+    it would alone.
     Frozen replicas enter :meth:`advance` with zero budget and are excluded
     from the interaction masks: they neither move nor draw.
     """
@@ -523,7 +522,7 @@ class _TimetableEngine:
                 self.r_vehicle[alighted] = -1
                 self.r_dest_stop[alighted] = -1
                 # Fresh background trip from the stop (per-replica draws,
-                # ascending agent order — the scalar sequence).
+                # ascending agent order).
                 redraw_manhattan_trips(
                     self.r_pos, self.r_dest, self.r_target, self.r_second,
                     alighted, self.side, self.rngs, R,
@@ -637,12 +636,13 @@ class _TimetableEngine:
 
 
 class TimetableMobility(MobilityModel):
-    """Scalar schedule-driven transit mobility (vehicles + riders).
+    """Schedule-driven transit mobility (vehicles + riders).
 
-    Agents ``0 .. riders-1`` are riders — MRWP pedestrians that board a
-    dwelling vehicle when close enough to its stop (capacity permitting)
-    and ride to a uniformly drawn destination stop; agents ``riders .. n-1``
-    are vehicles running the timetable's stop→dwell→leg cycles.
+    The one-replica view of :class:`BatchTimetableMobility`.  Agents
+    ``0 .. riders-1`` are riders — MRWP pedestrians that board a dwelling
+    vehicle when close enough to its stop (capacity permitting) and ride
+    to a uniformly drawn destination stop; agents ``riders .. n-1`` are
+    vehicles running the timetable's stop→dwell→leg cycles.
 
     Args:
         n: total agents (riders + vehicles; at least one vehicle).
@@ -669,60 +669,54 @@ class TimetableMobility(MobilityModel):
         capacity: int = None, riders: int = 0, board_radius: float = None,
         jitter: float = 0.0, init="stationary",
     ):
-        super().__init__(n, side, speed, rng)
-        self.timetable = _resolve_timetable(side, timetable, routes, dwell, headway, capacity)
-        self._engine = _TimetableEngine(
-            self.timetable, self.n, self.side, self.speed,
-            riders, board_radius, jitter, init, [self.rng],
+        super().__init__(
+            BatchTimetableMobility(
+                n, side, speed, self._rngs(rng), timetable=timetable, routes=routes,
+                dwell=dwell, headway=headway, capacity=capacity, riders=riders,
+                board_radius=board_radius, jitter=jitter, init=init,
+            )
         )
 
     @property
+    def timetable(self) -> Timetable:
+        return self.batch.timetable
+
+    @property
     def n_riders(self) -> int:
-        return self._engine.R
+        return self.batch.n_riders
 
     @property
     def n_vehicles(self) -> int:
-        return self._engine.V
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._engine.flat_pos.copy()
+        return self.batch.n_vehicles
 
     @property
     def vehicle_positions(self) -> np.ndarray:
         """Copy of the vehicle block's positions, shape ``(V, 2)``."""
-        return self._engine._veh_pos.copy()
+        return self.batch._engine._veh_pos.copy()
 
     @property
     def riding_mask(self) -> np.ndarray:
         """Per-rider bool: currently aboard a vehicle."""
-        return self._engine.r_vehicle >= 0
+        return self.batch._engine.r_vehicle >= 0
 
     @property
     def vehicle_loads(self) -> np.ndarray:
         """Copy of the per-vehicle rider counts."""
-        return self._engine.veh_load.copy()
+        return self.batch._engine.veh_load.copy()
 
     @property
     def dwelling_mask(self) -> np.ndarray:
         """Per-vehicle bool: currently dwelling at a stop."""
-        return self._engine.veh_dwell_left > 0
-
-    def step(self, dt: float = 1.0) -> np.ndarray:
-        self._engine.advance(dt)
-        self.time += dt
-        return self.positions
+        return self.batch._engine.veh_dwell_left > 0
 
 
 class BatchTimetableMobility(BatchMobilityModel):
     """Timetable mobility for ``B`` replicas, advanced in lock-step.
 
-    Same flat engine as :class:`TimetableMobility` with ``B`` generators:
-    vehicle cycles are deterministic and riders' draws (alight redraws,
-    boarding destination stops, background MRWP trips) are grouped by
-    replica in ascending order — the exact scalar draw sequence, so batch
-    trials are seed-for-seed bit-identical to scalar trials (asserted by
-    the parity tests).
+    The flat engine over ``B`` generators: vehicle cycles are
+    deterministic and riders' draws (alight redraws, boarding destination
+    stops, background MRWP trips) are grouped by replica in ascending
+    order, so each replica draws what it would alone.
 
     Args: as :class:`TimetableMobility`, with ``rngs`` in place of ``rng``.
     """

@@ -7,7 +7,10 @@ engine advances ``B`` independent trials together over a ``(B, n, 2)``
 position tensor, so every per-step cost is paid once per *batch*:
 
 * mobility: :class:`~repro.mobility.base.BatchMobilityModel` implementations
-  vectorize the kinematics across all replicas (flat ``(B * n, 2)`` state);
+  vectorize the kinematics across all replicas (flat ``(B * n, 2)`` state)
+  — **every** model in :data:`~repro.mobility.MODEL_REGISTRY` is a
+  one-replica view of its entry in
+  :data:`~repro.mobility.BATCH_MOBILITY_REGISTRY`;
 * communication: a :class:`~repro.protocols.base.BatchBroadcastState`
   answers every replica's neighbor queries with a single engine call
   via the tile-offset / cell-cover kernels of
@@ -37,11 +40,7 @@ import numpy as np
 
 from repro.core.flooding import build_zone_partition, select_source
 from repro.kernels import get_kernel, kernel_tier_label, use_kernel_tier
-from repro.mobility import (
-    BATCH_MOBILITY_REGISTRY,
-    BatchMobilityModel,
-    ReplicatedBatchMobility,
-)
+from repro.mobility import BATCH_MOBILITY_REGISTRY, BatchMobilityModel
 from repro.protocols import BATCH_PROTOCOL_REGISTRY
 from repro.protocols.base import BatchBroadcastState
 from repro.simulation.config import FloodingConfig
@@ -59,26 +58,18 @@ __all__ = [
 def build_batch_model(config: FloodingConfig, rngs) -> BatchMobilityModel:
     """Instantiate the batch mobility model named by the configuration.
 
-    Every model in :data:`~repro.mobility.BATCH_MOBILITY_REGISTRY` gets its
-    native vectorized implementation (same constructor arguments as the
-    scalar model, via :func:`~repro.simulation.runner.mobility_arguments`).
-    All *registered* mobility names are batch-native; the
-    :class:`~repro.mobility.base.ReplicatedBatchMobility` branch survives
-    only as the escape hatch for user-supplied scalar models registered
-    without a batch twin — correct (bit-identical to the scalar models) but
-    not faster, and flagged in every replica's results so slow paths stay
-    visible.
+    The :data:`~repro.mobility.BATCH_MOBILITY_REGISTRY` entry, with the
+    constructor arguments of
+    :func:`~repro.simulation.runner.mobility_arguments`.
 
     Args:
         config: the experiment parameters.
         rngs: one mobility generator per trial (defines the batch size).
     """
-    from repro.simulation.runner import build_model, mobility_arguments
+    from repro.simulation.runner import mobility_arguments
 
-    cls = BATCH_MOBILITY_REGISTRY.get(config.mobility)
-    if cls is None:
-        return ReplicatedBatchMobility([build_model(config, rng) for rng in rngs])
     args, kwargs = mobility_arguments(config)
+    cls = BATCH_MOBILITY_REGISTRY[config.mobility]
     return cls(config.n, config.side, *args, rngs=rngs, **kwargs)
 
 
@@ -339,13 +330,6 @@ def run_protocol_batch(config: FloodingConfig, seed_seqs) -> list:
     stalled = state.stalled_mask()
     counts = simulation.informed_counts_history
     extras = state.final_metrics(model.positions_view, zones)
-    if isinstance(model, ReplicatedBatchMobility):
-        # The mobility ran as a per-replica Python loop, so this batch saw
-        # no mobility vectorization win.  Stamp every replica's extras so
-        # each per-trial record is self-describing — visible in results,
-        # not buried in logs.
-        for extra in extras:
-            extra["mobility_execution"] = "replicated (not vectorized)"
     for b in range(batch):
         history = counts[: n_steps[b] + 1, b].copy()
         completed = bool(complete[b])

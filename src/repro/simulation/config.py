@@ -94,10 +94,9 @@ class FloodingConfig:
             a time), ``"batch"`` (lock-step
             :class:`~repro.simulation.batch.BatchSimulation`; every
             registered protocol, identical results, markedly faster for
-            many trials), or ``"auto"`` (batch whenever both the protocol
-            and the mobility model have native batched implementations,
-            scalar otherwise).  Engine/protocol combinations are validated
-            at construction time.
+            many trials), or ``"auto"`` (batch whenever the protocol has a
+            batched implementation, scalar otherwise).  Engine/protocol
+            combinations are validated at construction time.
         batch_size: trials advanced per batch when ``engine="batch"``
             (0 — the default — runs all of a call's or worker's trials in
             one batch).  Has no effect on results, only on peak memory.
@@ -186,6 +185,12 @@ class FloodingConfig:
             raise ValueError(
                 f"unknown mobility model {self.mobility!r}; registered models: "
                 f"{sorted(MODEL_REGISTRY)}"
+            )
+        if self.mobility not in BATCH_MOBILITY_REGISTRY:
+            raise ValueError(
+                f"mobility model {self.mobility!r} has no batch implementation; "
+                "a registered model needs an entry in BATCH_MOBILITY_REGISTRY, "
+                "which both engines run"
             )
         self._validate_mobility_options()
         if self.protocol not in PROTOCOL_REGISTRY:
@@ -284,24 +289,14 @@ class FloodingConfig:
     def resolved_engine(self) -> str:
         """The engine that will actually run.
 
-        ``"auto"`` picks the batch engine exactly when **both** the
-        protocol and the mobility model have native vectorized
-        implementations (:data:`~repro.protocols.BATCH_PROTOCOL_REGISTRY`
-        and :data:`~repro.mobility.BATCH_MOBILITY_REGISTRY`).  Every
-        *registered* mobility name is batch-native since PR 9, so for
-        registered models this reduces to the protocol check; the mobility
-        clause still matters for user-supplied models registered without a
-        batch twin, which ``auto`` keeps on the scalar engine (their
-        :class:`~repro.mobility.base.ReplicatedBatchMobility` adapter is a
-        per-replica Python loop, so batching buys nothing).  An explicit
-        ``engine="batch"`` still forces the batch engine (with the
-        fallback, flagged in the results) for such models.
+        ``"auto"`` picks the batch engine exactly when the protocol has a
+        batched implementation
+        (:data:`~repro.protocols.BATCH_PROTOCOL_REGISTRY`); every mobility
+        model has one (a config naming a model without one is refused).
         """
         if self.engine != "auto":
             return self.engine
-        if self.protocol not in BATCH_PROTOCOL_REGISTRY:
-            return "scalar"
-        return "batch" if self.mobility in BATCH_MOBILITY_REGISTRY else "scalar"
+        return "batch" if self.protocol in BATCH_PROTOCOL_REGISTRY else "scalar"
 
     @property
     def resolved_kernels(self) -> str:

@@ -1,5 +1,7 @@
 """Unit tests for repro.geometry.paths (Manhattan path machinery)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,18 @@ class TestVectorizedPaths:
         point = position_along_path(start, end, choice, np.array([travelled]))[0]
         walked = abs(point[0] - x0) + abs(point[1] - y0)
         assert walked == pytest.approx(travelled, abs=1e-9)
+
+    def test_subnormal_first_leg_does_not_warn(self):
+        """A walker past a subnormal first leg: the first-leg quotient
+        overflows, is clipped and is never selected, so no warning may
+        escape and the point sits halfway along the second leg."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = position_along_path(
+                np.array([[0.0, 0.0]]), np.array([[5e-324, 1.0]]),
+                np.array([HORIZONTAL_FIRST]), np.array([0.5]),
+            )[0]
+        assert point.tolist() == [5e-324, 0.5]
 
     def test_zero_length_path(self):
         start = np.array([[3.0, 3.0]])

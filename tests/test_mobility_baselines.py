@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import mobility_oracles
 from repro.geometry.points import in_square
-from repro.mobility.random_direction import RandomDirection
-from repro.mobility.random_walk import RandomWalk
-from repro.mobility.rwp import RandomWaypoint
+from repro.mobility.random_direction import BatchRandomDirection, RandomDirection
+from repro.mobility.random_walk import BatchRandomWalk, RandomWalk
+from repro.mobility.rwp import BatchRandomWaypoint, RandomWaypoint
 
 SIDE = 10.0
 
@@ -136,3 +137,44 @@ class TestRandomDirection:
     def test_invalid_mean_leg(self, rng):
         with pytest.raises(ValueError):
             RandomDirection(10, SIDE, 1.0, rng=rng, mean_leg=0.0)
+
+
+#: (view, batch model, third positional argument, options) per case.
+ORACLE_CASES = {
+    "rwp": (RandomWaypoint, BatchRandomWaypoint, 0.7, {}),
+    "rwp-pause-uniform": (
+        RandomWaypoint, BatchRandomWaypoint, 0.7, {"pause_time": 1.5, "init": "uniform"}
+    ),
+    "random-walk": (RandomWalk, BatchRandomWalk, 0.7, {}),
+    "random-walk-clip": (RandomWalk, BatchRandomWalk, 0.7, {"boundary": "clip"}),
+    "random-direction": (RandomDirection, BatchRandomDirection, 0.7, {"mean_leg": 2.0}),
+    "random-direction-fast": (RandomDirection, BatchRandomDirection, 3.5 * SIDE, {}),
+}
+
+
+class TestOracleParity:
+    """The views and 3-replica batch models follow the historical scalar
+    models of ``tests/mobility_oracles.py``, also while batch replicas are
+    frozen."""
+
+    SEEDS = (5, 6, 7)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_view_and_batch_follow_the_oracle(self, case):
+        view_cls, batch_cls, arg, options = ORACLE_CASES[case]
+        oracle_cls = getattr(mobility_oracles, view_cls.__name__)
+        oracles = [
+            oracle_cls(60, SIDE, arg, rng=np.random.default_rng(s), **options)
+            for s in self.SEEDS
+        ]
+        view = view_cls(60, SIDE, arg, rng=np.random.default_rng(self.SEEDS[0]), **options)
+        batch = batch_cls(60, SIDE, arg, [np.random.default_rng(s) for s in self.SEEDS], **options)
+        actives = [np.ones(3, dtype=bool)] * 6 + [np.array([True, False, True])] * 4
+        for active in actives:
+            expected = [m.step() if a else m.positions for m, a in zip(oracles, active)]
+            assert np.array_equal(batch.step(active=active), np.stack(expected))
+            assert np.array_equal(view.step(), expected[0])
+        for attribute in ("arrival_counts", "destinations"):
+            if hasattr(oracles[0], attribute):
+                assert np.array_equal(getattr(view, attribute), getattr(oracles[0], attribute))
+

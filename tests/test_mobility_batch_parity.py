@@ -1,22 +1,22 @@
-"""Seed-for-seed parity of every batch mobility model vs its scalar twin.
+"""Seed-for-seed parity of every mobility model with its oracle.
 
-PR 5's core invariant: every model in ``BATCH_MOBILITY_REGISTRY`` advances
-``B`` replicas bit-identically to ``B`` independently seeded scalar models
-— same initial state (stationary / Palm / uniform sampling included), same
-trajectories, same per-replica RNG streams — and the batch engine built on
-top of them returns exactly the scalar engine's trial results across
-models, inits, backends and engines.  Since PR 9 that includes the transit
-family (ferry / composite / timetable): every registered name is
-batch-native, and ``ReplicatedBatchMobility`` survives only as the tested
-escape hatch for user-supplied scalar models, announcing itself in every
-replica's results.
+Each model in ``BATCH_MOBILITY_REGISTRY`` advances ``B`` replicas
+bit-identically to ``B`` independently seeded oracles, the historical
+scalar models of ``tests/mobility_oracles.py`` — same initial state
+(stationary / Palm / uniform sampling included), same trajectories, same
+per-replica RNG streams — and so does each ``MODEL_REGISTRY`` view, which
+holds its batch twin at B=1.  Both engines return the oracle trials across
+models, inits, backends and engines, the transit family (ferry /
+composite / timetable) included.
 """
 
+import inspect
 import threading
 
 import numpy as np
 import pytest
 
+from mobility_oracles import ORACLES, oracle_model, oracle_trials
 from repro.geometry.neighbors import available_backends
 from repro.kernels import kernel_backend, provider_kernels, use_kernel_tier
 from repro.mobility import (
@@ -24,12 +24,11 @@ from repro.mobility import (
     MODEL_REGISTRY,
     BatchManhattanRandomWaypoint,
     ManhattanRandomWaypoint,
-    ReplicatedBatchMobility,
 )
 from repro.mobility import mrwp as mrwp_module
 from repro.mobility.stationary import KinematicState
-from repro.simulation.batch import build_batch_model, run_protocol_batch
-from repro.simulation.config import _MOBILITY_OPTION_KEYS, FloodingConfig, standard_config
+from repro.simulation.batch import build_batch_model
+from repro.simulation.config import _MOBILITY_OPTION_KEYS, FloodingConfig
 from repro.simulation.runner import build_model, run_trials
 
 B = 4
@@ -91,15 +90,44 @@ def mobility_config(name, options, init="stationary", **overrides):
     return FloodingConfig(**fields)
 
 
-def model_pair(name, options, init, seed=21):
-    """A batch model and its B scalar references, on split generator pairs."""
+def model_set(name, options, init, seed=21):
+    """``(oracles, views, batch, rngs)``: B oracles, B views and one
+    B-replica batch model, each set on its own identically seeded
+    generators (``rngs``, in that order)."""
     config = mobility_config(name, options, init)
     children = np.random.SeedSequence(seed).spawn(B)
-    scalar_rngs = [np.random.default_rng(s) for s in children]
-    batch_rngs = [np.random.default_rng(s) for s in children]
-    scalars = [build_model(config, rng) for rng in scalar_rngs]
-    batch = build_batch_model(config, batch_rngs)
-    return scalars, batch
+    rngs = [[np.random.default_rng(s) for s in children] for _ in range(3)]
+    oracles = [oracle_model(config, rng) for rng in rngs[0]]
+    views = [build_model(config, rng) for rng in rngs[1]]
+    batch = build_batch_model(config, rngs[2])
+    return oracles, views, batch, rngs
+
+
+def generator_states(rngs):
+    return [rng.bit_generator.state for rng in rngs]
+
+
+def state_arrays(model, prefix=""):
+    """Copies of every state array of a batch model, its timetable engine's
+    and its composite members' included (per-step budget buffers are
+    scratch, not state)."""
+    out = {}
+    for key, value in vars(model).items():
+        if isinstance(value, np.ndarray) and "budget" not in key:
+            out[prefix + key] = value.copy()
+        elif key == "_engine":
+            out.update(state_arrays(value, f"{prefix}{key}."))
+        elif key == "models":
+            for i, member in enumerate(value):
+                out.update(state_arrays(member, f"{prefix}models[{i}]."))
+    return out
+
+
+def assert_same_arrays(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert got[key].tobytes() == want[key].tobytes(), key
 
 
 needs_provider = pytest.mark.skipif(
@@ -117,13 +145,21 @@ TRIP_SPEEDS = {
 }
 
 
-def mrwp_snapshot(model, rngs):
-    """Everything an MRWP step may change, generator states included."""
-    arrays = (
-        model._pos, model._dest, model._target, model._on_second_leg,
-        model.turn_counts, model.arrival_counts,
-    )
-    return [a.copy() for a in arrays], [rng.bit_generator.state for rng in rngs]
+def mrwp_snapshot(models, rngs):
+    """Everything an MRWP step may change, generator states included.
+
+    ``models`` is one model or a list of them, whose flat arrays are
+    concatenated in order; a view is read through its twin.
+    """
+    models = models if isinstance(models, list) else [models]
+    states = [getattr(model, "batch", model) for model in models]
+    arrays = [
+        np.concatenate([getattr(state, name) for state in states])
+        for name in (
+            "_pos", "_dest", "_target", "_on_second_leg", "turn_counts", "arrival_counts",
+        )
+    ]
+    return arrays, generator_states(rngs)
 
 
 def assert_same_snapshot(got, want):
@@ -137,22 +173,40 @@ def spawn_rngs(batch_size, seed=21):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(batch_size)]
 
 
+def retire_schedule(batch_size, t):
+    """Replica ``b`` retires after step ``2 + 2 * b``."""
+    return np.arange(batch_size) * 2 + 2 >= t
+
+
 def run_batch_mrwp(tier, batch_size, speed, dt, rngs=None, steps=8):
-    """Snapshots after every step of a batch MRWP model on ``tier``;
-    replica ``b`` retires after step ``2 + 2 * b``."""
+    """Snapshots after every step of a batch MRWP model on ``tier``."""
     rngs = spawn_rngs(batch_size) if rngs is None else rngs
     model = BatchManhattanRandomWaypoint(N, SIDE, speed, rngs)
     snapshots = []
     with use_kernel_tier(tier):
         for t in range(steps):
-            model.step(dt, active=np.arange(batch_size) * 2 + 2 >= t)
+            model.step(dt, active=retire_schedule(batch_size, t))
             snapshots.append(mrwp_snapshot(model, rngs))
     return snapshots
 
 
-def run_scalar_mrwp(tier, speed, dt, steps=8):
+def run_oracle_mrwp(batch_size, speed, dt, steps=8):
+    """:func:`run_batch_mrwp`'s snapshots from ``batch_size`` oracles on the
+    numpy tier, stepped on the same retire schedule."""
+    rngs = spawn_rngs(batch_size)
+    models = [ORACLES["mrwp"](N, SIDE, speed, rng=rng) for rng in rngs]
+    snapshots = []
+    with use_kernel_tier("numpy"):
+        for t in range(steps):
+            for b in np.nonzero(retire_schedule(batch_size, t))[0]:
+                models[b].step(dt)
+            snapshots.append(mrwp_snapshot(models, rngs))
+    return snapshots
+
+
+def run_scalar_mrwp(tier, speed, dt, cls=ManhattanRandomWaypoint, steps=8):
     rng = np.random.default_rng(21)
-    model = ManhattanRandomWaypoint(N, SIDE, speed, rng=rng)
+    model = cls(N, SIDE, speed, rng=rng)
     snapshots = []
     with use_kernel_tier(tier):
         for _ in range(steps):
@@ -177,19 +231,25 @@ def result_fingerprint(results):
 
 
 class TestModelLevelParity:
-    """Stepping the batch model == stepping B scalar models, bit for bit."""
+    """Stepping the batch model == stepping B views == stepping B oracles,
+    bit for bit."""
 
     @pytest.mark.parametrize("name,options,init", MODEL_INIT_CASES)
     def test_initial_state_and_trajectory_bit_exact(self, name, options, init):
-        scalars, batch = model_pair(name, options, init)
+        oracles, views, batch, rngs = model_set(name, options, init)
         entry = BATCH_MOBILITY_REGISTRY[name]
         if isinstance(entry, type):
             assert type(batch) is entry
-        assert not isinstance(batch, ReplicatedBatchMobility)
-        assert np.array_equal(np.stack([m.positions for m in scalars]), batch.positions)
+        expected = np.stack([m.positions for m in oracles])
+        assert np.array_equal(batch.positions, expected)
+        assert np.array_equal(np.stack([v.positions for v in views]), expected)
         for _ in range(12):
-            expected = np.stack([m.step() for m in scalars])
+            expected = np.stack([m.step() for m in oracles])
             assert np.array_equal(batch.step(), expected)
+            assert np.array_equal(np.stack([v.step() for v in views]), expected)
+        want = generator_states(rngs[0])
+        assert generator_states(rngs[1]) == want
+        assert generator_states(rngs[2]) == want
 
     @pytest.mark.parametrize(
         "name,options",
@@ -197,19 +257,26 @@ class TestModelLevelParity:
     )
     def test_frozen_replicas_keep_state_and_streams(self, name, options):
         """A frozen replica must not move *and* must not consume RNG —
-        exactly like a scalar trial that already stopped stepping."""
-        scalars, batch = model_pair(name, options, "stationary")
+        exactly like a trial that already stopped stepping."""
+        oracles, _views, batch, _rngs = model_set(name, options, "stationary")
+        # Every replica frozen: no position, state array or generator moves.
+        arrays, streams = state_arrays(batch), generator_states(batch.rngs)
+        positions = batch.positions
+        batch.step(active=np.zeros(B, dtype=bool))
+        assert batch.positions.tobytes() == positions.tobytes()
+        assert_same_arrays(state_arrays(batch), arrays)
+        assert generator_states(batch.rngs) == streams
         active = np.array([True, False, True, False])
         frozen_before = batch.positions[~active]
         for _ in range(6):
             for b in np.nonzero(active)[0]:
-                scalars[b].step()
+                oracles[b].step()
             batch.step(active=active)
         assert np.array_equal(batch.positions[~active], frozen_before)
         # Thawing afterwards: the frozen replicas' generators are pristine,
-        # so they must now replay their scalar twins' next steps exactly.
+        # so they must now replay their oracles' next steps exactly.
         for _ in range(4):
-            expected = np.stack([m.step() for m in scalars])
+            expected = np.stack([m.step() for m in oracles])
             assert np.array_equal(batch.step(), expected)
 
     def test_frozen_mrwp_replica_keeps_signed_zeros(self):
@@ -243,32 +310,35 @@ class TestModelLevelParity:
         ],
     )
     def test_fractional_dt_parity(self, name, options):
-        scalars, batch = model_pair(name, options, "stationary")
+        oracles, views, batch, _rngs = model_set(name, options, "stationary")
         for dt in (0.25, 1.75, 0.5, 3.0):
-            expected = np.stack([m.step(dt) for m in scalars])
+            expected = np.stack([m.step(dt) for m in oracles])
             assert np.array_equal(batch.step(dt), expected)
+            assert np.array_equal(np.stack([v.step(dt) for v in views]), expected)
 
     @needs_provider
     @pytest.mark.parametrize("speed", list(TRIP_SPEEDS.values()), ids=list(TRIP_SPEEDS))
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     @pytest.mark.parametrize("batch_size", [1, 3, 8])
     def test_mrwp_trip_mode_matches_numpy_loop(self, batch_size, dt, speed):
-        """The compiled tier's one-call MRWP step leaves the numpy loop's
-        state, counters and generator states after every step, while
-        replicas retire."""
-        want = run_batch_mrwp("numpy", batch_size, speed, dt)
-        got = run_batch_mrwp("compiled", batch_size, speed, dt)
-        for g, w in zip(got, want):
-            assert_same_snapshot(g, w)
+        """The compiled tier's one-call MRWP step, and the numpy loop, leave
+        the oracles' state, counters and generator states after every
+        step, while replicas retire."""
+        want = run_oracle_mrwp(batch_size, speed, dt)
+        for tier in ("numpy", "compiled"):
+            got = run_batch_mrwp(tier, batch_size, speed, dt)
+            for g, w in zip(got, want):
+                assert_same_snapshot(g, w)
 
     @needs_provider
     @pytest.mark.parametrize("speed", list(TRIP_SPEEDS.values()), ids=list(TRIP_SPEEDS))
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     def test_scalar_mrwp_trip_mode_matches_numpy_loop(self, dt, speed):
-        want = run_scalar_mrwp("numpy", speed, dt)
-        got = run_scalar_mrwp("compiled", speed, dt)
-        for g, w in zip(got, want):
-            assert_same_snapshot(g, w)
+        want = run_scalar_mrwp("numpy", speed, dt, cls=ORACLES["mrwp"])
+        for tier in ("numpy", "compiled"):
+            got = run_scalar_mrwp(tier, speed, dt)
+            for g, w in zip(got, want):
+                assert_same_snapshot(g, w)
 
 
 class ForwardingGenerator:
@@ -361,28 +431,36 @@ class TestCompiledTripModeGuards:
 
     def test_cached_generator_follows_reset(self):
         snapshots = []
-        for tier in ("numpy", "compiled"):
+        for cls, tier in (
+            (ORACLES["mrwp"], "numpy"),
+            (ManhattanRandomWaypoint, "numpy"),
+            (ManhattanRandomWaypoint, "compiled"),
+        ):
             first, second = spawn_rngs(2)
-            model = ManhattanRandomWaypoint(N, SIDE, SIDE, rng=first)
+            model = cls(N, SIDE, SIDE, rng=first)
             with use_kernel_tier(tier):
                 for _ in range(3):
                     model.step()
                 model.reset(rng=second)
+                assert model.time == 0.0
                 for _ in range(3):
                     model.step()
             snapshots.append(mrwp_snapshot(model, [first, second]))
         assert_same_snapshot(snapshots[1], snapshots[0])
+        assert_same_snapshot(snapshots[2], snapshots[0])
 
 
 class TestEngineLevelParity:
-    """run_trials: batch engine == scalar engine over the full model grid."""
+    """run_trials on either engine == the oracle trials over the full model
+    grid."""
 
     @pytest.mark.parametrize("name,options,init", MODEL_INIT_CASES)
     def test_trials_match_across_engines(self, name, options, init):
         config = mobility_config(name, options, init)
-        scalar = result_fingerprint(run_trials(config, 3))
-        batch = result_fingerprint(run_trials(config.with_options(engine="batch"), 3))
-        assert scalar == batch
+        reference = result_fingerprint(oracle_trials(config, 3))
+        for engine in ("scalar", "batch"):
+            got = result_fingerprint(run_trials(config.with_options(engine=engine), 3))
+            assert got == reference, engine
 
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize(
@@ -391,11 +469,9 @@ class TestEngineLevelParity:
     def test_new_models_match_across_backends(self, name, backend):
         options = {"v_min": 0.3, "v_max": 1.1} if name == "mrwp-speed" else {}
         config = mobility_config(name, options, backend=backend)
-        reference = None
+        reference = result_fingerprint(oracle_trials(config, 3))
         for engine in ("scalar", "batch"):
             got = result_fingerprint(run_trials(config.with_options(engine=engine), 3))
-            if reference is None:
-                reference = got
             assert got == reference, (name, backend, engine)
 
     def test_auto_resolves_to_batch_for_native_models(self):
@@ -415,30 +491,17 @@ TRANSIT_CASES = [
 
 
 class TestTransitFamilyNative:
-    """ferry / composite / timetable run natively in the batch engine."""
-
-    @pytest.mark.parametrize("name,options", TRANSIT_CASES)
-    def test_transit_models_are_native(self, name, options):
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(B)]
-        model = build_batch_model(mobility_config(name, options), rngs)
-        assert not isinstance(model, ReplicatedBatchMobility)
+    """ferry / composite / timetable on every backend and engine."""
 
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("name,options", TRANSIT_CASES)
     def test_bit_identical_across_backends_and_engines(self, name, options, backend):
         """The acceptance sweep: {transit model} x {backend} x {engine}."""
         config = mobility_config(name, options, max_steps=120, backend=backend)
-        reference = result_fingerprint(run_trials(config.with_options(engine="scalar"), 3))
-        for engine in ("batch", "auto"):
+        reference = result_fingerprint(oracle_trials(config, 3))
+        for engine in ("scalar", "batch", "auto"):
             got = result_fingerprint(run_trials(config.with_options(engine=engine), 3))
             assert got == reference, (name, backend, engine)
-
-    @pytest.mark.parametrize("name,options", TRANSIT_CASES)
-    def test_no_fallback_note_and_auto_resolves_to_batch(self, name, options):
-        config = mobility_config(name, options, engine="auto")
-        assert config.resolved_engine == "batch"
-        results = run_trials(config, 2)
-        assert all("mobility_execution" not in r.extras for r in results)
 
 
 class TestStepRejectsBadDt:
@@ -451,8 +514,8 @@ class TestStepRejectsBadDt:
     )
     def test_raises_and_leaves_state(self, name, kind, dt):
         options = next(options for grid_name, options, _ in MODEL_GRID if grid_name == name)
-        scalars, batch = model_pair(name, options, "stationary")
-        model = scalars[0] if kind == "scalar" else batch
+        _oracles, views, batch, _rngs = model_set(name, options, "stationary")
+        model = views[0] if kind == "scalar" else batch
         model.step(0.5)
         before = model.positions
         with pytest.raises(ValueError, match="dt must be positive and finite"):
@@ -461,46 +524,35 @@ class TestStepRejectsBadDt:
         assert np.array_equal(model.positions, before)
 
 
-class TestReplicatedEscapeHatch:
-    """User-supplied scalar models without a batch twin still run correctly
-    through ReplicatedBatchMobility — and say so in every replica."""
+class TestViews:
+    """A ``MODEL_REGISTRY`` model is a one-replica view of its batch twin."""
 
-    NAME = "mrwp-scalar-only"
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_views_keep_the_oracle_constructor_signature(self, name):
+        assert inspect.signature(MODEL_REGISTRY[name]) == inspect.signature(ORACLES[name])
 
-    @pytest.fixture()
-    def scalar_only_model(self, monkeypatch):
-        monkeypatch.setitem(MODEL_REGISTRY, self.NAME, ManhattanRandomWaypoint)
-        monkeypatch.setitem(_MOBILITY_OPTION_KEYS, self.NAME, frozenset())
-        assert self.NAME not in BATCH_MOBILITY_REGISTRY
-        return self.NAME
-
-    def test_unregistered_batch_model_is_replicated(self, scalar_only_model):
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(B)]
-        config = mobility_config(scalar_only_model, {})
-        assert isinstance(build_batch_model(config, rngs), ReplicatedBatchMobility)
-
-    def test_escape_hatch_bit_identical_across_engines(self, scalar_only_model):
-        config = mobility_config(scalar_only_model, {}, max_steps=120)
-        scalar = result_fingerprint(run_trials(config, 3))
-        batch = result_fingerprint(run_trials(config.with_options(engine="batch"), 3))
-        assert scalar == batch
-
-    def test_fallback_note_stamped_on_every_replica(self, scalar_only_model):
-        results = run_trials(mobility_config(scalar_only_model, {}, engine="batch"), 3)
-        notes = [r.extras.get("mobility_execution") for r in results]
-        assert notes == ["replicated (not vectorized)"] * 3
-
-    def test_native_models_carry_no_fallback_note(self):
-        results = run_trials(mobility_config("mrwp-pause", {"pause_time": 1.0}, engine="batch"), 2)
-        assert all("mobility_execution" not in r.extras for r in results)
-
-    def test_auto_keeps_escape_hatch_models_on_the_scalar_engine(self, scalar_only_model):
-        config = mobility_config(scalar_only_model, {}, engine="auto")
-        assert config.resolved_engine == "scalar"
+    @pytest.mark.parametrize("name,options,_inits", MODEL_GRID)
+    def test_view_holds_its_twin_at_one_replica(self, name, options, _inits):
+        config = mobility_config(name, options)
+        rng = np.random.default_rng(4)
+        view = build_model(config, rng)
+        assert type(view.batch) is type(build_batch_model(config, [rng]))
+        assert view.batch.batch_size == 1 and view.batch.rngs == [rng]
+        assert view.rng is rng and not hasattr(view, "batch_size")
+        view.step()
+        assert view.time == view.batch.time == 1.0
+        assert np.array_equal(view.positions, view.batch.positions[0])
 
 
 class TestConfigSurface:
     """Config-time validation of the mobility layer's new surface."""
+
+    def test_model_without_a_batch_twin_refused_at_construction(self, monkeypatch):
+        monkeypatch.setitem(MODEL_REGISTRY, "mrwp-scalar-only", ManhattanRandomWaypoint)
+        monkeypatch.setitem(_MOBILITY_OPTION_KEYS, "mrwp-scalar-only", frozenset())
+        for engine in ("scalar", "batch", "auto"):
+            with pytest.raises(ValueError, match="no batch implementation"):
+                mobility_config("mrwp-scalar-only", {}, engine=engine)
 
     def test_every_registered_model_builds_from_config(self):
         for name in MODEL_REGISTRY:

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+import mobility_oracles
 from repro.geometry.points import in_square
-from repro.mobility.ferry import CompositeMobility, FerryPatrol, rectangle_route
+from repro.mobility.ferry import (
+    CompositeMobility,
+    FerryPatrol,
+    batch_composite_with_ferries,
+    composite_with_ferries,
+    rectangle_route,
+)
+from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.mobility.random_walk import RandomWalk
 
 SIDE = 10.0
@@ -166,3 +174,71 @@ class TestCompositeMobility:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             CompositeMobility([])
+
+
+class TestOracleParity:
+    """Ferries and compositions follow the historical scalar models of
+    ``tests/mobility_oracles.py``; a composite's members stay live views."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.5])
+    def test_ferry_follows_the_oracle(self, jitter):
+        route = np.array([[1.0, 1.0], [8.0, 2.0], [4.0, 7.0]])
+        oracle = mobility_oracles.FerryPatrol(
+            4, SIDE, 0.7, route=route, rng=np.random.default_rng(2), jitter=jitter
+        )
+        view = FerryPatrol(4, SIDE, 0.7, route=route, rng=np.random.default_rng(2), jitter=jitter)
+        assert np.array_equal(view.route, oracle.route)
+        assert view.route_length == oracle.route_length
+        for dt in (1.0, 0.37, 2.5) * 20:
+            assert np.array_equal(view.step(dt), oracle.step(dt))
+        assert np.array_equal(view._arc, oracle._arc)
+
+    def test_nested_composite_follows_the_oracle(self):
+        def build(walk, ferry, composite, mrwp):
+            inner = composite(
+                [
+                    walk(5, SIDE, 0.5, rng=np.random.default_rng(1)),
+                    ferry(2, SIDE, 0.5, route=rectangle_route(SIDE, 1.0)),
+                ]
+            )
+            background = mrwp(6, SIDE, 0.5, rng=np.random.default_rng(2))
+            return inner, background, composite([inner, background])
+
+        o = mobility_oracles
+        _, _, oracle = build(
+            o.RandomWalk, o.FerryPatrol, o.CompositeMobility, o.ManhattanRandomWaypoint
+        )
+        inner, background, view = build(
+            RandomWalk, FerryPatrol, CompositeMobility, ManhattanRandomWaypoint
+        )
+        assert view.block_slices() == oracle.block_slices()
+        assert [type(m) for m in view.models] == [CompositeMobility, ManhattanRandomWaypoint]
+        for _ in range(15):
+            assert np.array_equal(view.step(), oracle.step())
+            # The members read the twins the composite steps.
+            assert np.array_equal(inner.positions, view.positions[:7])
+            assert np.array_equal(background.positions, view.positions[7:])
+            assert background.time == inner.time == view.time
+        assert np.array_equal(background.turn_counts, oracle.models[1].turn_counts)
+
+    @pytest.mark.parametrize("init", ["stationary", "uniform"])
+    def test_registered_composite_follows_the_oracle(self, init):
+        seeds = (3, 4)
+        oracles = [
+            mobility_oracles.composite_with_ferries(
+                30, SIDE, 0.6, rng=np.random.default_rng(s), ferries=3, init=init
+            )
+            for s in seeds
+        ]
+        view = composite_with_ferries(
+            30, SIDE, 0.6, rng=np.random.default_rng(seeds[0]), ferries=3, init=init
+        )
+        batch = batch_composite_with_ferries(
+            30, SIDE, 0.6, [np.random.default_rng(s) for s in seeds], ferries=3, init=init
+        )
+        assert view.block_slices() == oracles[0].block_slices() == [slice(0, 27), slice(27, 30)]
+        for _ in range(15):
+            expected = np.stack([m.step() for m in oracles])
+            assert np.array_equal(batch.step(), expected)
+            assert np.array_equal(view.step(), expected[0])
+

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mobility_oracles
 from repro.analysis.validation import spatial_distribution_tv
 from repro.geometry.points import in_square
-from repro.mobility.mrwp import ManhattanRandomWaypoint
+from repro.mobility.mrwp import BatchManhattanRandomWaypoint, ManhattanRandomWaypoint
 from repro.mobility.stationary import PalmStationarySampler
 
 SIDE = 10.0
@@ -182,3 +183,93 @@ class TestStationarity:
         model = make_model(n=50, speed=speed, seed=1)
         model.advance(10)
         assert in_square(model.positions, SIDE, tol=1e-9).all()
+
+
+def assert_same_mrwp_state(model, oracle):
+    """Positions, trip state and counters of a view or a batch replica
+    (``model``, rows of one replica) against an oracle."""
+    for got, want in (
+        (model.positions, oracle.positions),
+        (model.destinations, oracle.destinations),
+        (model.on_second_leg, oracle.on_second_leg),
+        (model.turn_counts, oracle.turn_counts),
+        (model.arrival_counts, oracle.arrival_counts),
+    ):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class BatchRow:
+    """Replica ``b`` of a batch MRWP model, read like a scalar model."""
+
+    def __init__(self, batch, b):
+        n = batch.n
+        self.positions = batch.positions[b]
+        self.destinations = batch._dest[b * n:(b + 1) * n]
+        self.on_second_leg = batch._on_second_leg[b * n:(b + 1) * n]
+        self.turn_counts = batch.turn_counts[b * n:(b + 1) * n]
+        self.arrival_counts = batch.arrival_counts[b * n:(b + 1) * n]
+
+
+class TestOracleParity:
+    """The view and a 3-replica batch model follow the historical scalar
+    model of ``tests/mobility_oracles.py``: positions, trip state and the
+    Lemma-13 counters, step by step."""
+
+    SEEDS = (5, 6, 7)
+
+    @pytest.mark.parametrize("init", ["stationary", "closed-form", "uniform"])
+    @pytest.mark.parametrize("speed", [0.37, 3 * SIDE])
+    def test_view_and_batch_follow_the_oracle(self, init, speed):
+        rngs = [np.random.default_rng(s) for s in self.SEEDS]
+        oracles = [
+            mobility_oracles.ManhattanRandomWaypoint(60, SIDE, speed, rng=rng, init=init)
+            for rng in rngs
+        ]
+        view = make_model(n=60, speed=speed, seed=self.SEEDS[0], init=init)
+        batch = BatchManhattanRandomWaypoint(
+            60, SIDE, speed, [np.random.default_rng(s) for s in self.SEEDS], init=init
+        )
+        for _ in range(10):
+            for oracle in oracles:
+                oracle.step()
+            view.step()
+            batch.step()
+            assert_same_mrwp_state(view, oracles[0])
+            for b, oracle in enumerate(oracles):
+                assert_same_mrwp_state(BatchRow(batch, b), oracle)
+        assert view.time == oracles[0].time == batch.time
+
+    def test_counters_are_the_twin_rows(self):
+        model = make_model(n=40, speed=2.0)
+        counters = model.turn_counts, model.arrival_counts
+        model.advance(5)
+        assert counters[0] is model.turn_counts and counters[1] is model.arrival_counts
+        assert counters[0].shape == counters[1].shape == (40,)
+        assert counters[0].sum() > 0
+
+    def test_state_round_trip_and_reset_follow_the_oracle(self):
+        oracle = mobility_oracles.ManhattanRandomWaypoint(
+            80, SIDE, 0.9, rng=np.random.default_rng(3)
+        )
+        view = make_model(n=80, speed=0.9, seed=3)
+        oracle.advance(5)
+        view.advance(5)
+        state = oracle.get_state()
+        for got, want in zip(vars(view.get_state()).values(), vars(state).values()):
+            assert got.tobytes() == want.tobytes()
+        oracle.advance(5)
+        view.advance(5)
+        oracle.set_state(state)
+        view.set_state(state)
+        for model in (oracle, view):
+            model.advance(5)
+        assert_same_mrwp_state(view, oracle)
+        oracle.reset(np.random.default_rng(8))
+        view.reset(np.random.default_rng(8))
+        assert view.time == oracle.time == 0.0
+        assert_same_mrwp_state(view, oracle)
+        for model in (oracle, view):
+            model.advance(5)
+        assert_same_mrwp_state(view, oracle)
+

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mobility_oracles
 from repro.analysis.empirical import (
     analytic_cell_probabilities,
     histogram_density,
@@ -10,6 +11,7 @@ from repro.analysis.empirical import (
 )
 from repro.geometry.points import in_square
 from repro.mobility.pause import (
+    BatchManhattanRandomWaypointWithPause,
     ManhattanRandomWaypointWithPause,
     moving_probability,
     spatial_pdf_with_pause,
@@ -145,3 +147,41 @@ class TestPauseModel:
             100, SIDE, 0.5, pause_time=2.0, rng=np.random.default_rng(7), init="uniform"
         )
         assert model.moving_fraction == 1.0  # cold start: everyone mid-trip
+
+
+class TestOracleParity:
+    """The view and a 3-replica batch model follow the historical scalar
+    model of ``tests/mobility_oracles.py``, pause state included."""
+
+    SEEDS = (5, 6, 7)
+
+    @pytest.mark.parametrize("init", ["stationary", "uniform"])
+    @pytest.mark.parametrize("pause", [0.0, 2.5])
+    def test_view_and_batch_follow_the_oracle(self, init, pause):
+        oracles = [
+            mobility_oracles.ManhattanRandomWaypointWithPause(
+                80, SIDE, 0.9, pause_time=pause, rng=np.random.default_rng(s), init=init
+            )
+            for s in self.SEEDS
+        ]
+        view = ManhattanRandomWaypointWithPause(
+            80, SIDE, 0.9, pause_time=pause, rng=np.random.default_rng(self.SEEDS[0]),
+            init=init,
+        )
+        batch = BatchManhattanRandomWaypointWithPause(
+            80, SIDE, 0.9, [np.random.default_rng(s) for s in self.SEEDS],
+            pause_time=pause, init=init,
+        )
+        for _ in range(12):
+            expected = np.stack([m.step() for m in oracles])
+            assert np.array_equal(view.step(), expected[0])
+            assert np.array_equal(batch.step(), expected)
+            assert np.array_equal(view.paused_mask, oracles[0].paused_mask)
+            assert np.array_equal(batch.paused_mask, np.stack([m.paused_mask for m in oracles]))
+            assert type(view.moving_fraction) is float
+            assert view.moving_fraction == oracles[0].moving_fraction
+            assert batch.moving_fraction == pytest.approx(
+                [m.moving_fraction for m in oracles], abs=1e-12
+            )
+        assert view.pause_time == oracles[0].pause_time == pause
+

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import mobility_oracles
 from repro.analysis.validation import spatial_distribution_tv
 from repro.geometry.points import in_square
 from repro.mobility.speed_range import (
+    BatchRandomSpeedManhattanWaypoint,
     RandomSpeedManhattanWaypoint,
     cold_start_speed_decay,
     sample_stationary_speeds,
@@ -109,3 +111,35 @@ class TestSpeedDecay:
         assert report["steps"][0] == 0
         assert report["steps"][-1] == 10
         assert report["mean_speed"].shape == report["steps"].shape
+
+
+class TestOracleParity:
+    """The view and a 3-replica batch model follow the historical scalar
+    model of ``tests/mobility_oracles.py``, trip speeds included."""
+
+    SEEDS = (5, 6, 7)
+
+    @pytest.mark.parametrize("init", ["stationary", "uniform"])
+    def test_view_and_batch_follow_the_oracle(self, init):
+        oracles = [
+            mobility_oracles.RandomSpeedManhattanWaypoint(
+                80, SIDE, 0.3, 2.5, rng=np.random.default_rng(s), init=init
+            )
+            for s in self.SEEDS
+        ]
+        view = RandomSpeedManhattanWaypoint(
+            80, SIDE, 0.3, 2.5, rng=np.random.default_rng(self.SEEDS[0]), init=init
+        )
+        batch = BatchRandomSpeedManhattanWaypoint(
+            80, SIDE, 0.3, 2.5, [np.random.default_rng(s) for s in self.SEEDS], init=init
+        )
+        assert view.speed == oracles[0].speed == batch.speed
+        for _ in range(12):
+            expected = np.stack([m.step() for m in oracles])
+            assert np.array_equal(view.step(), expected[0])
+            assert np.array_equal(batch.step(), expected)
+            assert np.array_equal(view.trip_speeds, oracles[0].trip_speeds)
+            assert np.array_equal(batch.trip_speeds, np.stack([m.trip_speeds for m in oracles]))
+            assert type(view.mean_current_speed) is float
+            assert view.mean_current_speed == oracles[0].mean_current_speed
+

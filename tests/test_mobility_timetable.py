@@ -11,6 +11,7 @@ fleet size, and step size.
 import numpy as np
 import pytest
 
+import mobility_oracles
 from repro.mobility import (
     BatchTimetableMobility,
     FerryPatrol,
@@ -203,7 +204,7 @@ class TestVehicleCycles:
         model = TimetableMobility(6, SIDE, SPEED, timetable=tt)
         # 6 vehicles over 4 routes: route-major 2/2/1/1.
         assert model.n_vehicles == 6
-        counts = np.bincount(model._engine.veh_route, minlength=4)
+        counts = np.bincount(model.batch._engine.veh_route, minlength=4)
         assert counts.tolist() == [2, 2, 1, 1]
 
     def test_speed_zero_vehicles_stay_put(self):
@@ -263,7 +264,7 @@ class TestRiders:
             if riding.size:
                 rider_pos = model.positions[riding[0]]
                 # r_vehicle holds flat vehicle indices (0..V-1 for B=1).
-                vehicle_pos = model.vehicle_positions[model._engine.r_vehicle[riding[0]]]
+                vehicle_pos = model.vehicle_positions[model.batch._engine.r_vehicle[riding[0]]]
                 assert np.array_equal(rider_pos, vehicle_pos)
 
     def test_zero_dwell_service_never_boards(self):
@@ -367,3 +368,47 @@ class TestBatchTimetable:
         assert np.array_equal(frozen.positions[1], pristine.positions[1])
         for b in (0, 2):
             assert np.array_equal(frozen.positions[b], reference.positions[b])
+
+
+class TestOracleParity:
+    """The view and a 2-replica batch model follow the historical scalar
+    model of ``tests/mobility_oracles.py``: positions and every transit
+    read-out, step by step."""
+
+    SEEDS = (5, 6)
+    CASES = {
+        "riders": dict(
+            riders=30, timetable=grid_shuttle_timetable(SIDE, lines=2, dwell=2.0, capacity=3),
+            board_radius=1.5,
+        ),
+        "headway-jitter": dict(
+            riders=12, dwell=1.5, headway=4.0, capacity=2, jitter=0.5, init="uniform",
+        ),
+        "vehicles-only": dict(riders=0, dwell=1.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_view_and_batch_follow_the_oracle(self, case):
+        options = self.CASES[case]
+        oracles = [
+            mobility_oracles.TimetableMobility(
+                40, SIDE, SPEED, rng=np.random.default_rng(s), **options
+            )
+            for s in self.SEEDS
+        ]
+        view = TimetableMobility(
+            40, SIDE, SPEED, rng=np.random.default_rng(self.SEEDS[0]), **options
+        )
+        batch = BatchTimetableMobility(
+            40, SIDE, SPEED, [np.random.default_rng(s) for s in self.SEEDS], **options
+        )
+        assert (view.n_riders, view.n_vehicles) == (oracles[0].n_riders, oracles[0].n_vehicles)
+        for _ in range(40):
+            expected = np.stack([m.step() for m in oracles])
+            assert np.array_equal(batch.step(), expected)
+            assert np.array_equal(view.step(), expected[0])
+            for read_out in (
+                "vehicle_positions", "riding_mask", "vehicle_loads", "dwelling_mask",
+            ):
+                assert np.array_equal(getattr(view, read_out), getattr(oracles[0], read_out))
+

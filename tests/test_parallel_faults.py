@@ -289,18 +289,19 @@ class TestSweepEngineDispatch:
     The bug: the parallel sweep branched once on the *base* config's
     ``resolved_engine``, so a sweep crossing an ``engine="auto"``
     resolution boundary shipped every variant through the base config's
-    engine.  Every *built-in* mobility is batch-native since PR 9, so the
-    boundary is recreated the way a user-supplied scalar-only model would:
-    by removing ``ferry`` from ``BATCH_MOBILITY_REGISTRY`` for the test
-    (``jobs=1`` keeps dispatch in-process, so both the registry patch and
-    the counting monkeypatches are visible to every call).
+    engine.  Every built-in protocol and mobility model is batch-native,
+    so the boundary is recreated the way a protocol registered without a
+    batched implementation would: by removing ``gossip`` from
+    ``BATCH_PROTOCOL_REGISTRY`` for the test (``jobs=1`` keeps dispatch
+    in-process, so both the registry patch and the counting monkeypatches
+    are visible to every call).
     """
 
     @staticmethod
-    def _scalar_only_ferry(monkeypatch):
-        from repro.mobility import BATCH_MOBILITY_REGISTRY
+    def _scalar_only_gossip(monkeypatch):
+        from repro.protocols import BATCH_PROTOCOL_REGISTRY
 
-        monkeypatch.delitem(BATCH_MOBILITY_REGISTRY, "ferry")
+        monkeypatch.delitem(BATCH_PROTOCOL_REGISTRY, "gossip")
 
     @staticmethod
     def _counting(monkeypatch):
@@ -312,11 +313,11 @@ class TestSweepEngineDispatch:
         real_scalar = runner_mod.run_flooding
 
         def counting_batch(config, seqs, **kwargs):
-            batch_calls.append(config.mobility)
+            batch_calls.append(config.protocol)
             return real_batch(config, seqs, **kwargs)
 
         def counting_scalar(config, **kwargs):
-            scalar_calls.append(config.mobility)
+            scalar_calls.append(config.protocol)
             return real_scalar(config, **kwargs)
 
         monkeypatch.setattr(batch_mod, "run_protocol_batch", counting_batch)
@@ -324,34 +325,36 @@ class TestSweepEngineDispatch:
         return batch_calls, scalar_calls
 
     @staticmethod
-    def _mobility_sweep(base, mobilities):
+    def _protocol_sweep(base, protocols):
         return run_sweep(
-            SweepPlan.over_parameter(base, "mobility", mobilities, n_trials=2), jobs=1
+            SweepPlan.over_parameter(base, "protocol", protocols, n_trials=2), jobs=1
         )
 
-    def test_mobility_sweep_crossing_auto_boundary(self, monkeypatch, hand_loop):
-        self._scalar_only_ferry(monkeypatch)
+    def test_sweep_crossing_auto_boundary(self, monkeypatch, hand_loop):
+        self._scalar_only_gossip(monkeypatch)
         batch_calls, scalar_calls = self._counting(monkeypatch)
         base = standard_config(
-            60, radius_factor=1.2, max_steps=40, seed=7, engine="auto", mobility="mrwp"
+            60, radius_factor=1.2, max_steps=40, seed=7, engine="auto", protocol="flooding"
         )
-        points = self._mobility_sweep(base, ["mrwp", "ferry"])
-        assert set(batch_calls) == {"mrwp"}  # the native-batch variant only
-        assert set(scalar_calls) == {"ferry"}  # ferry resolves to scalar
-        assert [(p.key, p.engine) for p in points] == [("mrwp", "batch"), ("ferry", "scalar")]
+        points = self._protocol_sweep(base, ["flooding", "gossip"])
+        assert set(batch_calls) == {"flooding"}  # the native-batch variant only
+        assert set(scalar_calls) == {"gossip"}  # gossip resolves to scalar
+        assert [(p.key, p.engine) for p in points] == [
+            ("flooding", "batch"), ("gossip", "scalar"),
+        ]
         # And the results are the per-variant hand-looped truth.
         for point in points:
-            expected = hand_loop(base.with_options(mobility=point.key), 2)
+            expected = hand_loop(base.with_options(protocol=point.key), 2)
             assert [r.flooding_time for r in point.results] == [
                 r.flooding_time for r in expected
             ]
 
     def test_scalar_base_sweeping_into_batch_variants(self, monkeypatch):
-        self._scalar_only_ferry(monkeypatch)
+        self._scalar_only_gossip(monkeypatch)
         batch_calls, scalar_calls = self._counting(monkeypatch)
         base = standard_config(
-            60, radius_factor=1.2, max_steps=40, seed=7, engine="auto", mobility="ferry"
+            60, radius_factor=1.2, max_steps=40, seed=7, engine="auto", protocol="gossip"
         )
-        self._mobility_sweep(base, ["ferry", "rwp"])
-        assert set(scalar_calls) == {"ferry"}
-        assert set(batch_calls) == {"rwp"}  # pre-fix: everything ran scalar
+        self._protocol_sweep(base, ["gossip", "flooding"])
+        assert set(scalar_calls) == {"gossip"}
+        assert set(batch_calls) == {"flooding"}  # pre-fix: everything ran scalar

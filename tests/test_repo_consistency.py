@@ -10,13 +10,19 @@ import re
 import shlex
 import tomllib
 
+import numpy as np
 import pytest
 
 import repro
+import repro.mobility
 import repro.protocols
 from repro.cli import build_parser
 from repro.experiments.registry import EXPERIMENT_MODULES, all_ids, get_spec
+from repro.mobility import BATCH_MOBILITY_REGISTRY, MODEL_REGISTRY, MobilityModel
 from repro.protocols import BATCH_PROTOCOL_REGISTRY, PROTOCOL_REGISTRY, BatchBroadcastState
+from repro.simulation.batch import build_batch_model
+from repro.simulation.config import FloodingConfig
+from repro.simulation.runner import build_model
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -119,6 +125,35 @@ class TestOneImplementationPerProtocol:
         assert concrete == set(BATCH_PROTOCOL_REGISTRY.values())
         for name, cls in PROTOCOL_REGISTRY.items():
             assert not hasattr(cls, "_exchange"), name
+
+
+class TestOneImplementationPerMobilityModel:
+    """A scalar mobility model is a one-replica view of its batch twin, and
+    the kinematics live on the batch models only."""
+
+    def test_registries_name_the_same_models(self):
+        assert set(MODEL_REGISTRY) == set(BATCH_MOBILITY_REGISTRY)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_scalar_models_hold_their_batch_twin(self, name):
+        config = FloodingConfig(n=12, side=9.0, radius=1.6, speed=0.6, mobility=name)
+        rng = np.random.default_rng(0)
+        model = build_model(config, rng)
+        assert isinstance(model.batch, type(build_batch_model(config, [rng])))
+
+    def test_no_scalar_model_defines_step(self):
+        defining = set()
+        for info in pkgutil.iter_modules(repro.mobility.__path__):
+            module = importlib.import_module(f"repro.mobility.{info.name}")
+            for _name, cls in inspect.getmembers(module, inspect.isclass):
+                if (
+                    cls.__module__ == module.__name__
+                    and issubclass(cls, MobilityModel)
+                    and cls is not MobilityModel
+                    and "step" in vars(cls)
+                ):
+                    defining.add(cls)
+        assert defining == set()
 
 
 class TestDocsExist:

@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
+from mobility_oracles import ManhattanRandomWaypoint, RandomWalk, RandomWaypoint
 from repro.geometry.neighbors import BatchNeighborQuery, available_backends, make_engine
-from repro.mobility import (
-    BatchManhattanRandomWaypoint,
-    BatchRandomWalk,
-    BatchRandomWaypoint,
-    ManhattanRandomWaypoint,
-    RandomWalk,
-    RandomWaypoint,
-    ReplicatedBatchMobility,
-)
+from repro.mobility import BatchManhattanRandomWaypoint, BatchRandomWalk, BatchRandomWaypoint
 from repro.protocols.flooding import BatchFloodingState
 from repro.simulation import (
     SweepPlan,
@@ -125,7 +118,8 @@ class TestSeedForSeedParity:
 
 
 class TestBatchMobility:
-    """Vectorized multi-replica stepping vs B independent scalar models."""
+    """Vectorized multi-replica stepping vs B independent scalar models
+    (the historical ones, from ``tests/mobility_oracles.py``)."""
 
     B, N, SIDE, SPEED = 5, 60, 10.0, 0.8
 
@@ -221,22 +215,6 @@ class TestBatchMobility:
         corner = np.all(flat < side / 3, axis=1).mean()
         # Theorem 1: the central box carries ~2.6x the corner box's mass.
         assert center > corner * 1.5
-
-    def test_replicated_fallback_matches_scalar(self):
-        scalar_rngs, batch_rngs = self._rng_pairs(25)
-        models = [
-            ManhattanRandomWaypoint(self.N, self.SIDE, self.SPEED, rng=r)
-            for r in batch_rngs
-        ]
-        reference = [
-            ManhattanRandomWaypoint(self.N, self.SIDE, self.SPEED, rng=r)
-            for r in scalar_rngs
-        ]
-        batch = ReplicatedBatchMobility(models)
-        assert batch.batch_size == self.B
-        for _ in range(5):
-            expected = np.stack([m.step() for m in reference])
-            assert np.array_equal(batch.step(), expected)
 
 
 class TestBatchNeighborQuery:

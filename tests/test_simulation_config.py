@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobility_oracles import oracle_trials
 from repro.mobility import MODEL_REGISTRY
 from repro.protocols import PROTOCOL_REGISTRY
 from repro.simulation import run_trials
@@ -193,6 +194,7 @@ class TestDegenerateConfigs:
 
     @given(
         protocol=st.sampled_from(sorted(PROTOCOL_REGISTRY)),
+        mobility=st.sampled_from(sorted(MODEL_REGISTRY)),
         speed=st.sampled_from(["zero", "quarter-radius", "three-sides"]),
         n=st.integers(min_value=2, max_value=12),
         radius_frac=st.floats(min_value=0.05, max_value=1.0),
@@ -200,22 +202,23 @@ class TestDegenerateConfigs:
     )
     @settings(max_examples=40, deadline=None)
     def test_protocols_refuse_or_run_alike_on_both_engines(
-        self, protocol, speed, n, radius_frac, seed
+        self, protocol, mobility, speed, n, radius_frac, seed
     ):
-        """Every registered protocol, at speed 0, R/4 or 3·side, down to
-        n = 2 and up to R = L√2: the config raises ``ValueError`` when it
-        is built, or both engines give the same trials."""
+        """Every registered protocol over every registered mobility model
+        (default options), at speed 0, R/4 or 3·side, down to n = 2 and up
+        to R = L√2: the config raises ``ValueError`` when it is built, or
+        both engines give the trials of the historical scalar model."""
         radius = radius_frac * _SIDE * math.sqrt(2)
         speed = {"zero": 0.0, "quarter-radius": radius / 4, "three-sides": 3 * _SIDE}[speed]
         try:
             config = FloodingConfig(
                 n=n, side=_SIDE, radius=radius, speed=speed, protocol=protocol,
-                max_steps=30, seed=seed,
+                mobility=mobility, max_steps=30, seed=seed,
             )
         except ValueError:
             return
 
-        def fingerprints(engine):
+        def fingerprints(results):
             return [
                 (
                     r.flooding_time, r.completed, r.stalled, r.n_steps, r.source,
@@ -223,10 +226,12 @@ class TestDegenerateConfigs:
                     r.suburb_completion_time,
                     sorted((k, v) for k, v in r.extras.items() if k != "config"),
                 )
-                for r in run_trials(config.with_options(engine=engine), 2)
+                for r in results
             ]
 
-        assert fingerprints("scalar") == fingerprints("batch")
+        reference = fingerprints(oracle_trials(config, 2))
+        for engine in ("scalar", "batch"):
+            assert fingerprints(run_trials(config.with_options(engine=engine), 2)) == reference
 
 
 class TestRngStreams:
