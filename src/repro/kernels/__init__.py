@@ -32,12 +32,23 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ._glue import KERNEL_NAMES, ManhattanTrips, TripWork, make_kernels
+from ._glue import (
+    KERNEL_NAMES,
+    EuclideanTrips,
+    ManhattanTrips,
+    PauseTrips,
+    SpeedRangeTrips,
+    TripWork,
+    make_kernels,
+)
 
 __all__ = [
     "KERNEL_NAMES",
     "KERNEL_TIERS",
     "ManhattanTrips",
+    "PauseTrips",
+    "SpeedRangeTrips",
+    "EuclideanTrips",
     "TripWork",
     "cext_available",
     "kernel_backend",
@@ -186,10 +197,11 @@ def get_kernel(name: str):
 def warm_kernels(backend: str | None = None) -> str:
     """Exercise every compiled kernel once on tiny inputs.
 
-    Covers each kernel's single runtime type signature (all speed modes and
-    metrics of the leg kernels, and the trip mode, drawing from a real
-    ``Generator``).  Returns the tier label that was warmed (``"numpy"``
-    when no provider is available — nothing to warm).
+    Covers each kernel's runtime type signature: the distance-budget leg
+    passes (sparse, and dense with some and with all rows moving) and
+    each model's trip mode (MRWP, pause-MRWP, random-speed MRWP and RWP),
+    drawing from a real ``Generator``.  Returns the tier label that was
+    warmed (``"numpy"`` when no provider is available — nothing to warm).
     """
     if backend is None and kernel_backend() is None:
         return "numpy"
@@ -203,23 +215,29 @@ def warm_kernels(backend: str | None = None) -> str:
     target = np.array([[1.0, 1.0], [0.0, 0.5], [0.3, 0.3]], dtype=np.float64)
     idx = np.arange(3, dtype=np.intp)
     moving = np.array([True, False, True])
-    speeds = (None, 1.5, np.array([1.0, 2.0, 0.5], dtype=np.float64))
-    for speed in speeds:
-        for metric in ("manhattan", "euclidean"):
-            table["advance_legs"](
-                np.zeros((3, 2)), target, np.full(3, 0.25), idx, 1e-9, speed, metric
-            )
-        for n_moving in (2, 3):
-            table["advance_legs_dense"](
-                np.zeros((3, 2)), target, np.full(3, 0.25), moving, n_moving, 1e-9, speed
-            )
-    trips = ManhattanTrips(
-        target.copy(), np.array([False, True, False]), np.zeros(3, dtype=np.int64),
-        np.zeros(3, dtype=np.int64), 1.0, [np.random.default_rng(0)], 64, TripWork(3),
-    )
-    table["advance_legs_dense"](
-        np.zeros((3, 2)), target.copy(), 2.5, np.ones(1, dtype=bool), 1, 1e-9, trips=trips
-    )
+    table["advance_legs"](np.zeros((3, 2)), target, np.full(3, 0.25), idx, 1e-9)
+    for n_moving in (2, 3):
+        table["advance_legs_dense"](
+            np.zeros((3, 2)), target, np.full(3, 0.25), moving, n_moving, 1e-9
+        )
+    second = np.array([False, True, False])
+    one = np.ones(1, dtype=bool)
+
+    def trips_step(budget, speed, trips):
+        table["advance_legs_dense"](
+            np.zeros((3, 2)), target.copy(), budget, one, 1, 1e-9, speed=speed, trips=trips
+        )
+
+    def common():
+        return 1.0, [np.random.default_rng(0)], 64, TripWork(3)
+
+    counts = (np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64))
+    trips_step(2.5, None, ManhattanTrips(target.copy(), second.copy(), *counts, *common()))
+    pause_left = np.array([0.0, 0.5, 0.0])
+    trips_step(1.0, 2.5, PauseTrips(target.copy(), second.copy(), pause_left, 0.25, *common()))
+    speeds = np.array([2.0, 1.0, 3.0])
+    trips_step(1.0, speeds, SpeedRangeTrips(target.copy(), second.copy(), 1.0, 3.0, *common()))
+    trips_step(1.0, 2.5, EuclideanTrips(pause_left.copy(), counts[1], 0.25, *common()))
     order = np.array([2, 0, 1], dtype=np.intp)
     sorted_ids = np.array([0, 1, 3], dtype=np.intp)
     removed = np.array([False, True, False])
@@ -227,8 +245,8 @@ def warm_kernels(backend: str | None = None) -> str:
         order, sorted_ids, removed,
         np.array([2], dtype=np.intp), np.array([0], dtype=np.intp),
     )
-    counts = np.zeros(4, dtype=np.int64)
-    table["occupancy_delta"](counts, np.array([1]), np.array([2]))
+    occupancy = np.zeros(4, dtype=np.int64)
+    table["occupancy_delta"](occupancy, np.array([1]), np.array([2]))
     parent = np.arange(4, dtype=np.intp)
     table["union_fixpoint"](parent, np.array([3]), np.array([1]))
     table["zone_counts"](

@@ -234,30 +234,20 @@ void repro_count(const double *restrict pos, int64_t batch, int64_t n, int64_t m
 }
 
 int64_t repro_advance_legs(double *restrict pos, const double *restrict target, double *restrict budget,
-                           const int64_t *restrict idx, int64_t K, double eps,
-                           const double *restrict speed_arr, double speed_scalar,
-                           int speed_mode, int metric, int64_t *restrict done)
+                           const int64_t *restrict idx, int64_t K, double eps, int64_t *restrict done)
 {
     int64_t cnt = 0;
     for (int64_t k = 0; k < K; k++) {
         int64_t i = idx[k];
         double d0 = target[2 * i] - pos[2 * i];
         double d1 = target[2 * i + 1] - pos[2 * i + 1];
-        double dist = (metric == 0) ? (fabs(d0) + fabs(d1))
-                                    : sqrt(d0 * d0 + d1 * d1);
+        double dist = fabs(d0) + fabs(d1);
         double b = budget[i];
-        double move, s = 1.0;
-        if (speed_mode == 0) {
-            move = (b < dist) ? b : dist;
-        } else {
-            s = (speed_mode == 1) ? speed_scalar : speed_arr[i];
-            double can = b * s;
-            move = (can < dist) ? can : dist;
-        }
+        double move = (b < dist) ? b : dist;
         double frac = (dist > eps) ? (move / dist) : 1.0;
         pos[2 * i] += d0 * frac;
         pos[2 * i + 1] += d1 * frac;
-        budget[i] = (speed_mode == 0) ? (b - move) : (b - move / s);
+        budget[i] = b - move;
         if (move >= dist - eps) { done[cnt] = i; cnt++; }
     }
     for (int64_t k = 0; k < cnt; k++) {
@@ -271,8 +261,7 @@ int64_t repro_advance_legs(double *restrict pos, const double *restrict target, 
 int64_t repro_advance_legs_dense(double *restrict pos, const double *restrict target,
                                  double *restrict budget, const uint8_t *restrict moving,
                                  int64_t total, int all_moving, double eps,
-                                 const double *restrict speed_arr, double speed_scalar,
-                                 int speed_mode, int64_t *restrict done)
+                                 int64_t *restrict done)
 {
     int64_t cnt = 0;
     for (int64_t i = 0; i < total; i++) {
@@ -281,19 +270,11 @@ int64_t repro_advance_legs_dense(double *restrict pos, const double *restrict ta
         double d1 = target[2 * i + 1] - pos[2 * i + 1];
         double dist = fabs(d0) + fabs(d1);
         double b = budget[i];
-        double move, s = 1.0;
-        if (speed_mode == 0) {
-            move = (b < dist) ? b : dist;
-        } else {
-            s = (speed_mode == 1) ? speed_scalar : speed_arr[i];
-            double can = b * s;
-            move = (can < dist) ? can : dist;
-        }
+        double move = (b < dist) ? b : dist;
         double frac = (dist > eps) ? (move / dist) : 1.0;
-        double spent = (speed_mode == 0) ? move : (move / s);
         pos[2 * i] += d0 * frac;
         pos[2 * i + 1] += d1 * frac;
-        budget[i] = b - spent;
+        budget[i] = b - move;
         if (move >= dist - eps) { done[cnt] = i; cnt++; }
     }
     for (int64_t k = 0; k < cnt; k++) {
@@ -314,52 +295,105 @@ typedef struct {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-static inline void trip_leg(double *restrict pos, double *restrict target,
-                            const double *restrict dest, uint8_t *restrict second,
-                            int64_t *restrict turns, double eps, int64_t i, double b,
-                            int64_t *restrict movers, double *restrict rests,
-                            int64_t *restrict redraw, int64_t *k, int64_t *r, int64_t *arrived)
+/* Modes of repro_advance_trips, one per trip model (the glue's
+   MRWP_TRIPS ... RWP_TRIPS).  Each mode's step is its own inlined copy
+   of trips_step, so the mode tests fold away inside the loops. */
+enum { TRIPS_MRWP = 0, TRIPS_PAUSE = 1, TRIPS_SPEED = 2, TRIPS_RWP = 3 };
+
+#define TRIPS_INLINE static inline __attribute__((always_inline))
+
+TRIPS_INLINE void burn(const int mode, double *restrict pause_left, double speed, double eps,
+                       double eps_t, int64_t i, double b, int64_t *restrict movers,
+                       double *restrict rests, int64_t *restrict redraw, int64_t *k, int64_t *e)
 {
-    double d0 = target[2 * i] - pos[2 * i];
-    double d1 = target[2 * i + 1] - pos[2 * i + 1];
-    double dist = fabs(d0) + fabs(d1);
-    double move = (b < dist) ? b : dist;
+    double left = pause_left[i];
+    if (left > 0) {
+        double spend = (left < b) ? left : b;
+        left = left - spend;
+        b = b - spend;
+        pause_left[i] = left;
+        if (left <= 0 && mode == TRIPS_PAUSE) { redraw[*e] = i; *e += 1; }
+    }
+    if (left <= 0) {
+        int moves = (mode == TRIPS_RWP) ? (b * speed > eps) : (b > eps_t);
+        if (moves) { movers[*k] = i; rests[*k] = b; *k += 1; }
+    }
+}
+
+TRIPS_INLINE void trip_leg(const int mode, double *restrict pos, double *restrict target,
+                           double *restrict dest, uint8_t *restrict second,
+                           int64_t *restrict turns, double *restrict pause_left,
+                           const double *restrict speeds, double speed, double eps,
+                           double eps_t, double pause_time, int64_t i, double b,
+                           int64_t *restrict movers, double *restrict rests,
+                           int64_t *restrict redraw, int64_t *k, int64_t *r, int64_t *arrived)
+{
+    double t0 = (mode == TRIPS_RWP) ? dest[2 * i] : target[2 * i];
+    double t1 = (mode == TRIPS_RWP) ? dest[2 * i + 1] : target[2 * i + 1];
+    double d0 = t0 - pos[2 * i];
+    double d1 = t1 - pos[2 * i + 1];
+    double dist = (mode == TRIPS_RWP) ? sqrt(d0 * d0 + d1 * d1) : (fabs(d0) + fabs(d1));
+    double move, s = 1.0;
+    if (mode == TRIPS_MRWP) {
+        move = (b < dist) ? b : dist;
+    } else {
+        s = (mode == TRIPS_SPEED) ? speeds[i] : speed;
+        double can = b * s;
+        move = (can < dist) ? can : dist;
+    }
     double frac = (dist > eps) ? (move / dist) : 1.0;
     pos[2 * i] += d0 * frac;
     pos[2 * i + 1] += d1 * frac;
-    b = b - move;
+    b = (mode == TRIPS_MRWP) ? (b - move) : (b - move / s);
     if (move >= dist - eps) {
         *arrived += 1;
-        pos[2 * i] = target[2 * i];
-        pos[2 * i + 1] = target[2 * i + 1];
-        if (second[i]) {
+        pos[2 * i] = t0;
+        pos[2 * i + 1] = t1;
+        if (mode == TRIPS_RWP) {
             redraw[*r] = i;
             *r += 1;
+        } else if (second[i]) {
+            if (mode == TRIPS_PAUSE && pause_time > 0) {
+                pause_left[i] = pause_time;
+            } else {
+                redraw[*r] = i;
+                *r += 1;
+            }
         } else {
             second[i] = 1;
             target[2 * i] = dest[2 * i];
             target[2 * i + 1] = dest[2 * i + 1];
-            turns[i] += 1;
+            if (mode == TRIPS_MRWP) turns[i] += 1;
         }
     }
-    if (b > eps) {
+    if (b > eps_t) {
         movers[*k] = i;
         rests[*k] = b;
         *k += 1;
     }
 }
 
-static void redraw_trips(const double *restrict pos, double *restrict target,
-                         double *restrict dest, uint8_t *restrict second,
-                         int64_t *restrict turns, int64_t *restrict arrivals, int64_t n,
-                         double side, bitgen_t *const *bitgens,
-                         const int64_t *restrict redraw, int64_t r)
+/* End of the run of replica b = redraw[t] / n in the ascending redraw[t:r]. */
+static inline int64_t replica_run(const int64_t *restrict redraw, int64_t t, int64_t r,
+                                  int64_t n, int64_t *b)
+{
+    *b = redraw[t] / n;
+    int64_t hi = t + 1;
+    while (hi < r && redraw[hi] / n == *b) hi++;
+    return hi;
+}
+
+TRIPS_INLINE void redraw_trips(const double *restrict pos, double *restrict target,
+                               double *restrict dest, uint8_t *restrict second,
+                               int64_t *restrict turns, int64_t *restrict arrivals,
+                               const int counted, int64_t n, double side,
+                               bitgen_t *const *bitgens, const int64_t *restrict redraw,
+                               int64_t r)
 {
     int64_t t = 0;
     while (t < r) {
-        int64_t b = redraw[t] / n;
-        int64_t hi = t + 1;
-        while (hi < r && redraw[hi] / n == b) hi++;
+        int64_t b;
+        int64_t hi = replica_run(redraw, t, r, n, &b);
         bitgen_t *rng = bitgens[b];
         for (int64_t u = t; u < hi; u++) {
             int64_t i = redraw[u];
@@ -377,45 +411,140 @@ static void redraw_trips(const double *restrict pos, double *restrict target,
                 target[2 * i + 1] = dest[2 * i + 1];
             }
             second[i] = 0;
-            turns[i] += 1;
+            if (counted) {
+                turns[i] += 1;
+                arrivals[i] += 1;
+            }
+        }
+        t = hi;
+    }
+}
+
+static void redraw_speeds(double *restrict speeds, int64_t n, double v_min, double v_range,
+                          bitgen_t *const *bitgens, const int64_t *restrict redraw, int64_t r)
+{
+    int64_t t = 0;
+    while (t < r) {
+        int64_t b;
+        int64_t hi = replica_run(redraw, t, r, n, &b);
+        bitgen_t *rng = bitgens[b];
+        for (int64_t u = t; u < hi; u++)
+            speeds[redraw[u]] = v_min + v_range * rng->next_double(rng->state);
+        t = hi;
+    }
+}
+
+static void redraw_destinations(double *restrict dest, int64_t *restrict arrivals,
+                                double *restrict pause_left, double pause_time, int64_t n,
+                                double side, bitgen_t *const *bitgens,
+                                const int64_t *restrict redraw, int64_t r)
+{
+    int64_t t = 0;
+    while (t < r) {
+        int64_t b;
+        int64_t hi = replica_run(redraw, t, r, n, &b);
+        bitgen_t *rng = bitgens[b];
+        for (int64_t u = t; u < hi; u++) {
+            int64_t i = redraw[u];
+            dest[2 * i] = rng->next_double(rng->state) * side;
+            dest[2 * i + 1] = rng->next_double(rng->state) * side;
+            pause_left[i] = pause_time;
             arrivals[i] += 1;
         }
         t = hi;
     }
 }
 
-int64_t repro_advance_trips(double *restrict pos, double *restrict target, double *restrict dest,
-                            uint8_t *restrict second, int64_t *restrict turns,
-                            int64_t *restrict arrivals, const uint8_t *restrict active,
-                            int64_t batch, int64_t n, double distance, double eps, double side,
-                            bitgen_t *const *bitgens, int64_t max_passes,
-                            int64_t *restrict movers, double *restrict rests,
-                            int64_t *restrict redraw)
+TRIPS_INLINE int64_t trips_step(const int mode, double *restrict pos, double *restrict target,
+                                double *restrict dest, uint8_t *restrict second,
+                                int64_t *restrict turns, int64_t *restrict arrivals,
+                                double *restrict pause_left, double *restrict speeds,
+                                const uint8_t *restrict active, int64_t batch, int64_t n,
+                                double budget, double speed, double eps, double eps_t,
+                                double pause_time, double side, double v_min, double v_range,
+                                bitgen_t *const *bitgens, int64_t max_passes,
+                                int64_t *restrict movers, double *restrict rests,
+                                int64_t *restrict redraw)
 {
+    const int pauses = (mode == TRIPS_PAUSE || mode == TRIPS_RWP);
     int64_t count = 0;
-    if (distance > eps)
+    if (budget > eps_t)
         for (int64_t b = 0; b < batch; b++)
             if (active[b]) count += n;
     for (int64_t p = 0; p < max_passes; p++) {
         if (count == 0) return p;
+        if (pauses) {
+            int64_t k = 0, e = 0;
+            if (p == 0) {
+                for (int64_t b = 0; b < batch; b++) {
+                    if (!active[b]) continue;
+                    for (int64_t i = b * n; i < (b + 1) * n; i++)
+                        burn(mode, pause_left, speed, eps, eps_t, i, budget,
+                             movers, rests, redraw, &k, &e);
+                }
+            } else {
+                for (int64_t t = 0; t < count; t++)
+                    burn(mode, pause_left, speed, eps, eps_t, movers[t], rests[t],
+                         movers, rests, redraw, &k, &e);
+            }
+            if (mode == TRIPS_PAUSE)
+                redraw_trips(pos, target, dest, second, turns, arrivals, 0, n, side,
+                             bitgens, redraw, e);
+            count = k;
+            if (count == 0) return p + 1;
+        }
         int64_t k = 0, r = 0, arrived = 0;
-        if (p == 0) {
+        if (p == 0 && !pauses) {
             for (int64_t b = 0; b < batch; b++) {
                 if (!active[b]) continue;
                 for (int64_t i = b * n; i < (b + 1) * n; i++)
-                    trip_leg(pos, target, dest, second, turns, eps,
-                             i, distance, movers, rests, redraw, &k, &r, &arrived);
+                    trip_leg(mode, pos, target, dest, second, turns, pause_left, speeds,
+                             speed, eps, eps_t, pause_time, i, budget,
+                             movers, rests, redraw, &k, &r, &arrived);
             }
         } else {
             for (int64_t t = 0; t < count; t++)
-                trip_leg(pos, target, dest, second, turns, eps,
-                         movers[t], rests[t], movers, rests, redraw, &k, &r, &arrived);
+                trip_leg(mode, pos, target, dest, second, turns, pause_left, speeds,
+                         speed, eps, eps_t, pause_time, movers[t], rests[t],
+                         movers, rests, redraw, &k, &r, &arrived);
         }
         if (arrived == 0) return p + 1;
-        redraw_trips(pos, target, dest, second, turns, arrivals, n, side, bitgens, redraw, r);
+        if (mode == TRIPS_RWP) {
+            redraw_destinations(dest, arrivals, pause_left, pause_time, n, side,
+                                bitgens, redraw, r);
+        } else {
+            redraw_trips(pos, target, dest, second, turns, arrivals, mode == TRIPS_MRWP,
+                         n, side, bitgens, redraw, r);
+            if (mode == TRIPS_SPEED)
+                redraw_speeds(speeds, n, v_min, v_range, bitgens, redraw, r);
+        }
         count = k;
     }
     return -1;
+}
+
+int64_t repro_advance_trips(int64_t mode, double *restrict pos, double *restrict target,
+                            double *restrict dest, uint8_t *restrict second,
+                            int64_t *restrict turns, int64_t *restrict arrivals,
+                            double *restrict pause_left, double *restrict speeds,
+                            const uint8_t *restrict active, int64_t batch, int64_t n,
+                            double budget, double speed, double eps, double eps_t,
+                            double pause_time, double side, double v_min, double v_range,
+                            bitgen_t *const *bitgens, int64_t max_passes,
+                            int64_t *restrict movers, double *restrict rests,
+                            int64_t *restrict redraw)
+{
+#define TRIPS_STEP(MODE) \
+    trips_step(MODE, pos, target, dest, second, turns, arrivals, pause_left, speeds, active, \
+               batch, n, budget, speed, eps, eps_t, pause_time, side, v_min, v_range, \
+               bitgens, max_passes, movers, rests, redraw)
+    switch (mode) {
+    case TRIPS_PAUSE: return TRIPS_STEP(TRIPS_PAUSE);
+    case TRIPS_SPEED: return TRIPS_STEP(TRIPS_SPEED);
+    case TRIPS_RWP: return TRIPS_STEP(TRIPS_RWP);
+    default: return TRIPS_STEP(TRIPS_MRWP);
+    }
+#undef TRIPS_STEP
 }
 
 void repro_splice(const int64_t *restrict order, const int64_t *restrict sorted_ids,
@@ -599,17 +728,13 @@ def _declare(lib):
     lib.repro_count.restype = None
     lib.repro_count.argtypes = [*pair, _ptr]
     lib.repro_advance_legs.restype = _i64
-    lib.repro_advance_legs.argtypes = [
-        _ptr, _ptr, _ptr, _ptr, _i64, _f64, _ptr, _f64, _int, _int, _ptr,
-    ]
+    lib.repro_advance_legs.argtypes = [_ptr, _ptr, _ptr, _ptr, _i64, _f64, _ptr]
     lib.repro_advance_legs_dense.restype = _i64
-    lib.repro_advance_legs_dense.argtypes = [
-        _ptr, _ptr, _ptr, _ptr, _i64, _int, _f64, _ptr, _f64, _int, _ptr,
-    ]
+    lib.repro_advance_legs_dense.argtypes = [_ptr, _ptr, _ptr, _ptr, _i64, _int, _f64, _ptr]
     lib.repro_advance_trips.restype = _i64
     lib.repro_advance_trips.argtypes = [
-        _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64, _f64, _f64, _f64,
-        _ptr, _i64, _ptr, _ptr, _ptr,
+        _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64,
+        _f64, _f64, _f64, _f64, _f64, _f64, _f64, _f64, _ptr, _i64, _ptr, _ptr, _ptr,
     ]
     lib.repro_splice.restype = None
     lib.repro_splice.argtypes = [
@@ -672,24 +797,29 @@ def load_cores():
             _addr(cellk), _addr(starts), _addr(srcsort), _addr(out),
         )
 
-    def advance_legs_core(pos, target, budget, idx, eps, speed_arr, speed_scalar, speed_mode, metric, done):
+    def advance_legs_core(pos, target, budget, idx, eps, done):
         return lib.repro_advance_legs(
-            _addr(pos), _addr(target), _addr(budget), _addr(idx), idx.shape[0],
-            eps, _addr(speed_arr), speed_scalar, speed_mode, metric, _addr(done),
+            _addr(pos), _addr(target), _addr(budget), _addr(idx), idx.shape[0], eps, _addr(done),
         )
 
-    def advance_legs_dense_core(pos, target, budget, moving, all_moving, eps, speed_arr, speed_scalar, speed_mode, done):
+    def advance_legs_dense_core(pos, target, budget, moving, all_moving, eps, done):
         return lib.repro_advance_legs_dense(
             _addr(pos), _addr(target), _addr(budget), _addr(moving),
-            budget.shape[0], 1 if all_moving else 0, eps,
-            _addr(speed_arr), speed_scalar, speed_mode, _addr(done),
+            budget.shape[0], 1 if all_moving else 0, eps, _addr(done),
         )
 
-    def advance_trips_core(pos, target, dest, on_second_leg, turns, arrivals, active, n, distance, eps, side, bitgens, max_passes, movers, rests, redraw):
+    def advance_trips_core(mode, pos, target, dest, on_second_leg, turns, arrivals, pause_left, speeds, active, n, budget, speed, eps, eps_t, pause_time, side, v_min, v_range, bitgens, max_passes, movers, rests, redraw):
+        # A mode's unused arrays are None, which crosses as NULL.
         return lib.repro_advance_trips(
-            _addr(pos), _addr(target), _addr(dest), _addr(on_second_leg),
-            _addr(turns), _addr(arrivals), _addr(active), active.shape[0], n,
-            distance, eps, side, _addr(bitgens), max_passes,
+            mode, _addr(pos),
+            None if target is None else _addr(target), _addr(dest),
+            None if on_second_leg is None else _addr(on_second_leg),
+            None if turns is None else _addr(turns),
+            None if arrivals is None else _addr(arrivals),
+            None if pause_left is None else _addr(pause_left),
+            None if speeds is None else _addr(speeds),
+            _addr(active), active.shape[0], n, budget, speed, eps, eps_t, pause_time,
+            side, v_min, v_range, _addr(bitgens), max_passes,
             _addr(movers), _addr(rests), _addr(redraw),
         )
 

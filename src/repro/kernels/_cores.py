@@ -23,19 +23,26 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
   neighbor-sampling protocols consume their draws.
 * ``advance_legs_core`` / ``advance_legs_dense_core`` — the identical
   IEEE operation sequence as :func:`repro.mobility.kinematics.advance_legs`
-  (same gathers, same guarded division, same ``move >= dist - eps``
-  threshold; the dense pass skips the rows that do not move), so positions
-  and budgets are bit-identical.
-* ``advance_trips_core`` — a whole step of the MRWP carry-over loop
-  (``mrwp._advance_trips``): pass by pass over the flat ``B*n`` layout,
-  the leg arithmetic of ``advance_legs_core``, the corner promotions of
-  ``split_completed_legs`` and the redraws of ``redraw_manhattan_trips``.
-  The one core that draws random numbers: each replica's new trips come
-  from its own generator by the same calls, in the same order, as the
-  numpy loop's ``rng.random`` fills (``next_double`` per destination
-  coordinate, then ``next_uint32`` per path coin), so positions, trips,
-  counters and generator states are bit-identical, shared generators
-  included.
+  for distance budgets on Manhattan legs (same gathers, same guarded
+  division, same ``move >= dist - eps`` threshold; the dense pass skips
+  the rows that do not move), so positions and budgets are bit-identical.
+  Time budgets and Euclidean legs run numpy (the glue declines them).
+* ``advance_trips_core`` — a whole step of a trip model's carry-over
+  loop, one mode per model: MRWP (``mrwp._advance_trips``), pause-MRWP
+  (``pause._advance_pause_mrwp``), random-speed MRWP
+  (``speed_range._advance_random_speed``) and straight-line RWP
+  (``rwp._advance_rwp``).  Pass by pass over the flat ``B*n`` layout it
+  runs the loop's pause burn (``countdown_pauses``), the leg arithmetic
+  of ``advance_legs`` (distance or time budget, scalar or per-agent
+  speed, Manhattan or Euclidean legs), the corner promotions of
+  ``split_completed_legs`` and the redraws of ``redraw_manhattan_trips``,
+  ``rng.uniform`` speeds and ``redraw_destinations``.  The one core
+  that draws random numbers: each replica's new trips, speeds and
+  destinations come from its own generator by the same calls, in the
+  same order, as the numpy loop's (``next_double`` per destination
+  coordinate, ``next_uint32`` per path coin, ``next_double`` per speed),
+  so positions, trips, pause timers, speeds, counters and generator
+  states are bit-identical, shared generators included.
 * ``splice_core`` — reproduces ``np.insert(..., searchsorted(...,
   side='left'))`` exactly: inserted points land *before* equal-bucket
   survivors, in stable sorted order.
@@ -54,6 +61,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ._glue import MRWP_TRIPS, PAUSE_TRIPS, RWP_TRIPS, SPEED_TRIPS
 
 __all__ = [
     "any_within_core",
@@ -324,43 +333,28 @@ def count_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, sr
             ob[i] = hits
 
 
-def advance_legs_core(pos, target, budget, idx, eps, speed_arr, speed_scalar, speed_mode, metric, done):
-    """Masked carry-over iteration; mirrors ``kinematics.advance_legs``.
+def advance_legs_core(pos, target, budget, idx, eps, done):
+    """Masked carry-over iteration of distance budgets on Manhattan legs;
+    mirrors ``kinematics.advance_legs`` with ``speed=None``.
 
-    ``speed_mode``: 0 = distance budget, 1 = scalar speed, 2 = per-agent
-    speed array.  ``metric``: 0 = manhattan, 1 = euclidean.  Fills ``done``
-    with the reached indices (in ``idx`` order) and returns their count;
-    reached agents are snapped onto their targets.
+    Fills ``done`` with the reached indices (in ``idx`` order) and returns
+    their count; reached agents are snapped onto their targets.
     """
     cnt = 0
     for k in range(idx.shape[0]):
         i = idx[k]
         d0 = target[i, 0] - pos[i, 0]
         d1 = target[i, 1] - pos[i, 1]
-        if metric == 0:
-            dist = abs(d0) + abs(d1)
-        else:
-            dist = math.sqrt(d0 * d0 + d1 * d1)
+        dist = abs(d0) + abs(d1)
         b = budget[i]
-        if speed_mode == 0:
-            move = b if b < dist else dist
-        else:
-            if speed_mode == 1:
-                s = speed_scalar
-            else:
-                s = speed_arr[i]
-            can = b * s
-            move = can if can < dist else dist
+        move = b if b < dist else dist
         if dist > eps:
             frac = move / dist
         else:
             frac = 1.0
         pos[i, 0] += d0 * frac
         pos[i, 1] += d1 * frac
-        if speed_mode == 0:
-            budget[i] = b - move
-        else:
-            budget[i] = b - move / s
+        budget[i] = b - move
         if move >= dist - eps:
             done[cnt] = i
             cnt += 1
@@ -371,8 +365,9 @@ def advance_legs_core(pos, target, budget, idx, eps, speed_arr, speed_scalar, sp
     return cnt
 
 
-def advance_legs_dense_core(pos, target, budget, moving, all_moving, eps, speed_arr, speed_scalar, speed_mode, done):
-    """Dense full-array pass; mirrors ``kinematics.advance_legs_dense``.
+def advance_legs_dense_core(pos, target, budget, moving, all_moving, eps, done):
+    """Dense full-array pass of distance budgets; mirrors
+    ``kinematics.advance_legs_dense`` with ``speed=None``.
 
     Rows that do not move are skipped, so they keep their state bit for bit.
     """
@@ -385,26 +380,14 @@ def advance_legs_dense_core(pos, target, budget, moving, all_moving, eps, speed_
         d1 = target[i, 1] - pos[i, 1]
         dist = abs(d0) + abs(d1)
         b = budget[i]
-        if speed_mode == 0:
-            move = b if b < dist else dist
-        else:
-            if speed_mode == 1:
-                s = speed_scalar
-            else:
-                s = speed_arr[i]
-            can = b * s
-            move = can if can < dist else dist
+        move = b if b < dist else dist
         if dist > eps:
             frac = move / dist
         else:
             frac = 1.0
-        if speed_mode == 0:
-            spent = move
-        else:
-            spent = move / s
         pos[i, 0] += d0 * frac
         pos[i, 1] += d1 * frac
-        budget[i] = b - spent
+        budget[i] = b - move
         if move >= dist - eps:
             done[cnt] = i
             cnt += 1
@@ -423,46 +406,117 @@ def bitgen_handles(rngs):
     return list(rngs)
 
 
-def _trip_leg(pos, target, dest, on_second_leg, turns, eps, i, b, movers, rests, redraw, k, r, arrived):
+def _burn(mode, pause_left, speed, eps, eps_t, i, b, movers, rests, redraw, k, e):
+    """One live agent's pause burn in ``advance_trips_core``; returns ``(k, e)``.
+
+    A running pause spends ``min(pause_left, b)`` of the budget; in the
+    pause mode a pause that ends joins ``redraw``.  The agent then joins
+    the pass's ``movers``, with its budget in ``rests``, if its pause is
+    over and it can still move: budget above ``eps_t``, or in the RWP mode
+    ``b * speed > eps``.
+    """
+    left = pause_left[i]
+    if left > 0:
+        spend = left if left < b else b
+        left = left - spend
+        b = b - spend
+        pause_left[i] = left
+        if left <= 0 and mode == PAUSE_TRIPS:
+            redraw[e] = i
+            e += 1
+    if left <= 0:
+        if mode == RWP_TRIPS:
+            moves = b * speed > eps
+        else:
+            moves = b > eps_t
+        if moves:
+            movers[k] = i
+            rests[k] = b
+            k += 1
+    return k, e
+
+
+def _trip_leg(mode, pos, target, dest, on_second_leg, turns, pause_left, speeds, speed, eps, eps_t, pause_time, i, b, movers, rests, redraw, k, r, arrived):
     """One agent's leg in ``advance_trips_core``; returns ``(k, r, arrived)``.
 
-    The distance-budget Manhattan arithmetic of ``advance_legs_core``,
-    snapped onto the target on arrival.  A corner arrival turns onto its
-    second leg (target re-aimed at ``dest``, one more turn); a trip
-    arrival joins ``redraw``.  The agent stays a mover, with its budget in
-    ``rests``, while that budget is above ``eps``.
+    The leg arithmetic of ``kinematics.advance_legs``: a distance budget
+    (MRWP), or a time budget spent at ``speed`` (``speeds[i]`` in the
+    speed mode); Manhattan legs to ``target``, or in the RWP mode one
+    Euclidean leg to ``dest``.  Arrivals snap onto the leg's end.  A
+    corner arrival turns onto its second leg (target re-aimed at ``dest``;
+    MRWP counts the turn).  A trip arrival joins ``redraw``, except in the
+    pause mode with ``pause_time > 0``, where it starts its pause instead.
+    The agent stays live, with its budget in ``rests``, while that budget
+    is above ``eps_t``.
     """
-    d0 = target[i, 0] - pos[i, 0]
-    d1 = target[i, 1] - pos[i, 1]
-    dist = abs(d0) + abs(d1)
-    move = b if b < dist else dist
+    if mode == RWP_TRIPS:
+        t0 = dest[i, 0]
+        t1 = dest[i, 1]
+    else:
+        t0 = target[i, 0]
+        t1 = target[i, 1]
+    d0 = t0 - pos[i, 0]
+    d1 = t1 - pos[i, 1]
+    if mode == RWP_TRIPS:
+        dist = math.sqrt(d0 * d0 + d1 * d1)
+    else:
+        dist = abs(d0) + abs(d1)
+    if mode == MRWP_TRIPS:
+        move = b if b < dist else dist
+    else:
+        if mode == SPEED_TRIPS:
+            s = speeds[i]
+        else:
+            s = speed
+        can = b * s
+        move = can if can < dist else dist
     if dist > eps:
         frac = move / dist
     else:
         frac = 1.0
     pos[i, 0] += d0 * frac
     pos[i, 1] += d1 * frac
-    b = b - move
+    if mode == MRWP_TRIPS:
+        b = b - move
+    else:
+        b = b - move / s
     if move >= dist - eps:
         arrived += 1
-        pos[i, 0] = target[i, 0]
-        pos[i, 1] = target[i, 1]
-        if on_second_leg[i]:
+        pos[i, 0] = t0
+        pos[i, 1] = t1
+        if mode == RWP_TRIPS:
             redraw[r] = i
             r += 1
+        elif on_second_leg[i]:
+            if mode == PAUSE_TRIPS and pause_time > 0:
+                pause_left[i] = pause_time
+            else:
+                redraw[r] = i
+                r += 1
         else:
             on_second_leg[i] = True
             target[i, 0] = dest[i, 0]
             target[i, 1] = dest[i, 1]
-            turns[i] += 1
-    if b > eps:
+            if mode == MRWP_TRIPS:
+                turns[i] += 1
+    if b > eps_t:
         movers[k] = i
         rests[k] = b
         k += 1
     return k, r, arrived
 
 
-def _redraw_trips(pos, target, dest, on_second_leg, turns, arrivals, n, side, bitgens, redraw, r):
+def _replica_run(redraw, t, r, n):
+    """``(b, hi)``: the replica of ``redraw[t]`` and the end of its run of
+    agents in the ascending ``redraw[t:r]``."""
+    b = redraw[t] // n
+    hi = t + 1
+    while hi < r and redraw[hi] // n == b:
+        hi += 1
+    return b, hi
+
+
+def _redraw_trips(pos, target, dest, on_second_leg, turns, arrivals, counted, n, side, bitgens, redraw, r):
     """Fresh trips for the ``r`` ascending agents in ``redraw``.
 
     Replica by replica (ascending), the ``k`` trips of replica ``b`` draw
@@ -471,14 +525,12 @@ def _redraw_trips(pos, target, dest, on_second_leg, turns, arrivals, n, side, bi
     ``rng.random(out=dests)`` and ``path_coins``.  A coin ``>= 0.5`` (the
     top bit of its ``next_uint32`` word) takes the horizontal leg first,
     to the corner ``(dest.x, pos.y)``; otherwise the corner is
-    ``(pos.x, dest.y)``.
+    ``(pos.x, dest.y)``.  With ``counted`` (MRWP) each new trip is one
+    more turn and one more arrival.
     """
     t = 0
     while t < r:
-        b = redraw[t] // n
-        hi = t + 1
-        while hi < r and redraw[hi] // n == b:
-            hi += 1
+        b, hi = _replica_run(redraw, t, r, n)
         rng = bitgens[b]
         for u in range(t, hi):
             i = redraw[u]
@@ -493,51 +545,120 @@ def _redraw_trips(pos, target, dest, on_second_leg, turns, arrivals, n, side, bi
                 target[i, 0] = pos[i, 0]
                 target[i, 1] = dest[i, 1]
             on_second_leg[i] = False
-            turns[i] += 1
+            if counted:
+                turns[i] += 1
+                arrivals[i] += 1
+        t = hi
+
+
+def _redraw_speeds(speeds, n, v_min, v_range, bitgens, redraw, r):
+    """Fresh trip speeds for the ``r`` ascending agents in ``redraw``,
+    replica by replica: ``v_min + v_range * next_double``, the arithmetic
+    and the draws of ``rng.uniform(v_min, v_max, size=k)``."""
+    t = 0
+    while t < r:
+        b, hi = _replica_run(redraw, t, r, n)
+        rng = bitgens[b]
+        for u in range(t, hi):
+            speeds[redraw[u]] = v_min + v_range * rng.random()
+        t = hi
+
+
+def _redraw_destinations(dest, arrivals, pause_left, pause_time, n, side, bitgens, redraw, r):
+    """RWP arrivals for the ``r`` ascending agents in ``redraw``: replica by
+    replica, ``2k`` doubles scaled by ``side`` (the ``rng.random(out=...)``
+    fill of ``redraw_destinations``); each agent then pauses
+    ``pause_time`` and counts one more arrival."""
+    t = 0
+    while t < r:
+        b, hi = _replica_run(redraw, t, r, n)
+        rng = bitgens[b]
+        for u in range(t, hi):
+            i = redraw[u]
+            dest[i, 0] = rng.random() * side
+            dest[i, 1] = rng.random() * side
+            pause_left[i] = pause_time
             arrivals[i] += 1
         t = hi
 
 
-def advance_trips_core(pos, target, dest, on_second_leg, turns, arrivals, active, n, distance, eps, side, bitgens, max_passes, movers, rests, redraw):
-    """One MRWP step; returns the passes run, or -1 if ``max_passes`` passes
-    all had arrivals (the numpy loop raises there).
+def advance_trips_core(mode, pos, target, dest, on_second_leg, turns, arrivals, pause_left, speeds, active, n, budget, speed, eps, eps_t, pause_time, side, v_min, v_range, bitgens, max_passes, movers, rests, redraw):
+    """One step of a trip model; returns the passes run, or -1 if
+    ``max_passes`` passes all had arrivals (the numpy loop raises there).
 
-    Pass 1 walks every agent of the ``active`` replicas ``distance``; each
-    later pass walks the ascending ``movers`` with their ``rests`` budgets
-    (rewritten in place for the next pass).  After each pass the finished
-    trips are redrawn (``_redraw_trips``).  The loop stops at a pass with
-    no movers or no arrivals.  Inactive replicas are never read, written
-    or drawn for.
+    ``mode`` picks the model (``MRWP_TRIPS`` ...) and the arrays it uses;
+    the others are never read.  Every agent of the ``active`` replicas
+    starts with ``budget`` (MRWP: the distance ``v * dt``; the other
+    modes: the time ``dt``) and is live while its budget is above
+    ``eps_t`` (MRWP: ``eps``; RWP: 0).  A pass over the live agents,
+    ascending (pass 1: every agent of the active replicas; later passes:
+    ``movers`` with their ``rests``, rewritten in place for the next pass):
+
+    1. the pause modes (pause, RWP) burn pauses first (``_burn``); the
+       pause mode then redraws every trip whose pause ended, replica by
+       replica, before any leg move;
+    2. the movers walk their legs (``_trip_leg``);
+    3. the finished trips are redrawn, replica by replica: new Manhattan
+       trips (counted as turns and arrivals in MRWP), then in the speed
+       mode each replica's new speeds, or in the RWP mode new
+       destinations, pauses and arrival counts.
+
+    The loop stops at a pass with no live agents, no movers after the
+    burn or no arrivals.  Inactive replicas are never read, written or
+    drawn for.
     """
+    pauses = mode == PAUSE_TRIPS or mode == RWP_TRIPS
     count = 0
-    if distance > eps:
+    if budget > eps_t:
         for b in range(active.shape[0]):
             if active[b]:
                 count += n
     for p in range(max_passes):
         if count == 0:
             return p
+        if pauses:
+            k = 0
+            e = 0
+            if p == 0:
+                for b in range(active.shape[0]):
+                    if not active[b]:
+                        continue
+                    for i in range(b * n, (b + 1) * n):
+                        k, e = _burn(mode, pause_left, speed, eps, eps_t, i, budget, movers, rests, redraw, k, e)
+            else:
+                for t in range(count):
+                    k, e = _burn(mode, pause_left, speed, eps, eps_t, movers[t], rests[t], movers, rests, redraw, k, e)
+            if mode == PAUSE_TRIPS:
+                _redraw_trips(pos, target, dest, on_second_leg, turns, arrivals, False, n, side, bitgens, redraw, e)
+            count = k
+            if count == 0:
+                return p + 1
         k = 0
         r = 0
         arrived = 0
-        if p == 0:
+        if p == 0 and not pauses:
             for b in range(active.shape[0]):
                 if not active[b]:
                     continue
                 for i in range(b * n, (b + 1) * n):
                     k, r, arrived = _trip_leg(
-                        pos, target, dest, on_second_leg, turns, eps,
-                        i, distance, movers, rests, redraw, k, r, arrived,
+                        mode, pos, target, dest, on_second_leg, turns, pause_left, speeds,
+                        speed, eps, eps_t, pause_time, i, budget, movers, rests, redraw, k, r, arrived,
                     )
         else:
             for t in range(count):
                 k, r, arrived = _trip_leg(
-                    pos, target, dest, on_second_leg, turns, eps,
-                    movers[t], rests[t], movers, rests, redraw, k, r, arrived,
+                    mode, pos, target, dest, on_second_leg, turns, pause_left, speeds,
+                    speed, eps, eps_t, pause_time, movers[t], rests[t], movers, rests, redraw, k, r, arrived,
                 )
         if arrived == 0:
             return p + 1
-        _redraw_trips(pos, target, dest, on_second_leg, turns, arrivals, n, side, bitgens, redraw, r)
+        if mode == RWP_TRIPS:
+            _redraw_destinations(dest, arrivals, pause_left, pause_time, n, side, bitgens, redraw, r)
+        else:
+            _redraw_trips(pos, target, dest, on_second_leg, turns, arrivals, mode == MRWP_TRIPS, n, side, bitgens, redraw, r)
+            if mode == SPEED_TRIPS:
+                _redraw_speeds(speeds, n, v_min, v_range, bitgens, redraw, r)
         count = k
     return -1
 

@@ -19,7 +19,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["make_kernels", "KERNEL_NAMES", "MAX_KERNEL_CELLS", "ManhattanTrips", "TripWork"]
+__all__ = [
+    "make_kernels",
+    "KERNEL_NAMES",
+    "MAX_KERNEL_CELLS",
+    "ManhattanTrips",
+    "PauseTrips",
+    "SpeedRangeTrips",
+    "EuclideanTrips",
+    "TripWork",
+]
 
 #: Public kernel names, in bench/report order.  ``grid_splice`` and
 #: ``occupancy_delta`` have no caller in the library; they stay registered
@@ -39,14 +48,17 @@ KERNEL_NAMES = (
 #: bucket grid no longer pays for itself and the glue falls back.
 MAX_KERNEL_CELLS = 4_000_000
 
+#: Modes of ``advance_trips_core``, one per trip model: MRWP (distance
+#: budget), pause-MRWP and random-speed MRWP (time budgets, a scalar or a
+#: per-agent speed) and straight-line RWP (time budget, scalar speed).
+MRWP_TRIPS, PAUSE_TRIPS, SPEED_TRIPS, RWP_TRIPS = 0, 1, 2, 3
+
 # Cell side = radius * (1 + margin).  The margin keeps the effective bin
 # width >= radius even after the 1-ulp rounding of ``1.0 / cell``, so two
 # points within ``radius`` always land in adjacent bins (the 3x3 scan is
 # complete) while the distance predicate itself stays exact.
 _CELL_MARGIN = 1e-9
 
-_EMPTY_F = np.empty(0, dtype=np.float64)
-_EMPTY_I = np.empty(0, dtype=np.intp)
 
 
 def _is_c_f64(arr) -> bool:
@@ -101,17 +113,6 @@ def _contacts_capacity(n_src, n_qry, batch, radius, side):
     return max(64, 4 * max(n_src, n_qry), int(2.0 * expected))
 
 
-def _speed_mode(speed, total):
-    """Classify ``speed`` into (mode, array, scalar); ``None`` = unsupported."""
-    if speed is None:
-        return 0, _EMPTY_F, 0.0
-    if isinstance(speed, np.ndarray):
-        if speed.shape != (total,) or not _is_c_f64(speed):
-            return None
-        return 2, speed, 0.0
-    return 1, _EMPTY_F, float(speed)
-
-
 class TripWork:
     """Work buffers of ``advance_legs_dense``'s trip mode, one per model.
 
@@ -152,12 +153,13 @@ class TripWork:
 
 
 class ManhattanTrips(NamedTuple):
-    """The trip state that ``advance_legs_dense``'s trip mode advances.
+    """The MRWP state that ``advance_legs_dense``'s trip mode advances.
 
     ``dest``, ``on_second_leg``, ``turn_counts`` and ``arrival_counts`` are
     the model's flat ``(B*n, 2)`` / ``(B*n,)`` arrays (mutated); ``rngs``
     holds one generator per replica, ``max_passes`` caps the carry-over
-    passes and ``work`` is the model's :class:`TripWork`.
+    passes and ``work`` is the model's :class:`TripWork`.  The step's
+    budget is the distance ``v * dt``.
     """
 
     dest: np.ndarray
@@ -170,12 +172,126 @@ class ManhattanTrips(NamedTuple):
     work: TripWork
 
 
-def _is_c_bool(arr) -> bool:
-    return arr.dtype == np.bool_ and arr.flags.c_contiguous
+class PauseTrips(NamedTuple):
+    """The pause-MRWP state of the trip mode: :class:`ManhattanTrips`
+    without counters, with each agent's remaining pause ``pause_left``
+    (mutated) and the pause ``pause_time`` taken at every way-point.  The
+    step's budget is the time ``dt``, spent at the scalar ``speed``."""
+
+    dest: np.ndarray
+    on_second_leg: np.ndarray
+    pause_left: np.ndarray
+    pause_time: float
+    side: float
+    rngs: list
+    max_passes: int
+    work: TripWork
+
+
+class SpeedRangeTrips(NamedTuple):
+    """The random-speed MRWP state of the trip mode: :class:`ManhattanTrips`
+    without counters; each new trip draws its speed from
+    ``uniform(v_min, v_max)``.  The step's budget is the time ``dt``,
+    spent at the per-agent ``speed`` array (mutated)."""
+
+    dest: np.ndarray
+    on_second_leg: np.ndarray
+    v_min: float
+    v_max: float
+    side: float
+    rngs: list
+    max_passes: int
+    work: TripWork
+
+
+class EuclideanTrips(NamedTuple):
+    """The straight-line RWP state of the trip mode: each trip is one leg
+    to the kernel's ``target`` (the model's destinations, redrawn in
+    place), followed by a pause of ``pause_time``; ``pause_left`` and
+    ``arrival_counts`` are mutated.  The step's budget is the time
+    ``dt``, spent at the scalar ``speed``."""
+
+    pause_left: np.ndarray
+    arrival_counts: np.ndarray
+    pause_time: float
+    side: float
+    rngs: list
+    max_passes: int
+    work: TripWork
 
 
 def _is_c_counts(arr, total) -> bool:
     return arr.dtype == np.int64 and arr.flags.c_contiguous and arr.shape == (total,)
+
+
+def _is_c_flags(arr, total) -> bool:
+    return arr.dtype == np.bool_ and arr.flags.c_contiguous and arr.shape == (total,)
+
+
+def _is_c_points(arr, total) -> bool:
+    return arr.shape == (total, 2) and _is_c_f64(arr)
+
+
+def _is_c_floats(arr, total) -> bool:
+    return arr.shape == (total,) and _is_c_f64(arr)
+
+
+def _scalar_speed(speed):
+    """``speed`` as a float, or ``None`` when it is not a scalar."""
+    if speed is None or isinstance(speed, np.ndarray):
+        return None
+    return float(speed)
+
+
+def _trip_args(trips, target, speed, eps, total):
+    """The arguments of ``advance_trips_core`` that differ by trip model,
+    ``(mode, target, dest, on_second_leg, turns, arrivals, pause_left,
+    speeds, speed, eps_t, pause_time, v_min, v_range)`` with ``None`` for
+    the arrays the mode never reads, or ``None`` when ``trips`` or
+    ``speed`` is outside the mode's domain.
+
+    ``eps_t``, the budget above which an agent stays live, is computed as
+    the numpy loop computes its threshold.
+    """
+    kind = type(trips)
+    if kind is ManhattanTrips:
+        dest, second, turns, arrivals = trips[:4]
+        if speed is not None or not _is_c_points(dest, total) or not _is_c_flags(second, total):
+            return None
+        if not (_is_c_counts(turns, total) and _is_c_counts(arrivals, total)):
+            return None
+        return MRWP_TRIPS, target, dest, second, turns, arrivals, None, None, 0.0, eps, 0.0, 0.0, 0.0
+    if kind is EuclideanTrips:
+        speed = _scalar_speed(speed)
+        pause_left, arrivals = trips.pause_left, trips.arrival_counts
+        if speed is None or not _is_c_floats(pause_left, total):
+            return None
+        if not _is_c_counts(arrivals, total):
+            return None
+        # One straight leg to the destination: the core reads and redraws
+        # ``dest`` and never touches ``target``.
+        return (RWP_TRIPS, None, target, None, None, arrivals, pause_left, None, speed, 0.0,
+                float(trips.pause_time), 0.0, 0.0)
+    if kind is not PauseTrips and kind is not SpeedRangeTrips:
+        return None
+    dest, second = trips.dest, trips.on_second_leg
+    if not _is_c_points(dest, total) or not _is_c_flags(second, total):
+        return None
+    if kind is PauseTrips:
+        speed = _scalar_speed(speed)
+        if speed is None or not _is_c_floats(trips.pause_left, total):
+            return None
+        return (PAUSE_TRIPS, target, dest, second, None, None, trips.pause_left, None, speed,
+                eps / max(speed, 1.0), float(trips.pause_time), 0.0, 0.0)
+    v_min, v_max = float(trips.v_min), float(trips.v_max)
+    v_range = v_max - v_min
+    # rng.uniform refuses a negative or non-finite range: numpy raises it.
+    if not isinstance(speed, np.ndarray) or not _is_c_floats(speed, total):
+        return None
+    if not 0.0 <= v_range < math.inf:
+        return None
+    return (SPEED_TRIPS, target, dest, second, None, None, None, speed, 0.0, eps / v_max, 0.0,
+            v_min, v_range)
 
 
 def make_kernels(cores):
@@ -234,38 +350,31 @@ def make_kernels(cores):
         return tuple(buf[:total] for buf in out)
 
     def advance_legs(pos, target, budget, idx, eps, speed=None, metric="manhattan"):
-        total = budget.shape[0]
-        if not (_is_c_f64(pos) and _is_c_f64(target) and _is_c_f64(budget)):
+        """The masked leg pass for distance budgets on Manhattan legs; a
+        ``speed`` or Euclidean legs are declined (numpy runs them)."""
+        if speed is not None or metric != "manhattan":
             return None
-        if pos.shape != (total, 2) or target.shape != (total, 2):
+        total = budget.shape[0]
+        if not (_is_c_points(pos, total) and _is_c_points(target, total) and _is_c_f64(budget)):
             return None
         if not _is_c_i64(idx):
             return None
-        mode = _speed_mode(speed, total)
-        if mode is None:
-            return None
-        speed_mode, speed_arr, speed_scalar = mode
         done = np.empty(idx.shape[0], dtype=np.intp)
         cnt = cores.advance_legs_core(
-            pos, target, budget, idx.view(np.int64), float(eps),
-            speed_arr, speed_scalar, speed_mode,
-            0 if metric == "manhattan" else 1,
-            done.view(np.int64),
+            pos, target, budget, idx.view(np.int64), float(eps), done.view(np.int64),
         )
         return done[: int(cnt)]
 
-    def advance_trips(pos, target, distance, active, n_active, eps, trips):
-        dest, on_second_leg, turns, arrivals, side, rngs, max_passes, work = trips
+    def advance_trips(pos, target, budget, active, n_active, eps, speed, trips):
         total = pos.shape[0]
+        args = _trip_args(trips, target, speed, float(eps), total)
+        if args is None:
+            return None
+        rngs, work = trips.rngs, trips.work
         batch = len(rngs)
-        if not batch or total % batch or active.shape != (batch,) or not _is_c_bool(active):
+        if not batch or total % batch or not _is_c_flags(active, batch):
             return None
-        for arr in (pos, target, dest):
-            if arr.shape != (total, 2) or not _is_c_f64(arr):
-                return None
-        if on_second_leg.shape != (total,) or not _is_c_bool(on_second_leg):
-            return None
-        if not (_is_c_counts(turns, total) and _is_c_counts(arrivals, total)):
+        if not (_is_c_points(pos, total) and _is_c_points(target, total)):
             return None
         if work.movers.shape[0] < total or not (eps > 0.0):
             return None
@@ -274,6 +383,8 @@ def make_kernels(cores):
             return None
         if not n_active:
             return 0
+        (mode, target, dest, second, turns, arrivals, pause_left, speeds,
+         speed, eps_t, pause_time, v_min, v_range) = args
         # The C core draws with the GIL released: hold every generator's
         # lock for the call, as numpy's own fills do.
         held = 0
@@ -282,43 +393,42 @@ def make_kernels(cores):
                 lock.acquire()
                 held += 1
             return cores.advance_trips_core(
-                pos, target, dest, on_second_leg, turns, arrivals, active,
-                total // batch, float(distance), float(eps), float(side), handles,
-                int(max_passes), work.movers, work.rests, work.redraw,
+                mode, pos, target, dest, second, turns, arrivals, pause_left, speeds, active,
+                total // batch, float(budget), speed, float(eps), eps_t, pause_time,
+                float(trips.side), v_min, v_range, handles, int(trips.max_passes),
+                work.movers, work.rests, work.redraw,
             )
         finally:
             for lock in locks[:held]:
                 lock.release()
 
     def advance_legs_dense(pos, target, budget, moving, n_moving, eps, speed=None, trips=None):
-        """The dense leg pass; with ``trips`` (a :class:`ManhattanTrips`),
-        the trip mode, which runs a whole MRWP step.
+        """The dense leg pass for distance budgets; with ``trips``, the trip
+        mode, which runs a whole step of a trip model.
 
         In trip mode the moving units are replicas: ``moving`` is the
-        ``(B,)`` mask of active replicas, ``n_moving`` their count and
-        ``budget`` the distance ``v * dt`` their agents walk.  It returns
-        the number of carry-over passes, or -1 when ``trips.max_passes``
-        passes did not finish the step.
+        ``(B,)`` mask of active replicas and ``n_moving`` their count.
+        ``trips`` picks the model: with :class:`ManhattanTrips` (MRWP)
+        ``budget`` is the distance ``v * dt`` and ``speed`` is ``None``;
+        with :class:`PauseTrips`, :class:`SpeedRangeTrips` or
+        :class:`EuclideanTrips` ``budget`` is the time ``dt`` and
+        ``speed`` the scalar speed or, for :class:`SpeedRangeTrips`, the
+        ``(B*n,)`` per-agent speeds.  It returns the number of carry-over
+        passes, or -1 when ``trips.max_passes`` passes did not finish the
+        step.  Without ``trips`` a ``speed`` is declined.
         """
         if trips is not None:
-            if speed is not None:
-                return None
-            return advance_trips(pos, target, budget, moving, n_moving, eps, trips)
-        total = budget.shape[0]
-        if not (_is_c_f64(pos) and _is_c_f64(target) and _is_c_f64(budget)):
+            return advance_trips(pos, target, budget, moving, n_moving, eps, speed, trips)
+        if speed is not None:
             return None
-        if pos.shape != (total, 2) or target.shape != (total, 2):
+        total = budget.shape[0]
+        if not (_is_c_points(pos, total) and _is_c_points(target, total) and _is_c_f64(budget)):
             return None
         if moving.dtype != np.bool_ or not moving.flags.c_contiguous:
             return None
-        mode = _speed_mode(speed, total)
-        if mode is None:
-            return None
-        speed_mode, speed_arr, speed_scalar = mode
         done = np.empty(total, dtype=np.intp)
         cnt = cores.advance_legs_dense_core(
-            pos, target, budget, moving, bool(n_moving == total), float(eps),
-            speed_arr, speed_scalar, speed_mode, done.view(np.int64),
+            pos, target, budget, moving, bool(n_moving == total), float(eps), done.view(np.int64),
         )
         return done[: int(cnt)]
 

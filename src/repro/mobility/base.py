@@ -141,6 +141,8 @@ class BatchMobilityModel(abc.ABC):
         self.side = float(side)
         self.speed = float(speed)
         self.time = 0.0
+        self._every_replica = np.ones(len(self.rngs), dtype=bool)
+        self._every_replica.flags.writeable = False
 
     @property
     def batch_size(self) -> int:
@@ -190,8 +192,10 @@ class BatchMobilityModel(abc.ABC):
         """
 
     def _active_mask(self, active) -> np.ndarray:
+        """``active`` as a ``(B,)`` bool mask; ``None`` is every replica
+        (one read-only mask per model, not a fresh one per step)."""
         if active is None:
-            return np.ones(self.batch_size, dtype=bool)
+            return self._every_replica
         active = np.asarray(active, dtype=bool)
         if active.shape != (self.batch_size,):
             raise ValueError(

@@ -23,10 +23,12 @@ Design constraints, in priority order:
    own generators, replica by replica, via :func:`replica_slices` — the
    mechanism that preserves the scalar draw order under batching.  The
    one exception sits below this module, in the compiled trip mode of
-   the ``advance_legs_dense`` kernel, which runs a whole MRWP step and
-   draws from each replica's bit generator itself, pass by pass and
-   replica by replica, with the calls and order of
-   :func:`redraw_manhattan_trips` (``repro.kernels._cores``).
+   the ``advance_legs_dense`` kernel (:func:`compiled_trip_step`), which
+   runs a whole step of a trip model — MRWP, pause-MRWP, random-speed
+   MRWP or RWP — and draws from each replica's bit generator itself,
+   pass by pass and replica by replica, with the calls and order of the
+   model's numpy loop (:func:`redraw_manhattan_trips`, ``rng.uniform``
+   speeds, :func:`redraw_destinations`; ``repro.kernels._cores``).
 3. **Budget conventions.**  :func:`advance_legs` supports the two
    historical conventions: a *distance* budget (``speed=None`` — MRWP's
    ``v * dt`` units) and a *time* budget with a scalar or per-agent speed
@@ -51,9 +53,58 @@ __all__ = [
     "redraw_manhattan_trips",
     "redraw_destinations",
     "reflect_into_square",
+    "fill_budget",
+    "compiled_trip_step",
+    "not_converged",
 ]
 
 _EMPTY = np.empty(0, dtype=np.intp)
+
+#: Safety cap on the carry-over passes of one step.  Every trip model
+#: reads it at call time, on both kernel tiers.
+_MAX_LEGS_PER_STEP = 100_000
+
+
+def fill_budget(budget, active, n, value):
+    """Fill the ``(B*n,)`` buffer ``budget`` with ``value`` for the agents
+    of the ``active`` replicas and ``0.0`` elsewhere; returns it.
+
+    ``np.multiply`` of the repeated mask is bit-equal to
+    ``np.where(mask, value, 0.0)`` for a finite, non-negative ``value``.
+    """
+    if active.all():
+        budget.fill(value)
+    else:
+        np.multiply(np.repeat(active, n), value, out=budget)
+    return budget
+
+
+def compiled_trip_step(pos, target, budget, active, eps, trips, speed=None):
+    """One whole step of a trip model in the trip mode of the compiled
+    ``advance_legs_dense`` kernel.
+
+    ``trips`` is the model's trip state (``repro.kernels.ManhattanTrips``
+    and its siblings), ``budget`` the step's distance (MRWP) or time and
+    ``speed`` the speed a time budget is spent at.  Returns the passes
+    run, -1 when ``trips.max_passes`` passes did not finish the step, or
+    ``None`` when the numpy tier is active or the kernel declines the
+    inputs; then the model runs its numpy loop, which draws the same
+    numbers.
+    """
+    kernel = get_kernel("advance_legs_dense")
+    if kernel is None:
+        return None
+    return kernel(
+        pos, target, budget, active, int(np.count_nonzero(active)), eps, speed=speed, trips=trips
+    )
+
+
+def not_converged(speed, side) -> RuntimeError:
+    """The error of a step whose carry-over loop hit the pass cap."""
+    return RuntimeError(
+        "carry-over loop did not converge; speed is implausibly large "
+        f"relative to the square (speed={speed}, side={side})"
+    )
 
 
 def advance_legs(pos, target, budget, idx, eps, speed=None, metric="manhattan"):
@@ -82,8 +133,9 @@ def advance_legs(pos, target, budget, idx, eps, speed=None, metric="manhattan"):
     """
     kernel = get_kernel("advance_legs")
     if kernel is not None:
-        # Compiled tier: one fused loop with the identical IEEE operation
-        # sequence (bit-exact); falls through on unsupported layouts.
+        # Compiled tier: distance budgets on Manhattan legs run in one fused
+        # loop with the identical IEEE operation sequence (bit-exact); time
+        # budgets, Euclidean legs and unsupported layouts fall through.
         done = kernel(pos, target, budget, idx, eps, speed, metric)
         if done is not None:
             return done
@@ -155,7 +207,8 @@ def advance_legs_dense(pos, target, budget, moving, n_moving, eps, scratch, spee
     """
     kernel = get_kernel("advance_legs_dense")
     if kernel is not None:
-        # Compiled tier: fused dense pass over the moving rows (bit-exact).
+        # Compiled tier: fused dense pass over the moving rows (bit-exact)
+        # for distance budgets; time budgets fall through.
         done = kernel(pos, target, budget, moving, n_moving, eps, speed)
         if done is not None:
             return done

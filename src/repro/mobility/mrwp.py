@@ -21,12 +21,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.paths import choose_corners
-from repro.kernels import ManhattanTrips, TripWork, get_kernel
+from repro.kernels import ManhattanTrips, TripWork
+from repro.mobility import kinematics
 from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.kinematics import (
     DenseLegScratch,
     advance_legs,
     advance_legs_dense,
+    compiled_trip_step,
+    fill_budget,
+    not_converged,
     redraw_manhattan_trips,
     split_completed_legs,
 )
@@ -37,9 +41,6 @@ from repro.mobility.stationary import (
 )
 
 __all__ = ["ManhattanRandomWaypoint", "BatchManhattanRandomWaypoint"]
-
-#: Safety cap on legs completed by one agent within a single step.
-_MAX_LEGS_PER_STEP = 100_000
 
 
 class ManhattanRandomWaypoint(MobilityModel):
@@ -191,27 +192,19 @@ def _advance_trips(model, rngs, dt, active) -> None:
     """
     distance = model.speed * dt
     eps = model._eps
-    kernel = get_kernel("advance_legs_dense")
-    if kernel is not None:
-        trips = ManhattanTrips(
-            model._dest, model._on_second_leg, model.turn_counts, model.arrival_counts,
-            model.side, rngs, _MAX_LEGS_PER_STEP, model._trip_work,
-        )
-        passes = kernel(
-            model._pos, model._target, distance, active, int(np.count_nonzero(active)),
-            eps, trips=trips,
-        )
-        if passes is not None:
-            if passes < 0:
-                raise _not_converged(model)
-            return
-    budget = model._budget
+    max_passes = kinematics._MAX_LEGS_PER_STEP
+    trips = ManhattanTrips(
+        model._dest, model._on_second_leg, model.turn_counts, model.arrival_counts,
+        model.side, rngs, max_passes, model._trip_work,
+    )
+    passes = compiled_trip_step(model._pos, model._target, distance, active, eps, trips)
+    if passes is not None:
+        if passes < 0:
+            raise not_converged(model.speed, model.side)
+        return
+    budget = fill_budget(model._budget, active, model.n, distance)
     total = budget.shape[0]
-    if active.all():
-        budget.fill(distance)
-    else:
-        np.multiply(np.repeat(active, model.n), distance, out=budget)
-    for _ in range(_MAX_LEGS_PER_STEP):
+    for _ in range(max_passes):
         moving = budget > eps
         n_moving = int(np.count_nonzero(moving))
         if n_moving == 0:
@@ -238,14 +231,7 @@ def _advance_trips(model, rngs, dt, active) -> None:
             model.turn_counts[trip_done] += 1
             model.arrival_counts[trip_done] += 1
     else:
-        raise _not_converged(model)
-
-
-def _not_converged(model) -> RuntimeError:
-    return RuntimeError(
-        "carry-over loop did not converge; speed is implausibly large "
-        f"relative to the square (speed={model.speed}, side={model.side})"
-    )
+        raise not_converged(model.speed, model.side)
 
 
 def _initial_state(n: int, side: float, init, rng: np.random.Generator) -> KinematicState:

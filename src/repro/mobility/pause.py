@@ -26,17 +26,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.paths import choose_corners
+from repro.kernels import PauseTrips, TripWork
+from repro.mobility import kinematics
 from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.distributions import mean_trip_length, spatial_pdf
 from repro.mobility.kinematics import (
     DenseLegScratch,
     advance_legs,
     advance_legs_dense,
+    compiled_trip_step,
     countdown_pauses,
+    fill_budget,
+    not_converged,
     redraw_manhattan_trips,
     split_completed_legs,
 )
-from repro.mobility.mrwp import _MAX_LEGS_PER_STEP
 from repro.mobility.stationary import PalmStationarySampler
 
 __all__ = [
@@ -116,7 +120,10 @@ class BatchManhattanRandomWaypointWithPause(BatchMobilityModel):
     (pause burn, then Manhattan legs) carry-over iteration, and all trip
     redraws grouped by replica — both the phase-1 draws (pauses that just
     ended) and the phase-2 draws (``pause_time == 0`` arrivals), in that
-    per-iteration order, so each replica draws what it would alone.
+    per-iteration order, so each replica draws what it would alone.  On
+    the compiled tier a step is one call of the trip mode of the
+    ``advance_legs_dense`` kernel (``PauseTrips``), which draws the same
+    numbers in the same order.
 
     Args:
         n, side, speed, rngs: see :class:`~repro.mobility.base.BatchMobilityModel`.
@@ -149,7 +156,10 @@ class BatchManhattanRandomWaypointWithPause(BatchMobilityModel):
         self._target = np.concatenate([s[2] for s in states], axis=0)
         self._on_second_leg = np.concatenate([s[3] for s in states], axis=0)
         self._pause_left = np.concatenate([s[4] for s in states], axis=0)
-        self._scratch = DenseLegScratch(self.batch_size * self.n)
+        total = self.batch_size * self.n
+        self._budget = np.empty(total, dtype=np.float64)
+        self._scratch = DenseLegScratch(total)
+        self._trip_work = TripWork(total)
 
     @property
     def paused_mask(self) -> np.ndarray:
@@ -164,13 +174,22 @@ class BatchManhattanRandomWaypointWithPause(BatchMobilityModel):
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
         check_dt(dt)
         active = self._active_mask(active)
-        time_budget = np.where(np.repeat(active, self.n), float(dt), 0.0)
-        _advance_pause_mrwp(
-            self._pos, self._dest, self._target, self._on_second_leg,
-            self._pause_left, time_budget,
-            self.side, self.speed, self.pause_time, self._eps, self.rngs, self.n,
-            scratch=self._scratch,
+        trips = PauseTrips(
+            self._dest, self._on_second_leg, self._pause_left, self.pause_time,
+            self.side, self.rngs, kinematics._MAX_LEGS_PER_STEP, self._trip_work,
         )
+        passes = compiled_trip_step(
+            self._pos, self._target, float(dt), active, self._eps, trips, speed=self.speed
+        )
+        if passes is None:
+            _advance_pause_mrwp(
+                self._pos, self._dest, self._target, self._on_second_leg, self._pause_left,
+                fill_budget(self._budget, active, self.n, float(dt)),
+                self.side, self.speed, self.pause_time, self._eps, self.rngs, self.n,
+                scratch=self._scratch,
+            )
+        elif passes < 0:
+            raise not_converged(self.speed, self.side)
         self.time += dt
         return self.positions if copy else self.positions_view
 
@@ -181,13 +200,14 @@ def _advance_pause_mrwp(
 ):
     """Spend ``time_budget`` through the two-phase pause-MRWP carry-over loop.
 
-    The loop of the batch model (``len(rngs)`` replicas over flat
-    arrays).  Frozen replicas enter with zero budget:
-    they neither pause-burn nor move, and their generators see no draws.
+    The numpy loop of the batch model (``len(rngs)`` replicas over flat
+    arrays), and the fallback when the compiled trip mode declines.
+    Frozen replicas enter with zero budget: they neither pause-burn nor
+    move, and their generators see no draws.
     """
     eps_t = eps / max(speed, 1.0)
     total = time_budget.shape[0]
-    for _ in range(_MAX_LEGS_PER_STEP):
+    for _ in range(kinematics._MAX_LEGS_PER_STEP):
         # Phase 1: paused agents burn pause before moving; a pause that
         # just ended starts a fresh trip.
         ended = countdown_pauses(pause_left, time_budget, min_budget=eps_t)
@@ -217,8 +237,8 @@ def _advance_pause_mrwp(
                 redraw_manhattan_trips(
                     pos, dest, target, on_second_leg, trip_done, side, rngs, n
                 )
-    else:  # pragma: no cover - defensive
-        raise RuntimeError("carry-over loop did not converge")
+    else:
+        raise not_converged(speed, side)
 
 
 def _initial_pause_state(

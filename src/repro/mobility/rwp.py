@@ -16,12 +16,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import EuclideanTrips, TripWork
+from repro.mobility import kinematics
 from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
-from repro.mobility.kinematics import advance_legs, countdown_pauses, redraw_destinations
+from repro.mobility.kinematics import (
+    advance_legs,
+    compiled_trip_step,
+    countdown_pauses,
+    fill_budget,
+    not_converged,
+    redraw_destinations,
+)
 
 __all__ = ["RandomWaypoint", "BatchRandomWaypoint"]
-
-_MAX_LEGS_PER_STEP = 100_000
 
 
 def _sample_length_biased_segments(n: int, side: float, rng: np.random.Generator) -> tuple:
@@ -91,7 +98,9 @@ class BatchRandomWaypoint(BatchMobilityModel):
     Same layout and RNG discipline as
     :class:`~repro.mobility.mrwp.BatchManhattanRandomWaypoint`: flat
     ``(B * n, 2)`` state, vectorized carry-over arithmetic, and arrival
-    redraws grouped by replica.
+    redraws grouped by replica.  On the compiled tier a step is one call
+    of the trip mode of the ``advance_legs_dense`` kernel
+    (``EuclideanTrips``), which draws the same numbers in the same order.
 
     Args:
         n, side, speed, rngs: see :class:`~repro.mobility.base.BatchMobilityModel`.
@@ -130,15 +139,27 @@ class BatchRandomWaypoint(BatchMobilityModel):
         self._pause_left = np.zeros(total, dtype=np.float64)
         self.arrival_counts = np.zeros(total, dtype=np.int64)
         self._eps = 1e-9 * max(self.side, 1.0)
+        self._budget = np.empty(total, dtype=np.float64)
+        self._trip_work = TripWork(total)
 
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
         check_dt(dt)
         active = self._active_mask(active)
-        time_budget = np.where(np.repeat(active, self.n), float(dt), 0.0)
-        _advance_rwp(
-            self._pos, self._dest, self._pause_left, self.arrival_counts, time_budget,
-            self.side, self.speed, self.pause_time, self._eps, self.rngs, self.n,
+        trips = EuclideanTrips(
+            self._pause_left, self.arrival_counts, self.pause_time,
+            self.side, self.rngs, kinematics._MAX_LEGS_PER_STEP, self._trip_work,
         )
+        passes = compiled_trip_step(
+            self._pos, self._dest, float(dt), active, self._eps, trips, speed=self.speed
+        )
+        if passes is None:
+            _advance_rwp(
+                self._pos, self._dest, self._pause_left, self.arrival_counts,
+                fill_budget(self._budget, active, self.n, float(dt)),
+                self.side, self.speed, self.pause_time, self._eps, self.rngs, self.n,
+            )
+        elif passes < 0:
+            raise not_converged(self.speed, self.side)
         self.time += dt
         return self.positions if copy else self.positions_view
 
@@ -149,11 +170,12 @@ def _advance_rwp(
 ):
     """Spend ``time_budget`` through the straight-line RWP carry-over loop.
 
-    The loop of the batch model: pause burn, one Euclidean leg per trip,
-    arrival redraws grouped by replica.  Frozen
-    replicas enter with zero budget and their generators see no draws.
+    The numpy loop of the batch model, and the fallback when the compiled
+    trip mode declines: pause burn, one Euclidean leg per trip, arrival
+    redraws grouped by replica.  Frozen replicas enter with zero budget
+    and their generators see no draws.
     """
-    for _ in range(_MAX_LEGS_PER_STEP):
+    for _ in range(kinematics._MAX_LEGS_PER_STEP):
         # Spend pause time first (RWP redraws on arrival, not on pause end).
         countdown_pauses(pause_left, time_budget)
         if speed <= 0:
@@ -167,5 +189,5 @@ def _advance_rwp(
         redraw_destinations(dest, done, side, rngs, n)
         pause_left[done] = pause_time
         arrival_counts[done] += 1
-    else:  # pragma: no cover - defensive
-        raise RuntimeError("carry-over loop did not converge")
+    else:
+        raise not_converged(speed, side)

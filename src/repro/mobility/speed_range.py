@@ -29,16 +29,20 @@ import math
 import numpy as np
 
 from repro.geometry.paths import choose_corners
+from repro.kernels import SpeedRangeTrips, TripWork
+from repro.mobility import kinematics
 from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.kinematics import (
     DenseLegScratch,
     advance_legs,
     advance_legs_dense,
+    compiled_trip_step,
+    fill_budget,
+    not_converged,
     redraw_manhattan_trips,
     replica_slices,
     split_completed_legs,
 )
-from repro.mobility.mrwp import _MAX_LEGS_PER_STEP
 from repro.mobility.stationary import PalmStationarySampler
 
 __all__ = [
@@ -132,8 +136,11 @@ class BatchRandomSpeedManhattanWaypoint(BatchMobilityModel):
     Same layout and RNG discipline as the other batch way-point models:
     flat ``(B * n, 2)`` state, shared kinematics helpers (here with a
     per-agent speed array), and arrival redraws grouped by replica —
-    destination uniforms, path coin flips, then the fresh *uniform* trip
-    speeds, per replica per iteration.
+    destination uniforms and path coin flips of every replica, then each
+    replica's fresh *uniform* trip speeds, per iteration.  On the
+    compiled tier a step is one call of the trip mode of the
+    ``advance_legs_dense`` kernel (``SpeedRangeTrips``), which draws the
+    same numbers in the same order.
 
     Args:
         n, side, rngs: see :class:`~repro.mobility.base.BatchMobilityModel`.
@@ -156,7 +163,10 @@ class BatchRandomSpeedManhattanWaypoint(BatchMobilityModel):
         self._target = np.concatenate([s[2] for s in states], axis=0)
         self._on_second_leg = np.concatenate([s[3] for s in states], axis=0)
         self._trip_speed = np.concatenate([s[4] for s in states], axis=0)
-        self._scratch = DenseLegScratch(self.batch_size * self.n)
+        total = self.batch_size * self.n
+        self._budget = np.empty(total, dtype=np.float64)
+        self._scratch = DenseLegScratch(total)
+        self._trip_work = TripWork(total)
 
     @property
     def trip_speeds(self) -> np.ndarray:
@@ -171,13 +181,22 @@ class BatchRandomSpeedManhattanWaypoint(BatchMobilityModel):
     def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
         check_dt(dt)
         active = self._active_mask(active)
-        time_budget = np.where(np.repeat(active, self.n), float(dt), 0.0)
-        _advance_random_speed(
-            self._pos, self._dest, self._target, self._on_second_leg,
-            self._trip_speed, time_budget,
-            self.side, self.v_min, self.v_max, self._eps, self.rngs, self.n,
-            scratch=self._scratch,
+        trips = SpeedRangeTrips(
+            self._dest, self._on_second_leg, self.v_min, self.v_max,
+            self.side, self.rngs, kinematics._MAX_LEGS_PER_STEP, self._trip_work,
         )
+        passes = compiled_trip_step(
+            self._pos, self._target, float(dt), active, self._eps, trips, speed=self._trip_speed
+        )
+        if passes is None:
+            _advance_random_speed(
+                self._pos, self._dest, self._target, self._on_second_leg, self._trip_speed,
+                fill_budget(self._budget, active, self.n, float(dt)),
+                self.side, self.v_min, self.v_max, self._eps, self.rngs, self.n,
+                scratch=self._scratch,
+            )
+        elif passes < 0:
+            raise not_converged(self.v_max, self.side)
         self.time += dt
         return self.positions if copy else self.positions_view
 
@@ -188,12 +207,13 @@ def _advance_random_speed(
 ):
     """Spend ``time_budget`` through the random-speed carry-over loop.
 
-    The loop of the batch model.  Frozen replicas enter with zero budget
-    and their generators see no draws.
+    The numpy loop of the batch model, and the fallback when the compiled
+    trip mode declines.  Frozen replicas enter with zero budget and their
+    generators see no draws.
     """
     eps_t = eps / v_max
     total = time_budget.shape[0]
-    for _ in range(_MAX_LEGS_PER_STEP):
+    for _ in range(kinematics._MAX_LEGS_PER_STEP):
         moving = time_budget > eps_t
         n_moving = int(np.count_nonzero(moving))
         if n_moving == 0:
@@ -214,8 +234,8 @@ def _advance_random_speed(
             # from time-averaging, not from the per-trip law.
             for b, lo, hi in replica_slices(trip_done, n, len(rngs)):
                 trip_speed[trip_done[lo:hi]] = rngs[b].uniform(v_min, v_max, size=hi - lo)
-    else:  # pragma: no cover - defensive
-        raise RuntimeError("carry-over loop did not converge")
+    else:
+        raise not_converged(v_max, side)
 
 
 def _initial_speed_state(

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mobility import kinematics
 from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.kinematics import (
     DenseLegScratch,
@@ -54,7 +55,7 @@ from repro.mobility.kinematics import (
     replica_slices,
     split_completed_legs,
 )
-from repro.mobility.mrwp import _MAX_LEGS_PER_STEP, _initial_state
+from repro.mobility.mrwp import _initial_state
 
 __all__ = [
     "Timetable",
@@ -463,7 +464,7 @@ class _TimetableEngine:
         next_stop, at_stop = self.veh_next_stop, self.veh_at_stop
         k_arr, cum_pad, dwell_pad = self._k_arr, self._cum_pad, self._dwell_pad
         eps, eps_t, speed = self._eps, self._eps_t, self.speed
-        for _ in range(_MAX_LEGS_PER_STEP):
+        for _ in range(kinematics._MAX_LEGS_PER_STEP):
             # Phase 1: dwelling vehicles burn dwell before moving.
             countdown_pauses(dwell_left, budget, min_budget=eps_t)
             # Phase 2: vehicles with no dwell left walk toward the next stop.
@@ -585,7 +586,7 @@ class _TimetableEngine:
         walking = (self.r_vehicle < 0) & np.repeat(active, R)
         np.multiply(walking, self.speed * dt, out=budget)
         eps = self._eps
-        for _ in range(_MAX_LEGS_PER_STEP):
+        for _ in range(kinematics._MAX_LEGS_PER_STEP):
             moving = budget > eps
             n_moving = int(np.count_nonzero(moving))
             if n_moving == 0:

@@ -17,12 +17,16 @@ from repro.geometry.paths import choose_corners, leg_lengths, path_corner, posit
 from repro.kernels import kernel_backend, provider_kernels, use_kernel_tier
 from repro.mobility.kinematics import (
     advance_legs,
+    countdown_pauses,
     redraw_destinations,
     redraw_manhattan_trips,
     replica_slices,
     split_completed_legs,
 )
 from repro.mobility.mrwp import BatchManhattanRandomWaypoint
+from repro.mobility.pause import BatchManhattanRandomWaypointWithPause
+from repro.mobility.rwp import BatchRandomWaypoint
+from repro.mobility.speed_range import BatchRandomSpeedManhattanWaypoint
 from repro.mobility.stationary import KinematicState, PalmStationarySampler
 from repro.protocols.base import BatchBroadcastState
 
@@ -72,6 +76,90 @@ def oracle_mrwp_step(model, rngs, dt, active):
 def oracle_redraw_destinations(dest, idx, side, rngs, n):
     for b, lo, hi in replica_slices(idx, n, len(rngs)):
         dest[idx[lo:hi]] = rngs[b].uniform(0.0, side, size=(hi - lo, 2))
+
+
+def oracle_pause_step(model, rngs, dt, active):
+    """The historical pause-MRWP loop: pause burn, redraws of the pauses
+    that ended, Manhattan legs at the scalar speed, then a pause (or, with
+    no pause time, a redraw) per finished trip."""
+    budget = np.repeat(active, model.n) * dt
+    eps_t = model._eps / max(model.speed, 1.0)
+    for _ in range(100_000):
+        ended = countdown_pauses(model._pause_left, budget, min_budget=eps_t)
+        if ended.size:
+            oracle_redraw_manhattan_trips(
+                model._pos, model._dest, model._target, model._on_second_leg,
+                ended, model.side, rngs, model.n,
+            )
+        idx = np.nonzero((model._pause_left <= 0) & (budget > eps_t))[0]
+        if idx.size == 0:
+            break
+        done = advance_legs(model._pos, model._target, budget, idx, model._eps, speed=model.speed)
+        if done.size == 0:
+            break
+        _corner_done, trip_done = split_completed_legs(
+            done, model._on_second_leg, model._target, model._dest
+        )
+        if trip_done.size:
+            if model.pause_time > 0:
+                model._pause_left[trip_done] = model.pause_time
+            else:
+                oracle_redraw_manhattan_trips(
+                    model._pos, model._dest, model._target, model._on_second_leg,
+                    trip_done, model.side, rngs, model.n,
+                )
+
+
+def oracle_speed_range_step(model, rngs, dt, active):
+    """The historical random-speed loop: Manhattan legs at each agent's
+    speed; the finished trips of every replica are redrawn, and then each
+    replica draws their ``uniform(v_min, v_max)`` speeds."""
+    budget = np.repeat(active, model.n) * dt
+    eps_t = model._eps / model.v_max
+    for _ in range(100_000):
+        idx = np.nonzero(budget > eps_t)[0]
+        if idx.size == 0:
+            break
+        done = advance_legs(
+            model._pos, model._target, budget, idx, model._eps, speed=model._trip_speed
+        )
+        if done.size == 0:
+            break
+        _corner_done, trip_done = split_completed_legs(
+            done, model._on_second_leg, model._target, model._dest
+        )
+        if trip_done.size:
+            oracle_redraw_manhattan_trips(
+                model._pos, model._dest, model._target, model._on_second_leg,
+                trip_done, model.side, rngs, model.n,
+            )
+            for b, lo, hi in replica_slices(trip_done, model.n, len(rngs)):
+                model._trip_speed[trip_done[lo:hi]] = rngs[b].uniform(
+                    model.v_min, model.v_max, size=hi - lo
+                )
+
+
+def oracle_rwp_step(model, rngs, dt, active):
+    """The historical straight-line RWP loop: pause burn for any budget,
+    one Euclidean leg per trip, then a new destination, a pause and one
+    more arrival per finished trip."""
+    budget = np.repeat(active, model.n) * dt
+    for _ in range(100_000):
+        countdown_pauses(model._pause_left, budget)
+        if model.speed <= 0:
+            break
+        idx = np.nonzero((model._pause_left <= 0) & (budget * model.speed > model._eps))[0]
+        if idx.size == 0:
+            break
+        done = advance_legs(
+            model._pos, model._dest, budget, idx, model._eps, speed=model.speed,
+            metric="euclidean",
+        )
+        if done.size == 0:
+            break
+        oracle_redraw_destinations(model._dest, done, model.side, rngs, model.n)
+        model._pause_left[done] = model.pause_time
+        model.arrival_counts[done] += 1
 
 
 def oracle_draw_uniform_blocks(rngs, group_rep, k):
@@ -265,6 +353,44 @@ class TestPalmSampler:
 
 
 MRWP_STATE = ("_pos", "_dest", "_target", "_on_second_leg", "turn_counts", "arrival_counts")
+PAUSE_STATE = ("_pos", "_dest", "_target", "_on_second_leg", "_pause_left")
+SPEED_STATE = ("_pos", "_dest", "_target", "_on_second_leg", "_trip_speed")
+RWP_STATE = ("_pos", "_dest", "_pause_left", "arrival_counts")
+
+needs_provider = pytest.mark.skipif(
+    kernel_backend() is None, reason="no compiled kernel provider on this host"
+)
+
+
+def check_compiled_steps(monkeypatch, build, oracle_step, names, rngs, ref_rngs):
+    """Step ``build(rngs)`` on the compiled tier and ``build(ref_rngs)``
+    through ``oracle_step`` on the same random active masks and ``dt``
+    cycle; after every step the ``names`` arrays must be bit-equal and
+    every generator in the same state, and every step must have been one
+    trip-mode call the kernel did not decline."""
+    table = provider_kernels()
+    original = table["advance_legs_dense"]
+    trip_results = []
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if kwargs.get("trips") is not None:
+            trip_results.append(out)
+        return out
+
+    monkeypatch.setitem(table, "advance_legs_dense", spy)
+    model, ref = build(rngs), build(ref_rngs)
+    picker = np.random.default_rng(17)
+    for step in range(8):
+        active = picker.random(len(rngs)) < 0.7
+        dt = (1.0, 0.5, 0.25)[step % 3]
+        with use_kernel_tier("compiled"):
+            model.step(dt, active=active)
+        oracle_step(ref, ref_rngs, dt, active)
+        for name in names:
+            assert_bits_equal(getattr(model, name), getattr(ref, name))
+        assert_same_states(rngs, ref_rngs)
+    assert len(trip_results) == 8 and all(out is not None for out in trip_results)
 
 
 @pytest.mark.skipif(kernel_backend() is None, reason="no compiled kernel provider on this host")
@@ -299,3 +425,67 @@ class TestCompiledMrwpStep:
                 assert_bits_equal(getattr(model, name), getattr(ref, name))
             assert_same_states(rngs, ref_rngs)
         assert len(trip_results) == 8 and all(out is not None for out in trip_results)
+
+
+@needs_provider
+class TestCompiledPauseStep:
+    """The pause-MRWP trip mode against the historical loop: pauses that
+    end mid-step, several trips a step at ``1.3 * SIDE`` per time unit,
+    and pauses that outlast a step."""
+
+    @pytest.mark.parametrize(
+        "speed,pause_time", [(1.3 * SIDE, 0.0), (1.3 * SIDE, 0.3), (0.4 * SIDE, 2.0)],
+        ids=["no-pause", "short-pause", "long-pause"],
+    )
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_matches_uniform_and_integers(
+        self, monkeypatch, bit_generator, batch_size, speed, pause_time
+    ):
+        def build(rngs):
+            return BatchManhattanRandomWaypointWithPause(
+                N, SIDE, speed, rngs, pause_time=pause_time
+            )
+
+        check_compiled_steps(
+            monkeypatch, build, oracle_pause_step, PAUSE_STATE,
+            *twin_rngs(bit_generator, batch_size),
+        )
+
+
+@needs_provider
+class TestCompiledSpeedRangeStep:
+    """The random-speed trip mode against the historical loop, whose
+    speeds come from ``rng.uniform``; ``v_min == v_max`` still draws."""
+
+    @pytest.mark.parametrize(
+        "v_min,v_max", [(0.2 * SIDE, 1.5 * SIDE), (0.9 * SIDE, 0.9 * SIDE)],
+        ids=["range", "one-speed"],
+    )
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_matches_uniform_and_integers(
+        self, monkeypatch, bit_generator, batch_size, v_min, v_max
+    ):
+        def build(rngs):
+            return BatchRandomSpeedManhattanWaypoint(N, SIDE, v_min, v_max, rngs, init="uniform")
+
+        check_compiled_steps(
+            monkeypatch, build, oracle_speed_range_step, SPEED_STATE,
+            *twin_rngs(bit_generator, batch_size),
+        )
+
+
+@needs_provider
+class TestCompiledRwpStep:
+    """The straight-line RWP trip mode against the historical loop, with
+    and without pauses at the way-points."""
+
+    @pytest.mark.parametrize("pause_time", [0.0, 0.3], ids=["no-pause", "pause"])
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_matches_uniform(self, monkeypatch, bit_generator, batch_size, pause_time):
+        def build(rngs):
+            return BatchRandomWaypoint(N, SIDE, 1.3 * SIDE, rngs, pause_time=pause_time)
+
+        check_compiled_steps(
+            monkeypatch, build, oracle_rwp_step, RWP_STATE,
+            *twin_rngs(bit_generator, batch_size),
+        )

@@ -20,7 +20,10 @@ from repro.geometry.neighbors import available_backends
 from repro.kernels import (
     KERNEL_NAMES,
     KERNEL_TIERS,
+    EuclideanTrips,
     ManhattanTrips,
+    PauseTrips,
+    SpeedRangeTrips,
     TripWork,
     _reset_probe_cache_for_tests,
     active_kernel_tier,
@@ -37,6 +40,7 @@ from repro.kernels import (
 )
 from repro.kernels import _cext
 from repro.kernels._glue import _CELL_MARGIN, _contacts_capacity, make_kernels
+from repro.mobility import kinematics
 from repro.mobility.kinematics import (
     DenseLegScratch,
     advance_legs,
@@ -44,6 +48,9 @@ from repro.mobility.kinematics import (
     redraw_manhattan_trips,
     split_completed_legs,
 )
+from repro.mobility.pause import _advance_pause_mrwp
+from repro.mobility.rwp import _advance_rwp
+from repro.mobility.speed_range import _advance_random_speed
 from repro.simulation import run_trials, standard_config
 
 HAVE_PROVIDER = kernel_backend() is not None
@@ -585,6 +592,106 @@ def _twin_generators(seed, batch_size, shared):
     return out
 
 
+#: The time-budget trip modes, by model, and the options their cases cycle
+#: through: a speed (``v_min``/``v_max`` for random-speed MRWP) and a pause.
+TIME_MODELS = ["pause", "speed", "rwp"]
+TIME_OPTIONS = {
+    "pause": [
+        {"speed": 0.9, "pause_time": 0.0},
+        {"speed": 4.0, "pause_time": 0.3},
+        {"speed": 1.7, "pause_time": 2.0},
+    ],
+    "speed": [
+        {"v_min": 0.4, "v_max": 2.0},
+        {"v_min": 1.3, "v_max": 1.3},
+        {"v_min": 0.2, "v_max": 5.0},
+    ],
+    "rwp": [
+        {"speed": 0.9, "pause_time": 0.0},
+        {"speed": 4.0, "pause_time": 0.3},
+        {"speed": 0.0, "pause_time": 0.3},
+    ],
+}
+
+
+def _pauses(rng, total):
+    """Pause timers: 0 for about 60% of the agents, else up to 1.5."""
+    return np.where(rng.random(total) < 0.4, rng.uniform(0.0, 1.5, size=total), 0.0)
+
+
+def _time_case(rng, model, batch_size, n, side=3.0):
+    """A random state of ``model``: the :func:`_trip_case` legs plus pause
+    timers (pause-MRWP) or trip speeds (random-speed MRWP); for RWP,
+    positions, destinations, pause timers and arrival counters."""
+    total = batch_size * n
+    if model == "rwp":
+        return [
+            rng.uniform(0.0, side, size=(total, 2)), rng.uniform(0.0, side, size=(total, 2)),
+            _pauses(rng, total), rng.integers(0, 5, size=total),
+        ]
+    legs = _trip_case(rng, batch_size, n, side)[:4]
+    if model == "pause":
+        return legs + [_pauses(rng, total)]
+    return legs + [rng.uniform(0.4, 2.0, size=total)]
+
+
+def _run_time_mode(table, model, state, dt, active, eps, rngs, max_passes, opts, side=3.0):
+    """One step of ``model`` in the trip mode of ``table``'s
+    ``advance_legs_dense``, on ``state`` (mutated)."""
+    work = TripWork(state[0].shape[0])
+    kernel = table["advance_legs_dense"]
+    n_active = int(active.sum())
+    if model == "pause":
+        pos, target, dest, second, pause_left = state
+        trips = PauseTrips(
+            dest, second, pause_left, opts["pause_time"], side, rngs, max_passes, work
+        )
+        return kernel(pos, target, dt, active, n_active, eps, speed=opts["speed"], trips=trips)
+    if model == "speed":
+        pos, target, dest, second, speeds = state
+        trips = SpeedRangeTrips(
+            dest, second, opts["v_min"], opts["v_max"], side, rngs, max_passes, work
+        )
+        return kernel(pos, target, dt, active, n_active, eps, speed=speeds, trips=trips)
+    pos, dest, pause_left, arrivals = state
+    trips = EuclideanTrips(pause_left, arrivals, opts["pause_time"], side, rngs, max_passes, work)
+    return kernel(pos, dest, dt, active, n_active, eps, speed=opts["speed"], trips=trips)
+
+
+def _numpy_time_loop(model, state, dt, active, eps, rngs, opts, side=3.0):
+    """One step of ``model``'s numpy loop on ``state`` (mutated), with the
+    budget of the active replicas' agents; raises at the pass cap."""
+    total = state[0].shape[0]
+    n = total // len(rngs)
+    budget = np.repeat(active, n) * dt
+    with use_kernel_tier("numpy"):
+        if model == "pause":
+            pos, target, dest, second, pause_left = state
+            _advance_pause_mrwp(
+                pos, dest, target, second, pause_left, budget, side, opts["speed"],
+                opts["pause_time"], eps, rngs, n, DenseLegScratch(total),
+            )
+        elif model == "speed":
+            pos, target, dest, second, speeds = state
+            _advance_random_speed(
+                pos, dest, target, second, speeds, budget, side, opts["v_min"],
+                opts["v_max"], eps, rngs, n, DenseLegScratch(total),
+            )
+        else:
+            pos, dest, pause_left, arrivals = state
+            _advance_rwp(
+                pos, dest, pause_left, arrivals, budget, side, opts["speed"],
+                opts["pause_time"], eps, rngs, n,
+            )
+
+
+def _assert_same_trip_state(got, want, rngs, ref_rngs):
+    for actual, wanted in zip(got, want):
+        assert actual.dtype == wanted.dtype
+        assert actual.tobytes() == wanted.tobytes()
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+
+
 def _still_row_case(speed_kind):
     """Agent 0 has no budget and sits at x = -0.0; agents 1 and 2 move."""
     pos = np.array([[-0.0, 1.0], [0.5, 0.5], [2.0, 1.0]])
@@ -644,6 +751,8 @@ class TestLegKernelParity:
     @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
     @pytest.mark.parametrize("speed_kind", ["none", "scalar", "array"])
     def test_advance_legs_randomized(self, table, rng, metric, speed_kind):
+        """The kernel runs distance budgets on Manhattan legs; it declines a
+        speed or Euclidean legs untouched, and the numpy pass runs them."""
         for _ in range(10):
             total = int(rng.integers(1, 25))
             pos = rng.uniform(0, 4.0, size=(total, 2))
@@ -658,7 +767,14 @@ class TestLegKernelParity:
             eps = 1e-9
             pos_k, budget_k = pos.copy(), budget.copy()
             done_k = table["advance_legs"](pos_k, target, budget_k, idx, eps, speed, metric)
-            assert done_k is not None
+            if speed is None and metric == "manhattan":
+                assert done_k is not None
+            else:
+                assert done_k is None
+                assert pos_k.tobytes() == pos.tobytes()
+                assert budget_k.tobytes() == budget.tobytes()
+                with use_kernel_tier("numpy"):
+                    done_k = advance_legs(pos_k, target, budget_k, idx, eps, speed, metric)
             pos_r, budget_r = pos.copy(), budget.copy()
             done_r = self._numpy_advance(pos_r, target, budget_r, idx, eps, speed, metric)
             np.testing.assert_array_equal(np.sort(done_k), np.sort(done_r))
@@ -685,13 +801,20 @@ class TestLegKernelParity:
 
     @pytest.mark.parametrize("speed_kind", ["none", "scalar", "array"])
     def test_dense_pass_leaves_still_rows_untouched(self, table, speed_kind):
+        """Time budgets are declined untouched (the numpy pass, checked by
+        ``test_numpy_dense_pass_leaves_still_rows_untouched``, runs them)."""
         pos, target, budget, moving, speed = _still_row_case(speed_kind)
         pos_d, budget_d, pos_s, budget_s = pos.copy(), budget.copy(), pos.copy(), budget.copy()
         done_d = table["advance_legs_dense"](pos_d, target, budget_d, moving, 2, 1e-9, speed)
         done_s = table["advance_legs"](
             pos_s, target, budget_s, np.nonzero(moving)[0], 1e-9, speed, "manhattan"
         )
-        _assert_still_row_untouched((done_d, pos_d, budget_d), (done_s, pos_s, budget_s))
+        if speed is None:
+            _assert_still_row_untouched((done_d, pos_d, budget_d), (done_s, pos_s, budget_s))
+            return
+        assert done_d is None and done_s is None
+        for arrays in ((pos_d, budget_d), (pos_s, budget_s)):
+            assert [a.tobytes() for a in arrays] == [pos.tobytes(), budget.tobytes()]
 
     def test_empty_index_set(self, table):
         pos = np.zeros((3, 2))
@@ -778,6 +901,88 @@ class TestLegKernelParity:
         ) is None
 
 
+    # The time-budget modes: a whole pause-MRWP, random-speed MRWP or RWP
+    # step must leave the model's numpy loop's state and generator states.
+    @pytest.mark.parametrize("model", TIME_MODELS)
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    def test_time_trip_modes_match_numpy_loop(self, table, rng, model, shared):
+        options = TIME_OPTIONS[model]
+        for case in range(12):
+            batch_size = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 9))
+            state = _time_case(rng, model, batch_size, n)
+            active = rng.random(batch_size) < 0.75
+            dt = [1e-12, 0.25, 1.0, 3.0][case % 4]
+            opts = options[case % len(options)]
+            rngs, ref_rngs = _twin_generators(case, batch_size, shared)
+            got = [a.copy() for a in state]
+            want = [a.copy() for a in state]
+            passes = _run_time_mode(table, model, got, dt, active, 1e-9, rngs, 1000, opts)
+            _numpy_time_loop(model, want, dt, active, 1e-9, ref_rngs, opts)
+            assert passes is not None and passes >= 0
+            _assert_same_trip_state(got, want, rngs, ref_rngs)
+
+    @pytest.mark.parametrize("model", TIME_MODELS)
+    def test_time_trip_modes_report_the_pass_cap(self, table, rng, monkeypatch, model):
+        state = _time_case(rng, model, 2, 6)
+        active = np.ones(2, dtype=bool)
+        opts = {"speed": 40.0, "pause_time": 0.01, "v_min": 20.0, "v_max": 40.0}
+        rngs, ref_rngs = _twin_generators(3, 2, False)
+        got = [a.copy() for a in state]
+        want = [a.copy() for a in state]
+        assert _run_time_mode(table, model, got, 9.0, active, 1e-9, rngs, 2, opts) == -1
+        monkeypatch.setattr(kinematics, "_MAX_LEGS_PER_STEP", 2)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _numpy_time_loop(model, want, 9.0, active, 1e-9, ref_rngs, opts)
+        _assert_same_trip_state(got, want, rngs, ref_rngs)
+
+    @pytest.mark.parametrize("model", TIME_MODELS)
+    def test_time_trip_modes_decline_untouched(self, table, rng, model):
+        """Mistyped or non-contiguous state, a speed of the wrong kind, a
+        foreign generator, ``eps <= 0`` or a non-finite speed range: the
+        kernel returns ``None`` and leaves every array and generator as
+        it found them."""
+        dest_slot = 1 if model == "rwp" else 2
+        opts = TIME_OPTIONS[model][1]
+
+        def variants():
+            yield "float32 positions", 0, lambda a: a.astype(np.float32), opts, 1e-9
+            yield "strided destinations", dest_slot, lambda a: np.hstack([a, a])[:, :2], opts, 1e-9
+            yield "float32 timers or speeds", 2 if model == "rwp" else 4, \
+                lambda a: a.astype(np.float32), opts, 1e-9
+            yield "short last array", -1, lambda a: a[:-1], opts, 1e-9
+            yield "zero eps", 0, lambda a: a, opts, 0.0
+            if model == "speed":
+                yield "infinite speed range", 0, lambda a: a, {"v_min": 0.5, "v_max": np.inf}, 1e-9
+            else:
+                yield "no speed", 0, lambda a: a, dict(opts, speed=None), 1e-9
+                yield "per-agent speeds", 0, lambda a: a, dict(opts, speed=np.ones(10)), 1e-9
+
+        class Forwarding:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def random(self, *args, **kwargs):
+                return self.inner.random(*args, **kwargs)
+
+        cases = list(variants()) + [("foreign generator", 0, lambda a: a, opts, 1e-9)]
+        for label, slot, change, options, eps in cases:
+            state = _time_case(rng, model, 2, 5)
+            state[slot] = change(state[slot])
+            before = [a.copy() for a in state]
+            rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+            states = [r.bit_generator.state for r in rngs]
+            if label == "foreign generator":
+                rngs = [rngs[0], Forwarding(rngs[1])]
+            active = np.ones(2, dtype=bool)
+            out = _run_time_mode(table, model, state, 2.0, active, eps, rngs, 100, options)
+            assert out is None, label
+            for actual, wanted in zip(state, before):
+                assert actual.tobytes() == wanted.tobytes(), label
+            real = [getattr(r, "inner", r) for r in rngs]
+            assert [r.bit_generator.state for r in real] == states, label
+
+
 @needs_provider
 class TestProviderTripsFollowSpec:
     """The C trip mode against the spec core, state for state."""
@@ -800,6 +1005,24 @@ class TestProviderTripsFollowSpec:
             assert [r.bit_generator.state for r in rngs] == [
                 r.bit_generator.state for r in ref_rngs
             ]
+
+    @pytest.mark.parametrize("model", TIME_MODELS)
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    def test_time_modes_match_reference_cores(self, rng, model, shared):
+        provider, reference = provider_kernels(), reference_kernels()
+        options = TIME_OPTIONS[model]
+        for case in range(6):
+            state = _time_case(rng, model, 3, 7)
+            active = np.array([True, case % 2 == 0, True])
+            rngs, ref_rngs = _twin_generators(10 + case, 3, shared)
+            got = [a.copy() for a in state]
+            want = [a.copy() for a in state]
+            opts = options[case % len(options)]
+            dt = 0.5 + case
+            passes = _run_time_mode(provider, model, got, dt, active, 1e-9, rngs, 1000, opts)
+            expected = _run_time_mode(reference, model, want, dt, active, 1e-9, ref_rngs, 1000, opts)
+            assert passes == expected >= 1
+            _assert_same_trip_state(got, want, rngs, ref_rngs)
 
 
 @pytest.mark.parametrize("table", [t for _, t in TABLES], ids=TABLE_IDS)
@@ -958,6 +1181,7 @@ class TestEndToEndParity:
 
     @needs_provider
     def test_warm_kernels_runs_the_trip_mode(self, monkeypatch):
+        """Each model's trip mode runs once, to the end of a step."""
         table = provider_kernels()
         original = table["advance_legs_dense"]
         trip_results = []
@@ -965,12 +1189,15 @@ class TestEndToEndParity:
         def spy(*args, **kwargs):
             out = original(*args, **kwargs)
             if kwargs.get("trips") is not None:
-                trip_results.append(out)
+                trip_results.append((type(kwargs["trips"]), out))
             return out
 
         monkeypatch.setitem(table, "advance_legs_dense", spy)
         warm_kernels()
-        assert len(trip_results) == 1 and trip_results[0] > 1
+        kinds = [ManhattanTrips, PauseTrips, SpeedRangeTrips, EuclideanTrips]
+        assert [kind for kind, _ in trip_results] == kinds
+        assert all(out is not None and out >= 1 for _, out in trip_results)
+        assert trip_results[0][1] > 1
 
     @needs_provider
     def test_warm_then_no_new_compiles(self):

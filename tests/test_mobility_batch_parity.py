@@ -25,7 +25,7 @@ from repro.mobility import (
     BatchManhattanRandomWaypoint,
     ManhattanRandomWaypoint,
 )
-from repro.mobility import mrwp as mrwp_module
+from repro.mobility import kinematics
 from repro.mobility.stationary import KinematicState
 from repro.simulation.batch import build_batch_model
 from repro.simulation.config import _MOBILITY_OPTION_KEYS, FloodingConfig
@@ -145,8 +145,19 @@ TRIP_SPEEDS = {
 }
 
 
-def mrwp_snapshot(models, rngs):
-    """Everything an MRWP step may change, generator states included.
+#: The state arrays a step of each trip model may change.
+TRIP_ARRAYS = {
+    "mrwp": ("_pos", "_dest", "_target", "_on_second_leg", "turn_counts", "arrival_counts"),
+    "mrwp-pause": ("_pos", "_dest", "_target", "_on_second_leg", "_pause_left"),
+    "mrwp-speed": ("_pos", "_dest", "_target", "_on_second_leg", "_trip_speed"),
+    "rwp": ("_pos", "_dest", "_pause_left", "arrival_counts"),
+}
+TRIP_MOBILITIES = list(TRIP_ARRAYS)
+
+
+def trip_snapshot(models, rngs, mobility="mrwp"):
+    """Everything a step of the trip model ``mobility`` may change,
+    generator states included.
 
     ``models`` is one model or a list of them, whose flat arrays are
     concatenated in order; a view is read through its twin.
@@ -155,11 +166,23 @@ def mrwp_snapshot(models, rngs):
     states = [getattr(model, "batch", model) for model in models]
     arrays = [
         np.concatenate([getattr(state, name) for state in states])
-        for name in (
-            "_pos", "_dest", "_target", "_on_second_leg", "turn_counts", "arrival_counts",
-        )
+        for name in TRIP_ARRAYS[mobility]
     ]
     return arrays, generator_states(rngs)
+
+
+def trip_model(mobility, speed, rngs, view=False):
+    """The batch model ``mobility`` at ``speed`` on ``rngs`` (or, with
+    ``view``, its scalar view on ``rngs[0]``), with pauses and a speed
+    range where the model has them."""
+    options = {
+        "mrwp": {},
+        "mrwp-pause": {"pause_time": 0.3},
+        "mrwp-speed": {"v_min": 0.5 * speed},
+        "rwp": {"pause_time": 0.3},
+    }[mobility]
+    config = mobility_config(mobility, options, speed=speed)
+    return build_model(config, rngs[0]) if view else build_batch_model(config, rngs)
 
 
 def assert_same_snapshot(got, want):
@@ -178,15 +201,19 @@ def retire_schedule(batch_size, t):
     return np.arange(batch_size) * 2 + 2 >= t
 
 
-def run_batch_mrwp(tier, batch_size, speed, dt, rngs=None, steps=8):
-    """Snapshots after every step of a batch MRWP model on ``tier``."""
+def run_batch_mrwp(tier, batch_size, speed, dt, rngs=None, steps=8, mobility="mrwp"):
+    """Snapshots after every step of a batch MRWP model (or of the trip
+    model ``mobility``) on ``tier``."""
     rngs = spawn_rngs(batch_size) if rngs is None else rngs
-    model = BatchManhattanRandomWaypoint(N, SIDE, speed, rngs)
+    if mobility == "mrwp":
+        model = BatchManhattanRandomWaypoint(N, SIDE, speed, rngs)
+    else:
+        model = trip_model(mobility, speed, rngs)
     snapshots = []
     with use_kernel_tier(tier):
         for t in range(steps):
             model.step(dt, active=retire_schedule(batch_size, t))
-            snapshots.append(mrwp_snapshot(model, rngs))
+            snapshots.append(trip_snapshot(model, rngs, mobility))
     return snapshots
 
 
@@ -200,7 +227,7 @@ def run_oracle_mrwp(batch_size, speed, dt, steps=8):
         for t in range(steps):
             for b in np.nonzero(retire_schedule(batch_size, t))[0]:
                 models[b].step(dt)
-            snapshots.append(mrwp_snapshot(models, rngs))
+            snapshots.append(trip_snapshot(models, rngs))
     return snapshots
 
 
@@ -211,7 +238,7 @@ def run_scalar_mrwp(tier, speed, dt, cls=ManhattanRandomWaypoint, steps=8):
     with use_kernel_tier(tier):
         for _ in range(steps):
             model.step(dt)
-            snapshots.append(mrwp_snapshot(model, [rng]))
+            snapshots.append(trip_snapshot(model, [rng]))
     return snapshots
 
 
@@ -343,7 +370,8 @@ class TestModelLevelParity:
 
 class ForwardingGenerator:
     """A generator object without numpy's C interface: it forwards the
-    ``random`` calls of the MRWP redraws to a real ``Generator``."""
+    ``random`` and ``uniform`` calls of the trip redraws to a real
+    ``Generator``."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -351,41 +379,46 @@ class ForwardingGenerator:
     def random(self, *args, **kwargs):
         return self.rng.random(*args, **kwargs)
 
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs)
+
 
 @needs_provider
 class TestCompiledTripModeGuards:
-    """Where the compiled MRWP step must agree with, or yield to, numpy."""
+    """Where the compiled step of each trip model must agree with, or yield
+    to, its numpy loop."""
 
-    def test_replicas_sharing_a_generator(self):
+    @pytest.mark.parametrize("mobility", TRIP_MOBILITIES)
+    def test_replicas_sharing_a_generator(self, mobility):
         def shared():
             first, second = spawn_rngs(2)
             return [first, second, first]
 
-        want = run_batch_mrwp("numpy", 3, TRIP_SPEEDS["three_sides"], 1.0, rngs=shared())
-        got = run_batch_mrwp("compiled", 3, TRIP_SPEEDS["three_sides"], 1.0, rngs=shared())
+        speed = TRIP_SPEEDS["three_sides"]
+        want = run_batch_mrwp("numpy", 3, speed, 1.0, rngs=shared(), mobility=mobility)
+        got = run_batch_mrwp("compiled", 3, speed, 1.0, rngs=shared(), mobility=mobility)
         for g, w in zip(got, want):
             assert_same_snapshot(g, w)
 
+    @pytest.mark.parametrize("mobility", TRIP_MOBILITIES)
     @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
-    def test_too_small_pass_cap_raises_on_both_tiers(self, monkeypatch, batch):
-        monkeypatch.setattr(mrwp_module, "_MAX_LEGS_PER_STEP", 1)
+    def test_too_small_pass_cap_raises_on_both_tiers(self, monkeypatch, batch, mobility):
+        monkeypatch.setattr(kinematics, "_MAX_LEGS_PER_STEP", 1)
         snapshots = []
         for tier in ("numpy", "compiled"):
             rngs = spawn_rngs(3 if batch else 1)
-            if batch:
-                model = BatchManhattanRandomWaypoint(N, SIDE, 3 * SIDE, rngs)
-            else:
-                model = ManhattanRandomWaypoint(N, SIDE, 3 * SIDE, rng=rngs[0])
+            model = trip_model(mobility, 3 * SIDE, rngs, view=not batch)
             with use_kernel_tier(tier), pytest.raises(RuntimeError, match="did not converge"):
                 model.step()
             assert model.time == 0.0
-            snapshots.append(mrwp_snapshot(model, rngs))
+            snapshots.append(trip_snapshot(model, rngs, mobility))
         assert_same_snapshot(snapshots[1], snapshots[0])
 
-    def test_step_waits_for_a_held_generator_lock(self):
-        want = run_batch_mrwp("numpy", 3, SIDE, 1.0, steps=1)
+    @pytest.mark.parametrize("mobility", TRIP_MOBILITIES)
+    def test_step_waits_for_a_held_generator_lock(self, mobility):
+        want = run_batch_mrwp("numpy", 3, SIDE, 1.0, steps=1, mobility=mobility)
         rngs = spawn_rngs(3)
-        model = BatchManhattanRandomWaypoint(N, SIDE, SIDE, rngs)
+        model = trip_model(mobility, SIDE, rngs)
         lock = rngs[1].bit_generator.lock
         stepped = threading.Event()
 
@@ -403,9 +436,10 @@ class TestCompiledTripModeGuards:
                 lock.release()
             worker.join(30)
         assert not worker.is_alive() and stepped.is_set()
-        assert_same_snapshot(mrwp_snapshot(model, rngs), want[0])
+        assert_same_snapshot(trip_snapshot(model, rngs, mobility), want[0])
 
-    def test_generator_without_c_interface_falls_back(self, monkeypatch):
+    @pytest.mark.parametrize("mobility", TRIP_MOBILITIES)
+    def test_generator_without_c_interface_falls_back(self, monkeypatch, mobility):
         table = provider_kernels()
         original = table["advance_legs_dense"]
         trip_results = []
@@ -420,12 +454,12 @@ class TestCompiledTripModeGuards:
         snapshots = []
         for tier in ("numpy", "compiled"):
             rngs = spawn_rngs(3)
-            model = BatchManhattanRandomWaypoint(N, SIDE, SIDE, rngs)
+            model = trip_model(mobility, SIDE, rngs)
             model.rngs = [ForwardingGenerator(rng) for rng in rngs]
             with use_kernel_tier(tier):
                 for _ in range(4):
                     model.step()
-            snapshots.append(mrwp_snapshot(model, rngs))
+            snapshots.append(trip_snapshot(model, rngs, mobility))
         assert len(trip_results) == 4 and all(out is None for out in trip_results)
         assert_same_snapshot(snapshots[1], snapshots[0])
 
@@ -445,7 +479,7 @@ class TestCompiledTripModeGuards:
                 assert model.time == 0.0
                 for _ in range(3):
                     model.step()
-            snapshots.append(mrwp_snapshot(model, [first, second]))
+            snapshots.append(trip_snapshot(model, [first, second]))
         assert_same_snapshot(snapshots[1], snapshots[0])
         assert_same_snapshot(snapshots[2], snapshots[0])
 
