@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.zones import ZonePartition
-from repro.geometry.neighbors import make_engine
+from repro.geometry.neighbors import BatchNeighborQuery
 from repro.mobility.base import MobilityModel
 
 __all__ = ["MEETING_RADIUS_FACTOR", "meeting_radius", "first_meeting_times_from_zone"]
@@ -39,7 +39,6 @@ def first_meeting_times_from_zone(
     radius: float,
     targets: np.ndarray,
     window: int,
-    backend: str = "auto",
     dt: float = 1.0,
 ) -> np.ndarray:
     """First time each target agent meets an agent that started in the CZ.
@@ -47,12 +46,15 @@ def first_meeting_times_from_zone(
     The *emissary set* is frozen at the call time: every agent located in a
     Central-Zone cell at step 0 of the window (matching Lemma 16's "b was in
     the Central Zone at time t - S/v").  The model is advanced ``window``
-    steps in place.
+    steps in place.  Each step counts through a one-replica
+    :class:`~repro.geometry.neighbors.BatchNeighborQuery`, as the
+    protocols do, so the kernel tier picks the neighbor path.
 
     Args:
         model: mobility model (all agents).
         zones: zone partition used to classify emissaries.
-        radius: transmission radius ``R``; the meeting test uses ``(3/4) R``.
+        radius: transmission radius ``R`` (positive); the meeting test uses
+            ``(3/4) R``.
         targets: indices of the agents whose meeting times are measured
             (typically agents currently in the Suburb).
         window: number of steps to observe.
@@ -68,23 +70,25 @@ def first_meeting_times_from_zone(
         raise ValueError(f"window must be non-negative, got {window}")
     positions = model.positions
     emissaries = np.nonzero(zones.in_central_zone(positions))[0]
-    # Targets that are themselves emissaries trivially meet at time 0;
-    # exclude self-meetings by masking them out of the source set per query.
-    engine = make_engine(backend, model.side)
+    query = BatchNeighborQuery(model.side, 1)
     meet_r = meeting_radius(radius)
 
     times = np.full(targets.size, np.inf)
-    emissary_mask = np.zeros(model.n, dtype=bool)
-    emissary_mask[emissaries] = True
+    emissary_mask = np.zeros((1, model.n), dtype=bool)
+    emissary_mask[0, emissaries] = True
+    target_mask = np.zeros((1, model.n), dtype=bool)
 
     def _update(step: int, pos: np.ndarray, pending: np.ndarray) -> np.ndarray:
         if pending.size == 0 or emissaries.size == 0:
             return pending
         target_ids = targets[pending]
-        counts = engine.count_within(pos[emissaries], pos[target_ids], meet_r)
+        target_mask[:] = False
+        target_mask[0, target_ids] = True
+        counts = query.bind(pos[None]).count_within(emissary_mask, target_mask, meet_r)
+        counts = counts[0, target_ids]
         # A target that is itself an emissary always counts itself (distance
         # 0), so it needs a second emissary in range for a genuine meeting.
-        needed = np.where(emissary_mask[target_ids], 2, 1)
+        needed = np.where(emissary_mask[0, target_ids], 2, 1)
         hits = counts >= needed
         met = pending[hits]
         times[met] = step

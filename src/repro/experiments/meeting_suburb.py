@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.flooding import build_zone_partition
 from repro.core.meetings import first_meeting_times_from_zone
 from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
+from repro.kernels import use_kernel_tier
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.simulation.config import FloodingConfig
 from repro.simulation.results import summarize
@@ -87,9 +88,12 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
         # extent several times over (paper's 590 S/v is far larger).
         extent = max(zones.suburb_corner_extent(), radius)
         window = int(params["window_factor"] * extent / speed)
-        times = first_meeting_times_from_zone(
-            model, zones, radius, suburb_agents, window
-        )
+        # The tier a flooding config's default kernels="auto" would pick:
+        # compiled MRWP steps and meeting counts when a provider builds.
+        with use_kernel_tier("auto"):
+            times = first_meeting_times_from_zone(
+                model, zones, radius, suburb_agents, window
+            )
         met = np.isfinite(times)
         met_fraction = float(np.mean(met))
         median = float(np.median(times[met])) if np.any(met) else math.inf

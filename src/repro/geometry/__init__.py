@@ -1,10 +1,10 @@
 """Geometric substrate: points, Manhattan paths, spatial indexes, samplers.
 
-Also the registry surface for backend selection: ``available_backends()``
-lists the neighbor engines (and, with ``kind="kernels"``, the compiled
-kernel providers), and ``kernel_backend()`` / ``use_kernel_tier()`` /
-``kernel_tier_label()`` are re-exported from :mod:`repro.kernels` so
-callers can probe and scope the compiled tier from one import.
+Also the probe surface: ``available_backends()`` lists the neighbor
+engines this environment can build, and ``kernel_backend()`` /
+``use_kernel_tier()`` / ``kernel_tier_label()`` are re-exported from
+:mod:`repro.kernels` so callers can probe and scope the compiled tier
+(which also picks the batch neighbor path) from one import.
 """
 
 from repro.geometry.grid import GridIndex

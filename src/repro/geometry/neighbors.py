@@ -7,31 +7,32 @@ The simulation core only needs three primitives per snapshot:
 * ``count_within(...)`` — occupancy counts (density condition, Lemma 7);
 * ``pairs_within(points, r)`` — all edges of the disk graph ``G_t``.
 
-Two interchangeable backends implement them:
+Three engines implement them on one ``(n, 2)`` point set:
 
 * :class:`GridNeighborEngine` — the pure-numpy bucket grid of
   :mod:`repro.geometry.grid` (no dependencies beyond numpy);
 * :class:`KDTreeNeighborEngine` — scipy's cKDTree, typically faster for
-  large ``n``.
+  large ``n``;
+* :class:`BruteForceNeighborEngine` — the all-pairs reference the tests
+  compare against.
 
-Use :func:`make_engine` to construct one by name; ``"auto"`` picks the
-KD-tree when scipy is installed and falls back to the grid otherwise.
+:func:`make_engine` constructs one by name; ``"auto"`` picks the KD-tree
+when scipy is installed and falls back to the grid otherwise.
 ``scipy.spatial`` itself is imported only when a KD-tree is first built.
 
 Two layers sit on top of the raw engines (DESIGN.md, "Neighbor
-subsystem: one exact path per backend"):
+subsystem: one path per kernel tier"):
 
-* **Batched queries** — the simulation engines answer the per-replica
-  queries of **B independent trials with one engine call** through
-  :class:`BatchNeighborQuery`: each replica's points are translated into
-  a disjoint tile of a larger virtual square, tiles separated by more
-  than the query radius, so a single spatial index over the union can
-  never report a cross-replica hit.  Its cell-cover strategy prunes
-  informed sources far from the uninformed frontier before any binning
-  (exact — see :meth:`BatchBoundQuery.any_within`), and on the compiled
-  kernel tier an ``"auto"`` query runs the C pair kernels instead.  The
-  scalar engine's protocols are one-replica batch states, so they query
-  it at B=1.
+* **Batched queries** — the protocols answer the per-replica queries of
+  **B independent trials with one call** through
+  :class:`BatchNeighborQuery`, which has one exact path per kernel tier:
+  the C pair kernels on the compiled tier; on the numpy tier the cell
+  cover for the infection test (it prunes informed sources far from the
+  uninformed frontier before any binning — exact, see
+  :meth:`BatchBoundQuery.any_within`) and, for everything else, one
+  tiled KD-tree (or grid, without scipy) over all replicas, translated
+  into disjoint tiles of a larger virtual square.  The scalar engine's
+  protocols are one-replica batch states, so they query it at B=1.
 
 * **Bound snapshots** — :meth:`NeighborEngine.bind` wraps one ``(n, 2)``
   snapshot in a :class:`BoundSnapshot` that takes agent-index arrays and
@@ -67,7 +68,7 @@ __all__ = [
 def _check_radius(radius, positive: bool = False) -> float:
     """``radius`` as a float; ``ValueError`` if NaN, infinite or negative.
 
-    Such a radius bounds no distance, and each backend would answer it
+    Such a radius bounds no distance, and each engine would answer it
     differently (a KD-tree reads ``-1`` as ``+1``; the grid cannot size
     its cells from a NaN).  Zero is valid for the engine coordinate API
     (a disk graph with ``R = 0``); snapshots pass ``positive=True`` and
@@ -157,22 +158,14 @@ class NeighborEngine:
 
 
 class GridNeighborEngine(NeighborEngine):
-    """Bucket-grid backend (pure numpy).
+    """Bucket-grid engine (pure numpy), with bucket side
+    ``max(radius, side / 512)`` per query.
 
     Args:
         side: side length of the square region.
-        cell_size: bucket side override (default ``max(radius, side/512)``
-            per query).
     """
 
     name = "grid"
-
-    def __init__(self, side: float, cell_size: float = None):
-        super().__init__(side)
-        self._cell_size = cell_size
-
-    def _cell_for(self, radius: float) -> float:
-        return self._cell_size if self._cell_size is not None else max(radius, self.side / 512.0)
 
     def _index(self, points, radius: float) -> GridIndex:
         """Fresh index over ``points`` for ``radius`` queries.
@@ -182,7 +175,7 @@ class GridNeighborEngine(NeighborEngine):
         identity-keyed memo would never hit — and a content-keyed one
         costs as much as the build it saves.
         """
-        return GridIndex(self.side, self._cell_for(radius)).build(points)
+        return GridIndex(self.side, max(radius, self.side / 512.0)).build(points)
 
     def any_within(self, sources, queries, radius: float) -> np.ndarray:
         radius = _check_radius(radius)
@@ -209,7 +202,7 @@ class GridNeighborEngine(NeighborEngine):
 
 
 class KDTreeNeighborEngine(NeighborEngine):
-    """scipy cKDTree backend.
+    """scipy cKDTree engine.
 
     ``scipy.spatial`` is imported by the first tree build, not at
     construction: the import dwarfs the set-up of a compiled-tier
@@ -226,7 +219,7 @@ class KDTreeNeighborEngine(NeighborEngine):
         super().__init__(side)
         if "kdtree" not in available_backends():
             raise ImportError(
-                "the kdtree backend needs scipy, which is not installed; "
+                "the kdtree engine needs scipy, which is not installed; "
                 "use make_engine('auto') to fall back to the grid"
             )
 
@@ -303,6 +296,17 @@ class BruteForceNeighborEngine(NeighborEngine):
         return np.stack([i, j], axis=1).astype(np.intp)
 
 
+def _throwaway_tree(points: np.ndarray):
+    """A cKDTree for one pass over one round's points.
+
+    The batch query builds a fresh tree per call, so it skips the
+    balancing passes, which dominate construction at these sizes.
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points, balanced_tree=False, compact_nodes=False)
+
+
 def _dilate(occ: np.ndarray, reach: int) -> np.ndarray:
     """Boolean Chebyshev-box dilation of a ``(B, m, m)`` occupancy stack.
 
@@ -357,21 +361,20 @@ class BatchBoundQuery:
     # Shared per-snapshot derived state
     # ------------------------------------------------------------------
     def _cells_for(self, radius: float):
-        """Per-agent global cell ids for the cell-cover kernel (or None
-        when the occupancy grid would be unreasonably large)."""
-        divisor = self.query._COVER_DIVISOR
-        cell = radius / divisor
-        key = cell
-        cached = self._cells.get(key)
-        if cached is not None:
-            return cached
+        """``(gid, m)``: per-agent global cell ids for the cell-cover
+        kernel, or None when the occupancy grid would be unreasonably
+        large or an agent lies outside it."""
+        cell = radius / self.query._COVER_DIVISOR
+        if cell in self._cells:
+            return self._cells[cell]
         m = max(1, int(math.ceil(self.query.side / cell)))
-        if self.positions.shape[0] * m * m > self.query._MAX_COVER_CELLS:
-            self._cells[key] = None
-            return None
-        gid = self.query._cover_cells(self.positions, cell, m, self.rows)
-        self._cells[key] = (gid, m)
-        return self._cells[key]
+        info = None
+        if self.positions.shape[0] * m * m <= self.query._MAX_COVER_CELLS:
+            gid = self.query._cover_cells(self.positions, cell, m, self.rows)
+            if gid is not None:
+                info = (gid, m)
+        self._cells[cell] = info
+        return info
 
     def _shifted_for(self, radius: float):
         """Tile-shifted flat coordinates (cached per radius)."""
@@ -392,39 +395,24 @@ class BatchBoundQuery:
             raise ValueError("masks must have shape (B, n) matching the positions")
         return source_mask, query_mask
 
-    def _tiled(self, method, source_mask, query_mask, radius):
-        flat, big_side = self._shifted_for(radius)
-        source_mask = source_mask.reshape(-1)
-        query_mask = query_mask.reshape(-1)
-        engine = _BACKENDS[self.query._tiled_backend](big_side)
-        out = getattr(engine, method)(flat[source_mask], flat[query_mask], radius)
-        result_dtype = bool if method == "any_within" else np.intp
-        full = np.zeros(flat.shape[0], dtype=result_dtype)
-        full[query_mask] = out
-        return full.reshape(self.positions.shape[0], -1)
-
-    def _flat_tiled_any_within(self, source_flat, query_flat, radius):
+    def _tiled_any_within(self, source_flat, query_flat, radius):
         """Exact tiled ``any_within`` over flat ``(B*n)`` index subsets."""
         n = self.positions.shape[1]
         pts = self.positions.reshape(-1, 2)
-        _stride, big_side = self.query._tile_geometry(radius)
 
         def shifted(flat_idx):
             return self.query._tile_shift(flat_idx // n, pts[flat_idx], radius)
 
-        if self.query._tiled_backend == "kdtree":
-            # Same exact query as KDTreeNeighborEngine.any_within, but the
-            # tree is throwaway (one shell per round) — skip the balancing
-            # passes, which dominate construction for these sizes.
-            from scipy.spatial import cKDTree
-
-            tree = cKDTree(shifted(source_flat), balanced_tree=False, compact_nodes=False)
-            dist, _ = tree.query(
+        if self.query._kdtree:
+            # Same exact query as KDTreeNeighborEngine.any_within.
+            dist, _ = _throwaway_tree(shifted(source_flat)).query(
                 shifted(query_flat), k=1, distance_upper_bound=radius * (1 + 1e-12)
             )
             return np.isfinite(dist)
-        engine = _BACKENDS[self.query._tiled_backend](big_side)
-        return engine.any_within(shifted(source_flat), shifted(query_flat), radius)
+        _stride, big_side = self.query._tile_geometry(radius)
+        return GridNeighborEngine(big_side).any_within(
+            shifted(source_flat), shifted(query_flat), radius
+        )
 
     def _cells_any_within(self, source_mask, query_mask, radius):
         """Cell-cover ``any_within`` (see :class:`BatchNeighborQuery`);
@@ -510,20 +498,17 @@ class BatchBoundQuery:
                 near = _dilate(u_occ.reshape(batch, m, m), reach_possible).reshape(-1)
                 near_source_flat = source_flat[near[s_gid]]
             if near_source_flat.size:
-                hit = self._flat_tiled_any_within(near_source_flat, unresolved_flat, radius)
+                hit = self._tiled_any_within(near_source_flat, unresolved_flat, radius)
                 hits[unresolved_flat[hit]] = True
         return hits.reshape(batch, n)
 
     def _kernel(self, name, source_mask, query_mask, radius, **options):
         """The compiled ``name`` kernel's answer, or ``None`` to run numpy.
 
-        Only ``"auto"`` queries dispatch, and only on the compiled tier
-        (when a run activated it); explicit backends always run their own
-        code, so the parity sweeps keep comparing independent
-        implementations.  ``options`` pass through to the kernel.
+        The kernel runs on the compiled tier, when a run activated it (the
+        tier is the only thing that picks a path); ``options`` pass
+        through to it.
         """
-        if self.query.backend != "auto":
-            return None
         kernel = get_kernel(name)
         if kernel is None:
             return None
@@ -536,16 +521,21 @@ class BatchBoundQuery:
         radius = _check_radius(radius, positive=True)
         source_mask, query_mask = self._check_masks(source_mask, query_mask)
         # Compiled tier: one fused grid-build + 3x3-scan pass over the
-        # exact predicate — bit-identical to the strategies below for any
+        # exact predicate — bit-identical to the numpy paths below for any
         # scan order.
         result = self._kernel("batch_any_within", source_mask, query_mask, radius)
         if result is not None:
             return result
-        if self.query.backend in ("auto", "cells"):
-            result = self._cells_any_within(source_mask, query_mask, radius)
-            if result is not None:
-                return result
-        return self._tiled("any_within", source_mask, query_mask, radius)
+        result = self._cells_any_within(source_mask, query_mask, radius)
+        if result is not None:
+            return result
+        # No cover grid: the exact tiled query over every source and query.
+        hits = np.zeros(source_mask.size, dtype=bool)
+        source_flat = np.nonzero(source_mask.reshape(-1))[0]
+        query_flat = np.nonzero(query_mask.reshape(-1))[0]
+        if source_flat.size and query_flat.size:
+            hits[query_flat] = self._tiled_any_within(source_flat, query_flat, radius)
+        return hits.reshape(source_mask.shape)
 
     def count_within(self, source_mask, query_mask, radius: float) -> np.ndarray:
         """Per-replica occupancy counts; see :meth:`BatchNeighborQuery.count_within`."""
@@ -558,26 +548,21 @@ class BatchBoundQuery:
         )
         if counts is not None:
             return counts
-        if self.query._tiled_backend == "kdtree":
-            batch, n = source_mask.shape
-            # Throwaway per-round tree: the fast-build flags beat the
-            # balanced build the generic tiled path would pay (the tree
-            # serves exactly one counting pass).
-            source_flat = np.nonzero(source_mask.reshape(-1))[0]
-            query_flat = np.nonzero(query_mask.reshape(-1))[0]
-            counts = np.zeros(batch * n, dtype=np.intp)
-            if source_flat.size and query_flat.size:
-                from scipy.spatial import cKDTree
-
-                shifted, _big_side = self._shifted_for(radius)
-                tree = cKDTree(
-                    shifted[source_flat], balanced_tree=False, compact_nodes=False
-                )
-                counts[query_flat] = tree.query_ball_point(
+        batch, n = source_mask.shape
+        source_flat = np.nonzero(source_mask.reshape(-1))[0]
+        query_flat = np.nonzero(query_mask.reshape(-1))[0]
+        counts = np.zeros(batch * n, dtype=np.intp)
+        if source_flat.size and query_flat.size:
+            shifted, big_side = self._shifted_for(radius)
+            if self.query._kdtree:
+                counts[query_flat] = _throwaway_tree(shifted[source_flat]).query_ball_point(
                     shifted[query_flat], r=radius, return_length=True
                 )
-            return counts.reshape(batch, n)
-        return self._tiled("count_within", source_mask, query_mask, radius)
+            else:
+                counts[query_flat] = GridNeighborEngine(big_side).count_within(
+                    shifted[source_flat], shifted[query_flat], radius
+                )
+        return counts.reshape(batch, n)
 
     def contacts_within(self, source_mask, query_mask, radius: float) -> tuple:
         """Per-replica bipartite (source, query) contacts within ``radius``.
@@ -594,8 +579,8 @@ class BatchBoundQuery:
         Returns:
             ``(replica, source, query)`` intp agent-index arrays of equal
             length, sorted by replica, then source, then query on every
-            backend and kernel tier.  The sampling protocols consume their
-            draws in this order, so it is part of the result.
+            path.  The sampling protocols consume their draws in this
+            order, so it is part of the result.
         """
         radius = _check_radius(radius, positive=True)
         source_mask, query_mask = self._check_masks(source_mask, query_mask)
@@ -614,13 +599,9 @@ class BatchBoundQuery:
         shifted, _big_side = self._shifted_for(radius)
         shifted_s = shifted[source_flat]
         shifted_q = shifted[query_flat]
-        if self.query._tiled_backend == "kdtree":
-            from scipy.spatial import cKDTree
-
-            source_tree = cKDTree(shifted_s, balanced_tree=False, compact_nodes=False)
-            query_tree = cKDTree(shifted_q, balanced_tree=False, compact_nodes=False)
-            hits = source_tree.sparse_distance_matrix(
-                query_tree, max_distance=radius, output_type="ndarray"
+        if self.query._kdtree:
+            hits = _throwaway_tree(shifted_s).sparse_distance_matrix(
+                _throwaway_tree(shifted_q), max_distance=radius, output_type="ndarray"
             )
             s_sel = source_flat[hits["i"]]
             q_sel = query_flat[hits["j"]]
@@ -650,12 +631,13 @@ class BatchBoundQuery:
         The batched counterpart of
         :meth:`NeighborEngine.pairs_within`, for callers that need every
         replica's full edge list (connectivity profiles and thresholds)
-        in one tiled engine call — tiles are separated by ``2 * radius``,
-        so cross-replica pairs are geometrically impossible.  The
-        neighbor-sampling protocols do **not** use it (they materialize
-        only the informed/uninformed cut via :meth:`contacts_within`).
-        The edge *order* is the backend's traversal order; callers that
-        consume randomness positionally must canonicalize it themselves.
+        in one tiled KD-tree (or grid) call on either kernel tier — tiles
+        are separated by ``2 * radius``, so cross-replica pairs are
+        geometrically impossible.  The neighbor-sampling protocols do
+        **not** use it (they materialize only the informed/uninformed cut
+        via :meth:`contacts_within`).  The edge *order* is the index's
+        traversal order; callers that consume randomness positionally must
+        canonicalize it themselves.
 
         Args:
             radius: query radius.
@@ -679,22 +661,15 @@ class BatchBoundQuery:
             return empty
         flat = subset.reshape(-1, 2)
         shifted = self.query._tile_shift(np.repeat(row_ids, n), flat, radius)
-        if self.query._tiled_backend == "kdtree":
-            # Throwaway tree, one per round: skip the balancing passes
-            # (same trick as the exact-shell fall-through above).
-            from scipy.spatial import cKDTree
-
-            tree = cKDTree(shifted, balanced_tree=False, compact_nodes=False)
-            pairs = tree.query_pairs(r=radius, output_type="ndarray")
+        if self.query._kdtree:
+            pairs = _throwaway_tree(shifted).query_pairs(r=radius, output_type="ndarray")
             pairs = pairs.astype(np.intp, copy=False)
         else:
             _stride, big_side = self.query._tile_geometry(radius)
-            pairs = _BACKENDS[self.query._tiled_backend](big_side).pairs_within(
-                shifted, radius
-            )
+            pairs = GridNeighborEngine(big_side).pairs_within(shifted, radius)
         if pairs.shape[0] == 0:
             return empty
-        # Every backend returns i < j in the flat index space; endpoints
+        # Both indexes return i < j in the flat index space; endpoints
         # share a replica (tile separation > radius), so local i < j too.
         position = pairs[:, 0] // n
         return row_ids[position], pairs[:, 0] % n, pairs[:, 1] % n
@@ -703,64 +678,59 @@ class BatchBoundQuery:
 class BatchNeighborQuery:
     """Per-replica radius queries over a ``(B, n, 2)`` position tensor.
 
-    Two strategies, both exact:
+    Every answer is exact, and each kernel tier has one path; nothing but
+    the tier and the input picks it:
 
-    * **tiling** (explicit ``grid``/``kdtree``/``brute`` backends): replica
-      ``b``'s points are shifted into tile ``b`` of a virtual
-      ``rows x cols`` tile sheet (``cols = ceil(sqrt(B))``, keeping the grid
-      backend's cell count ``O(B)``).  Adjacent tiles are separated by
-      ``2 * radius``, strictly more than the query radius, hence one engine
-      call over the shifted union answers all replicas at once and
-      cross-replica pairs can never be within range.
+    * **compiled tier**: :meth:`BatchBoundQuery.any_within`,
+      ``count_within`` and ``contacts_within`` run the C pair kernels,
+      which bin one replica at a time.
 
-    * **cell cover** (``"cells"``, the ``"auto"`` default for
-      :meth:`any_within`): per-replica occupancy grids with bucket side
-      ``radius / (2 sqrt2)`` resolve most queries by occupancy logic
-      alone — a source anywhere in the query's 3x3 cell box is
-      *certainly* within ``radius`` (the farthest pair of points in that
-      box is exactly ``2 sqrt2`` buckets apart), while no source within
-      Chebyshev distance 3 *certainly* means no hit (the gap is at least
-      3 buckets ``> radius``).  Only queries in the thin shell between
-      the two certainties fall through to an exact tiled query against
-      the nearby sources.  When sources outnumber queries, informed
-      sources outside the ``reach``-dilated shell of the query-occupied
-      cells are dropped before any binning — exact, because such sources
-      can neither hit a query nor change a certainty read at a query
-      cell.  The per-agent cell assignment persists across binds and is
-      recomputed only for the replicas passed as ``rows``.
+    * **numpy tier, infection test** — the **cell cover**: per-replica
+      occupancy grids with bucket side ``radius / (2 sqrt2)`` resolve
+      most queries by occupancy logic alone — a source anywhere in the
+      query's 3x3 cell box is *certainly* within ``radius`` (the farthest
+      pair of points in that box is exactly ``2 sqrt2`` buckets apart),
+      while no source within Chebyshev distance 3 *certainly* means no
+      hit (the gap is at least 3 buckets ``> radius``).  Only queries in
+      the thin shell between the two certainties fall through to an exact
+      tiled query against the nearby sources.  When sources outnumber
+      queries, informed sources outside the ``reach``-dilated shell of
+      the query-occupied cells are dropped before any binning — exact,
+      because such sources can neither hit a query nor change a certainty
+      read at a query cell.  The per-agent cell assignment persists
+      across binds and is recomputed only for the replicas passed as
+      ``rows``.  When the grids would exceed ``_MAX_COVER_CELLS``, or an
+      agent lies outside its replica's grid, the whole test runs tiled.
 
-    Strategies agree except possibly at distances within floating-point
-    rounding of ``radius`` itself — the same ulp-level boundary slack the
-    scalar backends already have among themselves (the KD-tree engine
-    applies a ``1e-12`` relative tolerance where grid and brute use exact
-    ``<=``), and a measure-zero event for simulation-driven positions.
+    * **numpy tier, everything else** — the **tiling**: replica ``b``'s
+      points are shifted into tile ``b`` of a virtual ``rows x cols``
+      tile sheet (``cols = ceil(sqrt(B))``, keeping the grid's cell count
+      ``O(B)``), and one KD-tree (the bucket grid when scipy is missing)
+      over the shifted union answers all replicas at once.  Adjacent tiles
+      are separated by ``2 * radius``, so cross-replica pairs are never
+      within range as long as every position is closer than
+      ``radius / 2`` to the square: at ``B > 1`` the tiling is exact only
+      for such positions (at ``B = 1`` there is one tile, and it is exact
+      anywhere).
+
+    Paths agree except possibly at distances within floating-point
+    rounding of ``radius`` itself — the KD-tree applies a ``1e-12``
+    relative tolerance where the others use exact ``<=`` — a
+    measure-zero event for simulation-driven positions.
 
     Args:
         side: side length of each replica's square region.
         batch_size: number of replicas ``B``.
-        backend: ``"grid"``, ``"kdtree"``, ``"brute"``, ``"cells"``, or
-            ``"auto"`` (cell cover for ``any_within``, best tiled engine
-            otherwise; on the compiled tier ``any_within``,
-            ``count_within`` and ``contacts_within`` run the C pair
-            kernels instead).
     """
 
-    def __init__(self, side: float, batch_size: int, backend: str = "auto"):
+    def __init__(self, side: float, batch_size: int):
         if side <= 0:
             raise ValueError(f"side must be positive, got {side}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.side = float(side)
         self.batch_size = int(batch_size)
-        if backend not in ("auto", "cells") and backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown neighbor backend {backend!r}; expected one of "
-                f"{sorted(_BACKENDS) + ['cells']} or 'auto'"
-            )
-        self.backend = backend
-        self._tiled_backend = backend
-        if backend in ("auto", "cells"):
-            self._tiled_backend = "kdtree" if "kdtree" in available_backends() else "grid"
+        self._kdtree = "kdtree" in available_backends()
         self._cols = int(math.ceil(math.sqrt(self.batch_size)))
         self._rows = int(math.ceil(self.batch_size / self._cols))
         self._cell_cache = None  # (cell size, (B, n) global cell ids)
@@ -778,12 +748,16 @@ class BatchNeighborQuery:
     #: cheap boolean dilations.
     _COVER_DIVISOR = 2.0 * math.sqrt(2.0)
 
-    def _cover_cells(self, positions: np.ndarray, cell: float, m: int, rows) -> np.ndarray:
-        """``(B, n)`` batch-global cover-cell id of every agent.
+    def _cover_cells(self, positions: np.ndarray, cell: float, m: int, rows):
+        """``(B, n)`` batch-global cover-cell id of every agent, or None
+        when a recomputed agent lies outside the ``m x m`` cover grid.
 
         The ids persist across binds for one cell size; given ``rows``,
         only those replicas are recomputed (the others cannot have moved),
-        so retired replicas cost nothing.
+        so retired replicas cost nothing.  The cover's certain hits trust
+        each agent's cell, and clipping would put an agent outside the
+        grid into a border cell it is not in: such an agent drops the
+        cache and sends the query to the exact tiled path.
         """
         cached = self._cell_cache
         fresh = (
@@ -794,8 +768,12 @@ class BatchNeighborQuery:
         )
         if fresh:
             rows = np.arange(self.batch_size)
-        ij = ((positions if fresh else positions[rows]) * (1.0 / cell)).astype(np.int64)
-        np.clip(ij, 0, m - 1, out=ij)
+        scaled = (positions if fresh else positions[rows]) * (1.0 / cell)
+        if scaled.size and not (scaled.min() >= 0.0 and scaled.max() <= m):
+            self._cell_cache = None
+            return None
+        ij = scaled.astype(np.int64)
+        np.minimum(ij, m - 1, out=ij)  # agents on the grid's far edges
         gid = ij[..., 0] * m + ij[..., 1] + rows.astype(np.int64)[:, None] * (m * m)
         if fresh:
             self._cell_cache = (cell, gid)
@@ -879,28 +857,15 @@ _BACKENDS = {
 _AVAILABLE_BACKENDS = None
 
 
-def available_backends(kind: str = "neighbors") -> list:
-    """Names of backends available in this environment.
+def available_backends() -> list:
+    """Names of the neighbor engines available in this environment, with
+    ``kdtree`` first when ``scipy.spatial`` is installed (located, not
+    imported).
 
-    Args:
-        kind: ``"neighbors"`` (default) lists the neighbor-engine
-            backends, with ``kdtree`` first when ``scipy.spatial`` is
-            installed (located, not imported); ``"kernels"`` lists the
-            kernel tiers backing the ``kernels`` config knob — the
-            compiled ``cext`` provider first (probed once per process,
-            with the ``REPRO_NO_CEXT=1`` escape hatch), then the
-            always-available ``numpy``.
-
-    Every probe runs once per process and is cached — constructing
-    engines and batch queries in a hot loop must not re-attempt imports
-    (or compiler invocations) every time.
+    The probe runs once per process and is cached — constructing engines
+    and batch queries in a hot loop must not re-attempt imports every
+    time.
     """
-    if kind == "kernels":
-        from repro.kernels import available_kernel_backends
-
-        return available_kernel_backends()
-    if kind != "neighbors":
-        raise ValueError(f"unknown backend kind {kind!r}; expected 'neighbors' or 'kernels'")
     global _AVAILABLE_BACKENDS
     if _AVAILABLE_BACKENDS is None:
         names = ["grid", "brute"]

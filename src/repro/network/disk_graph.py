@@ -26,7 +26,7 @@ class DiskGraph:
         side: side length of the region (defaults to the positions' extent;
             pass the true ``L`` when available).
         engine: optional pre-built :class:`NeighborEngine`; by default the
-            best available backend is used.
+            best available engine is used.
     """
 
     def __init__(self, positions, radius: float, side: float = None, engine: NeighborEngine = None):

@@ -123,7 +123,6 @@ class BroadcastProtocol:
         source: index of the initially informed agent.
         rng: generator for randomized protocols (a fresh default one when
             omitted).
-        backend: neighbor-engine backend name (``"auto"`` by default).
         **options: protocol options, passed to the batch state.
     """
 
@@ -140,13 +139,10 @@ class BroadcastProtocol:
         radius: float,
         source: int,
         rng: np.random.Generator = None,
-        backend: str = "auto",
         **options,
     ):
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.state = self.batch_state(
-            n, side, radius, [source], rngs=[self.rng], backend=backend, **options
-        )
+        self.state = self.batch_state(n, side, radius, [source], rngs=[self.rng], **options)
         self.n = self.state.n
         self.side = self.state.side
         self.radius = self.state.radius
@@ -230,7 +226,10 @@ class BatchBroadcastState(abc.ABC):
         sources: ``(B,)`` initial informed agent per replica.
         rngs: per-replica generators for the protocol's stochastic draws
             (None for deterministic protocols such as flooding).
-        backend: neighbor-engine backend name.
+
+    The neighbor path is the kernel tier's (see
+    :class:`~repro.geometry.neighbors.BatchNeighborQuery`); no argument
+    picks it.
     """
 
     name = "abstract"
@@ -245,7 +244,6 @@ class BatchBroadcastState(abc.ABC):
         radius: float,
         sources,
         rngs=None,
-        backend: str = "auto",
     ):
         if not _is_integer(n) or n < 1:
             raise ValueError(f"n must be an integer of at least 1, got {n!r}")
@@ -275,7 +273,7 @@ class BatchBroadcastState(abc.ABC):
             self.rngs = list(rngs)
         else:
             self.rngs = None
-        self.query = BatchNeighborQuery(self.side, self.batch_size, backend)
+        self.query = BatchNeighborQuery(self.side, self.batch_size)
         self.informed = np.zeros((self.batch_size, self.n), dtype=bool)
         self.informed[np.arange(self.batch_size), self.sources] = True
         self.informed_at = np.full((self.batch_size, self.n), np.inf)

@@ -10,7 +10,7 @@ Positions are **frozen within a round**, so hop ``k >= 2`` of a multi-hop
 exchange only needs the agents informed at hop ``k - 1`` as sources —
 every older source was already tested against a superset of the
 still-uninformed queries at the same positions (DESIGN.md, "Neighbor
-subsystem: one exact path per backend").  The per-round query state is
+subsystem: one path per kernel tier").  The per-round query state is
 shared across hops through the bound snapshot.
 """
 
@@ -49,11 +49,10 @@ class BatchFloodingState(BatchBroadcastState):
         side: float,
         radius: float,
         sources,
-        backend: str = "auto",
         multi_hop: bool = False,
         rngs=None,
     ):
-        super().__init__(n, side, radius, sources, rngs=rngs, backend=backend)
+        super().__init__(n, side, radius, sources, rngs=rngs)
         self.multi_hop = bool(multi_hop)
 
     def _exchange(self, snapshot, active: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ draws per cut-incident sender are needed — ``O(cut)`` per step instead of
 ``O(edges)``, which collapses the early (few informed) and late (few
 uninformed) phases of a run.  Draw order is canonical — senders ascending,
 their cut-neighbors ascending — so trajectories are independent of the
-neighbor backend and of the batch size.  The state takes that order as
+neighbor path and of the batch size.  The state takes that order as
 returned, because ``contacts_within`` returns the cut sorted by (replica,
-sender, target) on every backend.
+sender, target) on every path.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ its picked index falls below the agent's cut-degree, so only the
 cut-incident agents draw (one uniform each) and only the cut contacts are
 materialized — ``O(cut)`` per step.  Draw order is canonical (initiators
 ascending, cut-neighbors ascending), so trajectories are independent of
-the neighbor backend and of the batch size.  The state sorts nothing,
+the neighbor path and of the batch size.  The state sorts nothing,
 because :meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within`
-returns the cut sorted by (replica, sender, target) on every backend.
+returns the cut sorted by (replica, sender, target) on every path.
 """
 
 from __future__ import annotations

@@ -91,15 +91,7 @@ def build_batch_state(config: FloodingConfig, sources, rngs) -> BatchBroadcastSt
     options = dict(config.protocol_options)
     if config.protocol == "flooding":
         options.setdefault("multi_hop", config.multi_hop)
-    return cls(
-        config.n,
-        config.side,
-        config.radius,
-        sources,
-        rngs=rngs,
-        backend=config.backend,
-        **options,
-    )
+    return cls(config.n, config.side, config.radius, sources, rngs=rngs, **options)
 
 
 class BatchSimulation:

@@ -26,9 +26,6 @@ __all__ = ["FloodingConfig", "standard_config"]
 
 _SOURCE_MODES = ("uniform", "central", "suburb")
 _ENGINES = ("scalar", "batch", "auto")
-#: Neighbor backends: the engines of :func:`~repro.geometry.neighbors.make_engine`
-#: plus the batch engine's cell cover (``"cells"``).
-_BACKENDS = ("auto", "grid", "kdtree", "brute", "cells")
 _INITS = ("stationary", "closed-form", "uniform")
 #: Largest Inequality-6 zone grid a run may build: ``m`` cells per side,
 #: i.e. 2^24 cells and a 128 MiB float64 mass grid.
@@ -78,9 +75,6 @@ class FloodingConfig:
             only), or ``"uniform"`` (cold start).  Validated here; models
             with a narrower vocabulary raise their own error at
             construction instead of silently substituting a default.
-        backend: neighbor-engine backend — ``"auto"``, ``"grid"``,
-            ``"kdtree"``, ``"brute"``, or ``"cells"`` (the batch neighbor
-            query's cell cover, which both engines run).
         seed: root seed for all randomness of the run.
         threshold_factor: Definition 4's Central-Zone constant (3/8 paper).
         multi_hop: flooding semantics (see
@@ -107,7 +101,9 @@ class FloodingConfig:
             default: compiled when a provider exists, numpy otherwise).
             Every compiled kernel is bit-exact against its numpy path
             (asserted by the parity sweeps), so the tier never changes
-            results — only speed.
+            results — only speed.  The tier also picks the neighbor path
+            (the C pair kernels, or the numpy cell cover and tiled
+            KD-tree); no field chooses one.
     """
 
     n: int
@@ -121,7 +117,6 @@ class FloodingConfig:
     protocol: str = "flooding"
     protocol_options: dict = field(default_factory=dict)
     init: str = "stationary"
-    backend: str = "auto"
     seed: int = 0
     threshold_factor: float = 3.0 / 8.0
     multi_hop: bool = False
@@ -206,8 +201,6 @@ class FloodingConfig:
                 f"(batchable: {sorted(BATCH_PROTOCOL_REGISTRY)}); use "
                 f"engine='scalar', or engine='auto' to fall back automatically"
             )
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
         if self.batch_size < 0:
             raise ValueError(f"batch_size must be non-negative, got {self.batch_size}")
         if self.kernels not in KERNEL_TIERS:

@@ -89,15 +89,7 @@ def build_protocol(config: FloodingConfig, source: int, rng: np.random.Generator
     options = dict(config.protocol_options)
     if cls is FloodingProtocol:
         options.setdefault("multi_hop", config.multi_hop)
-    return cls(
-        config.n,
-        config.side,
-        config.radius,
-        source,
-        rng=rng,
-        backend=config.backend,
-        **options,
-    )
+    return cls(config.n, config.side, config.radius, source, rng=rng, **options)
 
 
 def run_flooding(

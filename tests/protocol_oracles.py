@@ -6,7 +6,9 @@ below are the scalar exchange code the protocols ran before that, kept
 unchanged as the reference.  Their neighbor answers come from
 ``make_engine(backend).bind(...)`` and the engines' coordinate API, never
 from the batch neighbor query or the compiled kernels, so a parity test
-against them compares two independent implementations.
+against them compares two independent implementations.  The oracle's
+``backend`` (``"grid"``, ``"kdtree"``, ``"brute"`` or ``"auto"``) is a
+test-side choice: the library has no such setting.
 
 :func:`oracle_trials` runs ``run_flooding`` once per seed child with the
 protocol swapped for its oracle, so its results line up with
@@ -15,6 +17,7 @@ protocol swapped for its oracle, so its results line up with
 
 from __future__ import annotations
 
+import functools
 from unittest import mock
 
 import numpy as np
@@ -392,22 +395,27 @@ ORACLES = {
 }
 
 
-def build_oracle(config, source: int, rng: np.random.Generator) -> OracleProtocol:
-    """The oracle of ``config.protocol``, built as ``runner.build_protocol``
-    builds the protocol (flooding inherits ``config.multi_hop``)."""
+def build_oracle(
+    config, source: int, rng: np.random.Generator, backend: str = "auto"
+) -> OracleProtocol:
+    """The oracle of ``config.protocol`` on the ``backend`` engine, built as
+    ``runner.build_protocol`` builds the protocol (flooding inherits
+    ``config.multi_hop``)."""
     options = dict(config.protocol_options)
     if config.protocol == "flooding":
         options.setdefault("multi_hop", config.multi_hop)
     return ORACLES[config.protocol](
         config.n, config.side, config.radius, source,
-        rng=rng, backend=config.backend, **options,
+        rng=rng, backend=backend, **options,
     )
 
 
-def oracle_trials(config, n_trials: int) -> list:
-    """``run_trials(config, n_trials)`` with every protocol an oracle: one
-    ``run_flooding`` per child of ``SeedSequence(config.seed)``, so mobility,
-    sources, observers and result assembly are the scalar engine's own."""
+def oracle_trials(config, n_trials: int, backend: str = "auto") -> list:
+    """``run_trials(config, n_trials)`` with every protocol an oracle on the
+    ``backend`` engine: one ``run_flooding`` per child of
+    ``SeedSequence(config.seed)``, so mobility, sources, observers and
+    result assembly are the scalar engine's own."""
     children = np.random.SeedSequence(config.seed).spawn(n_trials)
-    with mock.patch.object(runner, "build_protocol", build_oracle):
+    build = functools.partial(build_oracle, backend=backend)
+    with mock.patch.object(runner, "build_protocol", build):
         return [runner.run_flooding(config, seed_seq=child) for child in children]

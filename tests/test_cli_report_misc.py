@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.geometry.neighbors import GridNeighborEngine
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.protocols.flooding import FloodingProtocol
 from repro.simulation.engine import Simulation
@@ -61,15 +60,3 @@ class TestResultEdgeCases:
         with pytest.raises(KeyError):
             result.time_to_coverage(0.5)
 
-
-class TestGridEngineCellSize:
-    def test_explicit_cell_size_still_exact(self, rng):
-        sources = rng.uniform(0, 10, (60, 2))
-        queries = rng.uniform(0, 10, (40, 2))
-        coarse = GridNeighborEngine(10.0, cell_size=5.0)
-        fine = GridNeighborEngine(10.0, cell_size=0.25)
-        for radius in (0.4, 2.0):
-            assert np.array_equal(
-                coarse.any_within(sources, queries, radius),
-                fine.any_within(sources, queries, radius),
-            )

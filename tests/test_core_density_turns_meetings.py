@@ -16,7 +16,6 @@ from repro.core.turns import (
     max_turns_in_window,
 )
 from repro.core.zones import ZonePartition
-from repro.geometry.neighbors import available_backends
 from repro.mobility.base import record_trajectory
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 
@@ -177,8 +176,7 @@ class TestMeetings:
                 model, zones, radius=6.0, targets=np.arange(3), window=-1
             )
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_meeting_times_match_brute_force(self, backend):
+    def test_meeting_times_match_brute_force(self, neighbor_path):
         """First meetings against a full distance scan of the same trajectory:
         emissaries frozen at step 0, ``d <= (3/4) R``, nobody meets itself.
         The radius and window leave some targets met at each of several
@@ -201,7 +199,7 @@ class TestMeetings:
             expected[met & np.isinf(expected)] = t
 
         times = first_meeting_times_from_zone(
-            model, zones, radius=3.0, targets=targets, window=window, backend=backend
+            model, zones, radius=3.0, targets=targets, window=window
         )
         assert np.array_equal(times, expected)
         assert np.isfinite(expected).any() and np.isinf(expected).any()

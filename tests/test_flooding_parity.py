@@ -1,11 +1,12 @@
-"""Seed-for-seed parity across neighbor backends, engines and kernel tiers.
+"""Seed-for-seed parity across neighbor paths, engines and kernel tiers.
 
-The repo's core invariant: grid vs KD-tree vs cell cover, scalar vs batch
-engine, and numpy vs compiled kernels are *performance* choices — with
-fixed seeds every combination must produce identical trial results, down
-to the informed-at step of every agent, and must equal the independent
-flooding oracle of ``tests/protocol_oracles.py``.  On the compiled tier
-both engines answer the infection test with one C kernel, so the
+The repo's core invariant: the neighbor paths (C kernels, cell cover,
+tiled KD-tree or grid), scalar vs batch engine, and numpy vs compiled
+kernels are *performance* choices — with fixed seeds every combination
+must produce identical trial results, down to the informed-at step of
+every agent, and must equal the independent flooding oracle of
+``tests/protocol_oracles.py`` on each of its engines.  On the compiled
+tier both engines answer the infection test with one C kernel, so the
 ``"numpy"`` arm is what runs the cell cover (frontier source pruning
 included) and the multi-hop frontier end to end.
 """
@@ -43,7 +44,7 @@ def fingerprints(config, trials=4, run=run_trials):
 
 
 class TestStrategyParity:
-    """Kernel tiers x engines x backends x mobility."""
+    """Kernel tiers x engines x neighbor paths x oracle engines x mobility."""
 
     @pytest.mark.parametrize(
         "mobility,mobility_options",
@@ -69,14 +70,20 @@ class TestStrategyParity:
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_backends_agree_across_kernel_tiers(self, backend):
-        reference = fingerprints(standard_config(70, seed=31, backend=backend), 3, oracle_trials)
+        """The oracle on each of its engines against both engines on both
+        tiers."""
+        base = standard_config(70, seed=31)
+        reference = fingerprints(base, 3, lambda c, k: oracle_trials(c, k, backend))
         for engine in ("scalar", "batch"):
             for kernels in KERNELS:
-                config = standard_config(
-                    70, seed=31, backend=backend, engine=engine, kernels=kernels
-                )
-                got = fingerprints(config, trials=3)
+                got = fingerprints(base.with_options(engine=engine, kernels=kernels), trials=3)
                 assert got == reference, (backend, engine, kernels)
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_every_neighbor_path_matches_the_oracle(self, neighbor_path, engine):
+        base = standard_config(70, seed=31, engine=engine)
+        reference = fingerprints(base, 3, oracle_trials)
+        assert fingerprints(base.with_options(kernels=neighbor_path), trials=3) == reference
 
     @pytest.mark.parametrize("engine", ["scalar", "batch"])
     def test_multi_hop_frontier_parity(self, engine):
@@ -102,12 +109,12 @@ class TestStrategyParity:
 class TestAdversarialStates:
     """Hand-built states that stress the kernels' boundary logic."""
 
-    def batch_hits(self, positions, informed, radius, side, **query_options):
-        batch, n = informed.shape
-        query = BatchNeighborQuery(side, batch, **query_options)
+    @staticmethod
+    def batch_hits(positions, informed, radius, side):
+        query = BatchNeighborQuery(side, informed.shape[0])
         return query.any_within(positions, informed, ~informed, radius)
 
-    def test_near_complete_informed_set(self, rng):
+    def test_near_complete_informed_set(self, rng, neighbor_path, brute_hits):
         """informed ~ n: the frontier-pruned source set is tiny, results
         must still match brute force."""
         batch, n, side, radius = 3, 200, 14.0, 1.5
@@ -115,10 +122,9 @@ class TestAdversarialStates:
         informed = np.ones((batch, n), dtype=bool)
         informed[:, :3] = False  # three stragglers per replica
         got = self.batch_hits(positions, informed, radius, side)
-        brute = self.batch_hits(positions, informed, radius, side, backend="brute")
-        assert np.array_equal(got, brute)
+        assert np.array_equal(got, brute_hits(positions, informed, ~informed, radius))
 
-    def test_agents_on_cover_cell_boundaries(self):
+    def test_agents_on_cover_cell_boundaries(self, neighbor_path, brute_hits):
         """Sources sitting exactly on occupancy-cell edges."""
         side, radius = 10.0, 2.0
         cell = radius / BatchNeighborQuery._COVER_DIVISOR
@@ -132,19 +138,18 @@ class TestAdversarialStates:
         informed = np.zeros((1, n), dtype=bool)
         informed[0, :-1] = True
         got = self.batch_hits(positions, informed, radius, side)
-        brute = self.batch_hits(positions, informed, radius, side, backend="brute")
-        assert np.array_equal(got, brute)
+        assert np.array_equal(got, brute_hits(positions, informed, ~informed, radius))
         assert got[0, -1]  # inclusive <= R
 
-    def test_radius_comparable_to_cell_size(self, rng):
+    def test_radius_comparable_to_cell_size(self, rng, neighbor_path, brute_hits):
         """Radius ~ grid cell: candidate blocks span multiple cells."""
         side = 12.0
         positions = rng.uniform(0, side, size=(2, 120, 2))
         informed = rng.uniform(size=(2, 120)) < 0.4
         for radius in (0.11, 0.5, 3.0):
             got = self.batch_hits(positions, informed, radius, side)
-            brute = self.batch_hits(positions, informed, radius, side, backend="brute")
-            assert np.array_equal(got, brute), radius
+            expected = brute_hits(positions, informed, ~informed, radius)
+            assert np.array_equal(got, expected), radius
 
     def test_scalar_protocol_with_external_informed_surgery(self, rng):
         """Writes to the view's informed row are the state's: after

@@ -110,6 +110,16 @@ class TestGridAgainstBruteForce:
         expected = brute_any_within(sources, queries, radius)
         assert np.array_equal(got, expected)
 
+    def test_coarse_and_fine_cells_are_exact(self, rng):
+        """Cells far wider (5.0) or far narrower (0.25) than the radius."""
+        sources = rng.uniform(0, 10, (60, 2))
+        queries = rng.uniform(0, 10, (40, 2))
+        for radius in (0.4, 2.0):
+            expected = brute_any_within(sources, queries, radius)
+            for cell_size in (5.0, 0.25):
+                got = GridIndex(10.0, cell_size).build(sources).any_within(queries, radius)
+                assert np.array_equal(got, expected), (cell_size, radius)
+
     def test_radius_larger_than_cell(self, rng):
         """Queries with radius above cell_size scan a wider block, stay exact."""
         sources = rng.uniform(0, 10, (50, 2))

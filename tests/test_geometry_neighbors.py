@@ -1,4 +1,5 @@
-"""Cross-validation of the neighbor-engine backends."""
+"""Cross-validation of the neighbor engines and of every path of the batch
+neighbor query against brute force."""
 
 import os
 import subprocess
@@ -147,9 +148,8 @@ class TestBoundSnapshot:
 )
 class TestCompiledScalarRound:
     """On the compiled tier a scalar protocol's round is a one-replica
-    batch query: an ``"auto"`` backend answers the infection test with
-    ``batch_any_within`` at B=1, and explicit backends keep their own
-    code."""
+    batch query, which answers the infection test with
+    ``batch_any_within`` at B=1."""
 
     SIDE = 10.0
 
@@ -166,12 +166,12 @@ class TestCompiledScalarRound:
         monkeypatch.setitem(table, "batch_any_within", counted)
         return calls
 
-    def _round(self, points, radius, informed, backend="auto"):
+    def _round(self, points, radius, informed):
         """Newly informed agents of one flooding round from ``informed``,
         checked equal on the numpy and the compiled tier."""
         newly = {}
         for tier in ("numpy", "compiled"):
-            protocol = FloodingProtocol(points.shape[0], self.SIDE, radius, 0, backend=backend)
+            protocol = FloodingProtocol(points.shape[0], self.SIDE, radius, 0)
             protocol.informed[:] = informed
             with use_kernel_tier(tier):
                 newly[tier] = protocol.step(points)
@@ -201,30 +201,12 @@ class TestCompiledScalarRound:
         assert self._round(points, r, informed).tolist() == [4, 6, 8]
         assert kernel_calls
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_explicit_backends_never_dispatch(self, backend, rng, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"explicit {backend!r} backend called the kernel")
-
-        monkeypatch.setitem(provider_kernels(), "batch_any_within", refuse)
-        points = rng.uniform(0, self.SIDE, (300, 2))
-        informed = rng.uniform(size=300) < 0.3
-        informed[0] = True
-        protocol = FloodingProtocol(300, self.SIDE, 0.8, 0, backend=backend)
-        protocol.informed[:] = informed
-        with use_kernel_tier("compiled"):
-            newly = protocol.step(points)
-        hits = BruteForceNeighborEngine(self.SIDE).any_within(
-            points[informed], points[~informed], 0.8
-        )
-        assert np.array_equal(newly, np.flatnonzero(~informed)[hits])
-
 
 @pytest.mark.skipif(
     kernel_backend() is None, reason="no compiled kernel provider builds on this host"
 )
 class TestCompiledBatchCount:
-    """On the compiled tier an ``auto`` batch query counts with the count
+    """On the compiled tier the batch query counts with the count
     mode of the ``batch_contacts`` kernel, which tallies each query's
     contacts and stores none; the counts equal an exact brute-force count
     and the numpy tier's."""
@@ -344,9 +326,8 @@ BAD_RADIUS_IDS = ["nan", "inf", "-inf", "negative"]
 
 class TestRadiusValidation:
     """NaN, infinite and negative radii raise ``ValueError`` on every
-    backend, query and kernel tier, where each backend would otherwise
-    answer them differently.  Zero stays valid for the coordinate API
-    only."""
+    engine, query and neighbor path, where each would otherwise answer
+    them differently.  Zero stays valid for the coordinate API only."""
 
     SIDE = 10.0
 
@@ -367,22 +348,20 @@ class TestRadiusValidation:
             calls[method]()
 
     @pytest.mark.parametrize("radius", BAD_RADII, ids=BAD_RADIUS_IDS)
-    @pytest.mark.parametrize("tier", RADIUS_TIERS)
     @pytest.mark.parametrize(
         "method", ["any_within", "count_within", "contacts_within", "pairs_within"]
     )
-    @pytest.mark.parametrize("backend", ["auto", "cells"] + BACKENDS)
-    def test_batch_queries_reject(self, backend, method, tier, radius, rng):
+    def test_batch_queries_reject(self, neighbor_path, method, radius, rng):
         positions = rng.uniform(0, self.SIDE, (3, 40, 2))
         mask = rng.uniform(size=(3, 40)) < 0.5
-        bound = BatchNeighborQuery(self.SIDE, 3, backend).bind(positions)
+        bound = BatchNeighborQuery(self.SIDE, 3).bind(positions)
         calls = {
             "any_within": lambda: bound.any_within(mask, ~mask, radius),
             "count_within": lambda: bound.count_within(mask, ~mask, radius),
             "contacts_within": lambda: bound.contacts_within(mask, ~mask, radius),
             "pairs_within": lambda: bound.pairs_within(radius),
         }
-        with use_kernel_tier(tier), pytest.raises(ValueError, match="radius"):
+        with pytest.raises(ValueError, match="radius"):
             calls[method]()
 
     @pytest.mark.parametrize("backend", ["auto"] + BACKENDS)
@@ -393,7 +372,7 @@ class TestRadiusValidation:
         assert engine.pairs_within(points, 0.0).shape == (0, 2)
         with pytest.raises(ValueError, match="positive"):
             engine.bind(points, 0.0)
-        bound = BatchNeighborQuery(self.SIDE, 1, backend).bind(points[None])
+        bound = BatchNeighborQuery(self.SIDE, 1).bind(points[None])
         with pytest.raises(ValueError, match="positive"):
             bound.count_within(np.ones((1, 40), bool), np.ones((1, 40), bool), 0.0)
 
@@ -473,11 +452,12 @@ class TestScipyImport:
                 ' kernels="numpy"), 2)',
                 True,
             ),
-            ('run_flooding(config.with_options(backend="kdtree"))', True),
+            # So does the cell cover's exact shell, on the numpy tier.
+            ('run_flooding(config.with_options(kernels="numpy"))', True),
         ],
         ids=[
             "batch-flooding", "scalar-flooding", "batch-gossip", "batch-push-pull",
-            "scalar-gossip", "numpy-batch-gossip", "explicit-kdtree",
+            "scalar-gossip", "numpy-batch-gossip", "numpy-scalar-flooding",
         ],
     )
     def test_only_tree_building_runs_import_scipy_spatial(self, run, imported):
@@ -499,6 +479,7 @@ class TestScipyImport:
         monkeypatch.setattr(neighbors_module, "_AVAILABLE_BACKENDS", None)
         assert available_backends() == ["grid", "brute"]
         assert isinstance(make_engine("auto", 1.0), GridNeighborEngine)
+        assert not BatchNeighborQuery(1.0, 1)._kdtree
         with pytest.raises(ImportError):
             KDTreeNeighborEngine(1.0)
 
@@ -529,13 +510,11 @@ class TestDilate:
 
 
 class TestCoarseCoverDivisor:
-    def test_sqrt5_cross_branch_stays_exact(self, rng, monkeypatch):
+    def test_sqrt5_cross_branch_stays_exact(self, rng, monkeypatch, brute_hits):
         """The cross-neighborhood branch (reach_sure == 0) only triggers
         for divisors below 2*sqrt2; pin the seed's sqrt(5) cover to keep
         it covered and exact."""
         import math
-
-        from repro.geometry.neighbors import BatchNeighborQuery
 
         monkeypatch.setattr(BatchNeighborQuery, "_COVER_DIVISOR", math.sqrt(5.0))
         side, radius = 12.0, 1.4
@@ -543,9 +522,52 @@ class TestCoarseCoverDivisor:
         informed = rng.uniform(size=(3, 100)) < 0.35
         query = BatchNeighborQuery(side, 3)
         got = query.any_within(positions, informed, ~informed, radius)
-        brute = BatchNeighborQuery(side, 3, backend="brute")
-        expected = brute.any_within(positions, informed, ~informed, radius)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got, brute_hits(positions, informed, ~informed, radius))
+
+
+class TestPositionsOutsideTheSquare:
+    """At B=1 every path equals brute force on agents outside the square:
+    the cell cover must not trust the border cell that clipping (or
+    truncation toward zero) would put such an agent in."""
+
+    SIDE = 5.0
+    RADIUS = 1.0
+
+    def assert_round_is_brute_force(self, points, informed, brute_hits):
+        protocol = FloodingProtocol(points.shape[0], self.SIDE, self.RADIUS, 0)
+        protocol.informed[:] = informed
+        newly = protocol.step(points)
+        expected = brute_hits(points[None], informed[None], ~informed[None], self.RADIUS)[0]
+        assert newly.tolist() == np.flatnonzero(expected).tolist()
+        return newly
+
+    def test_points_beyond_the_far_edges(self, neighbor_path, brute_hits):
+        # Agent 17 is 1.19 from the source, agents 20 and 21 are in range.
+        points = np.random.default_rng(0).uniform(0, 10, (50, 2))
+        informed = np.zeros(50, dtype=bool)
+        informed[0] = True
+        assert self.assert_round_is_brute_force(points, informed, brute_hits).tolist() == [20, 21]
+
+    def test_negative_coordinates(self, neighbor_path, brute_hits):
+        # Cover cells are R / (2 sqrt2) ~ 0.354 wide.  Truncation puts the
+        # source at x = -0.35 into cell 0 and clipping the one at x = -0.9;
+        # the queries at x = 0.69 and 0.7 sit in cell 1, out of range.
+        points = np.array([
+            [-0.35, 1.0], [-0.9, 3.0],  # sources
+            [0.69, 1.0], [0.7, 3.0],  # just out of range
+            [0.6, 1.0], [0.05, 3.0], [-0.2, 3.5],  # in range
+        ])
+        informed = np.array([True, True, False, False, False, False, False])
+        newly = self.assert_round_is_brute_force(points, informed, brute_hits)
+        assert newly.tolist() == [4, 5, 6]
+
+    def test_random_snapshots_around_the_corner(self, neighbor_path, brute_hits):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            points = rng.uniform(-0.5, self.SIDE, (50, 2))
+            informed = rng.uniform(size=50) < 0.3
+            informed[0] = True
+            self.assert_round_is_brute_force(points, informed, brute_hits)
 
 
 class TestContactsWithin:
@@ -579,17 +601,6 @@ class TestContactsWithin:
             assert s.size == 0 and q.size == 0
 
 
-#: (backend, kernel tier) of every batch contacts path: ``auto`` runs the
-#: compiled kernel on the compiled tier and a tiled engine on the numpy
-#: tier; explicit backends run their own code on either tier.
-CONTACT_PATHS = (
-    ([("auto", "compiled")] if kernel_backend() is not None else [])
-    + [("auto", "numpy"), ("cells", "numpy")]
-    + [(backend, "numpy") for backend in BACKENDS]
-)
-CONTACT_PATH_IDS = [f"{backend}-{tier}" for backend, tier in CONTACT_PATHS]
-
-
 class TestBatchContactsAndPairs:
     """Batched bipartite contacts and per-replica edge lists."""
 
@@ -609,14 +620,10 @@ class TestBatchContactsAndPairs:
             columns.append((np.full(source.size, b, dtype=np.intp), source, query))
         return tuple(np.concatenate(column) for column in zip(*columns))
 
-    def assert_canonical(self, path, positions, source_mask, query_mask, radius, rows=None):
+    def assert_canonical(self, positions, source_mask, query_mask, radius, rows=None):
         """``contacts_within`` equals the sorted brute-force list, in order."""
-        backend, tier = path
-        query = BatchNeighborQuery(self.SIDE, positions.shape[0], backend=backend)
-        with use_kernel_tier(tier):
-            got = query.bind(positions, rows=rows).contacts_within(
-                source_mask, query_mask, radius
-            )
+        query = BatchNeighborQuery(self.SIDE, positions.shape[0])
+        got = query.bind(positions, rows=rows).contacts_within(source_mask, query_mask, radius)
         expected = self.brute_contacts(positions, source_mask, query_mask, radius)
         assert len(got) == 3
         for got_column, expected_column in zip(got, expected):
@@ -625,63 +632,57 @@ class TestBatchContactsAndPairs:
         return got
 
     @pytest.mark.parametrize("batch", [1, 3, 8])
-    @pytest.mark.parametrize("path", CONTACT_PATHS, ids=CONTACT_PATH_IDS)
-    def test_contacts_in_canonical_order(self, path, batch, rng):
+    def test_contacts_in_canonical_order(self, neighbor_path, batch, rng):
         positions = rng.uniform(0, self.SIDE, (batch, 120, 2))
         for informed_frac in (0.05, 0.5, 0.95):
             informed = rng.uniform(size=(batch, 120)) < informed_frac
-            self.assert_canonical(path, positions, informed, ~informed, 1.3)
+            self.assert_canonical(positions, informed, ~informed, 1.3)
         # Overlapping masks: every agent is its own contact.
         source_mask = rng.uniform(size=(batch, 120)) < 0.6
         query_mask = rng.uniform(size=(batch, 120)) < 0.6
-        self.assert_canonical(path, positions, source_mask, query_mask, 1.3)
+        self.assert_canonical(positions, source_mask, query_mask, 1.3)
         # A bind that names the moved replicas, with the others retired.
         rows = np.arange(0, batch, 2)
         active = np.zeros(batch, dtype=bool)
         active[rows] = True
         informed = rng.uniform(size=(batch, 120)) < 0.4
         rep, _s, _q = self.assert_canonical(
-            path, positions, informed & active[:, None], ~informed & active[:, None], 1.3,
-            rows=rows,
+            positions, informed & active[:, None], ~informed & active[:, None], 1.3, rows=rows
         )
         assert set(rep.tolist()) <= set(rows.tolist())
         # Empty source or query masks.
         full = np.ones((batch, 120), dtype=bool)
         none = np.zeros((batch, 120), dtype=bool)
         for source_mask, query_mask in ((none, full), (full, none)):
-            rep, _s, _q = self.assert_canonical(path, positions, source_mask, query_mask, 1.3)
+            rep, _s, _q = self.assert_canonical(positions, source_mask, query_mask, 1.3)
             assert rep.size == 0
 
-    @pytest.mark.parametrize("path", CONTACT_PATHS, ids=CONTACT_PATH_IDS)
-    def test_lattice_pairs_exactly_r_apart(self, path, rng):
+    def test_lattice_pairs_exactly_r_apart(self, neighbor_path, rng):
         # Lattice neighbors sit exactly R = 1 apart and are contacts;
         # diagonal neighbors (sqrt 2) are not.
         grid = np.stack(np.meshgrid(np.arange(11.0), np.arange(11.0)), -1).reshape(-1, 2)
         positions = np.stack([grid, grid[rng.permutation(len(grid))]])
         everyone = np.ones(positions.shape[:2], dtype=bool)
-        rep, source, _query = self.assert_canonical(path, positions, everyone, everyone, 1.0)
+        rep, source, _query = self.assert_canonical(positions, everyone, everyone, 1.0)
         x, y = positions[..., 0], positions[..., 1]
         inner = lambda v: (v > 0) & (v < 10)  # noqa: E731
         degree = 1 + (1 + inner(x)) + (1 + inner(y))
         assert np.array_equal(np.bincount(rep * 121 + source), degree.reshape(-1))
         even = everyone.copy()
         even[:, 1::2] = False
-        self.assert_canonical(path, positions, even, ~even, 1.0)
+        self.assert_canonical(positions, even, ~even, 1.0)
 
-    @pytest.mark.parametrize("path", CONTACT_PATHS, ids=CONTACT_PATH_IDS)
-    def test_dense_cluster_beyond_first_capacity(self, path, rng):
+    def test_dense_cluster_beyond_first_capacity(self, neighbor_path, rng):
         # Every agent of each replica is within R of every other, so the
         # kernel's first capacity guess overflows and the pass re-runs.
         batch, n = 2, 60
         positions = rng.uniform(4.0, 4.3, (batch, n, 2))
         everyone = np.ones((batch, n), dtype=bool)
-        rep, _s, _q = self.assert_canonical(path, positions, everyone, everyone, 0.5)
+        rep, _s, _q = self.assert_canonical(positions, everyone, everyone, 0.5)
         first_guess = _contacts_capacity(batch * n, batch * n, batch, 0.5, self.SIDE)
         assert rep.size == batch * n * n > first_guess
 
     def test_batch_contacts_match_scalar(self, rng):
-        from repro.geometry.neighbors import BatchNeighborQuery
-
         batch, n, side, radius = 4, 90, 11.0, 1.4
         positions = rng.uniform(0, side, size=(batch, n, 2))
         informed = rng.uniform(size=(batch, n)) < 0.4
@@ -697,9 +698,7 @@ class TestBatchContactsAndPairs:
             got = set(zip(s[rep == b].tolist(), t[rep == b].tolist()))
             assert got == expected, b
 
-    def test_batch_pairs_match_scalar_engines(self, rng):
-        from repro.geometry.neighbors import BatchNeighborQuery
-
+    def test_batch_pairs_match_scalar_engines(self, neighbor_path, rng):
         batch, n, side, radius = 3, 80, 10.0, 1.2
         positions = rng.uniform(0, side, size=(batch, n, 2))
         query = BatchNeighborQuery(side, batch)
@@ -712,8 +711,6 @@ class TestBatchContactsAndPairs:
             assert got == expected, b
 
     def test_pairs_rows_restriction(self, rng):
-        from repro.geometry.neighbors import BatchNeighborQuery
-
         batch, n, side, radius = 4, 60, 9.0, 1.5
         positions = rng.uniform(0, side, size=(batch, n, 2))
         query = BatchNeighborQuery(side, batch)
@@ -734,13 +731,9 @@ class TestBatchQueryAcrossBinds:
     SIDE = 9.0
     BATCH = 5
 
-    def brute_hits(self, positions, informed, radius):
-        brute = BatchNeighborQuery(self.SIDE, self.BATCH, backend="brute")
-        return brute.any_within(positions, informed, ~informed, radius)
-
     @pytest.mark.parametrize("radius", [0.6, 1.5, 4.0])
-    def test_any_within_matches_brute_every_round(self, rng, radius):
-        query = BatchNeighborQuery(self.SIDE, self.BATCH, backend="cells")
+    def test_any_within_matches_brute_every_round(self, rng, radius, brute_hits):
+        query = BatchNeighborQuery(self.SIDE, self.BATCH)
         positions = rng.uniform(0, self.SIDE, size=(self.BATCH, 70, 2))
         active = np.ones(self.BATCH, dtype=bool)
         for step in range(9):
@@ -760,7 +753,8 @@ class TestBatchQueryAcrossBinds:
             # still describe where they stopped.
             informed = rng.uniform(size=positions.shape[:2]) < 0.4
             got = query.bind(positions, rows=rows).any_within(informed, ~informed, radius)
-            assert np.array_equal(got, self.brute_hits(positions, informed, radius)), step
+            expected = brute_hits(positions, informed, ~informed, radius)
+            assert np.array_equal(got, expected), step
 
     def test_bind_validates_shapes(self, rng):
         query = BatchNeighborQuery(self.SIDE, self.BATCH)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from protocol_oracles import oracle_trials
 from repro.geometry.neighbors import BatchNeighborQuery, available_backends, make_engine
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.mobility.random_direction import RandomDirection
@@ -105,13 +106,12 @@ class TestBatchInfectionAtScale:
             hits[b, ~informed[b]] = reference_counts(sources, queries, radius) > 0
         return hits
 
-    @pytest.mark.parametrize("backend", ["cells"] + FAST_BACKENDS)
-    def test_backend_matches_reference(self, backend):
+    def test_neighbor_path_matches_reference(self, neighbor_path):
         rng = np.random.default_rng(1)
         batch, n, side, radius = 16, 2_000, 44.7, 2.8
         positions = rng.uniform(0, side, size=(batch, n, 2))
         informed = rng.uniform(size=(batch, n)) < 0.3
-        query = BatchNeighborQuery(side, batch, backend=backend)
+        query = BatchNeighborQuery(side, batch)
         hits = query.any_within(positions, informed, ~informed, radius)
         assert np.array_equal(hits, self.expected_hits(positions, informed, radius))
 
@@ -128,7 +128,7 @@ class TestBatchInfectionAtScale:
         # where the cell cover prunes.
         informed = np.linalg.norm(positions - side / 2.0, axis=2) < side * 0.45
         state = BatchFloodingState(
-            n, side, radius, np.zeros(batch, dtype=np.intp), backend="cells", multi_hop=multi_hop
+            n, side, radius, np.zeros(batch, dtype=np.intp), multi_hop=multi_hop
         )
         state.informed = informed.copy()
         state.step(positions)
@@ -191,11 +191,11 @@ class TestFloodingRunsAtScale:
 
     @pytest.fixture(scope="class")
     def grid_run(self):
-        return run_flooding(self.config(backend="grid"))
+        """The historical scalar flooding on the grid engine."""
+        return oracle_trials(self.config(), 1, backend="grid")[0]
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    def test_backends_give_the_same_run(self, grid_run, backend):
-        result = run_flooding(self.config(backend=backend))
+    def test_neighbor_paths_give_the_same_run(self, grid_run, neighbor_path):
+        result = run_trials(self.config(kernels=neighbor_path), 1)[0]
         assert result.completed
         assert result.flooding_time == grid_run.flooding_time
         assert np.array_equal(result.informed_history, grid_run.informed_history)
@@ -208,7 +208,7 @@ class TestFloodingRunsAtScale:
 
     def test_multi_hop_no_slower_than_single_hop(self, grid_run):
         """Same trajectories, and multi-hop informs a superset every step."""
-        multi = run_flooding(self.config(backend="grid", multi_hop=True))
+        multi = run_trials(self.config(multi_hop=True), 1)[0]
         assert multi.flooding_time <= grid_run.flooding_time
         steps = min(len(multi.informed_history), len(grid_run.informed_history))
         assert np.all(multi.informed_history[:steps] >= grid_run.informed_history[:steps])

@@ -2,7 +2,7 @@
 
 The flooding *protocol* driver and a brute-force temporal BFS over the
 recorded position frames are two separate code paths computing the same
-quantity; the neighbor-engine backends are interchangeable; the paper's
+quantity, on every neighbor path of the batch query; the paper's
 structural bounds must hold on real runs.  These tests wire whole
 subsystems together.
 """
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core import theory
-from repro.geometry.neighbors import available_backends
 from repro.kernels import use_kernel_tier
 from repro.mobility.base import record_trajectory
 from repro.mobility.mrwp import ManhattanRandomWaypoint
@@ -24,9 +23,6 @@ from repro.simulation.runner import build_model, run_flooding
 
 SIDE = 20.0
 N = 300
-
-#: Batch-query strategies: the cell cover plus every tiled engine.
-BATCH_BACKENDS = ["cells", *available_backends()]
 
 #: One option set per registered mobility model.  The ferry inset keeps
 #: evenly spaced collinear ferries off float-exact distance R, a tie on
@@ -124,22 +120,20 @@ class TestFloodingEqualsTemporalBfs:
         assert np.allclose(bfs_times[finite], protocol_times[finite])
 
     @pytest.mark.parametrize("multi_hop", [False, True])
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_equivalence_on_every_backend(self, backend, multi_hop):
+    def test_equivalence_on_every_neighbor_path(self, neighbor_path, multi_hop):
         frames = _mrwp_frames(12)
-        protocol = FloodingProtocol(N, SIDE, 2.2, 5, backend=backend, multi_hop=multi_hop)
+        protocol = FloodingProtocol(N, SIDE, 2.2, 5, multi_hop=multi_hop)
         for positions in frames[1:]:
             protocol.step(positions)
         reference = _reference_informed_times(frames, 2.2, 5, multi_hop)
         assert np.array_equal(protocol.informed_at, reference)
 
     @pytest.mark.parametrize("multi_hop", [False, True])
-    @pytest.mark.parametrize("backend", BATCH_BACKENDS)
-    def test_batch_state_equals_reference(self, backend, multi_hop):
+    def test_batch_state_equals_reference(self, neighbor_path, multi_hop):
         """Every replica of a lock-step batch matches its own reference."""
         sources = [5, 0, 123]
         frames = np.stack([_mrwp_frames(20 + b) for b in range(len(sources))], axis=1)
-        state = BatchFloodingState(N, SIDE, 2.2, sources, backend=backend, multi_hop=multi_hop)
+        state = BatchFloodingState(N, SIDE, 2.2, sources, multi_hop=multi_hop)
         for positions in frames[1:]:
             state.step(positions)
         for b, source in enumerate(sources):
@@ -178,22 +172,6 @@ class TestRunsMatchReference:
     def test_multi_hop(self, engine, hand_loop):
         config = standard_config(80, radius_factor=1.2, seed=29, multi_hop=True, engine=engine)
         _assert_runs_match_reference(config, hand_loop(config, 3))
-
-
-class TestBackendEquivalence:
-    def test_flooding_identical_across_backends(self):
-        frames = _mrwp_frames(4, steps=40)
-        results = {}
-        for backend in available_backends():
-            protocol = FloodingProtocol(N, SIDE, 2.0, 0, backend=backend)
-            for positions in frames[1:]:
-                protocol.step(positions)
-            results[backend] = protocol.informed_at.copy()
-        reference = results.popitem()[1]
-        for times in results.values():
-            finite = np.isfinite(reference)
-            assert np.array_equal(finite, np.isfinite(times))
-            assert np.allclose(reference[finite], times[finite])
 
 
 class TestPaperStructuralBounds:

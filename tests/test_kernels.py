@@ -1,7 +1,7 @@
 """Compiled kernel tier: registry, parity, and end-to-end invisibility.
 
-The tier's core contract is the same one the neighbor-backend suite
-enforces: ``kernels`` is a *performance* knob.  Every compiled kernel is
+The tier's core contract is the same one the neighbor-path suites
+enforce: ``kernels`` is a *performance* knob.  Every compiled kernel is
 bit-exact against its numpy path, so compiled and numpy runs of the same
 seeds must be indistinguishable down to the informed-at step of every
 agent — and every test here must stay green whether or not a compiled
@@ -16,7 +16,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.geometry.neighbors import available_backends
 from repro.kernels import (
     KERNEL_NAMES,
     KERNEL_TIERS,
@@ -82,11 +81,6 @@ class TestRegistry:
         backends = available_kernel_backends()
         assert backends[-1] == "numpy"
         assert len(backends) == len(set(backends))
-
-    def test_geometry_registry_exposes_kernel_backends(self):
-        assert available_backends(kind="kernels") == available_kernel_backends()
-        # The default kind still answers for the neighbor subsystem.
-        assert "grid" in available_backends()
 
     def test_escape_hatches_force_numpy(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CEXT", "1")

@@ -6,7 +6,7 @@ scalar models of ``tests/mobility_oracles.py`` — same initial state
 (stationary / Palm / uniform sampling included), same trajectories, same
 per-replica RNG streams — and so does each ``MODEL_REGISTRY`` view, which
 holds its batch twin at B=1.  Both engines return the oracle trials across
-models, inits, backends and engines, the transit family (ferry /
+models, inits, neighbor paths and engines, the transit family (ferry /
 composite / timetable) included.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from mobility_oracles import ORACLES, oracle_model, oracle_trials
-from repro.geometry.neighbors import available_backends
 from repro.kernels import kernel_backend, provider_kernels, use_kernel_tier
 from repro.mobility import (
     BATCH_MOBILITY_REGISTRY,
@@ -496,17 +495,16 @@ class TestEngineLevelParity:
             got = result_fingerprint(run_trials(config.with_options(engine=engine), 3))
             assert got == reference, engine
 
-    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize(
         "name", ["mrwp-pause", "mrwp-speed", "random-direction"]
     )
-    def test_new_models_match_across_backends(self, name, backend):
+    def test_new_models_match_across_neighbor_paths(self, name, neighbor_path):
         options = {"v_min": 0.3, "v_max": 1.1} if name == "mrwp-speed" else {}
-        config = mobility_config(name, options, backend=backend)
+        config = mobility_config(name, options, kernels=neighbor_path)
         reference = result_fingerprint(oracle_trials(config, 3))
         for engine in ("scalar", "batch"):
             got = result_fingerprint(run_trials(config.with_options(engine=engine), 3))
-            assert got == reference, (name, backend, engine)
+            assert got == reference, (name, engine)
 
     def test_auto_resolves_to_batch_for_native_models(self):
         for name, options, _inits in MODEL_GRID:
@@ -516,7 +514,7 @@ class TestEngineLevelParity:
 
 #: The PR 9 acceptance sweep: {timetable, ferry, composite} — each config
 #: must produce bit-identical positions and informed-counts across every
-#: backend and engine.
+#: neighbor path and engine.
 TRANSIT_CASES = [
     ("ferry", {"inset": 1.9}),
     ("composite", {"ferries": 3}),
@@ -525,17 +523,18 @@ TRANSIT_CASES = [
 
 
 class TestTransitFamilyNative:
-    """ferry / composite / timetable on every backend and engine."""
+    """ferry / composite / timetable on every neighbor path and engine."""
 
-    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("name,options", TRANSIT_CASES)
-    def test_bit_identical_across_backends_and_engines(self, name, options, backend):
-        """The acceptance sweep: {transit model} x {backend} x {engine}."""
-        config = mobility_config(name, options, max_steps=120, backend=backend)
+    def test_bit_identical_across_neighbor_paths_and_engines(
+        self, name, options, neighbor_path
+    ):
+        """The acceptance sweep: {transit model} x {neighbor path} x {engine}."""
+        config = mobility_config(name, options, max_steps=120, kernels=neighbor_path)
         reference = result_fingerprint(oracle_trials(config, 3))
         for engine in ("scalar", "batch", "auto"):
             got = result_fingerprint(run_trials(config.with_options(engine=engine), 3))
-            assert got == reference, (name, backend, engine)
+            assert got == reference, (name, engine)
 
 
 class TestStepRejectsBadDt:

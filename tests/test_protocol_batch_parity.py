@@ -6,7 +6,8 @@ must reproduce the independent historical implementation in
 ``tests/protocol_oracles.py`` trial for trial — flooding times, coverage
 curves, stall flags, per-agent informed steps, and the protocol-specific
 extras (crashed/recovered counts, zone-resolved misses).  The sweep covers
-every protocol x neighbor backend x mobility model, and the retirement
+every protocol x oracle engine x neighbor path, every protocol x mobility
+model, and the retirement
 semantics that only the non-flooding protocols exercise: parsimonious
 window-close, SIR die-out before coverage, and crash-fault completion
 over survivors only.
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from protocol_oracles import OracleGossip, OraclePushPull, oracle_trials
+from repro.geometry.neighbors import available_backends
 from repro.kernels import kernel_backend, use_kernel_tier
 from repro.protocols import BATCH_PROTOCOL_REGISTRY, PROTOCOL_REGISTRY
 from repro.protocols.gossip import BatchGossipState
@@ -35,14 +37,6 @@ PROTOCOL_OPTIONS = {
     "sir": {"recovery_prob": 0.1},
     "crash-flooding": {"crash_prob": 0.01},
 }
-
-BACKENDS = ["grid", "brute"]
-try:  # pragma: no cover - depends on environment
-    import scipy.spatial  # noqa: F401
-
-    BACKENDS.insert(0, "kdtree")
-except ImportError:
-    pass
 
 
 def fingerprint(result):
@@ -63,14 +57,15 @@ def fingerprint(result):
     )
 
 
-def assert_parity(config, trials=3):
-    """Both engines equal the oracle trial for trial; returns the batch
-    engine's results."""
-    oracle = [fingerprint(r) for r in oracle_trials(config, trials)]
+def assert_parity(config, trials=3, oracle_backends=("auto",)):
+    """Both engines equal the oracle on each of the ``oracle_backends``
+    engines trial for trial; returns the batch engine's results."""
     scalar = [fingerprint(r) for r in run_trials(config.with_options(engine="scalar"), trials)]
     batch = run_trials(config.with_options(engine="batch"), trials)
-    assert scalar == oracle
-    assert [fingerprint(r) for r in batch] == oracle
+    for backend in oracle_backends:
+        oracle = [fingerprint(r) for r in oracle_trials(config, trials, backend)]
+        assert scalar == oracle, backend
+        assert [fingerprint(r) for r in batch] == oracle, backend
     return batch
 
 
@@ -84,20 +79,22 @@ class TestRegistryCoverage:
 
 
 class TestProtocolParity:
-    """Every protocol x backend, and every protocol x mobility model."""
+    """Every protocol x oracle engine x neighbor path, and every protocol x
+    mobility model."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_REGISTRY))
-    def test_parity_across_backends(self, protocol, backend):
+    def test_parity_across_neighbor_paths(self, protocol, neighbor_path):
+        """Against the oracle on every engine this environment builds
+        (``numpy-grid`` stands in for a host without scipy)."""
         config = standard_config(
             80,
             seed=37,
             protocol=protocol,
             protocol_options=dict(PROTOCOL_OPTIONS[protocol]),
-            backend=backend,
+            kernels=neighbor_path,
             max_steps=400,
         )
-        assert_parity(config)
+        assert_parity(config, oracle_backends=available_backends())
 
     @pytest.mark.parametrize("mobility", ["mrwp", "rwp", "random-walk"])
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_REGISTRY))
@@ -133,22 +130,6 @@ class TestProtocolParity:
         whole = [fingerprint(r) for r in run_trials(config, 6)]
         sliced = [fingerprint(r) for r in run_trials(config.with_options(batch_size=2), 6)]
         assert whole == sliced
-
-    def test_backend_independent_trajectories_for_randomized_protocols(self):
-        """Canonical pair ordering: gossip/push-pull trajectories no longer
-        depend on the neighbor backend's pair traversal order."""
-        for protocol in ("gossip", "push-pull"):
-            reference = None
-            for backend in BACKENDS:
-                config = standard_config(
-                    70, seed=53, protocol=protocol,
-                    protocol_options=dict(PROTOCOL_OPTIONS[protocol]),
-                    backend=backend, max_steps=400,
-                )
-                got = [fingerprint(r) for r in run_trials(config, 3)]
-                if reference is None:
-                    reference = got
-                assert got == reference, (protocol, backend)
 
 
 class TestRetirementSemantics:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mobility_oracles import ManhattanRandomWaypoint, RandomWalk, RandomWaypoint
-from repro.geometry.neighbors import BatchNeighborQuery, available_backends, make_engine
+from repro.geometry.neighbors import BatchNeighborQuery, make_engine
 from repro.mobility import BatchManhattanRandomWaypoint, BatchRandomWalk, BatchRandomWaypoint
 from repro.protocols.flooding import BatchFloodingState
 from repro.simulation import (
@@ -64,7 +64,6 @@ class TestSeedForSeedParity:
             {"init": "closed-form"},
             {"source": "central"},
             {"source": "suburb"},
-            {"backend": "grid"},
             {"track_zones": False},
         ],
     )
@@ -218,7 +217,7 @@ class TestBatchMobility:
 
 
 class TestBatchNeighborQuery:
-    """Tiled / cell-cover batched queries vs per-replica scalar engines."""
+    """Every neighbor path of the batch query vs per-replica brute force."""
 
     @pytest.fixture
     def workload(self):
@@ -229,11 +228,10 @@ class TestBatchNeighborQuery:
         query_mask = ~source_mask & (rng.uniform(size=(batch, n)) < 0.8)
         return positions, source_mask, query_mask, side, radius
 
-    @pytest.mark.parametrize("backend", ["cells", "auto", *available_backends()])
-    def test_any_within_matches_scalar_engines(self, workload, backend):
+    def test_any_within_matches_scalar_engines(self, workload, neighbor_path):
         positions, source_mask, query_mask, side, radius = workload
         batch = positions.shape[0]
-        query = BatchNeighborQuery(side, batch, backend=backend)
+        query = BatchNeighborQuery(side, batch)
         got = query.any_within(positions, source_mask, query_mask, radius)
         reference = make_engine("brute", side)
         for b in range(batch):
@@ -241,13 +239,12 @@ class TestBatchNeighborQuery:
             expected[query_mask[b]] = reference.any_within(
                 positions[b][source_mask[b]], positions[b][query_mask[b]], radius
             )
-            assert np.array_equal(got[b], expected), f"replica {b} backend {backend}"
+            assert np.array_equal(got[b], expected), f"replica {b}"
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_count_within_matches_scalar_engines(self, workload, backend):
+    def test_count_within_matches_scalar_engines(self, workload, neighbor_path):
         positions, source_mask, query_mask, side, radius = workload
         batch = positions.shape[0]
-        query = BatchNeighborQuery(side, batch, backend=backend)
+        query = BatchNeighborQuery(side, batch)
         got = query.count_within(positions, source_mask, query_mask, radius)
         reference = make_engine("brute", side)
         for b in range(batch):
@@ -257,20 +254,16 @@ class TestBatchNeighborQuery:
             )
             assert np.array_equal(got[b], expected)
 
-    def test_no_cross_replica_hits(self):
+    def test_no_cross_replica_hits(self, neighbor_path):
         # One source in replica 0 only; replica 1's queries must all miss.
         positions = np.zeros((2, 3, 2))
         positions[1] = positions[0]  # identical coordinates across replicas
         source_mask = np.array([[True, False, False], [False, False, False]])
         query_mask = ~source_mask
-        query = BatchNeighborQuery(5.0, 2, backend="kdtree" if "kdtree" in available_backends() else "grid")
+        query = BatchNeighborQuery(5.0, 2)
         hits = query.any_within(positions, source_mask, query_mask, 1.0)
         assert hits[0, 1] and hits[0, 2]
         assert not hits[1].any()
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown neighbor backend"):
-            BatchNeighborQuery(5.0, 2, backend="nope")
 
     def test_flooding_state_single_step(self):
         positions = np.array(

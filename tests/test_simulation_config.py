@@ -52,7 +52,6 @@ class TestFloodingConfig:
             {"threshold_factor": math.inf},
             {"threshold_factor": 0.0},
             {"threshold_factor": -0.375},
-            {"backend": "kdtee"},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -84,25 +83,13 @@ class TestFloodingConfig:
         assert scalar.source == batch.source == 5
         assert scalar.n_steps == batch.n_steps <= 20
 
-    @pytest.mark.parametrize("engine", ["batch", "auto"])
-    def test_cells_backend_accepted_on_batch_engine(self, engine):
-        config = FloodingConfig(
-            n=100, side=10.0, radius=1.0, speed=0.1, max_steps=20, engine=engine, backend="cells"
-        )
-        assert config.resolved_engine == "batch"
-        cells = run_trials(config, 2)
-        grid = run_trials(config.with_options(backend="grid"), 2)
-        assert [r.informed_history.tolist() for r in cells] == [
-            r.informed_history.tolist() for r in grid
-        ]
-
     @pytest.mark.parametrize("protocol", ["flooding", "gossip"])
-    def test_cells_backend_gives_the_same_trials_on_both_engines(self, protocol):
+    def test_numpy_tier_gives_the_same_trials_on_both_engines(self, protocol):
         """The scalar engine's protocols are one-replica batch states, so
-        the cell cover runs there too."""
+        the numpy tier's cell cover runs there too."""
         config = FloodingConfig(
             n=100, side=10.0, radius=1.0, speed=0.1, max_steps=40,
-            backend="cells", protocol=protocol, engine="scalar",
+            kernels="numpy", protocol=protocol, engine="scalar",
         )
         scalar = run_trials(config, 3)
         batch = run_trials(config.with_options(engine="batch"), 3)
