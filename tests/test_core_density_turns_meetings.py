@@ -176,6 +176,14 @@ class TestMeetings:
                 model, zones, radius=6.0, targets=np.arange(3), window=-1
             )
 
+    def test_zero_radius_rejected(self):
+        """Meetings count through a batch query, which refuses R = 0."""
+        grid, zones = make_zone_setup()
+        model = ManhattanRandomWaypoint(N, SIDE, 1.0, rng=np.random.default_rng(10))
+        suburb = np.nonzero(zones.in_suburb(model.positions))[0][:5]
+        with pytest.raises(ValueError, match="radius"):
+            first_meeting_times_from_zone(model, zones, radius=0.0, targets=suburb, window=3)
+
     def test_meeting_times_match_brute_force(self, neighbor_path):
         """First meetings against a full distance scan of the same trajectory:
         emissaries frozen at step 0, ``d <= (3/4) R``, nobody meets itself.

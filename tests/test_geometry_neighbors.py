@@ -323,6 +323,44 @@ RADIUS_TIERS = ["numpy"] + (["compiled"] if kernel_backend() is not None else []
 BAD_RADII = [float("nan"), float("inf"), float("-inf"), -1.0]
 BAD_RADIUS_IDS = ["nan", "inf", "-inf", "negative"]
 
+#: The four per-replica queries of a bound batch snapshot.
+QUERY_METHODS = ["any_within", "count_within", "contacts_within", "pairs_within"]
+
+
+def brute_answer(method, positions, source_mask, query_mask, radius):
+    """What ``method`` of a bound batch query must return, from an inclusive
+    ``d² <= R²`` scan of each replica: the hit mask, the counts, the
+    contacts sorted by (replica, source, query), or the pairs ``i < j``
+    as a sorted list of ``(replica, i, j)``."""
+    diff = positions[:, :, None, :] - positions[:, None, :, :]
+    close = np.sum(diff * diff, axis=-1) <= radius * radius
+    if method == "pairs_within":
+        rep, i, j = np.nonzero(np.triu(close, k=1))
+        return sorted(zip(rep.tolist(), i.tolist(), j.tolist()))
+    cut = close & source_mask[:, :, None] & query_mask[:, None, :]  # [b, source, query]
+    if method == "contacts_within":
+        return np.nonzero(cut)  # row-major: already sorted
+    counts = cut.sum(axis=1)
+    return counts > 0 if method == "any_within" else counts.astype(np.intp)
+
+
+def assert_matches_brute(bound, method, source_mask, query_mask, radius):
+    """``bound.<method>`` equals :func:`brute_answer`, dtypes included."""
+    expected = brute_answer(method, bound.positions, source_mask, query_mask, radius)
+    if method == "pairs_within":
+        rep, i, j = bound.pairs_within(radius)
+        assert sorted(zip(rep.tolist(), i.tolist(), j.tolist())) == expected
+        return
+    got = getattr(bound, method)(source_mask, query_mask, radius)
+    if method == "contacts_within":
+        assert len(got) == 3
+        for got_column, expected_column in zip(got, expected):
+            assert got_column.dtype == np.intp
+            assert np.array_equal(got_column, expected_column)
+        return
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
 
 class TestRadiusValidation:
     """NaN, infinite and negative radii raise ``ValueError`` on every
@@ -347,10 +385,9 @@ class TestRadiusValidation:
         with use_kernel_tier(tier), pytest.raises(ValueError, match="radius"):
             calls[method]()
 
-    @pytest.mark.parametrize("radius", BAD_RADII, ids=BAD_RADIUS_IDS)
-    @pytest.mark.parametrize(
-        "method", ["any_within", "count_within", "contacts_within", "pairs_within"]
-    )
+    # Snapshots refuse zero too, so it joins the bad radii here.
+    @pytest.mark.parametrize("radius", BAD_RADII + [0.0], ids=BAD_RADIUS_IDS + ["zero"])
+    @pytest.mark.parametrize("method", QUERY_METHODS)
     def test_batch_queries_reject(self, neighbor_path, method, radius, rng):
         positions = rng.uniform(0, self.SIDE, (3, 40, 2))
         mask = rng.uniform(size=(3, 40)) < 0.5
@@ -528,7 +565,8 @@ class TestCoarseCoverDivisor:
 class TestPositionsOutsideTheSquare:
     """At B=1 every path equals brute force on agents outside the square:
     the cell cover must not trust the border cell that clipping (or
-    truncation toward zero) would put such an agent in."""
+    truncation toward zero) would put such an agent in.  At B > 1 every
+    path is exact while agents stay closer than R/2 to the square."""
 
     SIDE = 5.0
     RADIUS = 1.0
@@ -568,6 +606,79 @@ class TestPositionsOutsideTheSquare:
             informed = rng.uniform(size=50) < 0.3
             informed[0] = True
             self.assert_round_is_brute_force(points, informed, brute_hits)
+
+    @pytest.mark.parametrize("method", QUERY_METHODS)
+    def test_one_replica_anywhere(self, neighbor_path, method):
+        # Agents up to 3R beyond every edge of the square.
+        rng = np.random.default_rng(4)
+        query = BatchNeighborQuery(self.SIDE, 1)
+        for _ in range(10):
+            positions = rng.uniform(-3.0, self.SIDE + 3.0, (1, 60, 2))
+            source_mask = rng.uniform(size=(1, 60)) < 0.4
+            bound = query.bind(positions)
+            assert_matches_brute(bound, method, source_mask, ~source_mask, self.RADIUS)
+
+    @pytest.mark.parametrize("method", QUERY_METHODS)
+    def test_replicas_within_half_a_radius(self, neighbor_path, method):
+        # Five replicas fill a 3 x 2 tile sheet, so tiles meet along both
+        # axes.  Each replica also holds agents 0.49 R beyond the middle
+        # of each edge: the tiling puts facing ones of neighbouring tiles
+        # 1.02 R apart, and none of them may meet across replicas.
+        rng = np.random.default_rng(5)
+        margin = 0.49 * self.RADIUS
+        low, high, mid = -margin, self.SIDE + margin, self.SIDE / 2
+        edges = np.array([[low, mid], [high, mid], [mid, low], [mid, high]])
+        query = BatchNeighborQuery(self.SIDE, 5)
+        for _ in range(6):
+            inside = rng.uniform(low, high, (5, 56, 2))
+            positions = np.concatenate([np.broadcast_to(edges, (5, 4, 2)), inside], axis=1)
+            source_mask = rng.uniform(size=(5, 60)) < 0.4
+            source_mask[:, :4] = [True, False, True, False]
+            bound = query.bind(positions)
+            assert_matches_brute(bound, method, source_mask, ~source_mask, self.RADIUS)
+
+
+class TestBatchQueryExtremes:
+    """Every query on every path equals brute force at the extremes of the
+    radius and of the population, and refuses masks of the wrong shape
+    before a compiled kernel could read past them."""
+
+    SIDE = 8.0
+
+    @pytest.mark.parametrize("radius", [0.05, 8.0, 30.0], ids=["tiny", "side", "beyond-side"])
+    def test_radius_extremes(self, neighbor_path, radius):
+        # R = 0.05 makes each replica's cover grid 453 x 453 cells; half
+        # the agents share a 0.1-wide box so that some still meet.  R = 8
+        # and R = 30 leave one to three cover cells a side.
+        rng = np.random.default_rng(6)
+        positions = np.concatenate(
+            [rng.uniform(0, self.SIDE, (3, 35, 2)), rng.uniform(3.0, 3.1, (3, 35, 2))], axis=1
+        )
+        source_mask = rng.uniform(size=(3, 70)) < 0.4
+        bound = BatchNeighborQuery(self.SIDE, 3).bind(positions)
+        for method in QUERY_METHODS:
+            assert_matches_brute(bound, method, source_mask, ~source_mask, radius)
+
+    @pytest.mark.parametrize("n", [0, 1], ids=["no-agents", "one-agent"])
+    def test_empty_and_lone_agent_replicas(self, neighbor_path, n):
+        # A lone agent in both masks is its own contact, but not a pair.
+        positions = np.full((3, n, 2), self.SIDE / 2)
+        everyone = np.ones((3, n), dtype=bool)
+        bound = BatchNeighborQuery(self.SIDE, 3).bind(positions)
+        for method in QUERY_METHODS:
+            assert_matches_brute(bound, method, everyone, everyone, 1.0)
+
+    @pytest.mark.parametrize("method", ["any_within", "count_within", "contacts_within"])
+    def test_masks_of_the_wrong_shape_raise(self, neighbor_path, method):
+        rng = np.random.default_rng(7)
+        bound = BatchNeighborQuery(self.SIDE, 3).bind(rng.uniform(0, self.SIDE, (3, 40, 2)))
+        good = rng.uniform(size=(3, 40)) < 0.5
+        call = getattr(bound, method)
+        for bad in (good[0], good[:2], good[:, :39], good[..., None]):
+            with pytest.raises(ValueError, match="masks"):
+                call(bad, ~good, 1.0)
+            with pytest.raises(ValueError, match="masks"):
+                call(good, bad, 1.0)
 
 
 class TestContactsWithin:
@@ -755,6 +866,31 @@ class TestBatchQueryAcrossBinds:
             got = query.bind(positions, rows=rows).any_within(informed, ~informed, radius)
             expected = brute_hits(positions, informed, ~informed, radius)
             assert np.array_equal(got, expected), step
+
+    def test_agent_outside_the_grid_is_never_served_a_stale_cell(self, neighbor_path, brute_hits):
+        """An agent outside its replica's cover grid drops the cached cell
+        ids: a later bind that names other replicas only must still see
+        it where it is, not in the cell it left."""
+        radius = 1.0
+        rng = np.random.default_rng(8)
+        positions = rng.uniform(0, self.SIDE, (self.BATCH, 40, 2))
+        positions[1, :2] = [[4.0, 4.0], [4.1, 4.0]]  # agent 1 shares agent 0's cell
+        informed = np.zeros((self.BATCH, 40), dtype=bool)
+        informed[:, 0] = True
+        query = BatchNeighborQuery(self.SIDE, self.BATCH)
+
+        def hits(rows):
+            got = query.bind(positions, rows=rows).any_within(informed, ~informed, radius)
+            assert np.array_equal(got, brute_hits(positions, informed, ~informed, radius))
+            return got[1, 1]
+
+        assert hits(None)
+        positions[1, 1] = [-1.5, 4.0]  # leaves the square, then stays there
+        assert not hits([1])
+        positions[0] = rng.uniform(0, self.SIDE, (40, 2))
+        assert not hits([0])
+        positions[1, 1] = [4.2, 4.0]  # back inside
+        assert hits([1])
 
     def test_bind_validates_shapes(self, rng):
         query = BatchNeighborQuery(self.SIDE, self.BATCH)
