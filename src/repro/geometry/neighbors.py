@@ -356,6 +356,7 @@ class BatchBoundQuery:
         self.rows = rows
         self._cells = {}  # cell size -> (gid, m) for this snapshot
         self._shifted = {}  # radius -> (flat shifted coords, big_side)
+        self._extent = None  # (lo, hi) of the tile sheet's tiles
 
     # ------------------------------------------------------------------
     # Shared per-snapshot derived state
@@ -376,11 +377,49 @@ class BatchBoundQuery:
         self._cells[cell] = info
         return info
 
+    def _tile_geometry(self, radius: float) -> tuple:
+        """``(lo, stride, big_side)`` of the virtual tile sheet for ``radius``.
+
+        The single definition of the tiling layout — every path that
+        shifts points into tiles (full snapshots, flat index subsets)
+        must derive its geometry from here.  Each tile spans
+        ``[lo, hi]``: the square, widened to every coordinate of the
+        snapshot.  Tiles are ``hi - lo + 2 * radius`` apart, so points of
+        different replicas are more than ``radius`` apart wherever they
+        lie.  The extent is read once per bind, by the first tiled query.
+        """
+        if self._extent is None:
+            lo, hi = 0.0, self.query.side
+            if self.positions.size:
+                lo = min(lo, float(self.positions.min()))
+                hi = max(hi, float(self.positions.max()))
+            self._extent = (lo, hi)
+        lo, hi = self._extent
+        stride = hi - lo + 2.0 * radius
+        return lo, stride, max(self.query._cols, self.query._rows) * stride
+
+    def _tile_offsets(self, replica: np.ndarray, radius: float) -> tuple:
+        """``(dx, dy)``: the shift of each entry of ``replica`` into its tile."""
+        lo, stride, _big_side = self._tile_geometry(radius)
+        cols = self.query._cols
+        return (replica % cols) * stride - lo, (replica // cols) * stride - lo
+
+    def _tile_shift(self, replica: np.ndarray, points: np.ndarray, radius: float) -> np.ndarray:
+        """Shift ``points`` (one row per entry of ``replica``) into tiles."""
+        dx, dy = self._tile_offsets(replica, radius)
+        out = points.copy()
+        out[:, 0] += dx
+        out[:, 1] += dy
+        return out
+
     def _shifted_for(self, radius: float):
-        """Tile-shifted flat coordinates (cached per radius)."""
+        """Tile-shifted flat coordinates and the sheet side (cached per radius)."""
         cached = self._shifted.get(radius)
         if cached is None:
-            cached = self.query._shift(self.positions, radius)
+            dx, dy = self._tile_offsets(np.arange(self.positions.shape[0]), radius)
+            offsets = np.stack([dx, dy], axis=1)
+            shifted = (self.positions + offsets[:, None, :]).reshape(-1, 2)
+            cached = (shifted, self._tile_geometry(radius)[2])
             self._shifted[radius] = cached
         return cached
 
@@ -401,7 +440,7 @@ class BatchBoundQuery:
         pts = self.positions.reshape(-1, 2)
 
         def shifted(flat_idx):
-            return self.query._tile_shift(flat_idx // n, pts[flat_idx], radius)
+            return self._tile_shift(flat_idx // n, pts[flat_idx], radius)
 
         if self.query._kdtree:
             # Same exact query as KDTreeNeighborEngine.any_within.
@@ -409,7 +448,7 @@ class BatchBoundQuery:
                 shifted(query_flat), k=1, distance_upper_bound=radius * (1 + 1e-12)
             )
             return np.isfinite(dist)
-        _stride, big_side = self.query._tile_geometry(radius)
+        big_side = self._tile_geometry(radius)[2]
         return GridNeighborEngine(big_side).any_within(
             shifted(source_flat), shifted(query_flat), radius
         )
@@ -596,7 +635,7 @@ class BatchBoundQuery:
         query_flat = np.nonzero(query_mask.reshape(-1))[0]
         if source_flat.size == 0 or query_flat.size == 0:
             return empty
-        shifted, _big_side = self._shifted_for(radius)
+        shifted, big_side = self._shifted_for(radius)
         shifted_s = shifted[source_flat]
         shifted_q = shifted[query_flat]
         if self.query._kdtree:
@@ -606,7 +645,6 @@ class BatchBoundQuery:
             s_sel = source_flat[hits["i"]]
             q_sel = query_flat[hits["j"]]
         else:
-            _stride, big_side = self.query._tile_geometry(radius)
             cell = max(radius, big_side / 512.0)
             index = GridIndex(big_side, cell)
             index.build(shifted_s)
@@ -660,12 +698,12 @@ class BatchBoundQuery:
         if row_ids.size == 0:
             return empty
         flat = subset.reshape(-1, 2)
-        shifted = self.query._tile_shift(np.repeat(row_ids, n), flat, radius)
+        shifted = self._tile_shift(np.repeat(row_ids, n), flat, radius)
         if self.query._kdtree:
             pairs = _throwaway_tree(shifted).query_pairs(r=radius, output_type="ndarray")
             pairs = pairs.astype(np.intp, copy=False)
         else:
-            _stride, big_side = self.query._tile_geometry(radius)
+            big_side = self._tile_geometry(radius)[2]
             pairs = GridNeighborEngine(big_side).pairs_within(shifted, radius)
         if pairs.shape[0] == 0:
             return empty
@@ -706,12 +744,10 @@ class BatchNeighborQuery:
       points are shifted into tile ``b`` of a virtual ``rows x cols``
       tile sheet (``cols = ceil(sqrt(B))``, keeping the grid's cell count
       ``O(B)``), and one KD-tree (the bucket grid when scipy is missing)
-      over the shifted union answers all replicas at once.  Adjacent tiles
-      are separated by ``2 * radius``, so cross-replica pairs are never
-      within range as long as every position is closer than
-      ``radius / 2`` to the square: at ``B > 1`` the tiling is exact only
-      for such positions (at ``B = 1`` there is one tile, and it is exact
-      anywhere).
+      over the shifted union answers all replicas at once.  Each tile
+      spans the square widened to the snapshot's extent, and adjacent
+      tiles are ``2 * radius`` apart beyond it, so cross-replica pairs
+      are never within range, wherever the agents lie.
 
     Paths agree except possibly at distances within floating-point
     rounding of ``radius`` itself — the KD-tree applies a ``1e-12``
@@ -780,40 +816,6 @@ class BatchNeighborQuery:
             return gid
         cached[1][rows] = gid
         return cached[1]
-
-    def _tile_geometry(self, radius: float) -> tuple:
-        """``(stride, big_side)`` of the virtual tile sheet for ``radius``.
-
-        The single definition of the tiling layout — every path that
-        shifts points into tiles (full snapshots, flat index subsets)
-        must derive its geometry from here.
-        """
-        stride = self.side + 2.0 * radius
-        return stride, max(self._cols, self._rows) * stride
-
-    def _tile_shift(self, replica: np.ndarray, points: np.ndarray, radius: float) -> np.ndarray:
-        """Shift ``points`` (one row per entry of ``replica``) into tiles."""
-        stride, _big_side = self._tile_geometry(radius)
-        out = points.copy()
-        out[:, 0] += (replica % self._cols) * stride
-        out[:, 1] += (replica // self._cols) * stride
-        return out
-
-    def _shift(self, positions: np.ndarray, radius: float) -> tuple:
-        """Translate each replica into its tile; returns ``(flat, big_side)``."""
-        positions = np.asarray(positions, dtype=np.float64)
-        if positions.ndim != 3 or positions.shape[2] != 2:
-            raise ValueError(f"positions must have shape (B, n, 2), got {positions.shape}")
-        batch = positions.shape[0]
-        if batch != self.batch_size:
-            raise ValueError(f"expected {self.batch_size} replicas, got {batch}")
-        stride, big_side = self._tile_geometry(radius)
-        replica = np.arange(batch)
-        offsets = np.stack(
-            [(replica % self._cols) * stride, (replica // self._cols) * stride], axis=1
-        )
-        shifted = positions + offsets[:, None, :]
-        return shifted.reshape(-1, 2), big_side
 
     def bind(self, positions, rows=None) -> BatchBoundQuery:
         """Freeze one ``(B, n, 2)`` snapshot for repeated queries.

@@ -33,7 +33,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from ._glue import (
+    CENTRAL_ZONE,
     KERNEL_NAMES,
+    SUBURB,
     EuclideanTrips,
     ManhattanTrips,
     PauseTrips,
@@ -50,6 +52,8 @@ __all__ = [
     "SpeedRangeTrips",
     "EuclideanTrips",
     "TripWork",
+    "CENTRAL_ZONE",
+    "SUBURB",
     "cext_available",
     "kernel_backend",
     "available_kernel_backends",
@@ -250,7 +254,8 @@ def warm_kernels(backend: str | None = None) -> str:
     parent = np.arange(4, dtype=np.intp)
     table["union_fixpoint"](parent, np.array([3]), np.array([1]))
     table["zone_counts"](
-        pos3, src_mask, 0.5, 2, np.array([[True, False], [False, True]])
+        pos3, src_mask, 0.5, 2, np.array([[True, False], [False, True]]),
+        np.array([CENTRAL_ZONE | SUBURB, SUBURB], dtype=np.uint8),
     )
     return backend or kernel_backend()
 

@@ -602,21 +602,26 @@ void repro_occupancy_delta(int64_t *restrict counts, const int64_t *restrict old
     }
 }
 
-void repro_zone_counts(const double *restrict pos, int64_t total, int64_t n, double ell,
+void repro_zone_counts(const double *restrict pos, int64_t B, int64_t n, double ell,
                        int64_t m, const uint8_t *restrict cz_mask,
-                       const uint8_t *restrict informed, int64_t *restrict cz_total,
-                       int64_t *restrict cz_informed)
+                       const uint8_t *restrict informed, const uint8_t *restrict open_zones,
+                       uint8_t *restrict left)
 {
-    for (int64_t t = 0; t < total; t++) {
-        int64_t b = t / n;
-        int64_t ix = (int64_t)(pos[2 * t] / ell);
-        if (ix < 0) ix = 0; else if (ix >= m) ix = m - 1;
-        int64_t iy = (int64_t)(pos[2 * t + 1] / ell);
-        if (iy < 0) iy = 0; else if (iy >= m) iy = m - 1;
-        if (cz_mask[ix * m + iy]) {
-            cz_total[b] += 1;
-            if (informed[t]) cz_informed[b] += 1;
+    for (int64_t b = 0; b < B; b++) {
+        uint8_t want = open_zones[b] & 3;
+        uint8_t seen = 0;
+        if (want) {
+            for (int64_t t = b * n; t < (b + 1) * n; t++) {
+                if (informed[t]) continue;
+                int64_t ix = (int64_t)(pos[2 * t] / ell);
+                if (ix < 0) ix = 0; else if (ix >= m) ix = m - 1;
+                int64_t iy = (int64_t)(pos[2 * t + 1] / ell);
+                if (iy < 0) iy = 0; else if (iy >= m) iy = m - 1;
+                seen |= cz_mask[ix * m + iy] ? 1 : 2;
+                if ((seen & want) == want) break;
+            }
         }
+        left[b] = seen & want;
     }
 }
 """
@@ -838,10 +843,10 @@ def load_cores():
             _addr(counts), _addr(old_cells), _addr(new_cells), old_cells.shape[0]
         )
 
-    def zone_counts_core(pos, n, ell, m, cz_mask, informed, cz_total, cz_informed):
+    def zone_counts_core(pos, n, ell, m, cz_mask, informed, open_zones, left):
         lib.repro_zone_counts(
-            _addr(pos), pos.shape[0], n, ell, m,
-            _addr(cz_mask), _addr(informed), _addr(cz_total), _addr(cz_informed),
+            _addr(pos), open_zones.shape[0], n, ell, m,
+            _addr(cz_mask), _addr(informed), _addr(open_zones), _addr(left),
         )
 
     _BUILD_ERROR = None

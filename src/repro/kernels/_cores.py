@@ -50,10 +50,16 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
   pass; the result is the fully-compressed min-rooted parent array, the
   same canonical fixpoint the vectorized min-hooking loop converges to.
 * ``occupancy_delta_core`` — integer +/-1 scatter, trivially exact.
-* ``zone_counts_core`` — the exact cell classification of
+* ``zone_counts_core`` — per replica, which of its open zones (bit
+  ``CENTRAL_ZONE`` for the Central Zone, ``SUBURB`` for the Suburb; 0
+  for a replica that is retired or has both zones done) still hold an
+  uninformed agent.  Each row skips its informed agents, puts the others
+  in their cells with the exact classification of
   ``CellGrid.cell_indices`` (``p / ell``, truncating cast, clip to
-  ``[0, m-1]``) followed by integer per-replica counts; the fractions the
-  caller derives from them are bit-identical to the numpy reduction.
+  ``[0, m-1]``) and stops once it has seen every open zone.  A zone is
+  complete exactly when no uninformed agent is in it, the integer test
+  behind "informed fraction >= 1", so completion times are bit-identical
+  to a full count of every agent.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ import math
 
 import numpy as np
 
-from ._glue import MRWP_TRIPS, PAUSE_TRIPS, RWP_TRIPS, SPEED_TRIPS
+from ._glue import CENTRAL_ZONE, MRWP_TRIPS, PAUSE_TRIPS, RWP_TRIPS, SPEED_TRIPS, SUBURB
 
 __all__ = [
     "any_within_core",
@@ -729,28 +735,35 @@ def occupancy_delta_core(counts, old_cells, new_cells):
         counts[new_cells[k]] += 1
 
 
-def zone_counts_core(pos, n, ell, m, cz_mask, informed, cz_total, cz_informed):
-    """Per-replica Central-Zone membership and informed counts.
+def zone_counts_core(pos, n, ell, m, cz_mask, informed, open_zones, left):
+    """Per replica, the open zones that still hold an uninformed agent.
 
-    ``pos`` is the flat ``(k*n, 2)`` position block, ``informed`` the flat
-    bool mask, ``cz_mask`` the flat ``(m*m,)`` CZ cell mask.  The cell of a
+    ``pos`` is the flat ``(B*n, 2)`` position block, ``informed`` the flat
+    bool mask, ``cz_mask`` the flat ``(m*m,)`` CZ cell mask and
+    ``open_zones`` the ``(B,)`` zone bits still to watch.  The cell of a
     point is ``int(p / ell)`` clipped to ``[0, m-1]`` — the same division,
-    truncating cast, and clip as ``CellGrid.cell_indices``.  ``cz_total``
-    and ``cz_informed`` are ``(k,)`` accumulators (zeroed by the caller).
+    truncating cast, and clip as ``CellGrid.cell_indices``.  ``left`` is
+    the ``(B,)`` result: the bits of ``open_zones`` whose zone holds an
+    uninformed agent of the row.
     """
-    for t in range(pos.shape[0]):
-        b = t // n
-        ix = int(pos[t, 0] / ell)
-        if ix < 0:
-            ix = 0
-        elif ix >= m:
-            ix = m - 1
-        iy = int(pos[t, 1] / ell)
-        if iy < 0:
-            iy = 0
-        elif iy >= m:
-            iy = m - 1
-        if cz_mask[ix * m + iy]:
-            cz_total[b] += 1
-            if informed[t]:
-                cz_informed[b] += 1
+    for b in range(open_zones.shape[0]):
+        want = open_zones[b] & (CENTRAL_ZONE | SUBURB)
+        seen = 0
+        if want:
+            for t in range(b * n, (b + 1) * n):
+                if informed[t]:
+                    continue
+                ix = int(pos[t, 0] / ell)
+                if ix < 0:
+                    ix = 0
+                elif ix >= m:
+                    ix = m - 1
+                iy = int(pos[t, 1] / ell)
+                if iy < 0:
+                    iy = 0
+                elif iy >= m:
+                    iy = m - 1
+                seen |= CENTRAL_ZONE if cz_mask[ix * m + iy] else SUBURB
+                if (seen & want) == want:
+                    break
+        left[b] = seen & want

@@ -28,6 +28,8 @@ __all__ = [
     "SpeedRangeTrips",
     "EuclideanTrips",
     "TripWork",
+    "CENTRAL_ZONE",
+    "SUBURB",
 ]
 
 #: Public kernel names, in bench/report order.  ``grid_splice`` and
@@ -52,6 +54,10 @@ MAX_KERNEL_CELLS = 4_000_000
 #: budget), pause-MRWP and random-speed MRWP (time budgets, a scalar or a
 #: per-agent speed) and straight-line RWP (time budget, scalar speed).
 MRWP_TRIPS, PAUSE_TRIPS, SPEED_TRIPS, RWP_TRIPS = 0, 1, 2, 3
+
+#: Zone bits of ``zone_counts``: a replica's open zones, and the open zones
+#: that still hold an uninformed agent, are ORs of these.
+CENTRAL_ZONE, SUBURB = 1, 2
 
 # Cell side = radius * (1 + margin).  The margin keeps the effective bin
 # width >= radius even after the 1-ulp rounding of ``1.0 / cell``, so two
@@ -469,27 +475,27 @@ def make_kernels(cores):
         cores.union_core(parent.view(np.int64), u64, v64)
         return True
 
-    def zone_counts(positions, informed, ell, m, cz_mask):
+    def zone_counts(positions, informed, ell, m, cz_mask, open_zones):
         if positions.ndim != 3 or positions.shape[2] != 2 or not _is_c_f64(positions):
             return None
-        k, n = positions.shape[0], positions.shape[1]
-        if informed.shape != (k, n) or informed.dtype != np.bool_:
+        batch, n = positions.shape[0], positions.shape[1]
+        if informed.shape != (batch, n) or informed.dtype != np.bool_:
             return None
-        if not informed.flags.c_contiguous:
+        if open_zones.shape != (batch,) or open_zones.dtype != np.uint8:
+            return None
+        if not (informed.flags.c_contiguous and open_zones.flags.c_contiguous):
             return None
         m = int(m)
         if cz_mask.shape != (m, m) or cz_mask.dtype != np.bool_:
             return None
         if not cz_mask.flags.c_contiguous or not (ell > 0.0):
             return None
-        cz_total = np.zeros(k, dtype=np.intp)
-        cz_informed = np.zeros(k, dtype=np.intp)
+        left = np.zeros(batch, dtype=np.uint8)
         cores.zone_counts_core(
             positions.reshape(-1, 2), n, float(ell), m,
-            cz_mask.reshape(-1), informed.reshape(-1),
-            cz_total.view(np.int64), cz_informed.view(np.int64),
+            cz_mask.reshape(-1), informed.reshape(-1), open_zones, left,
         )
-        return cz_total, cz_informed
+        return left
 
     return {
         "batch_any_within": batch_any_within,

@@ -17,8 +17,10 @@ position tensor, so every per-step cost is paid once per *batch*:
   :class:`~repro.geometry.neighbors.BatchNeighborQuery` — **every**
   protocol in :data:`~repro.protocols.PROTOCOL_REGISTRY` is a one-replica
   view of its state in :data:`~repro.protocols.BATCH_PROTOCOL_REGISTRY`;
-* zone tracking: Central-Zone/Suburb classification runs over the flattened
-  tensor in one call.
+* zone tracking: one :func:`~repro.simulation.metrics.zones_left` call
+  per step reads only the replicas that still have a zone open; on the
+  compiled tier its ``zone_counts`` scan reads only their uninformed
+  agents, until it has seen one in each open zone.
 
 Reproducibility is the design constraint: each replica consumes randomness
 only from its own spawned streams, in the scalar call order, so
@@ -39,11 +41,12 @@ import math
 import numpy as np
 
 from repro.core.flooding import build_zone_partition, select_source
-from repro.kernels import get_kernel, kernel_tier_label, use_kernel_tier
+from repro.kernels import CENTRAL_ZONE, SUBURB, kernel_tier_label, use_kernel_tier
 from repro.mobility import BATCH_MOBILITY_REGISTRY, BatchMobilityModel
 from repro.protocols import BATCH_PROTOCOL_REGISTRY
 from repro.protocols.base import BatchBroadcastState
 from repro.simulation.config import FloodingConfig
+from repro.simulation.metrics import zones_left
 from repro.simulation.results import FloodingResult
 from repro.simulation.rng import child_seeds
 
@@ -117,7 +120,9 @@ class BatchSimulation:
             ``b``.
         cz_completion_time / suburb_completion_time: ``(B,)`` first step at
             which every agent currently in the zone is informed (``inf`` if
-            never; meaningful only when ``zones`` is set).
+            never; meaningful only when ``zones`` is set).  A replica
+            watches a zone only until it completes, and only while the
+            replica runs.
         source_in_central_zone: ``(B,)`` bool — zone of each replica's
             source at time 0 (only when ``zones`` is set).
     """
@@ -142,68 +147,15 @@ class BatchSimulation:
         self.suburb_completion_time = np.full(batch, np.inf)
         self.source_in_central_zone = None
 
-    def _zone_fractions(
-        self, positions: np.ndarray, rows: np.ndarray, counts=None, need_mask=True
-    ) -> tuple:
-        """Informed fraction inside / outside the Central Zone, for the
-        given replica rows only (completion times are monotone, so frozen
-        replicas need no further classification).
-
-        With ``need_mask=False`` the per-point mask is not materialized
-        (callers that only record completion times pass it) and the
-        compiled ``zone_counts`` kernel may serve the counts — the same
-        cell classification and integer sums, so the fractions derived
-        below are bit-identical.
-        """
-        subset = positions if rows.size == positions.shape[0] else positions[rows]
-        k, n, _ = subset.shape
-        if not need_mask and counts is not None:
-            kernel = get_kernel("zone_counts")
-            if kernel is not None:
-                grid = self.zones.grid
-                result = kernel(
-                    np.ascontiguousarray(subset),
-                    self.protocol.informed[rows],
-                    grid.ell,
-                    grid.m,
-                    self.zones.cz_mask,
-                )
-                if result is not None:
-                    cz_total, cz_informed = result
-                    suburb_total = n - cz_total
-                    suburb_informed = counts[rows] - cz_informed
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        cz_frac = np.where(
-                            cz_total > 0, cz_informed / np.maximum(cz_total, 1), 1.0
-                        )
-                        suburb_frac = np.where(
-                            suburb_total > 0,
-                            suburb_informed / np.maximum(suburb_total, 1),
-                            1.0,
-                        )
-                    return None, cz_frac, suburb_frac
-        in_cz = self.zones.in_central_zone(subset.reshape(-1, 2)).reshape(k, n)
-        informed = self.protocol.informed[rows]
-        cz_total = np.count_nonzero(in_cz, axis=1)
-        suburb_total = n - cz_total
-        cz_informed = np.count_nonzero(informed & in_cz, axis=1)
-        if counts is None:
-            suburb_informed = np.count_nonzero(informed & ~in_cz, axis=1)
-        else:
-            # informed = (informed in CZ) + (informed in Suburb), exactly.
-            suburb_informed = counts[rows] - cz_informed
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cz_frac = np.where(cz_total > 0, cz_informed / np.maximum(cz_total, 1), 1.0)
-            suburb_frac = np.where(
-                suburb_total > 0, suburb_informed / np.maximum(suburb_total, 1), 1.0
-            )
-        return in_cz, cz_frac, suburb_frac
-
-    def _record_zone_times(self, step: float, rows, cz_frac, suburb_frac) -> None:
-        hit_cz = ~np.isfinite(self.cz_completion_time[rows]) & (cz_frac >= 1.0)
-        self.cz_completion_time[rows[hit_cz]] = step
-        hit_suburb = ~np.isfinite(self.suburb_completion_time[rows]) & (suburb_frac >= 1.0)
-        self.suburb_completion_time[rows[hit_suburb]] = step
+    def _record_zone_times(self, step: float, positions, open_zones) -> np.ndarray:
+        """Set the completion time of every zone of ``open_zones`` that
+        holds no uninformed agent at ``step``; returns those zone bits."""
+        if not open_zones.any():
+            return open_zones
+        done = open_zones & ~zones_left(self.zones, positions, self.protocol.informed, open_zones)
+        self.cz_completion_time[(done & CENTRAL_ZONE) != 0] = step
+        self.suburb_completion_time[(done & SUBURB) != 0] = step
+        return done
 
     def _active_mask(self) -> np.ndarray:
         """Replicas the scalar loop would still be stepping.
@@ -229,10 +181,10 @@ class BatchSimulation:
         positions = self.model.positions_view
         counts = self.protocol.informed_counts
         if self.zones is not None:
-            all_rows = np.arange(batch)
-            in_cz, cz_frac, suburb_frac = self._zone_fractions(positions, all_rows, counts)
-            self._record_zone_times(0.0, all_rows, cz_frac, suburb_frac)
-            self.source_in_central_zone = in_cz[all_rows, self.protocol.sources]
+            open_zones = np.full(batch, CENTRAL_ZONE | SUBURB, dtype=np.uint8)
+            open_zones ^= self._record_zone_times(0.0, positions, open_zones)
+            sources = positions[np.arange(batch), self.protocol.sources]
+            self.source_in_central_zone = self.zones.in_central_zone(sources)
         counts_history = [counts]
         active = self._active_mask()
         step = 0
@@ -244,20 +196,11 @@ class BatchSimulation:
             counts_history.append(counts)
             self.n_steps[active] = step
             if self.zones is not None:
-                # Zone completion times are first-hit records, so replicas
-                # with both already set need no further classification.
-                rows = np.nonzero(
-                    active
-                    & ~(
-                        np.isfinite(self.cz_completion_time)
-                        & np.isfinite(self.suburb_completion_time)
-                    )
-                )[0]
-                if rows.size:
-                    _in_cz, cz_frac, suburb_frac = self._zone_fractions(
-                        positions, rows, counts, need_mask=False
-                    )
-                    self._record_zone_times(float(step), rows, cz_frac, suburb_frac)
+                # Completion times are first-hit records: a replica
+                # watches only its open zones, and only while it runs.
+                open_zones ^= self._record_zone_times(
+                    float(step), positions, open_zones * active
+                )
             # Retirement is monotone (a scalar loop never resumes after it
             # breaks), so the mask only ever shrinks.
             active &= self._active_mask()

@@ -2,9 +2,9 @@
 
 Observers receive ``(t, positions, protocol, newly_informed)`` after every
 step.  :class:`InformedRecorder` tracks the coverage curve;
-:class:`ZoneRecorder` additionally classifies agents by Central Zone /
-Suburb each step and records the per-zone completion times that the
-``suburb_vs_cz`` experiment reports.
+:class:`ZoneRecorder` records the per-zone completion times that the
+``suburb_vs_cz`` experiment reports, through :func:`zones_left`, which
+the batch engine calls too.
 """
 
 from __future__ import annotations
@@ -14,9 +14,52 @@ import math
 import numpy as np
 
 from repro.core.zones import ZonePartition
-from repro.kernels import get_kernel
+from repro.kernels import CENTRAL_ZONE, SUBURB, get_kernel
 
-__all__ = ["InformedRecorder", "ZoneRecorder"]
+__all__ = ["InformedRecorder", "ZoneRecorder", "zones_left"]
+
+
+def zones_left(
+    zones: ZonePartition, positions: np.ndarray, informed: np.ndarray, open_zones: np.ndarray
+) -> np.ndarray:
+    """Which open zones of each replica still hold an uninformed agent.
+
+    A zone is complete at a step exactly when no uninformed agent sits in
+    one of its cells (vacuously when it holds no agent), so replicas with
+    no open zone are not read at all.
+
+    Args:
+        zones: the Central-Zone / Suburb partition.
+        positions: ``(B, n, 2)`` snapshot.
+        informed: ``(B, n)`` bool informed mask.
+        open_zones: ``(B,)`` uint8 zone bits still to watch per replica
+            (:data:`~repro.kernels.CENTRAL_ZONE`,
+            :data:`~repro.kernels.SUBURB`; 0 for none).
+
+    Returns:
+        ``(B,)`` uint8: the bits of ``open_zones`` whose zone holds an
+        uninformed agent.  The compiled ``zone_counts`` kernel scans each
+        open row's uninformed agents until it has seen every open zone.
+        The numpy fallback classifies every agent of the open rows: one
+        contiguous pass costs less in numpy than gathering the
+        uninformed agents first.
+    """
+    kernel = get_kernel("zone_counts")
+    if kernel is not None:
+        left = kernel(
+            positions, informed, zones.grid.ell, zones.grid.m, zones.cz_mask, open_zones
+        )
+        if left is not None:
+            return left
+    rows = np.flatnonzero(open_zones)
+    uninformed = ~informed[rows]
+    in_cz = zones.in_central_zone(positions[rows].reshape(-1, 2)).reshape(uninformed.shape)
+    left = np.zeros_like(open_zones)
+    left[rows] = (
+        (in_cz & uninformed).any(axis=1) * CENTRAL_ZONE
+        | (~in_cz & uninformed).any(axis=1) * SUBURB
+    )
+    return left & open_zones
 
 
 class InformedRecorder:
@@ -49,60 +92,29 @@ class ZoneRecorder:
     completeness is monotone only once the global informed set saturates a
     zone's throughput — we record the first completion time, matching how
     the paper's Theorem 10 ("all CZ cells informed from ``t = 18 L/R`` on")
-    is checked empirically.
+    is checked empirically.  A completed zone is not watched again, and
+    once both are complete a step classifies nothing.
     """
 
     def __init__(self, zones: ZonePartition):
         self.zones = zones
         self.cz_completion_time = math.inf
         self.suburb_completion_time = math.inf
-        self.cz_fraction_history = []
-        self.suburb_fraction_history = []
+        self._open = np.array([CENTRAL_ZONE | SUBURB], dtype=np.uint8)
 
-    def _kernel_counts(self, positions: np.ndarray, informed: np.ndarray):
-        """``(cz_total, cz_informed)`` from the compiled ``zone_counts``
-        kernel at B=1, or ``None`` to classify with numpy — the same cell
-        classification and integer sums as
-        ``BatchSimulation._zone_fractions``."""
-        kernel = get_kernel("zone_counts")
-        if kernel is None:
-            return None
-        grid = self.zones.grid
-        result = kernel(positions[None], informed[None], grid.ell, grid.m, self.zones.cz_mask)
-        if result is None:
-            return None
-        cz_total, cz_informed = result
-        return int(cz_total[0]), int(cz_informed[0])
-
-    def _fractions(self, positions: np.ndarray, informed: np.ndarray) -> tuple:
-        counts = self._kernel_counts(positions, informed)
-        if counts is not None:
-            cz_total, cz_informed = counts
-            suburb_informed = int(np.count_nonzero(informed)) - cz_informed
-        else:
-            in_cz = self.zones.in_central_zone(positions)
-            cz_total = int(np.count_nonzero(in_cz))
-            cz_informed = int(np.count_nonzero(informed & in_cz))
-            suburb_informed = int(np.count_nonzero(informed & ~in_cz))
-        suburb_total = positions.shape[0] - cz_total
-        cz_frac = cz_informed / cz_total if cz_total else 1.0
-        suburb_frac = suburb_informed / suburb_total if suburb_total else 1.0
-        return cz_frac, suburb_frac
+    def _record(self, t: int, positions: np.ndarray, informed: np.ndarray) -> None:
+        if not self._open[0]:
+            return
+        left = zones_left(self.zones, positions[None], informed[None], self._open)
+        done = self._open[0] & ~left[0]
+        if done & CENTRAL_ZONE:
+            self.cz_completion_time = float(t)
+        if done & SUBURB:
+            self.suburb_completion_time = float(t)
+        self._open = left
 
     def start(self, positions: np.ndarray, protocol) -> None:
-        cz_frac, suburb_frac = self._fractions(positions, protocol.informed)
-        self.cz_fraction_history = [cz_frac]
-        self.suburb_fraction_history = [suburb_frac]
-        if cz_frac >= 1.0:
-            self.cz_completion_time = 0.0
-        if suburb_frac >= 1.0:
-            self.suburb_completion_time = 0.0
+        self._record(0, positions, protocol.informed)
 
     def observe(self, t: int, positions: np.ndarray, protocol, newly: np.ndarray) -> None:
-        cz_frac, suburb_frac = self._fractions(positions, protocol.informed)
-        self.cz_fraction_history.append(cz_frac)
-        self.suburb_fraction_history.append(suburb_frac)
-        if cz_frac >= 1.0 and not math.isfinite(self.cz_completion_time):
-            self.cz_completion_time = float(t)
-        if suburb_frac >= 1.0 and not math.isfinite(self.suburb_completion_time):
-            self.suburb_completion_time = float(t)
+        self._record(t, positions, protocol.informed)

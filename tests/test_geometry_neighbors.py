@@ -563,10 +563,10 @@ class TestCoarseCoverDivisor:
 
 
 class TestPositionsOutsideTheSquare:
-    """At B=1 every path equals brute force on agents outside the square:
-    the cell cover must not trust the border cell that clipping (or
-    truncation toward zero) would put such an agent in.  At B > 1 every
-    path is exact while agents stay closer than R/2 to the square."""
+    """Every path equals brute force on agents outside the square: the
+    cell cover must not trust the border cell that clipping (or
+    truncation toward zero) would put such an agent in, and at B > 1 the
+    tiling must keep such agents of different replicas apart."""
 
     SIDE = 5.0
     RADIUS = 1.0
@@ -619,13 +619,14 @@ class TestPositionsOutsideTheSquare:
             assert_matches_brute(bound, method, source_mask, ~source_mask, self.RADIUS)
 
     @pytest.mark.parametrize("method", QUERY_METHODS)
-    def test_replicas_within_half_a_radius(self, neighbor_path, method):
+    def test_replicas_anywhere(self, neighbor_path, method):
         # Five replicas fill a 3 x 2 tile sheet, so tiles meet along both
-        # axes.  Each replica also holds agents 0.49 R beyond the middle
-        # of each edge: the tiling puts facing ones of neighbouring tiles
-        # 1.02 R apart, and none of them may meet across replicas.
+        # axes.  Agents lie up to 3R beyond every edge, and each replica
+        # holds one 3R beyond the middle of each edge: tiles a square
+        # plus 2R apart would overlap, and put agents of neighbouring
+        # replicas in range of each other.
         rng = np.random.default_rng(5)
-        margin = 0.49 * self.RADIUS
+        margin = 3.0 * self.RADIUS
         low, high, mid = -margin, self.SIDE + margin, self.SIDE / 2
         edges = np.array([[low, mid], [high, mid], [mid, low], [mid, high]])
         query = BatchNeighborQuery(self.SIDE, 5)
@@ -636,6 +637,18 @@ class TestPositionsOutsideTheSquare:
             source_mask[:, :4] = [True, False, True, False]
             bound = query.bind(positions)
             assert_matches_brute(bound, method, source_mask, ~source_mask, self.RADIUS)
+
+    def test_no_contact_between_replicas(self, neighbor_path):
+        # Replica 0's source is 0.6 R beyond the east edge and replica
+        # 1's query 0.4 R beyond the west edge: tiles a square plus 2R
+        # apart would put them exactly R apart.
+        positions = np.array([[[5.6, 0.5], [2.5, 2.5]], [[2.5, 2.5], [-0.4, 0.5]]])
+        source_mask = np.array([[True, False], [False, False]])
+        query_mask = np.array([[False, False], [False, True]])
+        hits = BatchNeighborQuery(self.SIDE, 2).any_within(
+            positions, source_mask, query_mask, self.RADIUS
+        )
+        assert not hits.any()
 
 
 class TestBatchQueryExtremes:

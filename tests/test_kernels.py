@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 from repro.kernels import (
+    CENTRAL_ZONE,
     KERNEL_NAMES,
+    SUBURB,
     KERNEL_TIERS,
     EuclideanTrips,
     ManhattanTrips,
@@ -39,6 +41,8 @@ from repro.kernels import (
 )
 from repro.kernels import _cext
 from repro.kernels._glue import _CELL_MARGIN, _contacts_capacity, make_kernels
+from repro.core.cells import CellGrid
+from repro.core.zones import ZonePartition
 from repro.mobility import kinematics
 from repro.mobility.kinematics import (
     DenseLegScratch,
@@ -51,6 +55,7 @@ from repro.mobility.pause import _advance_pause_mrwp
 from repro.mobility.rwp import _advance_rwp
 from repro.mobility.speed_range import _advance_random_speed
 from repro.simulation import run_trials, standard_config
+from repro.simulation.metrics import zones_left
 
 HAVE_PROVIDER = kernel_backend() is not None
 
@@ -1080,26 +1085,80 @@ class TestStructureKernelParity:
             np.testing.assert_array_equal(parent[parent], parent)
 
     def test_zone_counts_matches_cell_classification(self, table, rng):
-        for _ in range(20):
-            batch = int(rng.integers(1, 4))
-            n = int(rng.integers(1, 40))
-            m = int(rng.integers(1, 7))
-            side = float(rng.uniform(1.0, 9.0))
-            ell = side / m
-            pos = rng.uniform(0, side, size=(batch, n, 2))
-            informed = rng.random((batch, n)) < 0.5
-            cz_mask = rng.random((m, m)) < 0.5
-            got = table["zone_counts"](pos, informed, ell, m, cz_mask)
-            assert got is not None
-            cz_total, cz_informed = got
-            ij = (pos.reshape(-1, 2) / ell).astype(np.intp)
-            np.clip(ij, 0, m - 1, out=ij)
-            in_cz = cz_mask[ij[:, 0], ij[:, 1]].reshape(batch, n)
-            np.testing.assert_array_equal(cz_total, np.count_nonzero(in_cz, axis=1))
+        for side, m, pos, informed, cz_mask, open_zones in _zone_cases(rng):
+            got = table["zone_counts"](pos, informed, side / m, m, cz_mask, open_zones)
+            assert got.dtype == np.uint8 and got.shape == open_zones.shape
             np.testing.assert_array_equal(
-                cz_informed, np.count_nonzero(in_cz & informed, axis=1)
+                got, _zones_left(pos, informed, side / m, m, cz_mask, open_zones)
             )
-            assert cz_total.dtype == np.intp and cz_informed.dtype == np.intp
+            assert got[0] == 0 and got[1] != 0 and got[2] == 0
+
+    def test_zone_counts_declines_other_inputs(self, table):
+        pos = np.zeros((2, 3, 2))
+        informed = np.zeros((2, 3), dtype=bool)
+        cz_mask = np.ones((2, 2), dtype=bool)
+        open_zones = np.full(2, CENTRAL_ZONE | SUBURB, dtype=np.uint8)
+        kernel = table["zone_counts"]
+        assert kernel(pos, informed, 1.0, 2, cz_mask, open_zones).tolist() == [CENTRAL_ZONE] * 2
+        for bad_open in (open_zones.astype(np.int64), open_zones[:1], open_zones.astype(bool)):
+            assert kernel(pos, informed, 1.0, 2, cz_mask, bad_open) is None
+        assert kernel(pos, informed.astype(np.uint8), 1.0, 2, cz_mask, open_zones) is None
+        assert kernel(pos.astype(np.float32), informed, 1.0, 2, cz_mask, open_zones) is None
+        assert kernel(pos[:, ::-1], informed, 1.0, 2, cz_mask, open_zones) is None
+        assert kernel(pos, informed, 1.0, 3, cz_mask, open_zones) is None
+
+
+def test_zones_left_numpy_fallback_matches_the_oracle(rng):
+    """Off the compiled tier, ``zones_left`` answers ``zone_counts``'
+    contract with numpy."""
+    for side, m, pos, informed, cz_mask, open_zones in _zone_cases(rng):
+        zones = ZonePartition(CellGrid(side, m), 2)
+        zones.cz_mask = cz_mask
+        with use_kernel_tier("numpy"):
+            got = zones_left(zones, pos, informed, open_zones)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(
+            got, _zones_left(pos, informed, side / m, m, cz_mask, open_zones)
+        )
+
+
+def _zone_cases(rng):
+    """Random ``zone_counts`` inputs ``(side, m, pos, informed, cz_mask,
+    open_zones)``.  Rows 0-2 are all informed, none informed and closed;
+    the rest draw their open bits and informed share.  A third of the
+    cases put every cell in the Suburb and a third in the Central Zone,
+    every fifth has one agent a row, and agents lie up to a quarter side
+    outside the square, in the border cells clipping puts them in."""
+    for case in range(45):
+        batch = int(rng.integers(3, 8))
+        n = 1 if case % 5 == 0 else int(rng.integers(2, 40))
+        m = int(rng.integers(1, 7))
+        side = float(rng.uniform(1.0, 9.0))
+        pos = rng.uniform(-0.25 * side, 1.25 * side, size=(batch, n, 2))
+        informed = rng.random((batch, n)) < rng.random((batch, 1))
+        informed[0], informed[1] = True, False
+        cz_mask = (
+            rng.random((m, m)) < 0.5,
+            np.zeros((m, m), dtype=bool),
+            np.ones((m, m), dtype=bool),
+        )[case % 3]
+        open_zones = rng.integers(0, 4, size=batch).astype(np.uint8)
+        open_zones[:2] = CENTRAL_ZONE | SUBURB
+        open_zones[2] = 0
+        yield side, m, pos, informed, cz_mask, open_zones
+
+
+def _zones_left(pos, informed, ell, m, cz_mask, open_zones):
+    """Oracle of ``zone_counts``: every agent's cell by ``CellGrid``'s
+    division, truncation and clip, then the open zones of each row that
+    hold an uninformed agent."""
+    ij = (pos.reshape(-1, 2) / ell).astype(np.intp)
+    np.clip(ij, 0, m - 1, out=ij)
+    in_cz = cz_mask[ij[:, 0], ij[:, 1]].reshape(informed.shape)
+    cz_left = np.any(~informed & in_cz, axis=1)
+    suburb_left = np.any(~informed & ~in_cz, axis=1)
+    bits = np.where(cz_left, CENTRAL_ZONE, 0) | np.where(suburb_left, SUBURB, 0)
+    return bits.astype(np.uint8) & open_zones
 
 
 # ----------------------------------------------------------------------

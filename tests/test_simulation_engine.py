@@ -1,17 +1,13 @@
 """Tests of the step engine and metric observers."""
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.core.flooding import build_zone_partition
-from repro.kernels import kernel_backend, provider_kernels, use_kernel_tier
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.protocols.flooding import FloodingProtocol
 from repro.protocols.epidemic import SIREpidemic
 from repro.simulation.engine import Simulation
-from repro.simulation.metrics import InformedRecorder, ZoneRecorder
+from repro.simulation.metrics import InformedRecorder
 
 SIDE = 15.0
 N = 200
@@ -83,68 +79,3 @@ class TestInformedRecorder:
         assert history[-1] == protocol.informed_count
         assert np.all(np.diff(history) >= 0)
         assert sum(recorder.newly_per_step) == history[-1] - 1
-
-
-class TestZoneRecorder:
-    def test_completion_times_recorded(self):
-        model, protocol = make_parts()
-        zones = build_zone_partition(N, SIDE, 2.5)
-        assert zones is not None
-        recorder = ZoneRecorder(zones)
-        simulation = Simulation(model, protocol, observers=[recorder])
-        simulation.run(500)
-        assert math.isfinite(recorder.cz_completion_time)
-        assert math.isfinite(recorder.suburb_completion_time)
-        assert recorder.cz_fraction_history[-1] == 1.0
-
-    def test_fractions_bounded(self):
-        model, protocol = make_parts()
-        zones = build_zone_partition(N, SIDE, 2.5)
-        recorder = ZoneRecorder(zones)
-        Simulation(model, protocol, observers=[recorder]).run(50)
-        assert all(0.0 <= f <= 1.0 for f in recorder.cz_fraction_history)
-        assert all(0.0 <= f <= 1.0 for f in recorder.suburb_fraction_history)
-
-    def test_completion_is_first_time(self):
-        """Completion times never decrease once set."""
-        model, protocol = make_parts()
-        zones = build_zone_partition(N, SIDE, 2.5)
-        recorder = ZoneRecorder(zones)
-        simulation = Simulation(model, protocol, observers=[recorder])
-        simulation.run(500)
-        t = recorder.cz_completion_time
-        # The fraction at the recorded step is 1.
-        assert recorder.cz_fraction_history[int(t)] == 1.0
-        assert all(f < 1.0 for f in recorder.cz_fraction_history[: int(t)])
-
-    def test_compiled_tier_records_identical_fractions(self, monkeypatch):
-        """On the compiled tier both counts come from ``zone_counts`` at
-        B=1, once per observed snapshot; every fraction matches numpy's."""
-        if kernel_backend() is None:
-            pytest.skip("no compiled kernel provider builds on this host")
-        table = provider_kernels()
-        kernel = table["zone_counts"]
-        calls = []
-
-        def counted(*args):
-            calls.append(args[0].shape)
-            return kernel(*args)
-
-        monkeypatch.setitem(table, "zone_counts", counted)
-        # Definition 4's 3/8 empties the Central Zone at this n; 0.2 splits
-        # the cells about evenly between the zones.
-        zones = build_zone_partition(N, SIDE, 2.5, threshold_factor=0.2)
-        assert 0 < zones.n_central_cells < zones.grid.n_cells
-        recorders = {}
-        for tier in ("numpy", "compiled"):
-            model, protocol = make_parts(seed=4)
-            recorders[tier] = ZoneRecorder(zones)
-            with use_kernel_tier(tier):
-                Simulation(model, protocol, observers=[recorders[tier]]).run(500)
-        numpy_run, compiled_run = recorders["numpy"], recorders["compiled"]
-        assert len(calls) == len(compiled_run.cz_fraction_history)
-        assert all(shape == (1, N, 2) for shape in calls)
-        assert compiled_run.cz_fraction_history == numpy_run.cz_fraction_history
-        assert compiled_run.suburb_fraction_history == numpy_run.suburb_fraction_history
-        assert compiled_run.cz_completion_time == numpy_run.cz_completion_time
-        assert compiled_run.suburb_completion_time == numpy_run.suburb_completion_time
