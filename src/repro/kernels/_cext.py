@@ -14,6 +14,16 @@ The trip kernel draws from numpy bit generators through the ``bitgen_t``
 function pointers of numpy's public C interface; the source declares that
 documented struct itself, so the build needs no numpy headers.
 
+The infection test (``repro_any_within``) and the trip step
+(``repro_advance_trips``) split a call's replicas over POSIX threads
+(built with ``-pthread``): ``split_run`` creates ``threads - 1`` threads
+and joins them before the call returns, so no thread outlives a call and
+a forked worker never inherits one.  Each thread takes the next unit of
+work from an atomic counter and works in its own block of the work
+arrays; the units (a replica, or in the trip step a group of replicas
+that share one bit generator) are independent, so the results do not
+depend on ``threads``, which the glue derives per call.
+
 The adapters exported through :func:`load_cores` take the same array
 arguments as the Python cores, which lets :mod:`repro.kernels._glue`
 drive either provider unchanged.
@@ -36,6 +46,67 @@ __all__ = ["load_cores", "build_error"]
 C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
+#include <pthread.h>
+
+/* Fork-join over independent units of work.  `threads` workers (the
+   calling thread and threads - 1 POSIX threads, created here and joined
+   before split_run returns, so none outlives the call) take the next
+   unit from a shared counter until none is left; run(job, unit, worker)
+   does one unit with worker `worker`'s buffers.  A thread that cannot be
+   created leaves its units to the others.  Returns -1 if any unit
+   returned a negative count, else the largest count. */
+typedef int64_t (*unit_fn)(void *job, int64_t unit, int64_t worker);
+
+typedef struct {
+    unit_fn run;
+    void *job;
+    int64_t units;
+    int64_t next;
+} split_t;
+
+typedef struct {
+    split_t *split;
+    int64_t worker;
+    int64_t most;
+} worker_t;
+
+static void *split_worker(void *arg)
+{
+    worker_t *w = (worker_t *)arg;
+    split_t *s = w->split;
+    for (;;) {
+        int64_t u = __atomic_fetch_add(&s->next, 1, __ATOMIC_RELAXED);
+        if (u >= s->units) return NULL;
+        int64_t got = s->run(s->job, u, w->worker);
+        if (w->most >= 0 && (got < 0 || got > w->most)) w->most = got;
+    }
+}
+
+static int64_t split_run(unit_fn run, void *job, int64_t units, int64_t threads)
+{
+    split_t s = {run, job, units, 0};
+    if (threads > units) threads = units;
+    if (threads < 1) threads = 1;
+    pthread_t tid[threads];
+    worker_t w[threads];
+    int64_t started = 1;
+    for (int64_t t = 0; t < threads; t++) {
+        w[t].split = &s;
+        w[t].worker = t;
+        w[t].most = 0;
+    }
+    for (int64_t t = 1; t < threads; t++) {
+        if (pthread_create(&tid[t], NULL, split_worker, &w[t]) != 0) break;
+        started++;
+    }
+    split_worker(&w[0]);
+    int64_t most = 0;
+    for (int64_t t = 0; t < started; t++) {
+        if (t > 0) pthread_join(tid[t], NULL);
+        if (most >= 0 && (w[t].most < 0 || w[t].most > most)) most = w[t].most;
+    }
+    return most;
+}
 
 static int64_t gather(const uint8_t *restrict mask, int64_t n, int64_t *restrict idx)
 {
@@ -74,46 +145,68 @@ static void grid_build(const double *restrict pb, int64_t m, double inv_cell,
     }
 }
 
-void repro_any_within(const double *restrict pos, int64_t batch, int64_t n, int64_t m,
-                      double inv_cell, double r2,
-                      const uint8_t *restrict smask, const uint8_t *restrict qmask,
-                      int64_t *restrict lsrc, int64_t *restrict lqry,
-                      int64_t *restrict cellk, int64_t *restrict starts,
-                      int64_t *restrict srcsort, uint8_t *restrict out)
+/* One replica of repro_any_within, with worker w's rows of the work
+   buffers. */
+typedef struct {
+    const double *pos;
+    int64_t n, m;
+    double inv_cell, r2;
+    const uint8_t *smask, *qmask;
+    int64_t *lsrc, *lqry, *cellk, *starts, *srcsort;
+    uint8_t *out;
+} any_job_t;
+
+static int64_t any_within_replica(void *arg, int64_t b, int64_t w)
 {
-    for (int64_t b = 0; b < batch; b++) {
-        int64_t S = gather(smask + b * n, n, lsrc);
-        if (S == 0) continue;
-        int64_t Q = gather(qmask + b * n, n, lqry);
-        if (Q == 0) continue;
-        const double *restrict pb = pos + 2 * b * n;
-        grid_build(pb, m, inv_cell, lsrc, S, cellk, starts, srcsort);
-        uint8_t *restrict ob = out + b * n;
-        for (int64_t k = 0; k < Q; k++) {
-            int64_t i = lqry[k];
-            double qx = pb[2 * i];
-            double qy = pb[2 * i + 1];
-            int64_t ci = (int64_t)(qx * inv_cell);
-            if (ci < 0) ci = 0; else if (ci >= m) ci = m - 1;
-            int64_t cj = (int64_t)(qy * inv_cell);
-            if (cj < 0) cj = 0; else if (cj >= m) cj = m - 1;
-            int64_t i0 = ci > 0 ? ci - 1 : 0;
-            int64_t i1 = ci < m - 1 ? ci + 1 : m - 1;
-            int64_t j0 = cj > 0 ? cj - 1 : 0;
-            int64_t j1 = cj < m - 1 ? cj + 1 : m - 1;
-            int hit = 0;
-            for (int64_t ii = i0; ii <= i1 && !hit; ii++) {
-                int64_t row = ii * m;
-                for (int64_t t = starts[row + j0]; t < starts[row + j1 + 1]; t++) {
-                    int64_t j = srcsort[t];
-                    double dx = qx - pb[2 * j];
-                    double dy = qy - pb[2 * j + 1];
-                    if (dx * dx + dy * dy <= r2) { hit = 1; break; }
-                }
+    const any_job_t *j = (const any_job_t *)arg;
+    const int64_t n = j->n, m = j->m;
+    const double inv_cell = j->inv_cell, r2 = j->r2;
+    int64_t *restrict lsrc = j->lsrc + w * n;
+    int64_t *restrict lqry = j->lqry + w * n;
+    int64_t *restrict starts = j->starts + w * (m * m + 2);
+    int64_t *restrict srcsort = j->srcsort + w * n;
+    int64_t S = gather(j->smask + b * n, n, lsrc);
+    if (S == 0) return 0;
+    int64_t Q = gather(j->qmask + b * n, n, lqry);
+    if (Q == 0) return 0;
+    const double *restrict pb = j->pos + 2 * b * n;
+    grid_build(pb, m, inv_cell, lsrc, S, j->cellk + w * n, starts, srcsort);
+    uint8_t *restrict ob = j->out + b * n;
+    for (int64_t k = 0; k < Q; k++) {
+        int64_t i = lqry[k];
+        double qx = pb[2 * i];
+        double qy = pb[2 * i + 1];
+        int64_t ci = (int64_t)(qx * inv_cell);
+        if (ci < 0) ci = 0; else if (ci >= m) ci = m - 1;
+        int64_t cj = (int64_t)(qy * inv_cell);
+        if (cj < 0) cj = 0; else if (cj >= m) cj = m - 1;
+        int64_t i0 = ci > 0 ? ci - 1 : 0;
+        int64_t i1 = ci < m - 1 ? ci + 1 : m - 1;
+        int64_t j0 = cj > 0 ? cj - 1 : 0;
+        int64_t j1 = cj < m - 1 ? cj + 1 : m - 1;
+        int hit = 0;
+        for (int64_t ii = i0; ii <= i1 && !hit; ii++) {
+            int64_t row = ii * m;
+            for (int64_t t = starts[row + j0]; t < starts[row + j1 + 1]; t++) {
+                int64_t s = srcsort[t];
+                double dx = qx - pb[2 * s];
+                double dy = qy - pb[2 * s + 1];
+                if (dx * dx + dy * dy <= r2) { hit = 1; break; }
             }
-            if (hit) ob[i] = 1;
         }
+        if (hit) ob[i] = 1;
     }
+    return 0;
+}
+
+void repro_any_within(const double *pos, int64_t batch, int64_t n, int64_t m,
+                      double inv_cell, double r2, const uint8_t *smask,
+                      const uint8_t *qmask, int64_t *lsrc, int64_t *lqry, int64_t *cellk,
+                      int64_t *starts, int64_t *srcsort, uint8_t *out, int64_t threads)
+{
+    any_job_t job = {pos, n, m, inv_cell, r2, smask, qmask,
+                     lsrc, lqry, cellk, starts, srcsort, out};
+    split_run(any_within_replica, &job, batch, threads);
 }
 
 int64_t repro_contacts(const double *restrict pos, int64_t batch, int64_t n, int64_t m,
@@ -297,7 +390,7 @@ typedef struct {
 
 /* Modes of repro_advance_trips, one per trip model (the glue's
    MRWP_TRIPS ... RWP_TRIPS).  Each mode's step is its own inlined copy
-   of trips_step, so the mode tests fold away inside the loops. */
+   of trips_unit, so the mode tests fold away inside the loops. */
 enum { TRIPS_MRWP = 0, TRIPS_PAUSE = 1, TRIPS_SPEED = 2, TRIPS_RWP = 3 };
 
 #define TRIPS_INLINE static inline __attribute__((always_inline))
@@ -455,28 +548,32 @@ static void redraw_destinations(double *restrict dest, int64_t *restrict arrival
     }
 }
 
-TRIPS_INLINE int64_t trips_step(const int mode, double *restrict pos, double *restrict target,
+/* One unit's step: the carry-over loop over the replicas reps[0..R-1]
+   (ascending), with movers, rests and redraw pointing at the unit's own
+   region of the work buffers. */
+TRIPS_INLINE int64_t trips_unit(const int mode, double *restrict pos, double *restrict target,
                                 double *restrict dest, uint8_t *restrict second,
                                 int64_t *restrict turns, int64_t *restrict arrivals,
                                 double *restrict pause_left, double *restrict speeds,
-                                const uint8_t *restrict active, int64_t batch, int64_t n,
-                                double budget, double speed, double eps, double eps_t,
-                                double pause_time, double side, double v_min, double v_range,
-                                bitgen_t *const *bitgens, int64_t max_passes,
+                                const uint8_t *restrict active, const int64_t *restrict reps,
+                                int64_t R, int64_t n, double budget, double speed, double eps,
+                                double eps_t, double pause_time, double side, double v_min,
+                                double v_range, bitgen_t *const *bitgens, int64_t max_passes,
                                 int64_t *restrict movers, double *restrict rests,
                                 int64_t *restrict redraw)
 {
     const int pauses = (mode == TRIPS_PAUSE || mode == TRIPS_RWP);
     int64_t count = 0;
     if (budget > eps_t)
-        for (int64_t b = 0; b < batch; b++)
-            if (active[b]) count += n;
+        for (int64_t u = 0; u < R; u++)
+            if (active[reps[u]]) count += n;
     for (int64_t p = 0; p < max_passes; p++) {
         if (count == 0) return p;
         if (pauses) {
             int64_t k = 0, e = 0;
             if (p == 0) {
-                for (int64_t b = 0; b < batch; b++) {
+                for (int64_t u = 0; u < R; u++) {
+                    int64_t b = reps[u];
                     if (!active[b]) continue;
                     for (int64_t i = b * n; i < (b + 1) * n; i++)
                         burn(mode, pause_left, speed, eps, eps_t, i, budget,
@@ -495,7 +592,8 @@ TRIPS_INLINE int64_t trips_step(const int mode, double *restrict pos, double *re
         }
         int64_t k = 0, r = 0, arrived = 0;
         if (p == 0 && !pauses) {
-            for (int64_t b = 0; b < batch; b++) {
+            for (int64_t u = 0; u < R; u++) {
+                int64_t b = reps[u];
                 if (!active[b]) continue;
                 for (int64_t i = b * n; i < (b + 1) * n; i++)
                     trip_leg(mode, pos, target, dest, second, turns, pause_left, speeds,
@@ -523,28 +621,60 @@ TRIPS_INLINE int64_t trips_step(const int mode, double *restrict pos, double *re
     return -1;
 }
 
-int64_t repro_advance_trips(int64_t mode, double *restrict pos, double *restrict target,
-                            double *restrict dest, uint8_t *restrict second,
-                            int64_t *restrict turns, int64_t *restrict arrivals,
-                            double *restrict pause_left, double *restrict speeds,
-                            const uint8_t *restrict active, int64_t batch, int64_t n,
+typedef struct {
+    int64_t mode;
+    double *pos, *target, *dest;
+    uint8_t *second;
+    int64_t *turns, *arrivals;
+    double *pause_left, *speeds;
+    const uint8_t *active;
+    int64_t n;
+    double budget, speed, eps, eps_t, pause_time, side, v_min, v_range;
+    bitgen_t *const *bitgens;
+    const int64_t *units, *unit_starts;
+    int64_t max_passes;
+    int64_t *movers;
+    double *rests;
+    int64_t *redraw;
+} trips_job_t;
+
+/* Unit u of repro_advance_trips: the replicas units[unit_starts[u] ..
+   unit_starts[u + 1] - 1], whose work region starts at agent
+   unit_starts[u] * n. */
+static int64_t trips_unit_run(void *arg, int64_t u, int64_t w)
+{
+    (void)w;
+    const trips_job_t *j = (const trips_job_t *)arg;
+    int64_t first = j->unit_starts[u];
+    int64_t R = j->unit_starts[u + 1] - first;
+    int64_t off = first * j->n;
+#define TRIPS_UNIT(MODE) \
+    trips_unit(MODE, j->pos, j->target, j->dest, j->second, j->turns, j->arrivals, \
+               j->pause_left, j->speeds, j->active, j->units + first, R, j->n, j->budget, \
+               j->speed, j->eps, j->eps_t, j->pause_time, j->side, j->v_min, j->v_range, \
+               j->bitgens, j->max_passes, j->movers + off, j->rests + off, j->redraw + off)
+    switch (j->mode) {
+    case TRIPS_PAUSE: return TRIPS_UNIT(TRIPS_PAUSE);
+    case TRIPS_SPEED: return TRIPS_UNIT(TRIPS_SPEED);
+    case TRIPS_RWP: return TRIPS_UNIT(TRIPS_RWP);
+    default: return TRIPS_UNIT(TRIPS_MRWP);
+    }
+#undef TRIPS_UNIT
+}
+
+int64_t repro_advance_trips(int64_t mode, double *pos, double *target, double *dest,
+                            uint8_t *second, int64_t *turns, int64_t *arrivals,
+                            double *pause_left, double *speeds, const uint8_t *active, int64_t n,
                             double budget, double speed, double eps, double eps_t,
                             double pause_time, double side, double v_min, double v_range,
-                            bitgen_t *const *bitgens, int64_t max_passes,
-                            int64_t *restrict movers, double *restrict rests,
-                            int64_t *restrict redraw)
+                            bitgen_t *const *bitgens, const int64_t *units,
+                            const int64_t *unit_starts, int64_t n_units, int64_t threads,
+                            int64_t max_passes, int64_t *movers, double *rests, int64_t *redraw)
 {
-#define TRIPS_STEP(MODE) \
-    trips_step(MODE, pos, target, dest, second, turns, arrivals, pause_left, speeds, active, \
-               batch, n, budget, speed, eps, eps_t, pause_time, side, v_min, v_range, \
-               bitgens, max_passes, movers, rests, redraw)
-    switch (mode) {
-    case TRIPS_PAUSE: return TRIPS_STEP(TRIPS_PAUSE);
-    case TRIPS_SPEED: return TRIPS_STEP(TRIPS_SPEED);
-    case TRIPS_RWP: return TRIPS_STEP(TRIPS_RWP);
-    default: return TRIPS_STEP(TRIPS_MRWP);
-    }
-#undef TRIPS_STEP
+    trips_job_t job = {mode, pos, target, dest, second, turns, arrivals, pause_left, speeds,
+                       active, n, budget, speed, eps, eps_t, pause_time, side, v_min, v_range,
+                       bitgens, units, unit_starts, max_passes, movers, rests, redraw};
+    return split_run(trips_unit_run, &job, n_units, threads);
 }
 
 void repro_splice(const int64_t *restrict order, const int64_t *restrict sorted_ids,
@@ -626,7 +756,7 @@ void repro_zone_counts(const double *restrict pos, int64_t B, int64_t n, double 
 }
 """
 
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 
 _BUILD_ERROR: str | None = None
 _BUILD_COUNT = 0
@@ -727,7 +857,7 @@ def _declare(lib):
         _ptr, _i64, _i64, _i64, _f64, _f64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr,
     ]
     lib.repro_any_within.restype = None
-    lib.repro_any_within.argtypes = [*pair, _ptr]
+    lib.repro_any_within.argtypes = [*pair, _ptr, _i64]
     lib.repro_contacts.restype = _i64
     lib.repro_contacts.argtypes = [*pair, _ptr, _ptr, _ptr, _ptr, _i64]
     lib.repro_count.restype = None
@@ -738,8 +868,9 @@ def _declare(lib):
     lib.repro_advance_legs_dense.argtypes = [_ptr, _ptr, _ptr, _ptr, _i64, _int, _f64, _ptr]
     lib.repro_advance_trips.restype = _i64
     lib.repro_advance_trips.argtypes = [
-        _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64,
-        _f64, _f64, _f64, _f64, _f64, _f64, _f64, _f64, _ptr, _i64, _ptr, _ptr, _ptr,
+        _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64,
+        _f64, _f64, _f64, _f64, _f64, _f64, _f64, _f64, _ptr, _ptr, _ptr, _i64, _i64, _i64,
+        _ptr, _ptr, _ptr,
     ]
     lib.repro_splice.restype = None
     lib.repro_splice.argtypes = [
@@ -780,11 +911,11 @@ def load_cores():
         _BUILD_ERROR = str(exc)
         raise
 
-    def any_within_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, out):
+    def any_within_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, out, threads):
         lib.repro_any_within(
             _addr(pos), smask.shape[0], smask.shape[1], m, inv_cell, r2,
             _addr(smask), _addr(qmask), _addr(lsrc), _addr(lqry),
-            _addr(cellk), _addr(starts), _addr(srcsort), _addr(out),
+            _addr(cellk), _addr(starts), _addr(srcsort), _addr(out), threads,
         )
 
     def contacts_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, tally, out_b, out_s, out_q, cap):
@@ -813,7 +944,7 @@ def load_cores():
             budget.shape[0], 1 if all_moving else 0, eps, _addr(done),
         )
 
-    def advance_trips_core(mode, pos, target, dest, on_second_leg, turns, arrivals, pause_left, speeds, active, n, budget, speed, eps, eps_t, pause_time, side, v_min, v_range, bitgens, max_passes, movers, rests, redraw):
+    def advance_trips_core(mode, pos, target, dest, on_second_leg, turns, arrivals, pause_left, speeds, active, n, budget, speed, eps, eps_t, pause_time, side, v_min, v_range, bitgens, units, unit_starts, threads, max_passes, movers, rests, redraw):
         # A mode's unused arrays are None, which crosses as NULL.
         return lib.repro_advance_trips(
             mode, _addr(pos),
@@ -823,9 +954,9 @@ def load_cores():
             None if arrivals is None else _addr(arrivals),
             None if pause_left is None else _addr(pause_left),
             None if speeds is None else _addr(speeds),
-            _addr(active), active.shape[0], n, budget, speed, eps, eps_t, pause_time,
-            side, v_min, v_range, _addr(bitgens), max_passes,
-            _addr(movers), _addr(rests), _addr(redraw),
+            _addr(active), n, budget, speed, eps, eps_t, pause_time, side, v_min, v_range,
+            _addr(bitgens), _addr(units), _addr(unit_starts), unit_starts.shape[0] - 1,
+            threads, max_passes, _addr(movers), _addr(rests), _addr(redraw),
         )
 
     def splice_core(order, sorted_ids, removed, new_ids, new_pts, out_order, out_ids):

@@ -17,8 +17,10 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
   ``>= radius``.  They read the ``(B, n)`` source and query masks
   directly and work one replica at a time: local indices gathered from
   the mask rows, one ``m*m + 2`` grid that every replica reuses, no
-  division by ``n``.  The OR and the counts are bit-identical to the
-  grid/brute engines for any scan order, and the enumeration comes out
+  division by ``n``.  The C provider splits ``any_within_core``'s
+  replicas over threads (``_split``), each with its own grid.  The OR
+  and the counts are bit-identical to the grid/brute engines for any
+  scan order, and the enumeration comes out
   sorted by (replica, source, query), the order in which the
   neighbor-sampling protocols consume their draws.
 * ``advance_legs_core`` / ``advance_legs_dense_core`` — the identical
@@ -31,12 +33,14 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
   loop, one mode per model: MRWP (``mrwp._advance_trips``), pause-MRWP
   (``pause._advance_pause_mrwp``), random-speed MRWP
   (``speed_range._advance_random_speed``) and straight-line RWP
-  (``rwp._advance_rwp``).  Pass by pass over the flat ``B*n`` layout it
-  runs the loop's pause burn (``countdown_pauses``), the leg arithmetic
-  of ``advance_legs`` (distance or time budget, scalar or per-agent
-  speed, Manhattan or Euclidean legs), the corner promotions of
-  ``split_completed_legs`` and the redraws of ``redraw_manhattan_trips``,
-  ``rng.uniform`` speeds and ``redraw_destinations``.  The one core
+  (``rwp._advance_rwp``), one unit of replicas at a time (the replicas
+  of one bit generator, or all of them).  Pass by pass over the flat
+  ``B*n`` layout it runs the loop's pause burn (``countdown_pauses``),
+  the leg arithmetic of ``advance_legs`` (distance or time budget,
+  scalar or per-agent speed, Manhattan or Euclidean legs), the corner
+  promotions of ``split_completed_legs`` and the redraws of
+  ``redraw_manhattan_trips``, ``rng.uniform`` speeds and
+  ``redraw_destinations``.  The one core
   that draws random numbers: each replica's new trips, speeds and
   destinations come from its own generator by the same calls, in the
   same order, as the numpy loop's (``next_double`` per destination
@@ -134,35 +138,58 @@ def _grid_build(pb, m, inv_cell, lsrc, S, cellk, starts, srcsort):
         starts[c + 1] += 1
 
 
-def any_within_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, out):
-    """Exact per-replica ``any_within``, one replica at a time.
+def _split(run, units, threads):
+    """The fork-join of the C provider's threaded cores, on one worker.
+
+    ``run(unit, worker)`` does one unit with worker ``worker``'s buffers.
+    The provider hands the ``units`` to ``threads`` workers, each taking
+    the next unit from a shared counter; units are independent (each
+    touches only its own rows and draws only from its own generators), so
+    the worker a unit lands on changes nothing, and the spec runs every
+    unit on worker 0, in order.  Returns -1 if any unit returned a
+    negative count, else the largest count.
+    """
+    most = 0
+    for u in range(units):
+        got = run(u, 0)
+        if most >= 0 and (got < 0 or got > most):
+            most = got
+    return most
+
+
+def any_within_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, out, threads):
+    """Exact per-replica ``any_within``, one replica per unit of work.
 
     ``pos`` is the ``(B, n, 2)`` position stack and ``smask`` / ``qmask``
     the ``(B, n)`` source and query masks.  For each replica the sources
     and queries are gathered as local indices (``_gather``); a replica
     with no source or no query is skipped, and otherwise its sources are
-    binned into the one shared grid (``_grid_build``).  Each query scans
+    binned into its worker's grid (``_grid_build``).  Each query scans
     its 3x3 cell block, clipped to the grid, as up to three *row runs*:
     block row ``ii`` holds the consecutive cell ids ``(ii, j0..j1)``,
-    whose sources are one ``srcsort`` slice.
+    whose sources are one ``srcsort`` slice.  The work arrays hold
+    ``threads`` consecutive blocks, one per worker (``_split``).
 
     ``out`` is the ``(B, n)`` bool result (zeroed by the caller); entries
-    outside ``qmask`` are never written.
+    outside ``qmask`` are never written, and replica ``b`` writes only
+    row ``b``.
     """
-    batch = smask.shape[0]
     n = smask.shape[1]
-    for b in range(batch):
-        S = _gather(smask[b], n, lsrc)
+
+    def replica(b, w):
+        srcs, qrys, keys, order = (a[w * n:] for a in (lsrc, lqry, cellk, srcsort))
+        grid = starts[w * (m * m + 2):]
+        S = _gather(smask[b], n, srcs)
         if S == 0:
-            continue
-        Q = _gather(qmask[b], n, lqry)
+            return 0
+        Q = _gather(qmask[b], n, qrys)
         if Q == 0:
-            continue
+            return 0
         pb = pos[b]
-        _grid_build(pb, m, inv_cell, lsrc, S, cellk, starts, srcsort)
+        _grid_build(pb, m, inv_cell, srcs, S, keys, grid, order)
         ob = out[b]
         for k in range(Q):
-            i = lqry[k]
+            i = qrys[k]
             qx = pb[i, 0]
             qy = pb[i, 1]
             ci = int(qx * inv_cell)
@@ -182,8 +209,8 @@ def any_within_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, start
             hit = False
             for ii in range(i0, i1 + 1):
                 row = ii * m
-                for t in range(starts[row + j0], starts[row + j1 + 1]):
-                    j = srcsort[t]
+                for t in range(grid[row + j0], grid[row + j1 + 1]):
+                    j = order[t]
                     dx = qx - pb[j, 0]
                     dy = qy - pb[j, 1]
                     if dx * dx + dy * dy <= r2:
@@ -193,6 +220,9 @@ def any_within_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, start
                     break
             if hit:
                 ob[i] = True
+        return 0
+
+    _split(replica, smask.shape[0], threads)
 
 
 def contacts_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, tally, out_b, out_s, out_q, cap):
@@ -588,35 +618,14 @@ def _redraw_destinations(dest, arrivals, pause_left, pause_time, n, side, bitgen
         t = hi
 
 
-def advance_trips_core(mode, pos, target, dest, on_second_leg, turns, arrivals, pause_left, speeds, active, n, budget, speed, eps, eps_t, pause_time, side, v_min, v_range, bitgens, max_passes, movers, rests, redraw):
-    """One step of a trip model; returns the passes run, or -1 if
-    ``max_passes`` passes all had arrivals (the numpy loop raises there).
-
-    ``mode`` picks the model (``MRWP_TRIPS`` ...) and the arrays it uses;
-    the others are never read.  Every agent of the ``active`` replicas
-    starts with ``budget`` (MRWP: the distance ``v * dt``; the other
-    modes: the time ``dt``) and is live while its budget is above
-    ``eps_t`` (MRWP: ``eps``; RWP: 0).  A pass over the live agents,
-    ascending (pass 1: every agent of the active replicas; later passes:
-    ``movers`` with their ``rests``, rewritten in place for the next pass):
-
-    1. the pause modes (pause, RWP) burn pauses first (``_burn``); the
-       pause mode then redraws every trip whose pause ended, replica by
-       replica, before any leg move;
-    2. the movers walk their legs (``_trip_leg``);
-    3. the finished trips are redrawn, replica by replica: new Manhattan
-       trips (counted as turns and arrivals in MRWP), then in the speed
-       mode each replica's new speeds, or in the RWP mode new
-       destinations, pauses and arrival counts.
-
-    The loop stops at a pass with no live agents, no movers after the
-    burn or no arrivals.  Inactive replicas are never read, written or
-    drawn for.
-    """
+def _trips_unit(mode, pos, target, dest, on_second_leg, turns, arrivals, pause_left, speeds, active, reps, n, budget, speed, eps, eps_t, pause_time, side, v_min, v_range, bitgens, max_passes, movers, rests, redraw):
+    """One unit's carry-over loop over its replicas ``reps`` (ascending),
+    with ``movers``, ``rests`` and ``redraw`` the unit's own region of the
+    work arrays; returns its passes, or -1 at the pass cap."""
     pauses = mode == PAUSE_TRIPS or mode == RWP_TRIPS
     count = 0
     if budget > eps_t:
-        for b in range(active.shape[0]):
+        for b in reps:
             if active[b]:
                 count += n
     for p in range(max_passes):
@@ -626,7 +635,7 @@ def advance_trips_core(mode, pos, target, dest, on_second_leg, turns, arrivals, 
             k = 0
             e = 0
             if p == 0:
-                for b in range(active.shape[0]):
+                for b in reps:
                     if not active[b]:
                         continue
                     for i in range(b * n, (b + 1) * n):
@@ -643,7 +652,7 @@ def advance_trips_core(mode, pos, target, dest, on_second_leg, turns, arrivals, 
         r = 0
         arrived = 0
         if p == 0 and not pauses:
-            for b in range(active.shape[0]):
+            for b in reps:
                 if not active[b]:
                     continue
                 for i in range(b * n, (b + 1) * n):
@@ -667,6 +676,58 @@ def advance_trips_core(mode, pos, target, dest, on_second_leg, turns, arrivals, 
                 _redraw_speeds(speeds, n, v_min, v_range, bitgens, redraw, r)
         count = k
     return -1
+
+
+def advance_trips_core(mode, pos, target, dest, on_second_leg, turns, arrivals, pause_left, speeds, active, n, budget, speed, eps, eps_t, pause_time, side, v_min, v_range, bitgens, units, unit_starts, threads, max_passes, movers, rests, redraw):
+    """One step of a trip model; returns the most passes any unit ran, or
+    -1 if a unit ran ``max_passes`` passes that all had arrivals (the
+    numpy loop raises there).
+
+    ``mode`` picks the model (``MRWP_TRIPS`` ...) and the arrays it uses;
+    the others are never read.  The replicas come in units (``units``,
+    ``unit_starts``: see :class:`~repro.kernels._glue.TripWork`), each a
+    unit of work of ``_split``: unit ``u`` runs the carry-over loop over
+    its own replicas, with the region of ``movers`` / ``rests`` /
+    ``redraw`` that starts at agent ``unit_starts[u] * n``.  Every agent
+    of the unit's ``active`` replicas starts with ``budget`` (MRWP: the
+    distance ``v * dt``; the other modes: the time ``dt``) and is live
+    while its budget is above ``eps_t`` (MRWP: ``eps``; RWP: 0).  A pass
+    over the unit's live agents, ascending (pass 1: every agent of its
+    active replicas; later passes: ``movers`` with their ``rests``,
+    rewritten in place for the next pass):
+
+    1. the pause modes (pause, RWP) burn pauses first (``_burn``); the
+       pause mode then redraws every trip whose pause ended, replica by
+       replica, before any leg move;
+    2. the movers walk their legs (``_trip_leg``);
+    3. the finished trips are redrawn, replica by replica: new Manhattan
+       trips (counted as turns and arrivals in MRWP), then in the speed
+       mode each replica's new speeds, or in the RWP mode new
+       destinations, pauses and arrival counts.
+
+    A unit stops at a pass with no live agents, no movers after the burn
+    or no arrivals.  Inactive replicas are never read, written or drawn
+    for.  A unit holds every replica that draws from one of its
+    generators, so the draws of each generator keep their order.  With
+    one unit of all replicas this is the batch-wide loop of the numpy
+    models; with one unit per generator group the glue checks that a
+    pass without arrivals spends every budget, so a unit that stops
+    early is one the batch-wide loop would leave untouched, and the state
+    is the same.  The pass count is that loop's too, except that in the
+    RWP mode the batch-wide loop can count one pass more, which only
+    finds budgets too small to move.
+    """
+
+    def unit(u, w):
+        first = unit_starts[u]
+        off = first * n
+        return _trips_unit(
+            mode, pos, target, dest, on_second_leg, turns, arrivals, pause_left, speeds,
+            active, units[first:unit_starts[u + 1]], n, budget, speed, eps, eps_t, pause_time,
+            side, v_min, v_range, bitgens, max_passes, movers[off:], rests[off:], redraw[off:],
+        )
+
+    return _split(unit, unit_starts.shape[0] - 1, threads)
 
 
 def splice_core(order, sorted_ids, removed, new_ids, new_pts, out_order, out_ids):

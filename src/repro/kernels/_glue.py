@@ -9,12 +9,19 @@ contiguity, and size caps up front and returns ``None`` (or a ``None``
 sentinel tuple) when the inputs fall outside the domain it is exact on,
 in which case the dispatch site silently runs the numpy path instead.
 That keeps the compiled tier an optimization, never a semantics fork.
+
+The infection test and the trip mode split their replicas across the
+CPUs: :func:`_threads` sizes each call, and the cores take the count as
+their ``threads`` argument (see :mod:`repro.kernels._cext`).
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import operator
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +66,43 @@ MRWP_TRIPS, PAUSE_TRIPS, SPEED_TRIPS, RWP_TRIPS = 0, 1, 2, 3
 #: that still hold an uninformed agent, are ORs of these.
 CENTRAL_ZONE, SUBURB = 1, 2
 
+#: Agents (``B * n``) a call hands each thread at least.  A thread's
+#: create and join cost 20-26 us on a 2-core x86-64 host, about what the
+#: infection test spends on 4,500 agents and the MRWP trip step on 6,500
+#: (``suburb_sparse``), so a call splits only once each thread's share
+#: outweighs it; below ``2 * _AGENTS_PER_THREAD`` a call runs on the
+#: calling thread alone.
+_AGENTS_PER_THREAD = 4096
+
+_HOST_THREADS = (None, 1)
+
+
+def _host_threads() -> int:
+    """Threads a call may use: the CPUs this process may run on, or 1 in a
+    multiprocessing worker, whose pool already fills the CPUs.  Derived
+    once per process (a forked child derives its own)."""
+    global _HOST_THREADS
+    pid = os.getpid()
+    if _HOST_THREADS[0] != pid:
+        if multiprocessing.parent_process() is not None:
+            count = 1
+        elif hasattr(os, "sched_getaffinity"):
+            count = len(os.sched_getaffinity(0))
+        else:
+            count = os.cpu_count() or 1
+        _HOST_THREADS = (pid, count)
+    return _HOST_THREADS[1]
+
+
+def _threads(units, agents) -> int:
+    """Threads for a call over ``units`` independent units and ``agents``
+    agents: at most one per unit, per CPU and per ``_AGENTS_PER_THREAD``
+    agents, and at least one."""
+    if agents < 2 * _AGENTS_PER_THREAD or units < 2:
+        return 1
+    return min(_host_threads(), units, agents // _AGENTS_PER_THREAD)
+
+
 # Cell side = radius * (1 + margin).  The margin keeps the effective bin
 # width >= radius even after the 1-ulp rounding of ``1.0 / cell``, so two
 # points within ``radius`` always land in adjacent bins (the 3x3 scan is
@@ -96,10 +140,14 @@ def _grid_geometry(positions, source_mask, query_mask, radius, side):
     return m, 1.0 / cell, smask, qmask
 
 
-def _grid_buffers(n, m):
+def _grid_buffers(n, m, threads=1):
     """Work arrays of the pair cores, reused by every replica: local source
-    and query indices, cell keys, cell starts, sources in cell order."""
-    return tuple(np.empty(size, dtype=np.int64) for size in (n, n, n, m * m + 2, n))
+    and query indices, cell keys, cell starts, sources in cell order.
+    With ``threads`` each array holds that many consecutive blocks, one
+    per thread."""
+    return tuple(
+        np.empty(threads * size, dtype=np.int64) for size in (n, n, n, m * m + 2, n)
+    )
 
 
 def _contacts_capacity(n_src, n_qry, batch, radius, side):
@@ -123,10 +171,16 @@ class TripWork:
     """Work buffers of ``advance_legs_dense``'s trip mode, one per model.
 
     ``movers`` and ``rests`` hold the agents still walking after a pass
-    and their budgets, ``redraw`` a pass's finished trips; only the
-    prefixes a step writes are ever touched.  The generator handles and
-    locks are cached with the provider and the generators they came from,
-    and re-derived when a model's generators change (``reset(rng=...)``).
+    and their budgets, ``redraw`` a pass's finished trips; each unit of a
+    call works in its own region, and only the prefixes a step writes are
+    ever touched.  The generator handles, locks and units are cached with
+    the provider and the generators they came from, and re-derived when a
+    model's generators change (``reset(rng=...)``).
+
+    A unit is a set of replicas, ascending, given as ``(units,
+    unit_starts)``: unit ``u`` is ``units[unit_starts[u]:unit_starts[u +
+    1]]``.  ``groups`` has one unit per bit generator (in every library
+    run, one per replica) and ``whole`` one unit of all replicas.
     """
 
     def __init__(self, total: int):
@@ -137,6 +191,8 @@ class TripWork:
         self.rngs = ()
         self.handles = None
         self.locks = ()
+        self.groups = None
+        self.whole = None
 
     def generators(self, cores, rngs):
         """``(handles, locks)`` for drawing from ``rngs`` with ``cores``;
@@ -153,9 +209,46 @@ class TripWork:
                 # One lock per distinct bit generator, taken in a fixed order.
                 distinct = {id(rng.bit_generator): rng.bit_generator for rng in rngs}
                 locks = tuple(distinct[key].lock for key in sorted(distinct))
+                members = {}
+                for b, rng in enumerate(rngs):
+                    members.setdefault(id(rng.bit_generator), []).append(b)
+                self.groups = _unit_layout(list(members.values()))
+                self.whole = _unit_layout([list(range(len(rngs)))])
             self.cores, self.rngs = cores, tuple(rngs)
             self.handles, self.locks = handles, locks
         return self.handles, self.locks
+
+
+def _unit_layout(units):
+    """``(units, unit_starts)`` of a list of ascending replica lists."""
+    starts = np.cumsum([0] + [len(unit) for unit in units], dtype=np.int64)
+    return np.array([b for unit in units for b in unit], dtype=np.int64), starts
+
+
+def _units_stay_apart(mode, budget, eps, eps_t, speed, speeds, v_min):
+    """Whether each generator group of a trip-mode call may run its own
+    carry-over loop, exactly as the batch-wide loop would run it.
+
+    The batch-wide loop runs until a pass without arrivals anywhere, so
+    it visits a group whose pass had none again while other groups have
+    arrivals.  That changes nothing when such a pass spends every
+    walker's budget: a walker that does not arrive moves its whole
+    budget ``b``, which leaves MRWP ``b - b == 0`` and a time budget
+    ``b - (b * s) / s``, below ``2**-51 * b`` while ``b * s`` is a
+    normal float (an overflowing ``b * s`` arrives).  The time modes
+    therefore split only where that rest stays under the threshold a
+    walker must pass (``eps_t``; for RWP, ``b * s > eps``), which in the
+    pause and speed modes also needs every speed, drawn ones included,
+    to be positive; elsewhere the call runs as one unit.
+    """
+    if mode == MRWP_TRIPS:
+        return True
+    tiny = sys.float_info.min
+    if mode == RWP_TRIPS:
+        # A walker has b * s > eps, so its b * s is a normal float.
+        return eps >= tiny and budget * speed * 2.0**-50 <= eps
+    lowest = min(float(speeds.min()), v_min) if mode == SPEED_TRIPS else speed
+    return eps_t >= tiny and lowest * eps_t >= tiny and budget * 2.0**-50 <= eps_t
 
 
 class ManhattanTrips(NamedTuple):
@@ -308,10 +401,12 @@ def make_kernels(cores):
         if setup is None:
             return None
         m, inv_cell, smask, qmask = setup
+        batch, n = smask.shape
+        threads = _threads(batch, batch * n)
         out = np.zeros(smask.shape, dtype=np.bool_)
         cores.any_within_core(
             positions, m, inv_cell, float(radius) * float(radius), smask, qmask,
-            *_grid_buffers(smask.shape[1], m), out,
+            *_grid_buffers(n, m, threads), out, threads,
         )
         return out
 
@@ -387,10 +482,16 @@ def make_kernels(cores):
         handles, locks = work.generators(cores, rngs)
         if handles is None:
             return None
-        if not n_active:
+        if not n_active or not total:
             return 0
         (mode, target, dest, second, turns, arrivals, pause_left, speeds,
          speed, eps_t, pause_time, v_min, v_range) = args
+        budget, eps, n = float(budget), float(eps), total // batch
+        units, unit_starts = work.groups
+        n_units = unit_starts.shape[0] - 1
+        if n_units > 1 and not _units_stay_apart(mode, budget, eps, eps_t, speed, speeds, v_min):
+            (units, unit_starts), n_units = work.whole, 1
+        threads = _threads(min(n_active, n_units), n_active * n)
         # The C core draws with the GIL released: hold every generator's
         # lock for the call, as numpy's own fills do.
         held = 0
@@ -400,8 +501,8 @@ def make_kernels(cores):
                 held += 1
             return cores.advance_trips_core(
                 mode, pos, target, dest, second, turns, arrivals, pause_left, speeds, active,
-                total // batch, float(budget), speed, float(eps), eps_t, pause_time,
-                float(trips.side), v_min, v_range, handles, int(trips.max_passes),
+                n, budget, speed, eps, eps_t, pause_time, float(trips.side), v_min, v_range,
+                handles, units, unit_starts, threads, int(trips.max_passes),
                 work.movers, work.rests, work.redraw,
             )
         finally:
@@ -419,9 +520,10 @@ def make_kernels(cores):
         with :class:`PauseTrips`, :class:`SpeedRangeTrips` or
         :class:`EuclideanTrips` ``budget`` is the time ``dt`` and
         ``speed`` the scalar speed or, for :class:`SpeedRangeTrips`, the
-        ``(B*n,)`` per-agent speeds.  It returns the number of carry-over
-        passes, or -1 when ``trips.max_passes`` passes did not finish the
-        step.  Without ``trips`` a ``speed`` is declined.
+        ``(B*n,)`` per-agent speeds.  It returns the most carry-over
+        passes a unit of replicas ran, or -1 when ``trips.max_passes``
+        passes did not finish the step.  Without ``trips`` a ``speed`` is
+        declined.
         """
         if trips is not None:
             return advance_trips(pos, target, budget, moving, n_moving, eps, speed, trips)

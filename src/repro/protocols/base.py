@@ -380,20 +380,35 @@ class BatchBroadcastState(abc.ABC):
 
         The base implementation reports where the uninformed agents sit
         (by their *final* position's zone) when a
-        :class:`~repro.core.zones.ZonePartition` is available; subclasses
-        extend it with their own state (crashed counts, recovered counts,
-        …).  The parity tests compare the dicts key-for-key with the
-        oracles'.
+        :class:`~repro.core.zones.ZonePartition` is available, and
+        classifies only those agents (a completed flood has none);
+        subclasses add their own state (crashed counts, recovered counts,
+        …) in :meth:`_add_metrics`, which reuses that classification.
+        The parity tests compare the dicts key-for-key with the oracles'.
         """
         out = [{} for _ in range(self.batch_size)]
+        suburb = None
         if zones is not None:
             missing = ~self.informed
-            flat = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-            suburb = zones.in_suburb(flat).reshape(self.batch_size, self.n)
+            suburb = np.zeros_like(missing)
+            idx = np.flatnonzero(missing)
+            if idx.size:
+                flat = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+                suburb.reshape(-1)[idx] = zones.in_suburb(flat[idx])
             for b in range(self.batch_size):
-                out[b]["uninformed_suburb"] = int(np.count_nonzero(missing[b] & suburb[b]))
-                out[b]["uninformed_cz"] = int(np.count_nonzero(missing[b] & ~suburb[b]))
+                in_suburb = int(np.count_nonzero(suburb[b]))
+                out[b]["uninformed_suburb"] = in_suburb
+                out[b]["uninformed_cz"] = int(np.count_nonzero(missing[b])) - in_suburb
+        self._add_metrics(out, suburb)
         return out
+
+    def _add_metrics(self, out: list, suburb) -> None:
+        """Add this protocol's entries to the per-replica dicts ``out``.
+
+        ``suburb`` is the ``(B, n)`` mask of the uninformed agents whose
+        final position lies in the Suburb (False at every informed agent),
+        or ``None`` without a zone partition.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -63,11 +63,9 @@ class BatchSIRState(BatchBroadcastState):
                 self.recovered[b, idx[recover]] = True
         return newly
 
-    def final_metrics(self, positions: np.ndarray, zones=None) -> list:
-        out = super().final_metrics(positions, zones)
+    def _add_metrics(self, out: list, suburb) -> None:
         for b in range(self.batch_size):
             out[b]["recovered"] = int(np.count_nonzero(self.recovered[b]))
-        return out
 
 
 class SIREpidemic(BroadcastProtocol):

@@ -67,13 +67,8 @@ class BatchCrashFaultState(BatchBroadcastState):
             self.crashed[b] |= strikes
         return newly
 
-    def final_metrics(self, positions: np.ndarray, zones=None) -> list:
-        out = super().final_metrics(positions, zones)
+    def _add_metrics(self, out: list, suburb) -> None:
         missing = self.alive & ~self.informed
-        suburb = None
-        if zones is not None:
-            flat = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-            suburb = zones.in_suburb(flat).reshape(self.batch_size, self.n)
         for b in range(self.batch_size):
             out[b]["crashed"] = int(np.count_nonzero(self.crashed[b]))
             out[b]["uninformed_survivors"] = int(np.count_nonzero(missing[b]))
@@ -84,7 +79,6 @@ class BatchCrashFaultState(BatchBroadcastState):
                 out[b]["uninformed_survivors_cz"] = int(
                     np.count_nonzero(missing[b] & ~suburb[b])
                 )
-        return out
 
 
 class CrashFaultFlooding(BroadcastProtocol):

@@ -8,9 +8,11 @@ agent — and every test here must stay green whether or not a compiled
 provider (the bundled C extension) is actually available.
 """
 
+import multiprocessing
 import os
 import platform
 import shutil
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,7 +41,7 @@ from repro.kernels import (
     use_kernel_tier,
     warm_kernels,
 )
-from repro.kernels import _cext
+from repro.kernels import _cext, _glue
 from repro.kernels._glue import _CELL_MARGIN, _contacts_capacity, make_kernels
 from repro.core.cells import CellGrid
 from repro.core.zones import ZonePartition
@@ -54,7 +56,7 @@ from repro.mobility.kinematics import (
 from repro.mobility.pause import _advance_pause_mrwp
 from repro.mobility.rwp import _advance_rwp
 from repro.mobility.speed_range import _advance_random_speed
-from repro.simulation import run_trials, standard_config
+from repro.simulation import run_sweep, run_trials, standard_config
 from repro.simulation.metrics import zones_left
 
 HAVE_PROVIDER = kernel_backend() is not None
@@ -1022,6 +1024,282 @@ class TestProviderTripsFollowSpec:
             expected = _run_time_mode(reference, model, want, dt, active, 1e-9, ref_rngs, 1000, opts)
             assert passes == expected >= 1
             _assert_same_trip_state(got, want, rngs, ref_rngs)
+
+
+#: More threads than this host has CPUs (at most 64, however large the host).
+MANY_THREADS = min(os.cpu_count() or 1, 61) + 3
+
+
+def _with_threads(threads, call):
+    """``call()`` with every provider call of more than one unit split over
+    ``threads`` threads (at most one per unit); returns its result and the
+    thread count each call got."""
+    counts = []
+    derive = _glue._threads
+
+    def spy(units, agents):
+        counts.append(derive(units, agents))
+        return counts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_glue, "_AGENTS_PER_THREAD", 1)
+        patch.setattr(_glue, "_host_threads", lambda: threads)
+        patch.setattr(_glue, "_threads", spy)
+        return call(), counts
+
+
+def _edge_masks(rng, batch, n):
+    """Source and query masks whose replicas are retired (no agent on
+    either side), have no source, are all informed (no query), have one
+    source, or are random."""
+    src = rng.random((batch, n)) < 0.3
+    qry = ~src
+    for b, kind in enumerate(rng.integers(0, 5, size=batch)):
+        if kind == 0:
+            src[b] = qry[b] = False
+        elif kind == 1:
+            src[b] = False
+        elif kind == 2:
+            src[b], qry[b] = True, False
+        elif kind == 3:
+            src[b] = False
+            src[b, rng.integers(n)] = True
+            qry[b] = ~src[b]
+    return src, qry
+
+
+#: Every trip mode, by model: MRWP and the time-budget modes.
+TRIP_MODELS = ["mrwp"] + TIME_MODELS
+
+
+def _model_case(rng, model, batch_size, n):
+    if model == "mrwp":
+        return _trip_case(rng, batch_size, n)
+    return _time_case(rng, model, batch_size, n)
+
+
+def _model_step(table, model, state, budget, active, rngs, max_passes, opts):
+    """One step of ``model``'s trip mode on ``state`` (mutated)."""
+    if model == "mrwp":
+        return _run_trip_mode(table, state, budget, active, 1e-9, 3.0, rngs, max_passes)
+    return _run_time_mode(table, model, state, budget, active, 1e-9, rngs, max_passes, opts)
+
+
+def _generators(seed, batch_size, shared):
+    return _twin_generators(seed, batch_size, shared)[0]
+
+
+@needs_provider
+class TestThreadsChangeNothing:
+    """The provider's threaded cores give the same bytes on one thread and
+    on more threads than the host has CPUs.
+
+    Each case runs many times, so the suite doubles as a stress test of
+    the fork-join: a unit taken twice, or one left out, a shared buffer
+    or a draw out of order shows up as a mismatch.  Some cases have
+    replicas of a few thousand agents, so that units on different threads
+    run at the same time (a replica of a few agents is done before the
+    next thread starts)."""
+
+    def test_infection_test(self, rng, brute_hits):
+        table = provider_kernels()
+        for case in range(60):
+            batch = int(rng.integers(2, MANY_THREADS + 3))
+            n = 3000 if case % 2 else int(rng.choice([1, 2, 17, 60]))
+            side = 5.0 if n < 100 else 40.0
+            pos = rng.uniform(-0.5, side + 0.5, size=(batch, n, 2))
+            src, qry = _edge_masks(rng, batch, n)
+            radius = float(rng.choice([0.3, 1.0, 3.0]))
+
+            def call():
+                return table["batch_any_within"](pos, src, qry, radius, side)
+
+            one, _ = _with_threads(1, call)
+            for _ in range(1 if n < 100 else 25):
+                many, counts = _with_threads(MANY_THREADS, call)
+                assert counts == [min(MANY_THREADS, batch)]
+                assert many.tobytes() == one.tobytes()
+            if n < 100:
+                np.testing.assert_array_equal(many, brute_hits(pos, src, qry, radius))
+
+    @pytest.mark.parametrize("model", TRIP_MODELS)
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    def test_trip_modes(self, rng, model, shared):
+        """Retired replicas, one-agent replicas and (with ``shared``)
+        replicas 0 and 2 on one generator, against the numpy loop too."""
+        table = provider_kernels()
+        options = TIME_OPTIONS.get(model, [{}])
+        split = 0
+        for case in range(30):
+            batch = int(rng.integers(3, MANY_THREADS + 3))
+            n = 2000 if case % 4 == 3 else int(rng.choice([1, 3, 9]))
+            state = _model_case(rng, model, batch, n)
+            active = rng.random(batch) < 0.75
+            budget = [1e-12, 0.4, 2.0, 9.0][case % 4]
+            opts = options[case % len(options)]
+            runs = []
+            for threads in (1, MANY_THREADS):
+                rngs = _generators(case, batch, shared)
+                got = [a.copy() for a in state]
+                passes, counts = _with_threads(threads, lambda: _model_step(
+                    table, model, got, budget, active, rngs, 1000, opts
+                ))
+                runs.append((passes, got, [r.bit_generator.state for r in rngs]))
+            split += max(counts, default=1) > 1
+            (passes, got, states), (one_passes, one_got, one_states) = runs[1], runs[0]
+            assert passes == one_passes and passes >= 0
+            assert states == one_states
+            for actual, wanted in zip(got, one_got):
+                assert actual.tobytes() == wanted.tobytes()
+            ref_rngs = _generators(case, batch, shared)
+            want = [a.copy() for a in state]
+            if model == "mrwp":
+                assert _numpy_trip_loop(want, budget, active, 1e-9, 3.0, ref_rngs, 1000) == passes
+            else:
+                _numpy_time_loop(model, want, budget, active, 1e-9, ref_rngs, opts)
+            _assert_same_trip_state(got, want, rngs, ref_rngs)
+        assert split >= 15
+
+    @pytest.mark.parametrize("model", TRIP_MODELS)
+    def test_a_unit_at_the_pass_cap(self, rng, monkeypatch, model):
+        """Some one-agent replicas need more passes than the cap and the
+        others finish: -1 on any thread count, and every replica as the
+        numpy loop leaves it."""
+        table = provider_kernels()
+        opts = {"speed": 4.0, "pause_time": 0.05, "v_min": 2.0, "v_max": 4.0}
+        batch, budget = 8, 9.0 if model == "mrwp" else 3.0
+        for case in range(10):
+            state = _model_case(rng, model, batch, 1)
+            alone = []
+            for b in range(batch):
+                row = [a[b:b + 1].copy() for a in state]
+                rngs = [_generators(case, batch, False)[b]]
+                alone.append(_model_step(table, model, row, budget, np.ones(1, bool), rngs, 1000, opts))
+            cap = sorted(alone)[batch // 2]
+            assert min(alone) <= cap < max(alone)
+            active = np.ones(batch, dtype=bool)
+            runs = []
+            for threads in (1, MANY_THREADS):
+                rngs = _generators(case, batch, False)
+                got = [a.copy() for a in state]
+                passes, counts = _with_threads(threads, lambda: _model_step(
+                    table, model, got, budget, active, rngs, cap, opts
+                ))
+                assert passes == -1
+                runs.append((got, rngs))
+            assert max(counts) == min(MANY_THREADS, batch)
+            (one_got, _), (got, rngs) = runs
+            for actual, wanted in zip(got, one_got):
+                assert actual.tobytes() == wanted.tobytes()
+            ref_rngs = _generators(case, batch, False)
+            want = [a.copy() for a in state]
+            if model == "mrwp":
+                assert _numpy_trip_loop(want, budget, active, 1e-9, 3.0, ref_rngs, cap) == -1
+            else:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(kinematics, "_MAX_LEGS_PER_STEP", cap)
+                    with pytest.raises(RuntimeError, match="did not converge"):
+                        _numpy_time_loop(model, want, budget, active, 1e-9, ref_rngs, opts)
+            _assert_same_trip_state(got, want, rngs, ref_rngs)
+
+    @pytest.mark.parametrize("model,budget,slowest", [
+        ("pause", 1e8, None), ("speed", 1.0, 1e-310), ("rwp", 1e8, None),
+    ])
+    def test_time_modes_run_as_one_unit_where_a_rest_could_move(
+        self, rng, model, budget, slowest
+    ):
+        """A budget so large, or a speed so small, that a walker's rest
+        ``b - (b * s) / s`` could pass its threshold keeps the call whole;
+        the same call with a step of 1 and normal speeds splits."""
+        table = provider_kernels()
+        opts = {"speed": 1.0, "pause_time": 0.0, "v_min": 0.5, "v_max": 2.0}
+        for step, speed, whole in ((budget, slowest, True), (1.0, None, False)):
+            state = _time_case(rng, model, 4, 3)
+            if model == "speed" and speed is not None:
+                state[4][5] = speed
+            rngs = _generators(0, 4, False)
+            _, counts = _with_threads(MANY_THREADS, lambda: _run_time_mode(
+                table, model, state, step, np.ones(4, dtype=bool), 1e-9, rngs, 10, opts
+            ))
+            assert counts == [1 if whole else 4]
+
+    def test_no_thread_outlives_a_call(self, rng):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs /proc/self/task")
+        table = provider_kernels()
+        pos = rng.uniform(0.0, 5.0, size=(8, 50, 2))
+        src, qry = _edge_masks(rng, 8, 50)
+        before = len(os.listdir("/proc/self/task"))
+        _, counts = _with_threads(MANY_THREADS, lambda: table["batch_any_within"](
+            pos, src, qry, 1.0, 5.0
+        ))
+        assert counts == [min(MANY_THREADS, 8)]
+        assert len(os.listdir("/proc/self/task")) <= before
+
+    def test_fork_after_a_threaded_call(self, rng):
+        """A forked child of a process that ran threaded calls runs them
+        again, threaded, to the same bytes."""
+        table = provider_kernels()
+        pos = rng.uniform(0.0, 5.0, size=(8, 40, 2))
+        src, qry = _edge_masks(rng, 8, 40)
+        state = _trip_case(rng, 8, 5)
+        active = np.ones(8, dtype=bool)
+
+        def calls():
+            hits = table["batch_any_within"](pos, src, qry, 1.0, 5.0)
+            got = [a.copy() for a in state]
+            rngs = _generators(4, 8, False)
+            passes = _run_trip_mode(table, got, 2.0, active, 1e-9, 3.0, rngs, 1000)
+            return hits, passes, got, [r.bit_generator.state for r in rngs]
+
+        want, counts = _with_threads(MANY_THREADS, calls)
+        assert counts == [min(MANY_THREADS, 8)] * 2
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+
+        def child():
+            queue.put(_with_threads(MANY_THREADS, calls))
+
+        process = context.Process(target=child)
+        process.start()
+        (hits, passes, got, states), child_counts = queue.get(timeout=60)
+        process.join(60)
+        assert process.exitcode == 0
+        assert child_counts == counts
+        assert hits.tobytes() == want[0].tobytes() and passes == want[1]
+        assert states == want[3]
+        for actual, wanted in zip(got, want[2]):
+            assert actual.tobytes() == wanted.tobytes()
+
+    def test_a_pool_worker_runs_one_thread(self):
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            assert pool.submit(_glue._host_threads).result(timeout=60) == 1
+
+    def test_sweep_fan_out_matches_serial_above_the_floor(self, monkeypatch):
+        """Six replicas of 3,000 agents split their calls in a serial run;
+        two workers run three replicas each, on one thread."""
+        config = standard_config(3000, seed=3, engine="batch", kernels="compiled")
+        counts = []
+        derive = _glue._threads
+
+        def spy(units, agents):
+            counts.append(derive(units, agents))
+            return counts[-1]
+
+        monkeypatch.setattr(_glue, "_threads", spy)
+        serial = run_sweep([(config, 6)], jobs=1)
+        assert max(counts) == min(_glue._host_threads(), 6)
+        fanned = run_sweep([(config, 6)], jobs=2)
+
+        def prints(points):
+            return [
+                (r.flooding_time, r.n_steps, r.source, r.cz_completion_time,
+                 r.suburb_completion_time, tuple(np.asarray(r.informed_history).tolist()))
+                for point in points for r in point.results
+            ]
+
+        assert prints(fanned) == prints(serial)
 
 
 @pytest.mark.parametrize("table", [t for _, t in TABLES], ids=TABLE_IDS)

@@ -284,3 +284,69 @@ class TestCutSamplingFromHandBuiltStates:
             assert np.array_equal(batch.informed[b], protocol_b.informed), b
             assert np.array_equal(batch.informed_at[b], protocol_b.informed_at), b
             assert batch.rngs[b].bit_generator.state == protocol_b.rng.bit_generator.state
+
+
+class TestFinalMetrics:
+    """End-of-run zone counts classify only the uninformed agents, once."""
+
+    @staticmethod
+    def _counting_zones(n, side, radius):
+        """Zones whose ``in_suburb`` records how many points each call
+        classifies; also returns the unwrapped method."""
+        from repro.core.flooding import build_zone_partition
+
+        zones = build_zone_partition(n, side, radius, threshold_factor=0.2)
+        classify = zones.in_suburb
+        sizes = []
+
+        def in_suburb(points):
+            sizes.append(len(points))
+            return classify(points)
+
+        zones.in_suburb = in_suburb
+        return zones, classify, sizes
+
+    @pytest.mark.parametrize("name", ["flooding", "sir", "crash-flooding"])
+    @pytest.mark.parametrize("informed_frac", [0.0, 0.6, 1.0])
+    def test_counts_match_a_classification_of_every_agent(self, name, informed_frac):
+        rng = np.random.default_rng(17)
+        config = standard_config(300, radius_factor=1.0, threshold_factor=0.2)
+        batch, n, side, radius = 4, config.n, config.side, config.radius
+        cls = BATCH_PROTOCOL_REGISTRY[name]
+        rngs = [np.random.default_rng(s) for s in range(batch)]
+        state = cls(n, side, radius, np.zeros(batch, dtype=np.intp), rngs=rngs)
+        state.informed[:] = rng.random((batch, n)) < informed_frac
+        state.informed[1] = False
+        if name == "crash-flooding":
+            state.crashed[:] = rng.random((batch, n)) < 0.3
+        if name == "sir":
+            state.recovered[:] = state.informed & (rng.random((batch, n)) < 0.5)
+        positions = rng.uniform(0.0, side, size=(batch, n, 2))
+        zones, classify, sizes = self._counting_zones(n, side, radius)
+        got = state.final_metrics(positions, zones)
+        suburb = classify(positions.reshape(-1, 2)).reshape(batch, n)
+        missing = ~state.informed
+        assert sizes == ([int(missing.sum())] if missing.any() else [])
+        assert suburb.any() and (~suburb).any()
+        for b, metrics in enumerate(got):
+            want = {
+                "uninformed_suburb": int(np.count_nonzero(missing[b] & suburb[b])),
+                "uninformed_cz": int(np.count_nonzero(missing[b] & ~suburb[b])),
+            }
+            if name == "sir":
+                want["recovered"] = int(np.count_nonzero(state.recovered[b]))
+            if name == "crash-flooding":
+                survivors = missing[b] & ~state.crashed[b]
+                want["crashed"] = int(np.count_nonzero(state.crashed[b]))
+                want["uninformed_survivors"] = int(np.count_nonzero(survivors))
+                want["uninformed_survivors_suburb"] = int(np.count_nonzero(survivors & suburb[b]))
+                want["uninformed_survivors_cz"] = int(np.count_nonzero(survivors & ~suburb[b]))
+            assert list(metrics.items()) == list(want.items())
+
+    def test_without_zones_nothing_is_classified(self):
+        rngs = [np.random.default_rng(s) for s in range(2)]
+        state = BATCH_PROTOCOL_REGISTRY["crash-flooding"](
+            50, 5.0, 1.0, np.zeros(2, dtype=np.intp), rngs=rngs
+        )
+        metrics = state.final_metrics(np.zeros((2, 50, 2)))
+        assert [sorted(m) for m in metrics] == [["crashed", "uninformed_survivors"]] * 2
