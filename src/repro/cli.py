@@ -7,16 +7,19 @@ Subcommands:
   [--engine scalar|batch|auto] [--jobs N] [--adaptive] [--ci-width W]
   [--min-trials N] [--max-trials N] [--checkpoint DIR] [--resume [DIR]]
   [--max-retries N]`` (alias: ``run``) — run one experiment and print its
-  report;
-  ``--engine``/``--jobs`` thread through to the sweep-scheduler
-  experiments (engine choice never changes results, only speed);
-  ``--adaptive`` switches those experiments to sequential stopping (stop
-  sampling a point once its CI is narrow enough — a bit-exact prefix of
-  the fixed-budget tables), and ``--checkpoint``/``--resume`` persist and
-  continue partial sweeps bit-exactly;
+  report; every flooding experiment takes all of these options (engine
+  choice never changes results, only speed), ``connectivity`` and
+  ``thm18_lower`` take ``--jobs`` alone, and the closed-form experiments
+  none of them;
+  ``--adaptive`` switches to sequential stopping (stop sampling a point
+  once its CI is narrow enough — a bit-exact prefix of the fixed-budget
+  tables), and ``--checkpoint``/``--resume`` persist and continue partial
+  sweeps bit-exactly;
 * ``all [--scale ...] [--seed N] [--engine ...] [--jobs N] [--adaptive ...]``
-  — run the whole suite (engine/jobs/adaptive apply to the experiments
-  that support them);
+  — run the whole suite; each option reaches the experiments that take
+  it, and one that cannot run with it (``--engine batch`` on
+  ``thm10_growth``'s observer point) prints as a failed result noted
+  ``not run: ...``;
 * ``sweep --n N --parameter NAME --values V1 V2 ... [--trials T]
   [--adaptive ...] [--checkpoint DIR] [--resume [DIR]] [--max-retries N]
   [--csv PATH]`` — ad-hoc one-parameter sweeps over the canonical
@@ -48,7 +51,7 @@ import json
 import math
 import sys
 
-from repro.experiments.registry import all_ids, get_spec, run_experiment
+from repro.experiments.registry import all_ids, get_spec, run_all, run_experiment
 from repro.mobility import MODEL_REGISTRY
 from repro.simulation.config import standard_config
 from repro.simulation.results import summarize
@@ -357,6 +360,7 @@ def _checkpoint_from_args(args) -> tuple:
 
 
 def _cmd_run(args) -> int:
+    from repro.simulation.checkpoint import CheckpointError
     from repro.simulation.parallel import PoisonJobError
 
     checkpoint, resume = _checkpoint_from_args(args)
@@ -370,8 +374,9 @@ def _cmd_run(args) -> int:
         )
     except PoisonJobError as error:
         raise SystemExit(f"poison job quarantined: {error}")
-    except ValueError as error:
-        # e.g. --engine on a closed-form experiment with no scheduler path.
+    except (CheckpointError, ValueError) as error:
+        # e.g. --engine on a closed-form experiment, or --resume on a
+        # directory holding no checkpoint of this experiment's plan.
         raise SystemExit(str(error))
     print(result.to_text())
     if args.csv:
@@ -381,30 +386,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_all(args) -> int:
-    stopping = _stopping_from_args(args)
     failures = 0
-    for experiment_id in all_ids():
-        spec = get_spec(experiment_id)
-        try:
-            result = spec.run(
-                scale=args.scale,
-                seed=args.seed,
-                engine=args.engine if spec.accepts_engine else None,
-                jobs=args.jobs if spec.accepts_jobs else 1,
-                stopping=stopping if spec.accepts_stopping else None,
-            )
-        except ValueError as error:
-            # e.g. --engine batch on an observer-point experiment that can
-            # only run scalar: report it and keep the suite going.
-            print(f"== {experiment_id}: SKIPPED ({error}) ==")
-            print()
-            failures += 1
-            continue
+    for result in run_all(
+        scale=args.scale, seed=args.seed, engine=args.engine, jobs=args.jobs,
+        stopping=_stopping_from_args(args),
+    ):
         print(result.to_text())
         print()
-        if result.passed is False:
-            failures += 1
-    print(f"[{len(all_ids()) - failures}/{len(all_ids())} experiments passed their shape checks]")
+        failures += result.passed is False
+    total = len(all_ids())
+    print(f"[{total - failures}/{total} experiments passed their shape checks]")
     return 0 if failures == 0 else 1
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 
+from repro.simulation.sweep import run_sweep
 from repro.viz.csvout import rows_to_csv_string
 from repro.viz.tables import format_table
 
@@ -32,6 +33,11 @@ __all__ = [
 
 SCALES = ("quick", "full")
 
+#: The run options of a flooding experiment: :meth:`ExperimentSpec.run`
+#: binds them into the ``sweep`` its runner calls (``checkpoint`` covers
+#: ``resume``).
+SWEEP_OPTIONS = frozenset({"engine", "jobs", "stopping", "checkpoint", "max_retries"})
+
 
 def scale_params(scale: str, quick: dict, full: dict) -> dict:
     """Pick the parameter dict for a scale (with validation)."""
@@ -43,7 +49,8 @@ def scale_params(scale: str, quick: dict, full: dict) -> dict:
 
 
 def adaptive_note(points, plan) -> str:
-    """The standard adaptive-savings note for sweep experiments.
+    """The adaptive-savings note :meth:`ExperimentSpec.run` appends to a
+    flooding experiment run under a stopping rule.
 
     Reports executed vs fixed-budget trial totals in the same format as
     the ``sweep`` CLI's adaptive-savings line.
@@ -95,48 +102,28 @@ class ExperimentResult:
 class ExperimentSpec:
     """A registered, runnable experiment.
 
-    Runners take ``(scale, seed)``; sweep-scheduler experiments additionally
-    accept ``engine`` (execution-engine override) and ``jobs`` (worker
-    processes) — :meth:`run` threads those through only when the runner's
-    signature accepts them, and refuses a non-default request otherwise.
+    A flooding runner takes ``(scale, seed, sweep)`` and calls
+    ``sweep(plan)`` once: :meth:`run` binds ``sweep`` to
+    :func:`~repro.simulation.sweep.run_sweep` with the run's scheduler
+    options.  A runner that fans its own jobs out takes
+    ``(scale, seed, jobs)``; a closed-form runner takes ``(scale, seed)``.
     """
 
     id: str
     title: str
     paper_ref: str
     description: str
-    runner: object  # callable (scale, seed[, engine, jobs, stopping, ...]) -> ExperimentResult
+    runner: object  # callable (scale, seed[, sweep | jobs]) -> ExperimentResult
 
-    def _runner_accepts(self, name: str) -> bool:
+    @property
+    def options(self) -> frozenset:
+        """The run options this experiment takes: all of
+        :data:`SWEEP_OPTIONS` if its runner takes ``sweep``, ``{"jobs"}``
+        if it takes ``jobs``, none otherwise."""
         parameters = inspect.signature(self.runner).parameters
-        return name in parameters or any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-        )
-
-    @property
-    def accepts_engine(self) -> bool:
-        """Whether the runner supports the ``engine`` override."""
-        return self._runner_accepts("engine")
-
-    @property
-    def accepts_jobs(self) -> bool:
-        """Whether the runner supports multi-process ``jobs`` fan-out."""
-        return self._runner_accepts("jobs")
-
-    @property
-    def accepts_stopping(self) -> bool:
-        """Whether the runner supports adaptive sequential stopping."""
-        return self._runner_accepts("stopping")
-
-    @property
-    def accepts_checkpoint(self) -> bool:
-        """Whether the runner supports checkpoint/resume."""
-        return self._runner_accepts("checkpoint")
-
-    @property
-    def accepts_max_retries(self) -> bool:
-        """Whether the runner supports the crash-retry budget ``max_retries``."""
-        return self._runner_accepts("max_retries")
+        if "sweep" in parameters:
+            return SWEEP_OPTIONS
+        return frozenset({"jobs"} & parameters.keys())
 
     def run(
         self,
@@ -154,44 +141,53 @@ class ExperimentSpec:
         Args:
             scale: ``"quick"`` or ``"full"``.
             seed: root seed.
-            engine: optional execution-engine override (``"scalar"`` /
-                ``"batch"`` / ``"auto"``) for sweep-scheduler experiments;
-                results are engine-independent by construction.
-            jobs: worker processes for sweep-scheduler experiments.
+            engine: execution engine (``"scalar"`` / ``"batch"`` /
+                ``"auto"``, the default); results are engine-independent
+                by construction.
+            jobs: worker processes.
             stopping: optional
                 :class:`~repro.simulation.sweep.StoppingRule` — adaptive
-                sequential stopping for sweep-scheduler experiments (the
-                result is a bit-exact prefix of the fixed-budget run).
-            checkpoint: optional checkpoint directory for sweep-scheduler
-                experiments (partial results persisted after each batch).
+                sequential stopping (the result is a bit-exact prefix of
+                the fixed-budget run, plus a note of the trials saved).
+            checkpoint: optional checkpoint directory (partial results
+                persisted after each batch).
             resume: continue the checkpoint in ``checkpoint`` bit-exactly.
             max_retries: per-job crash retries before poison-job quarantine.
+
+        Raises:
+            ValueError: an option was requested that is not in
+                :attr:`options`.
         """
-        kwargs = {"scale": scale, "seed": seed}
-        # Only thread a *requested* engine through: runners keep their own
-        # defaults (e.g. protocol_baselines defaults to the batch engine).
-        if engine is not None:
-            if not self.accepts_engine:
-                raise ValueError(f"experiment {self.id!r} has no engine selection")
-            kwargs["engine"] = engine
-        if jobs not in (None, 1):
-            if not self.accepts_jobs:
-                raise ValueError(f"experiment {self.id!r} has no multi-process fan-out")
+        options = self.options
+        jobs = 1 if jobs is None else jobs
+        requested = {
+            "engine": engine is not None,
+            "jobs": jobs != 1,
+            "stopping": stopping is not None,
+            "checkpoint": checkpoint is not None or resume,
+            "max_retries": max_retries is not None,
+        }
+        refused = [name for name, asked in requested.items() if asked and name not in options]
+        if refused:
+            raise ValueError(f"experiment {self.id!r} does not take {', '.join(refused)}")
+        kwargs = {}
+        swept = []
+        if options == SWEEP_OPTIONS:
+
+            def sweep(plan):
+                points = run_sweep(
+                    plan, engine=engine or "auto", jobs=jobs, stopping=stopping,
+                    checkpoint=checkpoint, resume=resume, max_retries=max_retries,
+                )
+                swept.append((points, plan))
+                return points
+
+            kwargs["sweep"] = sweep
+        elif options:
             kwargs["jobs"] = jobs
-        if stopping is not None:
-            if not self.accepts_stopping:
-                raise ValueError(f"experiment {self.id!r} has no adaptive stopping")
-            kwargs["stopping"] = stopping
-        if checkpoint is not None or resume:
-            if not self.accepts_checkpoint:
-                raise ValueError(f"experiment {self.id!r} cannot checkpoint or resume")
-            kwargs["checkpoint"] = checkpoint
-            kwargs["resume"] = resume
-        if max_retries is not None:
-            if not self.accepts_max_retries:
-                raise ValueError(f"experiment {self.id!r} has no crash retries")
-            kwargs["max_retries"] = max_retries
-        result = self.runner(**kwargs)
+        result = self.runner(scale=scale, seed=seed, **kwargs)
         if result.experiment_id != self.id:  # defensive consistency check
             raise RuntimeError(f"runner for {self.id!r} returned id {result.experiment_id!r}")
+        if stopping is not None:
+            result.notes.extend(adaptive_note(points, plan) for points, plan in swept)
         return result

@@ -6,13 +6,14 @@ shrugs off crashes, while the Suburb hangs on individual Lemma-16
 emissaries.  We measure completion (over survivors), the time cost, and
 *where* the never-informed survivors sit when the run ends.
 
-Since PR 3 the sweep runs through the **batch engine** at both scales:
-each crash rate's trials advance in lock-step under the
-``crash-flooding`` protocol, with the per-replica crash draws replaying
-the scalar streams (parity enforced in
-``tests/test_protocol_batch_parity.py``).  The zone-resolved damage comes
-from the protocol's ``final_metrics`` extras instead of a hand-rolled
-simulation loop.
+Each crash rate is one point of a sweep-scheduler plan.  The default
+``engine="auto"`` advances a rate's trials in lock-step on the batch
+engine under the ``crash-flooding`` protocol, with the per-replica crash
+draws replaying the scalar streams (parity enforced in
+``tests/test_protocol_batch_parity.py``), so ``--engine scalar`` changes
+only the engine the note names.  The zone-resolved damage comes from the
+protocol's ``final_metrics`` extras instead of a hand-rolled simulation
+loop.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import numpy as np
 
 from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
 from repro.simulation.config import FloodingConfig
-from repro.simulation.runner import run_trials
+from repro.simulation.sweep import SweepPlan
 
 EXPERIMENT_ID = "fault_tolerance"
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str = "batch") -> ExperimentResult:
+def run(scale: str, seed: int, sweep) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 2_000, "crash_probs": [0.0, 0.002, 0.01], "trials": 3},
@@ -38,24 +39,29 @@ def run(scale: str = "quick", seed: int = 0, engine: str = "batch") -> Experimen
     side = math.sqrt(n)
     radius = 1.4 * math.sqrt(math.log(n))
     speed = 0.25 * radius
+    plan = SweepPlan()
+    for crash_prob in params["crash_probs"]:
+        plan.add(
+            FloodingConfig(
+                n=n,
+                side=side,
+                radius=radius,
+                speed=speed,
+                max_steps=5_000,
+                protocol="crash-flooding",
+                protocol_options={"crash_prob": crash_prob},
+                seed=seed,  # same seed across rates -> same mobility traces
+            ),
+            params["trials"],
+            key=crash_prob,
+        )
+    points = sweep(plan)
 
     rows = []
     mean_times = []
-    for crash_prob in params["crash_probs"]:
-        config = FloodingConfig(
-            n=n,
-            side=side,
-            radius=radius,
-            speed=speed,
-            max_steps=5_000,
-            protocol="crash-flooding",
-            protocol_options={"crash_prob": crash_prob},
-            seed=seed,  # same seed across rates -> same mobility traces
-            engine=engine,
-        )
-        results = run_trials(config, params["trials"])
-        times = [r.flooding_time for r in results]
-        finite = [t for t in times if math.isfinite(t)]
+    for point in points:
+        results = point.results
+        finite = [r.flooding_time for r in results if math.isfinite(r.flooding_time)]
         mean = float(np.mean(finite)) if finite else math.inf
         mean_times.append(mean)
         crashed_total = sum(r.extras["crashed"] for r in results)
@@ -65,10 +71,10 @@ def run(scale: str = "quick", seed: int = 0, engine: str = "batch") -> Experimen
         )
         rows.append(
             [
-                crash_prob,
+                point.key,
                 round(mean, 1) if finite else "never",
                 len(finite),
-                round(crashed_total / params["trials"], 0),
+                round(crashed_total / point.n_trials, 0),
                 missed_cz,
                 missed_suburb,
             ]
@@ -96,7 +102,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str = "batch") -> Experimen
             "graceful degradation: the Central Zone's path redundancy absorbs",
             "crashes (any uninformed-survivor mass concentrates in the Suburb;",
             "zeros in both columns mean full coverage despite the losses);",
-            f"identical mobility seeds across crash rates, {engine} engine.",
+            f"identical mobility seeds across crash rates, {points[0].engine} engine.",
         ],
         passed=graceful,
     )

@@ -20,12 +20,12 @@ from repro.analysis.validation import spatial_distribution_tv
 from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.simulation.config import FloodingConfig
-from repro.simulation.sweep import SweepPlan, run_sweep
+from repro.simulation.sweep import SweepPlan
 
 EXPERIMENT_ID = "init_bias"
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str, seed: int, sweep) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"agents": 8_000, "checkpoints": [0, 5, 20, 60], "n": 2_000, "trials": 3},
@@ -79,7 +79,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
         )
     flood_rows = []
     flood_means = {}
-    for point in run_sweep(plan, engine=engine or "auto", jobs=jobs):
+    for point in sweep(plan):
         flood_means[point.key] = point.summary.mean
         flood_rows.append(f"flooding time from {point.key} start: {point.summary.mean:.1f}")
 

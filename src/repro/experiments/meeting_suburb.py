@@ -26,12 +26,12 @@ from repro.kernels import use_kernel_tier
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.simulation.config import FloodingConfig
 from repro.simulation.results import summarize
-from repro.simulation.sweep import SweepPlan, run_sweep
+from repro.simulation.sweep import SweepPlan
 
 EXPERIMENT_ID = "meeting_suburb"
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str, seed: int, sweep) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 2_000, "radius_factor": 1.3, "fractions": [0.25, 0.1], "window_factor": 40,
@@ -68,7 +68,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
             params["flood_trials"],
             key=fraction,
         )
-    flood_points = {p.key: p for p in run_sweep(plan, engine=engine or "auto", jobs=jobs)}
+    flood_points = {p.key: p for p in sweep(plan)}
 
     rows = []
     medians = []

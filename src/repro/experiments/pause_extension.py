@@ -35,13 +35,13 @@ from repro.mobility.pause import (
     spatial_pdf_with_pause,
 )
 from repro.simulation.config import FloodingConfig
-from repro.simulation.sweep import SweepPlan, run_sweep
+from repro.simulation.sweep import SweepPlan
 
 EXPERIMENT_ID = "pause_extension"
 SIDE = 45.0
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str, seed: int, sweep) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"agents": 20_000, "flood_n": 2_000, "pauses": [0.0, 10.0, 40.0], "steps": 15,
@@ -75,7 +75,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
             params["trials"],
             key=pause,
         )
-    flood_points = {p.key: p for p in run_sweep(plan, engine=engine or "auto", jobs=jobs)}
+    flood_points = {p.key: p for p in sweep(plan)}
 
     bins = 10
     rows = []

@@ -7,10 +7,11 @@ gossip (bounded fanout), parsimonious flooding (bounded active window,
 ref [3]), probabilistic flooding (duty cycling), and SIR epidemic
 (permanent recovery — may die out in the Suburb).
 
-Since PR 3 every variant runs through the **batch engine** at both scales
-(all trials of a variant in lock-step); the scalar path produces identical
-results (seed-for-seed parity, ``tests/test_protocol_batch_parity.py``)
-and remains selectable via ``run(..., engine="scalar")``.
+Every variant is one point of a sweep-scheduler plan, keyed by its label.
+The default ``engine="auto"`` runs each variant's trials in lock-step on
+the batch engine; ``--engine scalar`` produces identical results
+(seed-for-seed parity, ``tests/test_protocol_batch_parity.py``) and only
+changes the engine the note names.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import math
 
 from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
 from repro.simulation.config import FloodingConfig
-from repro.simulation.results import summarize
-from repro.simulation.runner import run_trials
+from repro.simulation.sweep import SweepPlan
 
 EXPERIMENT_ID = "protocol_baselines"
 
@@ -36,9 +36,7 @@ _VARIANTS = [
 ]
 
 
-def variant_configs(scale: str = "quick", seed: int = 0, engine: str = "batch") -> list:
-    """The experiment's ``(label, config, trials)`` workload, one entry per
-    variant."""
+def run(scale: str, seed: int, sweep) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 2_000, "radius_factor": 1.4, "trials": 3},
@@ -48,9 +46,9 @@ def variant_configs(scale: str = "quick", seed: int = 0, engine: str = "batch") 
     side = math.sqrt(n)
     radius = params["radius_factor"] * math.sqrt(math.log(n))
     speed = 0.25 * radius
-    return [
-        (
-            label,
+    plan = SweepPlan()
+    for label, protocol, options in _VARIANTS:
+        plan.add(
             FloodingConfig(
                 n=n,
                 side=side,
@@ -60,27 +58,24 @@ def variant_configs(scale: str = "quick", seed: int = 0, engine: str = "batch") 
                 protocol=protocol,
                 protocol_options=options,
                 seed=seed,  # same seed -> same mobility/trial structure per variant
-                engine=engine,
             ),
             params["trials"],
+            key=label,
         )
-        for label, protocol, options in _VARIANTS
-    ]
+    points = sweep(plan)
 
-
-def run(scale: str = "quick", seed: int = 0, engine: str = "batch") -> ExperimentResult:
     rows = []
     flooding_mean = None
-    for label, config, trials in variant_configs(scale, seed, engine):
-        results = run_trials(config, trials)
-        summary = summarize(r.flooding_time for r in results)
+    for point in points:
+        results = point.results
+        summary = point.summary
         coverage = sum(r.final_coverage for r in results) / len(results)
         stalled = sum(1 for r in results if r.stalled)
-        if label == "flooding":
+        if point.key == "flooding":
             flooding_mean = summary.mean
         rows.append(
             [
-                label,
+                point.key,
                 round(summary.mean, 1) if summary.n_finite else "never",
                 summary.n_finite,
                 stalled,
@@ -110,7 +105,8 @@ def run(scale: str = "quick", seed: int = 0, engine: str = "batch") -> Experimen
         notes=[
             "identical trial seeds across variants: differences are protocol-only;",
             "flooding lower-bounds every variant's completion time (slowdown >= 1);",
-            f"all variants executed by the {engine} engine (scalar-parity enforced in tests).",
+            f"all variants executed by the {points[0].engine} engine "
+            "(scalar-parity enforced in tests).",
         ],
         passed=flooding_fastest,
     )

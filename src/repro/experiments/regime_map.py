@@ -18,14 +18,9 @@ from __future__ import annotations
 import math
 
 from repro.core.regimes import classify_regime, regime_map
-from repro.experiments.base import (
-    ExperimentResult,
-    ExperimentSpec,
-    adaptive_note,
-    scale_params,
-)
+from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
 from repro.simulation.config import FloodingConfig
-from repro.simulation.sweep import SweepPlan, run_sweep
+from repro.simulation.sweep import SweepPlan
 
 EXPERIMENT_ID = "regime_map"
 
@@ -42,16 +37,7 @@ def _spot_config(n, side, radius, speed, seed, max_steps=150_000):
     )
 
 
-def run(
-    scale: str = "quick",
-    seed: int = 0,
-    engine: str | None = None,
-    jobs: int = 1,
-    stopping=None,
-    checkpoint: str | None = None,
-    resume: bool = False,
-    max_retries: int | None = None,
-) -> ExperimentResult:
+def run(scale: str, seed: int, sweep) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 4_000, "resolution": 20, "trials": 3},
@@ -99,16 +85,7 @@ def run(
     plan.add(_spot_config(n, side, r_cz, 0.02 * r_cz, seed + 1), trials, key="cz_slow")
     plan.add(_spot_config(n, side, r_sparse, 0.45 * r_sparse, seed + 2), trials, key="sp_fast")
     plan.add(_spot_config(n, side, r_sparse, 0.05 * r_sparse, seed + 3), trials, key="sp_slow")
-    executed = run_sweep(
-        plan,
-        engine=engine or "auto",
-        jobs=jobs,
-        stopping=stopping,
-        checkpoint=checkpoint,
-        resume=resume,
-        max_retries=max_retries,
-    )
-    points = {p.key: p for p in executed}
+    points = {p.key: p for p in sweep(plan)}
 
     # Means are masked (NaN) below MIN_FINITE_FRACTION completion instead of
     # silently reporting moments of the finite subset; the completion column
@@ -161,8 +138,7 @@ def run(
             "is so conservative that the 'C' (optimal-window) band only opens at",
             "much larger n; the spot checks show the *measured* boundary: flat",
             "in v above the assumption radius, 1/v-dependent in the sparse regime.",
-        ]
-        + ([adaptive_note(executed, plan)] if stopping is not None else []),
+        ],
         passed=all(checks),
     )
 

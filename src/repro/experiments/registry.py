@@ -72,11 +72,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id.
 
-    ``engine`` / ``jobs`` / ``stopping`` / ``checkpoint`` / ``resume`` /
-    ``max_retries`` thread through to
-    sweep-scheduler experiments (see
-    :meth:`~repro.experiments.base.ExperimentSpec.run`); requesting any of
-    them on an experiment without scheduler support raises.
+    The options are those of
+    :meth:`~repro.experiments.base.ExperimentSpec.run`; requesting one the
+    experiment does not take (see ``ExperimentSpec.options``) raises.
     """
     return get_spec(experiment_id).run(
         scale=scale,
@@ -96,25 +94,37 @@ def run_all(
     engine: str | None = None,
     jobs: int = 1,
     stopping=None,
-) -> list:
-    """Run every registered experiment; returns the results in index order.
+    experiment_ids=None,
+):
+    """Run every registered experiment (or those in ``experiment_ids``),
+    yielding each result, in index order, as it finishes.
 
-    ``engine`` / ``jobs`` / ``stopping`` apply to the experiments that
-    support them (the sweep-scheduler suite) and are skipped for the rest —
-    a whole-suite run must not fail because closed-form experiments have no
-    engine knob.  Checkpoints are per-sweep (one directory per plan), so
-    ``run_all`` deliberately has no checkpoint parameter.
+    Each option reaches only the experiments whose ``spec.options`` hold
+    it, so a whole-suite run does not fail because closed-form experiments
+    have no engine.  An experiment that still refuses to run (e.g.
+    ``engine="batch"`` on an observer point) yields a failed result noted
+    ``not run: ...`` and the suite goes on.  Checkpoints are per sweep,
+    so there is no checkpoint parameter.
     """
-    results = []
-    for eid in all_ids():
-        spec = get_spec(eid)
-        results.append(
-            spec.run(
+    for experiment_id in all_ids() if experiment_ids is None else experiment_ids:
+        spec = get_spec(experiment_id)
+        options = spec.options
+        try:
+            result = spec.run(
                 scale=scale,
                 seed=seed,
-                engine=engine if spec.accepts_engine else None,
-                jobs=jobs if spec.accepts_jobs else 1,
-                stopping=stopping if spec.accepts_stopping else None,
+                engine=engine if "engine" in options else None,
+                jobs=jobs if "jobs" in options else 1,
+                stopping=stopping if "stopping" in options else None,
             )
-        )
-    return results
+        except ValueError as error:
+            result = ExperimentResult(
+                experiment_id=experiment_id,
+                title=spec.title,
+                paper_ref=spec.paper_ref,
+                headers=[],
+                rows=[],
+                notes=[f"not run: {error}"],
+                passed=False,
+            )
+        yield result

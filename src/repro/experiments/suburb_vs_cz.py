@@ -22,12 +22,12 @@ import numpy as np
 from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
 from repro.simulation.config import FloodingConfig
 from repro.simulation.results import summarize
-from repro.simulation.sweep import SweepPlan, run_sweep
+from repro.simulation.sweep import SweepPlan
 
 EXPERIMENT_ID = "suburb_vs_cz"
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str, seed: int, sweep) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 2_000, "radius_factor": 1.3, "trials": 4},
@@ -53,7 +53,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
             params["trials"],
             key=source_mode,
         )
-    points = run_sweep(plan, engine=engine or "auto", jobs=jobs)
+    points = sweep(plan)
 
     rows = []
     ratios = []

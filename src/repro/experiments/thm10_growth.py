@@ -27,7 +27,7 @@ from repro.core.spread import InformedCellTracker, claim11_completion_steps, gro
 from repro.core.zones import ZonePartition
 from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
 from repro.simulation.config import FloodingConfig
-from repro.simulation.sweep import SweepPlan, run_sweep
+from repro.simulation.sweep import SweepPlan
 
 EXPERIMENT_ID = "thm10_growth"
 
@@ -39,7 +39,7 @@ def _tracker_factory(config: FloodingConfig) -> list:
     return [InformedCellTracker(grid, zones)]
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str, seed: int, sweep) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 4_000, "radius_factor": 2.6, "trials": 3},
@@ -67,7 +67,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
     )
     plan = SweepPlan()
     plan.add(config, params["trials"], key="growth", observer_factory=_tracker_factory)
-    (point,) = run_sweep(plan, engine=engine or "auto", jobs=jobs)
+    (point,) = sweep(plan)
 
     rows = []
     checks = []

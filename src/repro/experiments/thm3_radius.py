@@ -18,28 +18,14 @@ import math
 import numpy as np
 
 from repro.core import theory
-from repro.experiments.base import (
-    ExperimentResult,
-    ExperimentSpec,
-    adaptive_note,
-    scale_params,
-)
+from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
 from repro.simulation.config import FloodingConfig
-from repro.simulation.sweep import SweepPlan, run_sweep
+from repro.simulation.sweep import SweepPlan
 
 EXPERIMENT_ID = "thm3_radius"
 
 
-def run(
-    scale: str = "quick",
-    seed: int = 0,
-    engine: str | None = None,
-    jobs: int = 1,
-    stopping=None,
-    checkpoint: str | None = None,
-    resume: bool = False,
-    max_retries: int | None = None,
-) -> ExperimentResult:
+def run(scale: str, seed: int, sweep) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 2_000, "factors": [1.2, 1.6, 2.2, 3.0], "trials": 3},
@@ -63,15 +49,7 @@ def run(
             params["trials"],
             key=factor,
         )
-    points = run_sweep(
-        plan,
-        engine=engine or "auto",
-        jobs=jobs,
-        stopping=stopping,
-        checkpoint=checkpoint,
-        resume=resume,
-        max_retries=max_retries,
-    )
+    points = sweep(plan)
 
     rows = []
     means = []
@@ -116,8 +94,7 @@ def run(
         notes=[
             f"n={n}, L={side:.1f}, v={speed:.3f} fixed across the sweep;",
             "Theorem 3 predicts a decreasing curve; 15% noise slack allowed.",
-        ]
-        + ([adaptive_note(points, plan)] if stopping is not None else []),
+        ],
         passed=decreasing and above_lower,
     )
 

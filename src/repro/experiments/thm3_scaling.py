@@ -15,28 +15,14 @@ point-by-point loop.
 from __future__ import annotations
 
 from repro.analysis.scaling import fit_power_law
-from repro.experiments.base import (
-    ExperimentResult,
-    ExperimentSpec,
-    adaptive_note,
-    scale_params,
-)
+from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
 from repro.simulation.config import standard_config
-from repro.simulation.sweep import SweepPlan, run_sweep
+from repro.simulation.sweep import SweepPlan
 
 EXPERIMENT_ID = "thm3_scaling"
 
 
-def run(
-    scale: str = "quick",
-    seed: int = 0,
-    engine: str | None = None,
-    jobs: int = 1,
-    stopping=None,
-    checkpoint: str | None = None,
-    resume: bool = False,
-    max_retries: int | None = None,
-) -> ExperimentResult:
+def run(scale: str, seed: int, sweep) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"ns": [500, 1_000, 2_000, 4_000], "trials": 3, "radius_factor": 1.3},
@@ -56,15 +42,7 @@ def run(
             params["trials"],
             key=n,
         )
-    points = run_sweep(
-        plan,
-        engine=engine or "auto",
-        jobs=jobs,
-        stopping=stopping,
-        checkpoint=checkpoint,
-        resume=resume,
-        max_retries=max_retries,
-    )
+    points = sweep(plan)
 
     rows = []
     ns = []
@@ -110,8 +88,7 @@ def run(
             f"theory predicts exponent ~{theory_exponent} (sqrt(n/log n) has effective "
             "slope slightly below 1/2 over this range);",
             "T / (L/R) staying bounded is the bound-tightness signal.",
-        ]
-        + ([adaptive_note(points, plan)] if stopping is not None else []),
+        ],
         passed=passed,
     )
 

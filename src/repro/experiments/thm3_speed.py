@@ -22,14 +22,9 @@ import math
 
 from repro.analysis.scaling import fit_affine_inverse
 from repro.core import theory
-from repro.experiments.base import (
-    ExperimentResult,
-    ExperimentSpec,
-    adaptive_note,
-    scale_params,
-)
+from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
 from repro.simulation.config import FloodingConfig
-from repro.simulation.sweep import SweepPlan, run_sweep
+from repro.simulation.sweep import SweepPlan
 
 EXPERIMENT_ID = "thm3_speed"
 
@@ -75,16 +70,7 @@ def _panel_rows(points, panel):
     return speeds, means, rows
 
 
-def run(
-    scale: str = "quick",
-    seed: int = 0,
-    engine: str | None = None,
-    jobs: int = 1,
-    stopping=None,
-    checkpoint: str | None = None,
-    resume: bool = False,
-    max_retries: int | None = None,
-) -> ExperimentResult:
+def run(scale: str, seed: int, sweep) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={
@@ -120,15 +106,7 @@ def run(
         plan, "sparse", n, side, sparse_radius, params["fractions"], params["trials"],
         seed + 7, 200_000,
     )
-    points = run_sweep(
-        plan,
-        engine=engine or "auto",
-        jobs=jobs,
-        stopping=stopping,
-        checkpoint=checkpoint,
-        resume=resume,
-        max_retries=max_retries,
-    )
+    points = sweep(plan)
 
     _, dense_means, dense_rows = _panel_rows(points, "dense")
     dense_spread = max(dense_means) / max(min(dense_means), 1.0)
@@ -149,8 +127,6 @@ def run(
         f"reference 18 L/R: dense {theory.cz_flooding_bound(side, dense_radius):.0f}, "
         f"sparse {theory.cz_flooding_bound(side, sparse_radius):.0f}.",
     ]
-    if stopping is not None:
-        notes.append(adaptive_note(points, plan))
     passed = dense_spread <= 2.0 and fit.slope > 0 and fit.r2 >= 0.85 and (
         sparse_means[0] > 1.5 * sparse_means[-1]
     )

@@ -30,12 +30,12 @@ import math
 
 from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
 from repro.simulation.config import FloodingConfig
-from repro.simulation.sweep import SweepPlan, run_sweep
+from repro.simulation.sweep import SweepPlan
 
 EXPERIMENT_ID = "transit_backbone"
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str, seed: int, sweep) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 2_000, "radius_factor": 1.3, "trials": 3, "vehicles": 10},
@@ -83,7 +83,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
             params["trials"],
             key=key,
         )
-    points = run_sweep(plan, engine=engine or "auto", jobs=jobs)
+    points = sweep(plan)
 
     rows = []
     means = {}

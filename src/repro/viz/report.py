@@ -33,40 +33,20 @@ def generate_report(
 ) -> str:
     """Run experiments and render the full markdown report.
 
-    ``engine`` / ``jobs`` thread through to the sweep-scheduler experiments
-    (results are engine-independent) and are skipped for the rest.
+    The experiments run through :func:`~repro.experiments.registry.run_all`,
+    which hands ``engine`` / ``jobs`` to the experiments that take them.
     """
     # Imported lazily: the experiment framework itself renders tables via
     # repro.viz, so a module-level import here would be circular.
-    from repro.experiments.registry import all_ids, get_spec
+    from repro.experiments.registry import get_spec, run_all
 
-    from repro.experiments.base import ExperimentResult
-
-    ids = list(experiment_ids) if experiment_ids is not None else all_ids()
     results = []
-    for experiment_id in ids:
-        spec = get_spec(experiment_id)
-        start = time.perf_counter()
-        try:
-            result = spec.run(
-                scale=scale,
-                seed=seed,
-                engine=engine if spec.accepts_engine else None,
-                jobs=jobs if spec.accepts_jobs else 1,
-            )
-        except ValueError as error:
-            # e.g. engine="batch" on an observer-point experiment that can
-            # only run scalar: record the failure, keep the report going.
-            result = ExperimentResult(
-                experiment_id=experiment_id,
-                title=spec.title,
-                paper_ref=spec.paper_ref,
-                headers=[],
-                rows=[],
-                notes=[f"not run: {error}"],
-                passed=False,
-            )
+    start = time.perf_counter()
+    for result in run_all(
+        scale=scale, seed=seed, engine=engine, jobs=jobs, experiment_ids=experiment_ids
+    ):
         results.append((result, time.perf_counter() - start))
+        start = time.perf_counter()
 
     index_rows = "\n".join(
         f"| `{r.experiment_id}` | {r.paper_ref} | "

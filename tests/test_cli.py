@@ -107,6 +107,20 @@ class TestCommands:
         with pytest.raises(SystemExit, match="engine"):
             main(["run", "fig1_spatial", "--engine", "auto"])
 
+    def test_resume_without_a_checkpoint_exits_with_the_message(self, tmp_path):
+        # A directory holding no manifest is a CLI error, not a traceback.
+        with pytest.raises(SystemExit, match="nothing to resume: .* contains no manifest"):
+            main(["experiment", "thm3_radius", "--resume", str(tmp_path)])
+
+    def test_resume_of_another_plan_exits_with_the_message(self, tmp_path, capsys):
+        checkpoint = str(tmp_path / "ck")
+        assert main(["experiment", "cor12_large_r", "--checkpoint", checkpoint]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit, match="the sweep plan does not match the checkpoint"):
+            main(["experiment", "thm3_radius", "--resume", checkpoint])
+        with pytest.raises(SystemExit, match="already contains a sweep checkpoint"):
+            main(["experiment", "cor12_large_r", "--checkpoint", checkpoint])
+
     def test_flood_command(self, capsys):
         code = main(
             ["flood", "--n", "400", "--radius-factor", "2.0", "--max-steps", "2000"]

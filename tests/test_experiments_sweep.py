@@ -1,52 +1,39 @@
-"""Sweep-scheduler experiments: engine/jobs invariance and framework threading.
+"""Flooding experiments on the sweep scheduler: one option rule for all.
 
-The migration acceptance gate: for every experiment moved onto
-:func:`repro.simulation.sweep.run_sweep`, the scalar-engine run *is* the
-pre-migration point-by-point computation (identical seed schedule), so
-``engine="auto" == engine="scalar"`` means the migrated table equals the
-unmigrated one — checked here on the full rendered report.
+A flooding runner takes ``(scale, seed, sweep)`` and
+:meth:`~repro.experiments.base.ExperimentSpec.run` binds ``sweep`` to
+``run_sweep`` with the run's options, so every flooding experiment takes
+all of them.  The scalar-engine run *is* the point-by-point computation
+(identical seed schedule), so ``engine="auto" == engine="scalar"`` means
+the batched table equals the unbatched one — checked here on the full
+rendered report, as is invariance under ``jobs``.
 """
 
-import dataclasses
 import inspect
 
 import pytest
 
+import repro.experiments.base as base
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import all_ids, get_spec
-from repro.simulation.sweep import StoppingRule
+from repro.simulation.sweep import StoppingRule, SweepPlan
 
-#: Every experiment migrated onto the sweep scheduler in PR 4 (plus the
-#: PR 3 batch-engine experiments keep their own engine knob).
-SWEEP_EXPERIMENTS = [
-    "thm3_scaling",
-    "thm3_radius",
-    "thm3_speed",
-    "regime_map",
-    "mobility_ablation",
-    "suburb_vs_cz",
-    "pause_extension",
-    "init_bias",
-    "meeting_suburb",
-    "thm10_growth",
-]
+#: Every experiment whose runner takes ``sweep``.
+SWEEP_EXPERIMENTS = [eid for eid in all_ids() if get_spec(eid).options == base.SWEEP_OPTIONS]
 
-#: Experiments that run their trials through ``run_sweep`` but take no
-#: ``stopping``, ``checkpoint`` or ``max_retries``.
-SWEEP_WITHOUT_ADAPTIVE_OPTIONS = [
-    "suburb_vs_cz",
-    "meeting_suburb",
-    "protocol_baselines",
-    "mobility_ablation",
-    "transit_backbone",
-    "init_bias",
-    "thm10_growth",
-    "pause_extension",
-    "fault_tolerance",
-]
+#: Experiments that fan their own jobs over the worker pool: ``jobs`` is
+#: their only option.
+JOBS_EXPERIMENTS = [eid for eid in all_ids() if get_spec(eid).options == {"jobs"}]
 
-#: Cheap members re-run under process fan-out (jobs=2).
-JOBS_EXPERIMENTS = ["thm3_radius", "mobility_ablation", "thm10_growth"]
+
+def same_table(expected, actual):
+    """Whether two runs print the same report, bar the engine named by the
+    notes of ``protocol_baselines`` and ``fault_tolerance``."""
+    engine_free = [
+        result.to_text().replace("scalar engine", "ENGINE").replace("batch engine", "ENGINE")
+        for result in (expected, actual)
+    ]
+    return engine_free[0] == engine_free[1]
 
 
 class TestEngineParity:
@@ -55,16 +42,16 @@ class TestEngineParity:
         spec = get_spec(experiment_id)
         auto = spec.run(scale="quick", seed=0, engine="auto")
         scalar = spec.run(scale="quick", seed=0, engine="scalar")
-        assert auto.to_text() == scalar.to_text()
+        assert same_table(auto, scalar)
 
-    @pytest.mark.parametrize("experiment_id", JOBS_EXPERIMENTS)
+    @pytest.mark.parametrize("experiment_id", SWEEP_EXPERIMENTS)
     def test_jobs_invariant(self, experiment_id):
         spec = get_spec(experiment_id)
         serial = spec.run(scale="quick", seed=0, engine="auto", jobs=1)
         fanned = spec.run(scale="quick", seed=0, engine="auto", jobs=2)
         assert serial.to_text() == fanned.to_text()
 
-    @pytest.mark.parametrize("experiment_id", ["connectivity", "thm18_lower"])
+    @pytest.mark.parametrize("experiment_id", JOBS_EXPERIMENTS)
     def test_jobs_invariant_without_engine(self, experiment_id):
         # These fan their per-n / per-speed jobs over the worker pool but
         # have one execution path, so jobs is their only option.
@@ -75,71 +62,80 @@ class TestEngineParity:
 
 
 class TestFrameworkThreading:
-    def test_sweep_experiments_advertise_support(self):
-        for experiment_id in SWEEP_EXPERIMENTS:
-            spec = get_spec(experiment_id)
-            assert spec.accepts_engine and spec.accepts_jobs, experiment_id
+    def test_options_partition_the_suite(self):
+        # 14 flooding runners take sweep, 2 fan out their own jobs, and
+        # the 11 closed-form runners take (scale, seed) alone; no runner
+        # takes a scheduler option itself.
+        parameters = {
+            eid: set(inspect.signature(get_spec(eid).runner).parameters) for eid in all_ids()
+        }
+
+        def taking(*names):
+            return [eid for eid in all_ids() if parameters[eid] == {"scale", "seed", *names}]
+
+        assert taking("sweep") == SWEEP_EXPERIMENTS
+        assert taking("jobs") == JOBS_EXPERIMENTS
+        closed_form = taking()
+        assert (len(SWEEP_EXPERIMENTS), len(JOBS_EXPERIMENTS), len(closed_form)) == (14, 2, 11)
+        assert set(JOBS_EXPERIMENTS) == {"connectivity", "thm18_lower"}
+        assert not any(get_spec(eid).options for eid in closed_form)
 
     @pytest.mark.parametrize("experiment_id", ["fig1_spatial", "connectivity", "thm18_lower"])
     def test_non_scheduler_experiment_rejects_engine(self, experiment_id):
         spec = get_spec(experiment_id)
-        assert not spec.accepts_engine
-        with pytest.raises(ValueError, match="no engine selection"):
+        assert "engine" not in spec.options
+        with pytest.raises(ValueError, match=f"'{experiment_id}' does not take engine"):
             spec.run(scale="quick", seed=0, engine="auto")
         if experiment_id == "fig1_spatial":
-            with pytest.raises(ValueError, match="fan-out"):
+            with pytest.raises(ValueError, match="does not take jobs"):
                 spec.run(scale="quick", seed=0, jobs=2)
 
-    def test_support_flags_resolve_for_every_experiment(self):
-        # The signature inspection must not blow up on any registered
-        # runner; unrequested engine/jobs are legal everywhere.
+    def test_every_option_reaches_run_sweep_or_is_refused(self, monkeypatch):
+        # A flooding runner's sweep carries every requested option to
+        # run_sweep; any other runner refuses, naming the experiment and
+        # each option it lacks, before it runs.
+        received = []
+
+        def recording_sweep(plan, **options):
+            received.append(options)
+            return []
+
+        monkeypatch.setattr(base, "run_sweep", recording_sweep)
+        rule = StoppingRule(ci_width=0.1)
+        requested = {
+            "engine": "scalar", "jobs": 2, "stopping": rule, "checkpoint": "ck",
+            "resume": True, "max_retries": 2,
+        }
         for experiment_id in all_ids():
             spec = get_spec(experiment_id)
-            assert isinstance(spec.accepts_engine, bool)
-            assert isinstance(spec.accepts_jobs, bool)
+            ran = []
 
-    def test_max_retries_reaches_the_runner_or_is_refused(self):
-        # Every experiment either hands max_retries to its runner or refuses
-        # it with a ValueError naming the experiment; it is never dropped.
-        reached = []
-        for experiment_id in all_ids():
-            spec = get_spec(experiment_id)
-            calls = []
-
-            def recording_runner(**kwargs):
-                calls.append(kwargs)
+            def stub_runner(scale, seed, **kwargs):
+                ran.append(kwargs)
+                if "sweep" in kwargs:
+                    kwargs["sweep"](SweepPlan())
                 return ExperimentResult(
                     spec.id, spec.title, spec.paper_ref, headers=[], rows=[]
                 )
 
-            recording_runner.__signature__ = inspect.signature(spec.runner)
-            stub = dataclasses.replace(spec, runner=recording_runner)
-            try:
-                stub.run(max_retries=2)
-            except ValueError as error:
-                assert experiment_id in str(error)
-                assert calls == [], experiment_id
+            stub_runner.__signature__ = inspect.signature(spec.runner)
+            stub = base.ExperimentSpec(
+                spec.id, spec.title, spec.paper_ref, spec.description, stub_runner
+            )
+            received.clear()
+            if spec.options != base.SWEEP_OPTIONS:
+                with pytest.raises(ValueError) as info:
+                    stub.run(**requested)
+                refused = sorted(base.SWEEP_OPTIONS - spec.options)
+                assert str(info.value) == (
+                    f"experiment {experiment_id!r} does not take "
+                    + ", ".join(name for name in requested if name in refused)
+                )
+                assert ran == [] and received == [], experiment_id
                 continue
-            assert [call["max_retries"] for call in calls] == [2], experiment_id
-            reached.append(experiment_id)
-        assert {"thm3_radius", "thm3_speed", "thm3_scaling", "regime_map"} <= set(reached)
-
-    @pytest.mark.parametrize("experiment_id", SWEEP_WITHOUT_ADAPTIVE_OPTIONS)
-    def test_refusals_name_the_missing_capability(self, experiment_id):
-        # These runners do call the sweep scheduler, so a refusal names
-        # the capability the runner lacks and never claims otherwise.
-        spec = get_spec(experiment_id)
-        requests = [
-            ({"stopping": StoppingRule(ci_width=0.1)}, "no adaptive stopping"),
-            ({"checkpoint": "unused-checkpoint-dir"}, "cannot checkpoint or resume"),
-            ({"max_retries": 2}, "no crash retries"),
-        ]
-        for kwargs, capability in requests:
-            with pytest.raises(ValueError) as info:
-                spec.run(scale="quick", seed=0, **kwargs)
-            message = str(info.value)
-            assert repr(experiment_id) in message and capability in message, message
-            assert "sweep scheduler" not in message, message
+            result = stub.run(**requested)
+            assert received == [requested], experiment_id
+            assert result.notes == ["adaptive stopping: 0 trials vs 0 fixed budget"]
 
     def test_report_survives_unsatisfiable_engine(self):
         # engine="batch" cannot run thm10_growth's observer point; the
@@ -152,7 +148,38 @@ class TestFrameworkThreading:
         assert "not run:" in text and "FAIL" in text
 
     def test_pr3_experiments_keep_engine_defaults(self):
-        # protocol_baselines defaults to engine="batch"; an unrequested
-        # engine (None) must not clobber that default.
-        spec = get_spec("protocol_baselines")
-        assert spec.accepts_engine and not spec.accepts_jobs
+        # protocol_baselines and fault_tolerance ran on the batch engine
+        # before they took sweep; an unrequested engine still resolves
+        # there, and their notes name the engine that ran.
+        for experiment_id in ("protocol_baselines", "fault_tolerance"):
+            spec = get_spec(experiment_id)
+            default = spec.run(scale="quick", seed=0)
+            scalar = spec.run(scale="quick", seed=0, engine="scalar")
+            assert "batch engine" in default.notes[-1], experiment_id
+            assert "scalar engine" in scalar.notes[-1], experiment_id
+
+
+class TestFaultToleranceUnderStopping:
+    def test_crash_column_divides_by_the_trials_run(self):
+        # A rule that stops every point at 2 of its 3 planned trials: the
+        # mean crashed agents averages the two trials that ran.
+        from repro.experiments import fault_tolerance
+        from repro.simulation.sweep import run_sweep
+
+        rule = StoppingRule(min_trials=2, max_trials=2)
+        swept = []
+
+        def sweep(plan):
+            points = run_sweep(plan, engine="auto", stopping=rule)
+            swept.extend(zip(plan, points))
+            return points
+
+        result = fault_tolerance.run("quick", 0, sweep)
+        planned = []
+        for row, (point, executed) in zip(result.rows, swept):
+            crashed = sum(r.extras["crashed"] for r in executed.results)
+            assert executed.n_trials == 2 < point.n_trials
+            assert row[3] == round(crashed / 2, 0)
+            planned.append(round(crashed / point.n_trials, 0))
+        # The planned count would understate the mean at the crash rates.
+        assert planned != [row[3] for row in result.rows]

@@ -203,17 +203,17 @@ _COMMANDS = _documented_commands()
 
 
 #: The scheduler options a documented ``experiment``/``run`` command may
-#: pass, and the spec property that says the experiment takes them.
+#: pass, and the name ``ExperimentSpec.options`` holds them under.
 _SCHEDULER_OPTIONS = {
-    "--engine": "accepts_engine",
-    "--jobs": "accepts_jobs",
-    "--adaptive": "accepts_stopping",
-    "--ci-width": "accepts_stopping",
-    "--min-trials": "accepts_stopping",
-    "--max-trials": "accepts_stopping",
-    "--checkpoint": "accepts_checkpoint",
-    "--resume": "accepts_checkpoint",
-    "--max-retries": "accepts_max_retries",
+    "--engine": "engine",
+    "--jobs": "jobs",
+    "--adaptive": "stopping",
+    "--ci-width": "stopping",
+    "--min-trials": "stopping",
+    "--max-trials": "stopping",
+    "--checkpoint": "checkpoint",
+    "--resume": "checkpoint",
+    "--max-retries": "max_retries",
 }
 
 
@@ -234,9 +234,9 @@ class TestDocumentedCommands:
         if args.command not in ("experiment", "run"):
             return
         spec = get_spec(args.experiment)
-        for option, gate in _SCHEDULER_OPTIONS.items():
-            if option in argv:
-                assert getattr(spec, gate), f"{args.experiment} does not take {option}"
+        for flag, option in _SCHEDULER_OPTIONS.items():
+            if flag in argv:
+                assert option in spec.options, f"{args.experiment} does not take {flag}"
 
     def test_the_docs_document_commands(self):
         docs = {where.split(":")[0] for where, _ in _COMMANDS}

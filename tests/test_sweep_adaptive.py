@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.experiments.registry import all_ids, get_spec
 from repro.simulation.config import standard_config
 from repro.simulation.parallel import _child_states, _child_states_range
 from repro.simulation.results import summarize
@@ -28,6 +29,9 @@ from repro.simulation.sweep import (
 )
 
 BASE = standard_config(140, radius_factor=1.1, max_steps=600, seed=5)
+
+#: The experiments that take a stopping rule: every runner that takes ``sweep``.
+SWEEP_EXPERIMENTS = [eid for eid in all_ids() if "stopping" in get_spec(eid).options]
 
 
 def fingerprint(results):
@@ -382,20 +386,21 @@ class TestMaskedMeanUnderAdaptive:
 class TestExperimentAdaptiveArm:
     """The adaptive acceptance path: unchanged verdict, fewer trials."""
 
-    def test_thm3_radius_adaptive_verdict_and_note(self):
+    @pytest.mark.parametrize("experiment_id", SWEEP_EXPERIMENTS)
+    def test_adaptive_verdict_and_note(self, experiment_id):
         from repro.experiments.registry import run_experiment
 
-        fixed = run_experiment("thm3_radius", scale="quick", seed=0)
+        fixed = run_experiment(experiment_id, scale="quick", seed=0)
         adaptive = run_experiment(
-            "thm3_radius", scale="quick", seed=0,
+            experiment_id, scale="quick", seed=0,
             stopping=StoppingRule(ci_width=0.15, min_trials=2),
         )
         assert adaptive.passed == fixed.passed
-        note = next(n for n in adaptive.notes if "adaptive stopping" in n)
+        note = adaptive.notes[-1]
         executed, budget = (
             int(note.split()[2]), int(note.split()[5])
         )
-        assert executed <= budget
+        assert note.startswith("adaptive stopping: ") and executed <= budget
         # The fixed run carries no adaptive note.
         assert not any("adaptive stopping" in n for n in fixed.notes)
 
@@ -405,8 +410,25 @@ class TestExperimentAdaptiveArm:
         with pytest.raises(ValueError, match="adaptive|stopping"):
             run_experiment("lemma6_rows", stopping=StoppingRule())
 
-    def test_run_all_threads_stopping_only_where_supported(self):
-        from repro.experiments.registry import get_spec
+    def test_run_all_hands_each_option_to_the_experiments_that_take_it(self):
+        # The suite loop: a closed-form experiment runs without the
+        # options, a flooding one takes them all, and one that still
+        # refuses (batch engine on an observer point) yields a failed
+        # result instead of ending the suite.
+        from repro.experiments.registry import run_all
 
-        assert get_spec("thm3_radius").accepts_stopping
-        assert not get_spec("lemma6_rows").accepts_stopping
+        with pytest.raises(TypeError):
+            run_all(chekpoint="ck")  # a misspelt option is never dropped
+        results = run_all(
+            engine="batch", jobs=2, stopping=StoppingRule(ci_width=0.15, min_trials=2),
+            experiment_ids=["lemma6_rows", "thm3_radius", "thm10_growth"],
+        )
+        closed_form, flooding, observer = results
+        assert closed_form.passed is True
+        assert not any("adaptive stopping" in n for n in closed_form.notes)
+        assert flooding.notes[-1].startswith("adaptive stopping: ")
+        assert observer.passed is False and observer.rows == []
+        assert observer.notes == [
+            "not run: point 'growth' attaches observers, which require the scalar "
+            "engine; use engine='auto' or 'scalar' for observer points"
+        ]

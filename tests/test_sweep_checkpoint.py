@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro.simulation.sweep as sweep_mod
+from repro.experiments.registry import all_ids, get_spec
 from repro.simulation.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointError,
@@ -34,6 +35,9 @@ from repro.simulation.runner import run_trials
 from repro.simulation.sweep import SweepPlan, SweepPoint, StoppingRule, run_sweep
 
 BASE = standard_config(140, radius_factor=1.1, max_steps=600, seed=5)
+
+#: The experiments that take a checkpoint: every runner that takes ``sweep``.
+SWEEP_EXPERIMENTS = [eid for eid in all_ids() if "checkpoint" in get_spec(eid).options]
 
 
 def fingerprint(results):
@@ -539,14 +543,15 @@ class TestStoreRobustness:
 class TestExperimentResume:
     """The user-facing path: experiment --checkpoint / --resume."""
 
-    def test_thm3_radius_checkpoint_resume_identical_tables(self, tmp_path):
+    @pytest.mark.parametrize("experiment_id", SWEEP_EXPERIMENTS)
+    def test_checkpoint_resume_identical_tables(self, experiment_id, tmp_path):
         from repro.experiments.registry import run_experiment
 
         ck = str(tmp_path / "ck")
-        expected = run_experiment("thm3_radius", scale="quick", seed=0)
-        first = run_experiment("thm3_radius", scale="quick", seed=0, checkpoint=ck)
+        expected = run_experiment(experiment_id, scale="quick", seed=0)
+        first = run_experiment(experiment_id, scale="quick", seed=0, checkpoint=ck)
         resumed = run_experiment(
-            "thm3_radius", scale="quick", seed=0, checkpoint=ck, resume=True
+            experiment_id, scale="quick", seed=0, checkpoint=ck, resume=True
         )
         assert first.to_text() == expected.to_text()
         assert resumed.to_text() == expected.to_text()
