@@ -310,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--scale", choices=("quick", "full"), default="quick")
     report_p.add_argument("--seed", type=int, default=0)
     report_p.add_argument(
-        "--only", nargs="*", default=None, help="subset of experiment ids"
+        "--only", nargs="*", default=None, choices=all_ids(), metavar="ID",
+        help="subset of experiment ids"
     )
     add_engine_jobs(report_p, "every supporting experiment")
     return parser

@@ -20,7 +20,8 @@ replica the round its trapped agent is informed; ``jobs > 1`` fans the
 fractions over a crash-surviving
 :class:`~repro.simulation.parallel.WorkerPool`.  Per-trial seeding
 (``default_rng([seed, trial, fraction])``) makes every job count produce
-the identical table.
+the identical table.  The stationary draws and the conditioned floods run
+on the ``"auto"`` kernel tier, which changes speed, never results.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro.core import theory
 from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
+from repro.kernels import use_kernel_tier
 from repro.mobility.mrwp import BatchManhattanRandomWaypoint
 from repro.mobility.stationary import PalmStationarySampler
 from repro.protocols.flooding import BatchFloodingState
@@ -105,22 +107,24 @@ def _fraction_trials(args) -> list:
     trial_rngs = [
         np.random.default_rng([seed, trial, int(1e6 * fraction)]) for trial in range(trials)
     ]
-    states = [_conditioned_state(n, side, d, sampler, rng) for rng in trial_rngs]
-    # Source: the agent farthest (Chebyshev) from the corner.
-    sources = [int(np.argmax(np.max(state.positions, axis=1))) for state in states]
+    # A pool worker does not inherit the caller's tier: pick it here.
+    with use_kernel_tier("auto"):
+        states = [_conditioned_state(n, side, d, sampler, rng) for rng in trial_rngs]
+        # Source: the agent farthest (Chebyshev) from the corner.
+        sources = [int(np.argmax(np.max(state.positions, axis=1))) for state in states]
 
-    model = BatchManhattanRandomWaypoint(n, side, speed, rngs=trial_rngs, init=states)
-    protocol = BatchFloodingState(n, side, radius, sources)
-    active = np.ones(trials, dtype=bool)
-    informed_step = np.full(trials, math.inf)
-    for step in range(1, max_steps + 1):
-        if not active.any():
-            break
-        positions = model.step(active=active, copy=False)
-        protocol.step(positions, active=active)
-        done = active & protocol.informed[:, 0]
-        informed_step[done] = step
-        active &= ~done
+        model = BatchManhattanRandomWaypoint(n, side, speed, rngs=trial_rngs, init=states)
+        protocol = BatchFloodingState(n, side, radius, sources)
+        active = np.ones(trials, dtype=bool)
+        informed_step = np.full(trials, math.inf)
+        for step in range(1, max_steps + 1):
+            if not active.any():
+                break
+            positions = model.step(active=active, copy=False)
+            protocol.step(positions, active=active)
+            done = active & protocol.informed[:, 0]
+            informed_step[done] = step
+            active &= ~done
     return informed_step.tolist()
 
 
@@ -142,7 +146,10 @@ def run(scale: str = "quick", seed: int = 0, jobs: int = 1) -> ExperimentResult:
     # ~ 3 s^3 / L^3, so P(B) ~ 3c^3 exp(-78 c^3), maximized around
     # c = 0.234 at P(B) ~ 1.4% — constant in n, but small.
     d_b = 0.234 * side / n ** (1.0 / 3.0)
-    prob_b = _event_probability(n, side, d_b, sampler, rng, params["prob_trials"])
+    # The tier a flooding config's default kernels="auto" would pick: the
+    # compiled Palm sampler when a provider builds.
+    with use_kernel_tier("auto"):
+        prob_b = _event_probability(n, side, d_b, sampler, rng, params["prob_trials"])
 
     fraction_jobs = []
     for fraction in params["fractions"]:

@@ -18,7 +18,9 @@ to their numpy bodies when it returns ``None`` (tier inactive, provider
 missing, or inputs outside the kernel's guarded domain).  The active tier
 is process-global but scoped: the default is ``"numpy"`` so direct library
 calls keep exercising the reference paths, and the runners activate the
-configured tier around a simulation via :func:`use_kernel_tier`.
+configured tier via :func:`use_kernel_tier` around a run, from model
+construction (the ``palm_states`` sampler draws the stationary start)
+to the end of the simulation loop.
 
 The provider probe is cached per process, with an escape hatch for tests
 and CI: ``REPRO_NO_CEXT=1`` blocks the C provider, forcing the numpy tier
@@ -202,10 +204,11 @@ def warm_kernels(backend: str | None = None) -> str:
     """Exercise every compiled kernel once on tiny inputs.
 
     Covers each kernel's runtime type signature: the distance-budget leg
-    passes (sparse, and dense with some and with all rows moving) and
-    each model's trip mode (MRWP, pause-MRWP, random-speed MRWP and RWP),
-    drawing from a real ``Generator``.  Returns the tier label that was
-    warmed (``"numpy"`` when no provider is available — nothing to warm).
+    passes (sparse, and dense with some and with all rows moving), each
+    model's trip mode (MRWP, pause-MRWP, random-speed MRWP and RWP) and
+    the Palm sampler, drawing from a real ``Generator``.  Returns the tier
+    label that was warmed (``"numpy"`` when no provider is available —
+    nothing to warm).
     """
     if backend is None and kernel_backend() is None:
         return "numpy"
@@ -242,6 +245,10 @@ def warm_kernels(backend: str | None = None) -> str:
     speeds = np.array([2.0, 1.0, 3.0])
     trips_step(1.0, speeds, SpeedRangeTrips(target.copy(), second.copy(), 1.0, 3.0, *common()))
     trips_step(1.0, 2.5, EuclideanTrips(pause_left.copy(), counts[1], 0.25, *common()))
+    table["palm_states"](
+        np.empty((4, 2)), np.empty((4, 2)), np.empty((4, 2)), np.empty(4, dtype=bool), 1.0,
+        [np.random.default_rng(0), np.random.default_rng(1)],
+    )
     order = np.array([2, 0, 1], dtype=np.intp)
     sorted_ids = np.array([0, 1, 3], dtype=np.intp)
     removed = np.array([False, True, False])

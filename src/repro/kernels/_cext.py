@@ -10,19 +10,21 @@ the same IEEE operation sequence as the numpy reference (libm ``sqrt`` is
 correctly rounded, ``(int64_t)`` casts truncate like ``int()``), so
 results stay bit-identical.
 
-The trip kernel draws from numpy bit generators through the ``bitgen_t``
-function pointers of numpy's public C interface; the source declares that
-documented struct itself, so the build needs no numpy headers.
+The trip kernel and the Palm sampler draw from numpy bit generators
+through the ``bitgen_t`` function pointers of numpy's public C interface;
+the source declares that documented struct itself, so the build needs no
+numpy headers.
 
-The infection test (``repro_any_within``) and the trip step
-(``repro_advance_trips``) split a call's replicas over POSIX threads
-(built with ``-pthread``): ``split_run`` creates ``threads - 1`` threads
-and joins them before the call returns, so no thread outlives a call and
-a forked worker never inherits one.  Each thread takes the next unit of
-work from an atomic counter and works in its own block of the work
-arrays; the units (a replica, or in the trip step a group of replicas
-that share one bit generator) are independent, so the results do not
-depend on ``threads``, which the glue derives per call.
+The infection test (``repro_any_within``), the trip step
+(``repro_advance_trips``) and the Palm sampler (``repro_palm_states``)
+split a call's replicas over POSIX threads (built with ``-pthread``):
+``split_run`` creates ``threads - 1`` threads and joins them before the
+call returns, so no thread outlives a call and a forked worker never
+inherits one.  Each thread takes the next unit of work from an atomic
+counter and works in its own block of the work arrays; the units (a
+replica, or in the drawing kernels a group of replicas that share one
+bit generator) are independent, so the results do not depend on
+``threads``, which the glue derives per call.
 
 The adapters exported through :func:`load_cores` take the same array
 arguments as the Python cores, which lets :mod:`repro.kernels._glue`
@@ -677,6 +679,142 @@ int64_t repro_advance_trips(int64_t mode, double *pos, double *target, double *d
     return split_run(trips_unit_run, &job, n_units, threads);
 }
 
+/* numpy's random_uniform: one value of rng.uniform(low, low + range). */
+static inline double uniform(bitgen_t *rng, double low, double range)
+{
+    return low + range * rng->next_double(rng->state);
+}
+
+/* np.clip of one double: the max with lo, then the min with hi, each
+   keeping a NaN operand on its left. */
+static inline double clip(double x, double lo, double hi)
+{
+    double t = (isnan(x) || x > lo) ? x : lo;
+    return (isnan(t) || t < hi) ? t : hi;
+}
+
+/* sample_length_biased_pair(k, side, rng) into coordinate `axis` of the
+   start and destination of the agents whose flag is `want`, ascending. */
+static void biased_pairs(bitgen_t *rng, int64_t k, double side,
+                         const uint8_t *restrict flags, uint8_t want,
+                         double *restrict start, double *restrict dest, int64_t axis,
+                         double *restrict props_a, double *restrict props_b)
+{
+    int64_t filled = 0, i = 0;
+    while (filled < k) {
+        int64_t need = k - filled;
+        int64_t batch = (int64_t)(3.2 * (double)need);
+        if (batch < 32) batch = 32;
+        for (int64_t j = 0; j < batch; j++)
+            props_a[j] = uniform(rng, 0.0, side);
+        for (int64_t j = 0; j < batch; j++)
+            props_b[j] = uniform(rng, 0.0, side);
+        int64_t got = 0;
+        for (int64_t j = 0; j < batch; j++) {
+            double u = uniform(rng, 0.0, 1.0);
+            if (u * side <= fabs(props_a[j] - props_b[j]) && got < need) {
+                while (flags[i] != want) i++;
+                start[2 * i + axis] = props_a[j];
+                dest[2 * i + axis] = props_b[j];
+                i++;
+                got++;
+            }
+        }
+        filled += got;
+    }
+}
+
+/* One replica's n stationary states, its rows of pos ... second.  pos
+   holds the trip starts and second the axis coins, then the path coins,
+   until each agent's last step overwrites them. */
+static void palm_replica(double *restrict pos, double *restrict dest, double *restrict target,
+                         uint8_t *restrict second, int64_t n, double side, bitgen_t *rng,
+                         double *restrict props_a, double *restrict props_b)
+{
+    int64_t k = 0;
+    for (int64_t i = 0; i < n; i++) {
+        uint8_t coin = uniform(rng, 0.0, 1.0) < 0.5;
+        second[i] = coin;
+        k += coin;
+    }
+    biased_pairs(rng, k, side, second, 1, pos, dest, 0, props_a, props_b);
+    for (int64_t i = 0; i < n; i++)
+        if (second[i]) pos[2 * i + 1] = uniform(rng, 0.0, side);
+    for (int64_t i = 0; i < n; i++)
+        if (second[i]) dest[2 * i + 1] = uniform(rng, 0.0, side);
+    biased_pairs(rng, n - k, side, second, 0, pos, dest, 1, props_a, props_b);
+    for (int64_t i = 0; i < n; i++)
+        if (!second[i]) pos[2 * i] = uniform(rng, 0.0, side);
+    for (int64_t i = 0; i < n; i++)
+        if (!second[i]) dest[2 * i] = uniform(rng, 0.0, side);
+    for (int64_t i = 0; i < n; i++) {
+        float coin = (float)(rng->next_uint32(rng->state) >> 8) * (1.0f / 16777216.0f);
+        second[i] = coin >= 0.5f;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        double sx = pos[2 * i], sy = pos[2 * i + 1];
+        double ex = dest[2 * i], ey = dest[2 * i + 1];
+        double travelled = uniform(rng, 0.0, 1.0) * (fabs(ex - sx) + fabs(ey - sy));
+        double total = fabs(sx - ex) + fabs(sy - ey);
+        double t = clip(travelled, 0.0, total);
+        double cx, cy, first;
+        if (second[i]) {
+            cx = ex; cy = sy; first = fabs(ex - sx);
+        } else {
+            cx = sx; cy = ey; first = fabs(ey - sy);
+        }
+        if (t <= first) {
+            double f = clip(first > 0 ? t / first : 0.0, 0.0, 1.0);
+            pos[2 * i] = sx + f * (cx - sx);
+            pos[2 * i + 1] = sy + f * (cy - sy);
+        } else {
+            double rest = total - first;
+            double f = clip(rest > 0 ? (t - first) / rest : 0.0, 0.0, 1.0);
+            pos[2 * i] = cx + f * (ex - cx);
+            pos[2 * i + 1] = cy + f * (ey - cy);
+        }
+        second[i] = travelled > first;
+        target[2 * i] = second[i] ? ex : cx;
+        target[2 * i + 1] = second[i] ? ey : cy;
+    }
+}
+
+typedef struct {
+    double *pos, *dest, *target;
+    uint8_t *second;
+    int64_t n;
+    double side;
+    bitgen_t *const *bitgens;
+    const int64_t *units, *unit_starts;
+    double *props_a, *props_b;
+    int64_t cap;
+} palm_job_t;
+
+/* Unit u of repro_palm_states: its replicas in ascending order, with
+   worker w's block of the proposal buffers. */
+static int64_t palm_unit_run(void *arg, int64_t u, int64_t w)
+{
+    const palm_job_t *j = (const palm_job_t *)arg;
+    const int64_t n = j->n;
+    for (int64_t t = j->unit_starts[u]; t < j->unit_starts[u + 1]; t++) {
+        int64_t r = j->units[t];
+        palm_replica(j->pos + 2 * r * n, j->dest + 2 * r * n, j->target + 2 * r * n,
+                     j->second + r * n, n, j->side, j->bitgens[r],
+                     j->props_a + w * j->cap, j->props_b + w * j->cap);
+    }
+    return 0;
+}
+
+void repro_palm_states(double *pos, double *dest, double *target, uint8_t *second, int64_t n,
+                       double side, bitgen_t *const *bitgens, const int64_t *units,
+                       const int64_t *unit_starts, int64_t n_units, int64_t threads,
+                       double *props_a, double *props_b, int64_t cap)
+{
+    palm_job_t job = {pos, dest, target, second, n, side, bitgens, units, unit_starts,
+                      props_a, props_b, cap};
+    split_run(palm_unit_run, &job, n_units, threads);
+}
+
 void repro_splice(const int64_t *restrict order, const int64_t *restrict sorted_ids,
                   const uint8_t *restrict removed, int64_t N,
                   const int64_t *restrict new_ids, const int64_t *restrict new_pts, int64_t nn,
@@ -872,6 +1010,10 @@ def _declare(lib):
         _f64, _f64, _f64, _f64, _f64, _f64, _f64, _f64, _ptr, _ptr, _ptr, _i64, _i64, _i64,
         _ptr, _ptr, _ptr,
     ]
+    lib.repro_palm_states.restype = None
+    lib.repro_palm_states.argtypes = [
+        _ptr, _ptr, _ptr, _ptr, _i64, _f64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr, _i64,
+    ]
     lib.repro_splice.restype = None
     lib.repro_splice.argtypes = [
         _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr,
@@ -959,6 +1101,13 @@ def load_cores():
             threads, max_passes, _addr(movers), _addr(rests), _addr(redraw),
         )
 
+    def palm_states_core(pos, dest, target, second, n, side, bitgens, units, unit_starts, threads, props_a, props_b, cap):
+        lib.repro_palm_states(
+            _addr(pos), _addr(dest), _addr(target), _addr(second), n, side, _addr(bitgens),
+            _addr(units), _addr(unit_starts), unit_starts.shape[0] - 1, threads,
+            _addr(props_a), _addr(props_b), cap,
+        )
+
     def splice_core(order, sorted_ids, removed, new_ids, new_pts, out_order, out_ids):
         lib.repro_splice(
             _addr(order), _addr(sorted_ids), _addr(removed), order.shape[0],
@@ -989,6 +1138,7 @@ def load_cores():
         advance_legs_dense_core=advance_legs_dense_core,
         bitgen_handles=bitgen_handles,
         advance_trips_core=advance_trips_core,
+        palm_states_core=palm_states_core,
         splice_core=splice_core,
         union_core=union_core,
         occupancy_delta_core=occupancy_delta_core,

@@ -47,6 +47,20 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
   coordinate, ``next_uint32`` per path coin, ``next_double`` per speed),
   so positions, trips, pause timers, speeds, counters and generator
   states are bit-identical, shared generators included.
+* ``palm_states_core`` — every replica's stationary MRWP state, drawn
+  by ``PalmStationarySampler.sample``'s calls in their order, one unit of
+  replicas (those of one bit generator, ascending) at a time: ``n``
+  ``next_double`` coins for the length-biased axis; the rejection rounds
+  of ``sample_length_biased_pair`` for those agents (``max(32, int(3.2 *
+  need))`` proposals a round, all ``a``, then all ``b``, then all accept
+  uniforms); their other axis's start, then destination, uniforms; the
+  same for the other agents with the axes swapped; ``n`` ``next_uint32``
+  path coins; ``n`` travelled fractions.  Each uniform is numpy's
+  ``random_uniform``, ``low + range * next_double``.  Then, per agent,
+  the IEEE operations of ``position_along_path``, ``leg_lengths`` and
+  ``path_corner``, with ``np.clip``'s NaN passing, so positions (NaN
+  ones included), destinations, targets, leg flags and generator states
+  are bit-identical.
 * ``splice_core`` — reproduces ``np.insert(..., searchsorted(...,
   side='left'))`` exactly: inserted points land *before* equal-bucket
   survivors, in stable sorted order.
@@ -82,6 +96,7 @@ __all__ = [
     "advance_legs_dense_core",
     "bitgen_handles",
     "advance_trips_core",
+    "palm_states_core",
     "splice_core",
     "union_core",
     "occupancy_delta_core",
@@ -728,6 +743,141 @@ def advance_trips_core(mode, pos, target, dest, on_second_leg, turns, arrivals, 
         )
 
     return _split(unit, unit_starts.shape[0] - 1, threads)
+
+
+def _uniform(rng, low, span):
+    """numpy's ``random_uniform``, one value of ``rng.uniform(low, low +
+    span)``: ``low + span * next_double``."""
+    return low + span * rng.random()
+
+
+def _clip(x, lo, hi):
+    """``np.clip`` of one float: the max with ``lo``, then the min with
+    ``hi``, each keeping a NaN operand on its left."""
+    t = x if math.isnan(x) or x > lo else lo
+    return t if math.isnan(t) or t < hi else hi
+
+
+def _biased_pairs(rng, k, side, flags, want, start, dest, axis, props_a, props_b):
+    """``sample_length_biased_pair(k, side, rng)`` written to coordinate
+    ``axis`` of the start and destination of the agents whose ``flags``
+    entry equals ``want``, ascending.
+
+    Each rejection round draws ``batch = max(32, int(3.2 * need))``
+    proposals ``a`` (into ``props_a``), then ``batch`` proposals ``b``,
+    then ``batch`` accept uniforms, and keeps the first ``need`` pairs
+    with ``u * side <= |a - b|``.
+    """
+    filled = 0
+    i = 0
+    while filled < k:
+        need = k - filled
+        batch = int(3.2 * need)
+        if batch < 32:
+            batch = 32
+        for j in range(batch):
+            props_a[j] = _uniform(rng, 0.0, side)
+        for j in range(batch):
+            props_b[j] = _uniform(rng, 0.0, side)
+        got = 0
+        for j in range(batch):
+            u = _uniform(rng, 0.0, 1.0)
+            if u * side <= abs(props_a[j] - props_b[j]) and got < need:
+                while flags[i] != want:
+                    i += 1
+                start[i, axis] = props_a[j]
+                dest[i, axis] = props_b[j]
+                i += 1
+                got += 1
+        filled += got
+
+
+def _palm_replica(pos, dest, target, second, n, side, rng, props_a, props_b):
+    """One replica's ``n`` stationary states (``pos`` ... ``second`` are
+    its rows), drawn from ``rng`` in ``PalmStationarySampler.sample``'s
+    order.  ``pos`` holds the trip starts and ``second`` the axis coins,
+    then the path coins, until each agent's last step overwrites them."""
+    k = 0
+    for i in range(n):
+        coin = _uniform(rng, 0.0, 1.0) < 0.5
+        second[i] = coin
+        k += coin
+    # Axis coin set: the x pair is length-biased and the y pair uniform.
+    _biased_pairs(rng, k, side, second, True, pos, dest, 0, props_a, props_b)
+    for i in range(n):
+        if second[i]:
+            pos[i, 1] = _uniform(rng, 0.0, side)
+    for i in range(n):
+        if second[i]:
+            dest[i, 1] = _uniform(rng, 0.0, side)
+    _biased_pairs(rng, n - k, side, second, False, pos, dest, 1, props_a, props_b)
+    for i in range(n):
+        if not second[i]:
+            pos[i, 0] = _uniform(rng, 0.0, side)
+    for i in range(n):
+        if not second[i]:
+            dest[i, 0] = _uniform(rng, 0.0, side)
+    # Path coins: True takes the horizontal leg first.
+    for i in range(n):
+        second[i] = rng.random(dtype=np.float32) >= 0.5
+    for i in range(n):
+        sx = float(pos[i, 0])
+        sy = float(pos[i, 1])
+        ex = float(dest[i, 0])
+        ey = float(dest[i, 1])
+        travelled = _uniform(rng, 0.0, 1.0) * (abs(ex - sx) + abs(ey - sy))
+        total = abs(sx - ex) + abs(sy - ey)
+        t = _clip(travelled, 0.0, total)
+        if second[i]:
+            cx = ex
+            cy = sy
+            first = abs(ex - sx)
+        else:
+            cx = sx
+            cy = ey
+            first = abs(ey - sy)
+        if t <= first:
+            f = _clip(t / first if first > 0 else 0.0, 0.0, 1.0)
+            pos[i, 0] = sx + f * (cx - sx)
+            pos[i, 1] = sy + f * (cy - sy)
+        else:
+            rest = total - first
+            f = _clip((t - first) / rest if rest > 0 else 0.0, 0.0, 1.0)
+            pos[i, 0] = cx + f * (ex - cx)
+            pos[i, 1] = cy + f * (ey - cy)
+        second[i] = travelled > first
+        if second[i]:
+            target[i, 0] = ex
+            target[i, 1] = ey
+        else:
+            target[i, 0] = cx
+            target[i, 1] = cy
+
+
+def palm_states_core(pos, dest, target, second, n, side, bitgens, units, unit_starts, threads, props_a, props_b, cap):
+    """Every replica's stationary MRWP state, written into the flat
+    ``(B*n, 2)`` ``pos`` / ``dest`` / ``target`` and ``(B*n,)``
+    ``second`` arrays; replica ``b`` draws from ``bitgens[b]``.
+
+    The replicas come in units (``units``, ``unit_starts``, as in
+    :func:`advance_trips_core`), each a unit of work of ``_split``: unit
+    ``u`` draws its replicas in ascending order, so a bit generator that
+    several replicas share serves them in the order of one-replica
+    samples.  ``props_a`` / ``props_b`` hold ``threads`` blocks of
+    ``cap`` proposals (``max(32, int(3.2 * n))``, the largest rejection
+    round), one per worker.
+    """
+
+    def unit(u, w):
+        a = props_a[w * cap:]
+        b = props_b[w * cap:]
+        for t in range(unit_starts[u], unit_starts[u + 1]):
+            r = units[t]
+            rows = slice(r * n, (r + 1) * n)
+            _palm_replica(pos[rows], dest[rows], target[rows], second[rows], n, side, bitgens[r], a, b)
+        return 0
+
+    _split(unit, unit_starts.shape[0] - 1, threads)
 
 
 def splice_core(order, sorted_ids, removed, new_ids, new_pts, out_order, out_ids):

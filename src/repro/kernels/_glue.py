@@ -10,9 +10,10 @@ sentinel tuple) when the inputs fall outside the domain it is exact on,
 in which case the dispatch site silently runs the numpy path instead.
 That keeps the compiled tier an optimization, never a semantics fork.
 
-The infection test and the trip mode split their replicas across the
-CPUs: :func:`_threads` sizes each call, and the cores take the count as
-their ``threads`` argument (see :mod:`repro.kernels._cext`).
+The infection test, the trip mode and the Palm sampler split their
+replicas across the CPUs: :func:`_threads` sizes each call, and the cores
+take the count as their ``threads`` argument (see
+:mod:`repro.kernels._cext`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import multiprocessing
 import operator
 import os
 import sys
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +43,10 @@ __all__ = [
 
 #: Public kernel names, in bench/report order.  ``grid_splice`` and
 #: ``occupancy_delta`` have no caller in the library; they stay registered
-#: while the benchmark's per-layer metric list still names them.
+#: while the benchmark's per-layer metric list still names them.  The
+#: table's ``palm_states`` entry is left out: the benchmark's per-layer
+#: rows are pinned to this tuple and have none for it yet, so the tracer
+#: does not wrap it, and its time shows in ``batch.construct.mobility_s``.
 KERNEL_NAMES = (
     "batch_any_within",
     "batch_contacts",
@@ -195,33 +200,53 @@ class TripWork:
         self.whole = None
 
     def generators(self, cores, rngs):
-        """``(handles, locks)`` for drawing from ``rngs`` with ``cores``;
-        ``handles`` is ``None`` when a generator is not a plain numpy
-        ``Generator`` or its bit generator has no C interface."""
+        """``(handles, locks)`` of :func:`_generator_units`, derived again
+        only when ``cores`` or the generators change."""
         if (
             self.cores is not cores
             or len(self.rngs) != len(rngs)
             or not all(map(operator.is_, self.rngs, rngs))
         ):
-            handles, locks = None, ()
-            if all(type(rng) is np.random.Generator for rng in rngs):
-                handles = cores.bitgen_handles(rngs)
-                # One lock per distinct bit generator, taken in a fixed order.
-                distinct = {id(rng.bit_generator): rng.bit_generator for rng in rngs}
-                locks = tuple(distinct[key].lock for key in sorted(distinct))
-                members = {}
-                for b, rng in enumerate(rngs):
-                    members.setdefault(id(rng.bit_generator), []).append(b)
-                self.groups = _unit_layout(list(members.values()))
-                self.whole = _unit_layout([list(range(len(rngs)))])
+            self.handles, self.locks, self.groups = _generator_units(cores, rngs)
+            self.whole = _unit_layout([list(range(len(rngs)))])
             self.cores, self.rngs = cores, tuple(rngs)
-            self.handles, self.locks = handles, locks
         return self.handles, self.locks
+
+
+def _generator_units(cores, rngs):
+    """``(handles, locks, groups)`` for drawing from ``rngs`` with
+    ``cores``: what the cores draw from, one lock per distinct bit
+    generator (in a fixed order) and one unit of replicas per bit
+    generator.  ``handles`` is ``None`` when a generator is not a plain
+    numpy ``Generator`` or its bit generator has no C interface."""
+    if not all(type(rng) is np.random.Generator for rng in rngs):
+        return None, (), None
+    distinct = {id(rng.bit_generator): rng.bit_generator for rng in rngs}
+    locks = tuple(distinct[key].lock for key in sorted(distinct))
+    members = {}
+    for b, rng in enumerate(rngs):
+        members.setdefault(id(rng.bit_generator), []).append(b)
+    return cores.bitgen_handles(rngs), locks, _unit_layout(list(members.values()))
+
+
+def _locked(locks, call, *args):
+    """``call(*args)`` holding every lock in ``locks``.  The C cores draw
+    with the GIL released, so they hold the generators' locks for the
+    call, as numpy's own fills do."""
+    held = 0
+    try:
+        for lock in locks:
+            lock.acquire()
+            held += 1
+        return call(*args)
+    finally:
+        for lock in locks[:held]:
+            lock.release()
 
 
 def _unit_layout(units):
     """``(units, unit_starts)`` of a list of ascending replica lists."""
-    starts = np.cumsum([0] + [len(unit) for unit in units], dtype=np.int64)
+    starts = np.array(list(accumulate(map(len, units), initial=0)), dtype=np.int64)
     return np.array([b for unit in units for b in unit], dtype=np.int64), starts
 
 
@@ -492,22 +517,13 @@ def make_kernels(cores):
         if n_units > 1 and not _units_stay_apart(mode, budget, eps, eps_t, speed, speeds, v_min):
             (units, unit_starts), n_units = work.whole, 1
         threads = _threads(min(n_active, n_units), n_active * n)
-        # The C core draws with the GIL released: hold every generator's
-        # lock for the call, as numpy's own fills do.
-        held = 0
-        try:
-            for lock in locks:
-                lock.acquire()
-                held += 1
-            return cores.advance_trips_core(
-                mode, pos, target, dest, second, turns, arrivals, pause_left, speeds, active,
-                n, budget, speed, eps, eps_t, pause_time, float(trips.side), v_min, v_range,
-                handles, units, unit_starts, threads, int(trips.max_passes),
-                work.movers, work.rests, work.redraw,
-            )
-        finally:
-            for lock in locks[:held]:
-                lock.release()
+        return _locked(
+            locks, cores.advance_trips_core,
+            mode, pos, target, dest, second, turns, arrivals, pause_left, speeds, active,
+            n, budget, speed, eps, eps_t, pause_time, float(trips.side), v_min, v_range,
+            handles, units, unit_starts, threads, int(trips.max_passes),
+            work.movers, work.rests, work.redraw,
+        )
 
     def advance_legs_dense(pos, target, budget, moving, n_moving, eps, speed=None, trips=None):
         """The dense leg pass for distance budgets; with ``trips``, the trip
@@ -539,6 +555,41 @@ def make_kernels(cores):
             pos, target, budget, moving, bool(n_moving == total), float(eps), done.view(np.int64),
         )
         return done[: int(cnt)]
+
+    def palm_states(pos, dest, target, second, side, rngs):
+        """Every replica's stationary MRWP state (``PalmStationarySampler``)
+        drawn into the flat ``(B*n, 2)`` positions, destinations and
+        current-leg targets and the ``(B*n,)`` second-leg flags, replica
+        ``b`` from ``rngs[b]``; returns True.
+
+        Declined (``None``, nothing drawn) for no agents, mistyped or
+        non-contiguous arrays, a side that is not positive and finite
+        (``rng.uniform`` refuses an infinite range), and a generator that
+        is not a plain ``numpy.random.Generator`` with numpy's C
+        interface."""
+        batch, total = len(rngs), second.shape[0]
+        if not batch or not total or total % batch or not _is_c_flags(second, total):
+            return None
+        if not all(_is_c_points(arr, total) for arr in (pos, dest, target)):
+            return None
+        side = float(side)
+        if not 0.0 < side < math.inf:
+            return None
+        handles, locks, groups = _generator_units(cores, rngs)
+        if handles is None:
+            return None
+        units, unit_starts = groups
+        n = total // batch
+        threads = _threads(unit_starts.shape[0] - 1, total)
+        # A worker's block holds the largest rejection round, that of all
+        # n agents.
+        cap = max(32, int(3.2 * n))
+        props = [np.empty(threads * cap, dtype=np.float64) for _ in range(2)]
+        _locked(
+            locks, cores.palm_states_core, pos, dest, target, second, n, side, handles,
+            units, unit_starts, threads, *props, cap,
+        )
+        return True
 
     def grid_splice(order, sorted_ids, removed, new_ids, new_pts):
         if not (_is_c_i64(order) and _is_c_i64(sorted_ids)):
@@ -604,6 +655,7 @@ def make_kernels(cores):
         "batch_contacts": batch_contacts,
         "advance_legs": advance_legs,
         "advance_legs_dense": advance_legs_dense,
+        "palm_states": palm_states,
         "grid_splice": grid_splice,
         "occupancy_delta": occupancy_delta,
         "union_fixpoint": union_fixpoint,

@@ -38,6 +38,7 @@ from repro.mobility.stationary import (
     ClosedFormStationarySampler,
     KinematicState,
     PalmStationarySampler,
+    sample_palm_states,
 )
 
 __all__ = ["ManhattanRandomWaypoint", "BatchManhattanRandomWaypoint"]
@@ -153,14 +154,19 @@ class BatchManhattanRandomWaypoint(BatchMobilityModel):
 
     def __init__(self, n: int, side: float, speed: float, rngs, init="stationary"):
         super().__init__(n, side, speed, rngs)
-        states = []
-        for b, rng in enumerate(self.rngs):
-            spec = init[b] if isinstance(init, (list, tuple)) else init
-            states.append(_initial_state(self.n, self.side, spec, rng))
-        self._pos = np.concatenate([s.positions for s in states], axis=0)
-        self._dest = np.concatenate([s.destinations for s in states], axis=0)
-        self._target = np.concatenate([s.targets for s in states], axis=0)
-        self._on_second_leg = np.concatenate([s.on_second_leg for s in states], axis=0)
+        if init == "stationary":
+            # Every replica at once: one kernel call on the compiled tier.
+            flat = sample_palm_states(self.n, self.side, self.rngs)
+        else:
+            states = []
+            for b, rng in enumerate(self.rngs):
+                spec = init[b] if isinstance(init, (list, tuple)) else init
+                states.append(_initial_state(self.n, self.side, spec, rng))
+            flat = [
+                np.concatenate([getattr(s, name) for s in states], axis=0)
+                for name in ("positions", "destinations", "targets", "on_second_leg")
+            ]
+        self._pos, self._dest, self._target, self._on_second_leg = flat
         self.turn_counts = np.zeros(self.batch_size * self.n, dtype=np.int64)
         self.arrival_counts = np.zeros(self.batch_size * self.n, dtype=np.int64)
         self._eps = 1e-9 * max(self.side, 1.0)

@@ -46,12 +46,14 @@ from repro.geometry.paths import (
     position_along_path,
 )
 from repro.geometry.sampling import sample_beta22, sample_length_biased_pair
+from repro.kernels import get_kernel
 from repro.mobility.distributions import cross_probability, quadrant_masses
 
 __all__ = [
     "KinematicState",
     "PalmStationarySampler",
     "ClosedFormStationarySampler",
+    "sample_palm_states",
     "sample_stationary_positions",
     "sample_destination_given_position",
 ]
@@ -146,7 +148,13 @@ class PalmStationarySampler:
         return starts, dests
 
     def sample(self, n: int, rng: np.random.Generator) -> KinematicState:
-        """Draw ``n`` i.i.d. stationary kinematic states."""
+        """Draw ``n`` i.i.d. stationary kinematic states (one replica of
+        :func:`sample_palm_states`)."""
+        return KinematicState(*sample_palm_states(n, self.side, [rng]))
+
+    def _sample_numpy(self, n: int, rng: np.random.Generator) -> tuple:
+        """:meth:`sample` on the numpy tier, as a tuple of its fields: the
+        draws that the compiled ``palm_states`` kernel replays."""
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         starts, dests = self.sample_trips(n, rng)
@@ -158,7 +166,37 @@ class PalmStationarySampler:
         on_second_leg = travelled > first
         corners = path_corner(starts, dests, path_choice)
         targets = np.where(on_second_leg[:, None], dests, corners)
-        return KinematicState(positions, dests.copy(), targets, on_second_leg)
+        return positions, dests, targets, on_second_leg
+
+
+def sample_palm_states(n: int, side: float, rngs) -> tuple:
+    """Palm stationary states of ``len(rngs)`` replicas of ``n`` agents.
+
+    Replica ``b`` gets the states ``PalmStationarySampler(side).sample(n,
+    rngs[b])`` draws, and the generators end where those calls, replica by
+    replica, leave them (replicas that share a bit generator included).
+    Returns the flat ``(positions, destinations, targets, on_second_leg)``,
+    shaped ``(B*n, 2)``, ``(B*n, 2)``, ``(B*n, 2)`` and ``(B*n,)``.
+
+    On the compiled tier one call of the ``palm_states`` kernel draws
+    them all, in C, with the numpy sampler's calls in its order; elsewhere,
+    or when the kernel declines, ``PalmStationarySampler._sample_numpy``
+    runs replica by replica and raises what it raises.
+    """
+    kernel = get_kernel("palm_states")
+    if kernel is not None and n > 0:
+        total = len(rngs) * n
+        flat = (
+            np.empty((total, 2)), np.empty((total, 2)), np.empty((total, 2)),
+            np.empty(total, dtype=bool),
+        )
+        if kernel(*flat, side, rngs):
+            return flat
+    sampler = PalmStationarySampler(side)
+    states = [sampler._sample_numpy(n, rng) for rng in rngs]
+    if len(states) == 1:
+        return states[0]
+    return tuple(np.concatenate(fields) for fields in zip(*states))
 
 
 def sample_destination_given_position(

@@ -239,25 +239,27 @@ def run_protocol_batch(config: FloodingConfig, seed_seqs) -> list:
         protocol_rngs.append(np.random.default_rng(protocol_ss))
         source_rngs.append(np.random.default_rng(source_ss))
 
-    model = build_batch_model(config, mobility_rngs)
-    positions0 = model.positions
-    sources = np.array(
-        [
-            select_source(positions0[b], config.side, config.source, source_rngs[b])
-            for b in range(batch)
-        ],
-        dtype=np.intp,
-    )
-    state = build_batch_state(config, sources, protocol_rngs)
-    zones = None
-    if config.track_zones:
-        zones = build_zone_partition(
-            config.n, config.side, config.radius, config.threshold_factor
-        )
-    simulation = BatchSimulation(model, state, zones=zones)
-    # The configured kernel tier is active for the lock-step loop only —
-    # bit-exact by contract, so the tier changes speed, never results.
+    # The configured kernel tier is active from model construction (one
+    # compiled Palm call draws every replica's stationary start) to the
+    # end of the lock-step loop — bit-exact by contract, so the tier
+    # changes speed, never results.
     with use_kernel_tier(config.kernels):
+        model = build_batch_model(config, mobility_rngs)
+        positions0 = model.positions
+        sources = np.array(
+            [
+                select_source(positions0[b], config.side, config.source, source_rngs[b])
+                for b in range(batch)
+            ],
+            dtype=np.intp,
+        )
+        state = build_batch_state(config, sources, protocol_rngs)
+        zones = None
+        if config.track_zones:
+            zones = build_zone_partition(
+                config.n, config.side, config.radius, config.threshold_factor
+            )
+        simulation = BatchSimulation(model, state, zones=zones)
         n_steps = simulation.run(config.max_steps)
 
     results = []

@@ -111,27 +111,30 @@ def run_flooding(
     """
     root = seed_seq if seed_seq is not None else np.random.SeedSequence(config.seed)
     mobility_ss, protocol_ss, source_ss = child_seeds(root, 3)
-    model = build_model(config, np.random.default_rng(mobility_ss))
-    positions = model.positions
-    source = select_source(positions, config.side, config.source, np.random.default_rng(source_ss))
-    protocol = build_protocol(config, source, np.random.default_rng(protocol_ss))
-
-    observers = [InformedRecorder()]
-    zones = None
-    if config.track_zones:
-        zones = build_zone_partition(
-            config.n, config.side, config.radius, config.threshold_factor
-        )
-        if zones is not None:
-            observers.append(ZoneRecorder(zones))
-    extra = list(extra_observers) if extra_observers else []
-    observers.extend(extra)
-
-    simulation = Simulation(model, protocol, observers)
-    # The configured kernel tier is active for the simulation loop only
-    # (model/protocol construction above uses the library default), and is
-    # bit-exact by contract — the tier changes speed, never results.
+    # The configured kernel tier is active from model construction (the
+    # compiled Palm sampler draws the stationary start) to the end of the
+    # simulation loop, and is bit-exact by contract — the tier changes
+    # speed, never results.
     with use_kernel_tier(config.kernels):
+        model = build_model(config, np.random.default_rng(mobility_ss))
+        positions = model.positions
+        source = select_source(
+            positions, config.side, config.source, np.random.default_rng(source_ss)
+        )
+        protocol = build_protocol(config, source, np.random.default_rng(protocol_ss))
+
+        observers = [InformedRecorder()]
+        zones = None
+        if config.track_zones:
+            zones = build_zone_partition(
+                config.n, config.side, config.radius, config.threshold_factor
+            )
+            if zones is not None:
+                observers.append(ZoneRecorder(zones))
+        extra = list(extra_observers) if extra_observers else []
+        observers.extend(extra)
+
+        simulation = Simulation(model, protocol, observers)
         n_steps = simulation.run(config.max_steps)
 
     informed_recorder = observers[0]

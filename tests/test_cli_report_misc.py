@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.experiments import registry
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.protocols.flooding import FloodingProtocol
 from repro.simulation.engine import Simulation
@@ -23,6 +24,18 @@ class TestCliReport:
         content = out_path.read_text()
         assert "lemma15_suburb" in content
         assert "PASS" in content
+
+    @pytest.mark.parametrize("only", [["bogus"], ["thm3_radius", "bogus"]], ids=["alone", "after"])
+    def test_unknown_id_is_a_usage_error_before_any_run(self, capsys, tmp_path, monkeypatch, only):
+        ran = []
+        monkeypatch.setattr(registry, "run_all", lambda *a, **k: ran.append(a) or iter(()))
+        out_path = tmp_path / "report.md"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--out", str(out_path), "--only", *only])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "invalid choice: 'bogus'" in err
+        assert ran == [] and not out_path.exists()
 
 
 class TestEngineDt:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.paths import choose_corners, leg_lengths, path_corner, position_along_path
-from repro.kernels import kernel_backend, provider_kernels, use_kernel_tier
+from repro.kernels import _glue, kernel_backend, provider_kernels, use_kernel_tier
 from repro.mobility.kinematics import (
     advance_legs,
     countdown_pauses,
@@ -27,7 +27,11 @@ from repro.mobility.mrwp import BatchManhattanRandomWaypoint
 from repro.mobility.pause import BatchManhattanRandomWaypointWithPause
 from repro.mobility.rwp import BatchRandomWaypoint
 from repro.mobility.speed_range import BatchRandomSpeedManhattanWaypoint
-from repro.mobility.stationary import KinematicState, PalmStationarySampler
+from repro.mobility.stationary import (
+    KinematicState,
+    PalmStationarySampler,
+    sample_palm_states,
+)
 from repro.protocols.base import BatchBroadcastState
 
 BIT_GENERATORS = [
@@ -489,3 +493,153 @@ class TestCompiledRwpStep:
             monkeypatch, build, oracle_rwp_step, RWP_STATE,
             *twin_rngs(bit_generator, batch_size),
         )
+
+
+PALM_FIELDS = ("positions", "destinations", "targets", "on_second_leg")
+
+
+def palm_spy(monkeypatch):
+    """Record every ``palm_states`` call's result on the provider table."""
+    table = provider_kernels()
+    original = table["palm_states"]
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setitem(table, "palm_states", spy)
+    return results
+
+
+def oracle_palm_states(n, side, rngs):
+    """The oracle, replica by replica, concatenated into the flat fields.
+    A side near the largest double overflows trip lengths, and the
+    oracle's numpy warns about it."""
+    sampler = PalmStationarySampler(side)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = [oracle_palm_sample(sampler, n, rng) for rng in rngs]
+    return [np.concatenate([getattr(s, name) for s in states]) for name in PALM_FIELDS]
+
+
+def palm_generators(bit_generator, batch):
+    """Generators for ``batch`` replicas; ``"shared"`` is three replicas
+    with replicas 0 and 2 on one generator."""
+    if batch == "shared":
+        rngs, ref_rngs = twin_rngs(bit_generator, 3)
+        rngs[2], ref_rngs[2] = rngs[0], ref_rngs[0]
+        return rngs, ref_rngs
+    return twin_rngs(bit_generator, batch)
+
+
+@needs_provider
+class TestCompiledPalmSampler:
+    """The compiled tier draws every replica's stationary state in one
+    ``palm_states`` call; it must leave the numpy sampler's states and
+    generator states, bit for bit."""
+
+    @pytest.mark.parametrize("side", [SIDE, 1e-310, 1.7e308], ids=["side", "subnormal", "huge"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])
+    @pytest.mark.parametrize("batch", [1, 3, 8, "shared"], ids=str)
+    def test_matches_oracle(self, monkeypatch, bit_generator, batch, n, side):
+        """At the largest side trip lengths overflow, and the NaN
+        positions that follow must match too."""
+        calls = palm_spy(monkeypatch)
+        rngs, ref_rngs = palm_generators(bit_generator, batch)
+        for _ in range(2):
+            with use_kernel_tier("compiled"):
+                got = sample_palm_states(n, side, rngs)
+            want = oracle_palm_states(n, side, ref_rngs)
+            for actual, expected in zip(got, want):
+                assert_bits_equal(actual, expected)
+            assert_same_states(rngs, ref_rngs)
+        assert calls == [True, True]
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    def test_one_thread_against_two(self, monkeypatch, bit_generator, shared):
+        """With ``shared``, replicas 1 to 7 draw from one generator: one
+        unit, which must run on one thread while replica 0 runs on the
+        other."""
+        counts = []
+        derive = _glue._threads
+
+        def spy(units, agents):
+            counts.append(derive(units, agents))
+            return counts[-1]
+
+        monkeypatch.setattr(_glue, "_AGENTS_PER_THREAD", 1)
+        monkeypatch.setattr(_glue, "_threads", spy)
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(_glue, "_host_threads", lambda threads=threads: threads)
+            rngs, ref_rngs = palm_generators(bit_generator, 8)
+            if shared:
+                rngs[2:], ref_rngs[2:] = [rngs[1]] * 6, [ref_rngs[1]] * 6
+            with use_kernel_tier("compiled"):
+                runs.append((sample_palm_states(300, SIDE, rngs), rngs))
+        assert counts == [1, 2]
+        want = oracle_palm_states(300, SIDE, ref_rngs)
+        for got, rngs in runs:
+            for actual, expected in zip(got, want):
+                assert_bits_equal(actual, expected)
+            assert_same_states(rngs, ref_rngs)
+
+    def test_an_infinite_side_still_raises(self, monkeypatch):
+        calls = palm_spy(monkeypatch)
+        sampler = PalmStationarySampler(np.inf)
+        with use_kernel_tier("compiled"), pytest.raises(OverflowError):
+            sampler.sample(5, np.random.default_rng(0))
+        assert calls == [None]
+
+    def test_a_generator_subclass_runs_numpy(self, monkeypatch, bit_generator):
+        class Subclass(np.random.Generator):
+            pass
+
+        calls = palm_spy(monkeypatch)
+        seed = np.random.SeedSequence(4)
+        rng, ref_rng = Subclass(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        with use_kernel_tier("compiled"):
+            got = PalmStationarySampler(SIDE).sample(40, rng)
+        want = oracle_palm_sample(PalmStationarySampler(SIDE), 40, ref_rng)
+        for name in PALM_FIELDS:
+            assert_bits_equal(getattr(got, name), getattr(want, name))
+        assert_same_states([rng], [ref_rng])
+        assert calls == [None]
+
+    @pytest.mark.parametrize("batch", [1, 3, "shared"], ids=str)
+    def test_mrwp_draws_every_replica_in_one_call(self, monkeypatch, bit_generator, batch):
+        calls = palm_spy(monkeypatch)
+        rngs, ref_rngs = palm_generators(bit_generator, batch)
+        with use_kernel_tier("compiled"):
+            model = BatchManhattanRandomWaypoint(N, SIDE, 1.0, rngs)
+        want = oracle_palm_states(N, SIDE, ref_rngs)
+        for name, expected in zip(("_pos", "_dest", "_target", "_on_second_leg"), want):
+            assert_bits_equal(getattr(model, name), expected)
+        assert_same_states(rngs, ref_rngs)
+        assert calls == [True]
+
+    @pytest.mark.parametrize("pause_time", [0.0, 3.0], ids=["no-pause", "pause"])
+    def test_pause_mrwp_construction_matches_numpy(self, monkeypatch, bit_generator, pause_time):
+        calls = palm_spy(monkeypatch)
+        rngs, ref_rngs = palm_generators(bit_generator, "shared")
+        with use_kernel_tier("compiled"):
+            model = BatchManhattanRandomWaypointWithPause(
+                50, SIDE, 0.5, rngs, pause_time=pause_time
+            )
+        ref = BatchManhattanRandomWaypointWithPause(50, SIDE, 0.5, ref_rngs, pause_time=pause_time)
+        for name in PAUSE_STATE:
+            assert_bits_equal(getattr(model, name), getattr(ref, name))
+        assert_same_states(rngs, ref_rngs)
+        assert calls and all(out is True for out in calls)
+
+    @pytest.mark.parametrize("v_min,v_max", [(0.2, 1.5), (0.9, 0.9)], ids=["range", "one-speed"])
+    def test_random_speed_construction_matches_numpy(self, monkeypatch, bit_generator, v_min, v_max):
+        calls = palm_spy(monkeypatch)
+        rngs, ref_rngs = palm_generators(bit_generator, "shared")
+        with use_kernel_tier("compiled"):
+            model = BatchRandomSpeedManhattanWaypoint(50, SIDE, v_min, v_max, rngs)
+        ref = BatchRandomSpeedManhattanWaypoint(50, SIDE, v_min, v_max, ref_rngs)
+        for name in SPEED_STATE:
+            assert_bits_equal(getattr(model, name), getattr(ref, name))
+        assert_same_states(rngs, ref_rngs)
+        assert calls == [True, True, True]

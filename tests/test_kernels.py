@@ -56,6 +56,7 @@ from repro.mobility.kinematics import (
 from repro.mobility.pause import _advance_pause_mrwp
 from repro.mobility.rwp import _advance_rwp
 from repro.mobility.speed_range import _advance_random_speed
+from repro.mobility.stationary import PalmStationarySampler
 from repro.simulation import run_sweep, run_trials, standard_config
 from repro.simulation.metrics import zones_left
 
@@ -78,6 +79,10 @@ def _tables():
 
 TABLES = _tables()
 TABLE_IDS = [name for name, _ in TABLES]
+#: Every entry of the kernel table: the provider's when one exists, else
+#: the reference's (both come from ``make_kernels``).  ``palm_states`` is
+#: in the table but not in ``KERNEL_NAMES``.
+TABLE_NAMES = list(TABLES[-1][1])
 
 
 # ----------------------------------------------------------------------
@@ -142,16 +147,20 @@ class TestTierScoping:
         assert active_kernel_tier() == "numpy"
         assert get_kernel("batch_any_within") is None
 
+    def test_table_holds_every_benchmarked_name(self):
+        assert set(KERNEL_NAMES) <= set(TABLE_NAMES)
+        assert "palm_states" in TABLE_NAMES and "palm_states" not in KERNEL_NAMES
+
     def test_numpy_tier_never_dispatches(self):
         with use_kernel_tier("numpy") as tier:
             assert tier == "numpy"
-            assert all(get_kernel(name) is None for name in KERNEL_NAMES)
+            assert all(get_kernel(name) is None for name in TABLE_NAMES)
 
     @needs_provider
     def test_compiled_tier_scopes_and_restores(self):
         with use_kernel_tier("compiled") as tier:
             assert tier == "compiled"
-            assert all(callable(get_kernel(name)) for name in KERNEL_NAMES)
+            assert all(callable(get_kernel(name)) for name in provider_kernels())
             with use_kernel_tier("numpy"):
                 assert get_kernel("union_fixpoint") is None
             assert callable(get_kernel("union_fixpoint"))
@@ -1026,6 +1035,113 @@ class TestProviderTripsFollowSpec:
             _assert_same_trip_state(got, want, rngs, ref_rngs)
 
 
+def _palm_arrays(total):
+    return [np.empty((total, 2)), np.empty((total, 2)), np.empty((total, 2)),
+            np.empty(total, dtype=bool)]
+
+
+def _palm_oracle(n, side, rngs):
+    """The numpy sampler, replica by replica, as flat fields."""
+    sampler = PalmStationarySampler(side)
+    states = [sampler.sample(n, rng) for rng in rngs]
+    return [
+        np.concatenate([getattr(s, name) for s in states])
+        for name in ("positions", "destinations", "targets", "on_second_leg")
+    ]
+
+
+@pytest.mark.parametrize("table", [t for _, t in TABLES], ids=TABLE_IDS)
+class TestPalmKernelParity:
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    def test_matches_numpy_sampler(self, table, shared):
+        for case, (batch, n, side) in enumerate([(1, 1, 3.0), (3, 7, 3.0), (4, 40, 1e5)]):
+            rngs, ref_rngs = _twin_generators(20 + case, batch, shared)
+            got = _palm_arrays(batch * n)
+            assert table["palm_states"](*got, side, rngs) is True
+            for actual, wanted in zip(got, _palm_oracle(n, side, ref_rngs)):
+                assert actual.tobytes() == wanted.tobytes()
+            assert [r.bit_generator.state for r in rngs] == [
+                r.bit_generator.state for r in ref_rngs
+            ]
+
+    def test_declines_untouched(self, table):
+        """No agents, mistyped, non-contiguous or short arrays, agents
+        that do not split into the replicas, a side that is not positive
+        and finite, or a generator that is not a plain ``Generator``:
+        ``None``, and nothing drawn or written."""
+
+        class Forwarding:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def random(self, *args, **kwargs):
+                return self.inner.random(*args, **kwargs)
+
+        class Subclass(np.random.Generator):
+            pass
+
+        pos, dest, target, second = _palm_arrays(12)
+        cases = [
+            ("no agents", [a[:0] for a in (pos, dest, target, second)], 2.0, 2, None),
+            ("float32 positions", [pos.astype(np.float32), dest, target, second], 2.0, 2, None),
+            ("strided targets", [pos, dest, np.hstack([target, target])[:, :2], second], 2.0, 2,
+             None),
+            ("int8 leg flags", [pos, dest, target, second.astype(np.int8)], 2.0, 2, None),
+            ("short destinations", [pos, dest[:-1], target, second], 2.0, 2, None),
+            ("ragged replicas", [pos, dest, target, second], 2.0, 5, None),
+            ("forwarding generator", [pos, dest, target, second], 2.0, 2, Forwarding),
+            ("generator subclass", [pos, dest, target, second], 2.0, 2, Subclass),
+        ] + [
+            (f"side {side}", [pos, dest, target, second], side, 2, None)
+            for side in (0.0, -1.0, np.inf, np.nan)
+        ]
+        for label, arrays, side, batch, wrap in cases:
+            before = [a.copy() for a in arrays]
+            real = [np.random.default_rng(b) for b in range(batch)]
+            states = [r.bit_generator.state for r in real]
+            rngs = list(real)
+            if wrap is Forwarding:
+                rngs[1] = Forwarding(real[1])
+            elif wrap is Subclass:
+                rngs[1] = Subclass(real[1].bit_generator)
+            assert table["palm_states"](*arrays, side, rngs) is None, label
+            for actual, wanted in zip(arrays, before):
+                assert actual.tobytes() == wanted.tobytes(), label
+            assert [r.bit_generator.state for r in real] == states, label
+
+
+@needs_provider
+class TestProviderPalmFollowsSpec:
+    """The C Palm sampler against the spec core, state for state."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    def test_matches_reference_cores(self, shared):
+        provider, reference = provider_kernels(), reference_kernels()
+        cases = [(1, 1, 3.0), (3, 9, 3.0), (5, 60, 2.5e-310), (2, 30, 1.7e308), (3, 200, 50.0)]
+        for case, (batch, n, side) in enumerate(cases):
+            rngs, ref_rngs = _twin_generators(30 + case, batch, shared)
+            got, want = _palm_arrays(batch * n), _palm_arrays(batch * n)
+            assert provider["palm_states"](*got, side, rngs) is True
+            assert reference["palm_states"](*want, side, ref_rngs) is True
+            for actual, wanted in zip(got, want):
+                assert actual.tobytes() == wanted.tobytes()
+            assert [r.bit_generator.state for r in rngs] == [
+                r.bit_generator.state for r in ref_rngs
+            ]
+
+    def test_declines_a_bit_generator_without_a_c_interface(self):
+        class Opaque(np.random.PCG64):
+            @property
+            def ctypes(self):
+                raise AttributeError("no C interface")
+
+        rng = np.random.Generator(Opaque(5))
+        state = rng.bit_generator.state
+        arrays = _palm_arrays(4)
+        assert provider_kernels()["palm_states"](*arrays, 2.0, [rng]) is None
+        assert rng.bit_generator.state == state
+
+
 #: More threads than this host has CPUs (at most 64, however large the host).
 MANY_THREADS = min(os.cpu_count() or 1, 61) + 3
 
@@ -1529,6 +1645,40 @@ class TestEndToEndParity:
         assert [kind for kind, _ in trip_results] == kinds
         assert all(out is not None and out >= 1 for _, out in trip_results)
         assert trip_results[0][1] > 1
+
+    @needs_provider
+    def test_warm_kernels_runs_the_palm_sampler(self, monkeypatch):
+        table = provider_kernels()
+        original = table["palm_states"]
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setitem(table, "palm_states", spy)
+        warm_kernels()
+        assert results == [True]
+
+    @needs_provider
+    def test_trials_draw_each_batch_in_one_palm_call(self, monkeypatch):
+        """A run on the compiled tier builds each batch's stationary start
+        in one ``palm_states`` call, and its results are the numpy tier's,
+        which makes no call."""
+        table = provider_kernels()
+        original = table["palm_states"]
+        batches = []
+
+        def spy(pos, dest, target, second, side, rngs):
+            batches.append((len(rngs), original(pos, dest, target, second, side, rngs)))
+            return batches[-1][1]
+
+        monkeypatch.setitem(table, "palm_states", spy)
+        base = standard_config(120, seed=9, engine="batch", batch_size=3)
+        compiled = fingerprints(base.with_options(kernels="compiled"), trials=7)
+        assert batches == [(3, True), (3, True), (1, True)]
+        assert compiled == fingerprints(base.with_options(kernels="numpy"), trials=7)
+        assert len(batches) == 3
 
     @needs_provider
     def test_warm_then_no_new_compiles(self):
