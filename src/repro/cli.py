@@ -69,6 +69,14 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _non_negative_int(value: str) -> int:
+    """``--seed``: ``SeedSequence`` takes only non-negative integers."""
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return number
+
+
 def _json_object(value: str) -> dict:
     try:
         parsed = json.loads(value)
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("experiment", aliases=["run"], help="run one experiment")
     run_p.add_argument("experiment", choices=all_ids())
     run_p.add_argument("--scale", choices=("quick", "full"), default="quick")
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--seed", type=_non_negative_int, default=0)
     run_p.add_argument("--csv", help="also write the result table to this CSV path")
     add_engine_jobs(run_p, "the experiment")
     add_adaptive(run_p)
@@ -204,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     all_p = sub.add_parser("all", help="run every experiment")
     all_p.add_argument("--scale", choices=("quick", "full"), default="quick")
-    all_p.add_argument("--seed", type=int, default=0)
+    all_p.add_argument("--seed", type=_non_negative_int, default=0)
     add_engine_jobs(all_p, "every supporting experiment")
     add_adaptive(all_p)
 
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--radius-factor", type=float, default=2.0)
     sweep_p.add_argument("--speed-fraction", type=float, default=0.25)
     sweep_p.add_argument("--max-steps", type=int, default=20_000)
-    sweep_p.add_argument("--seed", type=int, default=0)
+    sweep_p.add_argument("--seed", type=_non_negative_int, default=0)
     add_kernels(sweep_p)
     sweep_p.add_argument(
         "--trial-budget",
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform",
         help="source agent: 'uniform', 'central', 'suburb' or an agent index",
     )
-    flood_p.add_argument("--seed", type=int, default=0)
+    flood_p.add_argument("--seed", type=_non_negative_int, default=0)
     flood_p.add_argument("--max-steps", type=int, default=20_000)
     flood_p.add_argument(
         "--trials",
@@ -308,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Default kept distinct from the curated EXPERIMENTS.md documentation.
     report_p.add_argument("--out", default="EXPERIMENTS_RUN.md")
     report_p.add_argument("--scale", choices=("quick", "full"), default="quick")
-    report_p.add_argument("--seed", type=int, default=0)
+    report_p.add_argument("--seed", type=_non_negative_int, default=0)
     report_p.add_argument(
         "--only", nargs="*", default=None, choices=all_ids(), metavar="ID",
         help="subset of experiment ids"
@@ -457,7 +465,7 @@ def _cmd_sweep(args) -> int:
     values = [_parse_sweep_value(v) for v in args.values]
     try:
         plan = SweepPlan.over_parameter(config, args.parameter, values, n_trials=args.trials)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise SystemExit(f"cannot sweep {args.parameter!r}: {error}")
     from repro.simulation.checkpoint import CheckpointError
     from repro.simulation.parallel import PoisonJobError

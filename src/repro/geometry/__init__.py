@@ -1,10 +1,8 @@
 """Geometric substrate: points, Manhattan paths, spatial indexes, samplers.
 
 Also the probe surface: ``available_backends()`` lists the neighbor
-engines this environment can build, and ``kernel_backend()`` /
-``use_kernel_tier()`` / ``kernel_tier_label()`` are re-exported from
-:mod:`repro.kernels` so callers can probe and scope the compiled tier
-(which also picks the batch neighbor path) from one import.
+engines this environment can build.  The compiled tier, which also picks
+the batch neighbor path, is probed and scoped in :mod:`repro.kernels`.
 """
 
 from repro.geometry.grid import GridIndex
@@ -45,12 +43,6 @@ from repro.geometry.sampling import (
     sample_uniform_disk,
     sample_uniform_square,
 )
-from repro.kernels import (
-    KERNEL_TIERS,
-    kernel_backend,
-    kernel_tier_label,
-    use_kernel_tier,
-)
 
 __all__ = [
     "GridIndex",
@@ -62,10 +54,6 @@ __all__ = [
     "BatchNeighborQuery",
     "make_engine",
     "available_backends",
-    "KERNEL_TIERS",
-    "kernel_backend",
-    "kernel_tier_label",
-    "use_kernel_tier",
     "ManhattanPath",
     "VERTICAL_FIRST",
     "HORIZONTAL_FIRST",

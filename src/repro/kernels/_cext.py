@@ -1,9 +1,13 @@
 """C provider for the compiled kernel tier.
 
-Mirrors :mod:`repro.kernels._cores` statement for statement in C99 and
-builds a shared object on first use with the system compiler (``cc``),
-cached under a directory named by the hash of the source and the
-compiler flags, so rebuilds only happen when either changes.  Compiled
+Mirrors the loop cores of the spec, ``tests/kernel_oracles.py``,
+statement for statement in C99 and builds a shared object on first use
+with the system compiler (``cc``), cached under a directory named by the
+hash of the source and the compiler flags, so rebuilds only happen when
+either changes.  Of the leg passes only two are compiled: the sparse
+Manhattan pass (``repro_advance_legs``, which the timetable riders call)
+and the trip step (``repro_advance_trips``); dense leg passes outside a
+trip step run numpy on both tiers.  Compiled
 **without** ``-ffast-math`` and with ``-ffp-contract=off`` (no fused
 multiply-adds on targets that have them): the float kernels must execute
 the same IEEE operation sequence as the numpy reference (libm ``sqrt`` is
@@ -27,8 +31,8 @@ bit generator) are independent, so the results do not depend on
 ``threads``, which the glue derives per call.
 
 The adapters exported through :func:`load_cores` take the same array
-arguments as the Python cores, which lets :mod:`repro.kernels._glue`
-drive either provider unchanged.
+arguments as the spec's cores, which lets :mod:`repro.kernels._glue`
+drive either unchanged.
 """
 
 from __future__ import annotations
@@ -334,33 +338,6 @@ int64_t repro_advance_legs(double *restrict pos, const double *restrict target, 
     int64_t cnt = 0;
     for (int64_t k = 0; k < K; k++) {
         int64_t i = idx[k];
-        double d0 = target[2 * i] - pos[2 * i];
-        double d1 = target[2 * i + 1] - pos[2 * i + 1];
-        double dist = fabs(d0) + fabs(d1);
-        double b = budget[i];
-        double move = (b < dist) ? b : dist;
-        double frac = (dist > eps) ? (move / dist) : 1.0;
-        pos[2 * i] += d0 * frac;
-        pos[2 * i + 1] += d1 * frac;
-        budget[i] = b - move;
-        if (move >= dist - eps) { done[cnt] = i; cnt++; }
-    }
-    for (int64_t k = 0; k < cnt; k++) {
-        int64_t i = done[k];
-        pos[2 * i] = target[2 * i];
-        pos[2 * i + 1] = target[2 * i + 1];
-    }
-    return cnt;
-}
-
-int64_t repro_advance_legs_dense(double *restrict pos, const double *restrict target,
-                                 double *restrict budget, const uint8_t *restrict moving,
-                                 int64_t total, int all_moving, double eps,
-                                 int64_t *restrict done)
-{
-    int64_t cnt = 0;
-    for (int64_t i = 0; i < total; i++) {
-        if (!(all_moving || moving[i])) continue;
         double d0 = target[2 * i] - pos[2 * i];
         double d1 = target[2 * i + 1] - pos[2 * i + 1];
         double dist = fabs(d0) + fabs(d1);
@@ -947,7 +924,6 @@ def _build_library() -> str:
 _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
 _f64 = ctypes.c_double
-_int = ctypes.c_int
 
 
 def _ctypes_addr(arr) -> int:
@@ -1002,8 +978,6 @@ def _declare(lib):
     lib.repro_count.argtypes = [*pair, _ptr]
     lib.repro_advance_legs.restype = _i64
     lib.repro_advance_legs.argtypes = [_ptr, _ptr, _ptr, _ptr, _i64, _f64, _ptr]
-    lib.repro_advance_legs_dense.restype = _i64
-    lib.repro_advance_legs_dense.argtypes = [_ptr, _ptr, _ptr, _ptr, _i64, _int, _f64, _ptr]
     lib.repro_advance_trips.restype = _i64
     lib.repro_advance_trips.argtypes = [
         _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64,
@@ -1040,7 +1014,8 @@ def bitgen_handles(rngs):
 
 
 def load_cores():
-    """Build + load the library; returns a ``_cores``-shaped namespace.
+    """Build + load the library; returns a namespace shaped like the spec
+    module, with each core's signature.
 
     Raises on any failure (no compiler, build error, missing symbol); the
     registry treats that as "provider unavailable" and caches the reason.
@@ -1078,12 +1053,6 @@ def load_cores():
     def advance_legs_core(pos, target, budget, idx, eps, done):
         return lib.repro_advance_legs(
             _addr(pos), _addr(target), _addr(budget), _addr(idx), idx.shape[0], eps, _addr(done),
-        )
-
-    def advance_legs_dense_core(pos, target, budget, moving, all_moving, eps, done):
-        return lib.repro_advance_legs_dense(
-            _addr(pos), _addr(target), _addr(budget), _addr(moving),
-            budget.shape[0], 1 if all_moving else 0, eps, _addr(done),
         )
 
     def advance_trips_core(mode, pos, target, dest, on_second_leg, turns, arrivals, pause_left, speeds, active, n, budget, speed, eps, eps_t, pause_time, side, v_min, v_range, bitgens, units, unit_starts, threads, max_passes, movers, rests, redraw):
@@ -1135,7 +1104,6 @@ def load_cores():
         contacts_core=contacts_core,
         count_core=count_core,
         advance_legs_core=advance_legs_core,
-        advance_legs_dense_core=advance_legs_dense_core,
         bitgen_handles=bitgen_handles,
         advance_trips_core=advance_trips_core,
         palm_states_core=palm_states_core,

@@ -1,8 +1,10 @@
-"""Numpy-side glue shared by the compiled provider and the reference cores.
+"""Numpy-side glue shared by the compiled provider and the kernel spec.
 
-:func:`make_kernels` turns a namespace of loop cores (pure-Python or C
-adapters, both with the :mod:`repro.kernels._cores` signatures) into the
-public kernel table consumed by the dispatch sites.
+:func:`make_kernels` turns a namespace of loop cores into the public
+kernel table consumed by the dispatch sites: the C adapters of
+:mod:`repro.kernels._cext` in the library, or the pure-Python spec
+``tests/kernel_oracles.py``, whose signatures the adapters share, in the
+tests.
 
 Every public kernel is *total over a guarded domain*: it validates dtypes,
 contiguity, and size caps up front and returns ``None`` (or a ``None``
@@ -41,12 +43,15 @@ __all__ = [
     "SUBURB",
 ]
 
-#: Public kernel names, in bench/report order.  ``grid_splice`` and
-#: ``occupancy_delta`` have no caller in the library; they stay registered
-#: while the benchmark's per-layer metric list still names them.  The
-#: table's ``palm_states`` entry is left out: the benchmark's per-layer
-#: rows are pinned to this tuple and have none for it yet, so the tracer
-#: does not wrap it, and its time shows in ``batch.construct.mobility_s``.
+#: Public kernel names, in bench/report order.  The ``advance_legs_dense``
+#: entry is the trip mode, a whole step of a trip model; its name is older
+#: than that, from a dense leg pass that now runs numpy on both tiers.
+#: ``grid_splice`` and ``occupancy_delta`` have no caller in the library;
+#: they stay registered while the benchmark's per-layer metric list still
+#: names them.  The table's ``palm_states`` entry is left out: the
+#: benchmark's per-layer rows are pinned to this tuple and have none for
+#: it yet, so the tracer does not wrap it, and its time shows in
+#: ``batch.construct.mobility_s``.
 KERNEL_NAMES = (
     "batch_any_within",
     "batch_contacts",
@@ -491,7 +496,20 @@ def make_kernels(cores):
         )
         return done[: int(cnt)]
 
-    def advance_trips(pos, target, budget, active, n_active, eps, speed, trips):
+    def advance_legs_dense(pos, target, budget, active, n_active, eps, speed=None, *, trips):
+        """The trip mode: a whole step of a trip model.
+
+        The moving units are replicas: ``active`` is the ``(B,)`` mask of
+        active replicas and ``n_active`` their count.  ``trips`` picks the
+        model: with :class:`ManhattanTrips` (MRWP) ``budget`` is the
+        distance ``v * dt`` and ``speed`` is ``None``; with
+        :class:`PauseTrips`, :class:`SpeedRangeTrips` or
+        :class:`EuclideanTrips` ``budget`` is the time ``dt`` and ``speed``
+        the scalar speed or, for :class:`SpeedRangeTrips`, the ``(B*n,)``
+        per-agent speeds.  It returns the most carry-over passes a unit of
+        replicas ran, or -1 when ``trips.max_passes`` passes did not finish
+        the step.
+        """
         total = pos.shape[0]
         args = _trip_args(trips, target, speed, float(eps), total)
         if args is None:
@@ -524,37 +542,6 @@ def make_kernels(cores):
             handles, units, unit_starts, threads, int(trips.max_passes),
             work.movers, work.rests, work.redraw,
         )
-
-    def advance_legs_dense(pos, target, budget, moving, n_moving, eps, speed=None, trips=None):
-        """The dense leg pass for distance budgets; with ``trips``, the trip
-        mode, which runs a whole step of a trip model.
-
-        In trip mode the moving units are replicas: ``moving`` is the
-        ``(B,)`` mask of active replicas and ``n_moving`` their count.
-        ``trips`` picks the model: with :class:`ManhattanTrips` (MRWP)
-        ``budget`` is the distance ``v * dt`` and ``speed`` is ``None``;
-        with :class:`PauseTrips`, :class:`SpeedRangeTrips` or
-        :class:`EuclideanTrips` ``budget`` is the time ``dt`` and
-        ``speed`` the scalar speed or, for :class:`SpeedRangeTrips`, the
-        ``(B*n,)`` per-agent speeds.  It returns the most carry-over
-        passes a unit of replicas ran, or -1 when ``trips.max_passes``
-        passes did not finish the step.  Without ``trips`` a ``speed`` is
-        declined.
-        """
-        if trips is not None:
-            return advance_trips(pos, target, budget, moving, n_moving, eps, speed, trips)
-        if speed is not None:
-            return None
-        total = budget.shape[0]
-        if not (_is_c_points(pos, total) and _is_c_points(target, total) and _is_c_f64(budget)):
-            return None
-        if moving.dtype != np.bool_ or not moving.flags.c_contiguous:
-            return None
-        done = np.empty(total, dtype=np.intp)
-        cnt = cores.advance_legs_dense_core(
-            pos, target, budget, moving, bool(n_moving == total), float(eps), done.view(np.int64),
-        )
-        return done[: int(cnt)]
 
     def palm_states(pos, dest, target, second, side, rngs):
         """Every replica's stationary MRWP state (``PalmStationarySampler``)

@@ -28,7 +28,10 @@ Design constraints, in priority order:
    MRWP or RWP — and draws from each replica's bit generator itself,
    pass by pass and replica by replica, with the calls and order of the
    model's numpy loop (:func:`redraw_manhattan_trips`, ``rng.uniform``
-   speeds, :func:`redraw_destinations`; ``repro.kernels._cores``).
+   speeds, :func:`redraw_destinations`; the spec is
+   ``tests/kernel_oracles.py``).  The other compiled leg pass is the
+   sparse one of :func:`advance_legs`; :func:`advance_legs_dense` runs
+   numpy on both tiers.
 3. **Budget conventions.**  :func:`advance_legs` supports the two
    historical conventions: a *distance* budget (``speed=None`` — MRWP's
    ``v * dt`` units) and a *time* budget with a scalar or per-agent speed
@@ -193,7 +196,10 @@ def advance_legs_dense(pos, target, budget, moving, n_moving, eps, scratch, spee
     temporaries.  Rows that do not move are left untouched, and every
     per-agent operation consumes the same operand values as the sparse
     pass, so the two are bit-interchangeable — models switch on density
-    freely without touching results.
+    freely without touching results.  It runs numpy on both kernel
+    tiers: on the compiled tier the trip models reach it only where the
+    trip mode declines, and the timetable riders' dense passes ran no
+    faster in C.
 
     Args:
         moving: ``(total,)`` bool mask of agents with budget left.
@@ -205,13 +211,6 @@ def advance_legs_dense(pos, target, budget, moving, n_moving, eps, scratch, spee
     Returns:
         flat indices of agents that reached their leg target (snapped).
     """
-    kernel = get_kernel("advance_legs_dense")
-    if kernel is not None:
-        # Compiled tier: fused dense pass over the moving rows (bit-exact)
-        # for distance budgets; time budgets fall through.
-        done = kernel(pos, target, budget, moving, n_moving, eps, speed)
-        if done is not None:
-            return done
     total = budget.shape[0]
     delta = np.subtract(target, pos, out=scratch.delta)
     dist = np.abs(delta[:, 0], out=scratch.dist)  # legs are axis-aligned

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core import theory
 from repro.core.cells import cell_side_bounds
-from repro.kernels import KERNEL_TIERS, resolve_kernel_tier
+from repro.kernels import KERNEL_TIERS
 from repro.mobility import BATCH_MOBILITY_REGISTRY, MODEL_REGISTRY, NO_INIT_MODELS
 from repro.protocols import BATCH_PROTOCOL_REGISTRY, PROTOCOL_REGISTRY
 from repro.protocols.base import _is_integer
@@ -75,7 +75,8 @@ class FloodingConfig:
             only), or ``"uniform"`` (cold start).  Validated here; models
             with a narrower vocabulary raise their own error at
             construction instead of silently substituting a default.
-        seed: root seed for all randomness of the run.
+        seed: root seed for all randomness of the run, a non-negative
+            integer.
         threshold_factor: Definition 4's Central-Zone constant (3/8 paper).
         multi_hop: flooding semantics (see
             :class:`~repro.protocols.flooding.BatchFloodingState`).
@@ -126,10 +127,13 @@ class FloodingConfig:
     kernels: str = "auto"
 
     def __post_init__(self):
-        for name in ("n", "max_steps", "batch_size"):
+        for name in ("n", "max_steps", "batch_size", "seed"):
             value = getattr(self, name)
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            # SeedSequence takes only non-negative entropy.
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if not (math.isfinite(self.side) and self.side > 0):
@@ -290,16 +294,6 @@ class FloodingConfig:
         if self.engine != "auto":
             return self.engine
         return "batch" if self.protocol in BATCH_PROTOCOL_REGISTRY else "scalar"
-
-    @property
-    def resolved_kernels(self) -> str:
-        """The kernel tier that will actually run (``"numpy"``/``"compiled"``).
-
-        ``"auto"`` resolves against the cached probe of the bundled C
-        extension; an explicit ``"compiled"`` with no
-        provider available raises here rather than deep inside a run.
-        """
-        return resolve_kernel_tier(self.kernels)
 
     def assumptions(self, c1: float = theory.PAPER_C1) -> theory.Assumptions:
         """Check this configuration against the paper's hypotheses."""

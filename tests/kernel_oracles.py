@@ -1,13 +1,15 @@
-"""Loop-level kernel cores: the executable spec of the compiled tier.
+"""Loop-level kernel oracles: the executable spec of the compiled tier.
 
 Each function here is written in a restricted loop style that the C
 provider (:mod:`repro.kernels._cext`) mirrors statement for statement
 (same operation order, correctly-rounded ``sqrt`` / truncating casts),
 exposed through adapters with these signatures.
 
-They are also runnable as plain Python, which is how the parity tests pin
-the semantics against the numpy reference paths without requiring the
-provider to be built.
+They run as plain Python: ``make_kernels(kernel_oracles)`` (the glue of
+:mod:`repro.kernels._glue` over this module) is the reference kernel
+table, which the parity tests pin against the numpy paths and the C
+provider without requiring the provider to be built.  The library never
+imports this module.
 
 Exactness contracts (enforced by ``tests/test_kernels.py``):
 
@@ -23,12 +25,12 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
   scan order, and the enumeration comes out
   sorted by (replica, source, query), the order in which the
   neighbor-sampling protocols consume their draws.
-* ``advance_legs_core`` / ``advance_legs_dense_core`` — the identical
-  IEEE operation sequence as :func:`repro.mobility.kinematics.advance_legs`
-  for distance budgets on Manhattan legs (same gathers, same guarded
-  division, same ``move >= dist - eps`` threshold; the dense pass skips
-  the rows that do not move), so positions and budgets are bit-identical.
-  Time budgets and Euclidean legs run numpy (the glue declines them).
+* ``advance_legs_core`` — the identical IEEE operation sequence as
+  :func:`repro.mobility.kinematics.advance_legs` for distance budgets on
+  Manhattan legs (same gathers, same guarded division, same
+  ``move >= dist - eps`` threshold), so positions and budgets are
+  bit-identical.  Time budgets and Euclidean legs run numpy (the glue
+  declines them), and so does every dense pass, on both tiers.
 * ``advance_trips_core`` — a whole step of a trip model's carry-over
   loop, one mode per model: MRWP (``mrwp._advance_trips``), pause-MRWP
   (``pause._advance_pause_mrwp``), random-speed MRWP
@@ -86,14 +88,13 @@ import math
 
 import numpy as np
 
-from ._glue import CENTRAL_ZONE, MRWP_TRIPS, PAUSE_TRIPS, RWP_TRIPS, SPEED_TRIPS, SUBURB
+from repro.kernels._glue import CENTRAL_ZONE, MRWP_TRIPS, PAUSE_TRIPS, RWP_TRIPS, SPEED_TRIPS, SUBURB
 
 __all__ = [
     "any_within_core",
     "contacts_core",
     "count_core",
     "advance_legs_core",
-    "advance_legs_dense_core",
     "bitgen_handles",
     "advance_trips_core",
     "palm_states_core",
@@ -394,39 +395,6 @@ def advance_legs_core(pos, target, budget, idx, eps, done):
     cnt = 0
     for k in range(idx.shape[0]):
         i = idx[k]
-        d0 = target[i, 0] - pos[i, 0]
-        d1 = target[i, 1] - pos[i, 1]
-        dist = abs(d0) + abs(d1)
-        b = budget[i]
-        move = b if b < dist else dist
-        if dist > eps:
-            frac = move / dist
-        else:
-            frac = 1.0
-        pos[i, 0] += d0 * frac
-        pos[i, 1] += d1 * frac
-        budget[i] = b - move
-        if move >= dist - eps:
-            done[cnt] = i
-            cnt += 1
-    for k in range(cnt):
-        i = done[k]
-        pos[i, 0] = target[i, 0]
-        pos[i, 1] = target[i, 1]
-    return cnt
-
-
-def advance_legs_dense_core(pos, target, budget, moving, all_moving, eps, done):
-    """Dense full-array pass of distance budgets; mirrors
-    ``kinematics.advance_legs_dense`` with ``speed=None``.
-
-    Rows that do not move are skipped, so they keep their state bit for bit.
-    """
-    total = budget.shape[0]
-    cnt = 0
-    for i in range(total):
-        if not (all_moving or moving[i]):
-            continue
         d0 = target[i, 0] - pos[i, 0]
         d1 = target[i, 1] - pos[i, 1]
         dist = abs(d0) + abs(d1)

@@ -149,10 +149,44 @@ class TestCommands:
                 ["flood", "--n", "50", "--mobility", "random-walk", "--speed-fraction", "100"],
                 r"random-walk needs a speed \(its move radius\) in \(0, side=",
             ),
+            (
+                ["sweep", "--n", "50", "--parameter", "radius", "--values", "2", "-1"],
+                "cannot sweep 'radius': radius must be positive and finite, got -1",
+            ),
+            (
+                ["sweep", "--n", "50", "--parameter", "radius", "--values", "nan"],
+                "cannot sweep 'radius': radius must be positive and finite, got nan",
+            ),
+            (
+                ["sweep", "--n", "50", "--parameter", "n", "--values", "1"],
+                "cannot sweep 'n': n must be at least 2, got 1",
+            ),
         ],
-        ids=["flood-n", "flood-source-index", "flood-source-name", "sweep-n", "flood-random-walk"],
+        ids=[
+            "flood-n", "flood-source-index", "flood-source-name", "sweep-n", "flood-random-walk",
+            "sweep-radius-negative", "sweep-radius-nan", "sweep-point-n",
+        ],
     )
     def test_config_errors_exit_with_the_config_message(self, argv, message):
         # A rejected option is a CLI error, not a traceback.
         with pytest.raises(SystemExit, match=message):
             main(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flood", "--n", "50"],
+            ["experiment", "fig1_spatial"],
+            ["all"],
+            ["sweep", "--n", "50", "--parameter", "radius", "--values", "2"],
+            ["report"],
+        ],
+        ids=["flood", "experiment", "all", "sweep", "report"],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_is_a_usage_error(self, argv, seed, capsys):
+        # Parsed before anything runs: SeedSequence takes no negative seed.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", seed])
+        assert excinfo.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err

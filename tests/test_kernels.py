@@ -5,7 +5,9 @@ enforce: ``kernels`` is a *performance* knob.  Every compiled kernel is
 bit-exact against its numpy path, so compiled and numpy runs of the same
 seeds must be indistinguishable down to the informed-at step of every
 agent — and every test here must stay green whether or not a compiled
-provider (the bundled C extension) is actually available.
+provider (the bundled C extension) is actually available.  The
+reference table is the library's glue over the pure-Python spec,
+``kernel_oracles.py``, which the C provider mirrors.
 """
 
 import multiprocessing
@@ -18,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import kernel_oracles
 from repro.kernels import (
     CENTRAL_ZONE,
     KERNEL_NAMES,
@@ -29,17 +32,13 @@ from repro.kernels import (
     SpeedRangeTrips,
     TripWork,
     _reset_probe_cache_for_tests,
-    active_kernel_tier,
-    available_kernel_backends,
     compile_events,
     get_kernel,
     kernel_backend,
     kernel_tier_label,
     provider_kernels,
-    reference_kernels,
     resolve_kernel_tier,
     use_kernel_tier,
-    warm_kernels,
 )
 from repro.kernels import _cext, _glue
 from repro.kernels._glue import _CELL_MARGIN, _contacts_capacity, make_kernels
@@ -67,13 +66,18 @@ needs_provider = pytest.mark.skipif(
 )
 
 
+def reference_kernels():
+    """The kernel table of the pure-Python spec (always available — it
+    *is* the spec), through the library's glue."""
+    return make_kernels(kernel_oracles)
+
+
 def _tables():
-    """Every kernel table under test: the pure-Python reference cores
-    (always available — they *are* the spec) plus each real provider."""
+    """Every kernel table under test: the reference table, plus the
+    provider's when it builds."""
     tables = [("reference", reference_kernels())]
-    for backend in available_kernel_backends():
-        if backend != "numpy":
-            tables.append((backend, provider_kernels(backend)))
+    if HAVE_PROVIDER:
+        tables.append((kernel_backend(), provider_kernels()))
     return tables
 
 
@@ -89,20 +93,15 @@ TABLE_NAMES = list(TABLES[-1][1])
 # Registry, probes, and escape hatches
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_backend_list_always_ends_with_numpy(self):
-        backends = available_kernel_backends()
-        assert backends[-1] == "numpy"
-        assert len(backends) == len(set(backends))
-
     def test_escape_hatches_force_numpy(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CEXT", "1")
         _reset_probe_cache_for_tests()
         try:
             assert kernel_backend() is None
-            assert available_kernel_backends() == ["numpy"]
             assert resolve_kernel_tier("auto") == "numpy"
             assert kernel_tier_label("auto") == "numpy"
-            assert warm_kernels() == "numpy"
+            with pytest.raises(RuntimeError, match="no compiled kernel provider"):
+                provider_kernels()
             with pytest.raises(RuntimeError, match="compiled"):
                 resolve_kernel_tier("compiled")
             # An explicit compiled demand surfaces through the runner too.
@@ -127,6 +126,8 @@ class TestRegistry:
     def test_probe_results_are_cached(self):
         first = kernel_backend()
         assert kernel_backend() is first or kernel_backend() == first
+        if first is not None:
+            assert provider_kernels() is provider_kernels()
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="kernel tier"):
@@ -144,8 +145,7 @@ class TestRegistry:
 
 class TestTierScoping:
     def test_default_tier_is_numpy(self):
-        assert active_kernel_tier() == "numpy"
-        assert get_kernel("batch_any_within") is None
+        assert all(get_kernel(name) is None for name in TABLE_NAMES)
 
     def test_table_holds_every_benchmarked_name(self):
         assert set(KERNEL_NAMES) <= set(TABLE_NAMES)
@@ -164,7 +164,6 @@ class TestTierScoping:
             with use_kernel_tier("numpy"):
                 assert get_kernel("union_fixpoint") is None
             assert callable(get_kernel("union_fixpoint"))
-        assert active_kernel_tier() == "numpy"
         assert get_kernel("union_fixpoint") is None
 
     def test_auto_resolves_to_best_available(self):
@@ -184,14 +183,6 @@ class TestConfigKnob:
             if tier == "compiled" and not HAVE_PROVIDER:
                 continue
             assert standard_config(50, kernels=tier).kernels == tier
-
-    def test_resolved_kernels_property(self):
-        assert standard_config(50, kernels="numpy").resolved_kernels == "numpy"
-        auto = standard_config(50).resolved_kernels
-        assert auto == ("compiled" if HAVE_PROVIDER else "numpy")
-        if not HAVE_PROVIDER:
-            with pytest.raises(RuntimeError):
-                standard_config(50, kernels="compiled").resolved_kernels
 
 
 class TestDataPointer:
@@ -733,6 +724,25 @@ def test_numpy_dense_pass_leaves_still_rows_untouched(speed_kind):
     _assert_still_row_untouched((done_d, pos_d, budget_d), (done_s, pos_s, budget_s))
 
 
+@needs_provider
+def test_dense_pass_calls_no_kernel_on_the_compiled_tier(monkeypatch):
+    """Outside a trip step the dense pass has no compiled branch: on the
+    compiled tier it reaches no kernel and writes the numpy tier's bytes."""
+    table = provider_kernels()
+    calls = []
+    for name in TABLE_NAMES:
+        monkeypatch.setitem(table, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    pos, target, budget, moving, _speed = _still_row_case("none")
+    outputs = []
+    for tier in ("numpy", "compiled"):
+        pos_d, budget_d = pos.copy(), budget.copy()
+        with use_kernel_tier(tier):
+            done = advance_legs_dense(pos_d, target, budget_d, moving, 2, 1e-9, DenseLegScratch(3))
+        outputs.append([done.tobytes(), pos_d.tobytes(), budget_d.tobytes()])
+    assert calls == []
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("table", [t for _, t in TABLES], ids=TABLE_IDS)
 class TestLegKernelParity:
     def _numpy_advance(self, pos, target, budget, idx, eps, speed, metric):
@@ -792,39 +802,27 @@ class TestLegKernelParity:
             np.testing.assert_array_equal(budget_k, budget_r)
 
     def test_advance_legs_dense_matches_sparse(self, table, rng):
-        for _ in range(10):
+        """The numpy dense pass, which runs on both tiers, and the kernel's
+        sparse pass are bit-interchangeable: the timetable riders switch
+        between them by density within one step."""
+        for case in range(10):
             total = int(rng.integers(1, 25))
             pos = rng.uniform(0, 4.0, size=(total, 2))
             target = rng.uniform(0, 4.0, size=(total, 2))
             budget = rng.uniform(0.0, 2.0, size=total)
-            moving = rng.random(total) < 0.8
+            moving = rng.random(total) < (0.8 if case % 2 else 1.0)
             idx = np.nonzero(moving)[0].astype(np.intp)
             pos_d, budget_d = pos.copy(), budget.copy()
-            done_d = table["advance_legs_dense"](
-                pos_d, target, budget_d, moving, int(moving.sum()), 1e-9, None
-            )
+            with use_kernel_tier("numpy"):
+                done_d = advance_legs_dense(
+                    pos_d, target, budget_d, moving, int(moving.sum()), 1e-9,
+                    DenseLegScratch(total),
+                )
             pos_s, budget_s = pos.copy(), budget.copy()
             done_s = table["advance_legs"](pos_s, target, budget_s, idx, 1e-9, None)
-            np.testing.assert_array_equal(np.sort(done_d), np.sort(done_s))
-            np.testing.assert_array_equal(pos_d, pos_s)
-            np.testing.assert_array_equal(budget_d, budget_s)
-
-    @pytest.mark.parametrize("speed_kind", ["none", "scalar", "array"])
-    def test_dense_pass_leaves_still_rows_untouched(self, table, speed_kind):
-        """Time budgets are declined untouched (the numpy pass, checked by
-        ``test_numpy_dense_pass_leaves_still_rows_untouched``, runs them)."""
-        pos, target, budget, moving, speed = _still_row_case(speed_kind)
-        pos_d, budget_d, pos_s, budget_s = pos.copy(), budget.copy(), pos.copy(), budget.copy()
-        done_d = table["advance_legs_dense"](pos_d, target, budget_d, moving, 2, 1e-9, speed)
-        done_s = table["advance_legs"](
-            pos_s, target, budget_s, np.nonzero(moving)[0], 1e-9, speed, "manhattan"
-        )
-        if speed is None:
-            _assert_still_row_untouched((done_d, pos_d, budget_d), (done_s, pos_s, budget_s))
-            return
-        assert done_d is None and done_s is None
-        for arrays in ((pos_d, budget_d), (pos_s, budget_s)):
-            assert [a.tobytes() for a in arrays] == [pos.tobytes(), budget.tobytes()]
+            np.testing.assert_array_equal(done_d, done_s)
+            assert pos_d.tobytes() == pos_s.tobytes()
+            assert budget_d.tobytes() == budget_s.tobytes()
 
     def test_empty_index_set(self, table):
         pos = np.zeros((3, 2))
@@ -1627,40 +1625,6 @@ class TestEndToEndParity:
         assert auto_run[0].extras["kernel_tier"] == kernel_tier_label("auto")
 
     @needs_provider
-    def test_warm_kernels_runs_the_trip_mode(self, monkeypatch):
-        """Each model's trip mode runs once, to the end of a step."""
-        table = provider_kernels()
-        original = table["advance_legs_dense"]
-        trip_results = []
-
-        def spy(*args, **kwargs):
-            out = original(*args, **kwargs)
-            if kwargs.get("trips") is not None:
-                trip_results.append((type(kwargs["trips"]), out))
-            return out
-
-        monkeypatch.setitem(table, "advance_legs_dense", spy)
-        warm_kernels()
-        kinds = [ManhattanTrips, PauseTrips, SpeedRangeTrips, EuclideanTrips]
-        assert [kind for kind, _ in trip_results] == kinds
-        assert all(out is not None and out >= 1 for _, out in trip_results)
-        assert trip_results[0][1] > 1
-
-    @needs_provider
-    def test_warm_kernels_runs_the_palm_sampler(self, monkeypatch):
-        table = provider_kernels()
-        original = table["palm_states"]
-        results = []
-
-        def spy(*args, **kwargs):
-            results.append(original(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setitem(table, "palm_states", spy)
-        warm_kernels()
-        assert results == [True]
-
-    @needs_provider
     def test_trials_draw_each_batch_in_one_palm_call(self, monkeypatch):
         """A run on the compiled tier builds each batch's stationary start
         in one ``palm_states`` call, and its results are the numpy tier's,
@@ -1682,8 +1646,10 @@ class TestEndToEndParity:
 
     @needs_provider
     def test_warm_then_no_new_compiles(self):
-        warm_kernels()
-        before = compile_events()
+        """A compiled run builds nothing once the provider is loaded, so a
+        second run's ``compile_events`` delta is zero."""
         config = standard_config(60, seed=13, engine="batch", kernels="compiled")
         run_trials(config, 2)
+        before = compile_events()
+        run_trials(config.with_options(seed=14), 2)
         assert compile_events() == before

@@ -445,8 +445,7 @@ class TestCompiledTripModeGuards:
 
         def spy(*args, **kwargs):
             out = original(*args, **kwargs)
-            if kwargs.get("trips") is not None:
-                trip_results.append(out)
+            trip_results.append(out)
             return out
 
         monkeypatch.setitem(table, "advance_legs_dense", spy)

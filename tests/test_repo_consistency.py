@@ -33,32 +33,51 @@ def test_package_version_matches_pyproject():
     assert repro.__version__ == project["version"]
 
 
-def _repro_imports(package):
-    """``(file, module)`` for every ``repro`` import in ``repro/<package>/``.
+def _imports(path, package):
+    """Every name the file at ``path`` imports, dotted: ``from m import a``
+    gives ``m.a``.
 
-    Walks each whole syntax tree, so imports inside functions count too,
-    and resolves relative imports against the importing package.
+    Walks the whole syntax tree, so imports inside functions count too,
+    and resolves relative imports against ``package``, the importing
+    module's package.
     """
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                parent = parts[: len(parts) + 1 - node.level]
+                base = ".".join(parent + ([node.module] if node.module else []))
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def _repro_imports(package):
+    """``(file, module)`` for every ``repro`` import in ``repro/<package>/``."""
     root = os.path.join(REPO_ROOT, "src", "repro", package)
-    found = []
-    for name in sorted(os.listdir(root)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(root, name)) as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    parent = ["repro", package][: 3 - node.level]
-                    base = ".".join(parent + ([node.module] if node.module else []))
-                modules = [f"{base}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            found.extend((name, m) for m in modules if _under(m, ("repro",)))
-    return found
+    return [
+        (name, module)
+        for name in sorted(os.listdir(root))
+        if name.endswith(".py")
+        for module in _imports(os.path.join(root, name), f"repro.{package}")
+        if _under(module, ("repro",))
+    ]
+
+
+def _src_modules():
+    """Module name -> file, for every module under ``src/repro``."""
+    src = os.path.join(REPO_ROOT, "src")
+    modules = {}
+    for directory, _subdirs, files in os.walk(os.path.join(src, "repro")):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                parts = os.path.relpath(path, src)[: -len(".py")].split(os.sep)
+                modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return modules
 
 
 def _under(module, packages):
@@ -83,6 +102,30 @@ class TestLayering:
             for name, module in _repro_imports("core")
             if _under(module, ("repro.network",))
         ] == []
+
+
+class TestSrcHoldsOnlyWhatTheLibraryRuns:
+    """Test-only code (oracles, the kernel spec) lives in ``tests/``."""
+
+    def test_every_module_is_reached_from_an_entry_point(self):
+        # The entry points are the package, the CLI and the experiments,
+        # which the registry imports by name.  Importing ``a.b.c`` runs
+        # ``a`` and ``a.b`` too, so every prefix that is a module counts.
+        modules = _src_modules()
+        reached = set()
+        todo = ["repro", "repro.cli", *EXPERIMENT_MODULES.values()]
+        while todo:
+            module = todo.pop()
+            if module in reached:
+                continue
+            reached.add(module)
+            path = modules[module]
+            package = module if path.endswith("__init__.py") else module.rpartition(".")[0]
+            for name in _imports(path, package):
+                parts = name.split(".")
+                prefixes = (".".join(parts[:k]) for k in range(1, len(parts) + 1))
+                todo.extend(prefix for prefix in prefixes if prefix in modules)
+        assert sorted(set(modules) - reached) == []
 
 
 class TestRegistryConsistency:

@@ -52,6 +52,10 @@ class TestFloodingConfig:
             {"threshold_factor": math.inf},
             {"threshold_factor": 0.0},
             {"threshold_factor": -0.375},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
+            {"seed": "7"},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -73,10 +77,17 @@ class TestFloodingConfig:
         )
         assert run_trials(config, 1)[0].n_steps == 3
 
+    @pytest.mark.parametrize("seed, message", [(-1, "non-negative"), (1.5, "an integer")])
+    def test_bad_seed_rejected_before_any_draw(self, seed, message):
+        # SeedSequence would refuse it only once a run starts.
+        with pytest.raises(ValueError, match=f"seed must be {message}"):
+            FloodingConfig(n=100, side=10.0, radius=1.0, speed=0.1, seed=seed)
+
     def test_numpy_integers_accepted(self):
         config = FloodingConfig(
             n=np.int64(100), side=10.0, radius=1.0, speed=0.1,
             max_steps=np.int32(20), batch_size=np.int64(4), source=np.int64(5),
+            seed=np.int64(0),
         )
         scalar = run_trials(config, 1)[0]
         batch = run_trials(config.with_options(engine="batch"), 1)[0]
