@@ -561,8 +561,9 @@ class BatchBoundQuery:
         source_mask, query_mask = self._check_masks(source_mask, query_mask)
         # Compiled tier: one fused grid-build + 3x3-scan pass over the
         # exact predicate — bit-identical to the numpy paths below for any
-        # scan order.
-        result = self._kernel("batch_any_within", source_mask, query_mask, radius)
+        # scan order.  Its threads are sized by the replicas still live.
+        live = None if self.rows is None else len(self.rows)
+        result = self._kernel("batch_any_within", source_mask, query_mask, radius, live=live)
         if result is not None:
             return result
         result = self._cells_any_within(source_mask, query_mask, radius)
@@ -603,7 +604,7 @@ class BatchBoundQuery:
                 )
         return counts.reshape(batch, n)
 
-    def contacts_within(self, source_mask, query_mask, radius: float) -> tuple:
+    def contacts_within(self, source_mask, query_mask, radius: float, degrees=None) -> tuple:
         """Per-replica bipartite (source, query) contacts within ``radius``.
 
         The batched counterpart of
@@ -615,6 +616,14 @@ class BatchBoundQuery:
         the informed/uninformed **cut** — far smaller than the full
         contact list at both ends of a run.
 
+        Args:
+            degrees: optional ``(B, n)`` integer array.  At every source
+                with a contact, the call writes that source's count of
+                agents of either mask within ``radius``, itself included
+                (``count_within(source_mask | query_mask, cut sources)``);
+                it leaves the other entries as they were.  The sampling
+                protocols read their senders' degrees from it.
+
         Returns:
             ``(replica, source, query)`` intp agent-index arrays of equal
             length, sorted by replica, then source, then query on every
@@ -623,12 +632,27 @@ class BatchBoundQuery:
         """
         radius = _check_radius(radius, positive=True)
         source_mask, query_mask = self._check_masks(source_mask, query_mask)
+        if degrees is not None and degrees.shape != source_mask.shape:
+            raise ValueError("degrees must have shape (B, n) matching the positions")
         # Compiled tier: the kernel's counting sort emits the exact cut
-        # contacts already in (replica, source, query) order; the numpy
-        # paths below sort their hits once.
-        result = self._kernel("batch_contacts", source_mask, query_mask, radius)
+        # contacts already in (replica, source, query) order, and the same
+        # call writes the degrees; the numpy paths below sort their hits
+        # once and count the degrees with count_within.
+        result = self._kernel(
+            "batch_contacts", source_mask, query_mask, radius, degrees=degrees
+        )
         if result is not None:
             return result
+        rep, source, query = self._numpy_contacts(source_mask, query_mask, radius)
+        if degrees is not None and rep.size:
+            cut_sources = np.zeros(source_mask.shape, dtype=bool)
+            cut_sources[rep, source] = True
+            counts = self.count_within(source_mask | query_mask, cut_sources, radius)
+            np.copyto(degrees, counts, where=cut_sources)
+        return rep, source, query
+
+    def _numpy_contacts(self, source_mask, query_mask, radius):
+        """The numpy paths of :meth:`contacts_within`, without degrees."""
         n = self.positions.shape[1]
         empty = (np.empty(0, dtype=np.intp),) * 3
         source_flat = np.nonzero(source_mask.reshape(-1))[0]

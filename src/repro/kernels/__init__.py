@@ -21,7 +21,11 @@ is process-global but scoped: the default is ``"numpy"`` so direct library
 calls keep exercising the reference paths, and the runners activate the
 configured tier via :func:`use_kernel_tier` around a run, from model
 construction (the ``palm_states`` sampler draws the stationary start)
-to the end of the simulation loop.
+to the end of the simulation loop.  The kernels that draw random numbers
+(the trip mode, ``palm_states`` and the gossip and push-pull sampler
+``cut_exchange``) derive their generators' C handles through a
+:class:`GeneratorCache`, once per model, state or run of calls on the
+same generators.
 
 The provider probe, :func:`kernel_backend`, is cached per process with
 the provider's one kernel table, with an escape hatch for tests and CI:
@@ -39,6 +43,7 @@ from ._glue import (
     KERNEL_NAMES,
     SUBURB,
     EuclideanTrips,
+    GeneratorCache,
     ManhattanTrips,
     PauseTrips,
     SpeedRangeTrips,
@@ -54,6 +59,7 @@ __all__ = [
     "SpeedRangeTrips",
     "EuclideanTrips",
     "TripWork",
+    "GeneratorCache",
     "CENTRAL_ZONE",
     "SUBURB",
     "kernel_backend",

@@ -5,19 +5,20 @@ statement for statement in C99 and builds a shared object on first use
 with the system compiler (``cc``), cached under a directory named by the
 hash of the source and the compiler flags, so rebuilds only happen when
 either changes.  Of the leg passes only two are compiled: the sparse
-Manhattan pass (``repro_advance_legs``, which the timetable riders call)
-and the trip step (``repro_advance_trips``); dense leg passes outside a
-trip step run numpy on both tiers.  Compiled
+Manhattan pass (``repro_advance_legs``, which the timetable riders call
+for every pass on this tier) and the trip step (``repro_advance_trips``);
+dense leg passes outside a trip step run numpy.  Compiled
 **without** ``-ffast-math`` and with ``-ffp-contract=off`` (no fused
 multiply-adds on targets that have them): the float kernels must execute
 the same IEEE operation sequence as the numpy reference (libm ``sqrt`` is
 correctly rounded, ``(int64_t)`` casts truncate like ``int()``), so
 results stay bit-identical.
 
-The trip kernel and the Palm sampler draw from numpy bit generators
-through the ``bitgen_t`` function pointers of numpy's public C interface;
-the source declares that documented struct itself, so the build needs no
-numpy headers.
+The trip kernel, the Palm sampler and the gossip and push-pull sampler
+(``repro_cut_exchange``) draw from numpy bit generators through the
+``bitgen_t`` function pointers of numpy's public C interface; the source
+declares that documented struct itself, so the build needs no numpy
+headers.
 
 The infection test (``repro_any_within``), the trip step
 (``repro_advance_trips``) and the Palm sampler (``repro_palm_states``)
@@ -50,6 +51,7 @@ import numpy as np
 __all__ = ["load_cores", "build_error"]
 
 C_SOURCE = r"""
+#include <stddef.h>
 #include <stdint.h>
 #include <math.h>
 #include <pthread.h>
@@ -215,6 +217,35 @@ void repro_any_within(const double *pos, int64_t batch, int64_t n, int64_t m,
     split_run(any_within_replica, &job, batch, threads);
 }
 
+/* Sources within r of source s, itself included, from s's 3x3 block of
+   the replica's source grid. */
+static int64_t near_sources(const double *restrict pb, int64_t m, double inv_cell, double r2,
+                            const int64_t *restrict starts, const int64_t *restrict srcsort,
+                            int64_t s)
+{
+    double sx = pb[2 * s];
+    double sy = pb[2 * s + 1];
+    int64_t ci = (int64_t)(sx * inv_cell);
+    if (ci < 0) ci = 0; else if (ci >= m) ci = m - 1;
+    int64_t cj = (int64_t)(sy * inv_cell);
+    if (cj < 0) cj = 0; else if (cj >= m) cj = m - 1;
+    int64_t i0 = ci > 0 ? ci - 1 : 0;
+    int64_t i1 = ci < m - 1 ? ci + 1 : m - 1;
+    int64_t j0 = cj > 0 ? cj - 1 : 0;
+    int64_t j1 = cj < m - 1 ? cj + 1 : m - 1;
+    int64_t hits = 0;
+    for (int64_t ii = i0; ii <= i1; ii++) {
+        int64_t row = ii * m;
+        for (int64_t t = starts[row + j0]; t < starts[row + j1 + 1]; t++) {
+            int64_t j = srcsort[t];
+            double dx = sx - pb[2 * j];
+            double dy = sy - pb[2 * j + 1];
+            hits += (dx * dx + dy * dy <= r2);
+        }
+    }
+    return hits;
+}
+
 int64_t repro_contacts(const double *restrict pos, int64_t batch, int64_t n, int64_t m,
                        double inv_cell, double r2,
                        const uint8_t *restrict smask, const uint8_t *restrict qmask,
@@ -222,11 +253,12 @@ int64_t repro_contacts(const double *restrict pos, int64_t batch, int64_t n, int
                        int64_t *restrict cellk, int64_t *restrict starts,
                        int64_t *restrict srcsort, int64_t *restrict tally,
                        int64_t *restrict out_b, int64_t *restrict out_s,
-                       int64_t *restrict out_q, int64_t cap)
+                       int64_t *restrict out_q, int64_t *restrict degrees, int64_t cap)
 {
     int64_t total = 0;
     for (int64_t b = 0; b < batch; b++) {
-        int64_t S = gather(smask + b * n, n, lsrc);
+        const uint8_t *restrict sb = smask + b * n;
+        int64_t S = gather(sb, n, lsrc);
         if (S == 0) continue;
         int64_t Q = gather(qmask + b * n, n, lqry);
         if (Q == 0) continue;
@@ -283,6 +315,14 @@ int64_t repro_contacts(const double *restrict pos, int64_t batch, int64_t n, int
             for (int64_t t = start; t < end; t++) {
                 out_b[t] = b;
                 out_s[t] = j;
+            }
+            if (degrees != NULL && end > start) {
+                /* Its queries, plus its sources that are not queries too. */
+                int64_t both = 0;
+                for (int64_t t = start; t < end; t++)
+                    both += (sb[out_q[t]] != 0);
+                degrees[b * n + j] = (end - start) - both
+                    + near_sources(pb, m, inv_cell, r2, starts, srcsort, j);
             }
             start = end;
         }
@@ -792,6 +832,93 @@ void repro_palm_states(double *pos, double *dest, double *target, uint8_t *secon
     split_run(palm_unit_run, &job, n_units, threads);
 }
 
+/* One replica's gossip round over its cut rows lo..hi-1: its S senders
+   draw rng.random((fanout, S)) into draws, row-major, and each sender
+   picks by sample_indices from its degree deg[s] - 1 (prev holds its
+   earlier picks, ascending); a pick inside its cut run informs that
+   target. */
+static void gossip_picks(const int64_t *restrict src, const int64_t *restrict dst, int64_t lo,
+                         int64_t hi, const int64_t *restrict deg, int64_t fanout, bitgen_t *rng,
+                         uint8_t *restrict out, double *restrict draws, int64_t *restrict prev)
+{
+    int64_t S = 0;
+    for (int64_t t = lo; t < hi; t++)
+        S += (t == lo || src[t] != src[t - 1]);
+    for (int64_t t = 0; t < fanout * S; t++)
+        draws[t] = rng->next_double(rng->state);
+    int64_t c = 0, t = lo;
+    while (t < hi) {
+        int64_t s = src[t];
+        int64_t e = t + 1;
+        while (e < hi && src[e] == s) e++;
+        int64_t d = deg[s] - 1;
+        for (int64_t i = 0; i < fanout && i < d; i++) {
+            int64_t j = (int64_t)floor(draws[i * S + c] * (double)(d - i));
+            if (j > d - i - 1) j = d - i - 1;
+            for (int64_t row = 0; row < i; row++)
+                j += (j >= prev[row]);
+            int64_t p = i;
+            while (p > 0 && prev[p - 1] > j) {
+                prev[p] = prev[p - 1];
+                p--;
+            }
+            prev[p] = j;
+            if (j < e - t) out[dst[t + j]] = 1;
+        }
+        c++;
+        t = e;
+    }
+}
+
+/* One replica's push-pull round over its cut rows lo..hi-1: its agents
+   with a cut degree (senders: their run; pullers: their tally), ascending,
+   draw one next_double each and pick floor(r * d) of their d = degree - 1
+   neighbors, clamped to d - 1; a pick below the cut degree pushes to the
+   picked target or pulls into the puller. */
+static void push_pull_picks(const int64_t *restrict src, const int64_t *restrict dst,
+                            int64_t lo, int64_t hi, const int64_t *restrict deg,
+                            const int64_t *restrict pulls, int64_t n, bitgen_t *rng,
+                            uint8_t *restrict out, int64_t *restrict tally)
+{
+    for (int64_t i = 0; i < n; i++)
+        tally[i] = 0;
+    for (int64_t t = lo; t < hi; t++)
+        tally[dst[t]] += 1;
+    int64_t t = lo;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t e = t;
+        while (e < hi && src[e] == i) e++;
+        int64_t cut = (e > t) ? e - t : tally[i];
+        if (cut == 0) continue;
+        int64_t d = ((e > t) ? deg[i] : pulls[i]) - 1;
+        int64_t pick = (int64_t)floor(rng->next_double(rng->state) * (double)d);
+        int64_t top = (d - 1 > 0) ? d - 1 : 0;
+        if (pick > top) pick = top;
+        if (pick < cut) out[(e > t) ? dst[t + pick] : i] = 1;
+        t = e;
+    }
+}
+
+void repro_cut_exchange(const int64_t *rep, const int64_t *src, const int64_t *dst,
+                        int64_t total, const int64_t *degrees, const int64_t *pulls, int64_t n,
+                        int64_t fanout, bitgen_t *const *bitgens, uint8_t *newly, double *draws,
+                        int64_t *work)
+{
+    int64_t lo = 0;
+    while (lo < total) {
+        int64_t b = rep[lo];
+        int64_t hi = lo + 1;
+        while (hi < total && rep[hi] == b) hi++;
+        if (pulls == NULL)
+            gossip_picks(src, dst, lo, hi, degrees + b * n, fanout, bitgens[b], newly + b * n,
+                         draws, work);
+        else
+            push_pull_picks(src, dst, lo, hi, degrees + b * n, pulls + b * n, n, bitgens[b],
+                            newly + b * n, work);
+        lo = hi;
+    }
+}
+
 void repro_splice(const int64_t *restrict order, const int64_t *restrict sorted_ids,
                   const uint8_t *restrict removed, int64_t N,
                   const int64_t *restrict new_ids, const int64_t *restrict new_pts, int64_t nn,
@@ -973,7 +1100,7 @@ def _declare(lib):
     lib.repro_any_within.restype = None
     lib.repro_any_within.argtypes = [*pair, _ptr, _i64]
     lib.repro_contacts.restype = _i64
-    lib.repro_contacts.argtypes = [*pair, _ptr, _ptr, _ptr, _ptr, _i64]
+    lib.repro_contacts.argtypes = [*pair, _ptr, _ptr, _ptr, _ptr, _ptr, _i64]
     lib.repro_count.restype = None
     lib.repro_count.argtypes = [*pair, _ptr]
     lib.repro_advance_legs.restype = _i64
@@ -987,6 +1114,10 @@ def _declare(lib):
     lib.repro_palm_states.restype = None
     lib.repro_palm_states.argtypes = [
         _ptr, _ptr, _ptr, _ptr, _i64, _f64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr, _i64,
+    ]
+    lib.repro_cut_exchange.restype = None
+    lib.repro_cut_exchange.argtypes = [
+        _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr,
     ]
     lib.repro_splice.restype = None
     lib.repro_splice.argtypes = [
@@ -1035,12 +1166,13 @@ def load_cores():
             _addr(cellk), _addr(starts), _addr(srcsort), _addr(out), threads,
         )
 
-    def contacts_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, tally, out_b, out_s, out_q, cap):
+    def contacts_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, tally, out_b, out_s, out_q, degrees, cap):
         return lib.repro_contacts(
             _addr(pos), smask.shape[0], smask.shape[1], m, inv_cell, r2,
             _addr(smask), _addr(qmask), _addr(lsrc), _addr(lqry),
             _addr(cellk), _addr(starts), _addr(srcsort), _addr(tally),
-            _addr(out_b), _addr(out_s), _addr(out_q), cap,
+            _addr(out_b), _addr(out_s), _addr(out_q),
+            None if degrees is None else _addr(degrees), cap,
         )
 
     def count_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, out):
@@ -1077,6 +1209,14 @@ def load_cores():
             _addr(props_a), _addr(props_b), cap,
         )
 
+    def cut_exchange_core(rep, src, dst, degrees, pulls, fanout, bitgens, newly, draws, work):
+        # Push-pull passes no draws and gossip no pulls: None crosses as NULL.
+        lib.repro_cut_exchange(
+            _addr(rep), _addr(src), _addr(dst), rep.shape[0], _addr(degrees),
+            None if pulls is None else _addr(pulls), newly.shape[1], fanout, _addr(bitgens),
+            _addr(newly), None if draws is None else _addr(draws), _addr(work),
+        )
+
     def splice_core(order, sorted_ids, removed, new_ids, new_pts, out_order, out_ids):
         lib.repro_splice(
             _addr(order), _addr(sorted_ids), _addr(removed), order.shape[0],
@@ -1107,6 +1247,7 @@ def load_cores():
         bitgen_handles=bitgen_handles,
         advance_trips_core=advance_trips_core,
         palm_states_core=palm_states_core,
+        cut_exchange_core=cut_exchange_core,
         splice_core=splice_core,
         union_core=union_core,
         occupancy_delta_core=occupancy_delta_core,

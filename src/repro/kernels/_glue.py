@@ -39,6 +39,7 @@ __all__ = [
     "SpeedRangeTrips",
     "EuclideanTrips",
     "TripWork",
+    "GeneratorCache",
     "CENTRAL_ZONE",
     "SUBURB",
 ]
@@ -48,10 +49,11 @@ __all__ = [
 #: than that, from a dense leg pass that now runs numpy on both tiers.
 #: ``grid_splice`` and ``occupancy_delta`` have no caller in the library;
 #: they stay registered while the benchmark's per-layer metric list still
-#: names them.  The table's ``palm_states`` entry is left out: the
-#: benchmark's per-layer rows are pinned to this tuple and have none for
-#: it yet, so the tracer does not wrap it, and its time shows in
-#: ``batch.construct.mobility_s``.
+#: names them.  The table's ``palm_states`` and ``cut_exchange`` entries
+#: are left out: the benchmark's per-layer rows are pinned to this tuple
+#: and have none for them yet, so the tracer does not wrap them, and
+#: their time shows in ``batch.construct.mobility_s`` and
+#: ``protocols.step_self_s``.
 KERNEL_NAMES = (
     "batch_any_within",
     "batch_contacts",
@@ -129,6 +131,14 @@ def _is_c_i64(arr) -> bool:
     return arr.dtype == np.intp and arr.itemsize == 8 and arr.flags.c_contiguous
 
 
+def _is_c_out(arr, shape, dtype) -> bool:
+    """A writable C-contiguous array of ``shape`` and ``dtype``."""
+    return (
+        arr.dtype == dtype and arr.shape == shape
+        and arr.flags.c_contiguous and arr.flags.writeable
+    )
+
+
 def _grid_geometry(positions, source_mask, query_mask, radius, side):
     """Common setup for the pair kernels: the grid side ``m``, the inverse
     cell side and the C-contiguous bool ``(B, n)`` masks (a copy only for
@@ -177,61 +187,83 @@ def _contacts_capacity(n_src, n_qry, batch, radius, side):
     return max(64, 4 * max(n_src, n_qry), int(2.0 * expected))
 
 
+class GeneratorUnits(NamedTuple):
+    """What the drawing cores need of a list of generators ``rngs``.
+
+    ``handles`` is what the cores draw from, or ``None`` when a generator
+    is not a plain numpy ``Generator`` or its bit generator has no C
+    interface; ``locks`` holds one lock per distinct bit generator, in a
+    fixed order.  A unit is a set of replicas, ascending, given as
+    ``(units, unit_starts)``: unit ``u`` is ``units[unit_starts[u]:
+    unit_starts[u + 1]]``.  ``groups`` has one unit per bit generator (in
+    every library run, one per replica) and ``whole`` one unit of all
+    replicas.
+    """
+
+    cores: object
+    rngs: tuple
+    handles: object
+    locks: tuple
+    groups: tuple | None
+    whole: tuple
+
+
+class GeneratorCache:
+    """The last :class:`GeneratorUnits` derived, derived again only when
+    the cores or the generators change (compared by identity).
+
+    Deriving them reads every generator's C interface, a few microseconds
+    a call, so each drawing kernel keeps one cache: the trip mode one per
+    model (in :class:`TripWork`), the protocol sampler one per protocol
+    state, and the Palm sampler one for its last call.
+    """
+
+    def __init__(self):
+        self._last = None
+
+    def units(self, cores, rngs) -> GeneratorUnits:
+        last = self._last
+        if (
+            last is None
+            or last.cores is not cores
+            or len(last.rngs) != len(rngs)
+            or not all(map(operator.is_, last.rngs, rngs))
+        ):
+            last = self._last = _generator_units(cores, rngs)
+        return last
+
+
 class TripWork:
     """Work buffers of ``advance_legs_dense``'s trip mode, one per model.
 
     ``movers`` and ``rests`` hold the agents still walking after a pass
     and their budgets, ``redraw`` a pass's finished trips; each unit of a
     call works in its own region, and only the prefixes a step writes are
-    ever touched.  The generator handles, locks and units are cached with
-    the provider and the generators they came from, and re-derived when a
-    model's generators change (``reset(rng=...)``).
-
-    A unit is a set of replicas, ascending, given as ``(units,
-    unit_starts)``: unit ``u`` is ``units[unit_starts[u]:unit_starts[u +
-    1]]``.  ``groups`` has one unit per bit generator (in every library
-    run, one per replica) and ``whole`` one unit of all replicas.
+    ever touched.  ``generators`` caches the model's
+    :class:`GeneratorUnits`, derived again when its generators change
+    (``reset(rng=...)``).
     """
 
     def __init__(self, total: int):
         self.movers = np.empty(total, dtype=np.int64)
         self.rests = np.empty(total, dtype=np.float64)
         self.redraw = np.empty(total, dtype=np.int64)
-        self.cores = None
-        self.rngs = ()
-        self.handles = None
-        self.locks = ()
-        self.groups = None
-        self.whole = None
-
-    def generators(self, cores, rngs):
-        """``(handles, locks)`` of :func:`_generator_units`, derived again
-        only when ``cores`` or the generators change."""
-        if (
-            self.cores is not cores
-            or len(self.rngs) != len(rngs)
-            or not all(map(operator.is_, self.rngs, rngs))
-        ):
-            self.handles, self.locks, self.groups = _generator_units(cores, rngs)
-            self.whole = _unit_layout([list(range(len(rngs)))])
-            self.cores, self.rngs = cores, tuple(rngs)
-        return self.handles, self.locks
+        self.generators = GeneratorCache()
 
 
-def _generator_units(cores, rngs):
-    """``(handles, locks, groups)`` for drawing from ``rngs`` with
-    ``cores``: what the cores draw from, one lock per distinct bit
-    generator (in a fixed order) and one unit of replicas per bit
-    generator.  ``handles`` is ``None`` when a generator is not a plain
-    numpy ``Generator`` or its bit generator has no C interface."""
+def _generator_units(cores, rngs) -> GeneratorUnits:
+    """The :class:`GeneratorUnits` of ``rngs`` for ``cores``."""
+    rngs = tuple(rngs)
+    whole = _unit_layout([list(range(len(rngs)))])
     if not all(type(rng) is np.random.Generator for rng in rngs):
-        return None, (), None
+        return GeneratorUnits(cores, rngs, None, (), None, whole)
     distinct = {id(rng.bit_generator): rng.bit_generator for rng in rngs}
     locks = tuple(distinct[key].lock for key in sorted(distinct))
     members = {}
     for b, rng in enumerate(rngs):
         members.setdefault(id(rng.bit_generator), []).append(b)
-    return cores.bitgen_handles(rngs), locks, _unit_layout(list(members.values()))
+    groups = _unit_layout(list(members.values()))
+    return GeneratorUnits(cores, rngs, cores.bitgen_handles(rngs), locks, groups, whole)
 
 
 def _locked(locks, call, *args):
@@ -425,14 +457,20 @@ def _trip_args(trips, target, speed, eps, total):
 
 def make_kernels(cores):
     """Build the public kernel table from a namespace of loop cores."""
+    palm_generators = GeneratorCache()
 
-    def batch_any_within(positions, source_mask, query_mask, radius, side):
+    def batch_any_within(positions, source_mask, query_mask, radius, side, live=None):
+        """Per-replica infection test.  ``live`` is how many replicas the
+        masks may hold agents in (default: all ``B``); threads are sized
+        by it, so the retired replicas of a flood's tail do not split a
+        call."""
         setup = _grid_geometry(positions, source_mask, query_mask, radius, side)
         if setup is None:
             return None
         m, inv_cell, smask, qmask = setup
         batch, n = smask.shape
-        threads = _threads(batch, batch * n)
+        live = batch if live is None else live
+        threads = _threads(live, live * n)
         out = np.zeros(smask.shape, dtype=np.bool_)
         cores.any_within_core(
             positions, m, inv_cell, float(radius) * float(radius), smask, qmask,
@@ -440,11 +478,18 @@ def make_kernels(cores):
         )
         return out
 
-    def batch_contacts(positions, source_mask, query_mask, radius, side, counts=False):
+    def batch_contacts(positions, source_mask, query_mask, radius, side, counts=False,
+                       degrees=None):
         """Exact (replica, source, query) contacts sorted in that order, or
         with ``counts=True`` the ``(B, n)`` per-query contact counts (0
         outside ``query_mask``), which write no pairs and so need O(B*n)
-        memory."""
+        memory.
+
+        With ``degrees``, a ``(B, n)`` intp array, the contacts call also
+        writes, at each source with a contact, its count of agents of
+        either mask within ``radius``, itself included; other entries are
+        left as they were.
+        """
         setup = _grid_geometry(positions, source_mask, query_mask, radius, side)
         if setup is None:
             return None
@@ -458,6 +503,8 @@ def make_kernels(cores):
                 out.view(np.int64),
             )
             return out
+        if degrees is not None and not _is_c_out(degrees, (batch, n), np.int64):
+            return None
         n_src = np.count_nonzero(smask)
         n_qry = np.count_nonzero(qmask)
         if not n_src or not n_qry:
@@ -470,12 +517,14 @@ def make_kernels(cores):
         cap = _contacts_capacity(n_src, n_qry, batch, radius, side)
         out = [np.empty(cap, dtype=np.int64) for _ in range(3)]
         total = cores.contacts_core(
-            positions, m, inv_cell, r2, smask, qmask, *work, tally, *out, cap,
+            positions, m, inv_cell, r2, smask, qmask, *work, tally, *out, degrees, cap,
         )
         if total > cap:
+            # The first pass stopped writing at the overflow; this one
+            # writes every pair and every degree.
             out = [np.empty(total, dtype=np.int64) for _ in range(3)]
             total = cores.contacts_core(
-                positions, m, inv_cell, r2, smask, qmask, *work, tally, *out, total,
+                positions, m, inv_cell, r2, smask, qmask, *work, tally, *out, degrees, total,
             )
         # The core already wrote (replica, local source, local query).
         return tuple(buf[:total] for buf in out)
@@ -522,24 +571,24 @@ def make_kernels(cores):
             return None
         if work.movers.shape[0] < total or not (eps > 0.0):
             return None
-        handles, locks = work.generators(cores, rngs)
-        if handles is None:
+        gens = work.generators.units(cores, rngs)
+        if gens.handles is None:
             return None
         if not n_active or not total:
             return 0
         (mode, target, dest, second, turns, arrivals, pause_left, speeds,
          speed, eps_t, pause_time, v_min, v_range) = args
         budget, eps, n = float(budget), float(eps), total // batch
-        units, unit_starts = work.groups
+        units, unit_starts = gens.groups
         n_units = unit_starts.shape[0] - 1
         if n_units > 1 and not _units_stay_apart(mode, budget, eps, eps_t, speed, speeds, v_min):
-            (units, unit_starts), n_units = work.whole, 1
+            (units, unit_starts), n_units = gens.whole, 1
         threads = _threads(min(n_active, n_units), n_active * n)
         return _locked(
-            locks, cores.advance_trips_core,
+            gens.locks, cores.advance_trips_core,
             mode, pos, target, dest, second, turns, arrivals, pause_left, speeds, active,
             n, budget, speed, eps, eps_t, pause_time, float(trips.side), v_min, v_range,
-            handles, units, unit_starts, threads, int(trips.max_passes),
+            gens.handles, units, unit_starts, threads, int(trips.max_passes),
             work.movers, work.rests, work.redraw,
         )
 
@@ -562,10 +611,10 @@ def make_kernels(cores):
         side = float(side)
         if not 0.0 < side < math.inf:
             return None
-        handles, locks, groups = _generator_units(cores, rngs)
-        if handles is None:
+        gens = palm_generators.units(cores, rngs)
+        if gens.handles is None:
             return None
-        units, unit_starts = groups
+        units, unit_starts = gens.groups
         n = total // batch
         threads = _threads(unit_starts.shape[0] - 1, total)
         # A worker's block holds the largest rejection round, that of all
@@ -573,8 +622,55 @@ def make_kernels(cores):
         cap = max(32, int(3.2 * n))
         props = [np.empty(threads * cap, dtype=np.float64) for _ in range(2)]
         _locked(
-            locks, cores.palm_states_core, pos, dest, target, second, n, side, handles,
-            units, unit_starts, threads, *props, cap,
+            gens.locks, cores.palm_states_core, pos, dest, target, second, n, side,
+            gens.handles, units, unit_starts, threads, *props, cap,
+        )
+        return True
+
+    def cut_exchange(rep, src, dst, degrees, newly, rngs, generators, fanout=1, pulls=None):
+        """The draws, picks and marks of one gossip or push-pull round.
+
+        ``(rep, src, dst)`` is the round's cut as ``contacts_within``
+        returns it, sorted by (replica, source, target), with sources and
+        targets disjoint; ``degrees`` holds the ``(B, n)`` degrees that
+        call wrote at the cut's sources, and ``newly`` is the ``(B, n)``
+        bool mask, zeroed by the caller, that receives the newly informed
+        agents.  Without ``pulls`` this is push gossip: replica ``b``'s
+        ``S_b`` senders draw ``rng.random((fanout, S_b))`` and pick as
+        ``sample_indices`` does.  With ``pulls``, the ``(B, n)`` degrees of
+        the cut's targets, it is push-pull: each agent of the cut draws
+        one uniform, in ascending order, and takes the clamped floor
+        pick.  Replica ``b`` draws from ``rngs[b]``, replicas in ascending
+        order; ``generators`` is the caller's :class:`GeneratorCache`.
+        Returns True, or ``None`` (nothing drawn) for arrays of another
+        dtype, layout or shape, or a generator that is not a plain
+        ``numpy.random.Generator`` with numpy's C interface.
+        """
+        if newly.ndim != 2 or not _is_c_out(newly, newly.shape, np.bool_):
+            return None
+        batch, n = newly.shape
+        total = rep.shape[0]
+        if len(rngs) != batch or fanout < 1:
+            return None
+        if not all(arr.shape == (total,) and _is_c_i64(arr) for arr in (rep, src, dst)):
+            return None
+        counts = (degrees,) if pulls is None else (degrees, pulls)
+        if not all(_is_c_i64(arr) and arr.shape == (batch, n) for arr in counts):
+            return None
+        gens = generators.units(cores, rngs)
+        if gens.handles is None:
+            return None
+        fanout = int(fanout)
+        if pulls is None:
+            # A replica has at most min(n, total) senders; prev holds a
+            # sender's picks, at most one per neighbor.
+            draws = np.empty(fanout * min(n, total), dtype=np.float64)
+            work = np.empty(max(1, min(fanout, n)), dtype=np.int64)
+        else:
+            draws, work = None, np.empty(n, dtype=np.int64)
+        _locked(
+            gens.locks, cores.cut_exchange_core, rep, src, dst, degrees, pulls, fanout,
+            gens.handles, newly, draws, work,
         )
         return True
 
@@ -643,6 +739,7 @@ def make_kernels(cores):
         "advance_legs": advance_legs,
         "advance_legs_dense": advance_legs_dense,
         "palm_states": palm_states,
+        "cut_exchange": cut_exchange,
         "grid_splice": grid_splice,
         "occupancy_delta": occupancy_delta,
         "union_fixpoint": union_fixpoint,

@@ -196,10 +196,11 @@ def advance_legs_dense(pos, target, budget, moving, n_moving, eps, scratch, spee
     temporaries.  Rows that do not move are left untouched, and every
     per-agent operation consumes the same operand values as the sparse
     pass, so the two are bit-interchangeable — models switch on density
-    freely without touching results.  It runs numpy on both kernel
-    tiers: on the compiled tier the trip models reach it only where the
-    trip mode declines, and the timetable riders' dense passes ran no
-    faster in C.
+    freely without touching results.  It is a numpy pass with no C
+    twin: on the compiled tier the trip models reach it only where the
+    trip mode declines, and the timetable riders hand every pass to the
+    sparse C pass of :func:`advance_legs` instead, which beats this one
+    even when every rider moves.
 
     Args:
         moving: ``(total,)`` bool mask of agents with budget left.

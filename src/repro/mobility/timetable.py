@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import get_kernel
 from repro.mobility import kinematics
 from repro.mobility.base import BatchMobilityModel, MobilityModel, check_dt
 from repro.mobility.kinematics import (
@@ -586,12 +587,16 @@ class _TimetableEngine:
         walking = (self.r_vehicle < 0) & np.repeat(active, R)
         np.multiply(walking, self.speed * dt, out=budget)
         eps = self._eps
+        # On the compiled tier every pass is the sparse C pass, which beats
+        # the numpy dense pass even when every rider moves; the two passes
+        # are bit-interchangeable.
+        dense_ok = get_kernel("advance_legs") is None
         for _ in range(kinematics._MAX_LEGS_PER_STEP):
             moving = budget > eps
             n_moving = int(np.count_nonzero(moving))
             if n_moving == 0:
                 break
-            if 2 * n_moving >= total:
+            if dense_ok and 2 * n_moving >= total:
                 done = advance_legs_dense(
                     self.r_pos, self.r_target, budget, moving, n_moving, eps,
                     self._scratch,

@@ -42,6 +42,7 @@ import numbers
 import numpy as np
 
 from repro.geometry.neighbors import BatchNeighborQuery
+from repro.kernels import GeneratorCache, get_kernel
 
 __all__ = ["BroadcastProtocol", "BatchBroadcastState", "group_segments", "sample_indices"]
 
@@ -271,6 +272,7 @@ class BatchBroadcastState(abc.ABC):
                     f"{'none' if rngs is None else len(rngs)}"
                 )
             self.rngs = list(rngs)
+            self._generators = GeneratorCache()
         else:
             self.rngs = None
         self.query = BatchNeighborQuery(self.side, self.batch_size)
@@ -333,6 +335,18 @@ class BatchBroadcastState(abc.ABC):
             out[:, pos:pos + count] = self.rngs[b].random((k, count))
             pos += count
         return out
+
+    def _sample_cut(self, cut, degrees, newly, fanout=1, pulls=None) -> bool:
+        """Whether the compiled sampler (the ``cut_exchange`` kernel) made
+        this round's draws and picks over the ``cut`` and wrote them into
+        ``newly``.  False on the numpy tier, and where the kernel declines
+        (a generator that is not a plain ``numpy.random.Generator``),
+        before anything is drawn: the numpy exchange then runs."""
+        kernel = get_kernel("cut_exchange")
+        if kernel is None:
+            return False
+        done = kernel(*cut, degrees, newly, self.rngs, self._generators, fanout=fanout, pulls=pulls)
+        return done is not None
 
     # ------------------------------------------------------------------
     # Dynamics

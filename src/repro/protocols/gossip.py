@@ -10,16 +10,23 @@ The state samples by **neighbor index** against the informed/uninformed
 cut instead of materializing the full contact list (DESIGN.md, "Batched
 protocol framework"): a sender picking ``fanout`` uniform neighbors
 spreads the message iff a picked index falls below its cut-degree, so
-only the cut contacts
-(:meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within`), the
-senders' total degrees (one ``count_within``), and ``fanout`` uniform
-draws per cut-incident sender are needed — ``O(cut)`` per step instead of
-``O(edges)``, which collapses the early (few informed) and late (few
-uninformed) phases of a run.  Draw order is canonical — senders ascending,
-their cut-neighbors ascending — so trajectories are independent of the
-neighbor path and of the batch size.  The state takes that order as
-returned, because ``contacts_within`` returns the cut sorted by (replica,
-sender, target) on every path.
+only the cut contacts and the senders' total degrees (one
+:meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within` call
+with ``degrees=``), and ``fanout`` uniform draws per cut-incident sender
+are needed — ``O(cut)`` per step instead of ``O(edges)``, which
+collapses the early (few informed) and late (few uninformed) phases of a
+run.  Draw order is canonical — senders ascending, their cut-neighbors
+ascending — so trajectories are independent of the neighbor path and of
+the batch size.  The state takes that order as returned, because
+``contacts_within`` returns the cut sorted by (replica, sender, target)
+on every path.
+
+A round is two calls on the compiled tier: the ``batch_contacts`` kernel
+writes the cut and its senders' degrees, and the ``cut_exchange`` kernel
+draws each replica's uniforms from its bit generator, makes the
+:func:`~repro.protocols.base.sample_indices` picks and marks the newly
+informed agents.  On the numpy tier (and for a generator the kernel
+declines) the same draws and picks run in numpy.
 """
 
 from __future__ import annotations
@@ -49,12 +56,12 @@ class BatchGossipState(BatchBroadcastState):
     :meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within` call
     materializes every replica's informed/uninformed cut, already sorted
     by (replica, sender, target), so each sender's cut neighbors are one
-    run with no per-round sort; one batched ``count_within`` counts the
-    sender degrees, and a single
-    :func:`~repro.protocols.base.sample_indices` pass picks every sender's
-    neighbors at once.  Only the uniform draws stay per replica — one
-    ``uniform((fanout, S_b))`` block per replica per step over its
-    cut-incident senders (replicas without such senders draw nothing).
+    run with no per-round sort, and writes the senders' degrees; a single
+    :func:`~repro.protocols.base.sample_indices` pass (or the compiled
+    sampler) picks every sender's neighbors at once.  Only the uniform
+    draws stay per replica — one ``uniform((fanout, S_b))`` block per
+    replica per step over its cut-incident senders (replicas without
+    such senders draw nothing).
     """
 
     name = "gossip"
@@ -70,26 +77,27 @@ class BatchGossipState(BatchBroadcastState):
         newly = np.zeros((self.batch_size, self.n), dtype=bool)
         source_mask = self.informed & active[:, None]
         query_mask = ~self.informed & active[:, None]
-        rep, s_cut, t_cut = snapshot.contacts_within(source_mask, query_mask, self.radius)
-        if rep.size == 0:
+        degrees = np.empty(newly.shape, dtype=np.intp)
+        cut = snapshot.contacts_within(source_mask, query_mask, self.radius, degrees=degrees)
+        if cut[0].size == 0:
             return newly
+        if not self._sample_cut(cut, degrees, newly, fanout=self.fanout):
+            self._numpy_picks(cut, degrees, newly)
+        return self._mark_informed(newly)
+
+    def _numpy_picks(self, cut, degrees, newly) -> None:
+        """The numpy tier's draws and picks over the cut, into ``newly``."""
+        rep, s_cut, t_cut = cut
         # The cut comes sorted by (replica, sender, target): each sender's
         # cut neighbors are one ascending run, in the canonical draw order.
         _gids, cut_degree, offsets = group_segments(rep * self.n + s_cut)
         sender_rep = rep[offsets]
-        sender_agent = s_cut[offsets]
-        sender_mask = np.zeros((self.batch_size, self.n), dtype=bool)
-        sender_mask[sender_rep, sender_agent] = True
-        counts = snapshot.count_within(
-            np.broadcast_to(active[:, None], sender_mask.shape), sender_mask, self.radius
-        )
-        degree = counts[sender_rep, sender_agent] - 1
+        degree = degrees[sender_rep, s_cut[offsets]] - 1
         r = self._draw_uniform_blocks(sender_rep, self.fanout)
         picks = sample_indices(r, degree)
         hit = (picks >= 0) & (picks < cut_degree[None, :])
         pick_pos = (offsets[None, :] + picks)[hit]
         newly[rep[pick_pos], t_cut[pick_pos]] = True
-        return self._mark_informed(newly)
 
 
 class GossipProtocol(BroadcastProtocol):

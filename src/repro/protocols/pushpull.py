@@ -17,6 +17,14 @@ ascending, cut-neighbors ascending), so trajectories are independent of
 the neighbor path and of the batch size.  The state sorts nothing,
 because :meth:`~repro.geometry.neighbors.BatchBoundQuery.contacts_within`
 returns the cut sorted by (replica, sender, target) on every path.
+
+A round is three calls on the compiled tier: the ``batch_contacts``
+kernel writes the cut and its senders' degrees, one ``count_within``
+counts the pullers' (the cut's targets') degrees, and the
+``cut_exchange`` kernel draws each replica's uniforms from its bit
+generator, makes the clamped floor picks and marks the newly informed
+agents.  On the numpy tier (and for a generator the kernel declines) the
+same draws and picks run in numpy.
 """
 
 from __future__ import annotations
@@ -36,22 +44,38 @@ class BatchPushPullState(BatchBroadcastState):
     """``B`` independent push-pull runs in lock-step.
 
     One batched cut materialization, already sorted by (replica, sender,
-    target), and one batched degree count serve every replica.  The
-    initiators are the agents with a nonzero cut degree, in ascending
-    flat order; the uniform draws stay per replica — one ``uniform(S_b)``
-    block per replica per step over its cut-incident initiators.
+    target), with the senders' degrees, and one batched count of the
+    pullers' degrees serve every replica.  The initiators are the agents
+    with a nonzero cut degree, in ascending flat order; the uniform draws
+    stay per replica — one ``uniform(S_b)`` block per replica per step
+    over its cut-incident initiators.
     """
 
     name = "push-pull"
     uses_rng = True
 
     def _exchange(self, snapshot, active: np.ndarray) -> np.ndarray:
-        newly = np.zeros((self.batch_size, self.n), dtype=bool)
+        shape = (self.batch_size, self.n)
+        newly = np.zeros(shape, dtype=bool)
         source_mask = self.informed & active[:, None]
         query_mask = ~self.informed & active[:, None]
-        rep, s_cut, t_cut = snapshot.contacts_within(source_mask, query_mask, self.radius)
-        if rep.size == 0:
+        degrees = np.empty(shape, dtype=np.intp)
+        cut = snapshot.contacts_within(source_mask, query_mask, self.radius, degrees=degrees)
+        if cut[0].size == 0:
             return newly
+        # The pullers are the cut's targets; one count gives their degrees.
+        pullers = np.zeros(shape, dtype=bool)
+        pullers[cut[0], cut[2]] = True
+        pulls = snapshot.count_within(
+            np.broadcast_to(active[:, None], shape), pullers, self.radius
+        )
+        if not self._sample_cut(cut, degrees, newly, pulls=pulls):
+            self._numpy_picks(cut, degrees, pulls, newly)
+        return self._mark_informed(newly)
+
+    def _numpy_picks(self, cut, degrees, pulls, newly) -> None:
+        """The numpy tier's draws and picks over the cut, into ``newly``."""
+        rep, s_cut, t_cut = cut
         # The cut comes sorted by (replica, sender, target): each informed
         # sender's uninformed neighbors are one ascending run.  A pulling
         # initiator needs only its cut degree, since the pull informs it
@@ -61,24 +85,22 @@ class BatchPushPullState(BatchBroadcastState):
         cut_degree[senders] = sender_degree
         # Initiators in ascending flat order: the canonical draw order.
         initiators = np.flatnonzero(cut_degree)
-        init_mask = (cut_degree > 0).reshape(newly.shape)
-        counts = snapshot.count_within(
-            np.broadcast_to(active[:, None], init_mask.shape), init_mask, self.radius
-        )
         init_rep = initiators // self.n
-        degree = counts.reshape(-1)[initiators] - 1
+        pushes = self.informed.reshape(-1)[initiators]
+        counts = np.where(
+            pushes, degrees.reshape(-1)[initiators], pulls.reshape(-1)[initiators]
+        )
+        degree = counts - 1
         r = self._draw_uniform_blocks(init_rep, 1)[0]
         pick = np.floor(r * degree).astype(np.intp)
         np.minimum(pick, np.maximum(degree - 1, 0), out=pick)
         cross = pick < cut_degree[initiators]
-        pushes = self.informed.reshape(-1)[initiators]
         # The informed initiators, in order, are the senders: push along
         # the picked entry of each crossing sender's run.
         push_cross = cross[pushes]
         pos_sel = sender_offsets[push_cross] + pick[pushes][push_cross]
         newly[rep[pos_sel], t_cut[pos_sel]] = True
         newly.reshape(-1)[initiators[cross & ~pushes]] = True
-        return self._mark_informed(newly)
 
 
 class PushPullGossip(BroadcastProtocol):

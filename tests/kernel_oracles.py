@@ -24,7 +24,10 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
   and the counts are bit-identical to the grid/brute engines for any
   scan order, and the enumeration comes out
   sorted by (replica, source, query), the order in which the
-  neighbor-sampling protocols consume their draws.
+  neighbor-sampling protocols consume their draws.  With ``degrees``,
+  ``contacts_core`` also writes each cut source's count of agents of
+  either mask within ``radius`` (``_near_sources`` over the grid the cut
+  built), equal to the count core's over ``source | query``.
 * ``advance_legs_core`` — the identical IEEE operation sequence as
   :func:`repro.mobility.kinematics.advance_legs` for distance budgets on
   Manhattan legs (same gathers, same guarded division, same
@@ -42,8 +45,8 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
   scalar or per-agent speed, Manhattan or Euclidean legs), the corner
   promotions of ``split_completed_legs`` and the redraws of
   ``redraw_manhattan_trips``, ``rng.uniform`` speeds and
-  ``redraw_destinations``.  The one core
-  that draws random numbers: each replica's new trips, speeds and
+  ``redraw_destinations``.  The first of three cores that draw random
+  numbers: each replica's new trips, speeds and
   destinations come from its own generator by the same calls, in the
   same order, as the numpy loop's (``next_double`` per destination
   coordinate, ``next_uint32`` per path coin, ``next_double`` per speed),
@@ -63,6 +66,15 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
   ``path_corner``, with ``np.clip``'s NaN passing, so positions (NaN
   ones included), destinations, targets, leg flags and generator states
   are bit-identical.
+* ``cut_exchange_core`` — the rest of a gossip or push-pull round after
+  the cut: replica by replica in ascending order, the draws of
+  ``BatchBroadcastState._draw_uniform_blocks`` (gossip: ``fanout * S_b``
+  ``next_double`` values row-major, as ``rng.random((fanout, S_b))``;
+  push-pull: one per agent of the cut, ascending), gossip's
+  ``sample_indices`` picks or push-pull's clamped floor pick with the
+  same IEEE operations, and the newly informed mask, so masks and
+  generator states are bit-identical to the numpy exchange, shared
+  generators included.
 * ``splice_core`` — reproduces ``np.insert(..., searchsorted(...,
   side='left'))`` exactly: inserted points land *before* equal-bucket
   survivors, in stable sorted order.
@@ -98,6 +110,7 @@ __all__ = [
     "bitgen_handles",
     "advance_trips_core",
     "palm_states_core",
+    "cut_exchange_core",
     "splice_core",
     "union_core",
     "occupancy_delta_core",
@@ -241,7 +254,39 @@ def any_within_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, start
     _split(replica, smask.shape[0], threads)
 
 
-def contacts_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, tally, out_b, out_s, out_q, cap):
+def _near_sources(pb, m, inv_cell, r2, starts, srcsort, s):
+    """Sources within ``r`` of source ``s``, itself included, from
+    ``s``'s 3x3 block of the replica's source grid.  The scan runs from
+    the source side, ``sx - jx``, where the query-side scans compute ``qx
+    - sx``; the squares are the same."""
+    sx = pb[s, 0]
+    sy = pb[s, 1]
+    ci = int(sx * inv_cell)
+    if ci < 0:
+        ci = 0
+    elif ci >= m:
+        ci = m - 1
+    cj = int(sy * inv_cell)
+    if cj < 0:
+        cj = 0
+    elif cj >= m:
+        cj = m - 1
+    i0 = ci - 1 if ci > 0 else 0
+    i1 = ci + 1 if ci < m - 1 else m - 1
+    j0 = cj - 1 if cj > 0 else 0
+    j1 = cj + 1 if cj < m - 1 else m - 1
+    hits = 0
+    for ii in range(i0, i1 + 1):
+        row = ii * m
+        for t in range(starts[row + j0], starts[row + j1 + 1]):
+            j = srcsort[t]
+            dx = sx - pb[j, 0]
+            dy = sy - pb[j, 1]
+            hits += dx * dx + dy * dy <= r2
+    return hits
+
+
+def contacts_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts, srcsort, tally, out_b, out_s, out_q, degrees, cap):
     """Exact (source, query) contacts sorted by (replica, source, query);
     returns the total count.
 
@@ -266,6 +311,15 @@ def contacts_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts,
     source.  The queries are scanned ascending, so the stable scatter
     leaves every source's queries ascending: O(pairs + S) per replica
     after the scan, whatever the degrees, and no global sort.
+
+    With ``degrees`` (a ``(B, n)`` array, or ``None``), each source with
+    a contact also gets its degree, its count of agents of either mask
+    within ``r``: its run length (the queries within ``r``), less the
+    queries of its run that are sources too, plus the sources within
+    ``r``, from its 3x3 block of the grid already built
+    (``_near_sources``).  The masks are read per cut entry, not per
+    candidate of the block scan.  The sort, and so the degrees, is
+    skipped once the total passes ``cap``; the re-run writes them.
     """
     batch = smask.shape[0]
     n = smask.shape[1]
@@ -331,6 +385,14 @@ def contacts_core(pos, m, inv_cell, r2, smask, qmask, lsrc, lqry, cellk, starts,
             for t in range(start, end):
                 out_b[t] = b
                 out_s[t] = j
+            if degrees is not None and end > start:
+                # Its queries, plus its sources that are not queries too.
+                both = 0
+                for t in range(start, end):
+                    both += smask[b, out_q[t]] != 0
+                degrees[b, j] = (end - start) - both + _near_sources(
+                    pb, m, inv_cell, r2, starts, srcsort, j
+                )
             start = end
     return total
 
@@ -846,6 +908,107 @@ def palm_states_core(pos, dest, target, second, n, side, bitgens, units, unit_st
         return 0
 
     _split(unit, unit_starts.shape[0] - 1, threads)
+
+
+def _gossip_picks(src, dst, lo, hi, deg, fanout, rng, out, draws, prev):
+    """One replica's gossip round over its cut rows ``lo:hi``.
+
+    Its ``S`` senders (the runs of ``src``) draw ``fanout * S`` doubles
+    into ``draws``, row-major: the values of ``rng.random((fanout, S))``.
+    Sender ``c`` with degree ``d = deg[s] - 1`` then makes
+    ``sample_indices``' picks from column ``c``: pick ``i < min(fanout,
+    d)`` is ``floor(r * (d - i))``, clamped to ``d - i - 1``, shifted
+    past each earlier pick it reaches (``prev`` keeps them ascending), and
+    a pick inside the sender's run informs that target.
+    """
+    S = 0
+    for t in range(lo, hi):
+        S += t == lo or src[t] != src[t - 1]
+    for t in range(fanout * S):
+        draws[t] = rng.random()
+    c = 0
+    t = lo
+    while t < hi:
+        s = src[t]
+        e = t + 1
+        while e < hi and src[e] == s:
+            e += 1
+        d = deg[s] - 1
+        i = 0
+        while i < fanout and i < d:
+            j = int(math.floor(draws[i * S + c] * float(d - i)))
+            if j > d - i - 1:
+                j = d - i - 1
+            for row in range(i):
+                j += j >= prev[row]
+            p = i
+            while p > 0 and prev[p - 1] > j:
+                prev[p] = prev[p - 1]
+                p -= 1
+            prev[p] = j
+            if j < e - t:
+                out[dst[t + j]] = True
+            i += 1
+        c += 1
+        t = e
+
+
+def _push_pull_picks(src, dst, lo, hi, deg, pulls, n, rng, out, tally):
+    """One replica's push-pull round over its cut rows ``lo:hi``.
+
+    ``tally`` counts each target's cut degree.  Agents ascending, each
+    with a cut degree draws one double, a sender (a run of ``src``) with
+    ``d = deg[i] - 1`` and a puller with ``d = pulls[i] - 1``, and picks
+    ``floor(r * d)`` clamped to ``max(d - 1, 0)``, as the numpy exchange
+    does; a pick below the cut degree pushes to the picked target of the
+    sender's run, or pulls into the puller.
+    """
+    for i in range(n):
+        tally[i] = 0
+    for t in range(lo, hi):
+        tally[dst[t]] += 1
+    t = lo
+    for i in range(n):
+        e = t
+        while e < hi and src[e] == i:
+            e += 1
+        cut = e - t if e > t else tally[i]
+        if cut == 0:
+            continue
+        d = (deg[i] if e > t else pulls[i]) - 1
+        pick = int(math.floor(rng.random() * float(d)))
+        top = d - 1 if d - 1 > 0 else 0
+        if pick > top:
+            pick = top
+        if pick < cut:
+            out[dst[t + pick] if e > t else i] = True
+        t = e
+
+
+def cut_exchange_core(rep, src, dst, degrees, pulls, fanout, bitgens, newly, draws, work):
+    """The draws, picks and marks of one gossip (``pulls`` is ``None``) or
+    push-pull round over the canonical cut ``(rep, src, dst)``.
+
+    Replica by replica in ascending order (the runs of ``rep``), replica
+    ``b`` draws from ``bitgens[b]`` (``_gossip_picks`` with ``draws`` and
+    ``work`` as ``prev``, or ``_push_pull_picks`` with ``work`` as the
+    tally) and writes its row of ``newly``.  A replica without cut rows
+    draws nothing, as in ``_draw_uniform_blocks``, and replicas that share
+    a generator draw from it in ascending order.
+    """
+    n = newly.shape[1]
+    total = rep.shape[0]
+    lo = 0
+    while lo < total:
+        b = rep[lo]
+        hi = lo + 1
+        while hi < total and rep[hi] == b:
+            hi += 1
+        if pulls is None:
+            _gossip_picks(src, dst, lo, hi, degrees[b], fanout, bitgens[b], newly[b], draws, work)
+        else:
+            _push_pull_picks(src, dst, lo, hi, degrees[b], pulls[b], n, bitgens[b], newly[b], work)
+        lo = hi
 
 
 def splice_core(order, sorted_ids, removed, new_ids, new_pts, out_order, out_ids):

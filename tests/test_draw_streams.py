@@ -33,6 +33,8 @@ from repro.mobility.stationary import (
     sample_palm_states,
 )
 from repro.protocols.base import BatchBroadcastState
+from repro.protocols.gossip import BatchGossipState
+from repro.protocols.pushpull import BatchPushPullState
 
 BIT_GENERATORS = [
     np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64,
@@ -641,3 +643,112 @@ class TestCompiledPalmSampler:
             assert_bits_equal(getattr(model, name), getattr(ref, name))
         assert_same_states(rngs, ref_rngs)
         assert calls == [True, True, True]
+
+
+# ----------------------------------------------------------------------
+# The compiled gossip and push-pull sampler
+# ----------------------------------------------------------------------
+EXCHANGES = {
+    "gossip-1": (BatchGossipState, {"fanout": 1}),
+    "gossip-2": (BatchGossipState, {"fanout": 2}),
+    "gossip-3": (BatchGossipState, {"fanout": 3}),
+    "push-pull": (BatchPushPullState, {}),
+}
+#: About two agents within the radius of each: many senders have fewer
+#: neighbors than a fanout of 2 or 3.
+CUT_N, CUT_RADIUS = 40, 1.0
+
+
+def cut_exchange_spy(monkeypatch):
+    """Record every ``cut_exchange`` call's cut replicas, sender degrees
+    (``degree - 1`` at the first entry of each sender's run), options and
+    result on the provider table."""
+    table = provider_kernels()
+    original = table["cut_exchange"]
+    calls = []
+
+    def spy(rep, src, dst, degrees, newly, rngs, generators, **options):
+        result = original(rep, src, dst, degrees, newly, rngs, generators, **options)
+        first = np.flatnonzero(np.diff(rep * CUT_N + src, prepend=-1))
+        calls.append((rep.copy(), degrees[rep[first], src[first]] - 1, options, result))
+        return result
+
+    monkeypatch.setitem(table, "cut_exchange", spy)
+    return calls
+
+
+def run_exchange_rounds(cls, options, rngs, tier, retired=(), rounds=8):
+    """Newly informed masks of ``rounds`` rounds of a ``cls`` state over
+    ``rngs`` on ``tier``: every run sees the same positions and active
+    masks, and the ``retired`` replicas never run."""
+    batch = len(rngs)
+    state = cls(CUT_N, SIDE, CUT_RADIUS, np.arange(batch) % CUT_N, rngs=rngs, **options)
+    picker = np.random.default_rng(23)
+    out = []
+    for _ in range(rounds):
+        positions = picker.uniform(0.0, SIDE, size=(batch, CUT_N, 2))
+        active = picker.random(batch) < 0.8
+        active[list(retired)] = False
+        with use_kernel_tier(tier):
+            out.append(state.step(positions, active=active).copy())
+    return out
+
+
+def assert_same_rounds(got, want):
+    assert len(got) == len(want)
+    for actual, expected in zip(got, want):
+        assert_bits_equal(actual, expected)
+
+
+@needs_provider
+class TestCompiledCutExchange:
+    """On the compiled tier a gossip or push-pull round's draws, picks and
+    marks are one ``cut_exchange`` call; it must inform the agents the
+    numpy exchange informs and leave every generator where the numpy
+    draws (``_draw_uniform_blocks``, pinned above) leave it."""
+
+    @pytest.mark.parametrize("exchange", list(EXCHANGES))
+    @pytest.mark.parametrize("batch", [1, 4, "shared"], ids=str)
+    def test_matches_numpy_exchange(self, monkeypatch, bit_generator, exchange, batch):
+        cls, options = EXCHANGES[exchange]
+        calls = cut_exchange_spy(monkeypatch)
+        rngs, ref_rngs = palm_generators(bit_generator, batch)
+        got = run_exchange_rounds(cls, options, rngs, "compiled")
+        want = run_exchange_rounds(cls, options, ref_rngs, "numpy")
+        assert_same_rounds(got, want)
+        assert_same_states(rngs, ref_rngs)
+        assert calls and all(result is True for *_, result in calls)
+        fanout = options.get("fanout")
+        if fanout is not None and fanout > 1:
+            assert all(opts == {"fanout": fanout, "pulls": None} for _r, _d, opts, _ in calls)
+            assert any((degree < fanout).any() for _r, degree, _o, _ in calls)
+
+    @pytest.mark.parametrize("exchange", list(EXCHANGES))
+    def test_retired_replicas_draw_nothing(self, monkeypatch, bit_generator, exchange):
+        cls, options = EXCHANGES[exchange]
+        calls = cut_exchange_spy(monkeypatch)
+        rngs, ref_rngs = twin_rngs(bit_generator, 4)
+        fresh, _ = twin_rngs(bit_generator, 4)
+        got = run_exchange_rounds(cls, options, rngs, "compiled", retired=(1, 3))
+        want = run_exchange_rounds(cls, options, ref_rngs, "numpy", retired=(1, 3))
+        assert_same_rounds(got, want)
+        assert_same_states(rngs, ref_rngs)
+        assert_same_states([rngs[1], rngs[3]], [fresh[1], fresh[3]])
+        assert calls and not any(np.isin(rep, (1, 3)).any() for rep, *_ in calls)
+
+    @pytest.mark.parametrize("exchange", list(EXCHANGES))
+    def test_a_generator_subclass_runs_numpy(self, monkeypatch, bit_generator, exchange):
+        class Subclass(np.random.Generator):
+            pass
+
+        cls, options = EXCHANGES[exchange]
+        calls = cut_exchange_spy(monkeypatch)
+        rngs = [Subclass(bit_generator(s)) for s in np.random.SeedSequence(4).spawn(3)]
+        ref_rngs = [
+            np.random.Generator(bit_generator(s)) for s in np.random.SeedSequence(4).spawn(3)
+        ]
+        got = run_exchange_rounds(cls, options, rngs, "compiled")
+        want = run_exchange_rounds(cls, options, ref_rngs, "numpy")
+        assert_same_rounds(got, want)
+        assert_same_states(rngs, ref_rngs)
+        assert calls and all(result is None for *_, result in calls)

@@ -408,6 +408,57 @@ class TestPairKernelParity:
         full = table["batch_contacts"](pos[:1], everyone[:1], everyone[:1], radius, side)
         assert {(0, a, b), (0, b, a)} <= set(zip(*(col.tolist() for col in full)))
 
+    @staticmethod
+    def _assert_degrees(table, pos, src, qry, radius, side):
+        """``batch_contacts(..., degrees=)`` writes the brute-force count of
+        agents of either mask at each source with a contact, leaves every
+        other entry alone and returns the same contacts."""
+        degrees = np.full(src.shape, -7, dtype=np.intp)
+        rep, source, query = table["batch_contacts"](pos, src, qry, radius, side, degrees=degrees)
+        for got_col, expect_col in zip((rep, source, query), _sorted_contacts(pos, src, qry, radius)):
+            np.testing.assert_array_equal(got_col, expect_col)
+        cut = np.zeros(src.shape, dtype=bool)
+        cut[rep, source] = True
+        expect = TestPairKernelParity._oracle_counts(pos, src | qry, cut, radius)
+        np.testing.assert_array_equal(degrees, np.where(cut, expect, -7))
+        return rep
+
+    def test_degrees_randomized(self, table, rng):
+        for trial in range(15):
+            batch = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 40))
+            side = float(rng.uniform(1.0, 6.0))
+            radius = float(rng.uniform(0.2, side / 2))
+            pos = rng.uniform(0, side, size=(batch, n, 2))
+            src = rng.random((batch, n)) < 0.5
+            # Disjoint masks, as the protocols pass them, then overlapping.
+            qry = ~src if trial % 2 else rng.random((batch, n)) < 0.6
+            self._assert_degrees(table, pos, src, qry, radius, side)
+
+    def test_degrees_of_a_cut_that_overflows_its_first_capacity(self, table, rng):
+        # Replica 1 is a dense cluster: its cut alone passes the first
+        # capacity guess, so the degrees come from the re-run.
+        batch, n, radius, side = 3, 60, 0.5, 10.0
+        pos = rng.uniform(0, side, size=(batch, n, 2))
+        pos[1] = rng.uniform(4.0, 4.3, size=(n, 2))
+        src = rng.random((batch, n)) < 0.5
+        rep = self._assert_degrees(table, pos, src, ~src, radius, side)
+        first_guess = _contacts_capacity(
+            np.count_nonzero(src), np.count_nonzero(~src), batch, radius, side
+        )
+        assert np.count_nonzero(rep == 1) > first_guess
+
+    def test_degrees_out_of_domain_return_none(self, table, rng):
+        pos = rng.uniform(0, 3.0, size=(2, 5, 2))
+        src = np.zeros((2, 5), dtype=bool)
+        src[:, 0] = True
+        for degrees in (
+            np.zeros((2, 5), dtype=np.int32),
+            np.zeros((5, 2), dtype=np.intp),
+            np.zeros((2, 10), dtype=np.intp)[:, ::2],
+        ):
+            assert table["batch_contacts"](pos, src, ~src, 1.0, 3.0, degrees=degrees) is None
+
     def test_mask_dtype_and_layout_do_not_change_answers(self, table, rng):
         batch, n, side, radius = 3, 25, 3.0, 0.8
         pos = rng.uniform(0, side, size=(batch, n, 2))
@@ -452,6 +503,15 @@ class TestProviderContactsFollowSpec:
         for got_col, spec_col in zip(got, spec):
             assert got_col.dtype == np.intp
             np.testing.assert_array_equal(got_col, spec_col)
+        degrees = [np.full(args[1].shape, -7, dtype=np.intp) for _ in range(2)]
+        fused = [
+            table["batch_contacts"](*args, degrees=out)
+            for table, out in zip((provider_kernels(), reference_kernels()), degrees)
+        ]
+        for pairs in fused:
+            for col, spec_col in zip(pairs, spec):
+                np.testing.assert_array_equal(col, spec_col)
+        np.testing.assert_array_equal(*degrees)
         got_counts = provider_kernels()["batch_contacts"](*args, counts=True)
         spec_counts = reference_kernels()["batch_contacts"](*args, counts=True)
         assert got_counts.dtype == spec_counts.dtype == np.intp
@@ -533,6 +593,159 @@ class TestProviderContactsFollowSpec:
         for got_col, spec_col, expect_col in zip((rep, source, query), spec, expect):
             np.testing.assert_array_equal(got_col, spec_col)
             np.testing.assert_array_equal(got_col, expect_col)
+
+
+class TestContactsWithinDegrees:
+    """``contacts_within(..., degrees=)`` writes, at every source of the
+    cut, ``count_within(source | query, cut sources)``, on every neighbor
+    path; the compiled tier writes them from the cut's own call."""
+
+    @staticmethod
+    def _check(snapshot, pos, src, qry, radius):
+        degrees = np.full(src.shape, -7, dtype=np.intp)
+        rep, source, query = snapshot.contacts_within(src, qry, radius, degrees=degrees)
+        for got_col, expect_col in zip((rep, source, query), _sorted_contacts(pos, src, qry, radius)):
+            np.testing.assert_array_equal(got_col, expect_col)
+        cut = np.zeros(src.shape, dtype=bool)
+        cut[rep, source] = True
+        counts = snapshot.count_within(src | qry, cut, radius)
+        np.testing.assert_array_equal(degrees, np.where(cut, counts, -7))
+        return rep
+
+    def test_random_snapshots(self, neighbor_path, rng):
+        from repro.geometry.neighbors import BatchNeighborQuery
+
+        batch, n, side, radius = 4, 50, 5.0, 0.9
+        query = BatchNeighborQuery(side, batch)
+        for trial in range(6):
+            pos = rng.uniform(0, side, size=(batch, n, 2))
+            src = rng.random((batch, n)) < 0.4
+            qry = ~src if trial % 2 else rng.random((batch, n)) < 0.5
+            rows = None
+            if trial >= 4:
+                # Replica 2 is retired: no agent in either mask.
+                src[2] = qry[2] = False
+                rows = np.array([0, 1, 3])
+            self._check(query.bind(pos, rows=rows), pos, src, qry, radius)
+
+    def test_a_cut_that_overflows_its_first_capacity(self, neighbor_path, rng):
+        from repro.geometry.neighbors import BatchNeighborQuery
+
+        batch, n, side, radius = 3, 60, 10.0, 0.5
+        pos = rng.uniform(0, side, size=(batch, n, 2))
+        pos[1] = rng.uniform(4.0, 4.3, size=(n, 2))
+        src = rng.random((batch, n)) < 0.5
+        rep = self._check(BatchNeighborQuery(side, batch).bind(pos), pos, src, ~src, radius)
+        first_guess = _contacts_capacity(
+            np.count_nonzero(src), np.count_nonzero(~src), batch, radius, side
+        )
+        assert np.count_nonzero(rep == 1) > first_guess
+
+    def test_degrees_must_match_the_masks(self, neighbor_path, rng):
+        from repro.geometry.neighbors import BatchNeighborQuery
+
+        pos = rng.uniform(0, 3.0, size=(2, 5, 2))
+        src = rng.random((2, 5)) < 0.5
+        snapshot = BatchNeighborQuery(3.0, 2).bind(pos)
+        with pytest.raises(ValueError, match="degrees"):
+            snapshot.contacts_within(src, ~src, 1.0, degrees=np.zeros((5, 2), dtype=np.intp))
+
+
+def _cut_round(table, rng, batch, n, side, radius, pulls):
+    """A random round's cut, sender degrees and (with ``pulls``) the
+    pullers' degrees, from ``table``'s ``batch_contacts``: every agent
+    active, about half informed."""
+    pos = rng.uniform(0, side, size=(batch, n, 2))
+    informed = rng.random((batch, n)) < 0.5
+    degrees = np.empty((batch, n), dtype=np.intp)
+    cut = table["batch_contacts"](pos, informed, ~informed, radius, side, degrees=degrees)
+    counts = None
+    if pulls:
+        pullers = np.zeros((batch, n), dtype=bool)
+        pullers[cut[0], cut[2]] = True
+        everyone = np.ones((batch, n), dtype=bool)
+        counts = table["batch_contacts"](pos, everyone, pullers, radius, side, counts=True)
+    return informed, cut, degrees, counts
+
+
+def _numpy_exchange(informed, cut, degrees, pulls, rngs, fanout):
+    """The numpy exchange of the protocol states over one cut."""
+    from repro.protocols.gossip import BatchGossipState
+    from repro.protocols.pushpull import BatchPushPullState
+
+    batch, n = informed.shape
+    newly = np.zeros((batch, n), dtype=bool)
+    if pulls is None:
+        state = BatchGossipState(n, 1.0, 1.0, np.zeros(batch, dtype=np.intp), rngs=rngs, fanout=fanout)
+        state._numpy_picks(cut, degrees, newly)
+    else:
+        state = BatchPushPullState(n, 1.0, 1.0, np.zeros(batch, dtype=np.intp), rngs=rngs)
+        state.informed = informed
+        state._numpy_picks(cut, degrees, pulls, newly)
+    return newly
+
+
+#: (fanout, push-pull) cases of the sampler.
+EXCHANGE_CASES = [(1, False), (2, False), (3, False), (1, True)]
+
+
+@pytest.mark.parametrize("table", [t for _, t in TABLES], ids=TABLE_IDS)
+class TestCutExchangeParity:
+    @pytest.mark.parametrize("fanout, pulls", EXCHANGE_CASES)
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    def test_matches_numpy_exchange(self, table, rng, fanout, pulls, shared):
+        for _ in range(4):
+            batch = int(rng.integers(1, 5))
+            informed, cut, degrees, counts = _cut_round(table, rng, batch, 40, 5.0, 1.0, pulls)
+            rngs, ref_rngs = _twin_generators(int(rng.integers(1 << 30)), batch, shared)
+            newly = np.zeros((batch, 40), dtype=bool)
+            done = table["cut_exchange"](
+                *cut, degrees, newly, rngs, _glue.GeneratorCache(), fanout=fanout, pulls=counts
+            )
+            assert done is True
+            want = _numpy_exchange(informed, cut, degrees, counts, ref_rngs, fanout)
+            np.testing.assert_array_equal(newly, want)
+            for got_rng, want_rng in zip(rngs, ref_rngs):
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_declines_untouched(self, table, rng):
+        informed, cut, degrees, _ = _cut_round(table, rng, 2, 30, 4.0, 1.0, False)
+        rngs = [np.random.default_rng(s) for s in (1, 2)]
+        states = [r.bit_generator.state for r in rngs]
+        newly = np.zeros((2, 30), dtype=bool)
+        cache = _glue.GeneratorCache()
+        cases = {
+            "foreign generator": ((*cut, degrees, newly, [rngs[0], object()], cache), {}),
+            "one generator short": ((*cut, degrees, newly, rngs[:1], cache), {}),
+            "int32 cut": ((cut[0].astype(np.int32), *cut[1:], degrees, newly, rngs, cache), {}),
+            "int32 degrees": ((*cut, degrees.astype(np.int32), newly, rngs, cache), {}),
+            "uint8 newly": ((*cut, degrees, newly.view(np.uint8), rngs, cache), {}),
+            "wrong pulls": ((*cut, degrees, newly, rngs, cache), {"pulls": degrees[:1]}),
+        }
+        for label, (args, kwargs) in cases.items():
+            assert table["cut_exchange"](*args, **kwargs) is None, label
+        assert not newly.any()
+        assert [r.bit_generator.state for r in rngs] == states
+
+
+@needs_provider
+class TestProviderCutExchangeFollowsSpec:
+    @pytest.mark.parametrize("fanout, pulls", EXCHANGE_CASES + [(5, False)])
+    def test_matches_reference_cores(self, rng, fanout, pulls):
+        provider, reference = provider_kernels(), reference_kernels()
+        for _ in range(4):
+            batch = int(rng.integers(1, 6))
+            _informed, cut, degrees, counts = _cut_round(provider, rng, batch, 60, 6.0, 1.2, pulls)
+            rngs, ref_rngs = _twin_generators(int(rng.integers(1 << 30)), batch, True)
+            got, want = (np.zeros((batch, 60), dtype=bool) for _ in range(2))
+            for table, generators, out in ((provider, rngs, got), (reference, ref_rngs, want)):
+                assert table["cut_exchange"](
+                    *cut, degrees, out, generators, _glue.GeneratorCache(),
+                    fanout=fanout, pulls=counts,
+                ) is True
+            np.testing.assert_array_equal(got, want)
+            for got_rng, want_rng in zip(rngs, ref_rngs):
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def _trip_case(rng, batch_size, n, side=3.0):
@@ -1235,6 +1448,34 @@ class TestThreadsChangeNothing:
                 assert many.tobytes() == one.tobytes()
             if n < 100:
                 np.testing.assert_array_equal(many, brute_hits(pos, src, qry, radius))
+
+    def test_the_infection_test_splits_by_live_replicas(self, rng, monkeypatch):
+        """A bound snapshot's ``rows`` are its live replicas: a flood's tail
+        call whose live agents are too few for two threads runs on one."""
+        from repro.geometry.neighbors import BatchNeighborQuery
+
+        derive = _glue._threads
+        calls = []
+
+        def spy(units, agents):
+            calls.append((units, agents, derive(units, agents)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(_glue, "_host_threads", lambda: 2)
+        monkeypatch.setattr(_glue, "_threads", spy)
+        batch, n, side = 8, 3000, 40.0
+        pos = rng.uniform(0, side, size=(batch, n, 2))
+        src = rng.random((batch, n)) < 0.3
+        qry = ~src
+        live = np.array([2, 5])
+        retired = np.setdiff1d(np.arange(batch), live)
+        src[retired] = qry[retired] = False
+        query = BatchNeighborQuery(side, batch)
+        with use_kernel_tier("compiled"):
+            tail = query.bind(pos, rows=live).any_within(src, qry, 1.0)
+            every = query.bind(pos).any_within(src, qry, 1.0)
+        assert calls == [(2, 2 * n, 1), (batch, batch * n, 2)]
+        np.testing.assert_array_equal(tail, every)
 
     @pytest.mark.parametrize("model", TRIP_MODELS)
     @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])

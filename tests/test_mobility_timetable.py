@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import mobility_oracles
+from repro.kernels import kernel_backend, provider_kernels, use_kernel_tier
 from repro.mobility import (
     BatchTimetableMobility,
     FerryPatrol,
@@ -20,6 +21,7 @@ from repro.mobility import (
     grid_shuttle_timetable,
     loop_timetable,
     rectangle_route,
+    timetable,
 )
 
 SIDE = 10.0
@@ -411,4 +413,49 @@ class TestOracleParity:
                 "vehicle_positions", "riding_mask", "vehicle_loads", "dwelling_mask",
             ):
                 assert np.array_equal(getattr(view, read_out), getattr(oracles[0], read_out))
+
+    @pytest.mark.skipif(kernel_backend() is None, reason="no compiled kernel provider on this host")
+    def test_compiled_riders_take_every_pass_in_c(self, monkeypatch):
+        """On the compiled tier the riders hand every pass to the sparse C
+        pass, never to the numpy dense pass that the numpy tier's riders
+        take when at least half of them move, and both tiers follow the
+        oracle."""
+        options = self.CASES["riders"]
+        calls = {"dense": 0, "sparse": []}
+        dense = timetable.advance_legs_dense
+
+        def count_dense(*args, **kwargs):
+            calls["dense"] += 1
+            return dense(*args, **kwargs)
+
+        table = provider_kernels()
+        sparse = table["advance_legs"]
+
+        def record_sparse(*args, **kwargs):
+            calls["sparse"].append(sparse(*args, **kwargs))
+            return calls["sparse"][-1]
+
+        monkeypatch.setattr(timetable, "advance_legs_dense", count_dense)
+        monkeypatch.setitem(table, "advance_legs", record_sparse)
+        oracles = [
+            mobility_oracles.TimetableMobility(
+                40, SIDE, SPEED, rng=np.random.default_rng(s), **options
+            )
+            for s in self.SEEDS
+        ]
+        expected = [np.stack([m.step() for m in oracles]) for _ in range(40)]
+        seen = {}
+        for tier in ("numpy", "compiled"):
+            calls["dense"], calls["sparse"] = 0, []
+            batch = BatchTimetableMobility(
+                40, SIDE, SPEED, [np.random.default_rng(s) for s in self.SEEDS], **options
+            )
+            with use_kernel_tier(tier):
+                for want in expected:
+                    assert np.array_equal(batch.step(), want)
+            seen[tier] = (calls["dense"], list(calls["sparse"]))
+        assert seen["numpy"][0] > 0 and not seen["numpy"][1]
+        dense_calls, sparse_results = seen["compiled"]
+        assert dense_calls == 0
+        assert sparse_results and all(result is not None for result in sparse_results)
 
